@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import OrderedDict
 
@@ -67,6 +68,8 @@ def _point_report(scenario, coords):
 
 
 def cmd_verify(args):
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ScenarioError("--tol must be a finite positive number")
     scenario = load_scenario(args.scenario)
     points, seed = evaluation_points(scenario, seed=args.seed, count=args.points)
     worst = OrderedDict()
@@ -110,6 +113,8 @@ def _parse_coords(text, expect, label):
         raise ScenarioError(f"{label} must be comma-separated numbers: {err}") from None
     if len(coords) != expect:
         raise ScenarioError(f"{label} needs {expect} coordinates, got {len(coords)}")
+    if not all(map(math.isfinite, coords)):
+        raise ScenarioError(f"{label} coordinates must be finite")
     return coords
 
 
@@ -192,8 +197,8 @@ def cmd_streamline(args):
     v0 = _parse_coords(args.v0, n, "--v0")
     if args.steps < 1:
         raise ScenarioError("--steps must be at least 1")
-    if args.step <= 0:
-        raise ScenarioError("--step must be positive")
+    if not 0 < args.step < math.inf:
+        raise ScenarioError("--step must be positive and finite")
     if scenario.framework == "riemann":
         rows = integrate_stream_line(
             scenario.state, scenario.space, scenario.em, x0, v0, args.step, args.steps
@@ -242,8 +247,8 @@ def _exact_jets(scenario, axes, fields):
     shape = tuple(len(ax) for ax in axes)
     out = np.empty(shape, dtype=object)
     for idx in np.ndindex(shape):
-        t = [axes[a][idx[a]] for a in range(p)]
-        tj, ctx = seed(list(t))
+        t = [float(axes[a][idx[a]]) for a in range(p)]
+        tj, ctx = seed(t)
         x = []
         xdot = []
         for i in range(n):

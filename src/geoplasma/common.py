@@ -8,11 +8,45 @@ derivatives differ.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 
 import numpy as np
 
 from .tensor_core import sum_product
+
+
+def point_memo(builder):
+    """Memoize a pure per-point builder at the last point it was called at.
+
+    The key is the identity of each framework-object argument plus the exact
+    bits (``float.hex``: -0.0 and 0.0 differ) of each coordinate argument, a
+    list, tuple, array or point with ``.coords``.  Calls with coordinates
+    that are not all plain floats (jets, numpy scalars) bypass the memo.
+    One point is held, so memory stays flat; callers must not mutate results.
+    """
+    memo = {}
+
+    @functools.wraps(builder, updated=())
+    def cached(*args):
+        key = []
+        for arg in args:
+            coords = getattr(arg, "coords", arg)
+            if not isinstance(coords, (list, tuple, np.ndarray)):
+                key.append(id(arg))
+            elif all(type(c) is float for c in coords):
+                key.append(tuple(map(float.hex, coords)))
+            else:
+                return builder(*args)
+        key = tuple(key)
+        if key not in memo:
+            value = builder(*args)
+            memo.clear()
+            memo[key] = (args, value)  # args keep the keyed ids alive
+        return memo[key][1]
+
+    cached.cache_clear = memo.clear
+    return cached
 
 
 def energy_low_mixed(g, ginv, H, G):

@@ -245,13 +245,15 @@ def evaluate(node, binding):
             raise
         except ZeroDivisionError:
             raise DomainError("division by zero", where=pretty(node)) from None
+        except (ArithmeticError, ValueError) as err:
+            raise DomainError(str(err), where=pretty(node)) from None
     if isinstance(node, Call):
         fn = FUNCTIONS[node.name][0]
         args = [evaluate(a, binding) for a in node.args]
         try:
             return fn(*args)
-        except DomainError as err:
-            if err.where is None:
+        except (DomainError, ArithmeticError, ValueError) as err:
+            if getattr(err, "where", None) is None:
                 raise DomainError(str(err), where=pretty(node)) from None
             raise
     raise TypeError(f"not an expression node: {node!r}")

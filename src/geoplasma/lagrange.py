@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .common import ResidualReport, energy_low_mixed
+from .common import ResidualReport, energy_low_mixed, point_memo
 from .dual import promote, scalar_value, seed
 from .errors import (
     IntegrationError,
@@ -117,6 +117,7 @@ def adapted_x_derivative(field, space, pt):
     return np.array(out)
 
 
+@point_memo
 def cartan_connection_lists(space, coords):
     """(L, C) coefficient blocks at possibly-jet coordinates."""
     n = space.n
@@ -209,6 +210,7 @@ def _unit_velocity(space, coords, point=None):
     return u, u_low, eps
 
 
+@point_memo
 class _Frame:
     """Jet-level quantities of one tangent point, computed once."""
 
@@ -440,6 +442,7 @@ def metric_compatibility(space, pt):
     }
 
 
+@point_memo
 def resolve_epsilon0(space, x, w):
     """Scale factor eps0 relating the curve parameters: y = eps0 * dx/ds.
 
@@ -543,12 +546,13 @@ def integrate_h_stream_line(state, space, x0, v0, step, count):
     rows = np.empty((count + 1, 2 + 2 * n))
 
     def vc_norm(xx, vv):
-        return float(np.abs(v_stream_constraint_residual(state, space, list(xx), list(vv))).max())
+        residual = v_stream_constraint_residual(state, space, xx.tolist(), vv.tolist())
+        return float(np.abs(residual).max())
 
     rows[0] = [0.0, *x, *v, vc_norm(x, v)]
 
     def accel(xx, vv):
-        return np.array(h_stream_line_rhs(state, space, list(xx), list(vv)))
+        return np.array(h_stream_line_rhs(state, space, xx.tolist(), vv.tolist()))
 
     for k in range(count):
         try:
@@ -562,6 +566,8 @@ def integrate_h_stream_line(state, space, x0, v0, step, count):
             raise IntegrationError(str(err), step=k) from err
         x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        if not (np.isfinite(x).all() and np.isfinite(v).all()):
+            raise IntegrationError("state is not finite", step=k)
         rows[k + 1] = [(k + 1) * step, *x, *v, vc_norm(x, v)]
     return rows
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .common import ResidualReport, energy_low_mixed
+from .common import ResidualReport, energy_low_mixed, point_memo
 from .dual import promote, scalar_value, seed
 from .errors import GridError, NormalizationError, TensorError
 from .riemann import _inertial_factor
@@ -107,6 +107,7 @@ def temporal_christoffel(space, t_coords):
     )
 
 
+@point_memo
 class _Derivatives:
     """Adapted derivative operators bound to one seeding of a jet point."""
 
@@ -161,19 +162,23 @@ def adapted_jet_derivatives(field, space, jp):
     return dt, dx, dv
 
 
+@point_memo
 def cartan_gamma_lists(space, coords):
     """Blocks (kappa, G, L, C) of the canonical connection at a jet point.
 
     G[k][j][gamma] = (g^{km}/2) delta g_mj / delta t^gamma,
     L[i][j][k] as on the base, C[i][j][k][gamma] from fiber derivatives.
     """
-    p, n = space.p, space.n
     cj, ctx = seed(list(coords))
     ops = _Derivatives(space, coords)
     g = eval_matrix_jets(space.g, cj, ctx)
-    g0 = [[e.value for e in row] for row in g]
-    ginv0 = invert_symmetric(g0, coords)
+    ginv0 = invert_symmetric([[e.value for e in row] for row in g], coords)
+    return (ops.kappa, *_connection_blocks(ops, g, ginv0))
 
+
+def _connection_blocks(ops, g, ginv0):
+    """(G, L, C) from the metric jets of one seeding and g^-1 values."""
+    p, n = ops.p, ops.n
     Gt = [[[0.0] * p for _ in range(n)] for _ in range(n)]
     for gamma in range(p):
         dgt = [[ops.delta_t(g[m][j], gamma) for j in range(n)] for m in range(n)]
@@ -198,7 +203,7 @@ def cartan_gamma_lists(space, coords):
             for j in range(n):
                 for k in range(n):
                     C[i][j][k][gamma] = block[i][j][k]
-    return ops.kappa, Gt, L, C
+    return Gt, L, C
 
 
 def cartan_gamma(space, jp):
@@ -220,12 +225,15 @@ def jet_covariant_derivative(field, space, jp, kind):
     and G for latin slots under hT, L for latin under hM, C for latin
     under v; greek slots are untouched by hM and v.
     """
-    p, n = space.p, space.n
     coords = _coords(jp)
-    cj, ctx = seed(list(coords))
+    return _jet_covariant(eval_tensor_jets(field, *seed(list(coords))), space, coords, kind)
+
+
+def _jet_covariant(T, space, coords, kind):
+    """jet_covariant_derivative of a field already evaluated as jets T."""
+    p, n = space.p, space.n
     ops = _Derivatives(space, coords)
     kappa, Gt, L, C = cartan_gamma_lists(space, coords)
-    T = eval_tensor_jets(field, cj, ctx)
     vals = T.map(lambda e: e.value)
 
     def corrections(idx, latin_coeff, greek_coeff):
@@ -322,6 +330,7 @@ def multitime_velocity(state, space, jp):
     )
 
 
+@point_memo
 class _Frame:
     """Jet-level quantities of one jet point, computed once."""
 
@@ -340,40 +349,13 @@ class _Frame:
 
         h = eval_matrix_jets(space.h, cj[:p], ctx)
         hinv = invert_symmetric(h, coords[:p])
-        self.h0 = [[e.value for e in row] for row in h]
         self.hinv0 = [[e.value for e in row] for row in hinv]
 
         g = eval_matrix_jets(space.g, cj, ctx)
         ginv = invert_symmetric(g, coords)
         self.g0 = [[e.value for e in row] for row in g]
         self.ginv0 = [[e.value for e in row] for row in ginv]
-
-        Gt = [[[0.0] * p for _ in range(n)] for _ in range(n)]
-        for gamma in range(p):
-            dgt = [[ops.delta_t(g[m][j], gamma) for j in range(n)] for m in range(n)]
-            for k in range(n):
-                for j in range(n):
-                    Gt[k][j][gamma] = 0.5 * sum_product(
-                        self.ginv0[k], [dgt[m][j] for m in range(n)]
-                    )
-        self.Gt = Gt
-        dxg = [
-            [[ops.delta_x(g[i][j], k) for j in range(n)] for i in range(n)]
-            for k in range(n)
-        ]
-        self.L = christoffel_from(self.ginv0, dxg)
-        C = [[[[0.0] * p for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for gamma in range(p):
-            dvg = [
-                [[ops.fiber(g[i][j], k, gamma) for j in range(n)] for i in range(n)]
-                for k in range(n)
-            ]
-            block = christoffel_from(self.ginv0, dvg)
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        C[i][j][k][gamma] = block[i][j][k]
-        self.C = C
+        self.Gt, self.L, self.C = _connection_blocks(ops, g, self.ginv0)
 
         H = eval_matrix_jets(state.em_H, cj, ctx)
         G = eval_matrix_jets(state.em_G, cj, ctx)
@@ -733,13 +715,15 @@ def metric_compatibility(space, jp):
 
         return TensorField(slots, fn)
 
+    coords = _coords(jp)
     out = {}
     for name, field in [
         ("h", h_field(False)), ("hinv", h_field(True)),
         ("g", g_field(False)), ("ginv", g_field(True)),
     ]:
+        T = eval_tensor_jets(field, *seed(list(coords)))
         for kind in ("hT", "hM", "v"):
-            out[f"{name}_{kind}"] = jet_covariant_derivative(field, space, jp, kind).max_abs()
+            out[f"{name}_{kind}"] = _jet_covariant(T, space, coords, kind).max_abs()
     return out
 
 
@@ -1026,10 +1010,10 @@ def prolong_sheet(sheet, space):
     ]
     out = np.empty(shape, dtype=object)
     for idx in np.ndindex(shape):
-        t = tuple(sheet.axes[a][idx[a]] for a in range(p))
-        x = tuple(values[idx])
+        t = tuple(float(sheet.axes[a][idx[a]]) for a in range(p))
+        x = tuple(values[idx].tolist())
         xdot = tuple(
-            tuple(derivs[a][idx][i] for a in range(p)) for i in range(n)
+            tuple(float(derivs[a][idx][i]) for a in range(p)) for i in range(n)
         )
         out[idx] = JetPoint(t, x, xdot)
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .common import ResidualReport, energy_low_mixed, energy_mixed_direct
+from .common import ResidualReport, energy_low_mixed, energy_mixed_direct, point_memo
 from .dual import promote, scalar_value, seed
 from .errors import (
     IntegrationError,
@@ -66,6 +66,7 @@ class FluidState:
             raise ValueError("speed of light must be positive")
 
 
+@point_memo
 def christoffel_lists(space, x):
     """Connection coefficients gamma[i][j][k] at x (coordinates may be jets)."""
     coords, ctx = seed(list(x))
@@ -433,7 +434,7 @@ def integrate_stream_line(state, space, em, x0, v0, step, count):
     rows[0] = [0.0, *x, *v]
 
     def accel(xx, vv):
-        return np.array(stream_line_rhs(state, space, em, list(xx), list(vv)))
+        return np.array(stream_line_rhs(state, space, em, xx.tolist(), vv.tolist()))
 
     for k in range(count):
         try:
@@ -445,6 +446,8 @@ def integrate_stream_line(state, space, em, x0, v0, step, count):
             raise IntegrationError(str(err), step=k) from err
         x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        if not (np.isfinite(x).all() and np.isfinite(v).all()):
+            raise IntegrationError("state is not finite", step=k)
         rows[k + 1] = [(k + 1) * step, *x, *v]
     return rows
 

@@ -448,7 +448,7 @@ def evaluation_points(scenario, seed=None, count=None):
     if "grid" in spec:
         grid = spec["grid"]
         lo, hi, shape = _box_spec(grid, dim, need_shape=True)
-        axes = [np.linspace(lo[i], hi[i], shape[i]) for i in range(dim)]
+        axes = [np.linspace(lo[i], hi[i], shape[i]).tolist() for i in range(dim)]
         pts = [list(xs) for xs in itertools.product(*axes)]
         return pts, 0
     if "box" in spec:
@@ -458,7 +458,7 @@ def evaluation_points(scenario, seed=None, count=None):
         if used_count < 1:
             raise ScenarioError("eval count must be positive")
         rng = np.random.default_rng(used_seed)
-        return [list(rng.uniform(lo, hi)) for _ in range(used_count)], used_seed
+        return [rng.uniform(lo, hi).tolist() for _ in range(used_count)], used_seed
     raise ScenarioError("'eval' needs 'points', 'box' or 'grid'")
 
 

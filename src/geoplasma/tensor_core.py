@@ -157,7 +157,7 @@ def invert_symmetric(matrix, point=None):
 
     Works on generic scalar entries (derivatives of the inverse propagate
     through the elimination).  Pivots are compared on plain value parts;
-    a pivot below 1e-13 of the largest input entry raises
+    a pivot below 1e-13 of the largest input entry, or a NaN pivot, raises
     :class:`DegenerateMetricError`.
     """
     n = len(matrix)
@@ -171,7 +171,7 @@ def invert_symmetric(matrix, point=None):
     threshold = 1e-13 * scale
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(scalar_value(a[r][col])))
-        if abs(scalar_value(a[pivot_row][col])) < threshold:
+        if not abs(scalar_value(a[pivot_row][col])) >= threshold:  # NaN-safe
             raise DegenerateMetricError(
                 f"metric is singular or near-singular (pivot {scalar_value(a[pivot_row][col]):.3e})",
                 point,

@@ -74,6 +74,16 @@ def test_domain_error_names_subexpression():
     with pytest.raises(DomainError) as err:
         ev("1/(x1 - 1)", x1=1.0)
     assert "x1 - 1.0" in str(err.value)
+    # float arithmetic errors of plain coordinates surface the same way
+    for source, where in [
+        ("1 + pow(x1 - 1, -1)", "pow(x1 - 1.0, -1.0)"),
+        ("1 + (x1 + 1)^2000.5", "(x1 + 1.0)^2000.5"),
+        ("1 + exp(1000*x1)", "exp(1000.0*x1)"),
+        ("1 + sin(x1*1e308*10)", "sin(x1*1e+308*10.0)"),
+    ]:
+        with pytest.raises(DomainError) as err:
+            ev(source, x1=1.0)
+        assert where in str(err.value)
 
 
 def test_dual_evaluation_product_rule():

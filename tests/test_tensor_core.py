@@ -65,6 +65,9 @@ def test_invert_singular_raises():
         invert_symmetric([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(DegenerateMetricError):
         invert_symmetric([[0.0, 0.0], [0.0, 0.0]], point=(1.0, 2.0))
+    # a NaN entry must not slip past the pivot test into a division by zero
+    with pytest.raises(DegenerateMetricError):
+        invert_symmetric([[float("nan"), 0.0], [0.0, 0.0]])
 
 
 def test_invert_propagates_derivatives():
