@@ -18,6 +18,7 @@ from collections import OrderedDict
 import numpy as np
 
 from . import __version__
+from .dual import Jet, scalar_value, seed
 from .errors import GeoPlasmaError, ScenarioError
 from .lagrange import integrate_h_stream_line, lagrange_residuals
 from .multitime import (
@@ -32,6 +33,7 @@ from .multitime import (
 from .riemann import christoffel, integrate_stream_line, riemann_report
 from .lagrange import cartan_connection
 from .scenario import evaluation_points, load_scenario, sheet_axes_and_values
+from .tensor_core import quadratic_form
 from .verify import invariants_at
 
 
@@ -199,50 +201,31 @@ def cmd_streamline(args):
         raise ScenarioError("--steps must be at least 1")
     if not 0 < args.step < math.inf:
         raise ScenarioError("--step must be positive and finite")
+    header = ["s"] + [f"x{i + 1}" for i in range(n)] + [f"xdot{i + 1}" for i in range(n)]
+    space = scenario.space
     if scenario.framework == "riemann":
         rows = integrate_stream_line(
-            scenario.state, scenario.space, scenario.em, x0, v0, args.step, args.steps
+            scenario.state, space, scenario.em, x0, v0, args.step, args.steps
         )
-        norms = []
-        for row in rows:
-            x = list(row[1:1 + n])
-            v = row[1 + n:1 + 2 * n]
-            m = np.array(scenario.space.phi.matrix(x))
-            norms.append(float(v @ m @ v))
-        header = (
-            ["s"] + [f"x{i + 1}" for i in range(n)]
-            + [f"xdot{i + 1}" for i in range(n)] + ["velocity_norm"]
-        )
-        out_rows = [list(row) + [norms[k]] for k, row in enumerate(rows)]
-    elif scenario.framework == "lagrange":
-        rows = integrate_h_stream_line(
-            scenario.state, scenario.space, x0, v0, args.step, args.steps
-        )
-        norms = []
-        for row in rows:
-            x = list(row[1:1 + n])
-            v = list(row[1 + n:1 + 2 * n])
-            m = scenario.space.g.matrix(x + v)
-            from .dual import scalar_value
-            from .tensor_core import quadratic_form
 
-            norms.append(float(scalar_value(quadratic_form(m, v, v))))
-        header = (
-            ["s"] + [f"x{i + 1}" for i in range(n)]
-            + [f"xdot{i + 1}" for i in range(n)]
-            + ["vertical_constraint_norm", "velocity_norm"]
-        )
-        out_rows = [list(row) + [norms[k]] for k, row in enumerate(rows)]
+        def norm(x, v):
+            return float(v @ np.array(space.phi.matrix(list(x))) @ v)
+    elif scenario.framework == "lagrange":
+        rows = integrate_h_stream_line(scenario.state, space, x0, v0, args.step, args.steps)
+        header.append("vertical_constraint_norm")
+
+        def norm(x, v):
+            v = list(v)
+            return float(scalar_value(quadratic_form(space.g.matrix(list(x) + v), v, v)))
     else:
         raise ScenarioError("streamline requires the riemann or lagrange framework")
+    header.append("velocity_norm")
+    out_rows = [list(row) + [norm(row[1:1 + n], row[1 + n:1 + 2 * n])] for row in rows]
     _write_lines(args.out, _csv_lines(scenario, header, out_rows))
     return 0
 
 
 def _exact_jets(scenario, axes, fields):
-    from .dual import seed
-    from .dual import Jet
-
     p, n = scenario.p, scenario.n
     shape = tuple(len(ax) for ax in axes)
     out = np.empty(shape, dtype=object)
@@ -349,15 +332,16 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, out_required=False):
+    def common(sp, sampled=False):
         sp.add_argument("--scenario", required=True, help="scenario JSON file")
-        sp.add_argument("--out", required=out_required, help="output file path")
-        sp.add_argument("--tol", type=float, default=1e-9, help="tolerance")
-        sp.add_argument("--seed", type=int, default=None, help="sampling seed")
-        sp.add_argument("--points", type=int, default=None, help="sample count")
+        sp.add_argument("--out", help="output file path")
+        if sampled:
+            sp.add_argument("--seed", type=int, default=None, help="sampling seed")
+            sp.add_argument("--points", type=int, default=None, help="sample count")
 
     sp = sub.add_parser("verify", help="run the invariant suite")
-    common(sp)
+    common(sp, sampled=True)
+    sp.add_argument("--tol", type=float, default=1e-9, help="tolerance")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("connection", help="dump connection coefficients")
@@ -366,7 +350,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_connection)
 
     sp = sub.add_parser("residuals", help="evaluate residual reports to CSV")
-    common(sp)
+    common(sp, sampled=True)
     sp.set_defaults(fn=cmd_residuals)
 
     sp = sub.add_parser("streamline", help="integrate a stream line to CSV")

@@ -1,19 +1,26 @@
-"""Pieces shared by the three plasma pipelines.
+"""Pieces shared by the plasma pipelines.
 
-The Minkowski energy tensor of the electromagnetic field and the named
-residual report have the same structure on the base manifold, on the
-tangent bundle and on the jet space; only the metric and the covariant
-derivatives differ.
+The Minkowski energy tensor and the named residual report have the same
+structure on the base manifold, the tangent bundle and the jet space.
+The base manifold and the tangent bundle also share the residual algebra:
+a :class:`Channel` is one connection block with its adapted partials, and
+:class:`FluidFrame` evaluates the residuals and the stream-line
+acceleration over any channel (riemann has one channel, lagrange a
+horizontal and a vertical one).  The covariant derivative of a latin
+tensor and the RK4 loop of both stream-line integrators live here too.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import sum_product
+from . import dual
+from .errors import IntegrationError, NormalizationError, SingularDynamicsError, TensorError
+from .tensor_core import Slot, Tensor, mat_vec, quadratic_form, sum_product
 
 
 def point_memo(builder):
@@ -104,6 +111,29 @@ def energy_mixed_direct(ginv, H, G):
     return out
 
 
+def unit_vector(g, v, label, point=None):
+    """(u^i, u_i, eps): v divided by its length eps, eps^2 = g_pq v^p v^q > 0."""
+    norm2 = quadratic_form(g, v, v)
+    if dual.scalar_value(norm2) <= 0.0:
+        raise NormalizationError(
+            f"{label} quadratic form is not positive",
+            point=point, value=dual.scalar_value(norm2),
+        )
+    eps = dual.sqrt(norm2)
+    u = [vi / eps for vi in v]
+    return u, mat_vec(g, u), eps
+
+
+def mixed_stress(E_mix, u, u_low, p, rho, c):
+    """T^m_i = (rho + p/c^2) u^m u_i + p delta^m_i + E^m_i, generic scalars."""
+    n = len(u)
+    q = rho + p / c**2
+    out = [[q * u[m] * u_low[i] + E_mix[m][i] for i in range(n)] for m in range(n)]
+    for m in range(n):
+        out[m][m] = out[m][m] + p
+    return out
+
+
 class ResidualReport:
     """Named residual arrays for one evaluation point.
 
@@ -141,3 +171,226 @@ class ResidualReport:
                     out.append((label, float(arr[idx])))
             out.append((name + "_norm", self.norm(name)))
         return out
+
+
+def covariant_derivative(T, partial, coeff):
+    """Covariant derivative of a latin tensor T given as jets at one point.
+
+    ``partial(jet, p)`` is the adapted partial along direction p and
+    ``coeff[i][j][p]`` the connection block; the result has one extra
+    covariant slot: the partial plus one coefficient correction per slot,
+    signed by variance.
+    """
+    if any(not s.latin for s in T.slots):
+        raise TensorError("covariant derivative requires all-latin valence")
+    n = len(coeff)
+    out = Tensor.zeros(T.slots + (Slot.LD,), T.extents + (n,))
+    vals = T.map(lambda e: e.value)
+    for idx in T.indices():
+        for p in range(n):
+            acc = partial(T[idx], p)
+            for a, slot in enumerate(T.slots):
+                pre, i, post = idx[:a], idx[a], idx[a + 1:]
+                if slot.up:
+                    for m in range(n):
+                        acc += vals[pre + (m,) + post] * coeff[i][m][p]
+                else:
+                    for m in range(n):
+                        acc -= vals[pre + (m,) + post] * coeff[m][i][p]
+            out[idx + (p,)] = acc
+    return out
+
+
+def inertial_factor(p0, rho0, c):
+    """c^2 / (p + rho c^2), the factor in front of the stream-line forces."""
+    s = p0 + rho0 * c * c
+    if abs(s) <= 1e-12 * max(abs(p0), abs(rho0 * c * c), 1.0):
+        raise SingularDynamicsError(
+            f"inertial factor p + rho c^2 = {s} vanishes"
+        )
+    return c * c / s
+
+
+@dataclass
+class Channel:
+    """One derivative channel at a point.
+
+    ``coeff[i][j][k]`` is the connection block (k the derivative index),
+    ``ediv`` the divergence E^m_{i|m} of the mixed energy tensor, and
+    ``dul[i][m]``, ``dp[m]`` and ``dqu[r][m]`` the adapted partials of
+    u_i, p and (rho + p/c^2) u^r.
+    """
+
+    coeff: list
+    ediv: list
+    dul: list
+    dp: list
+    dqu: list
+
+
+class FluidFrame:
+    """Point values of a plasma state and the residual algebra over a channel.
+
+    A subclass seeds the point, evaluates the metric, the unit velocity,
+    pressure and density as jets of that seeding, passes them to
+    ``FluidFrame.__init__`` and builds its channels with :meth:`channel`.
+    """
+
+    def __init__(self, c, g, ginv, u, u_low, p, rho):
+        self.n = len(g)
+        self.c = c
+        self.g0 = [[e.value for e in row] for row in g]
+        self.ginv0 = [[e.value for e in row] for row in ginv]
+        self.u0 = [e.value for e in u]
+        self.ul0 = [e.value for e in u_low]
+        self.p0 = p.value
+        self.rho0 = rho.value
+        q = rho + p / c**2
+        self.q0 = q.value
+        qu = [q * ui for ui in u]
+        self.qu0 = [e.value for e in qu]
+        self._jets = (u_low, p, qu)
+
+    def channel(self, coeff, partial, ediv):
+        """The channel of connection block ``coeff`` and adapted ``partial``."""
+        n = self.n
+        u_low, p, qu = self._jets
+        return Channel(
+            coeff,
+            ediv,
+            [[partial(u_low[i], k) for k in range(n)] for i in range(n)],
+            [partial(p, k) for k in range(n)],
+            [[partial(qu[m], k) for k in range(n)] for m in range(n)],
+        )
+
+    def lorentz_force(self, ch):
+        return [-sum_product(self.ginv0[r], ch.ediv) for r in range(self.n)]
+
+    def lorentz_residual(self, ch):
+        return sum_product(ch.ediv, self.u0)
+
+    def u_cov_low(self, ch, i, m):
+        """u_{i|m} with the normalization differentiated through."""
+        acc = ch.dul[i][m]
+        for r in range(self.n):
+            acc -= ch.coeff[r][i][m] * self.ul0[r]
+        return acc
+
+    def qu_divergence(self, ch):
+        acc = 0.0
+        for m in range(self.n):
+            acc += ch.dqu[m][m]
+            for r in range(self.n):
+                acc += self.qu0[r] * ch.coeff[m][r][m]
+        return acc
+
+    def conservation(self, ch):
+        n = self.n
+        force = self.lorentz_force(ch)
+        div_qu = self.qu_divergence(ch)
+        out = []
+        for i in range(n):
+            acc = div_qu * self.ul0[i] + ch.dp[i]
+            for m in range(n):
+                acc += self.q0 * self.u0[m] * self.u_cov_low(ch, i, m)
+            acc -= sum_product(self.g0[i], force)
+            out.append(acc)
+        return out
+
+    def continuity(self, ch):
+        return self.qu_divergence(ch) + sum_product(ch.dp, self.u0)
+
+    def euler(self, ch):
+        n = self.n
+        force = self.lorentz_force(ch)
+        out = []
+        for i in range(n):
+            acc = 0.0
+            for m in range(n):
+                acc += self.q0 * self.u_cov_low(ch, i, m) * self.u0[m]
+                acc -= ch.dp[m] * (self.u0[m] * self.ul0[i] - (1.0 if m == i else 0.0))
+            acc -= sum_product(self.g0[i], force)
+            out.append(acc)
+        return out
+
+    def add_channel(self, report, ch, suffix=""):
+        """Add the channel's residuals and identity diagnostics to a report."""
+        cons = np.array(self.conservation(ch))
+        cont = self.continuity(ch)
+        lorentz = self.lorentz_residual(ch)
+        euler = np.array(self.euler(ch))
+        u0 = np.array(self.u0)
+        ul0 = np.array(self.ul0)
+        report.add("lorentz" + suffix, lorentz)
+        report.add("conservation" + suffix, cons)
+        report.add("continuity" + suffix, cont)
+        report.add("euler" + suffix, euler)
+        report.add("force" + suffix, self.lorentz_force(ch))
+        report.add("contraction_identity" + suffix, float(cons @ u0 - cont - lorentz))
+        report.add("euler_decomposition" + suffix, euler - (cons - cont * ul0))
+
+    def unit_norm_error(self):
+        return float(np.array(self.ul0) @ np.array(self.u0) - 1.0)
+
+    def stream_line_core(self, ch, w):
+        """Geodesic and force terms of d^2 x^k/ds^2 along ``w`` = dx/ds.
+
+        -(coeff^k_rm - fac delta^k_r dp_m) w^r w^m + fac (force^k - g^km dp_m)
+        with fac = c^2 / (p + rho c^2).
+        """
+        n = self.n
+        fac = inertial_factor(self.p0, self.rho0, self.c)
+        force = self.lorentz_force(ch)
+        out = []
+        for k in range(n):
+            acc = 0.0
+            for r in range(n):
+                for m in range(n):
+                    bracket = ch.coeff[k][r][m]
+                    if r == k:
+                        bracket -= fac * ch.dp[m]
+                    acc -= bracket * w[r] * w[m]
+            acc += fac * (force[k] - sum_product(self.ginv0[k], ch.dp))
+            out.append(acc)
+        return out
+
+
+def integrate_rk4(accel, x0, v0, step, count, monitor=None):
+    """Classical fixed-step RK4 for the second-order system x'' = accel(x, x').
+
+    ``accel`` and ``monitor`` take plain-float lists.  Returns an array of
+    count+1 rows [s, x, dx/ds], each followed by ``monitor(x, dx/ds)`` when
+    a monitor is given.  A failure inside a step, or a state that turns
+    non-finite, raises :class:`IntegrationError` naming the step.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if count < 1:
+        raise ValueError("need at least one step")
+    x = np.array(x0, dtype=float)
+    v = np.array(v0, dtype=float)
+
+    def row(s, x, v):
+        extra = [] if monitor is None else [monitor(x.tolist(), v.tolist())]
+        return [s, *x, *v, *extra]
+
+    def f(xx, vv):
+        return np.array(accel(xx.tolist(), vv.tolist()))
+
+    first = row(0.0, x, v)
+    rows = np.empty((count + 1, len(first)))
+    rows[0] = first
+    for k in range(count):
+        try:
+            k1x, k1v = v, f(x, v)
+            k2x, k2v = v + 0.5 * step * k1v, f(x + 0.5 * step * k1x, v + 0.5 * step * k1v)
+            k3x, k3v = v + 0.5 * step * k2v, f(x + 0.5 * step * k2x, v + 0.5 * step * k2v)
+            k4x, k4v = v + step * k3v, f(x + step * k3x, v + step * k3v)
+        except Exception as err:
+            raise IntegrationError(str(err), step=k) from err
+        x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        if not (np.isfinite(x).all() and np.isfinite(v).all()):
+            raise IntegrationError("state is not finite", step=k)
+        rows[k + 1] = row((k + 1) * step, x, v)
+    return rows

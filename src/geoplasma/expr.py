@@ -8,7 +8,8 @@ Grammar::
     unary  := '-' unary | atom
     atom   := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
 
-NUMBER is a decimal literal with optional exponent, IDENT matches
+NUMBER is a decimal literal with optional exponent (one that overflows
+to infinity is a syntax error), IDENT matches
 ``[A-Za-z][A-Za-z0-9_]*``.  ``^`` is right-associative and its base is a
 unary, so ``-x^2`` parses as ``(-x)^2``; write ``-(x^2)`` for the other
 reading.  Known functions: sin, cos, exp, log, sqrt, tanh (one argument)
@@ -21,6 +22,7 @@ accept (plain floats or jets).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -170,8 +172,11 @@ class _Parser:
     def atom(self):
         kind, text, offset = self.peek()
         if kind == "num":
+            value = float(text)
+            if math.isinf(value):
+                raise ExprSyntaxError(f"number {text!r} overflows to infinity", offset, ())
             self.advance()
-            return Num(float(text))
+            return Num(value)
         if kind == "ident":
             self.advance()
             if self.peek()[0] == "op" and self.peek()[1] == "(":

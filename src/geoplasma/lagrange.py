@@ -15,15 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dual
-from .common import ResidualReport, energy_low_mixed, point_memo
-from .dual import promote, scalar_value, seed
-from .errors import (
-    IntegrationError,
-    NormalizationError,
-    TensorError,
+from .common import (
+    FluidFrame,
+    ResidualReport,
+    covariant_derivative,
+    energy_low_mixed,
+    integrate_rk4,
+    mixed_stress,
+    point_memo,
+    unit_vector,
 )
-from .riemann import _inertial_factor
+from .dual import promote, scalar_value, seed
+from .errors import NormalizationError
 from .tensor_core import (
     Slot,
     Tensor,
@@ -32,7 +35,6 @@ from .tensor_core import (
     eval_matrix_jets,
     eval_tensor_jets,
     invert_symmetric,
-    mat_vec,
     MatrixMetricField,
     quadratic_form,
     sum_product,
@@ -101,20 +103,40 @@ def canonical_nonlinear_connection(space_metric, n):
     return fn
 
 
+@point_memo
+def _nonlinear_connection(space, coords):
+    """N^i_j at a point, evaluated once per point for plain-float coordinates."""
+    return space.N(list(coords))
+
+
+def _adapted_partials(space, coords):
+    """N^i_j values and the adapted partials of a jet over (x, y) at a point.
+
+    Returns (N0, horizontal, vertical): ``horizontal(jet, k)`` is
+    delta/delta x^k = d/dx^k - N^m_k d/dy^m, ``vertical(jet, k)`` is d/dy^k.
+    """
+    n = space.n
+    N0 = [[scalar_value(v) for v in row] for row in _nonlinear_connection(space, coords)]
+
+    def horizontal(jet, k):
+        acc = jet.d(k)
+        for r in range(n):
+            acc -= N0[r][k] * jet.d(n + r)
+        return acc
+
+    def vertical(jet, k):
+        return jet.d(n + k)
+
+    return N0, horizontal, vertical
+
+
 def adapted_x_derivative(field, space, pt):
     """delta f / delta x^i of a scalar field over (x, y)."""
-    n = space.n
     coords = _coords(pt)
     cj, ctx = seed(list(coords))
     val = promote(field(cj), ctx)
-    N0 = space.N(coords)
-    out = []
-    for i in range(n):
-        acc = val.d(i)
-        for m in range(n):
-            acc = acc - scalar_value(N0[m][i]) * val.d(n + m)
-        out.append(acc)
-    return np.array(out)
+    _, horizontal, _ = _adapted_partials(space, coords)
+    return np.array([horizontal(val, i) for i in range(space.n)])
 
 
 @point_memo
@@ -125,7 +147,7 @@ def cartan_connection_lists(space, coords):
     g = eval_matrix_jets(space.g, cj, ctx)
     g0 = [[e.value for e in row] for row in g]
     ginv0 = invert_symmetric(g0)
-    N0 = space.N(coords)
+    N0 = _nonlinear_connection(space, coords)
     dx_g = [
         [
             [
@@ -152,210 +174,86 @@ def cartan_connection(space, pt):
     )
 
 
-def _covariant(field, space, pt, vertical):
-    if any(not s.latin for s in field.slots):
-        raise TensorError("tangent-bundle derivative requires all-latin valence")
-    n = space.n
-    coords = _coords(pt)
-    cj, ctx = seed(list(coords))
-    T = eval_tensor_jets(field, cj, ctx)
-    L, C = cartan_connection_lists(space, coords)
-    coeff = C if vertical else L
-    N0 = space.N(coords) if not vertical else None
-    vals = T.map(lambda e: e.value)
-    out = Tensor.zeros(T.slots + (Slot.LD,), T.extents + (n,))
-    for idx in T.indices():
-        for p in range(n):
-            if vertical:
-                acc = T[idx].d(n + p)
-            else:
-                acc = T[idx].d(p)
-                for r in range(n):
-                    acc -= scalar_value(N0[r][p]) * T[idx].d(n + r)
-            for a, slot in enumerate(T.slots):
-                pre, i, post = idx[:a], idx[a], idx[a + 1:]
-                if slot.up:
-                    for m in range(n):
-                        acc += vals[pre + (m,) + post] * coeff[i][m][p]
-                else:
-                    for m in range(n):
-                        acc -= vals[pre + (m,) + post] * coeff[m][i][p]
-            out[idx + (p,)] = acc
-    return out
-
-
 def h_covariant(field, space, pt):
     """Horizontal covariant derivative of a latin tensor field on TM."""
-    return _covariant(field, space, pt, vertical=False)
+    coords = _coords(pt)
+    T = eval_tensor_jets(field, *seed(list(coords)))
+    _, horizontal, _ = _adapted_partials(space, coords)
+    return covariant_derivative(T, horizontal, cartan_connection_lists(space, coords)[0])
 
 
 def v_covariant(field, space, pt):
     """Vertical covariant derivative of a latin tensor field on TM."""
-    return _covariant(field, space, pt, vertical=True)
+    coords = _coords(pt)
+    T = eval_tensor_jets(field, *seed(list(coords)))
+    _, _, vertical = _adapted_partials(space, coords)
+    return covariant_derivative(T, vertical, cartan_connection_lists(space, coords)[1])
 
 
 def _unit_velocity(space, coords, point=None):
     """u^i = y^i/eps and u_i, generic arithmetic, eps^2 = g_pq y^p y^q."""
-    n = space.n
-    g = space.g.matrix(coords)
-    y = coords[n:]
-    eps2 = quadratic_form(g, y, y)
-    if scalar_value(eps2) <= 0.0:
-        raise NormalizationError(
-            "fiber quadratic form is not positive", point=point, value=scalar_value(eps2)
-        )
-    eps = dual.sqrt(eps2)
-    u = [yi / eps for yi in y]
-    u_low = mat_vec(g, u)
-    return u, u_low, eps
+    return unit_vector(space.g.matrix(coords), coords[space.n:], "fiber", point)
+
+
+def _energy_divergence(E_mix, coeff, partial):
+    """E^m_{s|m} of one channel from the mixed energy jets.
+
+    Each correction term is added and then subtracted in two steps; this
+    summation order is part of the output bytes (riemann adds ``a*b - c*d``).
+    """
+    n = len(coeff)
+    E0 = [[e.value for e in row] for row in E_mix]
+    out = []
+    for s in range(n):
+        acc = 0.0
+        for m in range(n):
+            acc += partial(E_mix[m][s], m)
+            for r in range(n):
+                acc += E0[r][s] * coeff[m][r][m]
+                acc -= E0[m][r] * coeff[r][s][m]
+        out.append(acc)
+    return out
 
 
 @point_memo
-class _Frame:
-    """Jet-level quantities of one tangent point, computed once."""
+class _Frame(FluidFrame):
+    """Jet-level quantities of one tangent point, computed once.
+
+    Two derivative channels: ``h`` (adapted base derivative, Cartan L)
+    and ``v`` (fiber derivative, Cartan C).
+    """
 
     def __init__(self, state, space, pt):
         coords = _coords(pt)
-        n = self.n = space.n
-        self.c = state.c
-        self.coords = coords
+        n = space.n
         cj, ctx = seed(list(coords))
         g = eval_matrix_jets(space.g, cj, ctx)
         ginv = invert_symmetric(g, coords)
-        self.g0 = [[e.value for e in row] for row in g]
-        self.ginv0 = [[e.value for e in row] for row in ginv]
-        self.N0 = [[scalar_value(v) for v in row] for row in space.N(coords)]
-
-        def delta_x(jet, k):
-            acc = jet.d(k)
-            for r in range(n):
-                acc -= self.N0[r][k] * jet.d(n + r)
-            return acc
-
-        self._delta_x = delta_x
-        dx_g = [
-            [[delta_x(g[i][j], k) for j in range(n)] for i in range(n)]
-            for k in range(n)
-        ]
-        dy_g = [[[g[i][j].d(n + k) for j in range(n)] for i in range(n)] for k in range(n)]
-        self.L = christoffel_from(self.ginv0, dx_g)
-        self.C = christoffel_from(self.ginv0, dy_g)
-        self.dy_g = dy_g
-
+        self.N0, horizontal, vertical = _adapted_partials(space, coords)
         H = eval_matrix_jets(state.em_H, cj, ctx)
         G = eval_matrix_jets(state.em_G, cj, ctx)
         E_low, E_mix = energy_low_mixed(g, ginv, H, G)
+        u, u_low, _ = _unit_velocity(space, cj, point=coords)
+        super().__init__(
+            state.c, g, ginv,
+            [promote(e, ctx) for e in u],
+            [promote(e, ctx) for e in u_low],
+            promote(state.pressure(cj), ctx),
+            promote(state.density(cj), ctx),
+        )
         self.E_low0 = [[e.value for e in row] for row in E_low]
         self.E_mix0 = [[e.value for e in row] for row in E_mix]
-        self.dE_h = [
-            [[delta_x(E_mix[m][i], k) for k in range(n)] for i in range(n)]
-            for m in range(n)
+        dx_g = [
+            [[horizontal(g[i][j], k) for j in range(n)] for i in range(n)]
+            for k in range(n)
         ]
-        self.dE_v = [
-            [[E_mix[m][i].d(n + k) for k in range(n)] for i in range(n)]
-            for m in range(n)
+        self.dy_g = [
+            [[vertical(g[i][j], k) for j in range(n)] for i in range(n)] for k in range(n)
         ]
-
-        u, u_low, eps = _unit_velocity(space, cj, point=coords)
-        u = [promote(e, ctx) for e in u]
-        u_low = [promote(e, ctx) for e in u_low]
-        self.eps0 = scalar_value(eps)
-        self.u0 = [e.value for e in u]
-        self.ul0 = [e.value for e in u_low]
-        self.du_h = [[delta_x(u[i], k) for k in range(n)] for i in range(n)]
-        self.du_v = [[u[i].d(n + k) for k in range(n)] for i in range(n)]
-        self.dul_h = [[delta_x(u_low[i], k) for k in range(n)] for i in range(n)]
-        self.dul_v = [[u_low[i].d(n + k) for k in range(n)] for i in range(n)]
-
-        p = promote(state.pressure(cj), ctx)
-        rho = promote(state.density(cj), ctx)
-        self.p0 = p.value
-        self.rho0 = rho.value
-        self.dp_h = [delta_x(p, k) for k in range(n)]
-        self.dp_v = [p.d(n + k) for k in range(n)]
-        q = rho + p / state.c**2
-        self.q0 = q.value
-        qu = [q * ui for ui in u]
-        self.qu0 = [e.value for e in qu]
-        self.dqu_h = [[delta_x(qu[m], k) for k in range(n)] for m in range(n)]
-        self.dqu_v = [[qu[m].d(n + k) for k in range(n)] for m in range(n)]
-
-    # channel = "h" uses (adapted derivative, L); "v" uses (fiber, C)
-
-    def _blocks(self, channel):
-        if channel == "h":
-            return self.L, self.dE_h, self.du_h, self.dul_h, self.dp_h, self.dqu_h
-        return self.C, self.dE_v, self.du_v, self.dul_v, self.dp_v, self.dqu_v
-
-    def energy_divergence(self, channel):
-        n = self.n
-        coeff, dE = self._blocks(channel)[:2]
-        out = []
-        for s in range(n):
-            acc = 0.0
-            for m in range(n):
-                acc += dE[m][s][m]
-                for r in range(n):
-                    acc += self.E_mix0[r][s] * coeff[m][r][m]
-                    acc -= self.E_mix0[m][r] * coeff[r][s][m]
-            out.append(acc)
-        return out
-
-    def lorentz_force(self, channel):
-        div = self.energy_divergence(channel)
-        return [-sum_product(self.ginv0[r], div) for r in range(self.n)]
-
-    def lorentz_residual(self, channel):
-        return sum_product(self.energy_divergence(channel), self.u0)
-
-    def u_cov_low(self, channel, i, m):
-        coeff, _, _, dul = self._blocks(channel)[:4]
-        acc = dul[i][m]
-        for r in range(self.n):
-            acc -= coeff[r][i][m] * self.ul0[r]
-        return acc
-
-    def qu_divergence(self, channel):
-        coeff = self.L if channel == "h" else self.C
-        dqu = self.dqu_h if channel == "h" else self.dqu_v
-        acc = 0.0
-        for m in range(self.n):
-            acc += dqu[m][m]
-            for r in range(self.n):
-                acc += self.qu0[r] * coeff[m][r][m]
-        return acc
-
-    def conservation(self, channel):
-        n = self.n
-        dp = self.dp_h if channel == "h" else self.dp_v
-        force = self.lorentz_force(channel)
-        div_qu = self.qu_divergence(channel)
-        out = []
-        for i in range(n):
-            acc = div_qu * self.ul0[i] + dp[i]
-            for m in range(n):
-                acc += self.q0 * self.u0[m] * self.u_cov_low(channel, i, m)
-            acc -= sum_product(self.g0[i], force)
-            out.append(acc)
-        return out
-
-    def continuity(self, channel):
-        dp = self.dp_h if channel == "h" else self.dp_v
-        return self.qu_divergence(channel) + sum_product(dp, self.u0)
-
-    def euler(self, channel):
-        n = self.n
-        dp = self.dp_h if channel == "h" else self.dp_v
-        force = self.lorentz_force(channel)
-        out = []
-        for i in range(n):
-            acc = 0.0
-            for m in range(n):
-                acc += self.q0 * self.u_cov_low(channel, i, m) * self.u0[m]
-                acc -= dp[m] * (self.u0[m] * self.ul0[i] - (1.0 if m == i else 0.0))
-            acc -= sum_product(self.g0[i], force)
-            out.append(acc)
-        return out
+        L = christoffel_from(self.ginv0, dx_g)
+        C = christoffel_from(self.ginv0, self.dy_g)
+        self.h = self.channel(L, horizontal, _energy_divergence(E_mix, L, horizontal))
+        self.v = self.channel(C, vertical, _energy_divergence(E_mix, C, vertical))
 
 
 def lagrange_residuals(state, space, pt):
@@ -366,8 +264,6 @@ def lagrange_residuals(state, space, pt):
     """
     fr = _Frame(state, space, pt)
     report = ResidualReport(_coords(pt))
-    u0 = np.array(fr.u0)
-    ul0 = np.array(fr.ul0)
     n = fr.n
     T_low = [
         [
@@ -385,19 +281,9 @@ def lagrange_residuals(state, space, pt):
     ]
     report.add("stress", T_low)
     report.add("stress_mixed", T_mix)
-    for channel in ("h", "v"):
-        cons = np.array(fr.conservation(channel))
-        cont = fr.continuity(channel)
-        lorentz = fr.lorentz_residual(channel)
-        euler = np.array(fr.euler(channel))
-        report.add(f"lorentz_{channel}", lorentz)
-        report.add(f"conservation_{channel}", cons)
-        report.add(f"continuity_{channel}", cont)
-        report.add(f"euler_{channel}", euler)
-        report.add(f"force_{channel}", fr.lorentz_force(channel))
-        report.add(f"contraction_identity_{channel}", float(cons @ u0 - cont - lorentz))
-        report.add(f"euler_decomposition_{channel}", euler - (cons - cont * ul0))
-    report.add("unit_norm_error", float(ul0 @ u0 - 1.0))
+    fr.add_channel(report, fr.h, "_h")
+    fr.add_channel(report, fr.v, "_v")
+    report.add("unit_norm_error", fr.unit_norm_error())
     return report
 
 
@@ -410,12 +296,8 @@ def conservation_divergence(state, space, pt, channel):
         ginv = invert_symmetric(g)
         _, E_mix = energy_low_mixed(g, ginv, state.em_H.matrix(coords), state.em_G.matrix(coords))
         u, u_low, _ = _unit_velocity(space, coords)
-        p = state.pressure(coords)
-        q = state.density(coords) + p / state.c**2
-        out = [[q * u[m] * u_low[i] + E_mix[m][i] for i in range(n)] for m in range(n)]
-        for m in range(n):
-            out[m][m] = out[m][m] + p
-        return Tensor.from_nested((Slot.LU, Slot.LD), out)
+        T = mixed_stress(E_mix, u, u_low, state.pressure(coords), state.density(coords), state.c)
+        return Tensor.from_nested((Slot.LU, Slot.LD), T)
 
     field = TensorField((Slot.LU, Slot.LD), fn)
     deriv = h_covariant(field, space, pt) if channel == "h" else v_covariant(field, space, pt)
@@ -424,22 +306,20 @@ def conservation_divergence(state, space, pt, channel):
 
 def metric_compatibility(space, pt):
     """Max norms of g and its inverse under both covariant derivatives."""
-    g_field = TensorField(
-        (Slot.LD, Slot.LD),
-        lambda coords: Tensor.from_nested((Slot.LD, Slot.LD), space.g.matrix(coords)),
-    )
-    ginv_field = TensorField(
-        (Slot.LU, Slot.LU),
-        lambda coords: Tensor.from_nested(
-            (Slot.LU, Slot.LU), invert_symmetric(space.g.matrix(coords))
-        ),
-    )
-    return {
-        "g_h": h_covariant(g_field, space, pt).max_abs(),
-        "g_v": v_covariant(g_field, space, pt).max_abs(),
-        "ginv_h": h_covariant(ginv_field, space, pt).max_abs(),
-        "ginv_v": v_covariant(ginv_field, space, pt).max_abs(),
-    }
+    coords = _coords(pt)
+    cj, ctx = seed(list(coords))
+    L, C = cartan_connection_lists(space, coords)
+    _, horizontal, vertical = _adapted_partials(space, coords)
+    g = space.g.matrix(cj)
+    out = {}
+    for name, slots, m in (
+        ("g", (Slot.LD, Slot.LD), g),
+        ("ginv", (Slot.LU, Slot.LU), invert_symmetric(g)),
+    ):
+        T = Tensor.from_nested(slots, [[promote(v, ctx) for v in row] for row in m])
+        out[f"{name}_h"] = covariant_derivative(T, horizontal, L).max_abs()
+        out[f"{name}_v"] = covariant_derivative(T, vertical, C).max_abs()
+    return out
 
 
 @point_memo
@@ -472,6 +352,12 @@ def resolve_epsilon0(space, x, w):
     raise NormalizationError("eps0 iteration did not converge", point=x)
 
 
+def _curve_frame(state, space, x, w):
+    """Frame at the curve jet y = eps0 * w, and eps0."""
+    eps0 = resolve_epsilon0(space, x, w)
+    return _Frame(state, space, list(x) + [eps0 * wi for wi in w]), eps0
+
+
 def h_stream_line_rhs(state, space, x, w):
     """d^2 x^k / ds^2 of the horizontal stream-line equations.
 
@@ -479,97 +365,51 @@ def h_stream_line_rhs(state, space, x, w):
     y = eps0 * w.
     """
     n = space.n
-    eps0 = resolve_epsilon0(space, x, w)
-    y = [eps0 * wi for wi in w]
-    fr = _Frame(state, space, list(x) + y)
-    fac = _inertial_factor(fr.p0, fr.rho0, state.c)
-    force = fr.lorentz_force("h")
-    out = []
+    fr, eps0 = _curve_frame(state, space, x, w)
+    out = fr.stream_line_core(fr.h, w)
+    cubic = 0.0
+    for m in range(n):
+        for p_ in range(n):
+            cubic += fr.N0[p_][m] * sum_product(fr.g0[p_], w) * w[m]
+    quart = 0.0
+    for r in range(n):
+        nr = sum(fr.N0[r][m] * w[m] for m in range(n))
+        quart += nr * quadratic_form(fr.dy_g[r], w, w)
     for k in range(n):
-        acc = 0.0
-        for r in range(n):
-            for m in range(n):
-                bracket = fr.L[k][r][m]
-                if r == k:
-                    bracket -= fac * fr.dp_h[m]
-                acc -= bracket * w[r] * w[m]
-        acc += fac * (force[k] - sum_product(fr.ginv0[k], fr.dp_h))
+        acc = out[k]
         for m in range(n):
             acc += fr.N0[k][m] * w[m] / eps0
-        cubic = 0.0
-        for m in range(n):
-            for p_ in range(n):
-                cubic += fr.N0[p_][m] * sum_product(fr.g0[p_], w) * w[m]
         acc -= cubic * w[k] / eps0
-        quart = 0.0
-        for r in range(n):
-            nr = sum(fr.N0[r][m] * w[m] for m in range(n))
-            quart += nr * quadratic_form(fr.dy_g[r], w, w)
         acc -= 0.5 * quart * w[k]
-        out.append(acc)
+        out[k] = acc
     return out
 
 
 def v_stream_constraint_residual(state, space, x, w):
-    """Algebraic vertical constraint along a stream line (left - right)."""
+    """Algebraic vertical constraint along a stream line (left - right).
+
+    The vertical channel enters with the opposite sign of the horizontal
+    stream-line core.
+    """
     n = space.n
-    eps0 = resolve_epsilon0(space, x, w)
-    y = [eps0 * wi for wi in w]
-    fr = _Frame(state, space, list(x) + y)
-    fac = _inertial_factor(fr.p0, fr.rho0, state.c)
-    force = fr.lorentz_force("v")
-    out = []
-    for k in range(n):
-        acc = 0.0
-        for r in range(n):
-            for m in range(n):
-                bracket = fr.C[k][r][m]
-                if r == k:
-                    bracket -= fac * fr.dp_v[m]
-                acc += bracket * w[r] * w[m]
-        acc -= fac * (force[k] - sum_product(fr.ginv0[k], fr.dp_v))
-        quart = 0.0
-        for r in range(n):
-            quart += quadratic_form(fr.dy_g[r], w, w) * w[r]
-        acc -= 0.5 * quart * w[k]
-        out.append(acc)
-    return out
+    fr, _ = _curve_frame(state, space, x, w)
+    core = fr.stream_line_core(fr.v, w)
+    quart = 0.0
+    for r in range(n):
+        quart += quadratic_form(fr.dy_g[r], w, w) * w[r]
+    return [-core[k] - 0.5 * quart * w[k] for k in range(n)]
 
 
 def integrate_h_stream_line(state, space, x0, v0, step, count):
     """RK4 for the horizontal system; rows [s, x, dx/ds, vertical norm]."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    n = space.n
-    x = np.array(x0, dtype=float)
-    v = np.array(v0, dtype=float)
-    rows = np.empty((count + 1, 2 + 2 * n))
 
-    def vc_norm(xx, vv):
-        residual = v_stream_constraint_residual(state, space, xx.tolist(), vv.tolist())
-        return float(np.abs(residual).max())
+    def vc_norm(x, v):
+        return float(np.abs(v_stream_constraint_residual(state, space, x, v)).max())
 
-    rows[0] = [0.0, *x, *v, vc_norm(x, v)]
-
-    def accel(xx, vv):
-        return np.array(h_stream_line_rhs(state, space, xx.tolist(), vv.tolist()))
-
-    for k in range(count):
-        try:
-            k1v = accel(x, v)
-            k2v = accel(x + 0.5 * step * v, v + 0.5 * step * k1v)
-            k3v = accel(x + 0.5 * step * (v + 0.5 * step * k1v), v + 0.5 * step * k2v)
-            k4v = accel(x + step * (v + 0.5 * step * k2v), v + step * k3v)
-            k1x, k2x = v, v + 0.5 * step * k1v
-            k3x, k4x = v + 0.5 * step * k2v, v + step * k3v
-        except Exception as err:
-            raise IntegrationError(str(err), step=k) from err
-        x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if not (np.isfinite(x).all() and np.isfinite(v).all()):
-            raise IntegrationError("state is not finite", step=k)
-        rows[k + 1] = [(k + 1) * step, *x, *v, vc_norm(x, v)]
-    return rows
+    return integrate_rk4(
+        lambda x, v: h_stream_line_rhs(state, space, x, v), x0, v0, step, count,
+        monitor=vc_norm,
+    )
 
 
 def finsler_space_from_F(F, n, connection="spray"):

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .common import ResidualReport, energy_low_mixed, point_memo
+from .common import ResidualReport, energy_low_mixed, inertial_factor, point_memo
 from .dual import promote, scalar_value, seed
 from .errors import GridError, NormalizationError, TensorError
-from .riemann import _inertial_factor
 from .tensor_core import (
     Slot,
     Tensor,
@@ -560,19 +559,7 @@ def multitime_residuals(state, space, jp, v_conservation="free"):
                             fr.q0 * hab * fr.u0[m][a] * fr.ul_cov_v(i, b, m, mu) * fr.u0[i][mu]
                         )
 
-    T_low = [[0.0] * n for _ in range(n)]
-    T_mix = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0
-            accm = 0.0
-            for a in range(p):
-                for b in range(p):
-                    hab = hinv0[a][b]
-                    acc += hab * fr.ul0[i][a] * fr.ul0[j][b]
-                    accm += hab * fr.u0[i][a] * fr.ul0[j][b]
-            T_low[i][j] = fr.q0 * acc + fr.p0 * fr.g0[i][j] + fr.E_low0[i][j]
-            T_mix[i][j] = fr.q0 * accm + fr.E_mix0[i][j] + (fr.p0 if i == j else 0.0)
+    T_low, T_mix = _stress_lists(fr)
     report.add("stress", T_low)
     report.add("stress_mixed", T_mix)
     report.add("lorentz_h", lorentz_h)
@@ -608,9 +595,8 @@ def multitime_residuals(state, space, jp, v_conservation="free"):
     return report
 
 
-def stress_tensors(state, space, jp):
-    """Covariant and mixed stress d-tensors at a jet point."""
-    fr = _Frame(state, space, jp)
+def _stress_lists(fr):
+    """Covariant and mixed stress components of a frame, as nested lists."""
     p, n = fr.p, fr.n
     T_low = [[0.0] * n for _ in range(n)]
     T_mix = [[0.0] * n for _ in range(n)]
@@ -628,6 +614,12 @@ def stress_tensors(state, space, jp):
                 for b in range(p):
                     acc += fr.hinv0[a][b] * fr.u0[m][a] * fr.ul0[i][b]
             T_mix[m][i] = fr.q0 * acc + fr.E_mix0[m][i] + (fr.p0 if m == i else 0.0)
+    return T_low, T_mix
+
+
+def stress_tensors(state, space, jp):
+    """Covariant and mixed stress d-tensors at a jet point."""
+    T_low, T_mix = _stress_lists(_Frame(state, space, jp))
     return (
         Tensor.from_nested((Slot.LD, Slot.LD), T_low),
         Tensor.from_nested((Slot.LU, Slot.LD), T_mix),
@@ -741,17 +733,11 @@ def stream_sheet_residuals(state, space, jp):
     """
     fr = _Frame(state, space, jp)
     p, n = fr.p, fr.n
-    _inertial_factor(fr.p0, fr.rho0, fr.c)  # validates p + rho c^2 != 0
+    inertial_factor(fr.p0, fr.rho0, fr.c)  # validates p + rho c^2 != 0
     eps0 = fr.eps0
     q0 = fr.q0
     xd = fr.xd0
-    A = fr.q / fr.eps
-    B = 1.0 / fr.eps
-    Hm = [fr.ops.delta_x(A, m) + q0 * fr.ops.delta_x(B, m) for m in range(n)]
-    Vm = [
-        [fr.ops.fiber(A, m, mu) + q0 * fr.ops.fiber(B, m, mu) for mu in range(p)]
-        for m in range(n)
-    ]
+    Hm, Vm = _sheet_coefficients(fr)
     force_h = fr.lorentz_force_h()
     force_v = fr.lorentz_force_v()
 
@@ -896,20 +882,23 @@ def stream_sheet_residuals_covariant(state, space, jp):
     return np.array(horizontal), np.array(vertical)
 
 
-def stream_sheet_coefficients(state, space, jp):
-    """The H_m and V^(mu)_(m) coefficient values of the sheet displays."""
-    fr = _Frame(state, space, jp)
+def _sheet_coefficients(fr):
+    """H_m and V^(mu)_(m): adapted derivatives of (rho+p/c^2)/eps0 and 1/eps0."""
     p, n = fr.p, fr.n
     A = fr.q / fr.eps
     B = 1.0 / fr.eps
-    Hm = np.array([fr.ops.delta_x(A, m) + fr.q0 * fr.ops.delta_x(B, m) for m in range(n)])
-    Vm = np.array(
-        [
-            [fr.ops.fiber(A, m, mu) + fr.q0 * fr.ops.fiber(B, m, mu) for mu in range(p)]
-            for m in range(n)
-        ]
-    )
+    Hm = [fr.ops.delta_x(A, m) + fr.q0 * fr.ops.delta_x(B, m) for m in range(n)]
+    Vm = [
+        [fr.ops.fiber(A, m, mu) + fr.q0 * fr.ops.fiber(B, m, mu) for mu in range(p)]
+        for m in range(n)
+    ]
     return Hm, Vm
+
+
+def stream_sheet_coefficients(state, space, jp):
+    """The H_m and V^(mu)_(m) coefficient values of the sheet displays."""
+    Hm, Vm = _sheet_coefficients(_Frame(state, space, jp))
+    return np.array(Hm), np.array(Vm)
 
 
 def stream_sheet_residuals_bsml(state, space, jp):
@@ -919,13 +908,7 @@ def stream_sheet_residuals_bsml(state, space, jp):
     eps0 = fr.eps0
     q0 = fr.q0
     xd = fr.xd0
-    A = fr.q / fr.eps
-    B = 1.0 / fr.eps
-    Hm = [fr.ops.delta_x(A, m) + q0 * fr.ops.delta_x(B, m) for m in range(n)]
-    Vm = [
-        [fr.ops.fiber(A, m, mu) + q0 * fr.ops.fiber(B, m, mu) for mu in range(p)]
-        for m in range(n)
-    ]
+    Hm, Vm = _sheet_coefficients(fr)
     force_h = fr.lorentz_force_h()
     force_v = fr.lorentz_force_v()
     horizontal = []

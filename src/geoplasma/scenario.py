@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,8 +165,12 @@ def build_scenario(raw):
     elif "p" in raw:
         raise ScenarioError("key 'p' is only valid for the multitime framework")
     c = raw.get("c", 1.0)
-    if not isinstance(c, (int, float)) or c <= 0:
-        raise ScenarioError("c must be a positive number")
+    try:
+        valid = isinstance(c, (int, float)) and c > 0 and 0 < float(c) ** 2 < math.inf
+    except OverflowError:
+        valid = False
+    if not valid:
+        raise ScenarioError(f"c must be a positive number with a finite, nonzero square, got {c!r}")
     c = float(c)
 
     names = coordinate_names(framework, n, p)

@@ -15,6 +15,8 @@ import numpy as np
 from . import lagrange as lag
 from . import multitime as mt
 from . import riemann as rm
+from .common import energy_low_mixed, energy_mixed_direct
+from .dual import scalar_value
 from .tensor_core import invert_symmetric
 
 
@@ -74,11 +76,7 @@ def lagrange_invariants(state, space, pt):
         )
 
     coords = pt.coords if hasattr(pt, "coords") else list(pt)
-    g = space.g.matrix(coords)
-    from .common import energy_low_mixed, energy_mixed_direct
-    from .dual import scalar_value
-
-    g0 = [[scalar_value(v) for v in row] for row in g]
+    g0 = [[scalar_value(v) for v in row] for row in space.g.matrix(coords)]
     ginv = invert_symmetric(g0)
     H = state.em_H.matrix(coords)
     G = state.em_G.matrix(coords)

@@ -38,6 +38,15 @@ def test_function_calls():
     assert ev("tanh(0)") == 0.0
 
 
+@pytest.mark.parametrize("source, offset", [("1e999", 0), ("x + 2.5e400*y", 4), ("-1e309", 1)])
+def test_overflowing_literal_is_a_syntax_error(source, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(source)
+    assert err.value.offset == offset
+    assert "overflows to infinity" in str(err.value)
+    assert evaluate(parse("1e308 + 1e-999"), {}) == 1e308
+
+
 def test_parse_errors_carry_offset():
     with pytest.raises(ExprSyntaxError) as err:
         parse("1 + * 2")

@@ -445,9 +445,9 @@ def test_h_stream_rhs_dual_path():
     fac = state.c**2 / (fr.p0 + fr.rho0 * state.c**2)
     expected = np.zeros(n)
     for k in range(n):
-        acc = fac * (fr.lorentz_force("h")[k] - np.array(fr.ginv0[k]) @ fr.dp_h)
-        acc += fac * sum(fr.dp_h[m] * w[m] for m in range(n)) * w[k]
-        acc -= sum(fr.L[k][r][m] * w[r] * w[m] for r in range(n) for m in range(n))
+        acc = fac * (fr.lorentz_force(fr.h)[k] - np.array(fr.ginv0[k]) @ fr.h.dp)
+        acc += fac * sum(fr.h.dp[m] * w[m] for m in range(n)) * w[k]
+        acc -= sum(fr.h.coeff[k][r][m] * w[r] * w[m] for r in range(n) for m in range(n))
         acc += sum(fr.N0[k][m] * w[m] for m in range(n)) / eps0
         acc -= (
             sum(
@@ -580,9 +580,9 @@ def test_finsler_h_stream_matches_reduced_form():
     F2 = scalar_value(f2(coords))
     reduced = np.zeros(n)
     for k in range(n):
-        acc = fac * (fr.lorentz_force("h")[k] - np.array(fr.ginv0[k]) @ fr.dp_h)
+        acc = fac * (fr.lorentz_force(fr.h)[k] - np.array(fr.ginv0[k]) @ fr.h.dp)
         acc -= sum(
-            (fr.L[k][r][m] - (fac * fr.dp_h[m] if r == k else 0.0)) * w[r] * w[m]
+            (fr.h.coeff[k][r][m] - (fac * fr.h.dp[m] if r == k else 0.0)) * w[r] * w[m]
             for r in range(n) for m in range(n)
         )
         acc += (2.0 / F2) * (

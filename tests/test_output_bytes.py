@@ -1,0 +1,159 @@
+"""Byte identity of the CLI outputs on fixed inputs.
+
+Each case runs ``geoplasma.cli.main`` in-process on a shipped scenario (or
+on a three-dimensional riemann or lagrange scenario written by the test)
+and compares
+the SHA-256 of what it wrote with a recorded value: the output file, and
+for ``verify`` also stdout.  The values were recorded before riemann and
+lagrange were moved onto the shared channel algebra of ``common.py``, so
+a refactoring that changes one output byte fails here.
+
+The two three-dimensional scenarios written by the test are the inputs
+on which the two summation orders of the energy divergence (riemann adds
+``a*b - c*d`` per term, lagrange adds ``a*b`` and then subtracts ``c*d``)
+give different bits: swapping the order changes the ``residuals`` bytes
+of ``riemann3`` or of ``lagrange3``, while the shipped two-dimensional
+scenarios do not tell the orders apart.
+
+The hashes assume CPython 3.11 and numpy 2.4.6 on x86-64 Linux with glibc
+2.36's libm: another libm may round ``sin``/``exp``/``log`` differently in
+the last bit and change the digits without any change to the program.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from geoplasma.cli import main
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# fiber factor (1 + |y|^2 / 2): eps0 stays solvable along the stream line
+_FIBER = "(1 + 0.5*(y1^2 + y2^2 + y3^2))"
+LAGRANGE3 = {
+    "framework": "lagrange",
+    "n": 3,
+    "c": 1.0,
+    "metric": [
+        [f"(1.2 + 0.1*sin(x2 + y3))*{_FIBER}", f"0.05*cos(x1)*{_FIBER}",
+         f"0.03*sin(x3*y1)*{_FIBER}"],
+        [f"(1.1 + 0.1*cos(x1 - y2))*{_FIBER}", f"0.04*cos(x2 + y1)*{_FIBER}"],
+        [f"(1.3 + 0.05*sin(x3)*y2)*{_FIBER}"],
+    ],
+    "connection": "canonical",
+    "pressure": "0.3 + 0.04*sin(x1)*y1 + 0.02*cos(x3)*y2^2",
+    "density": "1.1 + 0.1*cos(x2)*y3",
+    "em": {
+        "H": [["0.15*sin(x1)*y2", "0.1*cos(x3)"], ["0.12*sin(x2 + y1)"], []],
+        "G": [["0.1*cos(x2)", "0.07*y3*sin(x1)"], ["0.05*exp(0.1*x3)"], []],
+    },
+    "eval": {
+        "box": {"min": [-0.5, -0.5, -0.5, 0.2, 0.2, 0.2],
+                "max": [0.5, 0.5, 0.5, 0.6, 0.6, 0.6]},
+        "count": 6,
+        "seed": 13,
+    },
+}
+
+RIEMANN3 = {
+    "framework": "riemann",
+    "n": 3,
+    "c": 1.0,
+    "metric": [
+        ["2 + 0.3*sin(x2) + 0.1*x1^2", "0.1*cos(x1 + 0.5*x2)", "0.1*cos(x1 + 0.5*x3)"],
+        ["2 + 0.3*sin(x3) + 0.1*x2^2", "0.1*cos(x2 + 0.5*x3)"],
+        ["2 + 0.3*sin(x1) + 0.1*x3^2"],
+    ],
+    "pressure": "0.3 + 0.05*sin(x1 + x2) + 0.02*x2*x3",
+    "density": "1.2 + 0.1*cos(x3)",
+    "velocity": ["1", "0.4*cos(x2)", "0.2*sin(x3)"],
+    "em": {"H": [["0.2*sin(x1)", "0.1*x3"], ["0.1*sin(x2*x3)"], []], "G": "self-dual"},
+    "eval": {"box": {"min": [0.6, -0.5, -0.5], "max": [1.6, 0.5, 0.5]}, "count": 8, "seed": 17},
+}
+GENERATED = {"lagrange3": LAGRANGE3, "riemann3": RIEMANN3}
+
+AT = {
+    "polar_plasma": "1.3,0.2",
+    "tangent_bundle": "0.1,-0.2,0.9,1.1",
+    "bsml_sheet": "0.1,0.2,1.1,0.1,0.8,0.9,0.7,1.0",
+    "lagrange3": "0.1,-0.2,0.3,0.4,0.3,0.5",
+    "riemann3": "1.1,0.2,-0.3",
+}
+
+CASES = {}
+for _name in AT:
+    CASES[f"residuals-{_name}"] = (_name, ["residuals"], 0)
+    CASES[f"verify-{_name}"] = (_name, ["verify"], 0)
+    CASES[f"connection-{_name}"] = (_name, ["connection", "--at", AT[_name]], 0)
+for _name in ("polar_plasma", "tangent_bundle", "bsml_sheet"):
+    CASES[f"verify-tol-1e-30-{_name}"] = (_name, ["verify", "--tol", "1e-30"], 1)
+CASES["streamline-polar_plasma"] = (
+    "polar_plasma",
+    ["streamline", "--x0", "1.0,0.2", "--v0", "0.3,0.9", "--step", "0.01", "--steps", "100"],
+    0,
+)
+CASES["streamline-lagrange3"] = (
+    "lagrange3",
+    ["streamline", "--x0", "0.1,-0.2,0.3", "--v0", "0.3,0.4,0.2", "--step", "0.05",
+     "--steps", "20"],
+    0,
+)
+CASES["streamsheet-bsml_sheet"] = ("bsml_sheet", ["streamsheet"], 0)
+CASES["streamsheet-coefficients-bsml_sheet"] = (
+    "bsml_sheet", ["streamsheet", "--dump-coefficients"], 0,
+)
+
+# case -> (SHA-256 of the output file, SHA-256 of stdout or None)
+EXPECTED = {
+    "connection-bsml_sheet": ("909eb22d86f33853c5f21ac6da32b573f0cfe5434094746477ac426c277be1b0", None),
+    "connection-lagrange3": ("995a8589a3839af927062770884245bff59bc6eb23f331ab10a2267c026ce67d", None),
+    "connection-polar_plasma": ("fe48b401293802c83c8fb71bd7554ab4d35750c914c2a3c78fe6707ba3a6432b", None),
+    "connection-tangent_bundle": ("3575a88597f77b465d0084e10bf53e7381f4f1345edd467830d0981b15e46bb1", None),
+    "connection-riemann3": ("aeec75fe721bfcdb34245fc92e4c73b7e04404c6c5b9afa8bded5171501d876f", None),
+    "residuals-bsml_sheet": ("efb263f972463296b2d927f99efe85ac7ec6d613db7fd1a53f090bda8b9b3ec4", None),
+    "residuals-lagrange3": ("977519f81f5c46b3bfed3b95ed0b7fe7073845fd867f6c3852bf5e67c878946f", None),
+    "residuals-polar_plasma": ("6d4e8040a571f0f5cee6ddd427deef4f66239b627335c928cc1b88d1912dad59", None),
+    "residuals-tangent_bundle": ("77e584965582c5a3710f2cab7d72a6c0b6badc36bd52666a864fa9e4bf930f28", None),
+    "residuals-riemann3": ("f5381c90c78977d69c0dad5ae33fc8c25d2cbd3ef38e5ecbd617e1e1cac8532a", None),
+    "streamline-lagrange3": ("0dc20d8845956d8bef2108a930471868e5d8c12106f4124f0846270e6746cc7d", None),
+    "streamline-polar_plasma": ("ac817223d14e57358f8171676d13263df82a7dd84cb546819e1ec92c68f3e09c", None),
+    "streamsheet-bsml_sheet": ("83a7c0a3e57e4b990cb9ab3570ed7799ceb5183bebc0c41f71131f9bc5127d4c", None),
+    "streamsheet-coefficients-bsml_sheet": ("bb6ceca12780f20152d0e8e0b88d4b08f44ef15b02e9ac8472505bf6a028b8d8", None),
+    "verify-bsml_sheet": ("dee4088af2408e16c295b4d265d0dfa03eef775c9a0d80552c19408e9486b2a2", "936181e2e4ff5cd7feea8dcbc64978254c780ca6a761f13d9548c062d1cf3a78"),
+    "verify-lagrange3": ("604bdb4fd4ec3c058191e81d92a6bd8dc391faf3dd334cb53d0933644f118084", "e1a6a1807d138a5ebdef8e0a11b6f54a18a7851d35a600224eca276748af6fde"),
+    "verify-polar_plasma": ("005950edf4ece1ae73b742104e83c5ad5c2dd3716b972059861c0683ec0ae2a9", "55558e208c6a981f425ad6bfb2e3c2a79124ca8b849acd362e3504cc010c6ba5"),
+    "verify-tangent_bundle": ("c48073068b9daed56a2fb50294062a371eb50bc2a96c39bf42f9560cacb1ab56", "aa3e1ce729273941a73e0815147b788379df50d3e16ef65db16f2690e1c0c93d"),
+    "verify-riemann3": ("d624420cf609863b7b139fce7585bcc5446684189901ab0d2957e0698607469f", "8fa7341c537319a4a2605c0e541725fd2263bd74da6e91c3ebee1b2e58871052"),
+    "verify-tol-1e-30-bsml_sheet": ("fc8e12ca26dc699899141973c9f0a2dcec7fffaa9a9615ffb1189c97705feb58", "de4d0fbbdfd114196c92103bbb1ca71a83b8fbb2f3c4f8007236d38105877800"),
+    "verify-tol-1e-30-polar_plasma": ("63945e54d3e1c884377a0134cea91ccc4a6de265e0ea5f3337dc505f6c2b3e40", "3f19924f3c6d795c4b6cb45659d8ae7e1e7d102b589d6879bf1dd487dbe181b8"),
+    "verify-tol-1e-30-tangent_bundle": ("4378983980db4f16ba80f14c578206ea2ec63f1e7eabb4d217d067383dfd1764", "86f4ad715bd36bb2bfe9ff6bd4bb2112f6ffb48c33c7fc290a8788896a91a3e8"),
+}
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(case, tmp_path, capsys):
+    """Exit code, output-file hash and (verify only) stdout hash of a case."""
+    name, argv, _ = CASES[case]
+    if name in GENERATED:
+        scenario = tmp_path / f"{name}.json"
+        scenario.write_text(json.dumps(GENERATED[name], indent=2) + "\n")
+    else:
+        scenario = SCENARIOS / f"{name}.json"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(argv + ["--scenario", str(scenario), "--out", str(out)])
+    stdout = capsys.readouterr().out
+    stdout_sha = _sha(stdout.encode()) if argv[0] == "verify" else None
+    return code, (_sha(out.read_bytes()), stdout_sha)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_bytes_unchanged(case, tmp_path, capsys):
+    code, hashes = run_case(case, tmp_path, capsys)
+    assert code == CASES[case][2]
+    assert hashes == EXPECTED[case]

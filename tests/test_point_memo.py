@@ -28,10 +28,11 @@ from helpers import const_state, flat_space, xynames, zero_em
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 # scenario -> (verify seeds, verify inversions, residuals seeds, residuals inversions)
-# per point; the parent of the memo made 8/11, 25/24 and 102/106 in verify
+# per point; the parent of the memo made 8/11, 25/24 and 102/106 in verify, and
+# tangent_bundle made 13/12 before N was evaluated once per point
 PER_POINT = {
     "polar_plasma": (5, 8, 1, 1),
-    "tangent_bundle": (13, 12, 2, 2),
+    "tangent_bundle": (6, 7, 2, 2),
     "bsml_sheet": (12, 16, 3, 4),
 }
 

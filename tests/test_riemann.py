@@ -11,13 +11,8 @@ from geoplasma.riemann import (
     christoffel,
     christoffel_lists,
     conservation_divergence,
-    conservation_residual,
-    continuity_residual,
-    euler_residual,
     integrate_stream_line,
     levi_civita_derivative,
-    lorentz_condition_residual,
-    lorentz_force,
     metric_compatibility,
     minkowski_energy,
     minkowski_energy_direct,
@@ -45,6 +40,11 @@ RNG = np.random.default_rng(2024)
 def generic_scenario(seed=5, n=3):
     rng = np.random.default_rng(seed)
     return helpers.random_riemann_scenario(rng, n)
+
+
+def report_entry(name, state, space, em, x):
+    """One entry of the riemann residual report at x."""
+    return riemann_report(state, space, em, x)[name]
 
 
 # -- christoffel -------------------------------------------------------------
@@ -253,19 +253,19 @@ def test_lorentz_force_zero_cases():
     space = helpers.flat_space(2)
     state = helpers.const_state(2)
     em = helpers.zero_em(2)
-    assert np.allclose(lorentz_force(state, space, em, [0.4, 0.1]), 0.0)
+    assert np.allclose(report_entry("force", state, space, em, [0.4, 0.1]), 0.0)
 
     em_const = ElectromagneticPair(
         TwoFormField(2, [[constant_field(0.7)], []]),
         TwoFormField(2, [[constant_field(-0.2)], []]),
     )
-    assert np.abs(lorentz_force(state, space, em_const, [0.4, 0.1])).max() < 1e-14
+    assert np.abs(report_entry("force", state, space, em_const, [0.4, 0.1])).max() < 1e-14
 
 
 def test_lorentz_force_vs_fd_divergence():
     space, state, em, box = generic_scenario(seed=53)
     x = helpers.sample_box(RNG, box, 1)[0]
-    force = lorentz_force(state, space, em, x)
+    force = report_entry("force", state, space, em, x)
     # finite-difference divergence of the mixed energy field on flat-ish terms
     n = space.n
     field = mixed_energy_field(space, em)
@@ -292,8 +292,8 @@ def test_lorentz_force_vs_fd_divergence():
 def test_lorentz_condition_sign_identity():
     space, state, em, box = generic_scenario(seed=59)
     for x in helpers.sample_box(RNG, box, 5):
-        res = lorentz_condition_residual(state, space, em, x)
-        force = lorentz_force(state, space, em, x)
+        res = report_entry("lorentz", state, space, em, x)
+        force = report_entry("force", state, space, em, x)
         u = normalize_velocity(state, space, x)
         phi = np.array(space.phi.matrix(x))
         assert res == pytest.approx(-(phi @ force) @ u, abs=1e-12)
@@ -353,16 +353,16 @@ def test_residuals_vanish_for_constant_flat_scenario():
     state = helpers.const_state(3, v=[1.0, 0.5, -0.2])
     em = helpers.zero_em(3)
     x = [0.3, 0.1, -0.7]
-    assert np.abs(conservation_residual(state, space, em, x)).max() < 1e-14
-    assert abs(continuity_residual(state, space, em, x)) < 1e-14
-    assert np.abs(euler_residual(state, space, em, x)).max() < 1e-14
-    assert abs(lorentz_condition_residual(state, space, em, x)) < 1e-14
+    assert np.abs(report_entry("conservation", state, space, em, x)).max() < 1e-14
+    assert abs(report_entry("continuity", state, space, em, x)) < 1e-14
+    assert np.abs(report_entry("euler", state, space, em, x)).max() < 1e-14
+    assert abs(report_entry("lorentz", state, space, em, x)) < 1e-14
 
 
 def test_conservation_two_paths_agree():
     space, state, em, box = generic_scenario(seed=73)
     for x in helpers.sample_box(RNG, box, 5):
-        expanded = conservation_residual(state, space, em, x)
+        expanded = report_entry("conservation", state, space, em, x)
         direct = conservation_divergence(state, space, em, x)
         assert np.abs(expanded - direct).max() < 1e-10
 
@@ -411,11 +411,11 @@ def test_euler_reduction_when_p_const_e_zero():
     state = FluidState(constant_field(0.3), state0.density, 1.0, state0.velocity)
     em = helpers.zero_em(space.n)
     x = helpers.sample_box(RNG, box, 1)[0]
-    eul = euler_residual(state, space, em, x)
+    eul = report_entry("euler", state, space, em, x)
     # remaining term: (rho + p/c^2) u_{i;m} u^m
     fr = riemann._Frame(state, space, em, x)
     expected = [
-        fr.q0 * sum(fr.u_cov_low(i, m) * fr.u0[m] for m in range(space.n))
+        fr.q0 * sum(fr.u_cov_low(fr.h, i, m) * fr.u0[m] for m in range(space.n))
         for i in range(space.n)
     ]
     assert np.abs(eul - np.array(expected)).max() < 1e-13
@@ -457,10 +457,10 @@ def test_stream_line_rhs_dual_path():
     n = space.n
     expected = np.zeros(n)
     for k in range(n):
-        expected[k] += fac * (fr.lorentz_force[k] - np.array(fr.phinv0[k]) @ fr.dp)
-        expected[k] += fac * sum(fr.dp[m] * xdot[m] for m in range(n)) * xdot[k]
+        expected[k] += fac * (fr.lorentz_force(fr.h)[k] - np.array(fr.ginv0[k]) @ fr.h.dp)
+        expected[k] += fac * sum(fr.h.dp[m] * xdot[m] for m in range(n)) * xdot[k]
         expected[k] -= sum(
-            fr.gamma[k][r][m] * xdot[r] * xdot[m] for r in range(n) for m in range(n)
+            fr.h.coeff[k][r][m] * xdot[r] * xdot[m] for r in range(n) for m in range(n)
         )
     assert np.abs(rhs - expected).max() < 1e-11
 

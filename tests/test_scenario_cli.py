@@ -327,3 +327,41 @@ def test_cli_streamline_framework_guard(tmp_path):
         "streamline", "--scenario", path, "--x0", "0,0", "--v0", "1,0",
         "--step", "0.1", "--steps", "2",
     ]) == 2
+
+
+# -- input boundary ------------------------------------------------------------
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), 1e-200, 1e200, 10**400])
+def test_cli_rejects_c_without_a_finite_positive_square(c, tmp_path, capsys):
+    # 1e-200 squares to 0 and 1e200 to inf: both used to end in a traceback
+    out = tmp_path / "r.csv"
+    path = write(tmp_path, riemann_config(c=c))
+    assert main(["residuals", "--scenario", path, "--points", "2", "--out", str(out)]) == 2
+    assert "c must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_overflowing_literal(tmp_path, capsys):
+    path = write(tmp_path, riemann_config(metric=[["1", "0"], ["1e999*x1^2"]]))
+    assert main(["residuals", "--scenario", path, "--points", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "metric" in err and "overflows to infinity at offset 0" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("connection", "--tol"), ("connection", "--seed"), ("connection", "--points"),
+    ("streamline", "--tol"), ("streamline", "--seed"), ("streamline", "--points"),
+    ("streamsheet", "--tol"), ("streamsheet", "--seed"), ("streamsheet", "--points"),
+    ("residuals", "--tol"),
+])
+def test_cli_subcommands_take_only_the_flags_they_read(command, flag, tmp_path):
+    args = {
+        "connection": ["--at", "1.0,0.2"],
+        "streamline": ["--x0", "1.0,0.2", "--v0", "0.3,0.9", "--step", "0.01", "--steps", "2"],
+        "streamsheet": [],
+        "residuals": [],
+    }[command]
+    path = write(tmp_path, riemann_config())
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--scenario", path, *args, flag, "1"])
+    assert exit_info.value.code == 2
