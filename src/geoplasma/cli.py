@@ -307,12 +307,7 @@ def _load_sheet_values(path, axes, p, n):
         )
     values = np.empty(shape + (n,))
     for row_idx, (idx, line) in enumerate(zip(np.ndindex(shape), data)):
-        parts = line.split(",")
-        if len(parts) != p + n:
-            raise ScenarioError(
-                f"sheet file row {row_idx + 1} must have {p + n} columns (t..., x...)"
-            )
-        values[idx] = [float(v) for v in parts[p:]]
+        values[idx] = _parse_coords(line, p + n, f"sheet file row {row_idx + 1} (t..., x...)")[p:]
     return values
 
 

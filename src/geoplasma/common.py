@@ -1,12 +1,13 @@
 """Pieces shared by the plasma pipelines.
 
-The Minkowski energy tensor and the named residual report have the same
-structure on the base manifold, the tangent bundle and the jet space.
-The base manifold and the tangent bundle also share the residual algebra:
-a :class:`Channel` is one connection block with its adapted partials, and
-:class:`FluidFrame` evaluates the residuals and the stream-line
-acceleration over any channel (riemann has one channel, lagrange a
-horizontal and a vertical one).  The covariant derivative of a latin
+The Minkowski energy tensor, the named residual report and the residual
+algebra have the same structure on the base manifold, the tangent bundle
+and the jet space.  A :class:`Channel` is one connection block with its
+adapted partials, and :class:`FluidFrame` evaluates the residuals and the
+stream-line acceleration over any channel: riemann has one channel,
+lagrange a horizontal and a vertical one, and multitime one frame per
+velocity label beta with a horizontal channel and p vertical ones (one per
+greek label of the fiber derivative).  The covariant derivative of a latin
 tensor and the RK4 loop of both stream-line integrators live here too.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import functools
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,28 +211,63 @@ def inertial_factor(p0, rho0, c):
     return c * c / s
 
 
-@dataclass
-class Channel:
-    """One derivative channel at a point.
+def energy_divergence(E_mix, coeff, partial):
+    """E^m_{s|m} of one channel from the mixed energy jets.
 
-    ``coeff[i][j][k]`` is the connection block (k the derivative index),
-    ``ediv`` the divergence E^m_{i|m} of the mixed energy tensor, and
-    ``dul[i][m]``, ``dp[m]`` and ``dqu[r][m]`` the adapted partials of
-    u_i, p and (rho + p/c^2) u^r.
+    Each correction term is added and then subtracted in two steps; this
+    summation order is part of the output bytes of lagrange and multitime
+    (riemann adds ``a*b - c*d``).
+    """
+    n = len(coeff)
+    E0 = [[e.value for e in row] for row in E_mix]
+    out = []
+    for s in range(n):
+        acc = 0.0
+        for m in range(n):
+            acc += partial(E_mix[m][s], m)
+            for r in range(n):
+                acc += E0[r][s] * coeff[m][r][m]
+                acc -= E0[m][r] * coeff[r][s][m]
+        out.append(acc)
+    return out
+
+
+class Channel:
+    """One derivative channel of a :class:`FluidFrame` at a point.
+
+    ``coeff[i][j][k]`` is the connection block (k the derivative index) and
+    ``ediv`` the divergence E^m_{i|m} of the mixed energy tensor.  The
+    adapted partials are built on first use: ``dp[m]`` of p, ``dul[i][m]``
+    of u_i and ``dqu[m]``, the diagonal partial d_m of (rho + p/c^2) u^m;
+    stream lines and sheets read only ``dp``.
     """
 
-    coeff: list
-    ediv: list
-    dul: list
-    dp: list
-    dqu: list
+    def __init__(self, coeff, partial, ediv, jets):
+        self.coeff = coeff
+        self.ediv = ediv
+        self.partial = partial
+        self._jets = jets
+
+    @functools.cached_property
+    def dp(self):
+        return [self.partial(self._jets[1], k) for k in range(len(self.coeff))]
+
+    @functools.cached_property
+    def dul(self):
+        u_low = self._jets[0]
+        n = len(u_low)
+        return [[self.partial(u_low[i], k) for k in range(n)] for i in range(n)]
+
+    @functools.cached_property
+    def dqu(self):
+        return [self.partial(e, m) for m, e in enumerate(self._jets[2])]
 
 
 class FluidFrame:
     """Point values of a plasma state and the residual algebra over a channel.
 
-    A subclass seeds the point, evaluates the metric, the unit velocity,
-    pressure and density as jets of that seeding, passes them to
+    A subclass or owner seeds the point, evaluates the metric, the unit
+    velocity, pressure and density as jets of that seeding, passes them to
     ``FluidFrame.__init__`` and builds its channels with :meth:`channel`.
     """
 
@@ -253,15 +288,7 @@ class FluidFrame:
 
     def channel(self, coeff, partial, ediv):
         """The channel of connection block ``coeff`` and adapted ``partial``."""
-        n = self.n
-        u_low, p, qu = self._jets
-        return Channel(
-            coeff,
-            ediv,
-            [[partial(u_low[i], k) for k in range(n)] for i in range(n)],
-            [partial(p, k) for k in range(n)],
-            [[partial(qu[m], k) for k in range(n)] for m in range(n)],
-        )
+        return Channel(coeff, partial, ediv, self._jets)
 
     def lorentz_force(self, ch):
         return [-sum_product(self.ginv0[r], ch.ediv) for r in range(self.n)]
@@ -279,7 +306,7 @@ class FluidFrame:
     def qu_divergence(self, ch):
         acc = 0.0
         for m in range(self.n):
-            acc += ch.dqu[m][m]
+            acc += ch.dqu[m]
             for r in range(self.n):
                 acc += self.qu0[r] * ch.coeff[m][r][m]
         return acc

@@ -19,6 +19,7 @@ from .common import (
     FluidFrame,
     ResidualReport,
     covariant_derivative,
+    energy_divergence,
     energy_low_mixed,
     integrate_rk4,
     mixed_stress,
@@ -32,6 +33,7 @@ from .tensor_core import (
     Tensor,
     TensorField,
     christoffel_from,
+    christoffel_of,
     eval_matrix_jets,
     eval_tensor_jets,
     invert_symmetric,
@@ -87,13 +89,7 @@ def canonical_nonlinear_connection(space_metric, n):
     """
 
     def fn(coords):
-        x_part = list(range(n))
-        cj, ctx = seed(list(coords), seeds=x_part)
-        g = eval_matrix_jets(space_metric, cj, ctx)
-        g0 = [[e.value for e in row] for row in g]
-        ginv0 = invert_symmetric(g0)
-        dgx = [[[g[i][j].d(k) for j in range(n)] for i in range(n)] for k in range(n)]
-        gamma = christoffel_from(ginv0, dgx)
+        gamma = christoffel_of(space_metric, coords, seeds=range(n))
         y = coords[n:]
         return [
             [sum_product(gamma[i][j], y) for j in range(n)]
@@ -190,29 +186,9 @@ def v_covariant(field, space, pt):
     return covariant_derivative(T, vertical, cartan_connection_lists(space, coords)[1])
 
 
-def _unit_velocity(space, coords, point=None):
-    """u^i = y^i/eps and u_i, generic arithmetic, eps^2 = g_pq y^p y^q."""
-    return unit_vector(space.g.matrix(coords), coords[space.n:], "fiber", point)
-
-
-def _energy_divergence(E_mix, coeff, partial):
-    """E^m_{s|m} of one channel from the mixed energy jets.
-
-    Each correction term is added and then subtracted in two steps; this
-    summation order is part of the output bytes (riemann adds ``a*b - c*d``).
-    """
-    n = len(coeff)
-    E0 = [[e.value for e in row] for row in E_mix]
-    out = []
-    for s in range(n):
-        acc = 0.0
-        for m in range(n):
-            acc += partial(E_mix[m][s], m)
-            for r in range(n):
-                acc += E0[r][s] * coeff[m][r][m]
-                acc -= E0[m][r] * coeff[r][s][m]
-        out.append(acc)
-    return out
+def _unit_velocity(g, coords, point=None):
+    """u^i = y^i/eps and u_i from the evaluated metric g, eps^2 = g_pq y^p y^q."""
+    return unit_vector(g, coords[len(g):], "fiber", point)
 
 
 @point_memo
@@ -227,13 +203,14 @@ class _Frame(FluidFrame):
         coords = _coords(pt)
         n = space.n
         cj, ctx = seed(list(coords))
-        g = eval_matrix_jets(space.g, cj, ctx)
+        graw = space.g.matrix(cj)
+        g = [[promote(v, ctx) for v in row] for row in graw]
         ginv = invert_symmetric(g, coords)
         self.N0, horizontal, vertical = _adapted_partials(space, coords)
         H = eval_matrix_jets(state.em_H, cj, ctx)
         G = eval_matrix_jets(state.em_G, cj, ctx)
         E_low, E_mix = energy_low_mixed(g, ginv, H, G)
-        u, u_low, _ = _unit_velocity(space, cj, point=coords)
+        u, u_low, _ = _unit_velocity(graw, cj, point=coords)
         super().__init__(
             state.c, g, ginv,
             [promote(e, ctx) for e in u],
@@ -252,8 +229,8 @@ class _Frame(FluidFrame):
         ]
         L = christoffel_from(self.ginv0, dx_g)
         C = christoffel_from(self.ginv0, self.dy_g)
-        self.h = self.channel(L, horizontal, _energy_divergence(E_mix, L, horizontal))
-        self.v = self.channel(C, vertical, _energy_divergence(E_mix, C, vertical))
+        self.h = self.channel(L, horizontal, energy_divergence(E_mix, L, horizontal))
+        self.v = self.channel(C, vertical, energy_divergence(E_mix, C, vertical))
 
 
 def lagrange_residuals(state, space, pt):
@@ -295,7 +272,7 @@ def conservation_divergence(state, space, pt, channel):
         g = space.g.matrix(coords)
         ginv = invert_symmetric(g)
         _, E_mix = energy_low_mixed(g, ginv, state.em_H.matrix(coords), state.em_G.matrix(coords))
-        u, u_low, _ = _unit_velocity(space, coords)
+        u, u_low, _ = _unit_velocity(g, coords)
         T = mixed_stress(E_mix, u, u_low, state.pressure(coords), state.density(coords), state.c)
         return Tensor.from_nested((Slot.LU, Slot.LD), T)
 
@@ -440,13 +417,7 @@ def finsler_space_from_F(F, n, connection="spray"):
     metric = MatrixMetricField(n, g_matrix)
 
     def spray(coords):
-        x_part = list(range(n))
-        cj, ctx = seed(list(coords), seeds=x_part)
-        g = eval_matrix_jets(metric, cj, ctx)
-        g0 = [[e.value for e in row] for row in g]
-        ginv0 = invert_symmetric(g0)
-        dgx = [[[g[i][j].d(k) for j in range(n)] for i in range(n)] for k in range(n)]
-        gamma = christoffel_from(ginv0, dgx)
+        gamma = christoffel_of(metric, coords, seeds=range(n))
         y = coords[n:]
         return [0.5 * quadratic_form(gamma[k], y, y) for k in range(n)]
 

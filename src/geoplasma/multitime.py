@@ -10,16 +10,30 @@ block G), a spatial-horizontal channel (coefficients L) and a vertical
 channel (coefficients C carrying a paired greek label).  The covariant
 derivative engine is generic over per-slot valence tags; jet-fiber pairs
 are represented as adjacent elementary latin/greek slots.
+
+The residuals run on the channel algebra of :mod:`geoplasma.common`: each
+velocity label beta has a :class:`~geoplasma.common.FluidFrame` of the
+column u^i_beta, with one horizontal channel (L, delta/delta x) and p
+vertical channels (C[..][..][..][mu], d/dx^i_mu).  The conservation and
+continuity assembly over the greek labels stays here.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dual
-from .common import ResidualReport, energy_low_mixed, inertial_factor, point_memo
+from .common import (
+    FluidFrame,
+    ResidualReport,
+    energy_divergence,
+    energy_low_mixed,
+    inertial_factor,
+    point_memo,
+)
 from .dual import promote, scalar_value, seed
 from .errors import GridError, NormalizationError, TensorError
 from .tensor_core import (
@@ -27,9 +41,12 @@ from .tensor_core import (
     Tensor,
     TensorField,
     christoffel_from,
+    christoffel_of,
     eval_matrix_jets,
     eval_tensor_jets,
     invert_symmetric,
+    mat_vec,
+    quadratic_form,
     sum_product,
 )
 
@@ -91,13 +108,7 @@ def zero_jet_connection(p, n):
 
 def temporal_christoffel_lists(space, t_coords):
     """kappa[gamma][alpha][beta] of the temporal metric at t."""
-    p = space.p
-    cj, ctx = seed(list(t_coords))
-    h = eval_matrix_jets(space.h, cj, ctx)
-    h0 = [[e.value for e in row] for row in h]
-    hinv0 = invert_symmetric(h0, t_coords)
-    dh = [[[h[a][b].d(k) for b in range(p)] for a in range(p)] for k in range(p)]
-    return christoffel_from(hinv0, dh)
+    return christoffel_of(space.h, t_coords, point=t_coords)
 
 
 def temporal_christoffel(space, t_coords):
@@ -291,47 +302,48 @@ def _jet_covariant(T, space, coords, kind):
     raise TensorError(f"unknown derivative kind {kind!r}")
 
 
-def _velocity(space, coords, hinv, point=None):
-    """u^i_alpha = x^i_alpha/eps, eps^2 = h^{mu nu} g_pq x^p_mu x^q_nu."""
+def _velocity(space, coords, g, hinv, point=None):
+    """u_beta = x_beta/eps and u_{i beta} from the evaluated metric g.
+
+    eps^2 = h^{mu nu} g_pq x^p_mu x^q_nu; both blocks are indexed [beta][i].
+    """
     p, n = space.p, space.n
-    g = space.g.matrix(coords)
-    xd = [[coords[fiber_index(p, n, i, a)] for a in range(p)] for i in range(n)]
+    xd = [[coords[fiber_index(p, n, i, a)] for i in range(n)] for a in range(p)]
     eps2 = 0.0
     for mu in range(p):
         for nu in range(p):
-            inner = 0.0
-            for a in range(n):
-                for b in range(n):
-                    inner = inner + g[a][b] * xd[a][mu] * xd[b][nu]
-            eps2 = eps2 + hinv[mu][nu] * inner
+            eps2 = eps2 + hinv[mu][nu] * quadratic_form(g, xd[mu], xd[nu])
     if scalar_value(eps2) <= 0.0:
         raise NormalizationError(
             "jet fiber quadratic form is not positive",
             point=point, value=scalar_value(eps2),
         )
     eps = dual.sqrt(eps2)
-    u = [[xd[i][a] / eps for a in range(p)] for i in range(n)]
-    u_low = [
-        [sum_product([g[i][m] for m in range(n)], [u[m][a] for m in range(n)]) for a in range(p)]
-        for i in range(n)
-    ]
-    return u, u_low, eps
+    u = [[x / eps for x in col] for col in xd]
+    return u, [mat_vec(g, col) for col in u], eps
 
 
 def multitime_velocity(state, space, jp):
     """Unit multi-time velocity (u^i_alpha, u_{i alpha}) at a jet point."""
     coords = _coords(jp)
     hinv = invert_symmetric(space.h.matrix(coords[:space.p]), coords[:space.p])
-    u, u_low, _ = _velocity(space, coords, hinv, point=coords)
+    u, u_low, _ = _velocity(space, coords, space.g.matrix(coords), hinv, point=coords)
     return (
-        np.array([[scalar_value(v) for v in row] for row in u]),
-        np.array([[scalar_value(v) for v in row] for row in u_low]),
+        np.array([[scalar_value(v) for v in col] for col in u]).T,
+        np.array([[scalar_value(v) for v in col] for col in u_low]).T,
     )
 
 
 @point_memo
 class _Frame:
-    """Jet-level quantities of one jet point, computed once."""
+    """Jet-level quantities of one jet point, computed once.
+
+    ``cols[beta]`` is the :class:`FluidFrame` of the velocity column
+    u^i_beta with channels ``h`` (L, delta/delta x) and ``v[mu]``
+    (C[..][..][..][mu], d/dx^i_mu); the connection blocks, the energy
+    divergences and the pressure partials are shared by all columns.
+    ``u0``/``ul0`` hold the velocity values indexed [i][beta].
+    """
 
     def __init__(self, state, space, jp):
         coords = _coords(jp)
@@ -342,7 +354,6 @@ class _Frame:
         cj, ctx = seed(list(coords))
         ops = _Derivatives(space, coords)
         self.ops = ops
-        self.kappa = ops.kappa
         self.N0 = ops.N0
         self.xd0 = ops.xd0
 
@@ -350,121 +361,49 @@ class _Frame:
         hinv = invert_symmetric(h, coords[:p])
         self.hinv0 = [[e.value for e in row] for row in hinv]
 
-        g = eval_matrix_jets(space.g, cj, ctx)
+        graw = space.g.matrix(cj)
+        g = [[promote(v, ctx) for v in row] for row in graw]
         ginv = invert_symmetric(g, coords)
-        self.g0 = [[e.value for e in row] for row in g]
-        self.ginv0 = [[e.value for e in row] for row in ginv]
-        self.Gt, self.L, self.C = _connection_blocks(ops, g, self.ginv0)
+        _, self.L, self.C = _connection_blocks(ops, g, [[e.value for e in row] for row in ginv])
 
         H = eval_matrix_jets(state.em_H, cj, ctx)
         G = eval_matrix_jets(state.em_G, cj, ctx)
         E_low, E_mix = energy_low_mixed(g, ginv, H, G)
         self.E_low0 = [[e.value for e in row] for row in E_low]
         self.E_mix0 = [[e.value for e in row] for row in E_mix]
-        self.E_mix = E_mix
 
-        u, u_low, eps = _velocity(space, cj, hinv, point=coords)
-        self.u = [[promote(v, ctx) for v in row] for row in u]
-        self.u_low = [[promote(v, ctx) for v in row] for row in u_low]
-        self.u0 = [[e.value for e in row] for row in self.u]
-        self.ul0 = [[e.value for e in row] for row in self.u_low]
+        u, u_low, eps = _velocity(space, cj, graw, hinv, point=coords)
+        self.u = [[promote(u[a][i], ctx) for a in range(p)] for i in range(n)]
         self.eps = promote(eps, ctx)
         self.eps0 = self.eps.value
-
         pr = promote(state.pressure(cj), ctx)
         rho = promote(state.density(cj), ctx)
-        self.p0 = pr.value
-        self.rho0 = rho.value
-        self.dp_h = [ops.delta_x(pr, i) for i in range(n)]
-        self.dp_v = [[ops.fiber(pr, i, mu) for mu in range(p)] for i in range(n)]
-        q = rho + pr / state.c**2
-        self.q = q
-        self.q0 = q.value
-        self.W = [[q * self.u[m][a] for a in range(p)] for m in range(n)]
-        self.W0 = [[e.value for e in row] for row in self.W]
+        self.q = rho + pr / state.c**2
 
-    # divergences of the mixed energy tensor
-
-    def energy_divergence_h(self):
-        n = self.n
-        out = []
-        for s in range(n):
-            acc = 0.0
-            for m in range(n):
-                acc += self.ops.delta_x(self.E_mix[m][s], m)
-                for r in range(n):
-                    acc += self.E_mix0[r][s] * self.L[m][r][m]
-                    acc -= self.E_mix0[m][r] * self.L[r][s][m]
-            out.append(acc)
-        return out
-
-    def energy_divergence_v(self):
-        n, p = self.n, self.p
-        out = [[0.0] * p for _ in range(n)]
-        for s in range(n):
-            for mu in range(p):
-                acc = 0.0
-                for m in range(n):
-                    acc += self.ops.fiber(self.E_mix[m][s], m, mu)
-                    for r in range(n):
-                        acc += self.E_mix0[r][s] * self.C[m][r][m][mu]
-                        acc -= self.E_mix0[m][r] * self.C[r][s][m][mu]
-                out[s][mu] = acc
-        return out
-
-    def lorentz_force_h(self):
-        div = self.energy_divergence_h()
-        return [-sum_product(self.ginv0[r], div) for r in range(self.n)]
-
-    def lorentz_force_v(self):
-        div = self.energy_divergence_v()
-        return [
-            [-sum_product(self.ginv0[r], [div[s][mu] for s in range(self.n)]) for mu in range(self.p)]
-            for r in range(self.n)
-        ]
-
-    # covariant derivatives of the velocity and momentum blocks
-
-    def w_divergence_h(self):
-        """[(rho + p/c^2) u^m_alpha]_{|m}, one value per alpha."""
-        n, p = self.n, self.p
-        out = []
-        for a in range(p):
-            acc = 0.0
-            for m in range(n):
-                acc += self.ops.delta_x(self.W[m][a], m)
-                for r in range(n):
-                    acc += self.W0[r][a] * self.L[m][r][m]
-            out.append(acc)
-        return out
-
-    def w_divergence_v(self):
-        """[(rho + p/c^2) u^m_alpha]|^{(mu)}_{(m)}, indexed [alpha][mu]."""
-        n, p = self.n, self.p
-        out = [[0.0] * p for _ in range(p)]
-        for a in range(p):
-            for mu in range(p):
-                acc = 0.0
-                for m in range(n):
-                    acc += self.ops.fiber(self.W[m][a], m, mu)
-                    for r in range(n):
-                        acc += self.W0[r][a] * self.C[m][r][m][mu]
-                out[a][mu] = acc
-        return out
-
-    def ul_cov_h(self, i, b, m):
-        """u_{i beta | m}."""
-        acc = self.ops.delta_x(self.u_low[i][b], m)
-        for r in range(self.n):
-            acc -= self.L[r][i][m] * self.ul0[r][b]
-        return acc
-
-    def ul_cov_v(self, i, b, m, mu):
-        """u_{i beta} |^{(mu)}_{(m)}."""
-        acc = self.ops.fiber(self.u_low[i][b], m, mu)
-        for r in range(self.n):
-            acc -= self.C[r][i][m][mu] * self.ul0[r][b]
-        return acc
+        C_mu = [[[[c[mu] for c in row] for row in plane] for plane in self.C] for mu in range(p)]
+        fibers = [functools.partial(ops.fiber, alpha=mu) for mu in range(p)]
+        ediv_h = energy_divergence(E_mix, self.L, ops.delta_x)
+        ediv_v = [energy_divergence(E_mix, C_mu[mu], fibers[mu]) for mu in range(p)]
+        self.cols = []
+        for b in range(p):
+            col = FluidFrame(
+                state.c, g, ginv,
+                [self.u[i][b] for i in range(n)],
+                [promote(e, ctx) for e in u_low[b]],
+                pr, rho,
+            )
+            col.h = col.channel(self.L, ops.delta_x, ediv_h)
+            col.v = [col.channel(C_mu[mu], fibers[mu], ediv_v[mu]) for mu in range(p)]
+            self.cols.append(col)
+        col = self.cols[0]
+        self.g0, self.ginv0 = col.g0, col.ginv0
+        self.p0, self.rho0, self.q0 = col.p0, col.rho0, col.q0
+        self.u0 = [[c.u0[i] for c in self.cols] for i in range(n)]
+        self.ul0 = [[c.ul0[i] for c in self.cols] for i in range(n)]
+        # the label-independent channel parts: coeff, ediv and dp
+        self.h, self.v = col.h, col.v
+        self.force_h = col.lorentz_force(col.h)
+        self.force_v = [col.lorentz_force(ch) for ch in col.v]  # [mu][k]
 
 
 def multitime_residuals(state, space, jp, v_conservation="free"):
@@ -479,26 +418,32 @@ def multitime_residuals(state, space, jp, v_conservation="free"):
     fr = _Frame(state, space, jp)
     p, n = fr.p, fr.n
     hinv0 = fr.hinv0
+    cols = fr.cols
     report = ResidualReport(fr.coords)
 
-    ediv_h = fr.energy_divergence_h()
-    ediv_v = fr.energy_divergence_v()
-    force_h = fr.lorentz_force_h()
-    force_v = fr.lorentz_force_v()
+    ediv_h = fr.h.ediv
+    force_h, force_v = fr.force_h, fr.force_v
+    dp_h = fr.h.dp
     lorentz_h = [
         sum(ediv_h[i] * fr.u0[i][a] for i in range(n)) for a in range(p)
     ]
     lorentz_v = sum(
-        ediv_v[i][mu] * fr.u0[i][mu] for i in range(n) for mu in range(p)
+        fr.v[mu].ediv[i] * fr.u0[i][mu] for i in range(n) for mu in range(p)
     )
 
-    wdiv_h = fr.w_divergence_h()
-    wdiv_v = fr.w_divergence_v()
+    wdiv_h = [col.qu_divergence(col.h) for col in cols]
+    wdiv_v = [[col.qu_divergence(ch) for ch in col.v] for col in cols]
+
+    def ul_cov_h(i, b, m):
+        return cols[b].u_cov_low(cols[b].h, i, m)
+
+    def ul_cov_v(i, b, m, mu):
+        return cols[b].u_cov_low(cols[b].v[mu], i, m)
 
     # conservation, horizontal channel (free latin index)
     cons_h = []
     for i in range(n):
-        acc = fr.dp_h[i] - sum_product(fr.g0[i], force_h)
+        acc = dp_h[i] - sum_product(fr.g0[i], force_h)
         for a in range(p):
             for b in range(p):
                 hab = hinv0[a][b]
@@ -506,15 +451,15 @@ def multitime_residuals(state, space, jp, v_conservation="free"):
                     continue
                 acc += hab * wdiv_h[a] * fr.ul0[i][b]
                 for m in range(n):
-                    acc += fr.q0 * hab * fr.u0[m][a] * fr.ul_cov_h(i, b, m)
+                    acc += fr.q0 * hab * fr.u0[m][a] * ul_cov_h(i, b, m)
         cons_h.append(acc)
 
     # conservation, vertical channel (latin index i, greek label mu)
     cons_v = [[0.0] * p for _ in range(n)]
     for i in range(n):
         for mu in range(p):
-            acc = fr.dp_v[i][mu] - sum(
-                fr.g0[i][r] * force_v[r][mu] for r in range(n)
+            acc = fr.v[mu].dp[i] - sum(
+                fr.g0[i][r] * force_v[mu][r] for r in range(n)
             )
             for a in range(p):
                 for b in range(p):
@@ -523,13 +468,13 @@ def multitime_residuals(state, space, jp, v_conservation="free"):
                         continue
                     acc += hab * wdiv_v[a][mu] * fr.ul0[i][b]
                     for m in range(n):
-                        acc += fr.q0 * hab * fr.u0[m][a] * fr.ul_cov_v(i, b, m, mu)
+                        acc += fr.q0 * hab * fr.u0[m][a] * ul_cov_v(i, b, m, mu)
             cons_v[i][mu] = acc
 
     # continuity, horizontal channel (free greek index)
     cont_h = []
     for mu in range(p):
-        acc = sum(fr.dp_h[m] * fr.u0[m][mu] for m in range(n))
+        acc = sum(dp_h[m] * fr.u0[m][mu] for m in range(n))
         for a in range(p):
             for b in range(p):
                 hab = hinv0[a][b]
@@ -539,13 +484,13 @@ def multitime_residuals(state, space, jp, v_conservation="free"):
                 acc += hab * wdiv_h[a] * proj
                 for m in range(n):
                     for i in range(n):
-                        acc += fr.q0 * hab * fr.u0[m][a] * fr.ul_cov_h(i, b, m) * fr.u0[i][mu]
+                        acc += fr.q0 * hab * fr.u0[m][a] * ul_cov_h(i, b, m) * fr.u0[i][mu]
         cont_h.append(acc)
 
     # continuity, vertical channel (fully contracted scalar)
     cont_v = 0.0
     for mu in range(p):
-        cont_v += sum(fr.dp_v[m][mu] * fr.u0[m][mu] for m in range(n))
+        cont_v += sum(fr.v[mu].dp[m] * fr.u0[m][mu] for m in range(n))
         for a in range(p):
             for b in range(p):
                 hab = hinv0[a][b]
@@ -556,7 +501,7 @@ def multitime_residuals(state, space, jp, v_conservation="free"):
                 for m in range(n):
                     for i in range(n):
                         cont_v += (
-                            fr.q0 * hab * fr.u0[m][a] * fr.ul_cov_v(i, b, m, mu) * fr.u0[i][mu]
+                            fr.q0 * hab * fr.u0[m][a] * ul_cov_v(i, b, m, mu) * fr.u0[i][mu]
                         )
 
     T_low, T_mix = _stress_lists(fr)
@@ -574,7 +519,7 @@ def multitime_residuals(state, space, jp, v_conservation="free"):
     report.add("continuity_h", cont_h)
     report.add("continuity_v", cont_v)
     report.add("force_h", force_h)
-    report.add("force_v", force_v)
+    report.add("force_v", np.array(force_v).T)
 
     u0 = np.array(fr.u0)
     contraction_h = [
@@ -649,7 +594,7 @@ def mixed_stress_field(state, space):
         g = space.g.matrix(coords)
         ginv = invert_symmetric(g)
         _, E_mix = energy_low_mixed(g, ginv, state.em_H.matrix(coords), state.em_G.matrix(coords))
-        u, u_low, _ = _velocity(space, coords, hinv)
+        u, u_low, _ = _velocity(space, coords, g, hinv)
         pr = state.pressure(coords)
         q = state.density(coords) + pr / state.c**2
         out = [[0.0] * n for _ in range(n)]
@@ -658,7 +603,7 @@ def mixed_stress_field(state, space):
                 acc = 0.0
                 for a in range(p):
                     for b in range(p):
-                        acc = acc + hinv[a][b] * u[m][a] * u_low[i][b]
+                        acc = acc + hinv[a][b] * u[a][m] * u_low[b][i]
                 acc = q * acc + E_mix[m][i]
                 if m == i:
                     acc = acc + pr
@@ -738,8 +683,7 @@ def stream_sheet_residuals(state, space, jp):
     q0 = fr.q0
     xd = fr.xd0
     Hm, Vm = _sheet_coefficients(fr)
-    force_h = fr.lorentz_force_h()
-    force_v = fr.lorentz_force_v()
+    force_h, force_v = fr.force_h, fr.force_v
 
     horizontal = []
     for k in range(n):
@@ -761,7 +705,7 @@ def stream_sheet_residuals(state, space, jp):
                     trace_term -= fr.N0[m][a][m]
                 inner += (q0 / eps0) * trace_term * xd[k][b]
                 acc += hab * inner
-        acc -= eps0 * (force_h[k] - sum_product(fr.ginv0[k], fr.dp_h))
+        acc -= eps0 * (force_h[k] - sum_product(fr.ginv0[k], fr.h.dp))
         horizontal.append(acc)
 
     vertical = [[0.0] * p for _ in range(n)]
@@ -786,8 +730,8 @@ def stream_sheet_residuals(state, space, jp):
                         inner += (q0 / eps0) * cterm * xd[r][a]
                     acc += hab * inner
             acc -= eps0 * (
-                force_v[k][mu]
-                - sum(fr.ginv0[k][m] * fr.dp_v[m][mu] for m in range(n))
+                force_v[mu][k]
+                - sum(fr.ginv0[k][m] * fr.v[mu].dp[m] for m in range(n))
             )
             vertical[k][mu] = acc
     return np.array(horizontal), np.array(vertical)
@@ -807,27 +751,11 @@ def stream_sheet_residuals_covariant(state, space, jp):
     q0 = fr.q0
 
     # momentum blocks as jets: x^m_alpha/eps0 is exactly the unit velocity
-    # jet, whose fiber coordinates are seeded
-    W = [[fr.q * fr.u[m][a] for a in range(p)] for m in range(n)]
-    V = [[fr.u[k][b] for b in range(p)] for k in range(n)]
-    W0 = [[e.value for e in row] for row in W]
-    V0 = [[e.value for e in row] for row in V]
-
-    def wdiv_h(a):
-        acc = 0.0
-        for m in range(n):
-            acc += fr.ops.delta_x(W[m][a], m)
-            for r in range(n):
-                acc += W0[r][a] * fr.L[m][r][m]
-        return acc
-
-    def wdiv_v(a, mu):
-        acc = 0.0
-        for m in range(n):
-            acc += fr.ops.fiber(W[m][a], m, mu)
-            for r in range(n):
-                acc += W0[r][a] * fr.C[m][r][m][mu]
-        return acc
+    # jet, whose fiber coordinates are seeded; the divergence of W^m_alpha
+    # is that of the column frame alpha
+    V = fr.u
+    V0 = fr.u0
+    cols = fr.cols
 
     def vcov_h(k, b, m):
         acc = fr.ops.delta_x(V[k][b], m)
@@ -841,8 +769,7 @@ def stream_sheet_residuals_covariant(state, space, jp):
             acc += V0[r][b] * fr.C[k][r][m][mu]
         return acc
 
-    force_h = fr.lorentz_force_h()
-    force_v = fr.lorentz_force_v()
+    force_h, force_v = fr.force_h, fr.force_v
 
     horizontal = []
     for k in range(n):
@@ -852,12 +779,12 @@ def stream_sheet_residuals_covariant(state, space, jp):
                 hab = fr.hinv0[a][b]
                 if hab == 0.0:
                     continue
-                acc += hab * wdiv_h(a) * xd[k][b]
+                acc += hab * cols[a].qu_divergence(cols[a].h) * xd[k][b]
                 inner = 0.0
                 for m in range(n):
                     inner += xd[m][a] * vcov_h(k, b, m)
                 acc += hab * q0 * inner
-        acc -= eps0 * (force_h[k] - sum_product(fr.ginv0[k], fr.dp_h))
+        acc -= eps0 * (force_h[k] - sum_product(fr.ginv0[k], fr.h.dp))
         horizontal.append(acc)
 
     vertical = [[0.0] * p for _ in range(n)]
@@ -869,14 +796,14 @@ def stream_sheet_residuals_covariant(state, space, jp):
                     hab = fr.hinv0[a][b]
                     if hab == 0.0:
                         continue
-                    acc += hab * wdiv_v(a, mu) * xd[k][b]
+                    acc += hab * cols[a].qu_divergence(cols[a].v[mu]) * xd[k][b]
                     inner = 0.0
                     for m in range(n):
                         inner += xd[m][a] * vcov_v(k, b, m, mu)
                     acc += hab * q0 * inner
             acc -= eps0 * (
-                force_v[k][mu]
-                - sum(fr.ginv0[k][m] * fr.dp_v[m][mu] for m in range(n))
+                force_v[mu][k]
+                - sum(fr.ginv0[k][m] * fr.v[mu].dp[m] for m in range(n))
             )
             vertical[k][mu] = acc
     return np.array(horizontal), np.array(vertical)
@@ -909,8 +836,7 @@ def stream_sheet_residuals_bsml(state, space, jp):
     q0 = fr.q0
     xd = fr.xd0
     Hm, Vm = _sheet_coefficients(fr)
-    force_h = fr.lorentz_force_h()
-    force_v = fr.lorentz_force_v()
+    force_h, force_v = fr.force_h, fr.force_v
     horizontal = []
     for k in range(n):
         acc = 0.0
@@ -919,7 +845,7 @@ def stream_sheet_residuals_bsml(state, space, jp):
                 hab = fr.hinv0[a][b]
                 for m in range(n):
                     acc += hab * Hm[m] * xd[m][a] * xd[k][b]
-        acc -= eps0 * (force_h[k] - sum_product(fr.ginv0[k], fr.dp_h))
+        acc -= eps0 * (force_h[k] - sum_product(fr.ginv0[k], fr.h.dp))
         horizontal.append(acc)
     vertical = [[0.0] * p for _ in range(n)]
     for k in range(n):
@@ -935,8 +861,8 @@ def stream_sheet_residuals_bsml(state, space, jp):
                     )
                     acc += hab * inner
             acc -= eps0 * (
-                force_v[k][mu]
-                - sum(fr.ginv0[k][m] * fr.dp_v[m][mu] for m in range(n))
+                force_v[mu][k]
+                - sum(fr.ginv0[k][m] * fr.v[mu].dp[m] for m in range(n))
             )
             vertical[k][mu] = acc
     return np.array(horizontal), np.array(vertical)

@@ -36,6 +36,7 @@ from .tensor_core import (
     TensorField,
     TwoFormField,
     christoffel_from,
+    christoffel_of,
     eval_matrix_jets,
     eval_tensor_jets,
     invert_symmetric,
@@ -69,12 +70,7 @@ class FluidState:
 @point_memo
 def christoffel_lists(space, x):
     """Connection coefficients gamma[i][j][k] at x (coordinates may be jets)."""
-    coords, ctx = seed(list(x))
-    phi = eval_matrix_jets(space.phi, coords, ctx)
-    phinv0 = invert_symmetric([[e.value for e in row] for row in phi], x)
-    n = space.n
-    dphi = [[[phi[i][j].d(k) for j in range(n)] for i in range(n)] for k in range(n)]
-    return christoffel_from(phinv0, dphi)
+    return christoffel_of(space.phi, x, point=x)
 
 
 def christoffel(space, x):
@@ -96,21 +92,21 @@ def levi_civita_derivative(field, space, x):
     return covariant_derivative(T, _partial, christoffel_lists(space, x))
 
 
-def _unit_velocity(state, space, coords, point=None):
-    """u^i and u_i from the normalized v field, in generic arithmetic."""
-    phi = space.phi.matrix(coords)
+def _unit_velocity(state, phi, coords, point=None):
+    """u^i and u_i from the normalized v field and the evaluated metric phi."""
     return unit_vector(phi, [vf(coords) for vf in state.velocity], "velocity", point)[:2]
 
 
 def normalize_velocity(state, space, x):
     """Unit velocity u^i at x; |u_i u^i - 1| is zero to rounding."""
-    u, _ = _unit_velocity(state, space, list(x), point=x)
+    coords = list(x)
+    u, _ = _unit_velocity(state, space.phi.matrix(coords), coords, point=x)
     return np.array([scalar_value(ui) for ui in u])
 
 
 def unit_velocity_field(state, space):
     def fn(coords):
-        u, _ = _unit_velocity(state, space, coords)
+        u, _ = _unit_velocity(state, space.phi.matrix(coords), coords)
         return Tensor((Slot.LU,), (space.n,), u)
 
     return TensorField((Slot.LU,), fn)
@@ -154,7 +150,7 @@ def mixed_stress_field(state, space, em):
         _, E_mix = energy_low_mixed(
             phi, invert_symmetric(phi), em.H.matrix(coords), em.G.matrix(coords)
         )
-        u, u_low = _unit_velocity(state, space, coords)
+        u, u_low = _unit_velocity(state, phi, coords)
         T = mixed_stress(E_mix, u, u_low, state.pressure(coords), state.density(coords), state.c)
         return Tensor.from_nested((Slot.LU, Slot.LD), T)
 
@@ -168,7 +164,7 @@ def stress_tensor(state, space, em, x):
     phi = space.phi.matrix(coords)
     phinv = invert_symmetric(phi, x)
     E_low, E_mix = energy_low_mixed(phi, phinv, em.H.matrix(coords), em.G.matrix(coords))
-    u, u_low = _unit_velocity(state, space, coords, point=x)
+    u, u_low = _unit_velocity(state, phi, coords, point=x)
     p = state.pressure(coords)
     rho = state.density(coords)
     q = rho + p / state.c**2
@@ -212,12 +208,13 @@ class _Frame(FluidFrame):
     def __init__(self, state, space, em, x):
         n = space.n
         coords, ctx = seed(list(x))
-        phi = eval_matrix_jets(space.phi, coords, ctx)
+        phiraw = space.phi.matrix(coords)
+        phi = [[promote(v, ctx) for v in row] for row in phiraw]
         phinv = invert_symmetric(phi, x)
         H = eval_matrix_jets(em.H, coords, ctx)
         G = eval_matrix_jets(em.G, coords, ctx)
         _, E_mix = energy_low_mixed(phi, phinv, H, G)
-        u, u_low = _unit_velocity(state, space, coords, point=x)
+        u, u_low = _unit_velocity(state, phiraw, coords, point=x)
         super().__init__(
             state.c, phi, phinv,
             [promote(e, ctx) for e in u],

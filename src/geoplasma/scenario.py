@@ -31,9 +31,9 @@ from .models import (
     build_rgogml,
     stock_metric,
 )
-from .multitime import MultiTimeFluidState, MultiTimeSpace, zero_jet_connection
+from .multitime import MultiTimeFluidState, MultiTimeSpace, fiber_index, zero_jet_connection
 from .riemann import ElectromagneticPair, FluidState, SemiRiemannianSpace
-from .tensor_core import MetricField, TwoFormField, scalar_field
+from .tensor_core import MetricField, TwoFormField, christoffel_of, scalar_field
 
 FRAMEWORKS = ("riemann", "lagrange", "multitime")
 
@@ -306,27 +306,14 @@ def _build_lagrange_space(raw, n, names):
 
 
 def _connection_multitime(raw, g, p, n, names):
-    from .multitime import fiber_index
-
     config = raw.get("connection", "canonical")
     if config == "zero":
         return zero_jet_connection(p, n)
     if config == "canonical":
         # generalized Christoffel symbols of g in the spatial directions,
         # contracted with the fiber coordinates
-        from .dual import seed
-        from .tensor_core import christoffel_from, eval_matrix_jets, invert_symmetric
-
         def fn(coords):
-            cj, ctx = seed(list(coords), seeds=range(p, p + n))
-            gj = eval_matrix_jets(g, cj, ctx)
-            g0 = [[e.value for e in row] for row in gj]
-            ginv0 = invert_symmetric(g0)
-            dgx = [
-                [[gj[i][j].d(k) for j in range(n)] for i in range(n)]
-                for k in range(n)
-            ]
-            gamma = christoffel_from(ginv0, dgx)
+            gamma = christoffel_of(g, coords, seeds=range(p, p + n))
             out = [[[0.0] * n for _ in range(p)] for _ in range(n)]
             for i in range(n):
                 for a in range(p):
@@ -433,10 +420,10 @@ def evaluation_points(scenario, seed=None, count=None):
     """Evaluation coordinates from the scenario's eval block.
 
     Returns (points, seed_used); the seed is recorded in outputs for
-    reproducibility.  Explicit points are validated against the
+    reproducibility.  Explicit points must be finite and match the
     coordinate dimension; box sampling draws uniformly with the given
-    64-bit seed; a grid spec produces the lattice nodes in row-major
-    order.
+    non-negative 64-bit seed; a grid spec produces the lattice nodes in
+    row-major order.
     """
     spec = scenario.eval_spec
     dim = len(scenario.names)
@@ -449,17 +436,31 @@ def evaluation_points(scenario, seed=None, count=None):
                 raise ScenarioError(
                     f"evaluation points must have {dim} coordinates ({scenario.names})"
                 )
-        return [list(map(float, pt)) for pt in pts], 0
+        try:
+            points = [list(map(float, pt)) for pt in pts]
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ScenarioError(f"'eval.points' coordinates must be numbers: {err}") from None
+        if not all(math.isfinite(c) for pt in points for c in pt):
+            raise ScenarioError("'eval.points' coordinates must be finite")
+        return points, 0
     if "grid" in spec:
         grid = spec["grid"]
-        lo, hi, shape = _box_spec(grid, dim, need_shape=True)
+        lo, hi, shape = _box_spec(grid, dim, True, "eval.grid")
         axes = [np.linspace(lo[i], hi[i], shape[i]).tolist() for i in range(dim)]
         pts = [list(xs) for xs in itertools.product(*axes)]
         return pts, 0
     if "box" in spec:
-        lo, hi, _ = _box_spec(spec["box"], dim, need_shape=False)
-        used_seed = seed if seed is not None else int(spec.get("seed", 0))
-        used_count = count if count is not None else int(spec.get("count", 20))
+        lo, hi, _ = _box_spec(spec["box"], dim, False, "eval.box")
+        used_seed = seed if seed is not None else spec.get("seed", 0)
+        used_count = count if count is not None else spec.get("count", 20)
+        try:
+            used_seed, used_count = int(used_seed), int(used_count)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ScenarioError(f"eval seed and count must be integers: {err}") from None
+        if used_seed < 0:
+            raise ScenarioError(
+                f"sampling seed (--seed or 'eval.seed') must not be negative, got {used_seed}"
+            )
         if used_count < 1:
             raise ScenarioError("eval count must be positive")
         rng = np.random.default_rng(used_seed)
@@ -467,29 +468,32 @@ def evaluation_points(scenario, seed=None, count=None):
     raise ScenarioError("'eval' needs 'points', 'box' or 'grid'")
 
 
-def _box_spec(config, dim, need_shape):
+def _box_spec(config, dim, need_shape, label):
+    """(min, max, shape) of the box or grid object ``label`` names."""
     if not isinstance(config, dict):
-        raise ScenarioError("box/grid spec must be an object")
+        raise ScenarioError(f"'{label}' must be an object")
     allowed = {"min", "max"} | ({"shape"} if need_shape else set())
     unknown = set(config) - allowed
     if unknown:
-        raise ScenarioError(f"unknown box keys: {sorted(unknown)}")
+        raise ScenarioError(f"unknown '{label}' keys: {sorted(unknown)}")
     try:
         lo = [float(v) for v in config["min"]]
         hi = [float(v) for v in config["max"]]
-    except (KeyError, TypeError, ValueError) as err:
-        raise ScenarioError(f"box needs numeric 'min'/'max' lists: {err}") from err
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise ScenarioError(f"'{label}' needs numeric 'min'/'max' lists: {err}") from err
     if len(lo) != dim or len(hi) != dim:
-        raise ScenarioError(f"box bounds must have {dim} coordinates")
+        raise ScenarioError(f"'{label}' bounds must have {dim} coordinates")
+    if not all(math.isfinite(h - l) for l, h in zip(lo, hi)):
+        raise ScenarioError(f"'{label}' bounds and their spans must be finite")
     if any(h <= l for l, h in zip(lo, hi)):
-        raise ScenarioError("box max must exceed min in every coordinate")
+        raise ScenarioError(f"'{label}' max must exceed min in every coordinate")
     shape = None
     if need_shape:
         shape = config.get("shape")
         if not isinstance(shape, list) or len(shape) != dim or any(
             not isinstance(s, int) or s < 1 for s in shape
         ):
-            raise ScenarioError(f"grid 'shape' must list {dim} positive integers")
+            raise ScenarioError(f"'{label}.shape' must list {dim} positive integers")
     return np.array(lo), np.array(hi), shape
 
 
@@ -514,7 +518,7 @@ def sheet_axes_and_values(scenario, refine=1):
     tnames = scenario.names[:p]
     fields = [_field(e, tnames, f"sheet.x[{i}]") for i, e in enumerate(exprs)]
     grid = spec.get("grid")
-    lo, hi, shape = _box_spec(grid, p, need_shape=True)
+    lo, hi, shape = _box_spec(grid, p, True, "sheet.grid")
     shape = [(s - 1) * refine + 1 for s in shape]
     if any(s < 3 for s in shape):
         raise ScenarioError("sheet grid needs at least 3 nodes per axis")

@@ -280,6 +280,22 @@ def christoffel_from(ginv, dg):
     return out
 
 
+def christoffel_of(metric, coords, seeds=None, point=None):
+    """Christoffel symbols of a metric field along the seeded coordinates.
+
+    Seeds ``coords`` (all of them, or the positions listed in ``seeds``, one
+    per metric dimension), evaluates the metric as jets, inverts its values
+    and applies :func:`christoffel_from`.  ``point`` is named in the error
+    of a singular metric.
+    """
+    cj, ctx = seed(list(coords), seeds)
+    g = eval_matrix_jets(metric, cj, ctx)
+    ginv0 = invert_symmetric([[e.value for e in row] for row in g], point)
+    n = len(g)
+    dg = [[[g[i][j].d(k) for j in range(n)] for i in range(n)] for k in range(n)]
+    return christoffel_from(ginv0, dg)
+
+
 class MetricField:
     """Symmetric matrix-valued field with upper-triangle storage.
 

@@ -246,14 +246,14 @@ def test_dual_normalization_identities():
     n = space.n
     uf = TensorField(
         (Slot.LU,),
-        lambda coords: Tensor((Slot.LU,), (n,), lagrange._unit_velocity(space, coords)[0]),
+        lambda coords: Tensor((Slot.LU,), (n,), lagrange._unit_velocity(space.g.matrix(coords), coords)[0]),
     )
     ulf = TensorField(
         (Slot.LD,),
-        lambda coords: Tensor((Slot.LD,), (n,), lagrange._unit_velocity(space, coords)[1]),
+        lambda coords: Tensor((Slot.LD,), (n,), lagrange._unit_velocity(space.g.matrix(coords), coords)[1]),
     )
     for pt in helpers.sample_box(RNG, box, 3):
-        u0, ul0, _ = lagrange._unit_velocity(space, list(pt))
+        u0, ul0, _ = lagrange._unit_velocity(space.g.matrix(list(pt)), list(pt))
         u0 = np.array([scalar_value(v) for v in u0])
         ul0 = np.array([scalar_value(v) for v in ul0])
         assert abs(u0 @ ul0 - 1.0) < 1e-13

@@ -1,19 +1,21 @@
 """Byte identity of the CLI outputs on fixed inputs.
 
 Each case runs ``geoplasma.cli.main`` in-process on a shipped scenario (or
-on a three-dimensional riemann or lagrange scenario written by the test)
-and compares
-the SHA-256 of what it wrote with a recorded value: the output file, and
-for ``verify`` also stdout.  The values were recorded before riemann and
-lagrange were moved onto the shared channel algebra of ``common.py``, so
-a refactoring that changes one output byte fails here.
+on a three-dimensional riemann, lagrange or multitime scenario written by
+the test) and compares the SHA-256 of what it wrote with a recorded value:
+the output file, and for ``verify`` also stdout.  The values were recorded
+before the frameworks were moved onto the shared channel algebra of
+``common.py`` (the ``multitime3`` ones before multitime was), so a
+refactoring that changes one output byte fails here.
 
 The two three-dimensional scenarios written by the test are the inputs
 on which the two summation orders of the energy divergence (riemann adds
 ``a*b - c*d`` per term, lagrange adds ``a*b`` and then subtracts ``c*d``)
 give different bits: swapping the order changes the ``residuals`` bytes
 of ``riemann3`` or of ``lagrange3``, while the shipped two-dimensional
-scenarios do not tell the orders apart.
+scenarios do not tell the orders apart.  ``bsml_sheet`` has G = C = 0, so
+``multitime3`` (nonzero kappa, G, L and C) is the input that shows the
+rounding of the multitime vertical algebra.
 
 The hashes assume CPython 3.11 and numpy 2.4.6 on x86-64 Linux with glibc
 2.36's libm: another libm may round ``sin``/``exp``/``log`` differently in
@@ -72,7 +74,40 @@ RIEMANN3 = {
     "em": {"H": [["0.2*sin(x1)", "0.1*x3"], ["0.1*sin(x2*x3)"], []], "G": "self-dual"},
     "eval": {"box": {"min": [0.6, -0.5, -0.5], "max": [1.6, 0.5, 0.5]}, "count": 8, "seed": 17},
 }
-GENERATED = {"lagrange3": LAGRANGE3, "riemann3": RIEMANN3}
+# t- and fiber-dependent g and a t-dependent h: kappa, G, L and C are all
+# nonzero, so the horizontal and vertical channel algebra shows in the bytes
+_JFIBER = "(1 + 0.1*(x1_1^2 + x2_2^2))"
+MULTITIME3 = {
+    "framework": "multitime",
+    "n": 3,
+    "p": 2,
+    "c": 1.0,
+    "h_metric": [["1 + 0.1*t2^2", "0.05*t1"], ["1.2 + 0.1*sin(t1)"]],
+    "metric": [
+        [f"(1.2 + 0.1*sin(x2 + t1))*{_JFIBER}", f"0.05*cos(x1 + x2_1)*{_JFIBER}",
+         "0.03*sin(x3*t2)"],
+        [f"(1.1 + 0.1*cos(x1 - x3_2))*{_JFIBER}", "0.04*cos(x2 + x1_1)"],
+        [f"(1.3 + 0.05*sin(x3 + t1*t2))*{_JFIBER}"],
+    ],
+    "connection": "canonical",
+    "pressure": "0.3 + 0.04*sin(x1)*x1_1 + 0.02*cos(x3)*x2_2^2 + 0.01*t1",
+    "density": "1.1 + 0.1*cos(x2)*x3_1",
+    "em": {
+        "H": [["0.15*sin(x1)*x2_1", "0.1*cos(x3 + t2)"], ["0.12*sin(x2 + x1_2)"], []],
+        "G": [["0.1*cos(x2)", "0.07*x3_2*sin(x1)"], ["0.05*exp(0.1*x3)"], []],
+    },
+    "eval": {
+        "box": {"min": [-0.3, -0.3, -0.5, -0.5, -0.5, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3],
+                "max": [0.3, 0.3, 0.5, 0.5, 0.5, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9]},
+        "count": 6,
+        "seed": 19,
+    },
+    "sheet": {
+        "x": ["0.3 + 0.6*t1 + 0.2*t2", "-0.2 + 0.1*t1 + 0.5*t2", "0.1 + 0.4*t1*t2 + 0.3*t1"],
+        "grid": {"min": [0.0, 0.0], "max": [0.6, 0.6], "shape": [5, 5]},
+    },
+}
+GENERATED = {"lagrange3": LAGRANGE3, "riemann3": RIEMANN3, "multitime3": MULTITIME3}
 
 AT = {
     "polar_plasma": "1.3,0.2",
@@ -80,6 +115,7 @@ AT = {
     "bsml_sheet": "0.1,0.2,1.1,0.1,0.8,0.9,0.7,1.0",
     "lagrange3": "0.1,-0.2,0.3,0.4,0.3,0.5",
     "riemann3": "1.1,0.2,-0.3",
+    "multitime3": "0.1,-0.2,0.3,0.1,-0.4,0.6,0.4,0.5,0.7,0.8,0.3",
 }
 
 CASES = {}
@@ -104,6 +140,9 @@ CASES["streamsheet-bsml_sheet"] = ("bsml_sheet", ["streamsheet"], 0)
 CASES["streamsheet-coefficients-bsml_sheet"] = (
     "bsml_sheet", ["streamsheet", "--dump-coefficients"], 0,
 )
+CASES["streamsheet-coefficients-multitime3"] = (
+    "multitime3", ["streamsheet", "--dump-coefficients"], 0,
+)
 
 # case -> (SHA-256 of the output file, SHA-256 of stdout or None)
 EXPECTED = {
@@ -111,20 +150,24 @@ EXPECTED = {
     "connection-lagrange3": ("995a8589a3839af927062770884245bff59bc6eb23f331ab10a2267c026ce67d", None),
     "connection-polar_plasma": ("fe48b401293802c83c8fb71bd7554ab4d35750c914c2a3c78fe6707ba3a6432b", None),
     "connection-tangent_bundle": ("3575a88597f77b465d0084e10bf53e7381f4f1345edd467830d0981b15e46bb1", None),
+    "connection-multitime3": ("f6453048665a24966e56f4360a427e323ce6cc0fab3d47c1ae46a937440ba85e", None),
     "connection-riemann3": ("aeec75fe721bfcdb34245fc92e4c73b7e04404c6c5b9afa8bded5171501d876f", None),
     "residuals-bsml_sheet": ("efb263f972463296b2d927f99efe85ac7ec6d613db7fd1a53f090bda8b9b3ec4", None),
     "residuals-lagrange3": ("977519f81f5c46b3bfed3b95ed0b7fe7073845fd867f6c3852bf5e67c878946f", None),
     "residuals-polar_plasma": ("6d4e8040a571f0f5cee6ddd427deef4f66239b627335c928cc1b88d1912dad59", None),
     "residuals-tangent_bundle": ("77e584965582c5a3710f2cab7d72a6c0b6badc36bd52666a864fa9e4bf930f28", None),
+    "residuals-multitime3": ("011b3946e18082c17f7ae2359824ab053ba34249b9d747424903e8d23d8ca0f6", None),
     "residuals-riemann3": ("f5381c90c78977d69c0dad5ae33fc8c25d2cbd3ef38e5ecbd617e1e1cac8532a", None),
     "streamline-lagrange3": ("0dc20d8845956d8bef2108a930471868e5d8c12106f4124f0846270e6746cc7d", None),
     "streamline-polar_plasma": ("ac817223d14e57358f8171676d13263df82a7dd84cb546819e1ec92c68f3e09c", None),
     "streamsheet-bsml_sheet": ("83a7c0a3e57e4b990cb9ab3570ed7799ceb5183bebc0c41f71131f9bc5127d4c", None),
+    "streamsheet-coefficients-multitime3": ("176acc3c84019e41e5d4aa1fe5630d6b6290903941b214af7af22abde76eecdb", None),
     "streamsheet-coefficients-bsml_sheet": ("bb6ceca12780f20152d0e8e0b88d4b08f44ef15b02e9ac8472505bf6a028b8d8", None),
     "verify-bsml_sheet": ("dee4088af2408e16c295b4d265d0dfa03eef775c9a0d80552c19408e9486b2a2", "936181e2e4ff5cd7feea8dcbc64978254c780ca6a761f13d9548c062d1cf3a78"),
     "verify-lagrange3": ("604bdb4fd4ec3c058191e81d92a6bd8dc391faf3dd334cb53d0933644f118084", "e1a6a1807d138a5ebdef8e0a11b6f54a18a7851d35a600224eca276748af6fde"),
     "verify-polar_plasma": ("005950edf4ece1ae73b742104e83c5ad5c2dd3716b972059861c0683ec0ae2a9", "55558e208c6a981f425ad6bfb2e3c2a79124ca8b849acd362e3504cc010c6ba5"),
     "verify-tangent_bundle": ("c48073068b9daed56a2fb50294062a371eb50bc2a96c39bf42f9560cacb1ab56", "aa3e1ce729273941a73e0815147b788379df50d3e16ef65db16f2690e1c0c93d"),
+    "verify-multitime3": ("8f3eebdb3d75721c226d23e73069a878d1699aa7fdf30e160cba0986323b60b3", "e9eaaf4598ea8b88a3287f1fb6c31fa2a5c0614f2bf2e83a024630e8c0ccedce"),
     "verify-riemann3": ("d624420cf609863b7b139fce7585bcc5446684189901ab0d2957e0698607469f", "8fa7341c537319a4a2605c0e541725fd2263bd74da6e91c3ebee1b2e58871052"),
     "verify-tol-1e-30-bsml_sheet": ("fc8e12ca26dc699899141973c9f0a2dcec7fffaa9a9615ffb1189c97705feb58", "de4d0fbbdfd114196c92103bbb1ca71a83b8fbb2f3c4f8007236d38105877800"),
     "verify-tol-1e-30-polar_plasma": ("63945e54d3e1c884377a0134cea91ccc4a6de265e0ea5f3337dc505f6c2b3e40", "3f19924f3c6d795c4b6cb45659d8ae7e1e7d102b589d6879bf1dd487dbe181b8"),

@@ -85,6 +85,33 @@ def test_residuals_counts_unchanged(name, counts, tmp_path):
     assert counts["invert_symmetric"] == 3 * inversions
 
 
+# scenario -> evaluations of the space metric (phi or g) per residuals point:
+# the frame evaluates it once and hands the values to the unit velocity, and
+# the canonical N of tangent_bundle evaluates it once more; the velocity
+# evaluated it again before (2, 3 and 2)
+METRIC_EVALS = {"polar_plasma": 1, "tangent_bundle": 2, "bsml_sheet": 1}
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_EVALS))
+def test_residuals_evaluate_the_metric_once_per_frame(name, monkeypatch):
+    scenario = load_scenario(scenario_path(name))
+    space = scenario.space
+    metric = space.phi if scenario.framework == "riemann" else space.g
+    calls = []
+    original = metric.matrix
+
+    def counted(coords):
+        calls.append(1)
+        return original(coords)
+
+    monkeypatch.setattr(metric, "matrix", counted)
+    clear_memos()
+    points, _ = evaluation_points(scenario, count=3)
+    for coords in points:
+        _point_report(scenario, coords)
+    assert len(calls) == len(points) * METRIC_EVALS[name]
+
+
 def _counting_builder():
     calls = []
 

@@ -388,7 +388,7 @@ def test_normalization_derivative_identities():
 
     for x in helpers.sample_box(RNG, box, 5):
         coords, ctx = dseed(list(x))
-        u, ul = _unit_velocity(state, space, coords)
+        u, ul = _unit_velocity(state, space.phi.matrix(coords), coords)
         gamma = christoffel_lists(space, x)
         n = space.n
         u0 = [c.value for c in u]

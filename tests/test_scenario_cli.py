@@ -365,3 +365,77 @@ def test_cli_subcommands_take_only_the_flags_they_read(command, flag, tmp_path):
     with pytest.raises(SystemExit) as exit_info:
         main([command, "--scenario", path, *args, flag, "1"])
     assert exit_info.value.code == 2
+
+
+def _sheet_file(tmp_path, cell=None):
+    """The 5 x 5 sheet of multitime_config as CSV; ``cell`` replaces x2 of row 7."""
+    rows = ["t1,t2,x1,x2"]
+    for t1 in np.linspace(0.0, 1.0, 5).tolist():
+        for t2 in np.linspace(0.0, 1.0, 5).tolist():
+            rows.append(f"{t1!r},{t2!r},{1 + 0.2 * t1 + 0.1 * t2!r},{0.5 * t1 - 0.3 * t2!r}")
+    if cell is not None:
+        rows[7] = rows[7].rsplit(",", 1)[0] + "," + cell
+    path = tmp_path / "sheet_values.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("cell, message", [
+    (None, None),
+    ("abc", "sheet file row 7 (t..., x...) must be comma-separated numbers"),
+    ("nan", "sheet file row 7 (t..., x...) coordinates must be finite"),
+    ("-inf", "sheet file row 7 (t..., x...) coordinates must be finite"),
+])
+def test_cli_streamsheet_sheet_file_cells(cell, message, tmp_path, capsys):
+    # a non-numeric cell was a traceback, a non-finite one gave NaN rows
+    path = write(tmp_path, multitime_config())
+    out = tmp_path / "sheet.csv"
+    code = main(["streamsheet", "--scenario", path, "--sheet-file", _sheet_file(tmp_path, cell),
+                 "--out", str(out)])
+    if message is None:
+        assert code == 0 and "nan" not in out.read_text()
+    else:
+        assert code == 2 and message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _infinite_bound_config(block):
+    inf = float("inf")
+    if block == "sheet.grid":
+        config = multitime_config()
+        config["sheet"]["grid"] = {"min": [0.0, 0.0], "max": [1.0, inf], "shape": [5, 5]}
+        return config
+    if block == "eval.grid":
+        return riemann_config(eval={"grid": {"min": [-inf, 0.0], "max": [1.0, 1.0], "shape": [2, 3]}})
+    return riemann_config(eval={"box": {"min": [0.5, -0.5], "max": [1.5, inf]}})
+
+
+@pytest.mark.parametrize("block, command", [
+    ("eval.box", "residuals"), ("eval.grid", "residuals"), ("sheet.grid", "streamsheet"),
+])
+def test_cli_rejects_infinite_bounds(block, command, tmp_path, capsys):
+    # eval.box raised OverflowError, sheet.grid gave NaN rows
+    path = write(tmp_path, _infinite_bound_config(block))
+    out = tmp_path / "out.csv"
+    assert main([command, "--scenario", path, "--out", str(out)]) == 2
+    assert f"'{block}' bounds and their spans must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--seed", "-1"], riemann_config()),
+    ([], riemann_config(eval={"box": {"min": [0.5, -0.5], "max": [1.5, 0.5]}, "seed": -1})),
+])
+def test_cli_rejects_negative_seed(argv, config, tmp_path, capsys):
+    # numpy raised "expected non-negative integer"
+    path = write(tmp_path, config)
+    assert main(["residuals", "--scenario", path, *argv]) == 2
+    assert "seed (--seed or 'eval.seed') must not be negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_cli_rejects_non_finite_eval_point(value, tmp_path, capsys):
+    # a NaN coordinate failed every row with exit 1 ("pivot nan")
+    path = write(tmp_path, riemann_config(eval={"points": [[1.0, 0.2], [1.0, value]]}))
+    assert main(["residuals", "--scenario", path]) == 2
+    assert "'eval.points' coordinates must be finite" in capsys.readouterr().err
