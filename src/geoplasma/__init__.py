@@ -32,7 +32,6 @@ from .tensor_core import (
     TwoFormField,
     field_jet,
     invert_symmetric,
-    raise_lower,
     scalar_field,
 )
 from .riemann import (
@@ -67,7 +66,7 @@ __all__ = [
     "errors", "Jet", "SeedContext", "seed",
     "parse", "evaluate", "pretty",
     "Tensor", "TensorField", "Slot", "MetricField", "MatrixMetricField",
-    "TwoFormField", "invert_symmetric", "raise_lower", "field_jet",
+    "TwoFormField", "invert_symmetric", "field_jet",
     "scalar_field",
     "SemiRiemannianSpace", "ElectromagneticPair", "FluidState",
     "christoffel", "riemann_report", "integrate_stream_line",

@@ -307,7 +307,15 @@ def _load_sheet_values(path, axes, p, n):
         )
     values = np.empty(shape + (n,))
     for row_idx, (idx, line) in enumerate(zip(np.ndindex(shape), data)):
-        values[idx] = _parse_coords(line, p + n, f"sheet file row {row_idx + 1} (t..., x...)")[p:]
+        label = f"sheet file row {row_idx + 1} (t..., x...)"
+        row = _parse_coords(line, p + n, label)
+        node = [float(axes[a][idx[a]]) for a in range(p)]
+        if any(abs(t - tn) > 1e-6 * max(1.0, abs(tn)) for t, tn in zip(row[:p], node)):
+            raise ScenarioError(
+                f"{label} has t = {row[:p]}, expected the grid node t = {node} "
+                "(rows follow the sheet grid in row-major order)"
+            )
+        values[idx] = row[p:]
     return values
 
 

@@ -126,15 +126,6 @@ def _adapted_partials(space, coords):
     return N0, horizontal, vertical
 
 
-def adapted_x_derivative(field, space, pt):
-    """delta f / delta x^i of a scalar field over (x, y)."""
-    coords = _coords(pt)
-    cj, ctx = seed(list(coords))
-    val = promote(field(cj), ctx)
-    _, horizontal, _ = _adapted_partials(space, coords)
-    return np.array([horizontal(val, i) for i in range(space.n)])
-
-
 @point_memo
 def cartan_connection_lists(space, coords):
     """(L, C) coefficient blocks at possibly-jet coordinates."""
@@ -389,13 +380,13 @@ def integrate_h_stream_line(state, space, x0, v0, step, count):
     )
 
 
-def finsler_space_from_F(F, n, connection="spray"):
+def finsler_space_from_F(F, n):
     """Generalized Lagrange space of a Finsler fundamental function.
 
     g_ij = (1/2) d^2 F^2 / dy^i dy^j via second-order fiber jets.  The
     returned spray fn gives G^k = (1/2) Gamma^k_pq y^p y^q with the
     generalized Christoffel symbols of g; the nonlinear connection is its
-    fiber derivative N^i_j = dG^i/dy^j ("spray"), or zero.
+    fiber derivative N^i_j = dG^i/dy^j.
     """
 
     def f2(coords):
@@ -421,15 +412,10 @@ def finsler_space_from_F(F, n, connection="spray"):
         y = coords[n:]
         return [0.5 * quadratic_form(gamma[k], y, y) for k in range(n)]
 
-    if connection == "spray":
-        def N_fn(coords):
-            fiber = list(range(n, 2 * n))
-            cj, ctx = seed(list(coords), seeds=fiber)
-            Gk = [promote(v, ctx) for v in spray(cj)]
-            return [[Gk[i].d(j) for j in range(n)] for i in range(n)]
-    elif connection == "zero":
-        N_fn = zero_connection(n)
-    else:
-        raise ValueError(f"unknown connection choice {connection!r}")
+    def N_fn(coords):
+        fiber = list(range(n, 2 * n))
+        cj, ctx = seed(list(coords), seeds=fiber)
+        Gk = [promote(v, ctx) for v in spray(cj)]
+        return [[Gk[i].d(j) for j in range(n)] for i in range(n)]
 
     return GeneralizedLagrangeSpace(n, metric, N_fn), spray, f2

@@ -62,7 +62,7 @@ def _phi_block(phi_metric, p, n):
 
 def build_bsml(h_metric, phi_metric, p, n):
     """Product-metric space: g = phi(x), canonical connection."""
-    g = MatrixMetricField(n, _phi_block(phi_metric, p, n), phi_metric.signature)
+    g = MatrixMetricField(n, _phi_block(phi_metric, p, n))
     return MultiTimeSpace(p, n, h_metric, g, canonical_connection(h_metric, phi_metric, p, n))
 
 
@@ -76,7 +76,7 @@ def build_grgml(h_metric, sigma, phi_metric, p, n):
         factor = dual.exp(2.0 * sigma(coords))
         return [[factor * v for v in row] for row in phi_fn(coords)]
 
-    g = MatrixMetricField(n, fn, phi_metric.signature)
+    g = MatrixMetricField(n, fn)
     return MultiTimeSpace(p, n, h_metric, g, canonical_connection(h_metric, phi_metric, p, n))
 
 
@@ -120,35 +120,8 @@ def build_rgogml(h_metric, phi_metric, refractive_index, X, p, n):
             for i in range(n)
         ]
 
-    g = MatrixMetricField(n, fn, phi_metric.signature)
+    g = MatrixMetricField(n, fn)
     return MultiTimeSpace(p, n, h_metric, g, canonical_connection(h_metric, phi_metric, p, n))
-
-
-def edml_lagrangian(h_metric, phi_metric, U, Phi, p, n):
-    """The electrodynamic Lagrangian over jet coordinates.
-
-    L = h^{alpha beta}(t) phi_ij(x) xdot^i_alpha xdot^j_beta
-        + U^(alpha)_(i)(t, x) xdot^i_alpha + Phi(t, x).
-    """
-
-    def fn(coords):
-        t = coords[:p]
-        hinv = invert_symmetric(h_metric.matrix(t))
-        phi = phi_metric.matrix(coords[p:p + n])
-        acc = Phi(coords)
-        for i in range(n):
-            for a in range(p):
-                acc = acc + U[i][a](coords) * coords[fiber_index(p, n, i, a)]
-                for j in range(n):
-                    for b in range(p):
-                        acc = acc + (
-                            hinv[a][b] * phi[i][j]
-                            * coords[fiber_index(p, n, i, a)]
-                            * coords[fiber_index(p, n, j, b)]
-                        )
-        return acc
-
-    return fn
 
 
 def build_edml(h_metric, phi_metric, U, Phi, p, n):
@@ -157,7 +130,7 @@ def build_edml(h_metric, phi_metric, U, Phi, p, n):
     N^(i)_(alpha)j = gamma^i_jm xdot^m_alpha
         + (h_{alpha mu} phi^{im}/4) (dU^(mu)_(m)/dx^j - dU^(mu)_(j)/dx^m).
     """
-    g = MatrixMetricField(n, _phi_block(phi_metric, p, n), phi_metric.signature)
+    g = MatrixMetricField(n, _phi_block(phi_metric, p, n))
     base_fn = canonical_connection(h_metric, phi_metric, p, n)
 
     def fn(coords):

@@ -111,12 +111,6 @@ def temporal_christoffel_lists(space, t_coords):
     return christoffel_of(space.h, t_coords, point=t_coords)
 
 
-def temporal_christoffel(space, t_coords):
-    return Tensor.from_nested(
-        (Slot.GU, Slot.GD, Slot.GD), temporal_christoffel_lists(space, t_coords)
-    )
-
-
 @point_memo
 class _Derivatives:
     """Adapted derivative operators bound to one seeding of a jet point."""
@@ -157,19 +151,6 @@ class _Derivatives:
                 if nval != 0.0:
                     acc -= nval * self.fiber(jet, m, mu)
         return acc
-
-
-def adapted_jet_derivatives(field, space, jp):
-    """(delta f/delta t^a, delta f/delta x^i, df/dx^i_a) of a scalar field."""
-    coords = _coords(jp)
-    cj, ctx = seed(list(coords))
-    ops = _Derivatives(space, coords)
-    val = promote(field(cj), ctx)
-    p, n = space.p, space.n
-    dt = np.array([ops.delta_t(val, a) for a in range(p)])
-    dx = np.array([ops.delta_x(val, i) for i in range(n)])
-    dv = np.array([[ops.fiber(val, i, a) for a in range(p)] for i in range(n)])
-    return dt, dx, dv
 
 
 @point_memo
@@ -323,17 +304,6 @@ def _velocity(space, coords, g, hinv, point=None):
     return u, [mat_vec(g, col) for col in u], eps
 
 
-def multitime_velocity(state, space, jp):
-    """Unit multi-time velocity (u^i_alpha, u_{i alpha}) at a jet point."""
-    coords = _coords(jp)
-    hinv = invert_symmetric(space.h.matrix(coords[:space.p]), coords[:space.p])
-    u, u_low, _ = _velocity(space, coords, space.g.matrix(coords), hinv, point=coords)
-    return (
-        np.array([[scalar_value(v) for v in col] for col in u]).T,
-        np.array([[scalar_value(v) for v in col] for col in u_low]).T,
-    )
-
-
 @point_memo
 class _Frame:
     """Jet-level quantities of one jet point, computed once.
@@ -406,14 +376,12 @@ class _Frame:
         self.force_v = [col.lorentz_force(ch) for ch in col.v]  # [mu][k]
 
 
-def multitime_residuals(state, space, jp, v_conservation="free"):
+def multitime_residuals(state, space, jp):
     """Full multi-time residual report at one jet point.
 
-    ``v_conservation`` selects the reading of the repeated greek label in
-    the vertical conservation equations: "free" keeps it as a free index
-    (an (i, mu) tensor), "summed" contracts it with the derivative label.
-    The vertical continuity residual is always the fully contracted
-    scalar.
+    The repeated greek label of the vertical conservation equations is
+    read as a free index (an (i, mu) tensor); the vertical continuity
+    residual is the fully contracted scalar.
     """
     fr = _Frame(state, space, jp)
     p, n = fr.p, fr.n
@@ -510,12 +478,7 @@ def multitime_residuals(state, space, jp, v_conservation="free"):
     report.add("lorentz_h", lorentz_h)
     report.add("lorentz_v", lorentz_v)
     report.add("conservation_h", cons_h)
-    if v_conservation == "free":
-        report.add("conservation_v", cons_v)
-    elif v_conservation == "summed":
-        report.add("conservation_v", [sum(cons_v[i]) for i in range(n)])
-    else:
-        raise ValueError(f"unknown v_conservation reading {v_conservation!r}")
+    report.add("conservation_v", cons_v)
     report.add("continuity_h", cont_h)
     report.add("continuity_v", cont_v)
     report.add("force_h", force_h)
@@ -729,78 +692,6 @@ def stream_sheet_residuals(state, space, jp):
                         cterm += sum(fr.C[m][r][m][mu] for m in range(n)) * xd[k][b]
                         inner += (q0 / eps0) * cterm * xd[r][a]
                     acc += hab * inner
-            acc -= eps0 * (
-                force_v[mu][k]
-                - sum(fr.ginv0[k][m] * fr.v[mu].dp[m] for m in range(n))
-            )
-            vertical[k][mu] = acc
-    return np.array(horizontal), np.array(vertical)
-
-
-def stream_sheet_residuals_covariant(state, space, jp):
-    """Unreduced form of the stream-sheet residuals (oracle path).
-
-    Applies the covariant derivatives directly to the momentum fields
-    W^m_alpha = (rho+p/c^2) x^m_alpha/eps0 and V^k_beta = x^k_beta/eps0
-    instead of the expanded coefficient displays.
-    """
-    fr = _Frame(state, space, jp)
-    p, n = fr.p, fr.n
-    xd = fr.xd0
-    eps0 = fr.eps0
-    q0 = fr.q0
-
-    # momentum blocks as jets: x^m_alpha/eps0 is exactly the unit velocity
-    # jet, whose fiber coordinates are seeded; the divergence of W^m_alpha
-    # is that of the column frame alpha
-    V = fr.u
-    V0 = fr.u0
-    cols = fr.cols
-
-    def vcov_h(k, b, m):
-        acc = fr.ops.delta_x(V[k][b], m)
-        for r in range(n):
-            acc += V0[r][b] * fr.L[k][r][m]
-        return acc
-
-    def vcov_v(k, b, m, mu):
-        acc = fr.ops.fiber(V[k][b], m, mu)
-        for r in range(n):
-            acc += V0[r][b] * fr.C[k][r][m][mu]
-        return acc
-
-    force_h, force_v = fr.force_h, fr.force_v
-
-    horizontal = []
-    for k in range(n):
-        acc = 0.0
-        for a in range(p):
-            for b in range(p):
-                hab = fr.hinv0[a][b]
-                if hab == 0.0:
-                    continue
-                acc += hab * cols[a].qu_divergence(cols[a].h) * xd[k][b]
-                inner = 0.0
-                for m in range(n):
-                    inner += xd[m][a] * vcov_h(k, b, m)
-                acc += hab * q0 * inner
-        acc -= eps0 * (force_h[k] - sum_product(fr.ginv0[k], fr.h.dp))
-        horizontal.append(acc)
-
-    vertical = [[0.0] * p for _ in range(n)]
-    for k in range(n):
-        for mu in range(p):
-            acc = 0.0
-            for a in range(p):
-                for b in range(p):
-                    hab = fr.hinv0[a][b]
-                    if hab == 0.0:
-                        continue
-                    acc += hab * cols[a].qu_divergence(cols[a].v[mu]) * xd[k][b]
-                    inner = 0.0
-                    for m in range(n):
-                        inner += xd[m][a] * vcov_v(k, b, m, mu)
-                    acc += hab * q0 * inner
             acc -= eps0 * (
                 force_v[mu][k]
                 - sum(fr.ginv0[k][m] * fr.v[mu].dp[m] for m in range(n))

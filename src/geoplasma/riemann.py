@@ -28,7 +28,7 @@ from .common import (
     point_memo,
     unit_vector,
 )
-from .dual import promote, scalar_value, seed
+from .dual import promote, seed
 from .tensor_core import (
     MetricField,
     Slot,
@@ -97,21 +97,6 @@ def _unit_velocity(state, phi, coords, point=None):
     return unit_vector(phi, [vf(coords) for vf in state.velocity], "velocity", point)[:2]
 
 
-def normalize_velocity(state, space, x):
-    """Unit velocity u^i at x; |u_i u^i - 1| is zero to rounding."""
-    coords = list(x)
-    u, _ = _unit_velocity(state, space.phi.matrix(coords), coords, point=x)
-    return np.array([scalar_value(ui) for ui in u])
-
-
-def unit_velocity_field(state, space):
-    def fn(coords):
-        u, _ = _unit_velocity(state, space.phi.matrix(coords), coords)
-        return Tensor((Slot.LU,), (space.n,), u)
-
-    return TensorField((Slot.LU,), fn)
-
-
 def minkowski_energy(space, em, x):
     """Covariant and mixed Minkowski energy tensors at x."""
     coords = list(x)
@@ -132,16 +117,6 @@ def minkowski_energy_direct(space, em, x):
         (Slot.LU, Slot.LD),
         energy_mixed_direct(phinv, em.H.matrix(coords), em.G.matrix(coords)),
     )
-
-
-def mixed_energy_field(space, em):
-    def fn(coords):
-        phi = space.phi.matrix(coords)
-        phinv = invert_symmetric(phi)
-        _, E_mix = energy_low_mixed(phi, phinv, em.H.matrix(coords), em.G.matrix(coords))
-        return Tensor.from_nested((Slot.LU, Slot.LD), E_mix)
-
-    return TensorField((Slot.LU, Slot.LD), fn)
 
 
 def mixed_stress_field(state, space, em):

@@ -71,6 +71,16 @@ def _field(source, names, label):
         raise ScenarioError(f"{label}: {err}") from err
 
 
+def _check_entries(rows, label):
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            if not isinstance(entry, str):
+                raise ScenarioError(
+                    f"{label} row {i + 1} entry {j + 1} must be an expression string, "
+                    f"got {entry!r}"
+                )
+
+
 def _metric_from_rows(dim, rows, names, label):
     if not isinstance(rows, list) or len(rows) != dim:
         raise ScenarioError(f"{label} needs {dim} upper-triangle rows")
@@ -80,6 +90,7 @@ def _metric_from_rows(dim, rows, names, label):
                 f"{label} row {i + 1} must list entries (i, i)..(i, {dim}); "
                 f"expected {dim - i} entries, got {len(row) if isinstance(row, list) else 'non-list'}"
             )
+    _check_entries(rows, label)
     try:
         return MetricField.from_exprs(dim, rows, names)
     except ExprError as err:
@@ -98,6 +109,7 @@ def _two_form_from_rows(dim, rows, names, label):
                 f"{label} row {i + 1} must have {dim - i - 1} entries, got "
                 f"{len(row) if isinstance(row, list) else 'non-list'}"
             )
+    _check_entries(rows, label)
     try:
         return TwoFormField.from_exprs(dim, rows, names)
     except ExprError as err:
@@ -108,7 +120,7 @@ def _spatial_metric(config, n, names, label="metric"):
     """Spatial metric from a model name or inline rows (over ``names``)."""
     if isinstance(config, dict):
         name = config.get("name")
-        if name not in _STOCK_NAMES:
+        if not isinstance(name, str) or name not in _STOCK_NAMES:
             raise ScenarioError(f"{label}: unknown stock metric {name!r}")
         return stock_metric(name, n, names, config.get("params"))
     return _metric_from_rows(n, config, names, label)
@@ -119,7 +131,6 @@ class Scenario:
     framework: str
     n: int
     p: int
-    c: float
     names: list
     space: object
     state: object
@@ -128,7 +139,6 @@ class Scenario:
     sheet_spec: object
     model_name: str
     hash: str
-    raw: dict
 
 
 def load_scenario(path):
@@ -200,8 +210,10 @@ def build_scenario(raw):
         if unknown:
             raise ScenarioError(f"unknown model keys: {sorted(unknown)}")
         model_name = model["name"]
-        if model_name not in _MODEL_NAMES:
-            raise ScenarioError(f"unknown model name {model_name!r}")
+        if not isinstance(model_name, str) or model_name not in _MODEL_NAMES:
+            raise ScenarioError(
+                f"'model.name' must be one of {sorted(_MODEL_NAMES)}, got {model_name!r}"
+            )
 
     if framework == "riemann":
         space = _build_riemann_space(raw, n, names)
@@ -215,8 +227,8 @@ def build_scenario(raw):
         em = ElectromagneticPair(em_H, em_G)
         if "connection" in raw or "h_metric" in raw:
             raise ScenarioError("'connection'/'h_metric' are not riemann keys")
-        return Scenario(framework, n, 1, c, names, space, state, em,
-                        eval_spec, sheet_spec, model_name, "", raw)
+        return Scenario(framework, n, 1, names, space, state, em,
+                        eval_spec, sheet_spec, model_name, "")
 
     if "velocity" in raw:
         raise ScenarioError("'velocity' is only valid for the riemann framework")
@@ -226,13 +238,13 @@ def build_scenario(raw):
         state = LagrangeFluidState(pressure, density, c, em_H, em_G)
         if "h_metric" in raw:
             raise ScenarioError("'h_metric' is not a lagrange key")
-        return Scenario(framework, n, 1, c, names, space, state, None,
-                        eval_spec, sheet_spec, model_name, "", raw)
+        return Scenario(framework, n, 1, names, space, state, None,
+                        eval_spec, sheet_spec, model_name, "")
 
     space = _build_multitime_space(raw, n, p, names)
     state = MultiTimeFluidState(pressure, density, c, em_H, em_G)
-    return Scenario(framework, n, p, c, names, space, state, None,
-                    eval_spec, sheet_spec, model_name, "", raw)
+    return Scenario(framework, n, p, names, space, state, None,
+                    eval_spec, sheet_spec, model_name, "")
 
 
 def _parse_em(config, n, names):

@@ -40,10 +40,6 @@ class Slot(enum.Enum):
     def up(self):
         return self in (Slot.LU, Slot.GU)
 
-    def flipped(self):
-        return {Slot.LU: Slot.LD, Slot.LD: Slot.LU,
-                Slot.GU: Slot.GD, Slot.GD: Slot.GU}[self]
-
 
 class Tensor:
     """Dense tensor with per-slot valence tags and bounds-checked access."""
@@ -118,10 +114,6 @@ class Tensor:
     def map(self, fn):
         return Tensor(self.slots, self.extents, [fn(x) for x in self.data])
 
-    def values(self):
-        """Plain-float copy of the data (value parts of jets)."""
-        return [scalar_value(x) for x in self.data]
-
     def max_abs(self):
         return max((abs(scalar_value(x)) for x in self.data), default=0.0)
 
@@ -193,32 +185,6 @@ def invert_symmetric(matrix, point=None):
     return inv
 
 
-def raise_lower(tensor, slot_pos, metric):
-    """Contract a metric (or inverse metric) into one slot, flipping it.
-
-    ``metric`` is a square list-of-lists whose dimension must match the
-    slot extent.  Lowering uses the metric, raising the inverse; the
-    caller picks which matrix to pass.
-    """
-    extent = tensor.extents[slot_pos]
-    if len(metric) != extent:
-        raise TensorError(
-            f"metric dimension {len(metric)} does not match slot extent {extent}"
-        )
-    slots = list(tensor.slots)
-    slots[slot_pos] = slots[slot_pos].flipped()
-    out = Tensor.zeros(slots, tensor.extents)
-    for idx in tensor.indices():
-        acc = 0.0
-        row = metric[idx[slot_pos]]
-        src = list(idx)
-        for m in range(extent):
-            src[slot_pos] = m
-            acc = acc + row[m] * tensor[tuple(src)]
-        out[idx] = acc
-    return out
-
-
 def field_jet(field, coords, seeds=None, order=1):
     """Evaluate a scalar field with seeded coordinates.
 
@@ -247,15 +213,6 @@ def eval_tensor_jets(tensor_field, coords, ctx):
 
     t = tensor_field(coords)
     return Tensor(t.slots, t.extents, [promote(v, ctx) for v in t.data])
-
-
-def fd_partial(field, coords, i, step=1e-5):
-    """Central finite-difference partial, the cross-check for field_jet."""
-    up = list(coords)
-    dn = list(coords)
-    up[i] = up[i] + step
-    dn[i] = dn[i] - step
-    return (field(up) - field(dn)) / (2.0 * step)
 
 
 def christoffel_from(ginv, dg):
@@ -300,18 +257,16 @@ class MetricField:
     """Symmetric matrix-valued field with upper-triangle storage.
 
     ``entries[i][j - i]`` (j >= i) is a callable over the coordinate list.
-    Symmetry is exact by construction; the signature is informational
-    metadata and is not validated pointwise.
+    Symmetry is exact by construction.
     """
 
-    def __init__(self, dim, entries, signature=None):
+    def __init__(self, dim, entries):
         if dim > MAX_DIM:
             raise TensorError(f"dimension {dim} exceeds supported maximum {MAX_DIM}")
         if len(entries) != dim or any(len(row) != dim - i for i, row in enumerate(entries)):
             raise TensorError("upper-triangle entries must have rows of length dim - i")
         self.dim = dim
         self.entries = entries
-        self.signature = tuple(signature) if signature is not None else (1,) * dim
 
     def matrix(self, coords):
         n = self.dim
@@ -323,11 +278,8 @@ class MetricField:
                 out[j][i] = v
         return out
 
-    def inverse(self, coords, point=None):
-        return invert_symmetric(self.matrix(coords), point)
-
     @classmethod
-    def from_exprs(cls, dim, rows, names, signature=None):
+    def from_exprs(cls, dim, rows, names):
         """Build from upper-triangle rows of expression source strings."""
         entries = []
         for i in range(dim):
@@ -335,16 +287,7 @@ class MetricField:
             for j in range(dim - i):
                 row.append(scalar_field(rows[i][j], names))
             entries.append(row)
-        return cls(dim, entries, signature)
-
-    @classmethod
-    def constant(cls, matrix, signature=None):
-        dim = len(matrix)
-        entries = [
-            [(lambda v: (lambda coords: v))(matrix[i][j]) for j in range(i, dim)]
-            for i in range(dim)
-        ]
-        return cls(dim, entries, signature)
+        return cls(dim, entries)
 
 
 class MatrixMetricField:
@@ -356,18 +299,14 @@ class MatrixMetricField:
     symmetric square list-of-lists and accept jet coordinates.
     """
 
-    def __init__(self, dim, matrix_fn, signature=None):
+    def __init__(self, dim, matrix_fn):
         if dim > MAX_DIM:
             raise TensorError(f"dimension {dim} exceeds supported maximum {MAX_DIM}")
         self.dim = dim
         self._matrix_fn = matrix_fn
-        self.signature = tuple(signature) if signature is not None else (1,) * dim
 
     def matrix(self, coords):
         return self._matrix_fn(coords)
-
-    def inverse(self, coords, point=None):
-        return invert_symmetric(self.matrix(coords), point)
 
 
 class TwoFormField:
@@ -413,13 +352,12 @@ class TwoFormField:
 
 def scalar_field(source, names):
     """Compile an expression string into a field over a coordinate list."""
-    tree = expr_mod.parse(source) if isinstance(source, str) else source
+    tree = expr_mod.parse(source)
     names = tuple(names)
 
     def field(coords):
         return expr_mod.evaluate(tree, dict(zip(names, coords)))
 
-    field.expression = tree
     return field
 
 

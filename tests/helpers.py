@@ -1,14 +1,40 @@
-"""Shared builders and independent oracles for the test suite.
+"""Shared builders, adapters and oracles for the test suite.
 
-Oracles here are deliberately written against numpy/einsum or finite
+The independent oracles are written against numpy/einsum or finite
 differences so they do not share code paths with the package internals
-they check.
+they check.  The reference implementations at the end are the package's
+unreduced forms (the covariant stream-sheet residuals, the edml
+Lagrangian, the multi-time velocity); only tests compare against them.
+The adapters return what the tests read from the pieces the pipelines
+use (``common.unit_vector``, the adapted partials, the connection lists).
 """
 
 import numpy as np
 
+from geoplasma.common import energy_low_mixed, unit_vector
+from geoplasma.dual import promote, scalar_value, seed
+from geoplasma.lagrange import _adapted_partials
+from geoplasma.lagrange import _coords as _tangent_coords
+from geoplasma.multitime import (
+    _Derivatives,
+    _Frame,
+    _coords,
+    _velocity,
+    fiber_index,
+    temporal_christoffel_lists,
+)
 from geoplasma.riemann import ElectromagneticPair, FluidState, SemiRiemannianSpace
-from geoplasma.tensor_core import MetricField, TwoFormField, constant_field, scalar_field
+from geoplasma.tensor_core import (
+    MetricField,
+    Slot,
+    Tensor,
+    TensorField,
+    TwoFormField,
+    constant_field,
+    invert_symmetric,
+    scalar_field,
+    sum_product,
+)
 
 
 def xnames(n):
@@ -355,3 +381,183 @@ def polar_geodesic_endpoint(x0, v0, s):
     r = np.hypot(end[0], end[1])
     th = np.arctan2(end[1], end[0])
     return np.array([r, th])
+
+
+# -- adapters ------------------------------------------------------------------
+
+
+def normalize_velocity(state, space, x):
+    """Unit velocity u^i at x; |u_i u^i - 1| is zero to rounding."""
+    coords = list(x)
+    v = [vf(coords) for vf in state.velocity]
+    u, _, _ = unit_vector(space.phi.matrix(coords), v, "velocity", x)
+    return np.array([scalar_value(ui) for ui in u])
+
+
+def unit_velocity_field(state, space):
+    def fn(coords):
+        v = [vf(coords) for vf in state.velocity]
+        u, _, _ = unit_vector(space.phi.matrix(coords), v, "velocity")
+        return Tensor((Slot.LU,), (space.n,), u)
+
+    return TensorField((Slot.LU,), fn)
+
+
+def mixed_energy_field(space, em):
+    def fn(coords):
+        phi = space.phi.matrix(coords)
+        phinv = invert_symmetric(phi)
+        _, E_mix = energy_low_mixed(phi, phinv, em.H.matrix(coords), em.G.matrix(coords))
+        return Tensor.from_nested((Slot.LU, Slot.LD), E_mix)
+
+    return TensorField((Slot.LU, Slot.LD), fn)
+
+
+def adapted_x_derivative(field, space, pt):
+    """delta f / delta x^i of a scalar field over (x, y)."""
+    coords = _tangent_coords(pt)
+    cj, ctx = seed(list(coords))
+    val = promote(field(cj), ctx)
+    _, horizontal, _ = _adapted_partials(space, coords)
+    return np.array([horizontal(val, i) for i in range(space.n)])
+
+
+def temporal_christoffel(space, t_coords):
+    return Tensor.from_nested(
+        (Slot.GU, Slot.GD, Slot.GD), temporal_christoffel_lists(space, t_coords)
+    )
+
+
+def adapted_jet_derivatives(field, space, jp):
+    """(delta f/delta t^a, delta f/delta x^i, df/dx^i_a) of a scalar field."""
+    coords = _coords(jp)
+    cj, ctx = seed(list(coords))
+    ops = _Derivatives(space, coords)
+    val = promote(field(cj), ctx)
+    p, n = space.p, space.n
+    dt = np.array([ops.delta_t(val, a) for a in range(p)])
+    dx = np.array([ops.delta_x(val, i) for i in range(n)])
+    dv = np.array([[ops.fiber(val, i, a) for a in range(p)] for i in range(n)])
+    return dt, dx, dv
+
+
+# -- reference implementations ---------------------------------------------------
+
+
+def fd_partial(field, coords, i, step=1e-5):
+    """Central finite-difference partial, the cross-check for field_jet."""
+    up = list(coords)
+    dn = list(coords)
+    up[i] = up[i] + step
+    dn[i] = dn[i] - step
+    return (field(up) - field(dn)) / (2.0 * step)
+
+
+def edml_lagrangian(h_metric, phi_metric, U, Phi, p, n):
+    """The electrodynamic Lagrangian over jet coordinates.
+
+    L = h^{alpha beta}(t) phi_ij(x) xdot^i_alpha xdot^j_beta
+        + U^(alpha)_(i)(t, x) xdot^i_alpha + Phi(t, x).
+    """
+
+    def fn(coords):
+        t = coords[:p]
+        hinv = invert_symmetric(h_metric.matrix(t))
+        phi = phi_metric.matrix(coords[p:p + n])
+        acc = Phi(coords)
+        for i in range(n):
+            for a in range(p):
+                acc = acc + U[i][a](coords) * coords[fiber_index(p, n, i, a)]
+                for j in range(n):
+                    for b in range(p):
+                        acc = acc + (
+                            hinv[a][b] * phi[i][j]
+                            * coords[fiber_index(p, n, i, a)]
+                            * coords[fiber_index(p, n, j, b)]
+                        )
+        return acc
+
+    return fn
+
+
+def multitime_velocity(state, space, jp):
+    """Unit multi-time velocity (u^i_alpha, u_{i alpha}) at a jet point."""
+    coords = _coords(jp)
+    hinv = invert_symmetric(space.h.matrix(coords[:space.p]), coords[:space.p])
+    u, u_low, _ = _velocity(space, coords, space.g.matrix(coords), hinv, point=coords)
+    return (
+        np.array([[scalar_value(v) for v in col] for col in u]).T,
+        np.array([[scalar_value(v) for v in col] for col in u_low]).T,
+    )
+
+
+def stream_sheet_residuals_covariant(state, space, jp):
+    """Unreduced form of the stream-sheet residuals (oracle path).
+
+    Applies the covariant derivatives directly to the momentum fields
+    W^m_alpha = (rho+p/c^2) x^m_alpha/eps0 and V^k_beta = x^k_beta/eps0
+    instead of the expanded coefficient displays.
+    """
+    fr = _Frame(state, space, jp)
+    p, n = fr.p, fr.n
+    xd = fr.xd0
+    eps0 = fr.eps0
+    q0 = fr.q0
+
+    # momentum blocks as jets: x^m_alpha/eps0 is exactly the unit velocity
+    # jet, whose fiber coordinates are seeded; the divergence of W^m_alpha
+    # is that of the column frame alpha
+    V = fr.u
+    V0 = fr.u0
+    cols = fr.cols
+
+    def vcov_h(k, b, m):
+        acc = fr.ops.delta_x(V[k][b], m)
+        for r in range(n):
+            acc += V0[r][b] * fr.L[k][r][m]
+        return acc
+
+    def vcov_v(k, b, m, mu):
+        acc = fr.ops.fiber(V[k][b], m, mu)
+        for r in range(n):
+            acc += V0[r][b] * fr.C[k][r][m][mu]
+        return acc
+
+    force_h, force_v = fr.force_h, fr.force_v
+
+    horizontal = []
+    for k in range(n):
+        acc = 0.0
+        for a in range(p):
+            for b in range(p):
+                hab = fr.hinv0[a][b]
+                if hab == 0.0:
+                    continue
+                acc += hab * cols[a].qu_divergence(cols[a].h) * xd[k][b]
+                inner = 0.0
+                for m in range(n):
+                    inner += xd[m][a] * vcov_h(k, b, m)
+                acc += hab * q0 * inner
+        acc -= eps0 * (force_h[k] - sum_product(fr.ginv0[k], fr.h.dp))
+        horizontal.append(acc)
+
+    vertical = [[0.0] * p for _ in range(n)]
+    for k in range(n):
+        for mu in range(p):
+            acc = 0.0
+            for a in range(p):
+                for b in range(p):
+                    hab = fr.hinv0[a][b]
+                    if hab == 0.0:
+                        continue
+                    acc += hab * cols[a].qu_divergence(cols[a].v[mu]) * xd[k][b]
+                    inner = 0.0
+                    for m in range(n):
+                        inner += xd[m][a] * vcov_v(k, b, m, mu)
+                    acc += hab * q0 * inner
+            acc -= eps0 * (
+                force_v[mu][k]
+                - sum(fr.ginv0[k][m] * fr.v[mu].dp[m] for m in range(n))
+            )
+            vertical[k][mu] = acc
+    return np.array(horizontal), np.array(vertical)

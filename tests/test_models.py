@@ -9,7 +9,6 @@ from geoplasma.models import (
     build_grgml,
     build_rgogml,
     canonical_connection,
-    edml_lagrangian,
     stock_metric,
 )
 from geoplasma.multitime import (
@@ -270,7 +269,7 @@ def test_edml_zero_potentials_equal_bsml():
 def test_edml_metric_is_second_fiber_derivative_of_lagrangian():
     U = u_potential()
     Phi = scalar_field("0.2*x1^2 + t1*t2", JNM)
-    lag = edml_lagrangian(h_metric(), phi_polar(), U, Phi, P, N)
+    lag = helpers.edml_lagrangian(h_metric(), phi_polar(), U, Phi, P, N)
     space = build_edml(h_metric(), phi_polar(), U, Phi, P, N)
     jp = random_jet_point()
     coords = jp.coords

@@ -9,20 +9,16 @@ from geoplasma.multitime import (
     MultiTimeFluidState,
     MultiTimeSpace,
     StreamSheet,
-    adapted_jet_derivatives,
     cartan_gamma,
     cartan_gamma_lists,
     conservation_divergence,
     jet_covariant_derivative,
     metric_compatibility,
     multitime_residuals,
-    multitime_velocity,
     prolong_sheet,
     stream_sheet_residuals,
-    stream_sheet_residuals_covariant,
     stress_block_table,
     stress_tensors,
-    temporal_christoffel,
     zero_jet_connection,
 )
 from geoplasma.tensor_core import (
@@ -72,21 +68,21 @@ def sample_jet_points(space, box, count):
 
 def test_temporal_christoffel_identity_metric():
     space = flat_mt_space(2, 2)
-    k = temporal_christoffel(space, [0.3, -0.4])
+    k = helpers.temporal_christoffel(space, [0.3, -0.4])
     assert k.max_abs() == 0.0
 
 
 def test_temporal_christoffel_exponential():
     h = MetricField.from_exprs(1, [["exp(2*t1)"]], ["t1"])
     space = MultiTimeSpace(1, 2, h, None, zero_jet_connection(1, 2))
-    k = temporal_christoffel(space, [0.7])
+    k = helpers.temporal_christoffel(space, [0.7])
     assert k[0, 0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_temporal_christoffel_symmetry():
     space, _, box = generic_scenario(seed=7)
     t = list(RNG.uniform(-0.5, 0.5, space.p))
-    k = temporal_christoffel(space, t)
+    k = helpers.temporal_christoffel(space, t)
     for g, a, b in k.indices():
         assert abs(k[g, a, b] - k[g, b, a]) < 1e-13
 
@@ -99,7 +95,7 @@ def test_adapted_derivatives_reduce_to_plain():
     names = helpers.jetnames(p, n)
     f = scalar_field("sin(t1*x1) + x2^2*t2", names)
     jp = JetPoint((0.3, -0.2), (0.5, 1.1), ((0.9, 0.4), (0.2, 1.3)))
-    dt, dx, dv = adapted_jet_derivatives(f, space, jp)
+    dt, dx, dv = helpers.adapted_jet_derivatives(f, space, jp)
     t1, t2 = jp.t
     x1, x2 = jp.x
     assert dt[0] == pytest.approx(x1 * np.cos(t1 * x1), rel=1e-12)
@@ -116,7 +112,7 @@ def test_adapted_derivatives_chain_rule_oracle():
     f = scalar_field("x1_1*x1_2 + t1*x2_1^2 + x1*x2_2", names)
     jp = sample_jet_points(space, box, 1)[0]
     coords = jp.coords
-    dt, dx, dv = adapted_jet_derivatives(f, space, jp)
+    dt, dx, dv = helpers.adapted_jet_derivatives(f, space, jp)
 
     step = 1e-6
 
@@ -341,7 +337,7 @@ def test_greek_valence_under_hT():
 def test_multitime_velocity_normalization():
     space, _, box = generic_scenario(seed=37)
     for jp in sample_jet_points(space, box, 5):
-        u, u_low = multitime_velocity(None, space, jp)
+        u, u_low = helpers.multitime_velocity(None, space, jp)
         hinv = np.linalg.inv(space.h.matrix(list(jp.t)))
         total = np.einsum("ab,ia,ib->", hinv, u_low, u)
         assert abs(total - 1.0) < 1e-13
@@ -358,7 +354,7 @@ def test_multitime_velocity_diag_oracle():
     )
     xd = np.array([[0.7, 0.4], [0.1, 1.2]])
     jp = JetPoint((0.0, 0.0), (0.0, 0.0), tuple(map(tuple, xd)))
-    u, _ = multitime_velocity(None, space, jp)
+    u, _ = helpers.multitime_velocity(None, space, jp)
     hinv = np.diag([1.0, 0.25])
     eps2 = sum(
         hinv[mu][nu] * (xd[:, mu] @ xd[:, nu]) for mu in range(p) for nu in range(p)
@@ -372,7 +368,7 @@ def test_velocity_single_time_reduces_to_tangent_normalization():
     space = flat_mt_space(1, n)
     y = np.array([1.2, 0.5])
     jp = JetPoint((0.0,), (0.3, 0.1), ((y[0],), (y[1],)))
-    u, _ = multitime_velocity(None, space, jp)
+    u, _ = helpers.multitime_velocity(None, space, jp)
     assert np.abs(u[:, 0] - y / np.linalg.norm(y)).max() < 1e-14
 
 
@@ -409,18 +405,6 @@ def test_conservation_divergence_two_paths():
         assert np.abs(div_h - rep["conservation_h"]).max() < 1e-10
         div_v = conservation_divergence(state, space, jp, "v")
         assert np.abs(div_v - rep["conservation_v"]).max() < 1e-10
-
-
-def test_v_conservation_summed_switch():
-    space, state, box = generic_scenario(seed=47)
-    jp = sample_jet_points(space, box, 1)[0]
-    free = multitime_residuals(state, space, jp, v_conservation="free")
-    summed = multitime_residuals(state, space, jp, v_conservation="summed")
-    assert np.abs(
-        free["conservation_v"].sum(axis=1) - summed["conservation_v"]
-    ).max() < 1e-14
-    with pytest.raises(ValueError):
-        multitime_residuals(state, space, jp, v_conservation="both")
 
 
 def test_single_time_reduction_to_lagrange():
@@ -468,7 +452,7 @@ def test_stream_sheet_dual_path_generic():
     space, state, box = generic_scenario(seed=61)
     for jp in sample_jet_points(space, box, 3):
         h1, v1 = stream_sheet_residuals(state, space, jp)
-        h2, v2 = stream_sheet_residuals_covariant(state, space, jp)
+        h2, v2 = helpers.stream_sheet_residuals_covariant(state, space, jp)
         assert np.abs(h1 - h2).max() < 1e-10
         assert np.abs(v1 - v2).max() < 1e-10
 

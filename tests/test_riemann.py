@@ -16,12 +16,9 @@ from geoplasma.riemann import (
     metric_compatibility,
     minkowski_energy,
     minkowski_energy_direct,
-    mixed_energy_field,
-    normalize_velocity,
     riemann_report,
     stream_line_rhs,
     stress_tensor,
-    unit_velocity_field,
 )
 from geoplasma.tensor_core import (
     MetricField,
@@ -172,14 +169,14 @@ def test_levi_civita_reverse_order_oracle():
 def test_normalize_velocity_examples():
     space = helpers.flat_space(2)
     state = helpers.const_state(2, v=[2.0, 0.0])
-    u = normalize_velocity(state, space, [0.0, 0.0])
+    u = helpers.normalize_velocity(state, space, [0.0, 0.0])
     assert np.allclose(u, [1.0, 0.0])
 
     diag = SemiRiemannianSpace(
         2, MetricField.from_exprs(2, [["1", "0"], ["3"]], helpers.xnames(2))
     )
     state = helpers.const_state(2, v=[1.0, 1.0])
-    u = normalize_velocity(state, diag, [0.0, 0.0])
+    u = helpers.normalize_velocity(state, diag, [0.0, 0.0])
     assert np.allclose(u, [0.5, 0.5])  # norm = sqrt(1 + 3) = 2
 
 
@@ -187,7 +184,7 @@ def test_unit_norm_contract_random():
     space, state, em, box = generic_scenario(seed=31)
     phi = space.phi
     for x in helpers.sample_box(RNG, box, 10):
-        u = normalize_velocity(state, space, x)
+        u = helpers.normalize_velocity(state, space, x)
         m = np.array(phi.matrix(x))
         assert abs(u @ m @ u - 1.0) < 1e-13
 
@@ -198,7 +195,7 @@ def test_normalization_error():
     )
     state = helpers.const_state(2, v=[1.0, 0.0])
     with pytest.raises(NormalizationError):
-        normalize_velocity(state, space, [0.0, 0.0])
+        helpers.normalize_velocity(state, space, [0.0, 0.0])
 
 
 # -- minkowski energy ----------------------------------------------------------
@@ -268,7 +265,7 @@ def test_lorentz_force_vs_fd_divergence():
     force = report_entry("force", state, space, em, x)
     # finite-difference divergence of the mixed energy field on flat-ish terms
     n = space.n
-    field = mixed_energy_field(space, em)
+    field = helpers.mixed_energy_field(space, em)
     gamma = christoffel_lists(space, x)
     step = 1e-5
     div = np.zeros(n)
@@ -294,7 +291,7 @@ def test_lorentz_condition_sign_identity():
     for x in helpers.sample_box(RNG, box, 5):
         res = report_entry("lorentz", state, space, em, x)
         force = report_entry("force", state, space, em, x)
-        u = normalize_velocity(state, space, x)
+        u = helpers.normalize_velocity(state, space, x)
         phi = np.array(space.phi.matrix(x))
         assert res == pytest.approx(-(phi @ force) @ u, abs=1e-12)
 
@@ -308,7 +305,7 @@ def test_stress_dust_case():
         constant_field(0.0), state0.density, 1.0, state0.velocity
     )
     T_low, _ = stress_tensor(state, space, helpers.zero_em(space.n), x)
-    u = normalize_velocity(state, space, x)
+    u = helpers.normalize_velocity(state, space, x)
     phi = np.array(space.phi.matrix(x))
     ul = phi @ u
     rho = state.density(x)
@@ -516,9 +513,9 @@ def test_integrate_first_integral_drift():
 def test_report_velocity_field_helper():
     space, state, em, box = generic_scenario(seed=103)
     x = helpers.sample_box(RNG, box, 1)[0]
-    uf = unit_velocity_field(state, space)
+    uf = helpers.unit_velocity_field(state, space)
     t = uf(list(x))
     assert t.slots == (Slot.LU,)
     assert np.allclose(
-        [t[i] for i in range(space.n)], normalize_velocity(state, space, x)
+        [t[i] for i in range(space.n)], helpers.normalize_velocity(state, space, x)
     )

@@ -439,3 +439,50 @@ def test_cli_rejects_non_finite_eval_point(value, tmp_path, capsys):
     path = write(tmp_path, riemann_config(eval={"points": [[1.0, 0.2], [1.0, value]]}))
     assert main(["residuals", "--scenario", path]) == 2
     assert "'eval.points' coordinates must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("framework, key, value, message", [
+    ("riemann", "metric", [["1", 0], ["1"]],
+     "metric row 1 entry 2 must be an expression string, got 0"),
+    ("multitime", "h_metric", [["1", "0"], [1.5]],
+     "h_metric row 2 entry 1 must be an expression string, got 1.5"),
+    ("riemann", "em", {"H": [[0.1], []]},
+     "em.H row 1 entry 1 must be an expression string, got 0.1"),
+    ("lagrange", "em", {"H": [["0.1*x1"], []], "G": [[None], []]},
+     "em.G row 1 entry 1 must be an expression string, got None"),
+    ("multitime", "model", {"name": ["bsml"]},
+     "'model.name' must be one of"),
+    ("multitime", "model", {"name": "bsml", "params": {"phi": {"name": ["polar"]}}},
+     "model.params.phi: unknown stock metric ['polar']"),
+])
+def test_cli_rejects_non_string_scenario_entries(framework, key, value, message, tmp_path, capsys):
+    # a number in a metric or two-form row was "not an expression node",
+    # a list as a model or stock metric name was "unhashable type"
+    config = {"riemann": riemann_config, "lagrange": lagrange_config,
+              "multitime": multitime_config}[framework](**{key: value})
+    path = write(tmp_path, config)
+    assert main(["residuals", "--scenario", path, "--points", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, message", [
+    ("reverse", "sheet file row 1 (t..., x...) has t = [1.0, 1.0], expected the grid node "
+                "t = [0.0, 0.0]"),
+    ("t=9", "sheet file row 1 (t..., x...) has t = [9.0, 9.0], expected the grid node "
+            "t = [0.0, 0.0]"),
+])
+def test_cli_streamsheet_sheet_file_rows_follow_the_grid(change, message, tmp_path, capsys):
+    # the t columns were dropped and x placed by row order: both files exited 0
+    sheet = tmp_path / "sheet_values.csv"
+    header, *rows = open(_sheet_file(tmp_path)).read().splitlines()
+    if change == "reverse":
+        rows.reverse()
+    else:
+        rows = ["9.0,9.0," + row.split(",", 2)[2] for row in rows]
+    sheet.write_text("\n".join([header, *rows]) + "\n")
+    path = write(tmp_path, multitime_config())
+    out = tmp_path / "sheet.csv"
+    code = main(["streamsheet", "--scenario", path, "--sheet-file", str(sheet),
+                 "--out", str(out)])
+    assert code == 2 and message in capsys.readouterr().err
+    assert not out.exists()

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
+
 from geoplasma import dual
 from geoplasma.dual import seed
 from geoplasma.errors import DegenerateMetricError, TensorError
@@ -10,10 +12,8 @@ from geoplasma.tensor_core import (
     Slot,
     Tensor,
     TwoFormField,
-    fd_partial,
     field_jet,
     invert_symmetric,
-    raise_lower,
     scalar_field,
 )
 
@@ -87,35 +87,6 @@ def test_invert_propagates_derivatives():
             assert inv[i][j].d(0) == pytest.approx(ref, rel=1e-7, abs=1e-9)
 
 
-def test_raise_lower_round_trip():
-    rng = np.random.default_rng(11)
-    b = rng.normal(size=(3, 3))
-    g = (b @ b.T + 3 * np.eye(3)).tolist()
-    ginv = invert_symmetric(g)
-    t = Tensor((Slot.LU,), (3,), list(rng.normal(size=3)))
-    lowered = raise_lower(t, 0, g)
-    assert lowered.slots == (Slot.LD,)
-    back = raise_lower(lowered, 0, ginv)
-    assert back.slots == (Slot.LU,)
-    for i in range(3):
-        assert back[i] == pytest.approx(t[i], abs=1e-13)
-
-
-def test_raise_lower_euclidean_identity_and_sign_flip():
-    t = Tensor((Slot.LU,), (4,), [0.0, 0.0, 0.0, 1.0])
-    same = raise_lower(t, 0, np.eye(4).tolist())
-    assert same.data == t.data
-    mink = np.diag([1.0, 1.0, 1.0, -1.0]).tolist()
-    flipped = raise_lower(t, 0, mink)
-    assert flipped[3] == -1.0
-
-
-def test_raise_lower_extent_mismatch():
-    t = Tensor.zeros((Slot.LU,), (3,))
-    with pytest.raises(TensorError):
-        raise_lower(t, 0, np.eye(2).tolist())
-
-
 def test_field_jet_constant_field():
     f = lambda coords: 3.5
     out = field_jet(f, [1.0, 2.0], order=2)
@@ -138,7 +109,7 @@ def test_field_jet_vs_finite_difference():
     coords = [0.3, -0.7, 1.2]
     out = field_jet(f, coords)
     for i in range(3):
-        ref = fd_partial(f, coords, i)
+        ref = helpers.fd_partial(f, coords, i)
         assert abs(out.d(i) - ref) / max(1.0, abs(ref)) < 1e-7
 
 
