@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .dual import Jet, scalar_value, seed
-from .errors import GeoPlasmaError, ScenarioError
+from .errors import DomainError, GeoPlasmaError, ScenarioError
 from .lagrange import integrate_h_stream_line, lagrange_residuals
 from .multitime import (
     JetPoint,
@@ -78,7 +78,7 @@ def cmd_verify(args):
     worst_point = {}
     for coords in points:
         for name, value in invariants_at(scenario, coords).items():
-            if name not in worst or value > worst[name]:
+            if name not in worst or _worse(value, worst[name]):
                 worst[name] = value
                 worst_point[name] = coords
     failed = [name for name, value in worst.items() if not value < args.tol]
@@ -106,6 +106,19 @@ def cmd_verify(args):
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     return 1 if failed else 0
+
+
+def _worse(value, current):
+    """Whether an invariant value is worse than ``current``; non-finite is worst."""
+    return (not math.isfinite(value), value) > (not math.isfinite(current), current)
+
+
+def _non_finite_column(pairs):
+    """Error text naming the first non-finite (label, value) of a row, or None."""
+    for label, value in pairs:
+        if not math.isfinite(value):
+            return f"non-finite value in column {label}"
+    return None
 
 
 def _parse_coords(text, expect, label):
@@ -172,9 +185,13 @@ def cmd_residuals(args):
     results = []
     for coords in points:
         try:
-            results.append((coords, _point_report(scenario, coords).columns(), ""))
+            cols = _point_report(scenario, coords).columns()
         except GeoPlasmaError as err:
             results.append((coords, None, str(err).replace(",", ";")))
+            continue
+        # last guard: a non-finite number is never written as a result
+        bad = _non_finite_column(cols)
+        results.append((coords, None, bad) if bad else (coords, cols, ""))
     first_ok = next((cols for _, cols, _ in results if cols is not None), None)
     if first_ok is None:
         header = scenario.names + ["error"]
@@ -280,6 +297,9 @@ def cmd_streamsheet(args):
             if args.dump_coefficients:
                 Hm, Vm = stream_sheet_coefficients(scenario.state, scenario.space, jp)
                 row += list(Hm) + list(Vm.reshape(-1))
+            bad = _non_finite_column(zip(header, row))
+            if bad:
+                raise DomainError(bad)
             row += [""]
             rows.append(row)
         except GeoPlasmaError as err:

@@ -11,6 +11,11 @@ The value slot of every composite mirrors the plain-float computation
 operation for operation, so evaluating with jets and evaluating with
 floats agree bit for bit on the value part.
 
+The product of two jets of one context runs a straight-line kernel
+generated once per (seed count, order) from the table of slot triples
+and cached with the key tables; it adds the same terms in the same order
+as a loop over that table would.
+
 Coordinates entering the engine are plain Python floats, converted at
 the input boundary: a ``numpy.float64`` costs about twice as much per
 scalar operation and spreads into every coefficient.
@@ -30,7 +35,7 @@ _TABLE_CACHE = {}
 
 
 def _tables(nseeds, order):
-    """Key list, key->position map and multiplication triples for (m, k)."""
+    """Key list, key->position map and product kernel for (m, k), cached."""
     try:
         return _TABLE_CACHE[(nseeds, order)]
     except KeyError:
@@ -44,9 +49,33 @@ def _tables(nseeds, order):
         for ib, kb in enumerate(keys):
             if len(ka) + len(kb) <= order:
                 triples.append((ia, ib, pos[tuple(sorted(ka + kb))]))
-    tables = (tuple(keys), pos, tuple(triples))
+    tables = (tuple(keys), pos, _product_kernel(len(keys), triples))
     _TABLE_CACHE[(nseeds, order)] = tables
     return tables
+
+
+def _product_kernel(nkeys, triples):
+    """Straight-line coefficient product generated from the triples table.
+
+    One flat statement per triple, in table order: the first term of an
+    output slot is ``0.0 + a*b`` and each later one ``o + a*b``, exactly
+    the accumulation of ``out[io] = out[io] + ac[ia] * bc[ib]`` over a
+    zero-filled ``out``.  The source is built from integers only.
+    """
+    lines = [
+        "def mul(ac, bc):",
+        "    " + ", ".join(f"a{i}" for i in range(nkeys)) + ", = ac",
+        "    " + ", ".join(f"b{i}" for i in range(nkeys)) + ", = bc",
+    ]
+    started = set()
+    for ia, ib, io in triples:
+        acc = f"o{io}" if io in started else "0.0"
+        started.add(io)
+        lines.append(f"    o{io} = {acc} + a{ia}*b{ib}")
+    lines.append("    return [" + ", ".join(f"o{i}" for i in range(nkeys)) + "]")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<jet product {nkeys}>", "exec"), namespace)
+    return namespace["mul"]
 
 
 class SeedContext:
@@ -59,7 +88,7 @@ class SeedContext:
     independent seedings.
     """
 
-    __slots__ = ("nseeds", "order", "level", "keys", "pos", "triples", "nkeys")
+    __slots__ = ("nseeds", "order", "level", "keys", "pos", "mul", "nkeys")
 
     _counter = itertools.count(1)
 
@@ -72,7 +101,7 @@ class SeedContext:
             raise ValueError("need at least one seed variable")
         self.nseeds = nseeds
         self.order = order
-        self.keys, self.pos, self.triples = _tables(nseeds, order)
+        self.keys, self.pos, self.mul = _tables(nseeds, order)
         self.nkeys = len(self.keys)
         self.level = next(SeedContext._counter)
 
@@ -166,12 +195,7 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             if other.ctx is self.ctx:
-                ac = self.c
-                bc = other.c
-                out = [0.0] * self.ctx.nkeys
-                for ia, ib, io in self.ctx.triples:
-                    out[io] = out[io] + ac[ia] * bc[ib]
-                return Jet(self.ctx, out)
+                return Jet(self.ctx, self.ctx.mul(self.c, other.c))
             if other.ctx.level > self.ctx.level:
                 return other.__rmul__(self)
         elif not isinstance(other, (int, float)):
@@ -246,6 +270,20 @@ def scalar_value(x):
     while isinstance(x, Jet):
         x = x.c[0]
     return x
+
+
+def is_finite(x):
+    """True when x, or every coefficient of a jet at any depth, is finite."""
+    if not isinstance(x, Jet):
+        return math.isfinite(x)
+    try:
+        # a finite exact sum of floats has only finite terms; a jet
+        # coefficient, an overflowing sum or inf - inf take the long way
+        if math.isfinite(math.fsum(x.c)):
+            return True
+    except (TypeError, OverflowError, ValueError):
+        pass
+    return all(map(is_finite, x.c))
 
 
 def promote(x, ctx):

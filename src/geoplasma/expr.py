@@ -18,6 +18,15 @@ and pow (two arguments).
 Expressions are immutable after parsing; evaluation is pure and works
 over any scalar type the arithmetic helpers in :mod:`geoplasma.dual`
 accept (plain floats or jets).
+
+Two evaluators share these semantics.  :func:`compile_field` turns the
+trees of one field (say all upper-triangle entries of a metric) into one
+straight-line Python function of the coordinate list, generated once from
+the parsed trees: it runs every operation of the trees with the same
+operands in the same order, computes identical subtrees once, and so
+returns the same bits as the tree walker :func:`evaluate`.  The walker
+stays the reference: the compiled field re-runs it whenever the compiled
+code raises, so every error and its subexpression text are the walker's.
 """
 
 from __future__ import annotations
@@ -262,6 +271,113 @@ def evaluate(node, binding):
                 raise DomainError(str(err), where=pretty(node)) from None
             raise
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _checked_div(left, right):
+    """left/right with the walker's zero check on a plain divisor."""
+    if not isinstance(left, dual.Jet) and not isinstance(right, dual.Jet):
+        if right == 0.0:
+            raise DomainError("division by zero")
+    return left / right
+
+
+def _unbound():
+    raise LookupError("unbound variable")
+
+
+# Names the generated code calls; only these strings and the ones built
+# below from integers and float reprs reach compile().
+_NAMESPACE = {"_div": _checked_div, "_pow": dual.power, "_unbound": _unbound}
+_NAMESPACE.update({"_" + name: fn for name, (fn, _) in FUNCTIONS.items()})
+_CALLS = {name: "_" + name for name in FUNCTIONS}
+
+
+def _straight_line(trees, names):
+    """Source of ``def field(c)`` returning the list of the trees' values.
+
+    Each node that is not a literal becomes one assignment, children
+    first, left before right, as the walker visits them.  A node whose
+    right-hand side text was emitted already reuses that temporary: the
+    text is built from temporaries and literal reprs only, so it keys
+    equal subtrees exactly and never merges ``0.0`` with ``-0.0``.
+    """
+    index = {name: k for k, name in enumerate(names)}
+    temps = {}
+    lines = ["def field(c):"]
+
+    def operand(node):
+        if isinstance(node, Num):
+            text = repr(node.value)
+            return f"({text})" if text.startswith("-") else text
+        if isinstance(node, Var):
+            k = index.get(node.name)
+            rhs = "_unbound()" if k is None else f"c[{k}]"
+        elif isinstance(node, Neg):
+            rhs = "-" + operand(node.child)
+        elif isinstance(node, BinOp):
+            a, b = operand(node.left), operand(node.right)
+            if node.op == "^":
+                rhs = f"_pow({a}, {b})"
+            elif node.op == "/" and not (isinstance(node.right, Num) and node.right.value != 0.0):
+                rhs = f"_div({a}, {b})"
+            else:
+                rhs = f"{a} {node.op} {b}"
+        elif isinstance(node, Call):
+            args = ", ".join(operand(arg) for arg in node.args)
+            rhs = f"{_CALLS[node.name]}({args})"
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        name = temps.get(rhs)
+        if name is None:
+            name = temps[rhs] = f"t{len(temps)}"
+            lines.append(f"    {name} = {rhs}")
+        return name
+
+    results = [operand(tree) for tree in trees]
+    lines.append("    return [" + ", ".join(results) + "]")
+    return "\n".join(lines)
+
+
+def compile_trees(trees, names):
+    """The generated function alone: ``coords -> [value of each tree]``.
+
+    Bit-identical to the walker wherever the walker returns; where the
+    walker raises, this raises too, but not necessarily the same error.
+    """
+    namespace = dict(_NAMESPACE)
+    exec(compile(_straight_line(trees, names), "<field>", "exec"), namespace)
+    return namespace["field"]
+
+
+def compile_field(trees, names, labels):
+    """One function of the coordinate list giving every tree's value, in order.
+
+    ``names[k]`` binds to ``coords[k]``.  A value, or any jet coefficient
+    of it at any depth, that is not finite raises :class:`DomainError`
+    naming the tree by its entry in ``labels``.  When the generated code
+    raises, the walker evaluates the trees one by one in order and raises
+    exactly what evaluating them with :func:`evaluate` raises.
+    """
+    trees = tuple(trees)
+    names = tuple(names)
+    labels = tuple(labels)
+    straight = compile_trees(trees, names)
+    is_finite = dual.is_finite
+
+    def field(coords):
+        try:
+            values = straight(coords)
+        except Exception:
+            # the reference walker, in entry order, raises the error with
+            # its subexpression text
+            binding = dict(zip(names, coords))
+            values = [evaluate(tree, binding) for tree in trees]
+        for value, label in zip(values, labels):
+            if not is_finite(value):
+                raise DomainError(f"non-finite value or derivative in {label}")
+        return values
+
+    return field
 
 
 # Precedence levels used by the printer; must mirror the grammar.

@@ -22,7 +22,8 @@ metric is the spatial block g_ij.
 from __future__ import annotations
 
 from .dual import promote, scalar_value, seed
-from .errors import DegenerateMetricError, DomainError, ScenarioError
+from .errors import DegenerateMetricError, DomainError, ExprError, ScenarioError
+from .expr import parse
 from .riemann import SemiRiemannianSpace, christoffel_lists
 from .multitime import MultiTimeSpace, fiber_index
 from .tensor_core import MatrixMetricField, MetricField, invert_symmetric
@@ -165,25 +166,33 @@ def build_edml(h_metric, phi_metric, U, Phi, p, n):
 # -- stock spatial metrics ----------------------------------------------------
 
 
-def stock_metric(name, n, names, params=None):
+def stock_metric(name, n, names, params=None, label="metric"):
     """Built-in spatial metrics: flat, polar (diag(1, x1^2)), conformal."""
     params = params or {}
+    if not isinstance(params, dict):
+        raise ScenarioError(f"stock metric params must be an object, got {params!r}")
     if name == "flat":
         rows = [["1" if j == 0 else "0" for j in range(n - i)] for i in range(n)]
-        return MetricField.from_exprs(n, rows, names)
+        return MetricField.from_exprs(n, rows, names, label)
     if name == "polar":
         if n != 2:
             raise ScenarioError("polar metric requires n = 2")
-        return MetricField.from_exprs(2, [["1", "0"], [f"{names[0]}^2"]], names)
+        return MetricField.from_exprs(2, [["1", "0"], [f"{names[0]}^2"]], names, label)
     if name == "conformal":
         sigma = params.get("sigma")
         if sigma is None:
             raise ScenarioError("conformal metric needs a 'sigma' expression")
+        if not isinstance(sigma, str):
+            raise ScenarioError(f"sigma must be an expression string, got {sigma!r}")
+        try:
+            parse(sigma)
+        except ExprError as err:
+            raise ScenarioError(f"sigma: {err}") from None
         rows = []
         for i in range(n):
             row = []
             for j in range(i, n):
                 row.append(f"exp(2*({sigma}))" if i == j else "0")
             rows.append(row)
-        return MetricField.from_exprs(n, rows, names)
+        return MetricField.from_exprs(n, rows, names, label)
     raise ScenarioError(f"unknown stock metric {name!r}")

@@ -66,7 +66,7 @@ def _field(source, names, label):
     if not isinstance(source, str):
         raise ScenarioError(f"{label} must be an expression string")
     try:
-        return scalar_field(source, names)
+        return scalar_field(source, names, label)
     except ExprError as err:
         raise ScenarioError(f"{label}: {err}") from err
 
@@ -92,7 +92,7 @@ def _metric_from_rows(dim, rows, names, label):
             )
     _check_entries(rows, label)
     try:
-        return MetricField.from_exprs(dim, rows, names)
+        return MetricField.from_exprs(dim, rows, names, label)
     except ExprError as err:
         raise ScenarioError(f"{label}: {err}") from err
 
@@ -111,7 +111,7 @@ def _two_form_from_rows(dim, rows, names, label):
             )
     _check_entries(rows, label)
     try:
-        return TwoFormField.from_exprs(dim, rows, names)
+        return TwoFormField.from_exprs(dim, rows, names, label)
     except ExprError as err:
         raise ScenarioError(f"{label}: {err}") from err
 
@@ -122,7 +122,7 @@ def _spatial_metric(config, n, names, label="metric"):
         name = config.get("name")
         if not isinstance(name, str) or name not in _STOCK_NAMES:
             raise ScenarioError(f"{label}: unknown stock metric {name!r}")
-        return stock_metric(name, n, names, config.get("params"))
+        return stock_metric(name, n, names, config.get("params"), label)
     return _metric_from_rows(n, config, names, label)
 
 

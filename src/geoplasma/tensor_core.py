@@ -256,38 +256,37 @@ def christoffel_of(metric, coords, seeds=None, point=None):
 class MetricField:
     """Symmetric matrix-valued field with upper-triangle storage.
 
-    ``entries[i][j - i]`` (j >= i) is a callable over the coordinate list.
+    ``values(coords)`` lists the entries (i, j), j >= i, row by row.
     Symmetry is exact by construction.
     """
 
-    def __init__(self, dim, entries):
+    def __init__(self, dim, values):
         if dim > MAX_DIM:
             raise TensorError(f"dimension {dim} exceeds supported maximum {MAX_DIM}")
-        if len(entries) != dim or any(len(row) != dim - i for i, row in enumerate(entries)):
-            raise TensorError("upper-triangle entries must have rows of length dim - i")
         self.dim = dim
-        self.entries = entries
+        self.values = values
 
     def matrix(self, coords):
         n = self.dim
+        vals = iter(self.values(coords))
         out = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                v = self.entries[i][j - i](coords)
+                v = next(vals)
                 out[i][j] = v
                 out[j][i] = v
         return out
 
     @classmethod
-    def from_exprs(cls, dim, rows, names):
-        """Build from upper-triangle rows of expression source strings."""
-        entries = []
-        for i in range(dim):
-            row = []
-            for j in range(dim - i):
-                row.append(scalar_field(rows[i][j], names))
-            entries.append(row)
-        return cls(dim, entries)
+    def from_exprs(cls, dim, rows, names, label="metric"):
+        """Build from upper-triangle rows of expression source strings.
+
+        The rows compile into one field; a non-finite entry is named
+        ``<label> row i entry j`` (both counted from 1 within the row).
+        """
+        if len(rows) != dim or any(len(row) != dim - i for i, row in enumerate(rows)):
+            raise TensorError("upper-triangle entries must have rows of length dim - i")
+        return cls(dim, _rows_field(rows, names, label))
 
 
 class MatrixMetricField:
@@ -310,53 +309,63 @@ class MatrixMetricField:
 
 
 class TwoFormField:
-    """Antisymmetric matrix-valued field, strictly-upper-triangle storage."""
+    """Antisymmetric matrix-valued field, strictly-upper-triangle storage.
 
-    def __init__(self, dim, entries):
-        if len(entries) != dim or any(len(row) != dim - i - 1 for i, row in enumerate(entries)):
-            raise TensorError("strict-upper entries must have rows of length dim - i - 1")
+    ``values(coords)`` lists the entries (i, j), j > i, row by row.
+    """
+
+    def __init__(self, dim, values):
         self.dim = dim
-        self.entries = entries
+        self.values = values
 
     def matrix(self, coords):
         n = self.dim
+        vals = iter(self.values(coords))
         out = [[0.0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                v = self.entries[i][j - i - 1](coords)
+                v = next(vals)
                 out[i][j] = v
                 out[j][i] = -v
         return out
 
     def negated(self):
-        neg = [
-            [(lambda f: (lambda coords: -f(coords)))(fn) for fn in row]
-            for row in self.entries
-        ]
-        return TwoFormField(self.dim, neg)
+        values = self.values
+        return TwoFormField(self.dim, lambda coords: [-v for v in values(coords)])
 
     @classmethod
     def zero(cls, dim):
-        return cls(dim, [[(lambda coords: 0.0)] * (dim - i - 1) for i in range(dim)])
+        return cls(dim, constant_field([0.0] * (dim * (dim - 1) // 2)))
 
     @classmethod
-    def from_exprs(cls, dim, rows, names):
-        entries = []
-        for i in range(dim):
-            row = []
-            for j in range(dim - i - 1):
-                row.append(scalar_field(rows[i][j], names))
-            entries.append(row)
-        return cls(dim, entries)
+    def from_exprs(cls, dim, rows, names, label="two-form"):
+        if len(rows) != dim or any(len(row) != dim - i - 1 for i, row in enumerate(rows)):
+            raise TensorError("strict-upper entries must have rows of length dim - i - 1")
+        return cls(dim, _rows_field(rows, names, label))
 
 
-def scalar_field(source, names):
-    """Compile an expression string into a field over a coordinate list."""
-    tree = expr_mod.parse(source)
-    names = tuple(names)
+def _rows_field(rows, names, label):
+    """Compile triangle rows of expression strings into one field."""
+    trees = [expr_mod.parse(source) for row in rows for source in row]
+    labels = [
+        f"{label} row {i + 1} entry {j + 1}"
+        for i, row in enumerate(rows) for j in range(len(row))
+    ]
+    return expr_mod.compile_field(trees, names, labels)
+
+
+def scalar_field(source, names, label=None):
+    """Compile an expression string into a field over a coordinate list.
+
+    A non-finite result raises :class:`~geoplasma.errors.DomainError`
+    naming ``label`` (default: the quoted source).
+    """
+    fn = expr_mod.compile_field(
+        [expr_mod.parse(source)], names, [label or f"'{source}'"]
+    )
 
     def field(coords):
-        return expr_mod.evaluate(tree, dict(zip(names, coords)))
+        return fn(coords)[0]
 
     return field
 

@@ -12,7 +12,7 @@ use (``common.unit_vector``, the adapted partials, the connection lists).
 import numpy as np
 
 from geoplasma.common import energy_low_mixed, unit_vector
-from geoplasma.dual import promote, scalar_value, seed
+from geoplasma.dual import Jet, promote, scalar_value, seed
 from geoplasma.lagrange import _adapted_partials
 from geoplasma.lagrange import _coords as _tangent_coords
 from geoplasma.multitime import (
@@ -561,3 +561,26 @@ def stream_sheet_residuals_covariant(state, space, jp):
             )
             vertical[k][mu] = acc
     return np.array(horizontal), np.array(vertical)
+
+
+def jet_product_loop(ctx, ac, bc):
+    """The jet product as a loop over the (a, b, out) slot triples.
+
+    The triples table pairs coefficient slots whose key lengths sum to at
+    most the order, in slot order of a then b; ``dual``'s generated
+    product kernel must equal this loop bit for bit.
+    """
+    out = [0.0] * ctx.nkeys
+    for ia, ka in enumerate(ctx.keys):
+        for ib, kb in enumerate(ctx.keys):
+            if len(ka) + len(kb) <= ctx.order:
+                io = ctx.pos[tuple(sorted(ka + kb))]
+                out[io] = out[io] + ac[ia] * bc[ib]
+    return out
+
+
+def coefficient_bits(x):
+    """Type name and float.hex of a scalar, nested through jet coefficients."""
+    if isinstance(x, Jet):
+        return [coefficient_bits(v) for v in x.c]
+    return (type(x).__name__, float(x).hex())

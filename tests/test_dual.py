@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from geoplasma import dual
 from geoplasma.dual import Jet, SeedContext, scalar_value, seed
 from geoplasma.errors import DomainError
+from helpers import coefficient_bits, jet_product_loop
 
 
 def fd(f, x, i, step=1e-5):
@@ -216,3 +218,28 @@ def test_value_matches_plain(v0, v1):
     (x, y), _ = seed([v0, v1], order=2)
     jet = compute(x, y)
     assert jet.value == plain
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("nseeds", range(1, 12))
+def test_product_kernel_equals_triples_loop(nseeds, order):
+    rng = random.Random(nseeds * 10 + order)
+    ctx = SeedContext(nseeds, order)
+    (outer,), _ = seed([0.3])
+
+    def coeff():
+        pick = rng.random()
+        if pick < 0.1:
+            return -0.0
+        if pick < 0.2:
+            return 0.0
+        if pick < 0.3:
+            return outer * rng.uniform(-2, 2) + rng.uniform(-1, 1)
+        return rng.uniform(-2, 2)
+
+    for _ in range(3):
+        ac = [coeff() for _ in range(ctx.nkeys)]
+        bc = [coeff() for _ in range(ctx.nkeys)]
+        kernel = (Jet(ctx, ac) * Jet(ctx, bc)).c
+        loop = jet_product_loop(ctx, ac, bc)
+        assert coefficient_bits(Jet(ctx, kernel)) == coefficient_bits(Jet(ctx, loop))

@@ -1,9 +1,14 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geoplasma import dual
 from geoplasma.errors import DomainError, ExprSyntaxError, UnboundVariableError
-from geoplasma.expr import BinOp, Call, Neg, Num, Var, evaluate, parse, pretty
+from geoplasma.expr import (
+    BinOp, Call, Neg, Num, Var, _straight_line, compile_field, compile_trees, evaluate, parse,
+    pretty,
+)
+from helpers import coefficient_bits
 
 
 def ev(source, **binding):
@@ -192,3 +197,147 @@ def test_round_trip_of_parsed_source():
     ]:
         tree = parse(source)
         assert parse(pretty(tree)) == tree
+
+
+# -- compiled fields against the walker ----------------------------------------
+
+_FIELD_NAMES = ["x1", "x2", "y1"]
+_leaves = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 1.5, 0.25, 1e-3]).map(Num),
+    st.sampled_from(_FIELD_NAMES).map(Var),
+)
+
+
+def _compiled_trees(children):
+    calls = st.tuples(
+        st.sampled_from(["sin", "cos", "exp", "log", "sqrt", "tanh"]), children
+    ).map(lambda t: Call(t[0], (t[1],)))
+    exponents = st.one_of(
+        st.sampled_from([2.0, 3.0, -1.0, -2.0, 0.0, 0.5, 1.5, -0.5]).map(Num), children
+    )
+    return st.one_of(
+        children.map(Neg),
+        st.tuples(st.sampled_from("+-*/"), children, children).map(
+            lambda t: BinOp(t[0], t[1], t[2])
+        ),
+        st.tuples(children, exponents).map(lambda t: BinOp("^", t[0], t[1])),
+        st.tuples(children, exponents).map(lambda t: Call("pow", t)),
+        # the same subtree twice, as in a repeated factor
+        children.map(lambda c: BinOp("*", c, BinOp("+", c, Num(1.0)))),
+    )
+
+
+_field_trees = st.recursive(_leaves, _compiled_trees, max_leaves=10)
+
+
+@st.composite
+def _fields(draw):
+    """Several entries built over a shared pool of subtrees."""
+    pool = draw(st.lists(_field_trees, min_size=1, max_size=3))
+    entries = []
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        entries.append(draw(st.sampled_from([a, b, BinOp("+", a, b), BinOp("/", a, b)])))
+    return entries
+
+
+def _scalars(kind, values):
+    if kind == "float":
+        return list(values)
+    if kind == "numpy":
+        return [np.float64(v) for v in values]
+    if kind == "nested":
+        outer, _ = dual.seed(values, seeds=[0, 2])
+        return dual.seed(outer, seeds=[1])[0]
+    order = int(kind[-1])
+    return dual.seed(values, seeds=[0, 1] if order < 3 else [0], order=order)[0]
+
+
+def _walk(trees, coords):
+    binding = dict(zip(_FIELD_NAMES, coords))
+    return [evaluate(tree, binding) for tree in trees]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as err:  # compared below, type and text
+        return None, err
+
+
+@given(
+    _fields(),
+    st.sampled_from(["float", "numpy", "order1", "order2", "order3", "nested"]),
+    st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=3, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_compiled_field_is_bit_identical_to_walker(trees, kind, values):
+    coords = _scalars(kind, values)
+    walked, walk_err = _outcome(_walk, trees, coords)
+    straight, straight_err = _outcome(compile_trees(trees, _FIELD_NAMES), coords)
+    labels = [f"entry {k}" for k in range(len(trees))]
+    field, field_err = _outcome(compile_field(trees, _FIELD_NAMES, labels), coords)
+    if walk_err is not None:
+        # the straight-line code fails too, and the field re-raises the walker's error
+        assert straight_err is not None
+        assert type(field_err) is type(walk_err)
+        assert str(field_err) == str(walk_err)
+        assert getattr(field_err, "where", None) == getattr(walk_err, "where", None)
+        return
+    assert straight_err is None
+    assert [coefficient_bits(v) for v in straight] == [coefficient_bits(v) for v in walked]
+    if all(dual.is_finite(v) for v in walked):
+        assert [coefficient_bits(v) for v in field] == [coefficient_bits(v) for v in walked]
+    else:
+        bad = next(k for k, v in enumerate(walked) if not dual.is_finite(v))
+        assert isinstance(field_err, DomainError)
+        assert str(field_err) == f"non-finite value or derivative in entry {bad}"
+
+
+@pytest.mark.parametrize("sources, coords", [
+    (["1 + x1", "2*log(x1 - x2)"], [0.5, 1.0]),
+    (["x2", "1/(x1 - 0.5)"], [0.5, 1.0]),
+    (["x2", "1/(x1 - 0.5)"], [np.float64(0.5), np.float64(1.0)]),
+    (["x2", "sqrt(x1)", "x1/x2"], [0.5, 0.0]),
+    (["x1 + x2", "z3*x1"], [0.5, 1.0]),
+    (["x1^2", "x1^2 + q"], dual.seed([0.5, 1.0])[0]),
+])
+def test_compiled_field_errors_match_walker(sources, coords):
+    trees = [parse(source) for source in sources]
+    binding = dict(zip(["x1", "x2"], coords))
+    with pytest.raises(Exception) as walked:
+        [evaluate(tree, binding) for tree in trees]
+    field = compile_field(trees, ["x1", "x2"], sources)
+    with pytest.raises(Exception) as compiled:
+        field(coords)
+    assert type(compiled.value) is type(walked.value)
+    assert str(compiled.value) == str(walked.value)
+    assert getattr(compiled.value, "where", None) == getattr(walked.value, "where", None)
+    assert isinstance(walked.value, (DomainError, UnboundVariableError))
+
+
+def test_compiled_field_computes_a_shared_subtree_once():
+    scale = "(1 + 0.5*(y1^2 + y2^2))"
+    trees = [parse(f"{scale}*(1.2 + 0.1*sin(x2))"), parse(f"{scale}*0.05*cos(x1)"),
+             parse(f"{scale}*(1.1 + 0.1*cos(x1))")]
+    source = _straight_line(trees, ["x1", "x2", "y1", "y2"])
+    assert source.count("_pow(") == 2  # y1^2 and y2^2, once each
+    assert source.count("0.5 * ") == 1
+    # 0.0 and -0.0 compare equal but are different literals
+    source = _straight_line([BinOp("+", Var("x1"), Num(0.0)),
+                             BinOp("+", Var("x1"), Num(-0.0))], ["x1"])
+    assert "+ 0.0" in source and "+ (-0.0)" in source
+    assert compile_trees([BinOp("*", Num(-0.0), Var("x1"))], ["x1"])([2.0])[0].hex() == "-0x0.0p+0"
+
+
+def test_compiled_field_names_a_non_finite_entry():
+    trees = [parse("1"), parse("1 + (1e306*x1*1e3 - 1e306*x1*1e3)")]
+    field = compile_field(trees, ["x1"], ["metric row 1 entry 1", "metric row 1 entry 2"])
+    assert field([0.0]) == [1.0, 1.0]
+    with pytest.raises(DomainError, match="non-finite value or derivative in metric row 1 entry 2"):
+        field([0.5])
+    # a finite value whose derivative overflows
+    jets, _ = dual.seed([0.0])
+    with pytest.raises(DomainError, match="entry 2"):
+        field(jets)

@@ -221,8 +221,8 @@ def test_energy_n2_bruteforce_oracle():
     a, b = 0.8, -1.3
     space = helpers.flat_space(2)
     em = ElectromagneticPair(
-        TwoFormField(2, [[constant_field(a)], []]),
-        TwoFormField(2, [[constant_field(b)], []]),
+        TwoFormField(2, constant_field([a])),
+        TwoFormField(2, constant_field([b])),
     )
     E_low, E_mix = minkowski_energy(space, em, [0.0, 0.0])
     ref_low, ref_mix = helpers.oracle_energy(np.eye(2), [[0, a], [-a, 0]], [[0, b], [-b, 0]])
@@ -253,8 +253,8 @@ def test_lorentz_force_zero_cases():
     assert np.allclose(report_entry("force", state, space, em, [0.4, 0.1]), 0.0)
 
     em_const = ElectromagneticPair(
-        TwoFormField(2, [[constant_field(0.7)], []]),
-        TwoFormField(2, [[constant_field(-0.2)], []]),
+        TwoFormField(2, constant_field([0.7])),
+        TwoFormField(2, constant_field([-0.2])),
     )
     assert np.abs(report_entry("force", state, space, em_const, [0.4, 0.1])).max() < 1e-14
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -486,3 +487,106 @@ def test_cli_streamsheet_sheet_file_rows_follow_the_grid(change, message, tmp_pa
                  "--out", str(out)])
     assert code == 2 and message in capsys.readouterr().err
     assert not out.exists()
+
+
+# -- non-finite numbers never reach a result under exit 0 -----------------------
+
+_OVERFLOW = "(1e306*{v}*1e3 - 1e306*{v}*1e3)"
+
+
+def _csv_rows(path):
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    header = lines[0].split(",")
+    return header, [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+
+
+@pytest.mark.parametrize("config, message", [
+    (riemann_config(pressure="0.2 + " + _OVERFLOW.format(v="x2")), "pressure"),
+    (riemann_config(metric=[["1", "0"], ["x1^2 + " + _OVERFLOW.format(v="x2")]]),
+     "metric row 2 entry 1"),
+    (riemann_config(velocity=["1", _OVERFLOW.format(v="x1")]), "velocity[1]"),
+    (riemann_config(em={"H": [["0.1 + " + _OVERFLOW.format(v="x1")], []]}), "em.H row 1 entry 1"),
+])
+def test_cli_residuals_name_a_non_finite_field(config, message, tmp_path):
+    # the value is finite; its derivative is 1e309 - 1e309, which used to
+    # write rows of nan under exit 0
+    out = tmp_path / "r.csv"
+    assert main(["residuals", "--scenario", write(tmp_path, config),
+                 "--points", "3", "--out", str(out)]) == 1
+    _, rows = _csv_rows(out)
+    assert len(rows) == 3
+    for row in rows:
+        assert row["error"] == f"non-finite value or derivative in {message}"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_streamsheet_names_a_non_finite_sheet_entry(tmp_path, capsys):
+    config = multitime_config()
+    config["sheet"]["x"][0] = "1 + " + _OVERFLOW.format(v="t1")
+    out = tmp_path / "s.csv"
+    assert main(["streamsheet", "--scenario", write(tmp_path, config), "--out", str(out)]) == 1
+    assert "non-finite value or derivative in sheet.x[0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _NanReport:
+    def columns(self):
+        return [("a", 0.5), ("b", float("nan")), ("b_norm", float("nan"))]
+
+
+def test_cli_residuals_last_guard_marks_a_non_finite_row(tmp_path, monkeypatch):
+    import geoplasma.cli as cli
+
+    monkeypatch.setattr(cli, "_point_report", lambda scenario, coords: _NanReport())
+    out = tmp_path / "r.csv"
+    assert main(["residuals", "--scenario", write(tmp_path, riemann_config()),
+                 "--points", "2", "--out", str(out)]) == 1
+    _, rows = _csv_rows(out)
+    assert [row["error"] for row in rows] == ["non-finite value in column b"] * 2
+
+
+def test_cli_streamsheet_last_guard_marks_a_non_finite_row(tmp_path, monkeypatch):
+    import geoplasma.cli as cli
+
+    def residuals(state, space, jp):
+        return np.array([0.0, float("inf")]), np.zeros((2, 2))
+
+    monkeypatch.setattr(cli, "stream_sheet_residuals", residuals)
+    out = tmp_path / "s.csv"
+    assert main(["streamsheet", "--scenario", write(tmp_path, multitime_config()),
+                 "--out", str(out)]) == 1
+    _, rows = _csv_rows(out)
+    assert len(rows) == 25
+    assert {row["error"] for row in rows} == {"non-finite value in column horizontal_2"}
+
+
+@pytest.mark.parametrize("values", [[1e-12, float("nan")], [float("nan"), 1e-12]])
+def test_cli_verify_counts_a_nan_invariant_as_worst(values, tmp_path, monkeypatch, capsys):
+    import geoplasma.cli as cli
+
+    sequence = iter(values)
+    monkeypatch.setattr(cli, "invariants_at", lambda scenario, coords: {"a": next(sequence)})
+    assert main(["verify", "--scenario", write(tmp_path, riemann_config()),
+                 "--points", "2"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^a\s+nan\s+FAIL$", out, re.M), out
+
+
+@pytest.mark.parametrize("sigma, message", [
+    ("1 +", "sigma: unexpected end of input at offset 3"),
+    (0.3, "sigma must be an expression string, got 0.3"),
+    (["x1"], "sigma must be an expression string, got ['x1']"),
+])
+def test_cli_rejects_a_bad_conformal_sigma(sigma, message, tmp_path, capsys):
+    config = riemann_config(model={"name": "conformal", "params": {"sigma": sigma}})
+    del config["metric"]
+    assert main(["residuals", "--scenario", write(tmp_path, config), "--points", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_rejects_stock_metric_params_that_are_not_an_object(tmp_path, capsys):
+    # a list used to end in an AttributeError traceback
+    config = riemann_config(model={"name": "conformal", "params": ["x1"]})
+    del config["metric"]
+    assert main(["residuals", "--scenario", write(tmp_path, config), "--points", "1"]) == 2
+    assert "stock metric params must be an object" in capsys.readouterr().err
