@@ -19,62 +19,3 @@ jets, order up to 3).
 """
 
 __version__ = "0.1.0"
-
-from . import errors
-from .dual import Jet, SeedContext, seed
-from .expr import evaluate, parse, pretty
-from .tensor_core import (
-    MatrixMetricField,
-    MetricField,
-    Slot,
-    Tensor,
-    TensorField,
-    TwoFormField,
-    field_jet,
-    invert_symmetric,
-    scalar_field,
-)
-from .riemann import (
-    ElectromagneticPair,
-    FluidState,
-    SemiRiemannianSpace,
-    christoffel,
-    integrate_stream_line,
-    riemann_report,
-)
-from .lagrange import (
-    GeneralizedLagrangeSpace,
-    LagrangeFluidState,
-    TangentPoint,
-    cartan_connection,
-    finsler_space_from_F,
-    lagrange_residuals,
-)
-from .multitime import (
-    JetPoint,
-    MultiTimeFluidState,
-    MultiTimeSpace,
-    StreamSheet,
-    cartan_gamma,
-    multitime_residuals,
-    prolong_sheet,
-    stream_sheet_residuals,
-)
-from .models import build_bsml, build_edml, build_grgml, build_rgogml
-
-__all__ = [
-    "errors", "Jet", "SeedContext", "seed",
-    "parse", "evaluate", "pretty",
-    "Tensor", "TensorField", "Slot", "MetricField", "MatrixMetricField",
-    "TwoFormField", "invert_symmetric", "field_jet",
-    "scalar_field",
-    "SemiRiemannianSpace", "ElectromagneticPair", "FluidState",
-    "christoffel", "riemann_report", "integrate_stream_line",
-    "GeneralizedLagrangeSpace", "LagrangeFluidState", "TangentPoint",
-    "cartan_connection", "lagrange_residuals", "finsler_space_from_F",
-    "MultiTimeSpace", "MultiTimeFluidState", "JetPoint", "StreamSheet",
-    "cartan_gamma", "multitime_residuals", "stream_sheet_residuals",
-    "prolong_sheet",
-    "build_bsml", "build_edml", "build_grgml", "build_rgogml",
-    "__version__",
-]

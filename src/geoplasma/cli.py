@@ -47,9 +47,12 @@ def _write_lines(path, lines):
     data = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(data)
-    else:
+        return
+    try:
         with open(path, "w", newline="\n") as fh:
             fh.write(data)
+    except OSError as err:
+        raise ScenarioError(f"cannot write {path}: {err.strerror or err}") from None
 
 
 def _csv_lines(scenario, header, rows):
@@ -102,9 +105,7 @@ def cmd_verify(args):
             "invariants": {k: v for k, v in worst.items()},
             "failed": failed,
         }
-        with open(args.out, "w", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_lines(args.out, [json.dumps(payload, indent=2)])
     return 1 if failed else 0
 
 
@@ -170,12 +171,7 @@ def cmd_connection(args):
         "index_order": labels,
         "blocks": blocks,
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_lines(args.out, [json.dumps(payload, indent=2)])
     return 0
 
 
@@ -226,18 +222,19 @@ def cmd_streamline(args):
         )
 
         def norm(x, v):
-            return float(v @ np.array(space.phi.matrix(list(x))) @ v)
+            return float(np.array(v) @ np.array(space.phi.matrix(x)) @ np.array(v))
     elif scenario.framework == "lagrange":
         rows = integrate_h_stream_line(scenario.state, space, x0, v0, args.step, args.steps)
         header.append("vertical_constraint_norm")
 
         def norm(x, v):
-            v = list(v)
-            return float(scalar_value(quadratic_form(space.g.matrix(list(x) + v), v, v)))
+            return float(scalar_value(quadratic_form(space.g.matrix(x + v), v, v)))
     else:
         raise ScenarioError("streamline requires the riemann or lagrange framework")
     header.append("velocity_norm")
-    out_rows = [list(row) + [norm(row[1:1 + n], row[1 + n:1 + 2 * n])] for row in rows]
+    out_rows = [
+        list(row) + [norm(row[1:1 + n].tolist(), row[1 + n:1 + 2 * n].tolist())] for row in rows
+    ]
     _write_lines(args.out, _csv_lines(scenario, header, out_rows))
     return 0
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dual
 from .errors import IntegrationError, NormalizationError, SingularDynamicsError, TensorError
-from .tensor_core import Slot, Tensor, mat_vec, quadratic_form, sum_product
+from .tensor_core import mat_vec, quadratic_form, sum_product
 
 
 def point_memo(builder):
@@ -152,9 +152,6 @@ class ResidualReport:
     def __getitem__(self, name):
         return self.entries[name]
 
-    def names(self):
-        return list(self.entries)
-
     def norm(self, name):
         arr = self.entries[name]
         return float(np.abs(arr).max()) if arr.size else 0.0
@@ -173,23 +170,24 @@ class ResidualReport:
         return out
 
 
-def covariant_derivative(T, partial, coeff):
+def covariant_derivative(T, slots, partial, coeff):
     """Covariant derivative of a latin tensor T given as jets at one point.
 
-    ``partial(jet, p)`` is the adapted partial along direction p and
-    ``coeff[i][j][p]`` the connection block; the result has one extra
-    covariant slot: the partial plus one coefficient correction per slot,
-    signed by variance.
+    ``T`` is a jet or nested lists of jets with one valence tag per level
+    in ``slots``, ``partial(jet, p)`` is the adapted partial along
+    direction p and ``coeff[i][j][p]`` the connection block.  Returns a
+    float array with one extra covariant axis: the partial plus one
+    coefficient correction per slot, signed by variance.
     """
-    if any(not s.latin for s in T.slots):
+    if any(not s.latin for s in slots):
         raise TensorError("covariant derivative requires all-latin valence")
+    T, vals = jet_values(T, slots)
     n = len(coeff)
-    out = Tensor.zeros(T.slots + (Slot.LD,), T.extents + (n,))
-    vals = T.map(lambda e: e.value)
-    for idx in T.indices():
+    out = np.zeros(T.shape + (n,))
+    for idx in np.ndindex(T.shape):
         for p in range(n):
             acc = partial(T[idx], p)
-            for a, slot in enumerate(T.slots):
+            for a, slot in enumerate(slots):
                 pre, i, post = idx[:a], idx[a], idx[a + 1:]
                 if slot.up:
                     for m in range(n):
@@ -199,6 +197,14 @@ def covariant_derivative(T, partial, coeff):
                         acc -= vals[pre + (m,) + post] * coeff[m][i][p]
             out[idx + (p,)] = acc
     return out
+
+
+def jet_values(T, slots):
+    """``T`` as an object array of jets and its values keyed by index tuple."""
+    T = np.array(T, dtype=object)
+    if T.ndim != len(slots):
+        raise TensorError(f"rank {T.ndim} tensor given {len(slots)} slots")
+    return T, {idx: T[idx].value for idx in np.ndindex(T.shape)}
 
 
 def inertial_factor(p0, rho0, c):

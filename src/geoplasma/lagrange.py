@@ -30,12 +30,9 @@ from .dual import promote, scalar_value, seed
 from .errors import NormalizationError
 from .tensor_core import (
     Slot,
-    Tensor,
-    TensorField,
     christoffel_from,
     christoffel_of,
-    eval_matrix_jets,
-    eval_tensor_jets,
+    eval_jets,
     invert_symmetric,
     MatrixMetricField,
     quadratic_form,
@@ -131,7 +128,7 @@ def cartan_connection_lists(space, coords):
     """(L, C) coefficient blocks at possibly-jet coordinates."""
     n = space.n
     cj, ctx = seed(list(coords))
-    g = eval_matrix_jets(space.g, cj, ctx)
+    g = eval_jets(space.g.matrix, cj, ctx)
     g0 = [[e.value for e in row] for row in g]
     ginv0 = invert_symmetric(g0)
     N0 = _nonlinear_connection(space, coords)
@@ -153,28 +150,33 @@ def cartan_connection_lists(space, coords):
 
 
 def cartan_connection(space, pt):
-    """Cartan coefficients (L^i_jk, C^i_jk) as (1,2) tensors."""
+    """Cartan coefficients (L^i_jk, C^i_jk) as float arrays [i, j, k]."""
     L, C = cartan_connection_lists(space, _coords(pt))
-    return (
-        Tensor.from_nested((Slot.LU, Slot.LD, Slot.LD), L),
-        Tensor.from_nested((Slot.LU, Slot.LD, Slot.LD), C),
-    )
+    return np.array(L, dtype=float), np.array(C, dtype=float)
 
 
-def h_covariant(field, space, pt):
-    """Horizontal covariant derivative of a latin tensor field on TM."""
+def h_covariant(field, slots, space, pt):
+    """Horizontal covariant derivative of a latin tensor field on TM.
+
+    ``field(coords)`` returns nested lists with one valence tag per level
+    in ``slots``; the result is a float array with one extra covariant
+    axis (adapted partial delta/delta x, Cartan L).
+    """
     coords = _coords(pt)
-    T = eval_tensor_jets(field, *seed(list(coords)))
+    T = eval_jets(field, *seed(list(coords)))
     _, horizontal, _ = _adapted_partials(space, coords)
-    return covariant_derivative(T, horizontal, cartan_connection_lists(space, coords)[0])
+    return covariant_derivative(T, slots, horizontal, cartan_connection_lists(space, coords)[0])
 
 
-def v_covariant(field, space, pt):
-    """Vertical covariant derivative of a latin tensor field on TM."""
+def v_covariant(field, slots, space, pt):
+    """Vertical covariant derivative of a latin tensor field on TM.
+
+    As :func:`h_covariant` with the fiber partial d/dy and Cartan C.
+    """
     coords = _coords(pt)
-    T = eval_tensor_jets(field, *seed(list(coords)))
+    T = eval_jets(field, *seed(list(coords)))
     _, _, vertical = _adapted_partials(space, coords)
-    return covariant_derivative(T, vertical, cartan_connection_lists(space, coords)[1])
+    return covariant_derivative(T, slots, vertical, cartan_connection_lists(space, coords)[1])
 
 
 def _unit_velocity(g, coords, point=None):
@@ -198,8 +200,8 @@ class _Frame(FluidFrame):
         g = [[promote(v, ctx) for v in row] for row in graw]
         ginv = invert_symmetric(g, coords)
         self.N0, horizontal, vertical = _adapted_partials(space, coords)
-        H = eval_matrix_jets(state.em_H, cj, ctx)
-        G = eval_matrix_jets(state.em_G, cj, ctx)
+        H = eval_jets(state.em_H.matrix, cj, ctx)
+        G = eval_jets(state.em_G.matrix, cj, ctx)
         E_low, E_mix = energy_low_mixed(g, ginv, H, G)
         u, u_low, _ = _unit_velocity(graw, cj, point=coords)
         super().__init__(
@@ -264,11 +266,10 @@ def conservation_divergence(state, space, pt, channel):
         ginv = invert_symmetric(g)
         _, E_mix = energy_low_mixed(g, ginv, state.em_H.matrix(coords), state.em_G.matrix(coords))
         u, u_low, _ = _unit_velocity(g, coords)
-        T = mixed_stress(E_mix, u, u_low, state.pressure(coords), state.density(coords), state.c)
-        return Tensor.from_nested((Slot.LU, Slot.LD), T)
+        return mixed_stress(E_mix, u, u_low, state.pressure(coords), state.density(coords), state.c)
 
-    field = TensorField((Slot.LU, Slot.LD), fn)
-    deriv = h_covariant(field, space, pt) if channel == "h" else v_covariant(field, space, pt)
+    covariant = h_covariant if channel == "h" else v_covariant
+    deriv = covariant(fn, (Slot.LU, Slot.LD), space, pt)
     return np.array([sum(deriv[m, i, m] for m in range(n)) for i in range(n)])
 
 
@@ -284,9 +285,9 @@ def metric_compatibility(space, pt):
         ("g", (Slot.LD, Slot.LD), g),
         ("ginv", (Slot.LU, Slot.LU), invert_symmetric(g)),
     ):
-        T = Tensor.from_nested(slots, [[promote(v, ctx) for v in row] for row in m])
-        out[f"{name}_h"] = covariant_derivative(T, horizontal, L).max_abs()
-        out[f"{name}_v"] = covariant_derivative(T, vertical, C).max_abs()
+        T = [[promote(v, ctx) for v in row] for row in m]
+        out[f"{name}_h"] = float(np.abs(covariant_derivative(T, slots, horizontal, L)).max())
+        out[f"{name}_v"] = float(np.abs(covariant_derivative(T, slots, vertical, C)).max())
     return out
 
 

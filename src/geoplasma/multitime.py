@@ -32,18 +32,16 @@ from .common import (
     energy_divergence,
     energy_low_mixed,
     inertial_factor,
+    jet_values,
     point_memo,
 )
 from .dual import promote, scalar_value, seed
 from .errors import GridError, NormalizationError, TensorError
 from .tensor_core import (
     Slot,
-    Tensor,
-    TensorField,
     christoffel_from,
     christoffel_of,
-    eval_matrix_jets,
-    eval_tensor_jets,
+    eval_jets,
     invert_symmetric,
     mat_vec,
     quadratic_form,
@@ -162,7 +160,7 @@ def cartan_gamma_lists(space, coords):
     """
     cj, ctx = seed(list(coords))
     ops = _Derivatives(space, coords)
-    g = eval_matrix_jets(space.g, cj, ctx)
+    g = eval_jets(space.g.matrix, cj, ctx)
     ginv0 = invert_symmetric([[e.value for e in row] for row in g], coords)
     return (ops.kappa, *_connection_blocks(ops, g, ginv0))
 
@@ -198,38 +196,35 @@ def _connection_blocks(ops, g, ginv0):
 
 
 def cartan_gamma(space, jp):
-    kappa, Gt, L, C = cartan_gamma_lists(space, _coords(jp))
-    return (
-        Tensor.from_nested((Slot.GU, Slot.GD, Slot.GD), kappa),
-        Tensor.from_nested((Slot.LU, Slot.LD, Slot.GD), Gt),
-        Tensor.from_nested((Slot.LU, Slot.LD, Slot.LD), L),
-        Tensor.from_nested((Slot.LU, Slot.LD, Slot.LD, Slot.GU), C),
-    )
+    """The blocks of :func:`cartan_gamma_lists` as float arrays."""
+    return tuple(np.array(b, dtype=float) for b in cartan_gamma_lists(space, _coords(jp)))
 
 
-def jet_covariant_derivative(field, space, jp, kind):
+def jet_covariant_derivative(field, slots, space, jp, kind):
     """Covariant derivative of a d-tensor field with mixed valence tags.
 
-    ``kind`` is one of "hT" (adds a covariant greek slot), "hM" (adds a
-    covariant latin slot) or "v" (adds the paired contravariant-greek and
-    covariant-latin slots, in that order).  Coefficients: kappa for greek
-    and G for latin slots under hT, L for latin under hM, C for latin
-    under v; greek slots are untouched by hM and v.
+    ``field(coords)`` returns nested lists with one valence tag per level
+    in ``slots``.  ``kind`` is one of "hT" (adds a covariant greek axis),
+    "hM" (adds a covariant latin axis) or "v" (adds the paired
+    contravariant-greek and covariant-latin axes, in that order); the
+    result is a float array.  Coefficients: kappa for greek and G for
+    latin slots under hT, L for latin under hM, C for latin under v;
+    greek slots are untouched by hM and v.
     """
     coords = _coords(jp)
-    return _jet_covariant(eval_tensor_jets(field, *seed(list(coords))), space, coords, kind)
+    return _jet_covariant(eval_jets(field, *seed(list(coords))), slots, space, coords, kind)
 
 
-def _jet_covariant(T, space, coords, kind):
+def _jet_covariant(T, slots, space, coords, kind):
     """jet_covariant_derivative of a field already evaluated as jets T."""
     p, n = space.p, space.n
     ops = _Derivatives(space, coords)
     kappa, Gt, L, C = cartan_gamma_lists(space, coords)
-    vals = T.map(lambda e: e.value)
+    T, vals = jet_values(T, slots)
 
     def corrections(idx, latin_coeff, greek_coeff):
         acc = 0.0
-        for a, slot in enumerate(T.slots):
+        for a, slot in enumerate(slots):
             pre, i, post = idx[:a], idx[a], idx[a + 1:]
             if slot.latin:
                 if latin_coeff is None:
@@ -252,8 +247,8 @@ def _jet_covariant(T, space, coords, kind):
         return acc
 
     if kind == "hT":
-        out = Tensor.zeros(T.slots + (Slot.GD,), T.extents + (p,))
-        for idx in T.indices():
+        out = np.zeros(T.shape + (p,))
+        for idx in np.ndindex(T.shape):
             for eps in range(p):
                 acc = ops.delta_t(T[idx], eps)
                 acc += corrections(
@@ -264,16 +259,16 @@ def _jet_covariant(T, space, coords, kind):
                 out[idx + (eps,)] = acc
         return out
     if kind == "hM":
-        out = Tensor.zeros(T.slots + (Slot.LD,), T.extents + (n,))
-        for idx in T.indices():
+        out = np.zeros(T.shape + (n,))
+        for idx in np.ndindex(T.shape):
             for q in range(n):
                 acc = ops.delta_x(T[idx], q)
                 acc += corrections(idx, lambda i, m, q=q: L[i][m][q], None)
                 out[idx + (q,)] = acc
         return out
     if kind == "v":
-        out = Tensor.zeros(T.slots + (Slot.GU, Slot.LD), T.extents + (p, n))
-        for idx in T.indices():
+        out = np.zeros(T.shape + (p, n))
+        for idx in np.ndindex(T.shape):
             for eps in range(p):
                 for q in range(n):
                     acc = ops.fiber(T[idx], q, eps)
@@ -327,7 +322,7 @@ class _Frame:
         self.N0 = ops.N0
         self.xd0 = ops.xd0
 
-        h = eval_matrix_jets(space.h, cj[:p], ctx)
+        h = eval_jets(space.h.matrix, cj[:p], ctx)
         hinv = invert_symmetric(h, coords[:p])
         self.hinv0 = [[e.value for e in row] for row in hinv]
 
@@ -336,8 +331,8 @@ class _Frame:
         ginv = invert_symmetric(g, coords)
         _, self.L, self.C = _connection_blocks(ops, g, [[e.value for e in row] for row in ginv])
 
-        H = eval_matrix_jets(state.em_H, cj, ctx)
-        G = eval_matrix_jets(state.em_G, cj, ctx)
+        H = eval_jets(state.em_H.matrix, cj, ctx)
+        G = eval_jets(state.em_G.matrix, cj, ctx)
         E_low, E_mix = energy_low_mixed(g, ginv, H, G)
         self.E_low0 = [[e.value for e in row] for row in E_low]
         self.E_mix0 = [[e.value for e in row] for row in E_mix]
@@ -528,10 +523,7 @@ def _stress_lists(fr):
 def stress_tensors(state, space, jp):
     """Covariant and mixed stress d-tensors at a jet point."""
     T_low, T_mix = _stress_lists(_Frame(state, space, jp))
-    return (
-        Tensor.from_nested((Slot.LD, Slot.LD), T_low),
-        Tensor.from_nested((Slot.LU, Slot.LD), T_mix),
-    )
+    return np.array(T_low, dtype=float), np.array(T_mix, dtype=float)
 
 
 def stress_block_table(state, space, jp):
@@ -540,10 +532,9 @@ def stress_block_table(state, space, jp):
     Returns the spatial block T_ij and the fiber block h^{eta nu} T_ij
     (indexed [eta][nu][i][j]); all other blocks vanish identically.
     """
-    T_low, _ = stress_tensors(state, space, jp)
+    spatial, _ = stress_tensors(state, space, jp)
     coords = _coords(jp)
     hinv = invert_symmetric(space.h.matrix(coords[:space.p]))
-    spatial = np.array(T_low.tolist())
     fiber = np.einsum("ab,ij->abij", np.array(hinv), spatial)
     return spatial, fiber
 
@@ -571,19 +562,20 @@ def mixed_stress_field(state, space):
                 if m == i:
                     acc = acc + pr
                 out[m][i] = acc
-        return Tensor.from_nested((Slot.LU, Slot.LD), out)
+        return out
 
-    return TensorField((Slot.LU, Slot.LD), fn)
+    return fn
 
 
 def conservation_divergence(state, space, jp, channel):
     """Direct contracted covariant divergence of the mixed stress."""
     n, p = space.n, space.p
     field = mixed_stress_field(state, space)
+    slots = (Slot.LU, Slot.LD)
     if channel == "h":
-        d = jet_covariant_derivative(field, space, jp, "hM")
+        d = jet_covariant_derivative(field, slots, space, jp, "hM")
         return np.array([sum(d[m, i, m] for m in range(n)) for i in range(n)])
-    d = jet_covariant_derivative(field, space, jp, "v")
+    d = jet_covariant_derivative(field, slots, space, jp, "v")
     return np.array(
         [[sum(d[m, i, mu, m] for m in range(n)) for mu in range(p)] for i in range(n)]
     )
@@ -591,39 +583,23 @@ def conservation_divergence(state, space, jp, channel):
 
 def metric_compatibility(space, jp):
     """Metric compatibilities of h, g and their inverses, all channels."""
-    p, n = space.p, space.n
-
-    def h_field(up):
-        slots = (Slot.GU, Slot.GU) if up else (Slot.GD, Slot.GD)
-
-        def fn(coords):
-            m = space.h.matrix(coords[:p])
-            if up:
-                m = invert_symmetric(m)
-            return Tensor.from_nested(slots, m)
-
-        return TensorField(slots, fn)
-
-    def g_field(up):
-        slots = (Slot.LU, Slot.LU) if up else (Slot.LD, Slot.LD)
-
-        def fn(coords):
-            m = space.g.matrix(coords)
-            if up:
-                m = invert_symmetric(m)
-            return Tensor.from_nested(slots, m)
-
-        return TensorField(slots, fn)
-
     coords = _coords(jp)
+    cj, ctx = seed(list(coords))
+
+    def metrics():  # lazy: inverses come after the connection blocks, whose errors name the point
+        h = space.h.matrix(cj[:space.p])
+        yield "h", (Slot.GD, Slot.GD), h
+        yield "hinv", (Slot.GU, Slot.GU), invert_symmetric(h)
+        g = space.g.matrix(cj)
+        yield "g", (Slot.LD, Slot.LD), g
+        yield "ginv", (Slot.LU, Slot.LU), invert_symmetric(g)
+
     out = {}
-    for name, field in [
-        ("h", h_field(False)), ("hinv", h_field(True)),
-        ("g", g_field(False)), ("ginv", g_field(True)),
-    ]:
-        T = eval_tensor_jets(field, *seed(list(coords)))
+    for name, slots, m in metrics():
+        T = [[promote(v, ctx) for v in row] for row in m]
         for kind in ("hT", "hM", "v"):
-            out[f"{name}_{kind}"] = _jet_covariant(T, space, coords, kind).max_abs()
+            d = _jet_covariant(T, slots, space, coords, kind)
+            out[f"{name}_{kind}"] = float(np.abs(d).max())
     return out
 
 

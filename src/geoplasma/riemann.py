@@ -32,13 +32,10 @@ from .dual import promote, seed
 from .tensor_core import (
     MetricField,
     Slot,
-    Tensor,
-    TensorField,
     TwoFormField,
     christoffel_from,
     christoffel_of,
-    eval_matrix_jets,
-    eval_tensor_jets,
+    eval_jets,
     invert_symmetric,
 )
 
@@ -74,22 +71,23 @@ def christoffel_lists(space, x):
 
 
 def christoffel(space, x):
-    """Christoffel symbols gamma^i_jk of the metric, as a (1,2) tensor."""
-    return Tensor.from_nested((Slot.LU, Slot.LD, Slot.LD), christoffel_lists(space, x))
+    """Christoffel symbols gamma^i_jk of the metric, as a float array [i, j, k]."""
+    return np.array(christoffel_lists(space, x), dtype=float)
 
 
 def _partial(jet, k):
     return jet.d(k)
 
 
-def levi_civita_derivative(field, space, x):
+def levi_civita_derivative(field, slots, space, x):
     """Covariant derivative of a latin-valence tensor field at x.
 
-    Returns the input tensor with one extra covariant slot: the partial
-    plus one gamma correction per slot, signed by variance.
+    ``field(coords)`` returns nested lists with one valence tag per level
+    in ``slots``.  Returns a float array with one extra covariant axis:
+    the partial plus one gamma correction per slot, signed by variance.
     """
-    T = eval_tensor_jets(field, *seed(list(x)))
-    return covariant_derivative(T, _partial, christoffel_lists(space, x))
+    T = eval_jets(field, *seed(list(x)))
+    return covariant_derivative(T, slots, _partial, christoffel_lists(space, x))
 
 
 def _unit_velocity(state, phi, coords, point=None):
@@ -103,33 +101,29 @@ def minkowski_energy(space, em, x):
     phi = space.phi.matrix(coords)
     phinv = invert_symmetric(phi, x)
     E_low, E_mix = energy_low_mixed(phi, phinv, em.H.matrix(coords), em.G.matrix(coords))
-    return (
-        Tensor.from_nested((Slot.LD, Slot.LD), E_low),
-        Tensor.from_nested((Slot.LU, Slot.LD), E_mix),
-    )
+    return np.array(E_low, dtype=float), np.array(E_mix, dtype=float)
 
 
 def minkowski_energy_direct(space, em, x):
     """Mixed energy tensor by the independent delta-form path."""
     coords = list(x)
     phinv = invert_symmetric(space.phi.matrix(coords), x)
-    return Tensor.from_nested(
-        (Slot.LU, Slot.LD),
-        energy_mixed_direct(phinv, em.H.matrix(coords), em.G.matrix(coords)),
-    )
+    E_mix = energy_mixed_direct(phinv, em.H.matrix(coords), em.G.matrix(coords))
+    return np.array(E_mix, dtype=float)
 
 
 def mixed_stress_field(state, space, em):
+    """The mixed stress T^m_i as a nested-list field over coordinates."""
+
     def fn(coords):
         phi = space.phi.matrix(coords)
         _, E_mix = energy_low_mixed(
             phi, invert_symmetric(phi), em.H.matrix(coords), em.G.matrix(coords)
         )
         u, u_low = _unit_velocity(state, phi, coords)
-        T = mixed_stress(E_mix, u, u_low, state.pressure(coords), state.density(coords), state.c)
-        return Tensor.from_nested((Slot.LU, Slot.LD), T)
+        return mixed_stress(E_mix, u, u_low, state.pressure(coords), state.density(coords), state.c)
 
-    return TensorField((Slot.LU, Slot.LD), fn)
+    return fn
 
 
 def stress_tensor(state, space, em, x):
@@ -148,10 +142,7 @@ def stress_tensor(state, space, em, x):
         for i in range(n)
     ]
     T_mix = mixed_stress(E_mix, u, u_low, p, rho, state.c)
-    return (
-        Tensor.from_nested((Slot.LD, Slot.LD), T_low),
-        Tensor.from_nested((Slot.LU, Slot.LD), T_mix),
-    )
+    return np.array(T_low, dtype=float), np.array(T_mix, dtype=float)
 
 
 def _energy_divergence(E_mix, gamma):
@@ -186,8 +177,8 @@ class _Frame(FluidFrame):
         phiraw = space.phi.matrix(coords)
         phi = [[promote(v, ctx) for v in row] for row in phiraw]
         phinv = invert_symmetric(phi, x)
-        H = eval_matrix_jets(em.H, coords, ctx)
-        G = eval_matrix_jets(em.G, coords, ctx)
+        H = eval_jets(em.H.matrix, coords, ctx)
+        G = eval_jets(em.G.matrix, coords, ctx)
         _, E_mix = energy_low_mixed(phi, phinv, H, G)
         u, u_low = _unit_velocity(state, phiraw, coords, point=x)
         super().__init__(
@@ -204,7 +195,9 @@ class _Frame(FluidFrame):
 
 def conservation_divergence(state, space, em, x):
     """The same residual as the direct divergence T^m_{i;m}."""
-    div = levi_civita_derivative(mixed_stress_field(state, space, em), space, x)
+    div = levi_civita_derivative(
+        mixed_stress_field(state, space, em), (Slot.LU, Slot.LD), space, x
+    )
     n = space.n
     return np.array([sum(div[m, i, m] for m in range(n)) for i in range(n)])
 
@@ -236,16 +229,11 @@ def integrate_stream_line(state, space, em, x0, v0, step, count):
 
 def metric_compatibility(space, x):
     """Max norms of the covariant derivatives of phi and its inverse."""
-    phi_field = TensorField(
-        (Slot.LD, Slot.LD),
-        lambda coords: Tensor.from_nested((Slot.LD, Slot.LD), space.phi.matrix(coords)),
-    )
-    inv_field = TensorField(
-        (Slot.LU, Slot.LU),
-        lambda coords: Tensor.from_nested(
-            (Slot.LU, Slot.LU), invert_symmetric(space.phi.matrix(coords))
-        ),
-    )
-    low = levi_civita_derivative(phi_field, space, x)
-    up = levi_civita_derivative(inv_field, space, x)
-    return low.max_abs(), up.max_abs()
+    coords, ctx = seed(list(x))
+    gamma = christoffel_lists(space, x)
+    phi = space.phi.matrix(coords)
+    out = []
+    for slots, m in (((Slot.LD, Slot.LD), phi), ((Slot.LU, Slot.LU), invert_symmetric(phi))):
+        T = [[promote(v, ctx) for v in row] for row in m]
+        out.append(float(np.abs(covariant_derivative(T, slots, _partial, gamma)).max()))
+    return tuple(out)

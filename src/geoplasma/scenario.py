@@ -537,7 +537,7 @@ def sheet_axes_and_values(scenario, refine=1):
     axes = tuple(np.linspace(lo[a], hi[a], shape[a]) for a in range(p))
     values = np.empty(tuple(shape) + (n,))
     for idx in np.ndindex(*shape):
-        t = [axes[a][idx[a]] for a in range(p)]
+        t = [float(axes[a][idx[a]]) for a in range(p)]
         for i in range(n):
             values[idx + (i,)] = fields[i](t)
     return axes, values, fields

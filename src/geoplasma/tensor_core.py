@@ -1,6 +1,6 @@
-"""Dense small-dimension tensors, metric fields and field differentiation.
+"""Valence tags, metric fields, symmetric inversion and connection coefficients.
 
-Everything here is generic over the scalar type: entries may be plain
+Tensors are nested lists.  Everything here is generic over the scalar type: entries may be plain
 floats or jets from :mod:`geoplasma.dual`, so the same code paths serve
 plain evaluation and derivative propagation.
 """
@@ -8,11 +8,9 @@ plain evaluation and derivative propagation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from itertools import product
 
 from . import expr as expr_mod
-from .dual import Jet, scalar_value, seed
+from .dual import promote, scalar_value, seed
 from .errors import DegenerateMetricError, TensorError
 
 MAX_DIM = 8
@@ -39,109 +37,6 @@ class Slot(enum.Enum):
     @property
     def up(self):
         return self in (Slot.LU, Slot.GU)
-
-
-class Tensor:
-    """Dense tensor with per-slot valence tags and bounds-checked access."""
-
-    __slots__ = ("slots", "extents", "data")
-
-    def __init__(self, slots, extents, data):
-        slots = tuple(slots)
-        extents = tuple(extents)
-        if len(slots) != len(extents):
-            raise TensorError("one extent per slot required")
-        size = 1
-        for e in extents:
-            if e < 1 or e > MAX_DIM:
-                raise TensorError(f"extent {e} outside 1..{MAX_DIM}")
-            size *= e
-        if len(data) != size:
-            raise TensorError(f"expected {size} entries, got {len(data)}")
-        self.slots = slots
-        self.extents = extents
-        self.data = data
-
-    @classmethod
-    def zeros(cls, slots, extents):
-        size = 1
-        for e in extents:
-            size *= e
-        return cls(slots, extents, [0.0] * size)
-
-    @classmethod
-    def from_nested(cls, slots, nested):
-        extents = []
-        probe = nested
-        for _ in slots:
-            extents.append(len(probe))
-            probe = probe[0]
-        data = []
-
-        def walk(node, depth):
-            if depth == len(extents):
-                data.append(node)
-                return
-            for child in node:
-                walk(child, depth + 1)
-
-        walk(nested, 0)
-        return cls(slots, extents, data)
-
-    def _offset(self, idx):
-        if len(idx) != len(self.extents):
-            raise TensorError(f"rank {len(self.extents)} tensor indexed with {len(idx)} indices")
-        off = 0
-        for i, e in zip(idx, self.extents):
-            if not 0 <= i < e:
-                raise TensorError(f"index {idx} out of bounds for extents {self.extents}")
-            off = off * e + i
-        return off
-
-    def __getitem__(self, idx):
-        if isinstance(idx, int):
-            idx = (idx,)
-        return self.data[self._offset(idx)]
-
-    def __setitem__(self, idx, value):
-        if isinstance(idx, int):
-            idx = (idx,)
-        self.data[self._offset(idx)] = value
-
-    def indices(self):
-        return product(*map(range, self.extents))
-
-    def map(self, fn):
-        return Tensor(self.slots, self.extents, [fn(x) for x in self.data])
-
-    def max_abs(self):
-        return max((abs(scalar_value(x)) for x in self.data), default=0.0)
-
-    def tolist(self):
-        def build(prefix, axis):
-            if axis == len(self.extents):
-                return scalar_value(self[tuple(prefix)])
-            return [build(prefix + [i], axis + 1) for i in range(self.extents[axis])]
-
-        return build([], 0)
-
-    def __repr__(self):
-        return f"Tensor(slots={[s.name for s in self.slots]}, extents={self.extents})"
-
-
-@dataclass(frozen=True)
-class TensorField:
-    """A tensor-valued field: slots plus an evaluator over coordinates.
-
-    The evaluator must accept coordinates whose entries are jets and
-    return a :class:`Tensor` of matching slots.
-    """
-
-    slots: tuple
-    fn: object
-
-    def __call__(self, coords):
-        return self.fn(coords)
 
 
 def invert_symmetric(matrix, point=None):
@@ -185,34 +80,19 @@ def invert_symmetric(matrix, point=None):
     return inv
 
 
-def field_jet(field, coords, seeds=None, order=1):
-    """Evaluate a scalar field with seeded coordinates.
+def eval_jets(field, coords, ctx):
+    """Evaluate a nested-list field and promote every leaf into ``ctx``.
 
-    Returns the resulting :class:`~geoplasma.dual.Jet` (value plus all
-    mixed partials up to ``order`` with respect to the seeded coordinate
-    positions).  Constant fields are promoted to jets so the derivative
-    accessors always work.
+    ``field(coords)`` may return a scalar or lists nested to any depth;
+    callers pass e.g. ``metric.matrix`` or ``em.H.matrix``.
     """
-    coords_j, ctx = seed(list(coords), seeds, order)
-    out = field(coords_j)
-    if not isinstance(out, Jet) or out.ctx is not ctx:
-        out = Jet.constant(ctx, out)
-    return out
 
+    def walk(node):
+        if isinstance(node, (list, tuple)):
+            return [walk(v) for v in node]
+        return promote(node, ctx)
 
-def eval_matrix_jets(matrix_field, coords, ctx):
-    """Evaluate a matrix-valued field and promote entries into ``ctx``."""
-    from .dual import promote
-
-    return [[promote(v, ctx) for v in row] for row in matrix_field.matrix(coords)]
-
-
-def eval_tensor_jets(tensor_field, coords, ctx):
-    """Evaluate a tensor field and promote every component into ``ctx``."""
-    from .dual import promote
-
-    t = tensor_field(coords)
-    return Tensor(t.slots, t.extents, [promote(v, ctx) for v in t.data])
+    return walk(field(coords))
 
 
 def christoffel_from(ginv, dg):
@@ -246,7 +126,7 @@ def christoffel_of(metric, coords, seeds=None, point=None):
     of a singular metric.
     """
     cj, ctx = seed(list(coords), seeds)
-    g = eval_matrix_jets(metric, cj, ctx)
+    g = eval_jets(metric.matrix, cj, ctx)
     ginv0 = invert_symmetric([[e.value for e in row] for row in g], point)
     n = len(g)
     dg = [[[g[i][j].d(k) for j in range(n)] for i in range(n)] for k in range(n)]

@@ -3,8 +3,9 @@
 The independent oracles are written against numpy/einsum or finite
 differences so they do not share code paths with the package internals
 they check.  The reference implementations at the end are the package's
-unreduced forms (the covariant stream-sheet residuals, the edml
-Lagrangian, the multi-time velocity); only tests compare against them.
+unreduced or former forms (seeded scalar-field evaluation, the covariant
+stream-sheet residuals, the edml Lagrangian, the multi-time velocity);
+only tests call them.
 The adapters return what the tests read from the pieces the pipelines
 use (``common.unit_vector``, the adapted partials, the connection lists).
 """
@@ -26,9 +27,6 @@ from geoplasma.multitime import (
 from geoplasma.riemann import ElectromagneticPair, FluidState, SemiRiemannianSpace
 from geoplasma.tensor_core import (
     MetricField,
-    Slot,
-    Tensor,
-    TensorField,
     TwoFormField,
     constant_field,
     invert_symmetric,
@@ -398,9 +396,9 @@ def unit_velocity_field(state, space):
     def fn(coords):
         v = [vf(coords) for vf in state.velocity]
         u, _, _ = unit_vector(space.phi.matrix(coords), v, "velocity")
-        return Tensor((Slot.LU,), (space.n,), u)
+        return u
 
-    return TensorField((Slot.LU,), fn)
+    return fn
 
 
 def mixed_energy_field(space, em):
@@ -408,9 +406,9 @@ def mixed_energy_field(space, em):
         phi = space.phi.matrix(coords)
         phinv = invert_symmetric(phi)
         _, E_mix = energy_low_mixed(phi, phinv, em.H.matrix(coords), em.G.matrix(coords))
-        return Tensor.from_nested((Slot.LU, Slot.LD), E_mix)
+        return E_mix
 
-    return TensorField((Slot.LU, Slot.LD), fn)
+    return fn
 
 
 def adapted_x_derivative(field, space, pt):
@@ -423,9 +421,7 @@ def adapted_x_derivative(field, space, pt):
 
 
 def temporal_christoffel(space, t_coords):
-    return Tensor.from_nested(
-        (Slot.GU, Slot.GD, Slot.GD), temporal_christoffel_lists(space, t_coords)
-    )
+    return np.array(temporal_christoffel_lists(space, t_coords), dtype=float)
 
 
 def adapted_jet_derivatives(field, space, jp):
@@ -442,6 +438,21 @@ def adapted_jet_derivatives(field, space, jp):
 
 
 # -- reference implementations ---------------------------------------------------
+
+
+def field_jet(field, coords, seeds=None, order=1):
+    """Evaluate a scalar field with seeded coordinates.
+
+    Returns the resulting :class:`~geoplasma.dual.Jet` (value plus all
+    mixed partials up to ``order`` with respect to the seeded coordinate
+    positions).  Constant fields are promoted to jets so the derivative
+    accessors always work.
+    """
+    coords_j, ctx = seed(list(coords), seeds, order)
+    out = field(coords_j)
+    if not isinstance(out, Jet) or out.ctx is not ctx:
+        out = Jet.constant(ctx, out)
+    return out
 
 
 def fd_partial(field, coords, i, step=1e-5):

@@ -26,7 +26,6 @@ from geoplasma.tensor_core import (
     MetricField,
     TwoFormField,
     constant_field,
-    field_jet,
     scalar_field,
 )
 
@@ -95,8 +94,8 @@ def test_bsml_connection_degeneracy(phi_fn):
     space = build_bsml(h_metric(), phi_fn(), P, N)
     jp = random_jet_point()
     kappa, Gt, L, C = cartan_gamma(space, jp)
-    assert Gt.max_abs() < 1e-13
-    assert C.max_abs() < 1e-13
+    assert np.abs(Gt).max() < 1e-13
+    assert np.abs(C).max() < 1e-13
     gamma = christoffel_lists(SemiRiemannianSpace(N, phi_fn()), list(jp.x))
     assert np.abs(np.array(L.tolist()) - np.array(gamma)).max() < 1e-11
 
@@ -107,7 +106,7 @@ def test_bsml_flat_connection_all_zero():
     jp = random_jet_point()
     kappa, Gt, L, C = cartan_gamma(space, jp)
     for t in (kappa, Gt, L, C):
-        assert t.max_abs() < 1e-13
+        assert np.abs(t).max() < 1e-13
 
 
 def test_bsml_reduced_sheet_residuals_match_general():
@@ -138,7 +137,7 @@ def test_grgml_zero_sigma_equals_bsml():
     jp = random_jet_point()
     r1 = multitime_residuals(state, g1, jp)
     r2 = multitime_residuals(state, g2, jp)
-    for name in r1.names():
+    for name in list(r1.entries):
         assert np.abs(r1[name] - r2[name]).max() < 1e-12, name
 
 
@@ -147,7 +146,7 @@ def test_grgml_base_sigma_kills_c_block():
     space = build_grgml(h_metric(), sigma, phi_polar(), P, N)
     jp = random_jet_point()
     _, _, _, C = cartan_gamma(space, jp)
-    assert C.max_abs() < 1e-12
+    assert np.abs(C).max() < 1e-12
 
 
 def test_grgml_fiber_sigma_c_block_fd_oracle():
@@ -261,7 +260,7 @@ def test_edml_zero_potentials_equal_bsml():
     jp = random_jet_point()
     r1 = multitime_residuals(state, e, jp)
     r2 = multitime_residuals(state, b, jp)
-    for name in r1.names():
+    for name in list(r1.entries):
         assert np.abs(r1[name] - r2[name]).max() < 1e-12, name
     assert np.abs(np.array(e.N(jp.coords)) - np.array(b.N(jp.coords))).max() < 1e-14
 
@@ -274,7 +273,7 @@ def test_edml_metric_is_second_fiber_derivative_of_lagrangian():
     jp = random_jet_point()
     coords = jp.coords
     fiber = [fiber_index(P, N, i, a) for i in range(N) for a in range(P)]
-    out = field_jet(lag, coords, seeds=fiber, order=2)
+    out = helpers.field_jet(lag, coords, seeds=fiber, order=2)
     hinv = np.linalg.inv(h_metric().matrix(list(jp.t)))
     phi = np.array(phi_polar().matrix(list(jp.x)))
     for ia, (i, a) in enumerate([(i, a) for i in range(N) for a in range(P)]):

@@ -23,8 +23,6 @@ from geoplasma.riemann import (
 from geoplasma.tensor_core import (
     MetricField,
     Slot,
-    Tensor,
-    TensorField,
     TwoFormField,
     constant_field,
     invert_symmetric,
@@ -49,7 +47,7 @@ def report_entry(name, state, space, em, x):
 def test_christoffel_flat_is_zero():
     space = helpers.flat_space(3)
     gamma = christoffel(space, [0.3, -1.2, 0.5])
-    assert gamma.max_abs() == 0.0
+    assert np.abs(gamma).max() == 0.0
 
 
 def test_christoffel_polar_known_values():
@@ -60,7 +58,7 @@ def test_christoffel_polar_known_values():
     assert gamma[1, 0, 1] == pytest.approx(1.0 / r, abs=1e-10)
     assert gamma[1, 1, 0] == pytest.approx(1.0 / r, abs=1e-10)
     # every other component vanishes
-    for idx in gamma.indices():
+    for idx in np.ndindex(gamma.shape):
         if idx not in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
             assert abs(gamma[idx]) < 1e-12
 
@@ -96,7 +94,7 @@ def test_christoffel_symmetry_random_metric():
     space, _, _, box = generic_scenario(seed=9)
     for x in helpers.sample_box(RNG, box, 5):
         gamma = christoffel(space, x)
-        for i, j, k in gamma.indices():
+        for i, j, k in np.ndindex(gamma.shape):
             assert abs(gamma[i, j, k] - gamma[i, k, j]) < 1e-13
 
 
@@ -112,11 +110,9 @@ def test_metric_compatibility_polar_and_random():
 
 def test_constant_vector_field_flat_derivative_zero():
     space = helpers.flat_space(2)
-    field = TensorField(
-        (Slot.LU,), lambda coords: Tensor((Slot.LU,), (2,), [1.0, -2.0])
-    )
-    out = levi_civita_derivative(field, space, [0.1, 0.2])
-    assert out.max_abs() == 0.0
+    field = lambda coords: [1.0, -2.0]
+    out = levi_civita_derivative(field, (Slot.LU,), space, [0.1, 0.2])
+    assert np.abs(out).max() == 0.0
 
 
 def test_levi_civita_reverse_order_oracle():
@@ -130,14 +126,9 @@ def test_levi_civita_reverse_order_oracle():
          for j in range(n)]
         for i in range(n)
     ]
-    field = TensorField(
-        (Slot.LU, Slot.LD),
-        lambda coords: Tensor.from_nested(
-            (Slot.LU, Slot.LD), [[comps[i][j](coords) for j in range(n)] for i in range(n)]
-        ),
-    )
+    field = lambda coords: [[comps[i][j](coords) for j in range(n)] for i in range(n)]
     x = helpers.sample_box(RNG, box, 1)[0]
-    out = levi_civita_derivative(field, space, x)
+    out = levi_civita_derivative(field, (Slot.LU, Slot.LD), space, x)
 
     gamma = christoffel_lists(space, x)
     step = 1e-6
@@ -204,8 +195,8 @@ def test_energy_zero_fields():
     space, _, _, _ = generic_scenario(seed=41)
     em = helpers.zero_em(space.n)
     E_low, E_mix = minkowski_energy(space, em, [0.1, 0.2, 0.3])
-    assert E_low.max_abs() == 0.0
-    assert E_mix.max_abs() == 0.0
+    assert np.abs(E_low).max() == 0.0
+    assert np.abs(E_mix).max() == 0.0
 
 
 def test_energy_mixed_identity_random_draws():
@@ -269,13 +260,13 @@ def test_lorentz_force_vs_fd_divergence():
     gamma = christoffel_lists(space, x)
     step = 1e-5
     div = np.zeros(n)
-    e0 = np.array(field(list(x)).tolist())
+    e0 = np.array(field(list(x)))
     for m in range(n):
         up = list(x)
         dn = list(x)
         up[m] += step
         dn[m] -= step
-        dE = (np.array(field(up).tolist()) - np.array(field(dn).tolist())) / (2 * step)
+        dE = (np.array(field(up)) - np.array(field(dn))) / (2 * step)
         for i in range(n):
             div[i] += dE[m][i]
             for r in range(n):
@@ -515,7 +506,6 @@ def test_report_velocity_field_helper():
     x = helpers.sample_box(RNG, box, 1)[0]
     uf = helpers.unit_velocity_field(state, space)
     t = uf(list(x))
-    assert t.slots == (Slot.LU,)
     assert np.allclose(
         [t[i] for i in range(space.n)], helpers.normalize_velocity(state, space, x)
     )

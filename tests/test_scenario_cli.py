@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,7 +520,29 @@ def test_cli_residuals_name_a_non_finite_field(config, message, tmp_path):
         assert row["error"] == f"non-finite value or derivative in {message}"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+SHIPPED_COMMANDS = {
+    "verify": ["verify", "--scenario", str(SCENARIOS / "polar_plasma.json"), "--points", "1"],
+    "connection": ["connection", "--scenario", str(SCENARIOS / "polar_plasma.json"),
+                   "--at", "1.3,0.2"],
+    "residuals": ["residuals", "--scenario", str(SCENARIOS / "polar_plasma.json"),
+                  "--points", "1"],
+    "streamline": ["streamline", "--scenario", str(SCENARIOS / "polar_plasma.json"),
+                   "--x0", "1.0,0.2", "--v0", "0.3,0.9", "--step", "0.01", "--steps", "2"],
+    "streamsheet": ["streamsheet", "--scenario", str(SCENARIOS / "bsml_sheet.json")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SHIPPED_COMMANDS))
+def test_cli_unwritable_out_exits_2_naming_the_path(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "f"
+    assert main(SHIPPED_COMMANDS[command] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_streamsheet_names_a_non_finite_sheet_entry(tmp_path, capsys):
     config = multitime_config()
     config["sheet"]["x"][0] = "1 + " + _OVERFLOW.format(v="t1")

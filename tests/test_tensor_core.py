@@ -7,34 +7,29 @@ import helpers
 from geoplasma import dual
 from geoplasma.dual import seed
 from geoplasma.errors import DegenerateMetricError, TensorError
+from geoplasma.riemann import levi_civita_derivative
 from geoplasma.tensor_core import (
+    MAX_DIM,
     MetricField,
     Slot,
-    Tensor,
     TwoFormField,
-    field_jet,
+    constant_field,
     invert_symmetric,
     scalar_field,
 )
 
 
-def test_tensor_bounds_checked():
-    t = Tensor.zeros((Slot.LU, Slot.LD), (2, 3))
-    t[1, 2] = 5.0
-    assert t[1, 2] == 5.0
+def test_dimension_above_max_dim_rejected():
     with pytest.raises(TensorError):
-        t[2, 0]
+        MetricField(MAX_DIM + 1, constant_field([1.0]))
     with pytest.raises(TensorError):
-        t[-1, 0]
-    with pytest.raises(TensorError):
-        t[0, 0, 0]
+        invert_symmetric(np.eye(MAX_DIM + 1).tolist())
 
 
-def test_tensor_shape_validation():
+def test_slot_count_must_match_rank():
+    space = helpers.flat_space(2)
     with pytest.raises(TensorError):
-        Tensor((Slot.LU,), (2,), [1.0, 2.0, 3.0])
-    with pytest.raises(TensorError):
-        Tensor((Slot.LU,), (9,), [0.0] * 9)
+        levi_civita_derivative(lambda c: [[1.0, 0.0], [0.0, 1.0]], (Slot.LD,), space, [0.1, 0.2])
 
 
 def test_invert_identity_and_diag():
@@ -89,7 +84,7 @@ def test_invert_propagates_derivatives():
 
 def test_field_jet_constant_field():
     f = lambda coords: 3.5
-    out = field_jet(f, [1.0, 2.0], order=2)
+    out = helpers.field_jet(f, [1.0, 2.0], order=2)
     assert out.value == 3.5
     assert out.d(0) == 0.0
     assert out.d(0, 1) == 0.0
@@ -97,7 +92,7 @@ def test_field_jet_constant_field():
 
 def test_field_jet_product():
     f = scalar_field("x1*x2", ["x1", "x2"])
-    out = field_jet(f, [2.0, 3.0], order=2)
+    out = helpers.field_jet(f, [2.0, 3.0], order=2)
     assert out.value == 6.0
     assert out.d(0) == 3.0
     assert out.d(1) == 2.0
@@ -107,7 +102,7 @@ def test_field_jet_product():
 def test_field_jet_vs_finite_difference():
     f = scalar_field("sin(x1*x2) + x3^3/(1 + x2^2)", ["x1", "x2", "x3"])
     coords = [0.3, -0.7, 1.2]
-    out = field_jet(f, coords)
+    out = helpers.field_jet(f, coords)
     for i in range(3):
         ref = helpers.fd_partial(f, coords, i)
         assert abs(out.d(i) - ref) / max(1.0, abs(ref)) < 1e-7
@@ -115,7 +110,7 @@ def test_field_jet_vs_finite_difference():
 
 def test_field_jet_mixed_partial_symmetry():
     f = scalar_field("exp(x1*x2)*cos(x2*x3)", ["x1", "x2", "x3"])
-    out = field_jet(f, [0.2, 0.5, -0.4], order=2)
+    out = helpers.field_jet(f, [0.2, 0.5, -0.4], order=2)
     for i in range(3):
         for j in range(3):
             assert abs(out.d(i, j) - out.d(j, i)) < 1e-12
