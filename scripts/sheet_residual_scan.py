@@ -14,10 +14,9 @@ import sys
 
 import numpy as np
 
-from geoplasma.dual import Jet, seed
+from geoplasma.dual import promote, seed
 from geoplasma.models import build_bsml
 from geoplasma.multitime import (
-    JetPoint,
     MultiTimeFluidState,
     StreamSheet,
     prolong_sheet,
@@ -47,15 +46,10 @@ def build():
 
 
 def exact_jet(fields, t):
+    """Flat jet coordinates [t, x, x^1_1..x^N_P] of the sheet at t, exact derivatives."""
     tj, ctx = seed(list(t))
-    xs, xds = [], []
-    for f in fields:
-        val = f(tj)
-        if not isinstance(val, Jet) or val.ctx is not ctx:
-            val = Jet.constant(ctx, val)
-        xs.append(val.value)
-        xds.append(tuple(val.d(a) for a in range(P)))
-    return JetPoint(tuple(t), tuple(xs), tuple(xds))
+    x = [promote(f(tj), ctx) for f in fields]
+    return list(t) + [v.value for v in x] + [v.d(a) for v in x for a in range(P)]
 
 
 def main():
@@ -79,7 +73,7 @@ def main():
             if idx[0] in (0, m - 1) or idx[1] in (0, m - 1):
                 continue
             t = [axes[a][idx[a]] for a in range(P)]
-            h_g, v_g = stream_sheet_residuals(state, space, jets[idx])
+            h_g, v_g = stream_sheet_residuals(state, space, jets[idx].tolist())
             h_e, v_e = stream_sheet_residuals(state, space, exact_jet(fields, t))
             worst_res = max(worst_res, np.abs(h_g).max(), np.abs(v_g).max())
             worst_gap = max(worst_gap, np.abs(h_g - h_e).max(), np.abs(v_g - v_e).max())

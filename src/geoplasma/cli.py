@@ -12,28 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections import OrderedDict
 
 import numpy as np
 
 from . import __version__
-from .dual import Jet, scalar_value, seed
+from .dual import promote, seed
 from .errors import DomainError, GeoPlasmaError, ScenarioError
-from .lagrange import integrate_h_stream_line, lagrange_residuals
-from .multitime import (
-    JetPoint,
-    StreamSheet,
-    cartan_gamma,
-    multitime_residuals,
-    prolong_sheet,
-    stream_sheet_coefficients,
-    stream_sheet_residuals,
-)
-from .riemann import christoffel, integrate_stream_line, riemann_report
-from .lagrange import cartan_connection
+from .multitime import StreamSheet, prolong_sheet
 from .scenario import evaluation_points, load_scenario, sheet_axes_and_values
-from .tensor_core import quadratic_form
 from .verify import invariants_at
 
 
@@ -55,21 +44,18 @@ def _write_lines(path, lines):
         raise ScenarioError(f"cannot write {path}: {err.strerror or err}") from None
 
 
+def _check_out(path):
+    """Refuse an ``--out`` path that cannot be a file before any work is done."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ScenarioError(f"cannot write {path}: not a file in an existing directory")
+
+
 def _csv_lines(scenario, header, rows):
     lines = [f"# scenario={scenario.hash} version={__version__}"]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     return lines
-
-
-def _point_report(scenario, coords):
-    if scenario.framework == "riemann":
-        return riemann_report(scenario.state, scenario.space, scenario.em, coords)
-    if scenario.framework == "lagrange":
-        return lagrange_residuals(scenario.state, scenario.space, coords)
-    jp = JetPoint.from_coords(scenario.p, scenario.n, coords)
-    return multitime_residuals(scenario.state, scenario.space, jp)
 
 
 def cmd_verify(args):
@@ -137,39 +123,14 @@ def _parse_coords(text, expect, label):
 def cmd_connection(args):
     scenario = load_scenario(args.scenario)
     coords = _parse_coords(args.at, len(scenario.names), "--at")
-    blocks = OrderedDict()
-    if scenario.framework == "riemann":
-        gamma = christoffel(scenario.space, coords)
-        blocks["gamma"] = gamma.tolist()
-        labels = {"gamma": "gamma[i][j][k], upper index first"}
-    elif scenario.framework == "lagrange":
-        L, C = cartan_connection(scenario.space, coords)
-        blocks["L"] = L.tolist()
-        blocks["C"] = C.tolist()
-        labels = {
-            "L": "L[i][j][k], upper index first",
-            "C": "C[i][j][k], upper index first",
-        }
-    else:
-        jp = JetPoint.from_coords(scenario.p, scenario.n, coords)
-        kappa, Gt, L, C = cartan_gamma(scenario.space, jp)
-        blocks["kappa"] = kappa.tolist()
-        blocks["G"] = Gt.tolist()
-        blocks["L"] = L.tolist()
-        blocks["C"] = C.tolist()
-        labels = {
-            "kappa": "kappa[gamma][alpha][beta]",
-            "G": "G[k][j][gamma]",
-            "L": "L[i][j][k]",
-            "C": "C[i][j][k][gamma]",
-        }
+    blocks = scenario.connection(coords)
     payload = {
         "scenario": scenario.hash,
         "version": __version__,
         "framework": scenario.framework,
         "point": coords,
-        "index_order": labels,
-        "blocks": blocks,
+        "index_order": {name: label for name, (_, label) in blocks.items()},
+        "blocks": {name: block.tolist() for name, (block, _) in blocks.items()},
     }
     _write_lines(args.out, [json.dumps(payload, indent=2)])
     return 0
@@ -181,7 +142,7 @@ def cmd_residuals(args):
     results = []
     for coords in points:
         try:
-            cols = _point_report(scenario, coords).columns()
+            cols = scenario.report(coords).columns()
         except GeoPlasmaError as err:
             results.append((coords, None, str(err).replace(",", ";")))
             continue
@@ -214,86 +175,45 @@ def cmd_streamline(args):
         raise ScenarioError("--steps must be at least 1")
     if not 0 < args.step < math.inf:
         raise ScenarioError("--step must be positive and finite")
+    monitors, rows = scenario.stream_line(x0, v0, args.step, args.steps)
     header = ["s"] + [f"x{i + 1}" for i in range(n)] + [f"xdot{i + 1}" for i in range(n)]
-    space = scenario.space
-    if scenario.framework == "riemann":
-        rows = integrate_stream_line(
-            scenario.state, space, scenario.em, x0, v0, args.step, args.steps
-        )
-
-        def norm(x, v):
-            return float(np.array(v) @ np.array(space.phi.matrix(x)) @ np.array(v))
-    elif scenario.framework == "lagrange":
-        rows = integrate_h_stream_line(scenario.state, space, x0, v0, args.step, args.steps)
-        header.append("vertical_constraint_norm")
-
-        def norm(x, v):
-            return float(scalar_value(quadratic_form(space.g.matrix(x + v), v, v)))
-    else:
-        raise ScenarioError("streamline requires the riemann or lagrange framework")
-    header.append("velocity_norm")
-    out_rows = [
-        list(row) + [norm(row[1:1 + n].tolist(), row[1 + n:1 + 2 * n].tolist())] for row in rows
-    ]
-    _write_lines(args.out, _csv_lines(scenario, header, out_rows))
+    _write_lines(args.out, _csv_lines(scenario, header + monitors, rows))
     return 0
 
 
 def _exact_jets(scenario, axes, fields):
+    """Flat jet coordinates of each sheet node from exact derivatives of the fields."""
     p, n = scenario.p, scenario.n
     shape = tuple(len(ax) for ax in axes)
-    out = np.empty(shape, dtype=object)
+    out = np.empty(shape + (p + n + n * p,))
     for idx in np.ndindex(shape):
         t = [float(axes[a][idx[a]]) for a in range(p)]
         tj, ctx = seed(t)
-        x = []
-        xdot = []
-        for i in range(n):
-            val = fields[i](tj)
-            if not isinstance(val, Jet) or val.ctx is not ctx:
-                val = Jet.constant(ctx, val)
-            x.append(val.value)
-            xdot.append(tuple(val.d(a) for a in range(p)))
-        out[idx] = JetPoint(tuple(t), tuple(x), tuple(xdot))
+        x = [promote(f(tj), ctx) for f in fields]
+        out[idx] = t + [v.value for v in x] + [v.d(a) for v in x for a in range(p)]
     return out
 
 
 def cmd_streamsheet(args):
     scenario = load_scenario(args.scenario)
-    if scenario.framework != "multitime":
-        raise ScenarioError("streamsheet requires the multitime framework")
+    columns = scenario.sheet_columns(args.dump_coefficients)
     p, n = scenario.p, scenario.n
+    header = scenario.names[:p + n] + columns + ["error"]
     axes, values, fields = sheet_axes_and_values(scenario, refine=args.refine)
     if args.sheet_file:
         values = _load_sheet_values(args.sheet_file, axes, p, n)
-        jets = prolong_sheet(StreamSheet(axes, values), scenario.space)
-    elif args.prolongation == "exact":
-        jets = _exact_jets(scenario, axes, fields)
+    if args.prolongation == "exact" and not args.sheet_file:
+        nodes = _exact_jets(scenario, axes, fields)
     else:
-        jets = prolong_sheet(StreamSheet(axes, values), scenario.space)
-    header = (
-        [f"t{a + 1}" for a in range(p)] + [f"x{i + 1}" for i in range(n)]
-        + [f"horizontal_{k + 1}" for k in range(n)] + ["horizontal_norm"]
-        + [f"vertical_{k + 1}{mu + 1}" for k in range(n) for mu in range(p)]
-        + ["vertical_norm"]
-    )
-    if args.dump_coefficients:
-        header += [f"H_{m + 1}" for m in range(n)]
-        header += [f"V_{m + 1}{mu + 1}" for m in range(n) for mu in range(p)]
-    header += ["error"]
+        nodes = prolong_sheet(StreamSheet(axes, values), scenario.space)
     rows = []
     any_error = False
     shape = tuple(len(ax) for ax in axes)
     for idx in np.ndindex(shape):
-        jp = jets[idx]
-        base = list(jp.t) + list(jp.x)
+        coords = nodes[idx].tolist()
+        base = coords[:p + n]
         try:
-            hres, vres = stream_sheet_residuals(scenario.state, scenario.space, jp)
-            row = base + list(hres) + [float(np.abs(hres).max())]
-            row += list(vres.reshape(-1)) + [float(np.abs(vres).max())]
-            if args.dump_coefficients:
-                Hm, Vm = stream_sheet_coefficients(scenario.state, scenario.space, jp)
-                row += list(Hm) + list(Vm.reshape(-1))
+            row = base + scenario.sheet_row(coords, args.dump_coefficients)
             bad = _non_finite_column(zip(header, row))
             if bad:
                 raise DomainError(bad)
@@ -311,10 +231,10 @@ def cmd_streamsheet(args):
 
 def _load_sheet_values(path, axes, p, n):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    except OSError as err:
-        raise ScenarioError(f"cannot read sheet file: {err}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ScenarioError(f"cannot read sheet file {path}: {err}") from err
     shape = tuple(len(ax) for ax in axes)
     expected = int(np.prod(shape))
     data = lines[1:] if lines and not _is_number_row(lines[0]) else lines
@@ -399,6 +319,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.fn(args)
     except ScenarioError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -28,8 +28,8 @@ def point_memo(builder):
 
     The key is the identity of each framework-object argument plus the exact
     bits (``float.hex``: -0.0 and 0.0 differ) of each coordinate argument, a
-    list, tuple, array or point with ``.coords``.  Calls with coordinates
-    that are not all plain floats (jets, numpy scalars) bypass the memo.
+    list, tuple or array.  Calls with coordinates that are not all plain
+    floats (jets, numpy scalars) bypass the memo.
     One point is held, so memory stays flat; callers must not mutate results.
     """
     memo = {}
@@ -38,11 +38,10 @@ def point_memo(builder):
     def cached(*args):
         key = []
         for arg in args:
-            coords = getattr(arg, "coords", arg)
-            if not isinstance(coords, (list, tuple, np.ndarray)):
+            if not isinstance(arg, (list, tuple, np.ndarray)):
                 key.append(id(arg))
-            elif all(type(c) is float for c in coords):
-                key.append(tuple(map(float.hex, coords)))
+            elif all(type(c) is float for c in arg):
+                key.append(tuple(map(float.hex, arg)))
             else:
                 return builder(*args)
         key = tuple(key)
@@ -141,8 +140,7 @@ class ResidualReport:
     insertion order is the documented column order of the CSV output.
     """
 
-    def __init__(self, point):
-        self.point = tuple(float(c) for c in point)
+    def __init__(self):
         self.entries = OrderedDict()
 
     def add(self, name, value):

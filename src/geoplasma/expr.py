@@ -36,7 +36,14 @@ import re
 from dataclasses import dataclass
 
 from . import dual
-from .errors import DomainError, ExprSyntaxError, UnboundVariableError
+from .errors import DomainError, ExprError, ExprSyntaxError, UnboundVariableError
+
+# Deepest expression accepted (deeper ones are an ExprError), in tree levels
+# and in frames of parser recursion, where a group or call argument recurses
+# through all five grammar rules.  The recursive parser, compiler, walker and
+# printer then stay well under Python's default recursion limit of 1000.
+MAX_DEPTH = 800
+_GROUP = 5
 
 FUNCTIONS = {
     "sin": (dual.sin, 1),
@@ -117,6 +124,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -131,6 +139,13 @@ class _Parser:
         found = "end of input" if kind == "end" else repr(text)
         raise ExprSyntaxError(f"unexpected {found}", offset, expected)
 
+    def descend(self, frames):
+        """Count the ``frames`` of recursion about to be entered (undone on return)."""
+        self.depth += frames
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels",
+                                  self.peek()[2], ())
+
     def expect_op(self, op):
         kind, text, _ = self.peek()
         if kind == "op" and text == op:
@@ -144,14 +159,12 @@ class _Parser:
         return node
 
     def expr(self):
+        self.descend(_GROUP)
         node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
+        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+            node = BinOp(self.advance()[1], node, self.term())
+        self.depth -= _GROUP
+        return node
 
     def term(self):
         node = self.factor()
@@ -168,14 +181,19 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
             self.advance()
+            self.descend(1)
             node = BinOp("^", node, self.factor())
+            self.depth -= 1
         return node
 
     def unary(self):
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.unary())
+            self.descend(1)
+            node = Neg(self.unary())
+            self.depth -= 1
+            return node
         return self.atom()
 
     def atom(self):
@@ -218,7 +236,20 @@ class _Parser:
 
 def parse(source):
     """Parse a source string into an immutable expression tree."""
-    return _Parser(source).parse()
+    tree = _Parser(source).parse()
+    height, stack = 0, [(tree, 1)]  # levels of the tree, counted without recursion
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        if isinstance(node, Neg):
+            stack.append((node.child, level + 1))
+        elif isinstance(node, BinOp):
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+        elif isinstance(node, Call):
+            stack += [(arg, level + 1) for arg in node.args]
+    if height > MAX_DEPTH:
+        raise ExprError(f"expression nests deeper than {MAX_DEPTH} levels ({height})")
+    return tree
 
 
 def evaluate(node, binding):
@@ -401,28 +432,24 @@ def _level(node):
 
 
 def _render(node, minimum):
-    text = _render_bare(node)
-    if _level(node) < minimum:
-        return "(" + text + ")"
-    return text
-
-
-def _render_bare(node):
+    """Text of ``node``, parenthesised below level ``minimum``; one frame per level."""
     if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return "-" + _render(node.child, _LEVEL_UNARY)
-    if isinstance(node, Call):
-        return node.name + "(" + ", ".join(_render(a, _LEVEL_ADD) for a in node.args) + ")"
-    if node.op in "+-":
+        text = repr(node.value)
+    elif isinstance(node, Var):
+        text = node.name
+    elif isinstance(node, Neg):
+        text = "-" + _render(node.child, _LEVEL_UNARY)
+    elif isinstance(node, Call):
+        text = node.name + "(" + ", ".join(_render(a, _LEVEL_ADD) for a in node.args) + ")"
+    elif node.op in "+-":
         # left-associative: right operand needs the next level up
-        return _render(node.left, _LEVEL_ADD) + " " + node.op + " " + _render(node.right, _LEVEL_MUL)
-    if node.op in "*/":
-        return _render(node.left, _LEVEL_MUL) + node.op + _render(node.right, _LEVEL_POW)
-    # '^' is right-associative with a unary base
-    return _render(node.left, _LEVEL_UNARY) + "^" + _render(node.right, _LEVEL_POW)
+        text = _render(node.left, _LEVEL_ADD) + " " + node.op + " " + _render(node.right, _LEVEL_MUL)
+    elif node.op in "*/":
+        text = _render(node.left, _LEVEL_MUL) + node.op + _render(node.right, _LEVEL_POW)
+    else:
+        # '^' is right-associative with a unary base
+        text = _render(node.left, _LEVEL_UNARY) + "^" + _render(node.right, _LEVEL_POW)
+    return "(" + text + ")" if _level(node) < minimum else text
 
 
 def pretty(node):

@@ -48,26 +48,12 @@ class GeneralizedLagrangeSpace:
 
 
 @dataclass(frozen=True)
-class TangentPoint:
-    x: tuple
-    y: tuple
-
-    @property
-    def coords(self):
-        return list(self.x) + list(self.y)
-
-
-@dataclass(frozen=True)
 class LagrangeFluidState:
     pressure: object
     density: object
     c: float
     em_H: object
     em_G: object
-
-
-def _coords(pt):
-    return pt.coords if isinstance(pt, TangentPoint) else list(pt)
 
 
 def zero_connection(n):
@@ -149,34 +135,24 @@ def cartan_connection_lists(space, coords):
     return L, C
 
 
-def cartan_connection(space, pt):
+def cartan_connection(space, coords):
     """Cartan coefficients (L^i_jk, C^i_jk) as float arrays [i, j, k]."""
-    L, C = cartan_connection_lists(space, _coords(pt))
+    L, C = cartan_connection_lists(space, coords)
     return np.array(L, dtype=float), np.array(C, dtype=float)
 
 
-def h_covariant(field, slots, space, pt):
-    """Horizontal covariant derivative of a latin tensor field on TM.
+def hv_covariant(field, slots, space, coords):
+    """Horizontal and vertical covariant derivatives of a latin tensor field on TM.
 
     ``field(coords)`` returns nested lists with one valence tag per level
-    in ``slots``; the result is a float array with one extra covariant
-    axis (adapted partial delta/delta x, Cartan L).
+    in ``slots``; it is evaluated once.  Each result is a float array with
+    one extra covariant axis: (adapted partial delta/delta x, Cartan L),
+    then (fiber partial d/dy, Cartan C).
     """
-    coords = _coords(pt)
     T = eval_jets(field, *seed(list(coords)))
-    _, horizontal, _ = _adapted_partials(space, coords)
-    return covariant_derivative(T, slots, horizontal, cartan_connection_lists(space, coords)[0])
-
-
-def v_covariant(field, slots, space, pt):
-    """Vertical covariant derivative of a latin tensor field on TM.
-
-    As :func:`h_covariant` with the fiber partial d/dy and Cartan C.
-    """
-    coords = _coords(pt)
-    T = eval_jets(field, *seed(list(coords)))
-    _, _, vertical = _adapted_partials(space, coords)
-    return covariant_derivative(T, slots, vertical, cartan_connection_lists(space, coords)[1])
+    _, horizontal, vertical = _adapted_partials(space, coords)
+    L, C = cartan_connection_lists(space, coords)
+    return covariant_derivative(T, slots, horizontal, L), covariant_derivative(T, slots, vertical, C)
 
 
 def _unit_velocity(g, coords, point=None):
@@ -192,8 +168,7 @@ class _Frame(FluidFrame):
     and ``v`` (fiber derivative, Cartan C).
     """
 
-    def __init__(self, state, space, pt):
-        coords = _coords(pt)
+    def __init__(self, state, space, coords):
         n = space.n
         cj, ctx = seed(list(coords))
         graw = space.g.matrix(cj)
@@ -226,14 +201,14 @@ class _Frame(FluidFrame):
         self.v = self.channel(C, vertical, energy_divergence(E_mix, C, vertical))
 
 
-def lagrange_residuals(state, space, pt):
+def lagrange_residuals(state, space, coords):
     """Full two-channel residual report at one tangent point.
 
     Besides the residual channels the report carries the stress tensor in
     covariant and mixed form and the identity diagnostics used by verify.
     """
-    fr = _Frame(state, space, pt)
-    report = ResidualReport(_coords(pt))
+    fr = _Frame(state, space, coords)
+    report = ResidualReport()
     n = fr.n
     T_low = [
         [
@@ -257,8 +232,8 @@ def lagrange_residuals(state, space, pt):
     return report
 
 
-def conservation_divergence(state, space, pt, channel):
-    """Direct divergence of the mixed stress d-tensor, per channel."""
+def conservation_divergence(state, space, coords):
+    """Direct divergences (h, v) of the mixed stress d-tensor, evaluated once."""
     n = space.n
 
     def fn(coords):
@@ -268,14 +243,14 @@ def conservation_divergence(state, space, pt, channel):
         u, u_low, _ = _unit_velocity(g, coords)
         return mixed_stress(E_mix, u, u_low, state.pressure(coords), state.density(coords), state.c)
 
-    covariant = h_covariant if channel == "h" else v_covariant
-    deriv = covariant(fn, (Slot.LU, Slot.LD), space, pt)
-    return np.array([sum(deriv[m, i, m] for m in range(n)) for i in range(n)])
+    return [
+        np.array([sum(deriv[m, i, m] for m in range(n)) for i in range(n)])
+        for deriv in hv_covariant(fn, (Slot.LU, Slot.LD), space, coords)
+    ]
 
 
-def metric_compatibility(space, pt):
+def metric_compatibility(space, coords):
     """Max norms of g and its inverse under both covariant derivatives."""
-    coords = _coords(pt)
     cj, ctx = seed(list(coords))
     L, C = cartan_connection_lists(space, coords)
     _, horizontal, vertical = _adapted_partials(space, coords)

@@ -59,38 +59,12 @@ class MultiTimeSpace:
 
 
 @dataclass(frozen=True)
-class JetPoint:
-    t: tuple
-    x: tuple
-    xdot: tuple  # n rows of p entries, xdot[i][alpha] = x^i_alpha
-
-    @property
-    def coords(self):
-        out = list(self.t) + list(self.x)
-        for row in self.xdot:
-            out.extend(row)
-        return out
-
-    @classmethod
-    def from_coords(cls, p, n, coords):
-        t = tuple(coords[:p])
-        x = tuple(coords[p:p + n])
-        fiber = coords[p + n:]
-        xdot = tuple(tuple(fiber[i * p:(i + 1) * p]) for i in range(n))
-        return cls(t, x, xdot)
-
-
-@dataclass(frozen=True)
 class MultiTimeFluidState:
     pressure: object
     density: object
     c: float
     em_H: object
     em_G: object
-
-
-def _coords(jp):
-    return jp.coords if isinstance(jp, JetPoint) else list(jp)
 
 
 def fiber_index(p, n, i, alpha):
@@ -116,7 +90,6 @@ class _Derivatives:
     def __init__(self, space, coords):
         p, n = space.p, space.n
         self.p, self.n = p, n
-        self.coords = list(coords)
         self.kappa = temporal_christoffel_lists(space, coords[:p])
         self.N0 = [
             [[scalar_value(v) for v in row] for row in plane]
@@ -195,12 +168,12 @@ def _connection_blocks(ops, g, ginv0):
     return Gt, L, C
 
 
-def cartan_gamma(space, jp):
+def cartan_gamma(space, coords):
     """The blocks of :func:`cartan_gamma_lists` as float arrays."""
-    return tuple(np.array(b, dtype=float) for b in cartan_gamma_lists(space, _coords(jp)))
+    return tuple(np.array(b, dtype=float) for b in cartan_gamma_lists(space, coords))
 
 
-def jet_covariant_derivative(field, slots, space, jp, kind):
+def jet_covariant_derivative(field, slots, space, coords, kind):
     """Covariant derivative of a d-tensor field with mixed valence tags.
 
     ``field(coords)`` returns nested lists with one valence tag per level
@@ -211,7 +184,6 @@ def jet_covariant_derivative(field, slots, space, jp, kind):
     latin slots under hT, L for latin under hM, C for latin under v;
     greek slots are untouched by hM and v.
     """
-    coords = _coords(jp)
     return _jet_covariant(eval_jets(field, *seed(list(coords))), slots, space, coords, kind)
 
 
@@ -310,12 +282,10 @@ class _Frame:
     ``u0``/``ul0`` hold the velocity values indexed [i][beta].
     """
 
-    def __init__(self, state, space, jp):
-        coords = _coords(jp)
+    def __init__(self, state, space, coords):
         p, n = space.p, space.n
         self.p, self.n = p, n
         self.c = state.c
-        self.coords = coords
         cj, ctx = seed(list(coords))
         ops = _Derivatives(space, coords)
         self.ops = ops
@@ -371,18 +341,18 @@ class _Frame:
         self.force_v = [col.lorentz_force(ch) for ch in col.v]  # [mu][k]
 
 
-def multitime_residuals(state, space, jp):
+def multitime_residuals(state, space, coords):
     """Full multi-time residual report at one jet point.
 
     The repeated greek label of the vertical conservation equations is
     read as a free index (an (i, mu) tensor); the vertical continuity
     residual is the fully contracted scalar.
     """
-    fr = _Frame(state, space, jp)
+    fr = _Frame(state, space, coords)
     p, n = fr.p, fr.n
     hinv0 = fr.hinv0
     cols = fr.cols
-    report = ResidualReport(fr.coords)
+    report = ResidualReport()
 
     ediv_h = fr.h.ediv
     force_h, force_v = fr.force_h, fr.force_v
@@ -520,20 +490,19 @@ def _stress_lists(fr):
     return T_low, T_mix
 
 
-def stress_tensors(state, space, jp):
+def stress_tensors(state, space, coords):
     """Covariant and mixed stress d-tensors at a jet point."""
-    T_low, T_mix = _stress_lists(_Frame(state, space, jp))
+    T_low, T_mix = _stress_lists(_Frame(state, space, coords))
     return np.array(T_low, dtype=float), np.array(T_mix, dtype=float)
 
 
-def stress_block_table(state, space, jp):
+def stress_block_table(state, space, coords):
     """Adapted block components of the stress d-tensor.
 
     Returns the spatial block T_ij and the fiber block h^{eta nu} T_ij
     (indexed [eta][nu][i][j]); all other blocks vanish identically.
     """
-    spatial, _ = stress_tensors(state, space, jp)
-    coords = _coords(jp)
+    spatial, _ = stress_tensors(state, space, coords)
     hinv = invert_symmetric(space.h.matrix(coords[:space.p]))
     fiber = np.einsum("ab,ij->abij", np.array(hinv), spatial)
     return spatial, fiber
@@ -567,23 +536,20 @@ def mixed_stress_field(state, space):
     return fn
 
 
-def conservation_divergence(state, space, jp, channel):
-    """Direct contracted covariant divergence of the mixed stress."""
+def conservation_divergence(state, space, coords):
+    """Direct contracted divergences (h, v) of the mixed stress, evaluated once."""
     n, p = space.n, space.p
-    field = mixed_stress_field(state, space)
-    slots = (Slot.LU, Slot.LD)
-    if channel == "h":
-        d = jet_covariant_derivative(field, slots, space, jp, "hM")
-        return np.array([sum(d[m, i, m] for m in range(n)) for i in range(n)])
-    d = jet_covariant_derivative(field, slots, space, jp, "v")
-    return np.array(
+    T = eval_jets(mixed_stress_field(state, space), *seed(list(coords)))
+    d = _jet_covariant(T, (Slot.LU, Slot.LD), space, coords, "hM")
+    h = np.array([sum(d[m, i, m] for m in range(n)) for i in range(n)])
+    d = _jet_covariant(T, (Slot.LU, Slot.LD), space, coords, "v")
+    return h, np.array(
         [[sum(d[m, i, mu, m] for m in range(n)) for mu in range(p)] for i in range(n)]
     )
 
 
-def metric_compatibility(space, jp):
+def metric_compatibility(space, coords):
     """Metric compatibilities of h, g and their inverses, all channels."""
-    coords = _coords(jp)
     cj, ctx = seed(list(coords))
 
     def metrics():  # lazy: inverses come after the connection blocks, whose errors name the point
@@ -606,7 +572,7 @@ def metric_compatibility(space, jp):
 # -- stream sheets -----------------------------------------------------------
 
 
-def stream_sheet_residuals(state, space, jp):
+def stream_sheet_residuals(state, space, coords):
     """Horizontal and vertical stream-sheet PDE residuals at a jet point.
 
     Evaluates the local displays: the horizontal residual carries the
@@ -615,7 +581,7 @@ def stream_sheet_residuals(state, space, jp):
     plus the dimension term n*delta^mu_alpha.  Returns (vector over k,
     matrix over (k, mu)).
     """
-    fr = _Frame(state, space, jp)
+    fr = _Frame(state, space, coords)
     p, n = fr.p, fr.n
     inertial_factor(fr.p0, fr.rho0, fr.c)  # validates p + rho c^2 != 0
     eps0 = fr.eps0
@@ -689,15 +655,15 @@ def _sheet_coefficients(fr):
     return Hm, Vm
 
 
-def stream_sheet_coefficients(state, space, jp):
+def stream_sheet_coefficients(state, space, coords):
     """The H_m and V^(mu)_(m) coefficient values of the sheet displays."""
-    Hm, Vm = _sheet_coefficients(_Frame(state, space, jp))
+    Hm, Vm = _sheet_coefficients(_Frame(state, space, coords))
     return np.array(Hm), np.array(Vm)
 
 
-def stream_sheet_residuals_bsml(state, space, jp):
+def stream_sheet_residuals_bsml(state, space, coords):
     """Simplified displays valid when the G and C blocks vanish."""
-    fr = _Frame(state, space, jp)
+    fr = _Frame(state, space, coords)
     p, n = fr.p, fr.n
     eps0 = fr.eps0
     q0 = fr.q0
@@ -769,7 +735,8 @@ def _d_axis(values, axis, step):
 def prolong_sheet(sheet, space):
     """Jet prolongation of a sampled sheet by second-order stencils.
 
-    Returns an object array of :class:`JetPoint` over the grid nodes with
+    Returns a float array of shape grid_shape + (p + n + n*p,): the flat
+    jet coordinates of each node in :func:`fiber_index` order, with
     x^i_alpha from central differences inside and one-sided second-order
     stencils on the boundary.
     """
@@ -784,12 +751,6 @@ def prolong_sheet(sheet, space):
         _d_axis(values, axis, sheet.axes[axis][1] - sheet.axes[axis][0])
         for axis in range(p)
     ]
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(shape):
-        t = tuple(float(sheet.axes[a][idx[a]]) for a in range(p))
-        x = tuple(values[idx].tolist())
-        xdot = tuple(
-            tuple(float(derivs[a][idx][i]) for a in range(p)) for i in range(n)
-        )
-        out[idx] = JetPoint(t, x, xdot)
-    return out
+    t = np.stack(np.meshgrid(*sheet.axes, indexing="ij"), axis=-1)
+    xdot = np.stack(derivs, axis=-1).reshape(shape + (n * p,))  # [..., i*p + alpha]
+    return np.concatenate([t, values, xdot], axis=-1)

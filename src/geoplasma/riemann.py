@@ -205,7 +205,7 @@ def conservation_divergence(state, space, em, x):
 def riemann_report(state, space, em, x):
     """Full residual report at one point, including identity diagnostics."""
     fr = _Frame(state, space, em, x)
-    report = ResidualReport(x)
+    report = ResidualReport()
     fr.add_channel(report, fr.h)
     report.add("unit_norm_error", fr.unit_norm_error())
     return report

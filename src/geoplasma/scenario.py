@@ -1,4 +1,4 @@
-"""Scenario files: validation and construction of the pipeline objects.
+"""Scenario files: validation, and one scenario object per framework.
 
 A scenario is a single JSON document.  Field expressions are strings in
 the expression mini-language over the framework's coordinate names:
@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lagrange as lag, multitime as mt, riemann as rm
+from .dual import scalar_value
 from .errors import ExprError, ScenarioError
 from .lagrange import (
     GeneralizedLagrangeSpace,
@@ -33,7 +35,8 @@ from .models import (
 )
 from .multitime import MultiTimeFluidState, MultiTimeSpace, fiber_index, zero_jet_connection
 from .riemann import ElectromagneticPair, FluidState, SemiRiemannianSpace
-from .tensor_core import MetricField, TwoFormField, christoffel_of, scalar_field
+from .tensor_core import MetricField, TwoFormField, christoffel_of, quadratic_form, scalar_field
+from .verify import lagrange_invariants, multitime_invariants, riemann_invariants
 
 FRAMEWORKS = ("riemann", "lagrange", "multitime")
 
@@ -128,17 +131,120 @@ def _spatial_metric(config, n, names, label="metric"):
 
 @dataclass
 class Scenario:
-    framework: str
+    """A validated scenario and the point evaluations of its framework.
+
+    A point is a flat list of plain floats in ``names`` order.  Each
+    framework subclass evaluates ``report``, ``invariants`` and
+    ``connection`` (block name -> (float array, index-order label)) at a
+    point; the stream commands a framework lacks raise here.
+    """
+
     n: int
-    p: int
     names: list
     space: object
     state: object
-    em: object  # riemann only
     eval_spec: dict
+
+    hash = ""  # sha256 of the scenario file, set by load_scenario
+
+    def stream_line(self, x0, v0, step, count):
+        """(monitor column names, rows [s, x, dx/ds, monitors]) of an RK4 stream line."""
+        raise ScenarioError("streamline requires the riemann or lagrange framework")
+
+    def sheet_columns(self, coefficients):
+        """Names of the residual columns of a stream-sheet scan."""
+        raise ScenarioError("streamsheet requires the multitime framework")
+
+    def _with_norm(self, rows, norm):
+        """Integrator rows with the velocity norm ``norm(x, dx/ds)`` appended."""
+        n = self.n
+        return [list(row) + [norm(row[1:1 + n].tolist(), row[1 + n:1 + 2 * n].tolist())]
+                for row in rows]
+
+
+@dataclass
+class RiemannScenario(Scenario):
+    em: object
+
+    framework = "riemann"
+
+    def report(self, coords):
+        return rm.riemann_report(self.state, self.space, self.em, coords)
+
+    def invariants(self, coords):
+        return riemann_invariants(self.state, self.space, self.em, coords)
+
+    def connection(self, coords):
+        return {"gamma": (rm.christoffel(self.space, coords), "gamma[i][j][k], upper index first")}
+
+    def stream_line(self, x0, v0, step, count):
+        phi = self.space.phi
+        rows = rm.integrate_stream_line(self.state, self.space, self.em, x0, v0, step, count)
+        return ["velocity_norm"], self._with_norm(
+            rows, lambda x, v: float(np.array(v) @ np.array(phi.matrix(x)) @ np.array(v))
+        )
+
+
+class LagrangeScenario(Scenario):
+    framework = "lagrange"
+
+    def report(self, coords):
+        return lag.lagrange_residuals(self.state, self.space, coords)
+
+    def invariants(self, coords):
+        return lagrange_invariants(self.state, self.space, coords)
+
+    def connection(self, coords):
+        L, C = lag.cartan_connection(self.space, coords)
+        return {"L": (L, "L[i][j][k], upper index first"),
+                "C": (C, "C[i][j][k], upper index first")}
+
+    def stream_line(self, x0, v0, step, count):
+        g = self.space.g
+        rows = lag.integrate_h_stream_line(self.state, self.space, x0, v0, step, count)
+        return ["vertical_constraint_norm", "velocity_norm"], self._with_norm(
+            rows, lambda x, v: float(scalar_value(quadratic_form(g.matrix(x + v), v, v)))
+        )
+
+
+@dataclass
+class MultitimeScenario(Scenario):
+    p: int
     sheet_spec: object
-    model_name: str
-    hash: str
+    bsml: bool  # the bsml model, whose G and C blocks vanish
+
+    framework = "multitime"
+
+    def report(self, coords):
+        return mt.multitime_residuals(self.state, self.space, coords)
+
+    def invariants(self, coords):
+        return multitime_invariants(self.state, self.space, coords, bsml=self.bsml)
+
+    def connection(self, coords):
+        labels = ("kappa[gamma][alpha][beta]", "G[k][j][gamma]", "L[i][j][k]", "C[i][j][k][gamma]")
+        blocks = zip(mt.cartan_gamma(self.space, coords), labels)
+        return dict(zip(("kappa", "G", "L", "C"), blocks))
+
+    def sheet_columns(self, coefficients):
+        p, n = self.p, self.n
+        names = [f"horizontal_{k + 1}" for k in range(n)] + ["horizontal_norm"]
+        names += [f"vertical_{k + 1}{mu + 1}" for k in range(n) for mu in range(p)]
+        names += ["vertical_norm"]
+        if coefficients:
+            names += [f"H_{m + 1}" for m in range(n)]
+            names += [f"V_{m + 1}{mu + 1}" for m in range(n) for mu in range(p)]
+        return names
+
+    def sheet_row(self, coords, coefficients):
+        """Values of :meth:`sheet_columns` at one jet point of the sheet."""
+        hres, vres = mt.stream_sheet_residuals(self.state, self.space, coords)
+        row = list(hres) + [float(np.abs(hres).max())]
+        row += list(vres.reshape(-1)) + [float(np.abs(vres).max())]
+        if coefficients:
+            Hm, Vm = mt.stream_sheet_coefficients(self.state, self.space, coords)
+            row += list(Hm) + list(Vm.reshape(-1))
+        return row
 
 
 def load_scenario(path):
@@ -149,8 +255,8 @@ def load_scenario(path):
         raise ScenarioError(f"cannot read scenario file: {err}") from err
     try:
         raw = json.loads(raw_bytes)
-    except json.JSONDecodeError as err:
-        raise ScenarioError(f"scenario is not valid JSON: {err}") from err
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
+        raise ScenarioError(f"scenario {path} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
     scenario = build_scenario(raw)
@@ -227,8 +333,7 @@ def build_scenario(raw):
         em = ElectromagneticPair(em_H, em_G)
         if "connection" in raw or "h_metric" in raw:
             raise ScenarioError("'connection'/'h_metric' are not riemann keys")
-        return Scenario(framework, n, 1, names, space, state, em,
-                        eval_spec, sheet_spec, model_name, "")
+        return RiemannScenario(n, names, space, state, eval_spec, em)
 
     if "velocity" in raw:
         raise ScenarioError("'velocity' is only valid for the riemann framework")
@@ -238,13 +343,12 @@ def build_scenario(raw):
         state = LagrangeFluidState(pressure, density, c, em_H, em_G)
         if "h_metric" in raw:
             raise ScenarioError("'h_metric' is not a lagrange key")
-        return Scenario(framework, n, 1, names, space, state, None,
-                        eval_spec, sheet_spec, model_name, "")
+        return LagrangeScenario(n, names, space, state, eval_spec)
 
     space = _build_multitime_space(raw, n, p, names)
     state = MultiTimeFluidState(pressure, density, c, em_H, em_G)
-    return Scenario(framework, n, p, names, space, state, None,
-                    eval_spec, sheet_spec, model_name, "")
+    return MultitimeScenario(n, names, space, state, eval_spec, p, sheet_spec,
+                             model_name == "bsml")
 
 
 def _parse_em(config, n, names):

@@ -51,25 +51,23 @@ def riemann_invariants(state, space, em, x):
     return out
 
 
-def lagrange_invariants(state, space, pt):
+def lagrange_invariants(state, space, coords):
     out = OrderedDict()
-    compat = lag.metric_compatibility(space, pt)
+    compat = lag.metric_compatibility(space, coords)
     out["metric_compatibility"] = max(compat.values())
 
-    L, C = lag.cartan_connection(space, pt)
+    L, C = lag.cartan_connection(space, coords)
     out["connection_symmetry"] = max(_asymmetry(L), _asymmetry(C))
 
-    rep = lag.lagrange_residuals(state, space, pt)
+    rep = lag.lagrange_residuals(state, space, coords)
     out["unit_norm"] = abs(rep["unit_norm_error"])
-    for ch in ("h", "v"):
+    for ch, direct in zip(("h", "v"), lag.conservation_divergence(state, space, coords)):
         out[f"contraction_identity_{ch}"] = abs(rep[f"contraction_identity_{ch}"])
         out[f"euler_decomposition_{ch}"] = rep.norm(f"euler_decomposition_{ch}")
-        direct = lag.conservation_divergence(state, space, pt, ch)
         out[f"conservation_two_path_{ch}"] = float(
             np.abs(direct - rep[f"conservation_{ch}"]).max()
         )
 
-    coords = pt.coords if hasattr(pt, "coords") else list(pt)
     g0 = [[scalar_value(v) for v in row] for row in space.g.matrix(coords)]
     ginv = invert_symmetric(g0)
     H = state.em_H.matrix(coords)
@@ -82,29 +80,27 @@ def lagrange_invariants(state, space, pt):
     return out
 
 
-def multitime_invariants(state, space, jp, bsml=False):
+def multitime_invariants(state, space, coords, bsml=False):
     out = OrderedDict()
-    compat = mt.metric_compatibility(space, jp)
+    compat = mt.metric_compatibility(space, coords)
     out["metric_compatibility"] = max(compat.values())
 
-    kappa, Gt, L, C = mt.cartan_gamma(space, jp)
+    kappa, Gt, L, C = mt.cartan_gamma(space, coords)
     out["connection_symmetry"] = max(_asymmetry(kappa), _asymmetry(L), _asymmetry(C))
 
-    rep = mt.multitime_residuals(state, space, jp)
+    rep = mt.multitime_residuals(state, space, coords)
     out["unit_norm"] = abs(rep["unit_norm_error"])
     out["contraction_identity_h"] = rep.norm("contraction_identity_h")
     out["contraction_identity_v"] = rep.norm("contraction_identity_v")
-    for ch in ("h", "v"):
-        direct = mt.conservation_divergence(state, space, jp, ch)
+    for ch, direct in zip(("h", "v"), mt.conservation_divergence(state, space, coords)):
         out[f"conservation_two_path_{ch}"] = float(
             np.abs(direct - rep[f"conservation_{ch}"]).max()
         )
 
-    T_low, T_mix = mt.stress_tensors(state, space, jp)
-    coords = jp.coords if hasattr(jp, "coords") else list(jp)
+    T_low, T_mix = mt.stress_tensors(state, space, coords)
     ginv = np.array(invert_symmetric(space.g.matrix(coords)))
     out["stress_mixed_identity"] = float(np.abs(ginv @ T_low - T_mix).max())
-    spatial, fiber = mt.stress_block_table(state, space, jp)
+    spatial, fiber = mt.stress_block_table(state, space, coords)
     hinv = np.array(invert_symmetric(space.h.matrix(coords[:space.p])))
     block_err = 0.0
     for a in range(space.p):
@@ -117,8 +113,8 @@ def multitime_invariants(state, space, jp, bsml=False):
     if bsml:
         out["bsml_g_block"] = float(np.abs(Gt).max())
         out["bsml_c_block"] = float(np.abs(C).max())
-        h1, v1 = mt.stream_sheet_residuals(state, space, jp)
-        h2, v2 = mt.stream_sheet_residuals_bsml(state, space, jp)
+        h1, v1 = mt.stream_sheet_residuals(state, space, coords)
+        h2, v2 = mt.stream_sheet_residuals_bsml(state, space, coords)
         out["bsml_sheet_reduction"] = float(
             max(np.abs(h1 - h2).max(), np.abs(v1 - v2).max())
         )
@@ -126,12 +122,5 @@ def multitime_invariants(state, space, jp, bsml=False):
 
 
 def invariants_at(scenario, coords):
-    """Dispatch to the framework suite for one evaluation point."""
-    if scenario.framework == "riemann":
-        return riemann_invariants(scenario.state, scenario.space, scenario.em, coords)
-    if scenario.framework == "lagrange":
-        return lagrange_invariants(scenario.state, scenario.space, coords)
-    jp = mt.JetPoint.from_coords(scenario.p, scenario.n, coords)
-    return multitime_invariants(
-        scenario.state, scenario.space, jp, bsml=scenario.model_name == "bsml"
-    )
+    """The scenario's invariant suite at one evaluation point."""
+    return scenario.invariants(coords)

@@ -15,11 +15,9 @@ import numpy as np
 from geoplasma.common import energy_low_mixed, unit_vector
 from geoplasma.dual import Jet, promote, scalar_value, seed
 from geoplasma.lagrange import _adapted_partials
-from geoplasma.lagrange import _coords as _tangent_coords
 from geoplasma.multitime import (
     _Derivatives,
     _Frame,
-    _coords,
     _velocity,
     fiber_index,
     temporal_christoffel_lists,
@@ -411,22 +409,31 @@ def mixed_energy_field(space, em):
     return fn
 
 
-def adapted_x_derivative(field, space, pt):
+def adapted_x_derivative(field, space, coords):
     """delta f / delta x^i of a scalar field over (x, y)."""
-    coords = _tangent_coords(pt)
     cj, ctx = seed(list(coords))
     val = promote(field(cj), ctx)
     _, horizontal, _ = _adapted_partials(space, coords)
     return np.array([horizontal(val, i) for i in range(space.n)])
 
 
+def jet_point(t, x, xdot):
+    """Flat jet coordinates [t, x, x^1_1..x^1_p, ..., x^n_p]; xdot[i][alpha] = x^i_alpha."""
+    return [*t, *x, *(v for row in xdot for v in row)]
+
+
+def jet_parts(coords, p, n):
+    """(t, x, xdot) of flat jet coordinates, the inverse of :func:`jet_point`."""
+    fiber = coords[p + n:]
+    return coords[:p], coords[p:p + n], [fiber[i * p:(i + 1) * p] for i in range(n)]
+
+
 def temporal_christoffel(space, t_coords):
     return np.array(temporal_christoffel_lists(space, t_coords), dtype=float)
 
 
-def adapted_jet_derivatives(field, space, jp):
+def adapted_jet_derivatives(field, space, coords):
     """(delta f/delta t^a, delta f/delta x^i, df/dx^i_a) of a scalar field."""
-    coords = _coords(jp)
     cj, ctx = seed(list(coords))
     ops = _Derivatives(space, coords)
     val = promote(field(cj), ctx)
@@ -491,9 +498,8 @@ def edml_lagrangian(h_metric, phi_metric, U, Phi, p, n):
     return fn
 
 
-def multitime_velocity(state, space, jp):
+def multitime_velocity(state, space, coords):
     """Unit multi-time velocity (u^i_alpha, u_{i alpha}) at a jet point."""
-    coords = _coords(jp)
     hinv = invert_symmetric(space.h.matrix(coords[:space.p]), coords[:space.p])
     u, u_low, _ = _velocity(space, coords, space.g.matrix(coords), hinv, point=coords)
     return (
@@ -502,14 +508,14 @@ def multitime_velocity(state, space, jp):
     )
 
 
-def stream_sheet_residuals_covariant(state, space, jp):
+def stream_sheet_residuals_covariant(state, space, coords):
     """Unreduced form of the stream-sheet residuals (oracle path).
 
     Applies the covariant derivatives directly to the momentum fields
     W^m_alpha = (rho+p/c^2) x^m_alpha/eps0 and V^k_beta = x^k_beta/eps0
     instead of the expanded coefficient displays.
     """
-    fr = _Frame(state, space, jp)
+    fr = _Frame(state, space, coords)
     p, n = fr.p, fr.n
     xd = fr.xd0
     eps0 = fr.eps0

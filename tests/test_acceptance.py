@@ -16,9 +16,9 @@ from geoplasma import multitime as mt
 from geoplasma import riemann as rm
 from geoplasma.cli import main
 from geoplasma.common import energy_low_mixed, energy_mixed_direct
-from geoplasma.lagrange import TangentPoint, canonical_nonlinear_connection
+from geoplasma.lagrange import canonical_nonlinear_connection
 from geoplasma.models import build_bsml
-from geoplasma.multitime import JetPoint, StreamSheet, prolong_sheet
+from geoplasma.multitime import StreamSheet, prolong_sheet
 from geoplasma.riemann import christoffel_lists
 from geoplasma.tensor_core import MetricField, TwoFormField, invert_symmetric, scalar_field
 
@@ -63,8 +63,7 @@ def test_c01_metric_compatibility():
             np.random.default_rng(3000 + k), p, n
         )
         for coords in helpers.sample_box(rng, box, 100):
-            jp = JetPoint.from_coords(p, n, coords)
-            for name, val in mt.metric_compatibility(space, jp).items():
+            for name, val in mt.metric_compatibility(space, coords).items():
                 assert val < 1e-9, name
 
 
@@ -117,7 +116,6 @@ def test_c02_connection_fd_oracle():
     p, n = 2, 2
     space, _, box = helpers.random_multitime_scenario(np.random.default_rng(17), p, n)
     for coords in helpers.sample_box(rng, box, 50):
-        jp = JetPoint.from_coords(p, n, coords)
         kappa, Gt, L, C = mt.cartan_gamma_lists(space, coords)
         # temporal block against finite differences of h
         t = coords[:p]
@@ -149,7 +147,7 @@ def test_c02_connection_fd_oracle():
             up[k] += step
             dn[k] -= step
             dg[k] = (np.array(space.g.matrix(up)) - np.array(space.g.matrix(dn))) / (2 * step)
-        xd = jp.xdot
+        xd = helpers.jet_parts(coords, p, n)[2]
         dgt = np.empty((p, n, n))
         for a in range(p):
             dgt[a] = dg[a]
@@ -205,7 +203,7 @@ def test_c03_contraction_identities():
     p, n = 2, 2
     space, state, box = helpers.random_multitime_scenario(np.random.default_rng(37), p, n)
     for coords in helpers.sample_box(rng, box, 100):
-        rep = mt.multitime_residuals(state, space, JetPoint.from_coords(p, n, coords))
+        rep = mt.multitime_residuals(state, space, coords)
         assert rep.norm("contraction_identity_h") < 1e-10
         assert rep.norm("contraction_identity_v") < 1e-10
 
@@ -254,7 +252,7 @@ def test_c05_framework_reduction():
             make_riemann_state([extension(r) for r in range(n)]), space_r, em_r, x0
         )
         rep_l = lag.lagrange_residuals(
-            state_lag, space_l, TangentPoint(tuple(x0), tuple(y0))
+            state_lag, space_l, list(x0) + list(y0)
         )
         for base_name, lag_name in [
             ("conservation", "conservation_h"), ("continuity", "continuity_h"),
@@ -270,10 +268,10 @@ def test_c05_framework_reduction():
         x = list(rng.uniform(-0.5, 0.5, n))
         y = list(rng.uniform(0.7, 1.3, n))
         rep_lag = lag.lagrange_residuals(
-            state_lag2, space_lag, TangentPoint(tuple(x), tuple(y))
+            state_lag2, space_lag, list(x) + list(y)
         )
         rep_mt = mt.multitime_residuals(
-            state_mt, space_mt, JetPoint((0.0,), tuple(x), tuple((yi,) for yi in y))
+            state_mt, space_mt, helpers.jet_point((0.0,), tuple(x), tuple((yi,) for yi in y))
         )
         for name in ["stress", "stress_mixed",
                      "lorentz_h", "lorentz_v", "conservation_h", "conservation_v",
@@ -305,7 +303,7 @@ def test_c06_bsml_degeneracy():
             t = tuple(rng.uniform(-0.4, 0.4, p))
             x = tuple(rng.uniform(0.7, 1.5, n))
             xd = tuple(tuple(rng.uniform(0.6, 1.2, p)) for _ in range(n))
-            jp = JetPoint(t, x, xd)
+            jp = helpers.jet_point(t, x, xd)
             kappa, Gt, L, C = mt.cartan_gamma(space, jp)
             assert np.abs(Gt).max() < 1e-11
             assert np.abs(C).max() < 1e-11
@@ -376,9 +374,8 @@ def test_c09_multitime_normalization():
     p, n = 2, 2
     space, _, box = helpers.random_multitime_scenario(np.random.default_rng(91), p, n)
     for coords in helpers.sample_box(rng, box, 100):
-        jp = JetPoint.from_coords(p, n, coords)
-        u, u_low = helpers.multitime_velocity(None, space, jp)
-        hinv = np.linalg.inv(space.h.matrix(list(jp.t)))
+        u, u_low = helpers.multitime_velocity(None, space, coords)
+        hinv = np.linalg.inv(space.h.matrix(coords[:p]))
         assert abs(np.einsum("ab,ia,ib->", hinv, u_low, u) - 1.0) < 1e-13
 
 
@@ -411,7 +408,7 @@ def test_c10_stream_sheet_convergence():
                 val = Jet.constant(ctx, val)
             xs.append(val.value)
             xds.append(tuple(val.d(a) for a in range(p)))
-        return JetPoint(tuple(t), tuple(xs), tuple(xds))
+        return helpers.jet_point(t, xs, xds)
 
     def grid_error(shape):
         axes = tuple(np.linspace(0.2, 1.2, s) for s in shape)
@@ -426,7 +423,7 @@ def test_c10_stream_sheet_convergence():
             if any(k == 0 or k == shape[a] - 1 for a, k in enumerate(idx)):
                 continue
             t = [axes[a][idx[a]] for a in range(p)]
-            h_g, v_g = mt.stream_sheet_residuals(state, space, jets[idx])
+            h_g, v_g = mt.stream_sheet_residuals(state, space, jets[idx].tolist())
             h_e, v_e = mt.stream_sheet_residuals(state, space, exact_jet(t))
             worst = max(
                 worst,

@@ -8,19 +8,17 @@ from geoplasma.errors import NormalizationError
 from geoplasma.lagrange import (
     GeneralizedLagrangeSpace,
     LagrangeFluidState,
-    TangentPoint,
     canonical_nonlinear_connection,
     cartan_connection,
     cartan_connection_lists,
     conservation_divergence,
     finsler_space_from_F,
-    h_covariant,
+    hv_covariant,
     h_stream_line_rhs,
     integrate_h_stream_line,
     lagrange_residuals,
     metric_compatibility,
     resolve_epsilon0,
-    v_covariant,
     v_stream_constraint_residual,
     zero_connection,
 )
@@ -62,7 +60,7 @@ def test_adapted_derivative_reduces_to_plain_partial():
     names = helpers.xynames(n)
     f = scalar_field("sin(x1*x2) + x1^2", names)
     space = flat_lagrange_space(n)
-    pt = TangentPoint((0.3, -0.7), (1.0, 0.5))
+    pt = [0.3, -0.7, 1.0, 0.5]
     out = helpers.adapted_x_derivative(f, space, pt)
     x = [0.3, -0.7]
     expected = [
@@ -100,7 +98,7 @@ def test_adapted_derivative_chain_rule_oracle():
 
 def test_cartan_flat_zero():
     space = flat_lagrange_space(2)
-    L, C = cartan_connection(space, TangentPoint((0.1, 0.2), (1.0, -0.5)))
+    L, C = cartan_connection(space, [0.1, 0.2, 1.0, -0.5])
     assert np.abs(L).max() == 0.0
     assert np.abs(C).max() == 0.0
 
@@ -122,7 +120,7 @@ def test_cartan_y_independent_with_canonical_connection():
     for _ in range(3):
         x = list(RNG.uniform(-0.5, 0.5, n))
         y = list(RNG.uniform(0.6, 1.2, n))
-        L, C = cartan_connection(space, TangentPoint(tuple(x), tuple(y)))
+        L, C = cartan_connection(space, list(x) + list(y))
         gamma = christoffel_lists(base, x)
         assert np.abs(np.array(L.tolist()) - np.array(gamma)).max() < 1e-10
         assert np.abs(C).max() == 0.0
@@ -184,9 +182,9 @@ def test_covariant_constant_tensor_flat():
     space = flat_lagrange_space(2)
     field = lambda coords: [[1.0, 2.0], [3.0, 4.0]]
     slots = (Slot.LU, Slot.LD)
-    pt = TangentPoint((0.0, 0.0), (1.0, 1.0))
-    assert np.abs(h_covariant(field, slots, space, pt)).max() == 0.0
-    assert np.abs(v_covariant(field, slots, space, pt)).max() == 0.0
+    pt = [0.0, 0.0, 1.0, 1.0]
+    assert np.abs(hv_covariant(field, slots, space, pt)[0]).max() == 0.0
+    assert np.abs(hv_covariant(field, slots, space, pt)[1]).max() == 0.0
 
 
 def test_covariant_dual_path_oracle():
@@ -201,8 +199,8 @@ def test_covariant_dual_path_oracle():
     field = lambda coords: [[comps[i][j](coords) for j in range(n)] for i in range(n)]
     slots = (Slot.LU, Slot.LD)
     pt = helpers.sample_box(RNG, box, 1)[0]
-    got_h = np.array(h_covariant(field, slots, space, pt).tolist())
-    got_v = np.array(v_covariant(field, slots, space, pt).tolist())
+    got_h = np.array(hv_covariant(field, slots, space, pt)[0].tolist())
+    got_v = np.array(hv_covariant(field, slots, space, pt)[1].tolist())
 
     L, C = cartan_connection_lists(space, pt)
     N0 = np.array(space.N(list(pt)))
@@ -242,10 +240,10 @@ def test_dual_normalization_identities():
         u0 = np.array([scalar_value(v) for v in u0])
         ul0 = np.array([scalar_value(v) for v in ul0])
         assert abs(u0 @ ul0 - 1.0) < 1e-13
-        du_h = np.array(h_covariant(uf, (Slot.LU,), space, pt).tolist())
-        du_v = np.array(v_covariant(uf, (Slot.LU,), space, pt).tolist())
-        dul_h = np.array(h_covariant(ulf, (Slot.LD,), space, pt).tolist())
-        dul_v = np.array(v_covariant(ulf, (Slot.LD,), space, pt).tolist())
+        du_h = np.array(hv_covariant(uf, (Slot.LU,), space, pt)[0].tolist())
+        du_v = np.array(hv_covariant(uf, (Slot.LU,), space, pt)[1].tolist())
+        dul_h = np.array(hv_covariant(ulf, (Slot.LD,), space, pt)[0].tolist())
+        dul_v = np.array(hv_covariant(ulf, (Slot.LD,), space, pt)[1].tolist())
         for m in range(n):
             assert abs(ul0 @ du_h[:, m]) < 1e-11
             assert abs(ul0 @ du_v[:, m]) < 1e-11
@@ -265,7 +263,7 @@ def test_residuals_constant_scenario():
     space = flat_lagrange_space(n)
     state = const_lagrange_state(n, p=p0, rho=rho0)
     y = np.array([1.0, 0.4])
-    rep = lagrange_residuals(state, space, TangentPoint((0.3, 0.1), tuple(y)))
+    rep = lagrange_residuals(state, space, [0.3, 0.1] + list(y))
     for name in [
         "lorentz_h", "conservation_h", "continuity_h", "euler_h", "force_h",
         "lorentz_v", "euler_v", "force_v", "unit_norm_error",
@@ -291,8 +289,7 @@ def test_conservation_divergence_two_paths():
     space, state, box = generic_scenario(seed=37)
     for pt in helpers.sample_box(RNG, box, 3):
         rep = lagrange_residuals(state, space, pt)
-        for channel in ("h", "v"):
-            div = conservation_divergence(state, space, pt, channel)
+        for channel, div in zip(("h", "v"), conservation_divergence(state, space, pt)):
             assert np.abs(div - rep[f"conservation_{channel}"]).max() < 1e-10
 
 
@@ -310,7 +307,7 @@ def test_reduction_to_riemann_with_zero_connection():
         y0 = list(RNG.uniform(0.7, 1.3, n))
         state_r = make_riemann_state([constant_field(v) for v in y0])
         rep_r = riemann_report(state_r, space_r, em_r, x0)
-        rep_l = lagrange_residuals(state_lag, space_l, TangentPoint(tuple(x0), tuple(y0)))
+        rep_l = lagrange_residuals(state_lag, space_l, list(x0) + list(y0))
         for base_name, lag_name in [
             ("conservation", "conservation_h"),
             ("continuity", "continuity_h"),
@@ -349,7 +346,7 @@ def test_reduction_to_riemann_with_canonical_connection():
 
         state_r = make_riemann_state([extension(r) for r in range(n)])
         rep_r = riemann_report(state_r, space_r, em_r, x0)
-        rep_l = lagrange_residuals(state_lag, space_l, TangentPoint(tuple(x0), tuple(y0)))
+        rep_l = lagrange_residuals(state_lag, space_l, list(x0) + list(y0))
         for base_name, lag_name in [
             ("conservation", "conservation_h"),
             ("continuity", "continuity_h"),
@@ -370,7 +367,7 @@ def test_v_conservation_reduction_fiber_independent():
     space_l = make_space(zero_connection(n))
     x0 = [0.2, -0.4]
     y0 = [1.1, 0.8]
-    pt = TangentPoint(tuple(x0), tuple(y0))
+    pt = list(x0) + list(y0)
     rep = lagrange_residuals(state_lag, space_l, pt)
     coords = list(x0) + list(y0)
     g = np.array(space_l.g.matrix(coords))

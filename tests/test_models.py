@@ -12,7 +12,6 @@ from geoplasma.models import (
     stock_metric,
 )
 from geoplasma.multitime import (
-    JetPoint,
     MultiTimeFluidState,
     cartan_gamma,
     fiber_index,
@@ -53,7 +52,7 @@ def random_jet_point():
     t = tuple(RNG.uniform(-0.4, 0.4, P))
     x = tuple(RNG.uniform(0.7, 1.5, N))
     xd = tuple(tuple(RNG.uniform(0.6, 1.2, P)) for _ in range(N))
-    return JetPoint(t, x, xd)
+    return helpers.jet_point(t, x, xd)
 
 
 def mt_state():
@@ -71,20 +70,20 @@ def mt_state():
 def test_canonical_connection_flat_is_zero():
     fn = canonical_connection(h_metric(), phi_flat(), P, N)
     jp = random_jet_point()
-    assert np.abs(np.array(fn(jp.coords))).max() == 0.0
+    assert np.abs(np.array(fn(jp))).max() == 0.0
 
 
 def test_canonical_connection_polar_matches_christoffel():
     fn = canonical_connection(h_metric(), phi_polar(), P, N)
     jp = random_jet_point()
-    N0 = np.array(fn(jp.coords))
-    gamma = christoffel_lists(SemiRiemannianSpace(N, phi_polar()), list(jp.x))
-    xd = np.array(jp.xdot)
+    N0 = np.array(fn(jp))
+    gamma = christoffel_lists(SemiRiemannianSpace(N, phi_polar()), jp[P:P + N])
+    xd = np.array(helpers.jet_parts(jp, P, N)[2])
     expected = np.einsum("ijm,ma->iaj", np.array(gamma), xd)
     assert np.abs(N0 - expected).max() < 1e-11
     # explicit entry: N^(1)_(a)2 = gamma^1_22 x^2_a = -x1 * x^2_a
     for a in range(P):
-        assert N0[0][a][1] == pytest.approx(-jp.x[0] * xd[1][a], rel=1e-11)
+        assert N0[0][a][1] == pytest.approx(-jp[P] * xd[1][a], rel=1e-11)
 
 
 # -- bsml --------------------------------------------------------------------------
@@ -96,7 +95,7 @@ def test_bsml_connection_degeneracy(phi_fn):
     kappa, Gt, L, C = cartan_gamma(space, jp)
     assert np.abs(Gt).max() < 1e-13
     assert np.abs(C).max() < 1e-13
-    gamma = christoffel_lists(SemiRiemannianSpace(N, phi_fn()), list(jp.x))
+    gamma = christoffel_lists(SemiRiemannianSpace(N, phi_fn()), jp[P:P + N])
     assert np.abs(np.array(L.tolist()) - np.array(gamma)).max() < 1e-11
 
 
@@ -154,7 +153,7 @@ def test_grgml_fiber_sigma_c_block_fd_oracle():
     space = build_grgml(h_metric(), sigma, phi_polar(), P, N)
     jp = random_jet_point()
     _, _, _, C = cartan_gamma(space, jp)
-    coords = jp.coords
+    coords = jp
     g0 = np.array(space.g.matrix(coords))
     ginv = np.linalg.inv(g0)
     step = 1e-5
@@ -191,7 +190,7 @@ def test_rgogml_unit_index_gives_base_metric():
     )
     jp = random_jet_point()
     assert np.abs(
-        np.array(space.g.matrix(jp.coords)) - np.array(phi_polar().matrix(list(jp.x)))
+        np.array(space.g.matrix(jp)) - np.array(phi_polar().matrix(jp[P:P + N]))
     ).max() < 1e-14
 
 
@@ -202,7 +201,7 @@ def test_rgogml_zero_x_gives_base_metric():
     )
     jp = random_jet_point()
     assert np.abs(
-        np.array(space.g.matrix(jp.coords)) - np.array(phi_polar().matrix(list(jp.x)))
+        np.array(space.g.matrix(jp)) - np.array(phi_polar().matrix(jp[P:P + N]))
     ).max() < 1e-14
 
 
@@ -211,14 +210,14 @@ def test_rgogml_determinant_lemma_oracle():
     X = [scalar_field("1 + 0.5*t1", TNM), scalar_field("0.3 - t2", TNM)]
     space = build_rgogml(h_metric(), phi_polar(), refr, X, P, N)
     jp = random_jet_point()
-    coords = jp.coords
+    coords = jp
     g = np.array(space.g.matrix(coords))
     assert np.abs(g - g.T).max() == 0.0
-    phi = np.array(phi_polar().matrix(list(jp.x)))
+    phi = np.array(phi_polar().matrix(jp[P:P + N]))
     coef = 1.0 - 1.0 / refr(coords)
-    xvals = [X[mu](list(jp.t)) for mu in range(P)]
+    xvals = [X[mu](jp[:P]) for mu in range(P)]
     y = phi @ np.array(
-        [sum(jp.xdot[m][mu] * xvals[mu] for mu in range(P)) for m in range(N)]
+        [sum(helpers.jet_parts(jp, P, N)[2][m][mu] * xvals[mu] for mu in range(P)) for m in range(N)]
     )
     lemma = 1.0 + coef * (y @ np.linalg.inv(phi) @ y)
     assert np.linalg.det(g) == pytest.approx(np.linalg.det(phi) * lemma, rel=1e-10)
@@ -230,9 +229,9 @@ def test_rgogml_degenerate_update_raises():
     X = [constant_field(1.0), constant_field(0.0)]
     space = build_rgogml(h_metric(), phi_flat(), refr, X, P, N)
     # pick xdot so that |Y| = 1 exactly: Y = (xd^1_1, xd^2_1)
-    jp = JetPoint((0.0, 0.0), (1.0, 1.0), ((1.0, 0.0), (0.0, 0.0)))
+    jp = helpers.jet_point((0.0, 0.0), (1.0, 1.0), ((1.0, 0.0), (0.0, 0.0)))
     with pytest.raises(DegenerateMetricError):
-        space.g.matrix(jp.coords)
+        space.g.matrix(jp)
 
 
 def test_rgogml_passes_compatibility_suite():
@@ -262,7 +261,7 @@ def test_edml_zero_potentials_equal_bsml():
     r2 = multitime_residuals(state, b, jp)
     for name in list(r1.entries):
         assert np.abs(r1[name] - r2[name]).max() < 1e-12, name
-    assert np.abs(np.array(e.N(jp.coords)) - np.array(b.N(jp.coords))).max() < 1e-14
+    assert np.abs(np.array(e.N(jp)) - np.array(b.N(jp))).max() < 1e-14
 
 
 def test_edml_metric_is_second_fiber_derivative_of_lagrangian():
@@ -271,11 +270,11 @@ def test_edml_metric_is_second_fiber_derivative_of_lagrangian():
     lag = helpers.edml_lagrangian(h_metric(), phi_polar(), U, Phi, P, N)
     space = build_edml(h_metric(), phi_polar(), U, Phi, P, N)
     jp = random_jet_point()
-    coords = jp.coords
+    coords = jp
     fiber = [fiber_index(P, N, i, a) for i in range(N) for a in range(P)]
     out = helpers.field_jet(lag, coords, seeds=fiber, order=2)
-    hinv = np.linalg.inv(h_metric().matrix(list(jp.t)))
-    phi = np.array(phi_polar().matrix(list(jp.x)))
+    hinv = np.linalg.inv(h_metric().matrix(jp[:P]))
+    phi = np.array(phi_polar().matrix(jp[P:P + N]))
     for ia, (i, a) in enumerate([(i, a) for i in range(N) for a in range(P)]):
         for jb, (j, b) in enumerate([(j, b) for j in range(N) for b in range(P)]):
             got = 0.5 * out.d(ia, jb)
@@ -294,7 +293,7 @@ def test_edml_symmetric_potential_gradient_no_correction():
     e = build_edml(h_metric(), phi_polar(), U, constant_field(0.0), P, N)
     b = build_bsml(h_metric(), phi_polar(), P, N)
     jp = random_jet_point()
-    assert np.abs(np.array(e.N(jp.coords)) - np.array(b.N(jp.coords))).max() < 1e-13
+    assert np.abs(np.array(e.N(jp)) - np.array(b.N(jp))).max() < 1e-13
 
 
 def test_edml_passes_compatibility_suite():

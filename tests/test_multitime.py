@@ -3,9 +3,8 @@ import pytest
 
 import helpers
 from geoplasma.errors import GridError
-from geoplasma.lagrange import TangentPoint, lagrange_residuals
+from geoplasma.lagrange import lagrange_residuals
 from geoplasma.multitime import (
-    JetPoint,
     MultiTimeFluidState,
     MultiTimeSpace,
     StreamSheet,
@@ -59,7 +58,7 @@ def const_mt_state(n, p_val=0.2, rho=1.0, c=1.0):
 
 def sample_jet_points(space, box, count):
     pts = helpers.sample_box(RNG, box, count)
-    return [JetPoint.from_coords(space.p, space.n, c) for c in pts]
+    return pts
 
 
 # -- temporal christoffel ------------------------------------------------------
@@ -92,10 +91,9 @@ def test_adapted_derivatives_reduce_to_plain():
     space = flat_mt_space(p, n)
     names = helpers.jetnames(p, n)
     f = scalar_field("sin(t1*x1) + x2^2*t2", names)
-    jp = JetPoint((0.3, -0.2), (0.5, 1.1), ((0.9, 0.4), (0.2, 1.3)))
+    jp = helpers.jet_point((0.3, -0.2), (0.5, 1.1), ((0.9, 0.4), (0.2, 1.3)))
     dt, dx, dv = helpers.adapted_jet_derivatives(f, space, jp)
-    t1, t2 = jp.t
-    x1, x2 = jp.x
+    t1, t2, x1, x2 = jp[:4]
     assert dt[0] == pytest.approx(x1 * np.cos(t1 * x1), rel=1e-12)
     assert dt[1] == pytest.approx(x2**2, rel=1e-12)
     assert dx[0] == pytest.approx(t1 * np.cos(t1 * x1), rel=1e-12)
@@ -109,7 +107,7 @@ def test_adapted_derivatives_chain_rule_oracle():
     names = helpers.jetnames(p, n)
     f = scalar_field("x1_1*x1_2 + t1*x2_1^2 + x1*x2_2", names)
     jp = sample_jet_points(space, box, 1)[0]
-    coords = jp.coords
+    coords = jp
     dt, dx, dv = helpers.adapted_jet_derivatives(f, space, jp)
 
     step = 1e-6
@@ -124,7 +122,7 @@ def test_adapted_derivatives_chain_rule_oracle():
 
     kappa = temporal_christoffel_lists(space, coords[:p])
     N0 = space.N(coords)
-    xd = jp.xdot
+    xd = helpers.jet_parts(jp, p, n)[2]
     for a in range(p):
         ref = fd(a)
         for g in range(p):
@@ -144,7 +142,7 @@ def test_adapted_derivatives_chain_rule_oracle():
 
 def test_cartan_gamma_flat():
     space = flat_mt_space(2, 2)
-    jp = JetPoint((0.1, 0.2), (0.3, 0.4), ((1.0, 0.2), (0.1, 0.8)))
+    jp = helpers.jet_point((0.1, 0.2), (0.3, 0.4), ((1.0, 0.2), (0.1, 0.8)))
     kappa, Gt, L, C = cartan_gamma(space, jp)
     for t in (kappa, Gt, L, C):
         assert np.abs(t).max() == 0.0
@@ -167,7 +165,7 @@ def test_cartan_gamma_fd_oracle():
     space, _, box = generic_scenario(seed=17)
     p, n = space.p, space.n
     jp = sample_jet_points(space, box, 1)[0]
-    coords = jp.coords
+    coords = jp
     kappa, Gt, L, C = cartan_gamma_lists(space, coords)
 
     step = 1e-5
@@ -184,7 +182,7 @@ def test_cartan_gamma_fd_oracle():
         dn[k] -= step
         dg[k] = (np.array(space.g.matrix(up)) - np.array(space.g.matrix(dn))) / (2 * step)
     kap = temporal_christoffel_lists(space, coords[:p])
-    xd = jp.xdot
+    xd = helpers.jet_parts(jp, p, n)[2]
     # adapted temporal and spatial derivatives of g by the same splitting
     dgt = np.empty((p, n, n))
     for a in range(p):
@@ -254,7 +252,7 @@ def test_covariant_dual_path_random_tensor():
     field = lambda coords: [[comps[i][j](coords) for j in range(n)] for i in range(n)]
     slots = (Slot.LU, Slot.LD)
     jp = sample_jet_points(space, box, 1)[0]
-    coords = jp.coords
+    coords = jp
     kappa, Gt, L, C = cartan_gamma_lists(space, coords)
     t0 = np.array([[comps[i][j](coords) for j in range(n)] for i in range(n)])
 
@@ -276,7 +274,7 @@ def test_covariant_dual_path_random_tensor():
         ) / (2 * step)
 
     N0 = space.N(coords)
-    xd = jp.xdot
+    xd = helpers.jet_parts(jp, p, n)[2]
     for q in range(n):
         dT = fd(p + q)
         for m in range(n):
@@ -326,7 +324,7 @@ def test_multitime_velocity_normalization():
     space, _, box = generic_scenario(seed=37)
     for jp in sample_jet_points(space, box, 5):
         u, u_low = helpers.multitime_velocity(None, space, jp)
-        hinv = np.linalg.inv(space.h.matrix(list(jp.t)))
+        hinv = np.linalg.inv(space.h.matrix(jp[:space.p]))
         total = np.einsum("ab,ia,ib->", hinv, u_low, u)
         assert abs(total - 1.0) < 1e-13
 
@@ -341,7 +339,7 @@ def test_multitime_velocity_diag_oracle():
         p, n, h, MetricField.from_exprs(n, g_rows, names), zero_jet_connection(p, n)
     )
     xd = np.array([[0.7, 0.4], [0.1, 1.2]])
-    jp = JetPoint((0.0, 0.0), (0.0, 0.0), tuple(map(tuple, xd)))
+    jp = helpers.jet_point((0.0, 0.0), (0.0, 0.0), tuple(map(tuple, xd)))
     u, _ = helpers.multitime_velocity(None, space, jp)
     hinv = np.diag([1.0, 0.25])
     eps2 = sum(
@@ -355,7 +353,7 @@ def test_velocity_single_time_reduces_to_tangent_normalization():
     n = 2
     space = flat_mt_space(1, n)
     y = np.array([1.2, 0.5])
-    jp = JetPoint((0.0,), (0.3, 0.1), ((y[0],), (y[1],)))
+    jp = helpers.jet_point((0.0,), (0.3, 0.1), ((y[0],), (y[1],)))
     u, _ = helpers.multitime_velocity(None, space, jp)
     assert np.abs(u[:, 0] - y / np.linalg.norm(y)).max() < 1e-14
 
@@ -368,7 +366,7 @@ def test_residuals_constant_scenario():
     p, n = 2, 2
     space = flat_mt_space(p, n)
     state = const_mt_state(n)
-    jp = JetPoint((0.1, -0.3), (0.2, 0.5), ((1.0, 0.1), (0.2, 0.9)))
+    jp = helpers.jet_point((0.1, -0.3), (0.2, 0.5), ((1.0, 0.1), (0.2, 0.9)))
     rep = multitime_residuals(state, space, jp)
     for name in ["lorentz_h", "lorentz_v", "conservation_h", "continuity_h",
                  "force_h", "force_v", "unit_norm_error"]:
@@ -389,9 +387,9 @@ def test_conservation_divergence_two_paths():
     space, state, box = generic_scenario(seed=43)
     for jp in sample_jet_points(space, box, 2):
         rep = multitime_residuals(state, space, jp)
-        div_h = conservation_divergence(state, space, jp, "h")
+        div_h = conservation_divergence(state, space, jp)[0]
         assert np.abs(div_h - rep["conservation_h"]).max() < 1e-10
-        div_v = conservation_divergence(state, space, jp, "v")
+        div_v = conservation_divergence(state, space, jp)[1]
         assert np.abs(div_v - rep["conservation_v"]).max() < 1e-10
 
 
@@ -402,8 +400,8 @@ def test_single_time_reduction_to_lagrange():
     for _ in range(5):
         x = list(RNG.uniform(-0.5, 0.5, n))
         y = list(RNG.uniform(0.7, 1.3, n))
-        rep_lag = lagrange_residuals(state_lag, space_lag, TangentPoint(tuple(x), tuple(y)))
-        jp = JetPoint((0.0,), tuple(x), tuple((yi,) for yi in y))
+        rep_lag = lagrange_residuals(state_lag, space_lag, list(x) + list(y))
+        jp = helpers.jet_point((0.0,), tuple(x), tuple((yi,) for yi in y))
         rep_mt = multitime_residuals(state_mt, space_mt, jp)
         pairs = [
             ("stress", "stress"), ("stress_mixed", "stress_mixed"),
@@ -423,12 +421,12 @@ def test_stress_mixed_consistency_and_blocks():
     space, state, box = generic_scenario(seed=59)
     jp = sample_jet_points(space, box, 1)[0]
     T_low, T_mix = stress_tensors(state, space, jp)
-    coords = jp.coords
+    coords = jp
     ginv = np.linalg.inv(space.g.matrix(coords))
     via = ginv @ np.array(T_low.tolist())
     assert np.abs(via - np.array(T_mix.tolist())).max() < 1e-12
     spatial, fiber = stress_block_table(state, space, jp)
-    hinv = np.linalg.inv(space.h.matrix(list(jp.t)))
+    hinv = np.linalg.inv(space.h.matrix(jp[:space.p]))
     for a in range(space.p):
         for b in range(space.p):
             assert np.abs(fiber[a][b] - hinv[a][b] * spatial).max() < 1e-14
@@ -456,7 +454,7 @@ def test_affine_sheet_flat_product_space_oracle():
     p0, rho0 = 0.2, 1.0
     state = const_mt_state(n, p_val=p0, rho=rho0)
     xd = np.array([[0.9, 0.3], [0.1, 1.2]])
-    jp = JetPoint((0.2, 0.4), (0.5, -0.1), tuple(map(tuple, xd)))
+    jp = helpers.jet_point((0.2, 0.4), (0.5, -0.1), tuple(map(tuple, xd)))
     hres, vres = stream_sheet_residuals(state, space, jp)
     assert np.abs(hres).max() < 1e-13
     q0 = rho0 + p0
@@ -477,7 +475,7 @@ def test_prolong_affine_exact():
             values[i, j] = A @ [t1, t2] + b
     jets = prolong_sheet(StreamSheet(axes, values), space)
     for idx in np.ndindex(5, 7):
-        xd = np.array(jets[idx].xdot)
+        xd = jets[idx][4:].reshape(2, 2)  # x^i_alpha
         assert np.abs(xd - A).max() < 1e-12
 
 
@@ -488,7 +486,7 @@ def test_prolong_quadratic_interior_exact():
     jets = prolong_sheet(StreamSheet(axes, values), space)
     for i in range(9):
         t = axes[0][i]
-        assert jets[i].xdot[0][0] == pytest.approx(6 * t - 1, abs=1e-12)
+        assert jets[i][2] == pytest.approx(6 * t - 1, abs=1e-12)  # x^1_1
 
 
 def test_prolong_trig_second_order():
@@ -499,7 +497,7 @@ def test_prolong_trig_second_order():
         values = np.sin(3 * axes[0]).reshape(-1, 1)
         jets = prolong_sheet(StreamSheet(axes, values), space)
         err = max(
-            abs(jets[i].xdot[0][0] - 3 * np.cos(3 * axes[0][i]))
+            abs(jets[i][2] - 3 * np.cos(3 * axes[0][i]))  # x^1_1
             for i in range(1, m - 1)
         )
         errs.append(err)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from geoplasma import dual, lagrange, multitime, riemann, tensor_core
-from geoplasma.cli import _point_report, main
+from geoplasma.cli import main
 from geoplasma.common import point_memo
 from geoplasma.errors import IntegrationError
 from geoplasma.lagrange import GeneralizedLagrangeSpace, LagrangeFluidState, zero_connection
@@ -29,12 +29,13 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 # scenario -> (verify seeds, verify inversions, residuals seeds, residuals inversions)
 # per point; the parent of the memo made 8/11, 25/24 and 102/106 in verify,
-# tangent_bundle made 13/12 before N was evaluated once per point, and verify
-# made 5/8 and 10/14 while metric_compatibility seeded once per metric field
+# tangent_bundle made 13/12 before N was evaluated once per point, verify
+# made 5/8 and 10/14 while metric_compatibility seeded once per metric field,
+# and 6/7 and 7/14 while the direct divergence evaluated the stress per channel
 PER_POINT = {
     "polar_plasma": (4, 8, 1, 1),
-    "tangent_bundle": (6, 7, 2, 2),
-    "bsml_sheet": (7, 14, 3, 4),
+    "tangent_bundle": (5, 6, 2, 2),
+    "bsml_sheet": (6, 12, 3, 4),
 }
 
 
@@ -109,7 +110,7 @@ def test_residuals_evaluate_the_metric_once_per_frame(name, monkeypatch):
     clear_memos()
     points, _ = evaluation_points(scenario, count=3)
     for coords in points:
-        _point_report(scenario, coords)
+        scenario.report(coords)
     assert len(calls) == len(points) * METRIC_EVALS[name]
 
 
@@ -184,10 +185,10 @@ def test_report_identical_cold_and_after_verify(name):
     points, _ = evaluation_points(scenario, count=2)
     for coords in points:
         clear_memos()
-        cold = _columns_text(_point_report(scenario, coords))
+        cold = _columns_text(scenario.report(coords))
         clear_memos()
         invariants_at(scenario, coords)
-        warm = _columns_text(_point_report(scenario, coords))
+        warm = _columns_text(scenario.report(coords))
         assert warm == cold
 
 
@@ -209,8 +210,8 @@ def test_prolong_sheet_yields_plain_floats():
     scenario = load_scenario(scenario_path("bsml_sheet"))
     axes, values, _ = sheet_axes_and_values(scenario)
     jets = prolong_sheet(StreamSheet(axes, values), scenario.space)
-    for jp in jets.flat:
-        assert all(type(c) is float for c in jp.coords)
+    for coords in jets.reshape(-1, jets.shape[-1]).tolist():
+        assert all(type(c) is float for c in coords)
 
 
 # -- input boundary of the CLI --------------------------------------------------

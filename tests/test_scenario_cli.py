@@ -8,6 +8,7 @@ import pytest
 from geoplasma.cli import main
 from geoplasma.errors import ScenarioError
 from geoplasma.scenario import (
+    RiemannScenario,
     build_scenario,
     evaluation_points,
     sheet_axes_and_values,
@@ -158,7 +159,7 @@ def test_lagrange_and_multitime_scenarios_build():
     lagr = build_scenario(lagrange_config())
     assert lagr.space.n == 2
     mt = build_scenario(multitime_config())
-    assert mt.space.p == 2 and mt.model_name == "bsml"
+    assert mt.space.p == 2 and mt.bsml
     axes, values, fields = sheet_axes_and_values(mt)
     assert values.shape == (5, 5, 2)
     axes2, values2, _ = sheet_axes_and_values(mt, refine=2)
@@ -200,7 +201,7 @@ def test_cli_residuals_identity_column(tmp_path):
         assert abs(float(line.split(",")[idx])) < 1e-10
 
 
-def test_cli_verify_exit_codes(tmp_path):
+def test_cli_verify_exit_codes(tmp_path, capsys):
     clean = write(tmp_path, riemann_config(), "clean.json")
     assert main(["verify", "--scenario", clean, "--tol", "1e-9"]) == 0
 
@@ -217,6 +218,14 @@ def test_cli_verify_exit_codes(tmp_path):
 
     missing = str(tmp_path / "nope.json")
     assert main(["verify", "--scenario", missing]) == 2
+
+    # not UTF-8, and nested deeper than the JSON decoder recurses: both were tracebacks
+    for name, data in (("not_utf8.json", b"\x80abc"), ("deep.json", b"[" * 100000)):
+        unreadable = tmp_path / name
+        unreadable.write_bytes(data)
+        capsys.readouterr()
+        assert main(["verify", "--scenario", str(unreadable)]) == 2
+        assert f"scenario {unreadable} is not valid JSON" in capsys.readouterr().err
 
 
 def test_cli_verify_report_file(tmp_path):
@@ -323,12 +332,19 @@ def test_cli_streamsheet_coefficients_and_exact(tmp_path):
     assert "H_1" in header and "V_12" in header
 
 
-def test_cli_streamline_framework_guard(tmp_path):
+def test_cli_streamline_framework_guard(tmp_path, capsys):
     path = write(tmp_path, multitime_config())
     assert main([
         "streamline", "--scenario", path, "--x0", "0,0", "--v0", "1,0",
         "--step", "0.1", "--steps", "2",
     ]) == 2
+    assert "streamline requires the riemann or lagrange framework" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [riemann_config, lagrange_config])
+def test_cli_streamsheet_framework_guard(config, tmp_path, capsys):
+    assert main(["streamsheet", "--scenario", write(tmp_path, config())]) == 2
+    assert "streamsheet requires the multitime framework" in capsys.readouterr().err
 
 
 # -- input boundary ------------------------------------------------------------
@@ -348,6 +364,29 @@ def test_cli_rejects_overflowing_literal(tmp_path, capsys):
     assert main(["residuals", "--scenario", path, "--points", "2"]) == 2
     err = capsys.readouterr().err
     assert "metric" in err and "overflows to infinity at offset 0" in err
+
+
+_SUM_600 = " + ".join(["0.001*x1"] * 600)
+
+
+@pytest.mark.parametrize("pressure, code", [
+    (_SUM_600, 0),
+    ("(" * 150 + "x1" + ")" * 150, 0),
+    ("log(" + _SUM_600 + " - 1000)", 1),
+    (" + ".join(["0.001*x1"] * 1000), 2),
+    ("(" * 250 + "x1" + ")" * 250, 2),
+    ("-" * 1000 + "x1", 2),
+], ids=["sum600", "parens150", "log-sum600", "sum1000", "parens250", "minus1000"])
+def test_cli_deep_expressions_exit_with_a_code(pressure, code, tmp_path, capsys):
+    # the last three ended in RecursionError in the parser or the compiler,
+    # and the log in RecursionError while the error text was rendered
+    out = tmp_path / "r.csv"
+    path = write(tmp_path, riemann_config(pressure=pressure))
+    assert main(["residuals", "--scenario", path, "--points", "1", "--out", str(out)]) == code
+    if code == 2:
+        assert "error: pressure: expression nests deeper than 800 levels" in capsys.readouterr().err
+    if code == 1:
+        assert "log of non-positive value in 'log(0.001*x1 + " in out.read_text()
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -378,7 +417,7 @@ def _sheet_file(tmp_path, cell=None):
     if cell is not None:
         rows[7] = rows[7].rsplit(",", 1)[0] + "," + cell
     path = tmp_path / "sheet_values.csv"
-    path.write_text("\n".join(rows) + "\n")
+    path.write_text("\n".join(rows) + "\n", encoding="latin-1")  # a cell "\xff" stays one byte
     return str(path)
 
 
@@ -387,6 +426,7 @@ def _sheet_file(tmp_path, cell=None):
     ("abc", "sheet file row 7 (t..., x...) must be comma-separated numbers"),
     ("nan", "sheet file row 7 (t..., x...) coordinates must be finite"),
     ("-inf", "sheet file row 7 (t..., x...) coordinates must be finite"),
+    ("\xff", "sheet_values.csv: 'utf-8' codec can't decode byte 0xff"),
 ])
 def test_cli_streamsheet_sheet_file_cells(cell, message, tmp_path, capsys):
     # a non-numeric cell was a traceback, a non-finite one gave NaN rows
@@ -535,11 +575,12 @@ SHIPPED_COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(SHIPPED_COMMANDS))
 def test_cli_unwritable_out_exits_2_naming_the_path(command, tmp_path, capsys):
-    out = tmp_path / "missing" / "f"
-    assert main(SHIPPED_COMMANDS[command] + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert str(out) in err
-    assert "Traceback" not in err
+    for out in (tmp_path / "missing" / "f", tmp_path):
+        assert main(SHIPPED_COMMANDS[command] + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert str(out) in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""  # refused before any work: verify printed its report first
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -558,9 +599,7 @@ class _NanReport:
 
 
 def test_cli_residuals_last_guard_marks_a_non_finite_row(tmp_path, monkeypatch):
-    import geoplasma.cli as cli
-
-    monkeypatch.setattr(cli, "_point_report", lambda scenario, coords: _NanReport())
+    monkeypatch.setattr(RiemannScenario, "report", lambda scenario, coords: _NanReport())
     out = tmp_path / "r.csv"
     assert main(["residuals", "--scenario", write(tmp_path, riemann_config()),
                  "--points", "2", "--out", str(out)]) == 1
@@ -569,12 +608,12 @@ def test_cli_residuals_last_guard_marks_a_non_finite_row(tmp_path, monkeypatch):
 
 
 def test_cli_streamsheet_last_guard_marks_a_non_finite_row(tmp_path, monkeypatch):
-    import geoplasma.cli as cli
+    import geoplasma.multitime as mt
 
-    def residuals(state, space, jp):
+    def residuals(state, space, coords):
         return np.array([0.0, float("inf")]), np.zeros((2, 2))
 
-    monkeypatch.setattr(cli, "stream_sheet_residuals", residuals)
+    monkeypatch.setattr(mt, "stream_sheet_residuals", residuals)
     out = tmp_path / "s.csv"
     assert main(["streamsheet", "--scenario", write(tmp_path, multitime_config()),
                  "--out", str(out)]) == 1
