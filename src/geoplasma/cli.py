@@ -65,13 +65,19 @@ def cmd_verify(args):
     points, seed = evaluation_points(scenario, seed=args.seed, count=args.points)
     worst = OrderedDict()
     worst_point = {}
+    failed_points = []
     for coords in points:
-        for name, value in invariants_at(scenario, coords).items():
+        try:
+            invariants = invariants_at(scenario, coords)
+        except GeoPlasmaError as err:
+            failed_points.append({"point": coords, "error": str(err)})
+            continue
+        for name, value in invariants.items():
             if name not in worst or _worse(value, worst[name]):
                 worst[name] = value
                 worst_point[name] = coords
     failed = [name for name, value in worst.items() if not value < args.tol]
-    width = max(len(name) for name in worst)
+    width = max((len(name) for name in worst), default=0)
     print(f"# scenario={scenario.hash} version={__version__} "
           f"points={len(points)} seed={seed} tol={args.tol!r}")
     for name, value in worst.items():
@@ -81,6 +87,10 @@ def cmd_verify(args):
         print("worst offenders:")
         for name in failed:
             print(f"  {name} = {worst[name]:.6e} at {worst_point[name]}")
+    if failed_points:
+        print(f"failed points ({len(failed_points)} of {len(points)}):")
+        for entry in failed_points:
+            print(f"  {entry['point']}: {entry['error']}")
     if args.out:
         payload = {
             "scenario": scenario.hash,
@@ -91,8 +101,10 @@ def cmd_verify(args):
             "invariants": {k: v for k, v in worst.items()},
             "failed": failed,
         }
+        if failed_points:
+            payload["failed_points"] = failed_points
         _write_lines(args.out, [json.dumps(payload, indent=2)])
-    return 1 if failed else 0
+    return 1 if failed or failed_points else 0
 
 
 def _worse(value, current):
@@ -140,12 +152,11 @@ def cmd_residuals(args):
     scenario = load_scenario(args.scenario)
     points, seed = evaluation_points(scenario, seed=args.seed, count=args.points)
     results = []
-    for coords in points:
-        try:
-            cols = scenario.report(coords).columns()
-        except GeoPlasmaError as err:
-            results.append((coords, None, str(err).replace(",", ";")))
+    for coords, report in zip(points, scenario.reports(points)):
+        if isinstance(report, GeoPlasmaError):
+            results.append((coords, None, str(report).replace(",", ";")))
             continue
+        cols = report.columns()
         # last guard: a non-finite number is never written as a result
         bad = _non_finite_column(cols)
         results.append((coords, None, bad) if bad else (coords, cols, ""))
@@ -195,14 +206,18 @@ def _exact_jets(scenario, axes, fields):
 
 
 def cmd_streamsheet(args):
+    if args.sheet_file and args.prolongation == "exact":
+        raise ScenarioError("--prolongation exact needs the sheet expressions: "
+                            "a --sheet-file has no exact derivatives")
     scenario = load_scenario(args.scenario)
     columns = scenario.sheet_columns(args.dump_coefficients)
     p, n = scenario.p, scenario.n
     header = scenario.names[:p + n] + columns + ["error"]
-    axes, values, fields = sheet_axes_and_values(scenario, refine=args.refine)
+    axes, values, fields = sheet_axes_and_values(
+        scenario, refine=args.refine, from_file=bool(args.sheet_file))
     if args.sheet_file:
         values = _load_sheet_values(args.sheet_file, axes, p, n)
-    if args.prolongation == "exact" and not args.sheet_file:
+    if args.prolongation == "exact":
         nodes = _exact_jets(scenario, axes, fields)
     else:
         nodes = prolong_sheet(StreamSheet(axes, values), scenario.space)

@@ -113,7 +113,7 @@ def energy_mixed_direct(ginv, H, G):
 def unit_vector(g, v, label, point=None):
     """(u^i, u_i, eps): v divided by its length eps, eps^2 = g_pq v^p v^q > 0."""
     norm2 = quadratic_form(g, v, v)
-    if dual.scalar_value(norm2) <= 0.0:
+    if dual.branch(dual.scalar_value(norm2) <= 0.0):
         raise NormalizationError(
             f"{label} quadratic form is not positive",
             point=point, value=dual.scalar_value(norm2),
@@ -302,9 +302,9 @@ class FluidFrame:
 
     def u_cov_low(self, ch, i, m):
         """u_{i|m} with the normalization differentiated through."""
-        acc = ch.dul[i][m]
+        acc = ch.dul[i][m]  # shared with the channel: no in-place update
         for r in range(self.n):
-            acc -= ch.coeff[r][i][m] * self.ul0[r]
+            acc = acc - ch.coeff[r][i][m] * self.ul0[r]
         return acc
 
     def qu_divergence(self, ch):
@@ -344,21 +344,15 @@ class FluidFrame:
             out.append(acc)
         return out
 
+    def channel_values(self, ch):
+        """Conservation, continuity, Lorentz residual, Euler and force of a
+        channel, then u^i and u_i: the inputs of :func:`add_residuals`."""
+        return [self.conservation(ch), self.continuity(ch), self.lorentz_residual(ch),
+                self.euler(ch), self.lorentz_force(ch), self.u0, self.ul0]
+
     def add_channel(self, report, ch, suffix=""):
         """Add the channel's residuals and identity diagnostics to a report."""
-        cons = np.array(self.conservation(ch))
-        cont = self.continuity(ch)
-        lorentz = self.lorentz_residual(ch)
-        euler = np.array(self.euler(ch))
-        u0 = np.array(self.u0)
-        ul0 = np.array(self.ul0)
-        report.add("lorentz" + suffix, lorentz)
-        report.add("conservation" + suffix, cons)
-        report.add("continuity" + suffix, cont)
-        report.add("euler" + suffix, euler)
-        report.add("force" + suffix, self.lorentz_force(ch))
-        report.add("contraction_identity" + suffix, float(cons @ u0 - cont - lorentz))
-        report.add("euler_decomposition" + suffix, euler - (cons - cont * ul0))
+        add_residuals(report, [np.array(v) for v in self.channel_values(ch)], suffix)
 
     def unit_norm_error(self):
         return float(np.array(self.ul0) @ np.array(self.u0) - 1.0)
@@ -384,6 +378,29 @@ class FluidFrame:
             acc += fac * (force[k] - sum_product(self.ginv0[k], ch.dp))
             out.append(acc)
         return out
+
+
+def add_residuals(report, values, suffix=""):
+    """Add one point's :meth:`FluidFrame.channel_values`, as float arrays, to a report."""
+    cons, cont, lorentz, euler, force, u0, ul0 = values
+    report.add("lorentz" + suffix, lorentz)
+    report.add("conservation" + suffix, cons)
+    report.add("continuity" + suffix, cont)
+    report.add("euler" + suffix, euler)
+    report.add("force" + suffix, force)
+    report.add("contraction_identity" + suffix, float(cons @ u0 - cont - lorentz))
+    report.add("euler_decomposition" + suffix, euler - (cons - cont * ul0))
+
+
+def split_lanes(values, size):
+    """Per-point lists of float arrays from floats, lane arrays and lists of them.
+
+    Each array is a fresh contiguous copy, as ``np.array`` of one point's
+    values is, so that ``@`` on it adds the terms as it does for one point.
+    """
+    stacked = [np.array([np.broadcast_to(e, (size,)) for e in v]).T if isinstance(v, list)
+               else np.broadcast_to(v, (size,)) for v in values]
+    return [[np.array(a[b]) for a in stacked] for b in range(size)]
 
 
 def integrate_rk4(accel, x0, v0, step, count, monitor=None):

@@ -19,6 +19,11 @@ as a loop over that table would.
 Coordinates entering the engine are plain Python floats, converted at
 the input boundary: a ``numpy.float64`` costs about twice as much per
 scalar operation and spreads into every coefficient.
+
+A batch of points runs through the same code with a float64 *lane array*
+(one lane per point) wherever a point value stands; each lane gets the
+bits of the scalar run, and :func:`branch` splits a batch whose lanes
+disagree on a condition.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ import itertools
 import math
 from itertools import combinations_with_replacement
 
-from .errors import DomainError
+import numpy as np
+
+from .errors import BatchSplit, DomainError
 
 MAX_ORDER = 3
 
@@ -110,6 +117,7 @@ class Jet:
     """Truncated Taylor expansion of a scalar in the seeds of one context."""
 
     __slots__ = ("ctx", "c")
+    __array_ufunc__ = None  # an ndarray operand is a lane array: ndarray + jet defers here
 
     def __init__(self, ctx, coeffs):
         self.ctx = ctx
@@ -164,7 +172,7 @@ class Jet:
             if other.ctx.level > self.ctx.level:
                 return other.__radd__(self)
             # fall through: other is an outer-level constant
-        elif not isinstance(other, (int, float)):
+        elif not isinstance(other, (int, float, np.ndarray)):
             return NotImplemented
         c = list(self.c)
         c[0] = c[0] + other
@@ -178,7 +186,7 @@ class Jet:
                 return Jet(self.ctx, [a - b for a, b in zip(self.c, other.c)])
             if other.ctx.level > self.ctx.level:
                 return other.__rsub__(self)
-        elif not isinstance(other, (int, float)):
+        elif not isinstance(other, (int, float, np.ndarray)):
             return NotImplemented
         c = list(self.c)
         c[0] = c[0] - other
@@ -198,7 +206,7 @@ class Jet:
                 return Jet(self.ctx, self.ctx.mul(self.c, other.c))
             if other.ctx.level > self.ctx.level:
                 return other.__rmul__(self)
-        elif not isinstance(other, (int, float)):
+        elif not isinstance(other, (int, float, np.ndarray)):
             return NotImplemented
         return Jet(self.ctx, [x * other for x in self.c])
 
@@ -210,7 +218,7 @@ class Jet:
                 return _div(self.ctx, self.c, other)
             if other.ctx.level > self.ctx.level:
                 return other.__rtruediv__(self)
-        elif not isinstance(other, (int, float)):
+        elif not isinstance(other, (int, float, np.ndarray)):
             return NotImplemented
         return Jet(self.ctx, [x / other for x in self.c])
 
@@ -252,7 +260,7 @@ def _div(ctx, num_coeffs, den):
     correct order per sweep; the value slot stays num0/den0 exactly.
     """
     den0 = den.c[0]
-    if scalar_value(den0) == 0.0:
+    if branch(scalar_value(den0) == 0.0):
         raise DomainError("division by zero")
     w = list(den.c)
     w[0] = 0.0
@@ -275,7 +283,7 @@ def scalar_value(x):
 def is_finite(x):
     """True when x, or every coefficient of a jet at any depth, is finite."""
     if not isinstance(x, Jet):
-        return math.isfinite(x)
+        return math.isfinite(x) if not isinstance(x, np.ndarray) else bool(np.isfinite(x).all())
     try:
         # a finite exact sum of floats has only finite terms; a jet
         # coefficient, an overflowing sum or inf - inf take the long way
@@ -310,7 +318,25 @@ def seed(values, seeds=None, order=1):
     return out, ctx
 
 
-# -- elementary functions, generic over floats and jets --------------------
+def branch(cond):
+    """Truth of a condition on point values; a lane array's lanes must agree."""
+    if isinstance(cond, np.ndarray):
+        if cond.all():
+            return True
+        if cond.any():
+            raise BatchSplit("a condition differs between the points of a batch")
+        return False
+    return cond
+
+
+# -- elementary functions, generic over floats, lane arrays and jets -------
+
+
+def _plain(fn, x):
+    """``fn`` of a plain value; of a lane array, ``fn`` of each lane."""
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    return np.array([fn(v) for v in x.tolist()])
 
 
 def sin(x):
@@ -318,7 +344,7 @@ def sin(x):
         v = x.c[0]
         s, c = sin(v), cos(v)
         return x._compose((s, c, -s, -c)[: x.ctx.order + 1])
-    return math.sin(x)
+    return _plain(math.sin, x)
 
 
 def cos(x):
@@ -326,42 +352,42 @@ def cos(x):
         v = x.c[0]
         s, c = sin(v), cos(v)
         return x._compose((c, -s, -c, s)[: x.ctx.order + 1])
-    return math.cos(x)
+    return _plain(math.cos, x)
 
 
 def exp(x):
     if isinstance(x, Jet):
         e = exp(x.c[0])
         return x._compose((e,) * (x.ctx.order + 1))
-    return math.exp(x)
+    return _plain(math.exp, x)
 
 
 def log(x):
     if isinstance(x, Jet):
         v = x.c[0]
-        if scalar_value(v) <= 0.0:
+        if branch(scalar_value(v) <= 0.0):
             raise DomainError("log of non-positive value")
         iv = 1.0 / v
         iv2 = iv * iv
         return x._compose((log(v), iv, -iv2, 2.0 * iv2 * iv)[: x.ctx.order + 1])
-    if x <= 0.0:
+    if branch(x <= 0.0):
         raise DomainError("log of non-positive value")
-    return math.log(x)
+    return _plain(math.log, x)
 
 
 def sqrt(x):
     if isinstance(x, Jet):
         v = x.c[0]
-        if scalar_value(v) <= 0.0:
+        if branch(scalar_value(v) <= 0.0):
             raise DomainError("sqrt of non-positive value")
         s = sqrt(v)
         h = 0.5 / s
         d2 = -0.5 * h / v
         d3 = -1.5 * d2 / v
         return x._compose((s, h, d2, d3)[: x.ctx.order + 1])
-    if x < 0.0:
+    if branch(x < 0.0):
         raise DomainError("sqrt of negative value")
-    return math.sqrt(x)
+    return _plain(math.sqrt, x)
 
 
 def tanh(x):
@@ -371,7 +397,7 @@ def tanh(x):
         d2 = -2.0 * t * sech2
         d3 = sech2 * (6.0 * t * t - 2.0)
         return x._compose((t, sech2, d2, d3)[: x.ctx.order + 1])
-    return math.tanh(x)
+    return _plain(math.tanh, x)
 
 
 def _ipow(x, e):

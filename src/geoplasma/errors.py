@@ -88,3 +88,7 @@ class GridError(GeoPlasmaError):
 
 class ScenarioError(GeoPlasmaError):
     """Scenario file failed validation."""
+
+
+class BatchSplit(Exception):
+    """A condition on point values differs between the points of a batch."""

@@ -307,7 +307,7 @@ def evaluate(node, binding):
 def _checked_div(left, right):
     """left/right with the walker's zero check on a plain divisor."""
     if not isinstance(left, dual.Jet) and not isinstance(right, dual.Jet):
-        if right == 0.0:
+        if dual.branch(right == 0.0):
             raise DomainError("division by zero")
     return left / right
 

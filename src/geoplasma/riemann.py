@@ -20,12 +20,14 @@ import numpy as np
 from .common import (
     FluidFrame,
     ResidualReport,
+    add_residuals,
     covariant_derivative,
     energy_low_mixed,
     energy_mixed_direct,
     integrate_rk4,
     mixed_stress,
     point_memo,
+    split_lanes,
     unit_vector,
 )
 from .dual import promote, seed
@@ -202,13 +204,26 @@ def conservation_divergence(state, space, em, x):
     return np.array([sum(div[m, i, m] for m in range(n)) for i in range(n)])
 
 
+def _report(values):
+    """The report of one point's channel values (float arrays)."""
+    report = ResidualReport()
+    add_residuals(report, values)
+    report.add("unit_norm_error", float(values[6] @ values[5] - 1.0))
+    return report
+
+
 def riemann_report(state, space, em, x):
     """Full residual report at one point, including identity diagnostics."""
     fr = _Frame(state, space, em, x)
-    report = ResidualReport()
-    fr.add_channel(report, fr.h)
-    report.add("unit_norm_error", fr.unit_norm_error())
-    return report
+    return _report([np.array(v) for v in fr.channel_values(fr.h)])
+
+
+def riemann_reports(state, space, em, points):
+    """:func:`riemann_report` at each point, bit for bit, from one frame seeded
+    once with one lane per point; points that disagree on a condition raise
+    ``BatchSplit``."""
+    fr = _Frame(state, space, em, [np.array(lane) for lane in zip(*points)])
+    return [_report(values) for values in split_lanes(fr.channel_values(fr.h), len(points))]
 
 
 def stream_line_rhs(state, space, em, x, xdot):

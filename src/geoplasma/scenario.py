@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lagrange as lag, multitime as mt, riemann as rm
 from .dual import scalar_value
-from .errors import ExprError, ScenarioError
+from .errors import BatchSplit, ExprError, GeoPlasmaError, ScenarioError
 from .lagrange import (
     GeneralizedLagrangeSpace,
     LagrangeFluidState,
@@ -39,6 +39,7 @@ from .tensor_core import MetricField, TwoFormField, christoffel_of, quadratic_fo
 from .verify import lagrange_invariants, multitime_invariants, riemann_invariants
 
 FRAMEWORKS = ("riemann", "lagrange", "multitime")
+BATCH_POINTS = 256  # points per batched report; its jet arrays grow with it
 
 _TOP_KEYS = {
     "framework", "n", "p", "c", "model", "metric", "h_metric", "connection",
@@ -147,6 +148,14 @@ class Scenario:
 
     hash = ""  # sha256 of the scenario file, set by load_scenario
 
+    def reports(self, points):
+        """The report at each point, or the GeoPlasmaError its evaluation raised."""
+        for coords in points:
+            try:
+                yield self.report(coords)
+            except GeoPlasmaError as err:
+                yield err
+
     def stream_line(self, x0, v0, step, count):
         """(monitor column names, rows [s, x, dx/ds, monitors]) of an RK4 stream line."""
         raise ScenarioError("streamline requires the riemann or lagrange framework")
@@ -170,6 +179,21 @@ class RiemannScenario(Scenario):
 
     def report(self, coords):
         return rm.riemann_report(self.state, self.space, self.em, coords)
+
+    def reports(self, points):
+        for start in range(0, len(points), BATCH_POINTS):
+            yield from self._batch(points[start:start + BATCH_POINTS])
+
+    def _batch(self, points):
+        """Reports of a batch; one that raises or overflows is halved down to single points."""
+        if len(points) > 1:
+            try:
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    return rm.riemann_reports(self.state, self.space, self.em, points)
+            except (BatchSplit, GeoPlasmaError, ArithmeticError):
+                half = len(points) // 2
+                return self._batch(points[:half]) + self._batch(points[half:])
+        return list(Scenario.reports(self, points))
 
     def invariants(self, coords):
         return riemann_invariants(self.state, self.space, self.em, coords)
@@ -613,11 +637,13 @@ def _box_spec(config, dim, need_shape, label):
     return np.array(lo), np.array(hi), shape
 
 
-def sheet_axes_and_values(scenario, refine=1):
-    """Expression sheet evaluated on its grid: (axes, values array).
+def sheet_axes_and_values(scenario, refine=1, from_file=False):
+    """Expression sheet evaluated on its grid: (axes, values array, fields).
 
     ``refine`` multiplies the node count per axis (shape 2k-1 for a
-    doubling) so convergence studies reuse one scenario.
+    doubling) so convergence studies reuse one scenario.  With
+    ``from_file`` a sheet file gives the values: ``sheet.x`` may be absent
+    (fields None) and is not evaluated (values None).
     """
     spec = scenario.sheet_spec
     if spec is None:
@@ -629,16 +655,20 @@ def sheet_axes_and_values(scenario, refine=1):
         raise ScenarioError(f"unknown sheet keys: {sorted(unknown)}")
     p, n = scenario.p, scenario.n
     exprs = spec.get("x")
-    if not isinstance(exprs, list) or len(exprs) != n:
+    if exprs is None and not from_file:
+        raise ScenarioError("the sheet needs 'sheet.x' expressions or a --sheet-file")
+    if exprs is not None and (not isinstance(exprs, list) or len(exprs) != n):
         raise ScenarioError(f"'sheet.x' must list {n} expressions over t1..t{p}")
-    tnames = scenario.names[:p]
-    fields = [_field(e, tnames, f"sheet.x[{i}]") for i, e in enumerate(exprs)]
+    fields = None if exprs is None else [
+        _field(e, scenario.names[:p], f"sheet.x[{i}]") for i, e in enumerate(exprs)]
     grid = spec.get("grid")
     lo, hi, shape = _box_spec(grid, p, True, "sheet.grid")
     shape = [(s - 1) * refine + 1 for s in shape]
     if any(s < 3 for s in shape):
         raise ScenarioError("sheet grid needs at least 3 nodes per axis")
     axes = tuple(np.linspace(lo[a], hi[a], shape[a]) for a in range(p))
+    if from_file:
+        return axes, None, fields
     values = np.empty(tuple(shape) + (n,))
     for idx in np.ndindex(*shape):
         t = [float(axes[a][idx[a]]) for a in range(p)]

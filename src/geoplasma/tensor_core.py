@@ -8,10 +8,13 @@ plain evaluation and derivative propagation.
 from __future__ import annotations
 
 import enum
+import functools
+
+import numpy as np
 
 from . import expr as expr_mod
-from .dual import promote, scalar_value, seed
-from .errors import DegenerateMetricError, TensorError
+from .dual import Jet, branch, promote, scalar_value, seed
+from .errors import BatchSplit, DegenerateMetricError, TensorError
 
 MAX_DIM = 8
 
@@ -45,20 +48,28 @@ def invert_symmetric(matrix, point=None):
     Works on generic scalar entries (derivatives of the inverse propagate
     through the elimination).  Pivots are compared on plain value parts;
     a pivot below 1e-13 of the largest input entry, or a NaN pivot, raises
-    :class:`DegenerateMetricError`.
+    :class:`DegenerateMetricError`.  The lanes of a batch must agree on every pivot.
     """
     n = len(matrix)
     if n > MAX_DIM:
         raise TensorError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
     a = [list(row) for row in matrix]
     inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    scale = max((abs(scalar_value(x)) for row in a for x in row), default=0.0)
-    if scale == 0.0:
+    sizes = [abs(scalar_value(x)) for row in a for x in row]
+    batch = any(isinstance(v, np.ndarray) for v in sizes)  # finite lanes: max's bits
+    scale = functools.reduce(np.maximum, sizes) if batch else max(sizes, default=0.0)
+    if branch(scale == 0.0):
         raise DegenerateMetricError("zero matrix is not invertible", point)
     threshold = 1e-13 * scale
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(scalar_value(a[r][col])))
-        if not abs(scalar_value(a[pivot_row][col])) >= threshold:  # NaN-safe
+        # max() over the rows: the first of equal sizes wins
+        pivot_row, size = col, abs(scalar_value(a[col][col]))
+        for r in range(col + 1, n):
+            if branch(abs(scalar_value(a[r][col])) > size):
+                pivot_row, size = r, abs(scalar_value(a[r][col]))
+        if not branch(size >= threshold):  # NaN-safe
+            if batch:
+                raise BatchSplit("singular metric in a batch")
             raise DegenerateMetricError(
                 f"metric is singular or near-singular (pivot {scalar_value(a[pivot_row][col]):.3e})",
                 point,
@@ -73,7 +84,7 @@ def invert_symmetric(matrix, point=None):
             if r == col:
                 continue
             f = a[r][col]
-            if isinstance(f, (int, float)) and f == 0.0:
+            if not isinstance(f, Jet) and branch(f == 0.0):
                 continue
             a[r] = [x - f * y for x, y in zip(a[r], a[col])]
             inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]

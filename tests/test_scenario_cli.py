@@ -237,6 +237,32 @@ def test_cli_verify_report_file(tmp_path):
     assert "metric_compatibility" in payload["invariants"]
 
 
+_POLAR = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / "polar_plasma.json")
+                    .read_text())
+
+
+def test_cli_verify_isolates_a_failing_point(tmp_path, capsys):
+    # the singular middle point stopped the command: exit 1, empty stdout, no --out file
+    config = dict(_POLAR, eval={"points": [[1, 0.1], [0, 0.2], [1.2, -0.1]]})
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--scenario", write(tmp_path, config), "--out", str(out)]) == 1
+    stdout = capsys.readouterr().out
+    error = "metric is singular or near-singular (pivot 0.000e+00) at point (0.0, 0.2)"
+    assert re.search(r"^metric_compatibility\s+\S+\s+ok$", stdout, re.M), stdout
+    assert f"failed points (1 of 3):\n  [0.0, 0.2]: {error}\n" in stdout
+    payload = json.loads(out.read_text())
+    assert payload["points"] == 3 and payload["failed"] == []
+    assert payload["failed_points"] == [{"point": [0.0, 0.2], "error": error}]
+    assert set(payload["invariants"]) >= {"metric_compatibility", "stress_mixed_identity"}
+
+    # every point fails: still a report and exit 1, no traceback
+    config = dict(_POLAR, eval={"points": [[0, 0.1], [0, 0.2]]})
+    assert main(["verify", "--scenario", write(tmp_path, config), "--out", str(out)]) == 1
+    assert "failed points (2 of 2):" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["invariants"] == {} and len(payload["failed_points"]) == 2
+
+
 def test_cli_verify_bsml_includes_degeneracy_checks(tmp_path):
     path = write(tmp_path, multitime_config())
     out = tmp_path / "verify.json"
@@ -321,7 +347,7 @@ def test_cli_streamsheet_scan(tmp_path):
     assert "error" in header
 
 
-def test_cli_streamsheet_coefficients_and_exact(tmp_path):
+def test_cli_streamsheet_coefficients_and_exact(tmp_path, capsys):
     path = write(tmp_path, multitime_config())
     out = tmp_path / "sheet.csv"
     assert main([
@@ -330,6 +356,13 @@ def test_cli_streamsheet_coefficients_and_exact(tmp_path):
     ]) == 0
     header = out.read_text().splitlines()[1].split(",")
     assert "H_1" in header and "V_12" in header
+    # a sampled file has no exact derivatives: the stencil bytes came out under exit 0
+    out.unlink()
+    assert main(["streamsheet", "--scenario", path, "--out", str(out), "--prolongation",
+                 "exact", "--sheet-file", _sheet_file(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "--prolongation exact" in err and "--sheet-file" in err
+    assert not out.exists()
 
 
 def test_cli_streamline_framework_guard(tmp_path, capsys):
@@ -507,6 +540,28 @@ def test_cli_rejects_non_string_scenario_entries(framework, key, value, message,
     assert message in capsys.readouterr().err
 
 
+def test_cli_streamsheet_sheet_file_needs_no_sheet_expressions(tmp_path, capsys):
+    # the file run asked for sheet.x and evaluated it, then replaced the values
+    expr_out = tmp_path / "expr.csv"
+    assert main(["streamsheet", "--scenario", write(tmp_path, multitime_config()),
+                 "--out", str(expr_out)]) == 0
+    lines = expr_out.read_text().splitlines()
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("\n".join(",".join(line.split(",")[:4]) for line in lines[1:]) + "\n")
+    config = multitime_config()
+    del config["sheet"]["x"]
+    path = write(tmp_path, config, "no_x.json")
+    file_out = tmp_path / "file.csv"
+    assert main(["streamsheet", "--scenario", path, "--sheet-file", str(nodes),
+                 "--out", str(file_out)]) == 0
+    assert file_out.read_text().splitlines()[1:] == lines[1:]
+    # neither expressions nor a file: an input error naming both
+    capsys.readouterr()
+    assert main(["streamsheet", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert "'sheet.x'" in err and "--sheet-file" in err
+
+
 @pytest.mark.parametrize("change, message", [
     ("reverse", "sheet file row 1 (t..., x...) has t = [1.0, 1.0], expected the grid node "
                 "t = [0.0, 0.0]"),
@@ -599,7 +654,8 @@ class _NanReport:
 
 
 def test_cli_residuals_last_guard_marks_a_non_finite_row(tmp_path, monkeypatch):
-    monkeypatch.setattr(RiemannScenario, "report", lambda scenario, coords: _NanReport())
+    monkeypatch.setattr(RiemannScenario, "reports",
+                        lambda scenario, points: [_NanReport() for _ in points])
     out = tmp_path / "r.csv"
     assert main(["residuals", "--scenario", write(tmp_path, riemann_config()),
                  "--points", "2", "--out", str(out)]) == 1
