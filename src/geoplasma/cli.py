@@ -153,18 +153,12 @@ def cmd_residuals(args):
     points, seed = evaluation_points(scenario, seed=args.seed, count=args.points)
     results = []
     for coords, report in zip(points, scenario.reports(points)):
-        if isinstance(report, GeoPlasmaError):
-            results.append((coords, None, str(report).replace(",", ";")))
-            continue
-        cols = report.columns()
+        cols = None if isinstance(report, GeoPlasmaError) else report.columns()
         # last guard: a non-finite number is never written as a result
-        bad = _non_finite_column(cols)
-        results.append((coords, None, bad) if bad else (coords, cols, ""))
-    first_ok = next((cols for _, cols, _ in results if cols is not None), None)
-    if first_ok is None:
-        header = scenario.names + ["error"]
-    else:
-        header = scenario.names + [label for label, _ in first_ok] + ["error"]
+        err = str(report).replace(",", ";") if cols is None else _non_finite_column(cols)
+        results.append((coords, None, err) if err else (coords, cols, ""))
+    first_ok = next((cols for _, cols, _ in results if cols is not None), [])
+    header = scenario.names + [label for label, _ in first_ok] + ["error"]
     rows = []
     for coords, cols, err in results:
         if cols is None:
@@ -213,8 +207,7 @@ def cmd_streamsheet(args):
     columns = scenario.sheet_columns(args.dump_coefficients)
     p, n = scenario.p, scenario.n
     header = scenario.names[:p + n] + columns + ["error"]
-    axes, values, fields = sheet_axes_and_values(
-        scenario, refine=args.refine, from_file=bool(args.sheet_file))
+    axes, values, fields = sheet_axes_and_values(scenario, args.refine, bool(args.sheet_file))
     if args.sheet_file:
         values = _load_sheet_values(args.sheet_file, axes, p, n)
     if args.prolongation == "exact":
@@ -232,14 +225,11 @@ def cmd_streamsheet(args):
             bad = _non_finite_column(zip(header, row))
             if bad:
                 raise DomainError(bad)
-            row += [""]
-            rows.append(row)
+            rows.append(row + [""])
         except GeoPlasmaError as err:
             any_error = True
-            rows.append(
-                base + ["nan"] * (len(header) - len(base) - 1)
-                + [str(err).replace(",", ";")]
-            )
+            rows.append(base + ["nan"] * (len(header) - len(base) - 1)
+                        + [str(err).replace(",", ";")])
     _write_lines(args.out, _csv_lines(scenario, header, rows))
     return 1 if any_error else 0
 
@@ -254,9 +244,7 @@ def _load_sheet_values(path, axes, p, n):
     expected = int(np.prod(shape))
     data = lines[1:] if lines and not _is_number_row(lines[0]) else lines
     if len(data) != expected:
-        raise ScenarioError(
-            f"sheet file has {len(data)} data rows, grid expects {expected}"
-        )
+        raise ScenarioError(f"sheet file has {len(data)} data rows, grid expects {expected}")
     values = np.empty(shape + (n,))
     for row_idx, (idx, line) in enumerate(zip(np.ndindex(shape), data)):
         label = f"sheet file row {row_idx + 1} (t..., x...)"

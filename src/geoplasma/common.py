@@ -350,13 +350,6 @@ class FluidFrame:
         return [self.conservation(ch), self.continuity(ch), self.lorentz_residual(ch),
                 self.euler(ch), self.lorentz_force(ch), self.u0, self.ul0]
 
-    def add_channel(self, report, ch, suffix=""):
-        """Add the channel's residuals and identity diagnostics to a report."""
-        add_residuals(report, [np.array(v) for v in self.channel_values(ch)], suffix)
-
-    def unit_norm_error(self):
-        return float(np.array(self.ul0) @ np.array(self.u0) - 1.0)
-
     def stream_line_core(self, ch, w):
         """Geodesic and force terms of d^2 x^k/ds^2 along ``w`` = dx/ds.
 
@@ -381,8 +374,12 @@ class FluidFrame:
 
 
 def add_residuals(report, values, suffix=""):
-    """Add one point's :meth:`FluidFrame.channel_values`, as float arrays, to a report."""
-    cons, cont, lorentz, euler, force, u0, ul0 = values
+    """Add one point's :meth:`FluidFrame.channel_values` to a report.
+
+    Each value is copied to a fresh contiguous float array first, so that
+    ``@`` adds its terms in one order whatever layout the value had.
+    """
+    cons, cont, lorentz, euler, force, u0, ul0 = (np.array(v) for v in values)
     report.add("lorentz" + suffix, lorentz)
     report.add("conservation" + suffix, cons)
     report.add("continuity" + suffix, cont)
@@ -392,15 +389,16 @@ def add_residuals(report, values, suffix=""):
     report.add("euler_decomposition" + suffix, euler - (cons - cont * ul0))
 
 
-def split_lanes(values, size):
-    """Per-point lists of float arrays from floats, lane arrays and lists of them.
+def unit_norm_error(u, u_low):
+    """u_i u^i - 1 at one point."""
+    return float(np.array(u_low) @ np.array(u) - 1.0)
 
-    Each array is a fresh contiguous copy, as ``np.array`` of one point's
-    values is, so that ``@`` on it adds the terms as it does for one point.
-    """
+
+def split_lanes(values, size):
+    """Per-point lists of values from floats, lane arrays and lists of them."""
     stacked = [np.array([np.broadcast_to(e, (size,)) for e in v]).T if isinstance(v, list)
                else np.broadcast_to(v, (size,)) for v in values]
-    return [[np.array(a[b]) for a in stacked] for b in range(size)]
+    return [[a[b] for a in stacked] for b in range(size)]
 
 
 def integrate_rk4(accel, x0, v0, step, count, monitor=None):

@@ -324,7 +324,7 @@ def branch(cond):
         if cond.all():
             return True
         if cond.any():
-            raise BatchSplit("a condition differs between the points of a batch")
+            raise BatchSplit(cond)
         return False
     return cond
 

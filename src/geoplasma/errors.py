@@ -91,4 +91,8 @@ class ScenarioError(GeoPlasmaError):
 
 
 class BatchSplit(Exception):
-    """A condition on point values differs between the points of a batch."""
+    """The points of a batch must run apart: in two groups by the condition
+    ``lanes`` (a bool per point) they disagree on, or one by one when None."""
+
+    def __init__(self, lanes=None):
+        self.lanes = lanes

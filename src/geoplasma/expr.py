@@ -280,7 +280,7 @@ def evaluate(node, binding):
                 return left * right
             if node.op == "/":
                 if not isinstance(left, dual.Jet) and not isinstance(right, dual.Jet):
-                    if right == 0.0:
+                    if dual.branch(right == 0.0):
                         raise DomainError("division by zero")
                 return left / right
             return dual.power(left, right)

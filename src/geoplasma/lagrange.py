@@ -18,12 +18,14 @@ import numpy as np
 from .common import (
     FluidFrame,
     ResidualReport,
+    add_residuals,
     covariant_derivative,
     energy_divergence,
     energy_low_mixed,
     integrate_rk4,
     mixed_stress,
     point_memo,
+    unit_norm_error,
     unit_vector,
 )
 from .dual import promote, scalar_value, seed
@@ -226,9 +228,9 @@ def lagrange_residuals(state, space, coords):
     ]
     report.add("stress", T_low)
     report.add("stress_mixed", T_mix)
-    fr.add_channel(report, fr.h, "_h")
-    fr.add_channel(report, fr.v, "_v")
-    report.add("unit_norm_error", fr.unit_norm_error())
+    add_residuals(report, fr.channel_values(fr.h), "_h")
+    add_residuals(report, fr.channel_values(fr.v), "_v")
+    report.add("unit_norm_error", unit_norm_error(fr.u0, fr.ul0))
     return report
 
 

@@ -28,6 +28,7 @@ from .common import (
     mixed_stress,
     point_memo,
     split_lanes,
+    unit_norm_error,
     unit_vector,
 )
 from .dual import promote, seed
@@ -205,23 +206,22 @@ def conservation_divergence(state, space, em, x):
 
 
 def _report(values):
-    """The report of one point's channel values (float arrays)."""
+    """The report of one point's channel values."""
     report = ResidualReport()
     add_residuals(report, values)
-    report.add("unit_norm_error", float(values[6] @ values[5] - 1.0))
+    report.add("unit_norm_error", unit_norm_error(values[5], values[6]))
     return report
 
 
 def riemann_report(state, space, em, x):
     """Full residual report at one point, including identity diagnostics."""
     fr = _Frame(state, space, em, x)
-    return _report([np.array(v) for v in fr.channel_values(fr.h)])
+    return _report(fr.channel_values(fr.h))
 
 
 def riemann_reports(state, space, em, points):
-    """:func:`riemann_report` at each point, bit for bit, from one frame seeded
-    once with one lane per point; points that disagree on a condition raise
-    ``BatchSplit``."""
+    """:func:`riemann_report` at each point, bit for bit, from one frame with one
+    lane per point; points that disagree on a condition raise ``BatchSplit``."""
     fr = _Frame(state, space, em, [np.array(lane) for lane in zip(*points)])
     return [_report(values) for values in split_lanes(fr.channel_values(fr.h), len(points))]
 

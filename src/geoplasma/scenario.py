@@ -40,6 +40,7 @@ from .verify import lagrange_invariants, multitime_invariants, riemann_invariant
 
 FRAMEWORKS = ("riemann", "lagrange", "multitime")
 BATCH_POINTS = 256  # points per batched report; its jet arrays grow with it
+MIN_BATCH = 16  # fewer points run one by one: a batch costs about 8 one-point reports
 
 _TOP_KEYS = {
     "framework", "n", "p", "c", "model", "metric", "h_metric", "connection",
@@ -154,6 +155,7 @@ class Scenario:
             try:
                 yield self.report(coords)
             except GeoPlasmaError as err:
+                err.__traceback__ = err.__context__ = None  # hold no frames of the point
                 yield err
 
     def stream_line(self, x0, v0, step, count):
@@ -185,15 +187,25 @@ class RiemannScenario(Scenario):
             yield from self._batch(points[start:start + BATCH_POINTS])
 
     def _batch(self, points):
-        """Reports of a batch; one that raises or overflows is halved down to single points."""
-        if len(points) > 1:
+        """Reports of a batch.  Points that disagree on a condition run as two
+        batches, split by it; a batch that fails or overflows otherwise, and
+        one of fewer than MIN_BATCH points, runs point by point."""
+        lanes = None
+        if len(points) >= MIN_BATCH:
             try:
                 with np.errstate(divide="raise", over="raise", invalid="raise"):
                     return rm.riemann_reports(self.state, self.space, self.em, points)
-            except (BatchSplit, GeoPlasmaError, ArithmeticError):
-                half = len(points) // 2
-                return self._batch(points[:half]) + self._batch(points[half:])
-        return list(Scenario.reports(self, points))
+            except BatchSplit as split:
+                lanes = split.lanes
+            except (GeoPlasmaError, ArithmeticError):
+                pass
+        if lanes is None:
+            return list(Scenario.reports(self, points))
+        out = {}
+        for side in (lanes, ~lanes):  # past the handler: the failed batch is freed
+            picked = np.flatnonzero(side).tolist()
+            out.update(zip(picked, self._batch([points[k] for k in picked])))
+        return [out[k] for k in range(len(points))]
 
     def invariants(self, coords):
         return riemann_invariants(self.state, self.space, self.em, coords)
@@ -661,8 +673,7 @@ def sheet_axes_and_values(scenario, refine=1, from_file=False):
         raise ScenarioError(f"'sheet.x' must list {n} expressions over t1..t{p}")
     fields = None if exprs is None else [
         _field(e, scenario.names[:p], f"sheet.x[{i}]") for i, e in enumerate(exprs)]
-    grid = spec.get("grid")
-    lo, hi, shape = _box_spec(grid, p, True, "sheet.grid")
+    lo, hi, shape = _box_spec(spec.get("grid"), p, True, "sheet.grid")
     shape = [(s - 1) * refine + 1 for s in shape]
     if any(s < 3 for s in shape):
         raise ScenarioError("sheet grid needs at least 3 nodes per axis")
@@ -672,6 +683,5 @@ def sheet_axes_and_values(scenario, refine=1, from_file=False):
     values = np.empty(tuple(shape) + (n,))
     for idx in np.ndindex(*shape):
         t = [float(axes[a][idx[a]]) for a in range(p)]
-        for i in range(n):
-            values[idx + (i,)] = fields[i](t)
+        values[idx] = [f(t) for f in fields]
     return axes, values, fields

@@ -69,7 +69,7 @@ def invert_symmetric(matrix, point=None):
                 pivot_row, size = r, abs(scalar_value(a[r][col]))
         if not branch(size >= threshold):  # NaN-safe
             if batch:
-                raise BatchSplit("singular metric in a batch")
+                raise BatchSplit()  # the message formats each point's pivot
             raise DegenerateMetricError(
                 f"metric is singular or near-singular (pivot {scalar_value(a[pivot_row][col]):.3e})",
                 point,

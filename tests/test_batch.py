@@ -4,7 +4,8 @@
 lane per point in every jet coefficient.  Each report must equal the
 one-point ``report`` at its point by ``repr`` of every column, and a point
 that fails must carry exactly the error text of the one-point path, also
-where the failure, a pivot choice or an overflow splits the batch.
+where the failure, a pivot choice or an overflow splits the batch.  The
+small cases batch down to two points, below the default ``MIN_BATCH``.
 """
 
 import json
@@ -13,8 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from geoplasma import dual, riemann
-from geoplasma.errors import BatchSplit, GeoPlasmaError
+from geoplasma import dual, expr, riemann, scenario as scenario_mod
+from geoplasma.errors import BatchSplit, DomainError, GeoPlasmaError
 from geoplasma.scenario import build_scenario, evaluation_points, load_scenario
 
 from test_output_bytes import RIEMANN3, SCENARIOS
@@ -35,6 +36,8 @@ CASES = {
     "polar_plasma": (POLAR, None),
     # x1 = 0 makes the polar metric singular at the middle point only
     "singular_middle_point": (_polar(eval={"points": THREE}), 1),
+    # two singular points make a batch that is singular in every lane
+    "singular_pair": (_polar(eval={"points": [[0.0, 0.1], [1.0, 0.3], [0.0, 0.2]]}), 2),
     # |phi_11| < |phi_12| at x1 < 0.5: the first pivot row differs between points
     "pivot_row": (_polar(metric=[["x1", "0.5"], ["2"]],
                          eval={"points": [[1.0, 0.1], [0.3, 0.2], [1.2, -0.1], [0.25, 0.0]]}),
@@ -65,6 +68,7 @@ def _one_point(scenario, coords):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_batched_reports_equal_one_point_reports(name, monkeypatch):
+    monkeypatch.setattr(scenario_mod, "MIN_BATCH", 2)
     config, failures = CASES[name]
     scenario = build_scenario(config)
     points, _ = evaluation_points(scenario)
@@ -83,6 +87,51 @@ def test_batched_reports_equal_one_point_reports(name, monkeypatch):
     if name == "algebra_overflow":
         # the one-point report holds a non-finite number, which the CLI's last guard names
         assert not all(math.isfinite(v) for _, v in single[1].columns())
+
+
+# box samples in random order: failing points or a second pivot row scattered
+# through them, on the side of x1 = 0 or of x1 = 0.5 (|phi_11| < |phi_12|)
+SCATTERED = {
+    "log_domain": (_polar(metric=FLAT, pressure="0.3 + 0.01*log(x1)",
+                          eval={"box": {"min": [-1.0, -0.5], "max": [1.0, 0.5]}, "count": 64}),
+                   0.0),
+    "pivot_row": (_polar(metric=[["x1", "0.5"], ["2"]],
+                         eval={"box": {"min": [0.2, -0.5], "max": [0.8, 0.5]}, "count": 64}),
+                  0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCATTERED))
+def test_a_batch_splits_by_the_condition_its_points_disagree_on(name, monkeypatch):
+    config, edge = SCATTERED[name]
+    scenario = build_scenario(config)
+    points, _ = evaluation_points(scenario)
+    seeds = []
+    original = riemann.seed
+    monkeypatch.setattr(riemann, "seed", lambda *a, **k: seeds.append(1) or original(*a, **k))
+    batched = list(scenario.reports(points))
+    monkeypatch.setattr(riemann, "seed", original)
+    single = [_one_point(scenario, coords) for coords in points]
+    assert [_key(r) for r in batched] == [_key(r) for r in single]
+    failed = sum(isinstance(r, GeoPlasmaError) for r in single)
+    assert 16 <= sum(x1 < edge for x1, _ in points) <= 48  # both sides are batches
+    # the batch, one batch per side, and each failing point alone; halving
+    # down to single points would seed about 2 * failures + 30 times
+    assert len(seeds) == 3 + failed
+
+
+def test_a_plain_lane_divisor_splits_on_its_zero_lanes():
+    tree = expr.parse("1/(x1 - 1)")
+    with pytest.raises(BatchSplit) as split:
+        expr.evaluate(tree, {"x1": np.array([1.0, 2.0, 1.0])})
+    assert split.value.lanes.tolist() == [True, False, True]
+    with pytest.raises(BatchSplit):
+        expr.compile_field([tree], ["x1"], ["f"])([np.array([1.0, 2.0])])
+    with pytest.raises(DomainError) as one:
+        expr.evaluate(tree, {"x1": 1.0})
+    with pytest.raises(DomainError) as every:  # every lane zero: the one-point error
+        expr.evaluate(tree, {"x1": np.array([1.0, 1.0])})
+    assert str(every.value) == str(one.value)
 
 
 def test_batches_are_chunked_and_keep_point_order():
@@ -107,7 +156,8 @@ def test_lane_array_operands_and_branches():
     assert isinstance(np.array([3.0, 4.0]) + x[0], dual.Jet)  # no object array
     assert dual.branch(np.array([1.0, 2.0]) > 0.0) is True
     assert dual.branch(np.array([1.0, 2.0]) < 0.0) is False
-    with pytest.raises(BatchSplit):
+    with pytest.raises(BatchSplit) as split:
         dual.branch(np.array([1.0, 2.0]) > 1.5)
+    assert split.value.lanes.tolist() == [False, True]
     with pytest.raises(BatchSplit):
         dual.log(x[0] - 1.5)

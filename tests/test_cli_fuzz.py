@@ -82,7 +82,7 @@ def test_mutated_scenarios_exit_with_a_code(data, tmp_path_factory):
         mutate(config, data.draw(st.sampled_from(where), label="path"),
                data.draw(st.one_of(st.just(DROP), VALUES), label="value"))
     at = ",".join(["0.7"] * DIMENSION[name])
-    commands = [["residuals", "--points", "1"], ["residuals", "--points", "5"],
+    commands = [["residuals", "--points", "1"], ["residuals", "--points", "16"],
                 ["verify", "--points", "1"], ["connection", "--at", at]]
     if SHIPPED[name]["framework"] == "multitime":
         commands.append(["streamsheet"])

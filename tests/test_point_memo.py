@@ -80,13 +80,11 @@ def test_verify_counts_per_point(name, counts, capsys):
 @pytest.mark.parametrize("name", sorted(PER_POINT))
 def test_residuals_counts_unchanged(name, counts, tmp_path):
     _, _, seeds, inversions = PER_POINT[name]
-    # riemann evaluates the 3 points as one batch: one frame for all of them
-    frames = 1 if name == "polar_plasma" else 3
     out = tmp_path / "r.csv"
     assert main(["residuals", "--scenario", scenario_path(name), "--points", "3",
                  "--out", str(out)]) == 0
-    assert counts["seed"] == frames * seeds
-    assert counts["invert_symmetric"] == frames * inversions
+    assert counts["seed"] == 3 * seeds
+    assert counts["invert_symmetric"] == 3 * inversions
 
 
 # scenario -> evaluations of the space metric (phi or g) per residuals point:
