@@ -189,10 +189,10 @@ def covariant_derivative(T, slots, partial, coeff):
                 pre, i, post = idx[:a], idx[a], idx[a + 1:]
                 if slot.up:
                     for m in range(n):
-                        acc += vals[pre + (m,) + post] * coeff[i][m][p]
+                        acc = acc + vals[pre + (m,) + post] * coeff[i][m][p]
                 else:
                     for m in range(n):
-                        acc -= vals[pre + (m,) + post] * coeff[m][i][p]
+                        acc = acc - vals[pre + (m,) + post] * coeff[m][i][p]
             out[idx + (p,)] = acc
     return out
 

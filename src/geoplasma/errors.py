@@ -96,3 +96,8 @@ class BatchSplit(Exception):
 
     def __init__(self, lanes=None):
         self.lanes = lanes
+
+
+class SeedingError(TypeError):
+    """Jets of two seedings meet, or a seeding is given jets: derivatives are
+    first-order in the seeds of one seeding, never nested."""

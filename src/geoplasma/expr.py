@@ -17,7 +17,7 @@ and pow (two arguments).
 
 Expressions are immutable after parsing; evaluation is pure and works
 over any scalar type the arithmetic helpers in :mod:`geoplasma.dual`
-accept (plain floats or jets).
+accept (plain floats, lane arrays or jets).
 
 Two evaluators share these semantics.  :func:`compile_field` turns the
 trees of one field (say all upper-triangle entries of a metric) into one
@@ -26,7 +26,8 @@ the parsed trees: it runs every operation of the trees with the same
 operands in the same order, computes identical subtrees once, and so
 returns the same bits as the tree walker :func:`evaluate`.  The walker
 stays the reference: the compiled field re-runs it whenever the compiled
-code raises, so every error and its subexpression text are the walker's.
+code raises, so every error and its subexpression text are the walker's
+(a batch split passes through: the walker would raise the same one).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import re
 from dataclasses import dataclass
 
 from . import dual
-from .errors import DomainError, ExprError, ExprSyntaxError, UnboundVariableError
+from .errors import BatchSplit, DomainError, ExprError, ExprSyntaxError, UnboundVariableError
 
 # Deepest expression accepted (deeper ones are an ExprError), in tree levels
 # and in frames of parser recursion, where a group or call argument recurses
@@ -384,10 +385,11 @@ def compile_field(trees, names, labels):
     """One function of the coordinate list giving every tree's value, in order.
 
     ``names[k]`` binds to ``coords[k]``.  A value, or any jet coefficient
-    of it at any depth, that is not finite raises :class:`DomainError`
-    naming the tree by its entry in ``labels``.  When the generated code
-    raises, the walker evaluates the trees one by one in order and raises
-    exactly what evaluating them with :func:`evaluate` raises.
+    of it, that is not finite raises :class:`DomainError` naming the tree
+    by its entry in ``labels``.  When the generated code raises, the walker
+    evaluates the trees one by one in order and raises exactly what
+    evaluating them with :func:`evaluate` raises; a :class:`BatchSplit`
+    passes through, since the walker would raise the same split.
     """
     trees = tuple(trees)
     names = tuple(names)
@@ -398,6 +400,8 @@ def compile_field(trees, names, labels):
     def field(coords):
         try:
             values = straight(coords)
+        except BatchSplit:
+            raise
         except Exception:
             # the reference walker, in entry order, raises the error with
             # its subexpression text

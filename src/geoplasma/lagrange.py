@@ -36,7 +36,6 @@ from .tensor_core import (
     christoffel_of,
     eval_jets,
     invert_symmetric,
-    MatrixMetricField,
     quadratic_form,
     sum_product,
 )
@@ -102,7 +101,7 @@ def _adapted_partials(space, coords):
     def horizontal(jet, k):
         acc = jet.d(k)
         for r in range(n):
-            acc -= N0[r][k] * jet.d(n + r)
+            acc = acc - N0[r][k] * jet.d(n + r)
         return acc
 
     def vertical(jet, k):
@@ -356,44 +355,3 @@ def integrate_h_stream_line(state, space, x0, v0, step, count):
         lambda x, v: h_stream_line_rhs(state, space, x, v), x0, v0, step, count,
         monitor=vc_norm,
     )
-
-
-def finsler_space_from_F(F, n):
-    """Generalized Lagrange space of a Finsler fundamental function.
-
-    g_ij = (1/2) d^2 F^2 / dy^i dy^j via second-order fiber jets.  The
-    returned spray fn gives G^k = (1/2) Gamma^k_pq y^p y^q with the
-    generalized Christoffel symbols of g; the nonlinear connection is its
-    fiber derivative N^i_j = dG^i/dy^j.
-    """
-
-    def f2(coords):
-        v = F(coords)
-        return v * v
-
-    def g_matrix(coords):
-        fiber = list(range(n, 2 * n))
-        cj, ctx = seed(list(coords), seeds=fiber, order=2)
-        val = promote(f2(cj), ctx)
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                entry = 0.5 * val.d(i, j)
-                out[i][j] = entry
-                out[j][i] = entry
-        return out
-
-    metric = MatrixMetricField(n, g_matrix)
-
-    def spray(coords):
-        gamma = christoffel_of(metric, coords, seeds=range(n))
-        y = coords[n:]
-        return [0.5 * quadratic_form(gamma[k], y, y) for k in range(n)]
-
-    def N_fn(coords):
-        fiber = list(range(n, 2 * n))
-        cj, ctx = seed(list(coords), seeds=fiber)
-        Gk = [promote(v, ctx) for v in spray(cj)]
-        return [[Gk[i].d(j) for j in range(n)] for i in range(n)]
-
-    return GeneralizedLagrangeSpace(n, metric, N_fn), spray, f2

@@ -111,7 +111,7 @@ class _Derivatives:
                 if k == 0.0:
                     continue
                 for m in range(self.n):
-                    acc += k * self.xd0[m][gamma] * self.fiber(jet, m, mu)
+                    acc = acc + k * self.xd0[m][gamma] * self.fiber(jet, m, mu)
         return acc
 
     def delta_x(self, jet, i):
@@ -120,7 +120,7 @@ class _Derivatives:
             for mu in range(self.p):
                 nval = self.N0[m][mu][i]
                 if nval != 0.0:
-                    acc -= nval * self.fiber(jet, m, mu)
+                    acc = acc - nval * self.fiber(jet, m, mu)
         return acc
 
 

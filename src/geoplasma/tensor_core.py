@@ -183,10 +183,9 @@ class MetricField:
 class MatrixMetricField:
     """Symmetric metric field backed by one whole-matrix evaluator.
 
-    Used for derived metrics (conformal factors, rank-one updates,
-    second fiber derivatives of a fundamental function) where computing
-    entries separately would repeat work.  The evaluator must return a
-    symmetric square list-of-lists and accept jet coordinates.
+    Used for derived metrics (conformal factors, rank-one updates) where
+    computing entries separately would repeat work.  The evaluator must
+    return a symmetric square list-of-lists and accept jet coordinates.
     """
 
     def __init__(self, dim, matrix_fn):

@@ -4,17 +4,22 @@ The independent oracles are written against numpy/einsum or finite
 differences so they do not share code paths with the package internals
 they check.  The reference implementations at the end are the package's
 unreduced or former forms (seeded scalar-field evaluation, the covariant
-stream-sheet residuals, the edml Lagrangian, the multi-time velocity);
-only tests call them.
+stream-sheet residuals, the edml Lagrangian, the multi-time velocity,
+the Finsler space of a fundamental function on the general jet engine
+of :mod:`reference_dual`); only tests call them.
 The adapters return what the tests read from the pieces the pipelines
 use (``common.unit_vector``, the adapted partials, the connection lists).
 """
 
 import numpy as np
 
+import reference_dual as ref
+from geoplasma import expr as expr_mod
 from geoplasma.common import energy_low_mixed, unit_vector
 from geoplasma.dual import Jet, promote, scalar_value, seed
-from geoplasma.lagrange import _adapted_partials
+from geoplasma.errors import DomainError
+from geoplasma.expr import BinOp, Call, Neg, Num, Var, compile_field, parse
+from geoplasma.lagrange import GeneralizedLagrangeSpace, _adapted_partials
 from geoplasma.multitime import (
     _Derivatives,
     _Frame,
@@ -24,10 +29,13 @@ from geoplasma.multitime import (
 )
 from geoplasma.riemann import ElectromagneticPair, FluidState, SemiRiemannianSpace
 from geoplasma.tensor_core import (
+    MatrixMetricField,
     MetricField,
     TwoFormField,
+    christoffel_from,
     constant_field,
     invert_symmetric,
+    quadratic_form,
     scalar_field,
     sum_product,
 )
@@ -447,19 +455,16 @@ def adapted_jet_derivatives(field, space, coords):
 # -- reference implementations ---------------------------------------------------
 
 
-def field_jet(field, coords, seeds=None, order=1):
+def field_jet(field, coords, seeds=None):
     """Evaluate a scalar field with seeded coordinates.
 
-    Returns the resulting :class:`~geoplasma.dual.Jet` (value plus all
-    mixed partials up to ``order`` with respect to the seeded coordinate
-    positions).  Constant fields are promoted to jets so the derivative
-    accessors always work.
+    Returns the resulting :class:`~geoplasma.dual.Jet` (value plus the
+    first partials with respect to the seeded coordinate positions).
+    Constant fields are promoted to jets so the derivative accessors
+    always work.
     """
-    coords_j, ctx = seed(list(coords), seeds, order)
-    out = field(coords_j)
-    if not isinstance(out, Jet) or out.ctx is not ctx:
-        out = Jet.constant(ctx, out)
-    return out
+    coords_j, ctx = seed(list(coords), seeds)
+    return promote(field(coords_j), ctx)
 
 
 def fd_partial(field, coords, i, step=1e-5):
@@ -597,7 +602,210 @@ def jet_product_loop(ctx, ac, bc):
 
 
 def coefficient_bits(x):
-    """Type name and float.hex of a scalar, nested through jet coefficients."""
-    if isinstance(x, Jet):
+    """Type name and float.hex of a scalar, per lane of a lane array, nested
+    through the coefficients of a jet of either engine."""
+    if isinstance(x, (Jet, ref.Jet)):
         return [coefficient_bits(v) for v in x.c]
+    if isinstance(x, np.ndarray):
+        return ("ndarray", [v.hex() for v in x.ravel().tolist()])
     return (type(x).__name__, float(x).hex())
+
+
+# -- the general jet engine ------------------------------------------------------
+
+def _reference_div(left, right):
+    """``expr._checked_div`` on the reference engine's jets."""
+    if not isinstance(left, ref.Jet) and not isinstance(right, ref.Jet):
+        if ref.branch(right == 0.0):
+            raise DomainError("division by zero")
+    return left / right
+
+
+# the compiled-field names bound to the reference engine's functions
+_REFERENCE_NAMESPACE = dict(expr_mod._NAMESPACE, _div=_reference_div, _pow=ref.power, **{
+    "_" + name: getattr(ref, name) for name in ("sin", "cos", "exp", "log", "sqrt", "tanh")
+})
+
+
+def reference_trees(trees, names):
+    """The package's straight-line code of ``trees`` on the reference engine.
+
+    ``coords -> [value of each tree]`` for jets of any order and nested
+    seedings, where the package's compiled fields take first-order jets.
+    """
+    namespace = dict(_REFERENCE_NAMESPACE)
+    source = expr_mod._straight_line(trees, names)
+    exec(compile(source, "<reference field>", "exec"), namespace)
+    return namespace["field"]
+
+
+def reference_field(source, names):
+    """A scalar expression field on the reference engine."""
+    fn = reference_trees([parse(source)], names)
+    return lambda coords: fn(coords)[0]
+
+
+def reference_field_jet(field, coords, seeds=None, order=1):
+    """:func:`field_jet` on the reference engine, partials up to ``order``."""
+    coords_j, ctx = ref.seed(list(coords), seeds, order)
+    out = field(coords_j)
+    if not isinstance(out, ref.Jet) or out.ctx is not ctx:
+        out = ref.Jet.constant(ctx, out)
+    return out
+
+
+def _reference_inverse(a):
+    """Gauss-Jordan inverse of a positive-definite matrix of reference jets."""
+    n = len(a)
+    rows = [list(row) + [1.0 if i == j else 0.0 for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = rows[col][col]
+        rows[col] = [x / piv for x in rows[col]]
+        for r in range(n):
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def finsler_space_from_F(F, n):
+    """Generalized Lagrange space of a Finsler fundamental function.
+
+    ``F`` is a field on the reference engine (:func:`reference_field`).
+    g_ij = (1/2) d^2 F^2 / dy^i dy^j via second-order fiber jets.  The
+    returned spray fn gives G^k = (1/2) Gamma^k_pq y^p y^q with the
+    generalized Christoffel symbols of g; the nonlinear connection is its
+    fiber derivative N^i_j = dG^i/dy^j, taken through nested seedings.
+    Evaluate it at plain coordinates: the package's frames need
+    :func:`finsler_derived_space`.
+    """
+    fiber = list(range(n, 2 * n))
+
+    def f2(coords):
+        v = F(coords)
+        return v * v
+
+    def g_matrix(coords):
+        cj, ctx = ref.seed(list(coords), seeds=fiber, order=2)
+        val = ref.promote(f2(cj), ctx)
+        out = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                entry = 0.5 * val.d(i, j)
+                out[i][j] = entry
+                out[j][i] = entry
+        return out
+
+    metric = MatrixMetricField(n, g_matrix)
+
+    def spray(coords):
+        cj, ctx = ref.seed(list(coords), seeds=range(n))
+        g = [[ref.promote(v, ctx) for v in row] for row in metric.matrix(cj)]
+        ginv0 = _reference_inverse([[e.value for e in row] for row in g])
+        dg = [[[g[i][j].d(k) for j in range(n)] for i in range(n)] for k in range(n)]
+        gamma = christoffel_from(ginv0, dg)
+        y = coords[n:]
+        return [0.5 * quadratic_form(gamma[k], y, y) for k in range(n)]
+
+    def N_fn(coords):
+        cj, ctx = ref.seed(list(coords), seeds=fiber)
+        Gk = [ref.promote(v, ctx) for v in spray(cj)]
+        return [[Gk[i].d(j) for j in range(n)] for i in range(n)]
+
+    return GeneralizedLagrangeSpace(n, metric, N_fn), spray, f2
+
+
+def _sympy_of(node, symbols):
+    """A sympy expression of a parsed expression tree."""
+    import sympy
+
+    if isinstance(node, Num):
+        return sympy.Integer(int(node.value)) if node.value.is_integer() else sympy.Float(node.value)
+    if isinstance(node, Var):
+        return symbols[node.name]
+    if isinstance(node, Neg):
+        return -_sympy_of(node.child, symbols)
+    args = [_sympy_of(a, symbols) for a in (node.args if isinstance(node, Call) else
+                                             (node.left, node.right))]
+    if isinstance(node, Call):
+        return sympy.Pow(*args) if node.name == "pow" else getattr(sympy, node.name)(*args)
+    a, b = args
+    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b, "^": a**b}[node.op]
+
+
+def _tree_of(e, memo):
+    """An expression tree of a sympy expression; sums and products balanced."""
+    import sympy
+
+    if e in memo:
+        return memo[e]
+    if e.is_Symbol:
+        tree = Var(e.name)
+    elif e.is_Number:
+        tree = Num(float(e))
+    elif e.is_Pow and e.exp.is_Rational and e.exp.q == 2:
+        root = Call("sqrt", (_tree_of(e.base, memo),))
+        tree = root if e.exp.p == 1 else BinOp("^", root, Num(float(e.exp.p)))
+    elif e.is_Pow:
+        tree = BinOp("^", _tree_of(e.base, memo), _tree_of(e.exp, memo))
+    elif e.is_Add or e.is_Mul:
+        def balanced(parts):
+            if len(parts) == 1:
+                return parts[0]
+            mid = len(parts) // 2
+            return BinOp("+" if e.is_Add else "*", balanced(parts[:mid]), balanced(parts[mid:]))
+
+        tree = balanced([_tree_of(a, memo) for a in e.args])
+    elif isinstance(e, (sympy.sin, sympy.cos, sympy.exp, sympy.log, sympy.tanh)):
+        tree = Call(type(e).__name__, (_tree_of(e.args[0], memo),))
+    else:
+        raise TypeError(f"no expression form for {e!r}")
+    memo[e] = tree
+    return tree
+
+
+def finsler_derived_space(source, n):
+    """The Finsler space of :func:`finsler_space_from_F` in closed form.
+
+    ``source`` is F as an expression over x1..xn, y1..yn.  g, the spray G
+    and N = dG/dy are derived with sympy and compiled as the package's
+    expression fields, so the package's first-order frames run on the
+    space.  Returns (space, spray), spray a field of the G^k list.
+    """
+    import sympy
+
+    names = xynames(n)
+    symbols = {name: sympy.Symbol(name) for name in names}
+    xs, ys = [symbols[nm] for nm in names[:n]], [symbols[nm] for nm in names[n:]]
+    f2 = _sympy_of(parse(source), symbols) ** 2
+    g = sympy.Matrix(n, n, lambda i, j: sympy.diff(f2, ys[i], ys[j]) / 2)
+    ginv = g.adjugate(method="berkowitz") / g.det(method="berkowitz")
+    dg = [g.diff(x) for x in xs]
+    # S_m = (1/2) Gamma_{m,pq} y^p y^q (first kind), G = g^-1 S, and
+    # N = dG/dy by the product rule, d(g^-1) = -g^-1 dg g^-1
+    S = sympy.Matrix([
+        sum((dg[q][p, m] + dg[p][q, m] - dg[m][p, q]) * ys[p] * ys[q]
+            for p in range(n) for q in range(n)) / 4
+        for m in range(n)
+    ])
+    spray = ginv * S
+    N = [
+        (-ginv * g.diff(ys[j]) * spray + ginv * S.diff(ys[j]))[i]
+        for i in range(n) for j in range(n)
+    ]
+
+    memo = {}
+
+    def field(exprs, label):
+        trees = [_tree_of(e, memo) for e in exprs]
+        return compile_field(trees, names, [f"{label} {k}" for k in range(len(trees))])
+
+    g_field = field([g[i, j] for i in range(n) for j in range(i, n)], "g")
+    N_field = field(N, "N")
+
+    def N_fn(coords):
+        flat = N_field(coords)
+        return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+    space = GeneralizedLagrangeSpace(n, MetricField(n, g_field), N_fn)
+    return space, field(spray, "spray")

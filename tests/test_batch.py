@@ -15,9 +15,14 @@ import numpy as np
 import pytest
 
 from geoplasma import dual, expr, riemann, scenario as scenario_mod
+from geoplasma.common import covariant_derivative
 from geoplasma.errors import BatchSplit, DomainError, GeoPlasmaError
+from geoplasma.lagrange import _adapted_partials
+from geoplasma.multitime import _Derivatives
 from geoplasma.scenario import build_scenario, evaluation_points, load_scenario
+from geoplasma.tensor_core import Slot
 
+import helpers
 from test_output_bytes import RIEMANN3, SCENARIOS
 
 POLAR = json.loads((SCENARIOS / "polar_plasma.json").read_text())
@@ -161,3 +166,62 @@ def test_lane_array_operands_and_branches():
     assert split.value.lanes.tolist() == [False, True]
     with pytest.raises(BatchSplit):
         dual.log(x[0] - 1.5)
+
+
+def _lane_jet(coords):
+    """A jet whose value and every partial are (3,) lane arrays."""
+    cj, _ = dual.seed([np.array([c, c + 0.01, c - 0.02]) for c in coords])
+    acc = 0.0
+    for v in cj:
+        acc = acc + v * v
+    return acc
+
+
+def test_adapted_partials_leave_a_lane_jet_unchanged():
+    rng = np.random.default_rng(5)
+    space, _, box = helpers.random_lagrange_scenario(rng, 2)
+    coords = helpers.sample_box(rng, box, 1)[0]
+    jet = _lane_jet(coords)
+    before = helpers.coefficient_bits(jet)
+    _, horizontal, _ = _adapted_partials(space, coords)
+    first = helpers.coefficient_bits(horizontal(jet, 0))
+    assert helpers.coefficient_bits(jet) == before
+    assert helpers.coefficient_bits(horizontal(jet, 0)) == first
+
+    space, _, box = helpers.random_multitime_scenario(rng, 2, 2)
+    coords = helpers.sample_box(rng, box, 1)[0]
+    ops = _Derivatives(space, coords)
+    jet = _lane_jet(coords)
+    before = helpers.coefficient_bits(jet)
+    for k in range(2):
+        ops.delta_t(jet, k)
+        ops.delta_x(jet, k)
+    assert helpers.coefficient_bits(jet) == before
+
+
+def test_covariant_derivative_leaves_its_jets_unchanged():
+    # 0-d array coefficients: the partial hands out a jet's own mutable slot
+    (x, y), ctx = dual.seed([0.3, 0.7])
+    T = [[dual.Jet(ctx, [np.array(float(v)) for v in (e * x + y * y).c]) for e in row]
+         for row in [[1.0, 0.5], [0.5, 2.0]]]
+    before = [helpers.coefficient_bits(e) for row in T for e in row]
+    coeff = np.random.default_rng(2).uniform(-1, 1, (2, 2, 2)).tolist()
+    first = covariant_derivative(T, (Slot.LD, Slot.LU), lambda jet, k: jet.d(k), coeff)
+    assert [helpers.coefficient_bits(e) for row in T for e in row] == before
+    again = covariant_derivative(T, (Slot.LD, Slot.LU), lambda jet, k: jet.d(k), coeff)
+    assert again.tolist() == first.tolist()
+
+
+def test_a_field_that_splits_a_batch_is_not_walked_again(monkeypatch):
+    tree = expr.parse("1 + 2*log(x1)")
+    lanes = np.array([1.0, -1.0, 2.0])
+    with pytest.raises(BatchSplit) as walked:
+        expr.evaluate(tree, {"x1": lanes})
+    field = expr.compile_field([tree], ["x1"], ["f"])
+    calls = []
+    walk = expr.evaluate
+    monkeypatch.setattr(expr, "evaluate", lambda *args: calls.append(args) or walk(*args))
+    with pytest.raises(BatchSplit) as compiled:
+        field([lanes])
+    assert compiled.value.lanes.tolist() == walked.value.lanes.tolist() == [False, True, False]
+    assert calls == []

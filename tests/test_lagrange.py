@@ -12,7 +12,6 @@ from geoplasma.lagrange import (
     cartan_connection,
     cartan_connection_lists,
     conservation_divergence,
-    finsler_space_from_F,
     hv_covariant,
     h_stream_line_rhs,
     integrate_h_stream_line,
@@ -448,16 +447,28 @@ def test_h_stream_rhs_dual_path():
 
 # -- finsler ---------------------------------------------------------------------------
 
+def assert_derived_finsler_matches(source, space, spray, coords):
+    """The sympy-derived g, spray and N of F equal the reference engine's."""
+    derived, derived_spray = helpers.finsler_derived_space(source, len(coords) // 2)
+    for got, want in [
+        (derived.g.matrix(coords), space.g.matrix(coords)),
+        (derived_spray(coords), spray(coords)),
+        (derived.N(coords), space.N(coords)),
+    ]:
+        assert np.abs(np.array(got) - np.array(want)).max() < 1e-12
+
+
 def test_finsler_euclidean():
     n = 2
     names = helpers.xynames(n)
-    F = scalar_field("sqrt(y1^2 + y2^2)", names)
-    space, spray, _ = finsler_space_from_F(F, n)
+    F = helpers.reference_field("sqrt(y1^2 + y2^2)", names)
+    space, spray, _ = helpers.finsler_space_from_F(F, n)
     coords = [0.3, -0.2, 0.8, 0.6]
     g = np.array([[scalar_value(v) for v in row] for row in space.g.matrix(coords)])
     assert np.abs(g - np.eye(n)).max() < 1e-12
     assert np.abs(np.array(spray(coords))).max() < 1e-12
     assert np.abs(np.array(space.N(coords))).max() < 1e-10
+    assert_derived_finsler_matches("sqrt(y1^2 + y2^2)", space, spray, coords)
 
 
 def test_finsler_quadratic_recovers_riemann_spray():
@@ -465,8 +476,8 @@ def test_finsler_quadratic_recovers_riemann_spray():
     n = 2
     space_r = helpers.polar_space()
     names = helpers.xynames(n)
-    F = scalar_field("sqrt(y1^2 + x1^2*y2^2)", names)
-    space, spray, _ = finsler_space_from_F(F, n)
+    F = helpers.reference_field("sqrt(y1^2 + x1^2*y2^2)", names)
+    space, spray, _ = helpers.finsler_space_from_F(F, n)
     x = [1.3, 0.4]
     y = [0.7, 0.5]
     coords = x + y
@@ -486,14 +497,16 @@ def test_finsler_quadratic_recovers_riemann_spray():
         [[sum(gamma[k][m][q] * y[q] for q in range(n)) for m in range(n)] for k in range(n)]
     )
     assert np.abs(N0 - expected_N).max() < 1e-9
+    assert_derived_finsler_matches("sqrt(y1^2 + x1^2*y2^2)", space, spray, coords)
 
 
 def test_finsler_randers_fd_oracle():
     # Randers-type perturbation: g from order-2 jets vs finite differences of F^2
     n = 2
     names = helpers.xynames(n)
-    F = scalar_field("sqrt(y1^2 + y2^2) + 0.2*(y1*cos(x1) + y2*sin(x1))", names)
-    space, _, f2 = finsler_space_from_F(F, n)
+    source = "sqrt(y1^2 + y2^2) + 0.2*(y1*cos(x1) + y2*sin(x1))"
+    F = helpers.reference_field(source, names)
+    space, spray, f2 = helpers.finsler_space_from_F(F, n)
     coords = [0.4, -0.1, 1.0, 0.35]
     g = np.array([[scalar_value(v) for v in row] for row in space.g.matrix(coords)])
     step = 1e-4
@@ -512,15 +525,14 @@ def test_finsler_randers_fd_oracle():
             fd[i][j] = 0.5 * (f2(pp) - f2(pm) - f2(mp) + f2(mm)) / (4 * step * step)
     rel = np.abs(g - fd) / np.maximum(1.0, np.abs(fd))
     assert rel.max() < 1e-6
+    assert_derived_finsler_matches(source, space, spray, coords)
 
 
 def test_finsler_vertical_constraint_cubic_vanishes():
     # 0-homogeneous metric, fiber-independent pressure, E = 0: the vertical
     # residual reduces to the Cartan-tensor contraction, which vanishes
     n = 2
-    names = helpers.xynames(n)
-    F = scalar_field("sqrt(y1^2 + x1^2*y2^2) + 0.15*y1*cos(x2)", names)
-    space, _, _ = finsler_space_from_F(F, n)
+    space, _ = helpers.finsler_derived_space("sqrt(y1^2 + x1^2*y2^2) + 0.15*y1*cos(x2)", n)
     state = const_lagrange_state(n, p=0.3, rho=1.2)
     x = [1.2, 0.5]
     w0 = [0.8, 0.45]
@@ -537,8 +549,9 @@ def test_finsler_h_stream_matches_reduced_form():
     # reduced Finsler form with the spray substituted
     n = 2
     names = helpers.xynames(n)
-    F = scalar_field("sqrt(y1^2 + x1^2*y2^2) + 0.1*y2*sin(x1 + x2)", names)
-    space, spray, f2 = finsler_space_from_F(F, n)
+    source = "sqrt(y1^2 + x1^2*y2^2) + 0.1*y2*sin(x1 + x2)"
+    space, _ = helpers.finsler_derived_space(source, n)
+    _, spray, f2 = helpers.finsler_space_from_F(helpers.reference_field(source, names), n)
     state = LagrangeFluidState(
         scalar_field("0.4 + 0.05*sin(x1 + x2)", names),
         scalar_field("1.1 + 0.1*cos(x1)", names),

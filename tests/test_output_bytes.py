@@ -15,7 +15,8 @@ give different bits: swapping the order changes the ``residuals`` bytes
 of ``riemann3`` or of ``lagrange3``, while the shipped two-dimensional
 scenarios do not tell the orders apart.  ``bsml_sheet`` has G = C = 0, so
 ``multitime3`` (nonzero kappa, G, L and C) is the input that shows the
-rounding of the multitime vertical algebra.
+rounding of the multitime vertical algebra.  ``edml`` pins the one stock
+model whose connection differentiates inside a field function.
 
 The hashes assume CPython 3.11 and numpy 2.4.6 on x86-64 Linux with glibc
 2.36's libm: another libm may round ``sin``/``exp``/``log`` differently in
@@ -107,7 +108,32 @@ MULTITIME3 = {
         "grid": {"min": [0.0, 0.0], "max": [0.6, 0.6], "shape": [5, 5]},
     },
 }
-GENERATED = {"lagrange3": LAGRANGE3, "riemann3": RIEMANN3, "multitime3": MULTITIME3}
+# the electrodynamic model: its connection seeds the potentials U inside
+# the connection field, the one stock model that differentiates in a field
+EDML = {
+    "framework": "multitime",
+    "n": 2,
+    "p": 2,
+    "c": 1.0,
+    "h_metric": [["1 + 0.1*t2^2", "0.05*t1"], ["1.2 + 0.1*sin(t1)"]],
+    "model": {"name": "edml", "params": {
+        "phi": {"name": "polar"},
+        "U": [["0.3*x2*t1 + 0.1*sin(x1)", "0.2*x1*x2"],
+              ["0.15*x1^2 + 0.05*t2", "0.1*cos(x1 + x2)*t1"]],
+        "Phi": "0.2*x1^2 + t1*t2",
+    }},
+    "pressure": "0.3 + 0.04*sin(x1)*x1_1 + 0.01*t1",
+    "density": "1.1 + 0.1*cos(x2)*x2_1",
+    "em": {"H": [["0.12*sin(x1 + x2)"], []], "G": "self-dual"},
+    "eval": {
+        "box": {"min": [-0.3, -0.3, 0.8, -0.5, 0.4, 0.4, 0.4, 0.4],
+                "max": [0.3, 0.3, 1.5, 0.5, 1.0, 1.0, 1.0, 1.0]},
+        "count": 6,
+        "seed": 23,
+    },
+}
+GENERATED = {"lagrange3": LAGRANGE3, "riemann3": RIEMANN3, "multitime3": MULTITIME3,
+             "edml": EDML}
 
 AT = {
     "polar_plasma": "1.3,0.2",
@@ -125,6 +151,8 @@ for _name in AT:
     CASES[f"connection-{_name}"] = (_name, ["connection", "--at", AT[_name]], 0)
 for _name in ("polar_plasma", "tangent_bundle", "bsml_sheet"):
     CASES[f"verify-tol-1e-30-{_name}"] = (_name, ["verify", "--tol", "1e-30"], 1)
+CASES["residuals-edml"] = ("edml", ["residuals"], 0)
+CASES["verify-edml"] = ("edml", ["verify"], 0)
 CASES["streamline-polar_plasma"] = (
     "polar_plasma",
     ["streamline", "--x0", "1.0,0.2", "--v0", "0.3,0.9", "--step", "0.01", "--steps", "100"],
@@ -152,6 +180,7 @@ EXPECTED = {
     "connection-tangent_bundle": ("3575a88597f77b465d0084e10bf53e7381f4f1345edd467830d0981b15e46bb1", None),
     "connection-multitime3": ("f6453048665a24966e56f4360a427e323ce6cc0fab3d47c1ae46a937440ba85e", None),
     "connection-riemann3": ("aeec75fe721bfcdb34245fc92e4c73b7e04404c6c5b9afa8bded5171501d876f", None),
+    "residuals-edml": ("ecd09e1c3f5f9ed1c5561d919a139948eefa6c27d9f7dd46239a2c948f0e26df", None),
     "residuals-bsml_sheet": ("efb263f972463296b2d927f99efe85ac7ec6d613db7fd1a53f090bda8b9b3ec4", None),
     "residuals-lagrange3": ("977519f81f5c46b3bfed3b95ed0b7fe7073845fd867f6c3852bf5e67c878946f", None),
     "residuals-polar_plasma": ("6d4e8040a571f0f5cee6ddd427deef4f66239b627335c928cc1b88d1912dad59", None),
@@ -163,6 +192,7 @@ EXPECTED = {
     "streamsheet-bsml_sheet": ("83a7c0a3e57e4b990cb9ab3570ed7799ceb5183bebc0c41f71131f9bc5127d4c", None),
     "streamsheet-coefficients-multitime3": ("176acc3c84019e41e5d4aa1fe5630d6b6290903941b214af7af22abde76eecdb", None),
     "streamsheet-coefficients-bsml_sheet": ("bb6ceca12780f20152d0e8e0b88d4b08f44ef15b02e9ac8472505bf6a028b8d8", None),
+    "verify-edml": ("2225d136a1b98c2054d19235a107eaccc22f878e3930f3e1b63296e587559a11", "f613062ccd41b3a7f846590a0e1bccb43165359c393152cee15747f68e6f99a5"),
     "verify-bsml_sheet": ("dee4088af2408e16c295b4d265d0dfa03eef775c9a0d80552c19408e9486b2a2", "936181e2e4ff5cd7feea8dcbc64978254c780ca6a761f13d9548c062d1cf3a78"),
     "verify-lagrange3": ("604bdb4fd4ec3c058191e81d92a6bd8dc391faf3dd334cb53d0933644f118084", "e1a6a1807d138a5ebdef8e0a11b6f54a18a7851d35a600224eca276748af6fde"),
     "verify-polar_plasma": ("005950edf4ece1ae73b742104e83c5ad5c2dd3716b972059861c0683ec0ae2a9", "55558e208c6a981f425ad6bfb2e3c2a79124ca8b849acd362e3504cc010c6ba5"),

@@ -16,7 +16,7 @@ import pytest
 from geoplasma import dual, lagrange, multitime, riemann, tensor_core
 from geoplasma.cli import main
 from geoplasma.common import point_memo
-from geoplasma.errors import IntegrationError
+from geoplasma.errors import IntegrationError, SeedingError
 from geoplasma.lagrange import GeneralizedLagrangeSpace, LagrangeFluidState, zero_connection
 from geoplasma.multitime import StreamSheet, prolong_sheet
 from geoplasma.scenario import evaluation_points, load_scenario, sheet_axes_and_values
@@ -158,10 +158,13 @@ def test_memo_bypasses_jets_and_numpy_scalars():
         builder(space, np.array([0.5, 1.5]))
     assert len(calls) == 6
 
+    # a memoized builder given jets seeds them again, which fails loudly
+    # instead of nesting, and the failure is never memoized
     s = flat_space(2)
     jets, _ = dual.seed([0.5, 1.5])
-    first = riemann.christoffel_lists(s, jets)
-    assert riemann.christoffel_lists(s, jets) is not first
+    for _ in range(2):
+        with pytest.raises(SeedingError):
+            riemann.christoffel_lists(s, jets)
 
 
 def test_memo_holds_one_point():
