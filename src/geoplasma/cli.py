@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .dual import promote, seed
-from .errors import DomainError, GeoPlasmaError, ScenarioError
+from .errors import GeoPlasmaError, ScenarioError
 from .multitime import StreamSheet, prolong_sheet
 from .scenario import evaluation_points, load_scenario, sheet_axes_and_values
 from .verify import invariants_at
@@ -216,20 +216,17 @@ def cmd_streamsheet(args):
         nodes = prolong_sheet(StreamSheet(axes, values), scenario.space)
     rows = []
     any_error = False
-    shape = tuple(len(ax) for ax in axes)
-    for idx in np.ndindex(shape):
-        coords = nodes[idx].tolist()
+    points = nodes.reshape(-1, nodes.shape[-1]).tolist()  # row-major grid order
+    for coords, values in zip(points, scenario.sheet_rows(points, args.dump_coefficients)):
         base = coords[:p + n]
-        try:
-            row = base + scenario.sheet_row(coords, args.dump_coefficients)
-            bad = _non_finite_column(zip(header, row))
-            if bad:
-                raise DomainError(bad)
-            rows.append(row + [""])
-        except GeoPlasmaError as err:
+        row = None if isinstance(values, GeoPlasmaError) else base + values
+        # last guard: a non-finite number is never written as a result
+        err = str(values) if row is None else _non_finite_column(zip(header, row))
+        if err:
             any_error = True
-            rows.append(base + ["nan"] * (len(header) - len(base) - 1)
-                        + [str(err).replace(",", ";")])
+            rows.append(base + ["nan"] * (len(header) - len(base) - 1) + [err.replace(",", ";")])
+        else:
+            rows.append(row + [""])
     _write_lines(args.out, _csv_lines(scenario, header, rows))
     return 1 if any_error else 0
 

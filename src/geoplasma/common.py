@@ -181,7 +181,7 @@ def covariant_derivative(T, slots, partial, coeff):
         raise TensorError("covariant derivative requires all-latin valence")
     T, vals = jet_values(T, slots)
     n = len(coeff)
-    out = np.zeros(T.shape + (n,))
+    out = []
     for idx in np.ndindex(T.shape):
         for p in range(n):
             acc = partial(T[idx], p)
@@ -193,8 +193,21 @@ def covariant_derivative(T, slots, partial, coeff):
                 else:
                     for m in range(n):
                         acc = acc - vals[pre + (m,) + post] * coeff[m][i][p]
-            out[idx + (p,)] = acc
-    return out
+            out.append(acc)
+    return component_array(out, T.shape + (n,))
+
+
+def component_array(values, shape):
+    """Components listed in ``np.ndindex(shape)`` order as a float array.
+
+    Lane arrays (one lane per point) add a trailing lane axis, over which
+    plain floats among them are repeated; plain floats alone give an array
+    of ``shape``.
+    """
+    if any(isinstance(v, np.ndarray) for v in values):
+        values = np.broadcast_arrays(*values)
+    out = np.array(values, dtype=float)
+    return out.reshape(shape + out.shape[1:])
 
 
 def jet_values(T, slots):
@@ -208,7 +221,11 @@ def jet_values(T, slots):
 def inertial_factor(p0, rho0, c):
     """c^2 / (p + rho c^2), the factor in front of the stream-line forces."""
     s = p0 + rho0 * c * c
-    if abs(s) <= 1e-12 * max(abs(p0), abs(rho0 * c * c), 1.0):
+    if isinstance(s, np.ndarray):  # lanes: max's bits lane by lane
+        scale = np.maximum(np.maximum(abs(p0), abs(rho0 * c * c)), 1.0)
+    else:
+        scale = max(abs(p0), abs(rho0 * c * c), 1.0)
+    if dual.branch(abs(s) <= 1e-12 * scale):
         raise SingularDynamicsError(
             f"inertial factor p + rho c^2 = {s} vanishes"
         )

@@ -328,10 +328,11 @@ def _ipow(x, e):
 
 
 def power(base, exponent):
-    """base ** exponent over floats and jets.
+    """base ** exponent over floats, lane arrays and jets.
 
     Integer exponents use repeated multiplication (valid for negative
-    bases); everything else goes through exp(exponent * log(base)).
+    bases); everything else goes through exp(exponent * log(base)).  The
+    lanes of an exponent must agree on which, and on the integer.
     """
     if isinstance(exponent, Jet):
         return exp(exponent * log(base))
@@ -339,6 +340,11 @@ def power(base, exponent):
         e = exponent
     elif isinstance(exponent, float) and exponent.is_integer():
         e = int(exponent)
+    elif isinstance(exponent, np.ndarray) and branch(
+            np.isfinite(exponent) & (exponent == np.trunc(exponent))):
+        e = exponent.flat[0]
+        branch(exponent == e)  # lanes of another integer run apart
+        e = int(e)
     else:
         return exp(exponent * log(base))
     if e == 0:

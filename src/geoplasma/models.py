@@ -21,8 +21,10 @@ metric is the spatial block g_ij.
 
 from __future__ import annotations
 
-from .dual import promote, scalar_value, seed
-from .errors import DegenerateMetricError, DomainError, ExprError, ScenarioError
+import numpy as np
+
+from .dual import branch, promote, scalar_value, seed
+from .errors import BatchSplit, DegenerateMetricError, DomainError, ExprError, ScenarioError
 from .expr import parse
 from .riemann import SemiRiemannianSpace, christoffel_lists
 from .multitime import MultiTimeSpace, fiber_index
@@ -94,7 +96,7 @@ def build_rgogml(h_metric, phi_metric, refractive_index, X, p, n):
         t = coords[:p]
         phi = phi_fn(coords)
         nr = refractive_index(coords)
-        if abs(scalar_value(nr)) < 1e-13:
+        if branch(abs(scalar_value(nr)) < 1e-13):
             raise DomainError("refractive index vanishes")
         coef = 1.0 - 1.0 / nr
         xvals = [X[mu](t) for mu in range(p)]
@@ -111,7 +113,9 @@ def build_rgogml(h_metric, phi_metric, refractive_index, X, p, n):
         lemma = 1.0 + coef * sum(
             phinv[i][j] * y[i] * y[j] for i in range(n) for j in range(n)
         )
-        if abs(scalar_value(lemma)) < 1e-10:
+        if branch(abs(scalar_value(lemma)) < 1e-10):
+            if isinstance(scalar_value(lemma), np.ndarray):
+                raise BatchSplit()  # the message formats each point's factor
             raise DegenerateMetricError(
                 "rank-one optical update degenerates (determinant factor "
                 f"{scalar_value(lemma):.3e})"

@@ -29,6 +29,7 @@ from . import dual
 from .common import (
     FluidFrame,
     ResidualReport,
+    component_array,
     energy_divergence,
     energy_low_mixed,
     inertial_factor,
@@ -108,7 +109,7 @@ class _Derivatives:
         for gamma in range(self.p):
             for mu in range(self.p):
                 k = self.kappa[gamma][alpha][mu]
-                if k == 0.0:
+                if dual.branch(k == 0.0):
                     continue
                 for m in range(self.n):
                     acc = acc + k * self.xd0[m][gamma] * self.fiber(jet, m, mu)
@@ -119,7 +120,7 @@ class _Derivatives:
         for m in range(self.n):
             for mu in range(self.p):
                 nval = self.N0[m][mu][i]
-                if nval != 0.0:
+                if dual.branch(nval != 0.0):
                     acc = acc - nval * self.fiber(jet, m, mu)
         return acc
 
@@ -218,35 +219,33 @@ def _jet_covariant(T, slots, space, coords, kind):
                         acc -= vals[pre + (mu,) + post] * greek_coeff(mu, idx[a])
         return acc
 
+    out = []
     if kind == "hT":
-        out = np.zeros(T.shape + (p,))
         for idx in np.ndindex(T.shape):
             for eps in range(p):
                 acc = ops.delta_t(T[idx], eps)
-                acc += corrections(
+                acc = acc + corrections(
                     idx,
                     lambda i, m, e=eps: Gt[i][m][e],
                     lambda a, mu, e=eps: kappa[a][mu][e],
                 )
-                out[idx + (eps,)] = acc
-        return out
+                out.append(acc)
+        return component_array(out, T.shape + (p,))
     if kind == "hM":
-        out = np.zeros(T.shape + (n,))
         for idx in np.ndindex(T.shape):
             for q in range(n):
                 acc = ops.delta_x(T[idx], q)
-                acc += corrections(idx, lambda i, m, q=q: L[i][m][q], None)
-                out[idx + (q,)] = acc
-        return out
+                acc = acc + corrections(idx, lambda i, m, q=q: L[i][m][q], None)
+                out.append(acc)
+        return component_array(out, T.shape + (n,))
     if kind == "v":
-        out = np.zeros(T.shape + (p, n))
         for idx in np.ndindex(T.shape):
             for eps in range(p):
                 for q in range(n):
                     acc = ops.fiber(T[idx], q, eps)
-                    acc += corrections(idx, lambda i, m, q=q, e=eps: C[i][m][q][e], None)
-                    out[idx + (eps, q)] = acc
-        return out
+                    acc = acc + corrections(idx, lambda i, m, q=q, e=eps: C[i][m][q][e], None)
+                    out.append(acc)
+        return component_array(out, T.shape + (p, n))
     raise TensorError(f"unknown derivative kind {kind!r}")
 
 
@@ -261,7 +260,7 @@ def _velocity(space, coords, g, hinv, point=None):
     for mu in range(p):
         for nu in range(p):
             eps2 = eps2 + hinv[mu][nu] * quadratic_form(g, xd[mu], xd[nu])
-    if scalar_value(eps2) <= 0.0:
+    if dual.branch(scalar_value(eps2) <= 0.0):
         raise NormalizationError(
             "jet fiber quadratic form is not positive",
             point=point, value=scalar_value(eps2),
@@ -572,14 +571,16 @@ def metric_compatibility(space, coords):
 # -- stream sheets -----------------------------------------------------------
 
 
-def stream_sheet_residuals(state, space, coords):
+def stream_sheet_residuals(state, space, coords, coefficients=False):
     """Horizontal and vertical stream-sheet PDE residuals at a jet point.
 
     Evaluates the local displays: the horizontal residual carries the
     coefficient H_m built from adapted base derivatives of (rho+p/c^2)/eps0
     and 1/eps0, the vertical one the fiber-derivative analogue V^(mu)_(m)
     plus the dimension term n*delta^mu_alpha.  Returns (vector over k,
-    matrix over (k, mu)).
+    matrix over (k, mu)), followed with ``coefficients`` by the values of
+    H_m and V^(mu)_(m) (indexed [m][mu]).  Coordinates that are lane
+    arrays give each array a trailing lane axis.
     """
     fr = _Frame(state, space, coords)
     p, n = fr.p, fr.n
@@ -596,7 +597,7 @@ def stream_sheet_residuals(state, space, coords):
         for a in range(p):
             for b in range(p):
                 hab = fr.hinv0[a][b]
-                if hab == 0.0:
+                if dual.branch(hab == 0.0):
                     continue
                 inner = 0.0
                 for m in range(n):
@@ -620,7 +621,7 @@ def stream_sheet_residuals(state, space, coords):
             for a in range(p):
                 for b in range(p):
                     hab = fr.hinv0[a][b]
-                    if hab == 0.0:
+                    if dual.branch(hab == 0.0):
                         continue
                     inner = 0.0
                     for m in range(n):
@@ -639,7 +640,12 @@ def stream_sheet_residuals(state, space, coords):
                 - sum(fr.ginv0[k][m] * fr.v[mu].dp[m] for m in range(n))
             )
             vertical[k][mu] = acc
-    return np.array(horizontal), np.array(vertical)
+    out = (component_array(horizontal, (n,)),
+           component_array([v for row in vertical for v in row], (n, p)))
+    if coefficients:
+        out += (component_array(Hm, (n,)),
+                component_array([v for row in Vm for v in row], (n, p)))
+    return out
 
 
 def _sheet_coefficients(fr):
@@ -653,12 +659,6 @@ def _sheet_coefficients(fr):
         for m in range(n)
     ]
     return Hm, Vm
-
-
-def stream_sheet_coefficients(state, space, coords):
-    """The H_m and V^(mu)_(m) coefficient values of the sheet displays."""
-    Hm, Vm = _sheet_coefficients(_Frame(state, space, coords))
-    return np.array(Hm), np.array(Vm)
 
 
 def stream_sheet_residuals_bsml(state, space, coords):

@@ -39,7 +39,7 @@ from .tensor_core import MetricField, TwoFormField, christoffel_of, quadratic_fo
 from .verify import lagrange_invariants, multitime_invariants, riemann_invariants
 
 FRAMEWORKS = ("riemann", "lagrange", "multitime")
-BATCH_POINTS = 256  # points per batched report; its jet arrays grow with it
+BATCH_POINTS = 256  # points per batch; its jet arrays grow with it
 MIN_BATCH = 16  # fewer points run one by one: a batch costs about 8 one-point reports
 
 _TOP_KEYS = {
@@ -138,7 +138,9 @@ class Scenario:
     A point is a flat list of plain floats in ``names`` order.  Each
     framework subclass evaluates ``report``, ``invariants`` and
     ``connection`` (block name -> (float array, index-order label)) at a
-    point; the stream commands a framework lacks raise here.
+    point; the stream commands a framework lacks raise here.  A framework
+    whose reports run as a batch, one lane per point, sets
+    ``_batch_reports``.
     """
 
     n: int
@@ -148,15 +150,42 @@ class Scenario:
     eval_spec: dict
 
     hash = ""  # sha256 of the scenario file, set by load_scenario
+    _batch_reports = None
 
     def reports(self, points):
         """The report at each point, or the GeoPlasmaError its evaluation raised."""
-        for coords in points:
+        return self._evaluate(points, self.report, self._batch_reports)
+
+    def _evaluate(self, points, one, batched):
+        """``one(point)`` at each point, or the GeoPlasmaError it raised.
+
+        ``batched``, when given, returns the results of a list of points from
+        one evaluation with one lane per point; chunks of BATCH_POINTS points
+        run through :meth:`_batch`.
+        """
+        for start in range(0, len(points), BATCH_POINTS):
+            yield from self._batch(points[start:start + BATCH_POINTS], one, batched)
+
+    def _batch(self, points, one, batched):
+        """Results of a batch.  Points that disagree on a condition run as two
+        batches, split by it; a batch that fails or overflows otherwise, and
+        one of fewer than MIN_BATCH points, runs point by point."""
+        lanes = None
+        if batched is not None and len(points) >= MIN_BATCH:
             try:
-                yield self.report(coords)
-            except GeoPlasmaError as err:
-                err.__traceback__ = err.__context__ = None  # hold no frames of the point
-                yield err
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    return batched(points)
+            except BatchSplit as split:
+                lanes = split.lanes
+            except (GeoPlasmaError, ArithmeticError):
+                pass
+        if lanes is None:
+            return [_one_point(one, coords) for coords in points]
+        out = {}
+        for side in (lanes, ~lanes):  # past the handler: the failed batch is freed
+            picked = np.flatnonzero(side).tolist()
+            out.update(zip(picked, self._batch([points[k] for k in picked], one, batched)))
+        return [out[k] for k in range(len(points))]
 
     def stream_line(self, x0, v0, step, count):
         """(monitor column names, rows [s, x, dx/ds, monitors]) of an RK4 stream line."""
@@ -182,30 +211,8 @@ class RiemannScenario(Scenario):
     def report(self, coords):
         return rm.riemann_report(self.state, self.space, self.em, coords)
 
-    def reports(self, points):
-        for start in range(0, len(points), BATCH_POINTS):
-            yield from self._batch(points[start:start + BATCH_POINTS])
-
-    def _batch(self, points):
-        """Reports of a batch.  Points that disagree on a condition run as two
-        batches, split by it; a batch that fails or overflows otherwise, and
-        one of fewer than MIN_BATCH points, runs point by point."""
-        lanes = None
-        if len(points) >= MIN_BATCH:
-            try:
-                with np.errstate(divide="raise", over="raise", invalid="raise"):
-                    return rm.riemann_reports(self.state, self.space, self.em, points)
-            except BatchSplit as split:
-                lanes = split.lanes
-            except (GeoPlasmaError, ArithmeticError):
-                pass
-        if lanes is None:
-            return list(Scenario.reports(self, points))
-        out = {}
-        for side in (lanes, ~lanes):  # past the handler: the failed batch is freed
-            picked = np.flatnonzero(side).tolist()
-            out.update(zip(picked, self._batch([points[k] for k in picked])))
-        return [out[k] for k in range(len(points))]
+    def _batch_reports(self, points):
+        return rm.riemann_reports(self.state, self.space, self.em, points)
 
     def invariants(self, coords):
         return riemann_invariants(self.state, self.space, self.em, coords)
@@ -274,13 +281,36 @@ class MultitimeScenario(Scenario):
 
     def sheet_row(self, coords, coefficients):
         """Values of :meth:`sheet_columns` at one jet point of the sheet."""
-        hres, vres = mt.stream_sheet_residuals(self.state, self.space, coords)
-        row = list(hres) + [float(np.abs(hres).max())]
-        row += list(vres.reshape(-1)) + [float(np.abs(vres).max())]
-        if coefficients:
-            Hm, Vm = mt.stream_sheet_coefficients(self.state, self.space, coords)
-            row += list(Hm) + list(Vm.reshape(-1))
-        return row
+        return self._sheet_values(coords, coefficients, 1)[0]
+
+    def sheet_rows(self, nodes, coefficients):
+        """:meth:`sheet_row` at each jet point, or the GeoPlasmaError it raised;
+        the nodes run in batches like riemann points."""
+        return self._evaluate(
+            nodes,
+            lambda coords: self.sheet_row(coords, coefficients),
+            lambda batch: self._sheet_values(
+                [np.array(lane) for lane in zip(*batch)], coefficients, len(batch)),
+        )
+
+    def _sheet_values(self, coords, coefficients, size):
+        """Rows of :meth:`sheet_columns` values at ``size`` jet points, one lane
+        each when the coordinates are lane arrays."""
+        n, nv = self.n, self.n * self.p
+        parts = mt.stream_sheet_residuals(self.state, self.space, coords, coefficients)
+        h, v, *coeffs = (np.broadcast_to(np.reshape(a, (k, -1)), (k, size))
+                         for a, k in zip(parts, (n, nv, n, nv)))
+        norms = [np.abs(a).max(axis=0, keepdims=True) for a in (h, v)]
+        return np.concatenate([h, norms[0], v, norms[1], *coeffs]).T.tolist()
+
+
+def _one_point(one, coords):
+    """``one(coords)``, or the GeoPlasmaError it raised."""
+    try:
+        return one(coords)
+    except GeoPlasmaError as err:
+        err.__traceback__ = err.__context__ = None  # hold no frames of the point
+        return err
 
 
 def load_scenario(path):

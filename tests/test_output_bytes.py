@@ -16,7 +16,11 @@ of ``riemann3`` or of ``lagrange3``, while the shipped two-dimensional
 scenarios do not tell the orders apart.  ``bsml_sheet`` has G = C = 0, so
 ``multitime3`` (nonzero kappa, G, L and C) is the input that shows the
 rounding of the multitime vertical algebra.  ``edml`` pins the one stock
-model whose connection differentiates inside a field function.
+model whose connection differentiates inside a field function.  The
+``streamsheet`` pins for ``--prolongation exact``, a ``--sheet-file``, the
+17 x 17 nodes of ``multitime3`` at ``--refine 4`` (more nodes than one
+batch holds) and ``sheet_failures`` (failing nodes and exit code 1) were
+recorded before sheet nodes ran in batches.
 
 The hashes assume CPython 3.11 and numpy 2.4.6 on x86-64 Linux with glibc
 2.36's libm: another libm may round ``sin``/``exp``/``log`` differently in
@@ -132,8 +136,28 @@ EDML = {
         "seed": 23,
     },
 }
+# the bsml sheet with a pressure that needs x2 > 0: the nodes of the lower
+# t1 rows, where x2 = 0.5*t1 - 0.2*cos(t2) is negative, fail with a log
+# domain error and the others give rows
+SHEET_FAILURES = dict(json.loads((SCENARIOS / "bsml_sheet.json").read_text()),
+                      pressure="0.4 + 0.02*log(x2)")
 GENERATED = {"lagrange3": LAGRANGE3, "riemann3": RIEMANN3, "multitime3": MULTITIME3,
-             "edml": EDML}
+             "edml": EDML, "sheet_failures": SHEET_FAILURES}
+
+
+def _bsml_nodes():
+    """Sampled nodes (t1, t2, x1, x2) on the 7 x 7 grid of bsml_sheet, not its expressions."""
+    axis = [k / 6 for k in range(7)]
+    rows = ["t1,t2,x1,x2"]
+    for t1 in axis:
+        for t2 in axis:
+            rows.append(f"{t1!r},{t2!r},{1.1 + 0.25 * t1 - 0.1 * t1 * t2!r},"
+                        f"{0.4 * t1 + 0.1 * t2 * t2 - 0.3!r}")
+    return "\n".join(rows) + "\n"
+
+
+# sheet files written by the test; an argv entry naming one becomes its path
+SHEET_FILES = {"bsml_nodes.csv": _bsml_nodes()}
 
 AT = {
     "polar_plasma": "1.3,0.2",
@@ -171,6 +195,15 @@ CASES["streamsheet-coefficients-bsml_sheet"] = (
 CASES["streamsheet-coefficients-multitime3"] = (
     "multitime3", ["streamsheet", "--dump-coefficients"], 0,
 )
+CASES["streamsheet-exact-bsml_sheet"] = (
+    "bsml_sheet", ["streamsheet", "--prolongation", "exact"], 0,
+)
+CASES["streamsheet-sheet-file-bsml_sheet"] = (
+    "bsml_sheet", ["streamsheet", "--sheet-file", "bsml_nodes.csv"], 0,
+)
+# 17 x 17 = 289 nodes: more than one batch of nodes
+CASES["streamsheet-refine-4-multitime3"] = ("multitime3", ["streamsheet", "--refine", "4"], 0)
+CASES["streamsheet-sheet_failures"] = ("sheet_failures", ["streamsheet"], 1)
 
 # case -> (SHA-256 of the output file, SHA-256 of stdout or None)
 EXPECTED = {
@@ -192,6 +225,10 @@ EXPECTED = {
     "streamsheet-bsml_sheet": ("83a7c0a3e57e4b990cb9ab3570ed7799ceb5183bebc0c41f71131f9bc5127d4c", None),
     "streamsheet-coefficients-multitime3": ("176acc3c84019e41e5d4aa1fe5630d6b6290903941b214af7af22abde76eecdb", None),
     "streamsheet-coefficients-bsml_sheet": ("bb6ceca12780f20152d0e8e0b88d4b08f44ef15b02e9ac8472505bf6a028b8d8", None),
+    "streamsheet-exact-bsml_sheet": ("fc50f1b59254e5a411c9a2d8ab8801e5417d73830a883b7fb1685bb55b6370c9", None),
+    "streamsheet-refine-4-multitime3": ("e51efa66f8c1bae40acf4fc82b38be29ef541ced08428109368d9ca4c3caf6ab", None),
+    "streamsheet-sheet-file-bsml_sheet": ("ba970eeb5125b23143484b396a2059d87498f36061c169a225986623fc124b0d", None),
+    "streamsheet-sheet_failures": ("fe4706d28e76f449831e98a307f3ee584e63105518c533fb1d77ea7dfdae7242", None),
     "verify-edml": ("2225d136a1b98c2054d19235a107eaccc22f878e3930f3e1b63296e587559a11", "f613062ccd41b3a7f846590a0e1bccb43165359c393152cee15747f68e6f99a5"),
     "verify-bsml_sheet": ("dee4088af2408e16c295b4d265d0dfa03eef775c9a0d80552c19408e9486b2a2", "936181e2e4ff5cd7feea8dcbc64978254c780ca6a761f13d9548c062d1cf3a78"),
     "verify-lagrange3": ("604bdb4fd4ec3c058191e81d92a6bd8dc391faf3dd334cb53d0933644f118084", "e1a6a1807d138a5ebdef8e0a11b6f54a18a7851d35a600224eca276748af6fde"),
@@ -217,6 +254,9 @@ def run_case(case, tmp_path, capsys):
         scenario.write_text(json.dumps(GENERATED[name], indent=2) + "\n")
     else:
         scenario = SCENARIOS / f"{name}.json"
+    for file_name, text in SHEET_FILES.items():
+        (tmp_path / file_name).write_text(text)
+    argv = [str(tmp_path / a) if a in SHEET_FILES else a for a in argv]
     out = tmp_path / "out"
     capsys.readouterr()
     code = main(argv + ["--scenario", str(scenario), "--out", str(out)])

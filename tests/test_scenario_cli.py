@@ -666,7 +666,7 @@ def test_cli_residuals_last_guard_marks_a_non_finite_row(tmp_path, monkeypatch):
 def test_cli_streamsheet_last_guard_marks_a_non_finite_row(tmp_path, monkeypatch):
     import geoplasma.multitime as mt
 
-    def residuals(state, space, coords):
+    def residuals(state, space, coords, coefficients=False):
         return np.array([0.0, float("inf")]), np.zeros((2, 2))
 
     monkeypatch.setattr(mt, "stream_sheet_residuals", residuals)
