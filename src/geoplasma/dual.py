@@ -9,17 +9,20 @@ The value slot of every composite mirrors the plain-float computation
 operation for operation, so evaluating with jets and evaluating with
 floats agree bit for bit on the value part.
 
-The product of two jets of one seeding runs a straight-line kernel
-generated once per seed count.
-
 Coordinates entering the engine are plain Python floats, converted at
 the input boundary: a ``numpy.float64`` costs about twice as much per
-scalar operation and spreads into every coefficient.
+scalar operation and spreads into every coefficient.  On plain floats a
+jet's coefficients are a list, and the product of two jets runs a
+straight-line kernel generated once per seed count.
 
 A batch of points runs through the same code with a float64 *lane array*
-(one lane per point) wherever a point value stands; each lane gets the
-bits of the scalar run, and :func:`branch` splits a batch whose lanes
-disagree on a condition.
+of shape (B,), one lane per point, wherever a point value stands.  Seeding
+values that include lane arrays gives a context of B lanes, and every jet
+of it holds its coefficients as one (1 + m, B) float64 array: row 0 the
+values, row 1 + k the partials along seed k, constants broadcast into
+their rows.  Each operation applies the plain-float formula of every slot
+to whole rows, in the same order, so each lane gets the bits of the scalar
+run; :func:`branch` splits a batch whose lanes disagree on a condition.
 """
 
 from __future__ import annotations
@@ -52,16 +55,36 @@ def _product_kernel(nseeds):
     return namespace["mul"]
 
 
+def _lane_product(a, b):
+    """The product kernel on (1 + m, B) coefficient arrays, slot for slot:
+    ``0.0 + a0*b0`` and ``(0.0 + a0*bj) + aj*b0``."""
+    out = a[0] * b
+    out += 0.0
+    out[1:] += a[1:] * b[0]
+    return out
+
+
 class SeedContext:
-    """Identity token for one seeding event: jets interoperate only within it."""
+    """Identity token for one seeding event: jets interoperate only within it.
 
-    __slots__ = ("nkeys", "mul")
+    ``lanes`` is the lane count B of a batch, whose jets hold (1 + m, B)
+    arrays, or None for plain floats, whose jets hold lists.
+    """
 
-    def __init__(self, nseeds):
+    __slots__ = ("nkeys", "lanes", "mul")
+
+    def __init__(self, nseeds, lanes=None):
         if nseeds < 1:
             raise ValueError("need at least one seed variable")
         self.nkeys = nseeds + 1
-        self.mul = _product_kernel(nseeds)
+        self.lanes = lanes
+        self.mul = _product_kernel(nseeds) if lanes is None else _lane_product
+
+    def zeros(self):
+        """Coefficients of the zero jet."""
+        if self.lanes is None:
+            return [0.0] * self.nkeys
+        return np.zeros((self.nkeys, self.lanes))
 
 
 def _mixed():
@@ -80,14 +103,14 @@ class Jet:
 
     @classmethod
     def variable(cls, ctx, seed, value):
-        c = [0.0] * ctx.nkeys
+        c = ctx.zeros()
         c[0] = value
         c[seed + 1] = 1.0
         return cls(ctx, c)
 
     @classmethod
     def constant(cls, ctx, value):
-        c = [0.0] * ctx.nkeys
+        c = ctx.zeros()
         c[0] = value
         return cls(ctx, c)
 
@@ -107,11 +130,13 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             if other.ctx is self.ctx:
-                return Jet(self.ctx, [a + b for a, b in zip(self.c, other.c)])
+                if self.ctx.lanes is None:
+                    return Jet(self.ctx, [a + b for a, b in zip(self.c, other.c)])
+                return Jet(self.ctx, self.c + other.c)
             raise _mixed()
         elif not isinstance(other, (int, float, np.ndarray)):
             return NotImplemented
-        c = list(self.c)
+        c = self.c.copy()
         c[0] = c[0] + other
         return Jet(self.ctx, c)
 
@@ -120,21 +145,23 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, Jet):
             if other.ctx is self.ctx:
-                return Jet(self.ctx, [a - b for a, b in zip(self.c, other.c)])
+                if self.ctx.lanes is None:
+                    return Jet(self.ctx, [a - b for a, b in zip(self.c, other.c)])
+                return Jet(self.ctx, self.c - other.c)
             raise _mixed()
         elif not isinstance(other, (int, float, np.ndarray)):
             return NotImplemented
-        c = list(self.c)
+        c = self.c.copy()
         c[0] = c[0] - other
         return Jet(self.ctx, c)
 
     def __rsub__(self, other):
-        c = [-x for x in self.c]
+        c = [-x for x in self.c] if self.ctx.lanes is None else -self.c
         c[0] = other + c[0]
         return Jet(self.ctx, c)
 
     def __neg__(self):
-        return Jet(self.ctx, [-x for x in self.c])
+        return Jet(self.ctx, [-x for x in self.c] if self.ctx.lanes is None else -self.c)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -143,7 +170,9 @@ class Jet:
             raise _mixed()
         elif not isinstance(other, (int, float, np.ndarray)):
             return NotImplemented
-        return Jet(self.ctx, [x * other for x in self.c])
+        if self.ctx.lanes is None:
+            return Jet(self.ctx, [x * other for x in self.c])
+        return Jet(self.ctx, self.c * other)
 
     __rmul__ = __mul__
 
@@ -154,10 +183,14 @@ class Jet:
             raise _mixed()
         elif not isinstance(other, (int, float, np.ndarray)):
             return NotImplemented
-        return Jet(self.ctx, [x / other for x in self.c])
+        if self.ctx.lanes is None:
+            return Jet(self.ctx, [x / other for x in self.c])
+        if branch(other == 0.0):  # the error of the scalar run, lane by lane
+            raise ZeroDivisionError("float division by zero")
+        return Jet(self.ctx, self.c / other)
 
     def __rtruediv__(self, other):
-        num = [0.0] * self.ctx.nkeys
+        num = self.ctx.zeros()
         num[0] = other
         return _div(self.ctx, num, self)
 
@@ -174,7 +207,11 @@ def _compose(x, d0, d1):
     The first-order Taylor sum in the deviation from the value: the value
     slot is ``0.0*d1 + d0``, so an infinite or NaN derivative reaches it.
     """
-    return Jet(x.ctx, [0.0 * d1 + d0] + [v * d1 for v in x.c[1:]])
+    if x.ctx.lanes is None:
+        return Jet(x.ctx, [0.0 * d1 + d0] + [v * d1 for v in x.c[1:]])
+    c = x.c * d1
+    c[0] = 0.0 * d1 + d0
+    return Jet(x.ctx, c)
 
 
 def _div(ctx, num, den):
@@ -187,9 +224,13 @@ def _div(ctx, num, den):
     den0 = den.c[0]
     if branch(den0 == 0.0):
         raise DomainError("division by zero")
-    q = [x / den0 for x in num]
-    wq = ctx.mul([0.0] + den.c[1:], q)
-    return Jet(ctx, [(a - b) / den0 for a, b in zip(num, wq)])
+    if ctx.lanes is None:
+        q = [x / den0 for x in num]
+        wq = ctx.mul([0.0] + den.c[1:], q)
+        return Jet(ctx, [(a - b) / den0 for a, b in zip(num, wq)])
+    dev = den.c.copy()
+    dev[0] = 0.0
+    return Jet(ctx, (num - ctx.mul(dev, num / den0)) / den0)
 
 
 def scalar_value(x):
@@ -205,14 +246,16 @@ def is_finite(x):
     """True when x, or every coefficient of a jet, is finite."""
     if not isinstance(x, Jet):
         return _finite(x)
+    if x.ctx.lanes is not None:
+        return _finite(x.c)
     try:
-        # a finite exact sum of floats has only finite terms; lane arrays,
-        # an overflowing sum or inf - inf take the long way
+        # a finite exact sum of floats has only finite terms; an
+        # overflowing sum or inf - inf takes the long way
         if math.isfinite(math.fsum(x.c)):
             return True
-    except (TypeError, OverflowError, ValueError):
+    except (OverflowError, ValueError):
         pass
-    return all(map(_finite, x.c))
+    return all(map(math.isfinite, x.c))
 
 
 def promote(x, ctx):
@@ -229,13 +272,15 @@ def seed(values, seeds=None):
 
     Returns ``(wrapped_values, ctx)``.  Entries not listed in ``seeds``
     are left untouched (they behave as constants); none may be a jet.
+    When any entry is a lane array, the context has its lane count.
     """
     if any(isinstance(v, Jet) for v in values):
         raise SeedingError("seeding values that are already jets")
     if seeds is None:
         seeds = range(len(values))
     seeds = list(seeds)
-    ctx = SeedContext(len(seeds))
+    lanes = next((len(v) for v in values if isinstance(v, np.ndarray)), None)
+    ctx = SeedContext(len(seeds), lanes)
     out = list(values)
     for k, i in enumerate(seeds):
         out[i] = Jet.variable(ctx, k, values[i])
@@ -350,5 +395,8 @@ def power(base, exponent):
     if e == 0:
         return 1.0
     if e < 0:
-        return 1.0 / _ipow(base, -e)
+        d = _ipow(base, -e)
+        if not isinstance(d, Jet) and branch(d == 0.0):  # lanes: the scalar run's error
+            raise ZeroDivisionError("float division by zero")
+        return 1.0 / d
     return _ipow(base, e)

@@ -136,11 +136,16 @@ def cartan_gamma_lists(space, coords):
     ops = _Derivatives(space, coords)
     g = eval_jets(space.g.matrix, cj, ctx)
     ginv0 = invert_symmetric([[e.value for e in row] for row in g], coords)
-    return (ops.kappa, *_connection_blocks(ops, g, ginv0))
+    return (ops.kappa, _mixed_block(ops, g, ginv0), *_spatial_blocks(ops, g, ginv0))
 
 
-def _connection_blocks(ops, g, ginv0):
-    """(G, L, C) from the metric jets of one seeding and g^-1 values."""
+def _mixed_block(ops, g, ginv0):
+    """G[k][j][gamma] = (g^{km}/2) delta g_mj / delta t^gamma from the metric
+    jets of one seeding and g^-1 values.
+
+    The one block on :meth:`_Derivatives.delta_t`.  Only
+    :func:`cartan_gamma_lists` builds it; the per-point frame does not.
+    """
     p, n = ops.p, ops.n
     Gt = [[[0.0] * p for _ in range(n)] for _ in range(n)]
     for gamma in range(p):
@@ -148,7 +153,18 @@ def _connection_blocks(ops, g, ginv0):
         for k in range(n):
             for j in range(n):
                 Gt[k][j][gamma] = 0.5 * sum_product(ginv0[k], [dgt[m][j] for m in range(n)])
+    return Gt
 
+
+def _spatial_blocks(ops, g, ginv0):
+    """(L, C) from the metric jets of one seeding and g^-1 values.
+
+    L[i][j][k] is the Christoffel formula on the adapted derivatives
+    delta g_ij / delta x^k, and C[i][j][k][gamma] on the fiber derivatives
+    d g_ij / d x^k_gamma, one block per greek label.  Shared by
+    :func:`cartan_gamma_lists` and the per-point frame.
+    """
+    p, n = ops.p, ops.n
     dxg = [
         [[ops.delta_x(g[i][j], k) for j in range(n)] for i in range(n)]
         for k in range(n)
@@ -166,7 +182,7 @@ def _connection_blocks(ops, g, ginv0):
             for j in range(n):
                 for k in range(n):
                     C[i][j][k][gamma] = block[i][j][k]
-    return Gt, L, C
+    return L, C
 
 
 def cartan_gamma(space, coords):
@@ -298,7 +314,7 @@ class _Frame:
         graw = space.g.matrix(cj)
         g = [[promote(v, ctx) for v in row] for row in graw]
         ginv = invert_symmetric(g, coords)
-        _, self.L, self.C = _connection_blocks(ops, g, [[e.value for e in row] for row in ginv])
+        self.L, self.C = _spatial_blocks(ops, g, [[e.value for e in row] for row in ginv])
 
         H = eval_jets(state.em_H.matrix, cj, ctx)
         G = eval_jets(state.em_G.matrix, cj, ctx)
@@ -502,9 +518,16 @@ def stress_block_table(state, space, coords):
     (indexed [eta][nu][i][j]); all other blocks vanish identically.
     """
     spatial, _ = stress_tensors(state, space, coords)
-    hinv = invert_symmetric(space.h.matrix(coords[:space.p]))
-    fiber = np.einsum("ab,ij->abij", np.array(hinv), spatial)
+    _, hinv = frame_inverses(state, space, coords)
+    fiber = np.einsum("ab,ij->abij", hinv, spatial)
     return spatial, fiber
+
+
+def frame_inverses(state, space, coords):
+    """Values of g^-1 and h^-1 at a jet point, as float arrays: the point's
+    frame has inverted both already."""
+    fr = _Frame(state, space, coords)
+    return np.array(fr.ginv0), np.array(fr.hinv0)
 
 
 def mixed_stress_field(state, space):

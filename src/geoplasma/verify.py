@@ -98,10 +98,9 @@ def multitime_invariants(state, space, coords, bsml=False):
         )
 
     T_low, T_mix = mt.stress_tensors(state, space, coords)
-    ginv = np.array(invert_symmetric(space.g.matrix(coords)))
+    ginv, hinv = mt.frame_inverses(state, space, coords)
     out["stress_mixed_identity"] = float(np.abs(ginv @ T_low - T_mix).max())
     spatial, fiber = mt.stress_block_table(state, space, coords)
-    hinv = np.array(invert_symmetric(space.h.matrix(coords[:space.p])))
     block_err = 0.0
     for a in range(space.p):
         for b in range(space.p):

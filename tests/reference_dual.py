@@ -29,7 +29,9 @@ scalar operation and spreads into every coefficient.
 A batch of points runs through the same code with a float64 *lane array*
 (one lane per point) wherever a point value stands; each lane gets the
 bits of the scalar run, and :func:`branch` splits a batch whose lanes
-disagree on a condition.
+disagree on a condition.  Here a lane jet is a list whose coefficients
+may be lane arrays or plain floats; the package's lane jets hold one
+(1 + m, B) array.
 """
 
 from __future__ import annotations
@@ -226,6 +228,8 @@ class Jet:
                 return other.__rtruediv__(self)
         elif not isinstance(other, (int, float, np.ndarray)):
             return NotImplemented
+        elif branch(other == 0.0):  # a plain zero: the scalar run's error, also on lanes
+            raise ZeroDivisionError("float division by zero")
         return Jet(self.ctx, [x / other for x in self.c])
 
     def __rtruediv__(self, other):
@@ -442,5 +446,8 @@ def power(base, exponent):
     if e == 0:
         return 1.0
     if e < 0:
-        return 1.0 / _ipow(base, -e)
+        d = _ipow(base, -e)
+        if not isinstance(d, Jet) and branch(d == 0.0):  # lanes: the scalar run's error
+            raise ZeroDivisionError("float division by zero")
+        return 1.0 / d
     return _ipow(base, e)

@@ -88,23 +88,23 @@ CASES = {
                                            eval={"points": [[1.0, 0.1], [1e100, 0.2],
                                                             [1.2, -0.1]]}),
                          0, 4, 2),
-    # kappa^2_12 ~ t1 vanishes on the t1 = 0 row of the 7 x 7 nodes: the batch,
-    # then its 7 and 42 nodes as two batches
-    "sheet_bsml": ("sheet_rows", BSML, None, 3, 2),
+    # kappa^2_12 ~ t1 vanishes on the t1 = 0 row of the 7 x 7 nodes, but the
+    # sheet frame builds no G block and takes no delta_t: one batch
+    "sheet_bsml": ("sheet_rows", BSML, None, 1, 2),
     # nonzero kappa, G, L and C: the general display.  The 25 nodes split
     # where an elimination factor of invert_symmetric is zero (h is diagonal
     # on the t1 = 0 row) and where an entry of N vanishes: 7 batches and 2
     # nodes alone
     "sheet_multitime3": ("sheet_rows", MULTITIME3, None, 9, 2),
     # the bsml sheet refined to 13 x 13 nodes under the default MIN_BATCH: the
-    # 13 nodes of the t1 = 0 row run one by one, the other 156 as one batch
+    # zero kappa entries of the t1 = 0 row split nothing, all 169 nodes batch
     "sheet_kappa_split": ("sheet_rows",
                           dict(BSML, sheet=dict(BSML["sheet"], grid=dict(
                               BSML["sheet"]["grid"], shape=[13, 13]))),
-                          None, 15, 16),
-    # log(x2) fails where x2 < 0: the t1 = 0 row (7 nodes) and 11 nodes of
-    # the other 42 fail, each alone after its batch failed; 31 nodes batch
-    "sheet_failing_nodes": ("sheet_rows", SHEET_FAILURES, 18, 23, 2),
+                          None, 1, 16),
+    # log(x2) fails where x2 < 0 (18 nodes): the batch of 49 splits by that
+    # condition, the 18 nodes fail as a batch and then one by one, 31 batch
+    "sheet_failing_nodes": ("sheet_rows", SHEET_FAILURES, 18, 21, 2),
     # an exponent over t is a plain lane array where the canonical connection
     # seeds only x: its lanes must multiply like the one-point run's 3.0
     "sheet_lane_exponent": ("sheet_rows", dict(MULTITIME3, metric=[
@@ -115,12 +115,12 @@ CASES = {
     # the optical model checks its refractive index and rank-one factor per point
     "sheet_rgogml": ("sheet_rows", dict(BSML, model={"name": "rgogml", "params": {
         "phi": {"name": "polar"}, "refractive_index": "1.3 + 0.1*sin(t1)",
-        "X": ["1", "0.5*t2"]}}), None, 3, 2),
+        "X": ["1", "0.5*t2"]}}), None, 1, 2),
     # the pressure's t1-derivative overflows at the node t1 = t2 = 1 only: the
-    # t1 = 0 row batches, the batch of the other 42 nodes fails and they run alone
+    # batch of all 49 nodes fails and they run alone
     "sheet_overflowing_node": ("sheet_rows",
                                dict(BSML, pressure="0.4 + 1e-300*(t1*t2*1.0e154)^2"),
-                               1, 45, 2),
+                               1, 50, 2),
 }
 
 

@@ -2,7 +2,8 @@
 
 Tests of mixed partials, higher orders and nested seedings run on the
 general engine in ``reference_dual``; the package's engine must give the
-bits of that engine at order 1 (see the property at the end).
+bits of that engine at order 1, and each lane of a lane jet the bits of
+the scalar jet of that lane (see the two properties at the end).
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference_dual as ref
 from geoplasma import dual
 from geoplasma.dual import Jet, SeedContext, seed
-from geoplasma.errors import DomainError, SeedingError
+from geoplasma.errors import BatchSplit, DomainError, SeedingError
 from geoplasma.expr import BinOp, Call, Neg, Num, Var, compile_trees
 from helpers import coefficient_bits, jet_product_loop, reference_trees
 
@@ -296,10 +297,20 @@ def _nodes(children):
 
 def _outcome(field, coords):
     try:
-        return [coefficient_bits(v) for v in field(coords)]
+        return field(coords)
     except Exception as err:  # compared below, type, text and split lanes
         lanes = getattr(err, "lanes", None)
         return type(err), str(err), None if lanes is None else lanes.tolist()
+
+
+def _at_lane(value, lane):
+    """float.hex of a value, or of each coefficient of a jet, at one lane; a
+    plain float is the value of every lane."""
+    if isinstance(value, (Jet, ref.Jet)):
+        return [_at_lane(v, lane) for v in value.c]
+    if isinstance(value, np.ndarray):
+        value = value[lane]
+    return float(value).hex()
 
 
 @given(
@@ -309,16 +320,152 @@ def _outcome(field, coords):
     st.booleans(),
 )
 # an infinite quotient and an infinite derivative turn the value slot into
-# NaN; -0.0 times a positive seed, in scalars and in lanes
+# NaN; -0.0 times a positive seed, in scalars and in lanes; a jet over a
+# plain zero
 @example([BinOp("/", Var("x1"), Var("x2"))], [[1e308] * 3, [1e-300, 2.0, -0.0], [1.0] * 3],
          {0, 1}, False)
 @example([Call("log", (Var("x1"),)), BinOp("*", Num(-0.0), Var("y1"))],
          [[5e-324, 1.0, 2.0], [1.0] * 3, [0.5, 0.0, 3.0]], {0, 2}, True)
+@example([BinOp("/", Var("x1"), Var("x2"))], [[1.0, 2.0, 3.0], [0.0, -0.0, 0.0], [1.0] * 3],
+         {0}, True)
 @settings(max_examples=300, deadline=None)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_first_order_jets_give_the_bits_of_the_general_engine(trees, rows, seeded, lanes):
-    coords = [np.array(row) for row in rows] if lanes else [row[0] for row in rows]
     seeds = sorted(seeded)
-    ours = _outcome(compile_trees(trees, _VARS), seed(coords, seeds)[0])
-    general = _outcome(reference_trees(trees, _VARS), ref.seed(coords, seeds, order=1)[0])
-    assert ours == general
+    field = compile_trees(trees, _VARS)
+    general = reference_trees(trees, _VARS)
+
+    def bits(outcome):
+        if isinstance(outcome, tuple):
+            return outcome
+        return [coefficient_bits(v) for v in outcome]
+
+    if not lanes:
+        coords = [row[0] for row in rows]
+        ours = _outcome(field, seed(coords, seeds)[0])
+        assert bits(ours) == bits(_outcome(general, ref.seed(coords, seeds, order=1)[0]))
+        return
+    # lanes: the general engine on the same lane arrays (a plain slot there
+    # stands for every lane), and on each lane alone
+    coords = [np.array(row) for row in rows]
+    ours = _outcome(field, seed(coords, seeds)[0])
+    on_lanes = _outcome(general, ref.seed(coords, seeds, order=1)[0])
+    if isinstance(ours, tuple):
+        assert ours == on_lanes
+        return
+    assert not isinstance(on_lanes, tuple), on_lanes
+    for value in ours:
+        if isinstance(value, Jet):  # one (1 + m, B) float64 array per jet
+            assert type(value.c) is np.ndarray and value.c.dtype == np.float64
+            assert value.c.shape == (len(seeds) + 1, 3)
+    for lane in range(3):
+        one = [float(row[lane]) for row in rows]
+        alone = _outcome(general, ref.seed(one, seeds, order=1)[0])
+        assert not isinstance(alone, tuple), alone
+        expected = [_at_lane(v, 0) for v in alone]
+        assert [_at_lane(v, lane) for v in ours] == expected
+        assert [_at_lane(v, lane) for v in on_lanes] == expected
+
+
+# -- each lane of a lane jet against the scalar jet of that lane ------------------
+
+_EDGE = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, -1.0, 0.5,
+         -2.0, 3.0, 1e154, 1e308, -1e308, math.inf, -math.inf]
+_lane_values = st.one_of(st.sampled_from(_EDGE), st.floats(-4.0, 4.0))
+_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+    "power": dual.power,
+    "neg": lambda a: -a,
+    **{name: getattr(dual, name) for name in ("sin", "cos", "exp", "log", "sqrt", "tanh")},
+}
+_EXPONENTS = [0, 1, 2, 3, -1, -2, 0.0, 2.0, -3.0, 0.5, -0.5, 1.5, math.inf, -math.inf]
+
+
+def _operands(draw, name, nseeds):
+    """Operands of one operation: ("jet", (1 + m, 3) coefficients) or
+    ("plain", a float or a (3,) lane array)."""
+    def coeffs():
+        return np.array(draw(st.lists(_lane_values, min_size=3 * (nseeds + 1),
+                                      max_size=3 * (nseeds + 1)))).reshape(nseeds + 1, 3)
+
+    def plain():
+        if draw(st.booleans()):
+            return draw(_lane_values)
+        return np.array(draw(st.lists(_lane_values, min_size=3, max_size=3)))
+
+    if name in ("neg", "sin", "cos", "exp", "log", "sqrt", "tanh"):
+        return [("jet", coeffs())]
+    if name == "power":
+        exponent = draw(st.sampled_from(["int/float", "lanes", "jet", "plain base"]))
+        if exponent == "int/float":
+            return [("jet", coeffs()), ("plain", draw(st.sampled_from(_EXPONENTS)))]
+        if exponent == "lanes":  # equal integers, different integers, or any lanes
+            lanes = draw(st.one_of(
+                st.sampled_from([2.0, -1.0, 3.0]).map(lambda e: [e] * 3),
+                st.lists(st.sampled_from([2.0, 3.0, -1.0]), min_size=3, max_size=3),
+                st.lists(st.sampled_from(_EXPONENTS).map(float), min_size=3, max_size=3),
+            ))
+            return [("jet", coeffs()), ("plain", np.array(lanes))]
+        if exponent == "jet":
+            return [("jet", coeffs()), ("jet", coeffs())]
+        return [("plain", plain()), ("jet", coeffs())]
+    sides = draw(st.sampled_from(["jj", "jp", "pj"]))
+    return [("jet", coeffs()) if side == "j" else ("plain", plain()) for side in sides]
+
+
+def _scalar_outcome(fn, operands, lane, nseeds):
+    ctx = SeedContext(nseeds)
+    args = []
+    for kind, value in operands:
+        if kind == "jet":
+            args.append(Jet(ctx, value[:, lane].tolist()))
+        else:
+            args.append(value[lane].item() if isinstance(value, np.ndarray) else value)
+    try:
+        return _at_lane(fn(*args), 0)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _check_lanes(fn, operands, lanes, scalars, nseeds):
+    """The lane operation on ``lanes``: each lane has the bits of its scalar
+    run; a split runs both sides again, as a batch does."""
+    ctx = SeedContext(nseeds, len(lanes))
+    args = []
+    for kind, value in operands:
+        if kind == "jet":
+            args.append(Jet(ctx, value[:, lanes]))
+        else:
+            args.append(value[lanes] if isinstance(value, np.ndarray) else value)
+    try:
+        out = fn(*args)
+    except BatchSplit as split:
+        assert split.lanes is not None and split.lanes.any() and not split.lanes.all()
+        for side in (split.lanes, ~split.lanes):
+            _check_lanes(fn, operands, lanes[side], scalars, nseeds)
+        return
+    except Exception as err:  # a failed batch runs its points alone: one of them fails so
+        assert (type(err), str(err)) in [scalars[b] for b in lanes]
+        return
+    if isinstance(out, Jet):
+        assert out.ctx is ctx and type(out.c) is np.ndarray and out.c.dtype == np.float64
+        assert out.c.shape == (nseeds + 1, len(lanes))
+    for k, b in enumerate(lanes.tolist()):
+        assert _at_lane(out, k) == scalars[b], (k, b)
+
+
+@given(st.sampled_from(sorted(_OPS)), st.integers(1, 3), st.data())
+@example("/", 1, None)  # a jet over a plain zero: ZeroDivisionError, also in lanes
+@settings(max_examples=600, deadline=None)
+def test_each_lane_of_a_lane_jet_has_the_bits_of_the_scalar_jet(name, nseeds, data):
+    if data is None:
+        operands = [("jet", np.array([[1.0, -2.0, 0.0], [0.5, 1.0, -0.0]])), ("plain", -0.0)]
+    else:
+        operands = _operands(data.draw, name, nseeds)
+    fn = _OPS[name]
+    with np.errstate(all="ignore"):  # inf and NaN lanes: the scalar run's silent floats
+        scalars = [_scalar_outcome(fn, operands, lane, nseeds) for lane in range(3)]
+        _check_lanes(fn, operands, np.arange(3), scalars, nseeds)
