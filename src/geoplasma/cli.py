@@ -23,7 +23,6 @@ from .dual import promote, seed
 from .errors import GeoPlasmaError, ScenarioError
 from .multitime import StreamSheet, prolong_sheet
 from .scenario import evaluation_points, load_scenario, sheet_axes_and_values
-from .verify import invariants_at
 
 
 def _fmt(value):
@@ -66,11 +65,9 @@ def cmd_verify(args):
     worst = OrderedDict()
     worst_point = {}
     failed_points = []
-    for coords in points:
-        try:
-            invariants = invariants_at(scenario, coords)
-        except GeoPlasmaError as err:
-            failed_points.append({"point": coords, "error": str(err)})
+    for coords, invariants in zip(points, scenario.invariant_suites(points)):
+        if isinstance(invariants, GeoPlasmaError):
+            failed_points.append({"point": coords, "error": str(invariants)})
             continue
         for name, value in invariants.items():
             if name not in worst or _worse(value, worst[name]):

@@ -27,10 +27,12 @@ def point_memo(builder):
     """Memoize a pure per-point builder at the last point it was called at.
 
     The key is the identity of each framework-object argument plus the exact
-    bits (``float.hex``: -0.0 and 0.0 differ) of each coordinate argument, a
-    list, tuple or array.  Calls with coordinates that are not all plain
-    floats (jets, numpy scalars) bypass the memo.
-    One point is held, so memory stays flat; callers must not mutate results.
+    bits of each coordinate argument, a list, tuple or array: ``float.hex``
+    of a plain float (-0.0 and 0.0 differ), and the shape and bytes of a
+    float64 lane array, so one batch of points is one key.  Calls with other
+    coordinates (jets, numpy scalars) bypass the memo.
+    One point or batch is held, so memory stays flat; callers must not mutate
+    results.
     """
     memo = {}
 
@@ -42,6 +44,10 @@ def point_memo(builder):
                 key.append(id(arg))
             elif all(type(c) is float for c in arg):
                 key.append(tuple(map(float.hex, arg)))
+            elif all(type(c) is float or type(c) is np.ndarray and c.dtype == np.float64
+                     for c in arg):
+                key.append(tuple(c.hex() if type(c) is float else (c.shape, c.tobytes())
+                                 for c in arg))
             else:
                 return builder(*args)
         key = tuple(key)
@@ -404,6 +410,15 @@ def add_residuals(report, values, suffix=""):
     report.add("force" + suffix, force)
     report.add("contraction_identity" + suffix, float(cons @ u0 - cont - lorentz))
     report.add("euler_decomposition" + suffix, euler - (cons - cont * ul0))
+
+
+def max_abs(values, lanes=False):
+    """max |values| over every axis of a float array: a float, or with
+    ``lanes`` one per lane of the trailing lane axis."""
+    values = np.abs(values)
+    if lanes:
+        return values.max(axis=tuple(range(values.ndim - 1)))
+    return float(values.max())
 
 
 def unit_norm_error(u, u_low):

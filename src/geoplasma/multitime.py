@@ -34,6 +34,7 @@ from .common import (
     energy_low_mixed,
     inertial_factor,
     jet_values,
+    max_abs,
     point_memo,
 )
 from .dual import promote, scalar_value, seed
@@ -79,6 +80,7 @@ def zero_jet_connection(p, n):
     return fn
 
 
+@point_memo
 def temporal_christoffel_lists(space, t_coords):
     """kappa[gamma][alpha][beta] of the temporal metric at t."""
     return christoffel_of(space.h, t_coords, point=t_coords)
@@ -86,12 +88,16 @@ def temporal_christoffel_lists(space, t_coords):
 
 @point_memo
 class _Derivatives:
-    """Adapted derivative operators bound to one seeding of a jet point."""
+    """Adapted derivative operators bound to one seeding of a jet point.
+
+    Only :meth:`delta_t` reads kappa, which is built on first use: the
+    residual and sheet frames take no temporal derivative.
+    """
 
     def __init__(self, space, coords):
         p, n = space.p, space.n
         self.p, self.n = p, n
-        self.kappa = temporal_christoffel_lists(space, coords[:p])
+        self._space, self._t = space, coords[:p]
         self.N0 = [
             [[scalar_value(v) for v in row] for row in plane]
             for plane in space.N(list(coords))
@@ -100,6 +106,10 @@ class _Derivatives:
             [scalar_value(coords[fiber_index(p, n, i, a)]) for a in range(p)]
             for i in range(n)
         ]
+
+    @functools.cached_property
+    def kappa(self):
+        return temporal_christoffel_lists(self._space, self._t)
 
     def fiber(self, jet, i, alpha):
         return jet.d(fiber_index(self.p, self.n, i, alpha))
@@ -132,11 +142,12 @@ def cartan_gamma_lists(space, coords):
     G[k][j][gamma] = (g^{km}/2) delta g_mj / delta t^gamma,
     L[i][j][k] as on the base, C[i][j][k][gamma] from fiber derivatives.
     """
+    kappa = temporal_christoffel_lists(space, coords[:space.p])  # h's error before g's
     cj, ctx = seed(list(coords))
     ops = _Derivatives(space, coords)
     g = eval_jets(space.g.matrix, cj, ctx)
     ginv0 = invert_symmetric([[e.value for e in row] for row in g], coords)
-    return (ops.kappa, _mixed_block(ops, g, ginv0), *_spatial_blocks(ops, g, ginv0))
+    return (kappa, _mixed_block(ops, g, ginv0), *_spatial_blocks(ops, g, ginv0))
 
 
 def _mixed_block(ops, g, ginv0):
@@ -207,8 +218,8 @@ def jet_covariant_derivative(field, slots, space, coords, kind):
 def _jet_covariant(T, slots, space, coords, kind):
     """jet_covariant_derivative of a field already evaluated as jets T."""
     p, n = space.p, space.n
+    kappa, Gt, L, C = cartan_gamma_lists(space, coords)  # kappa before N: h's error first
     ops = _Derivatives(space, coords)
-    kappa, Gt, L, C = cartan_gamma_lists(space, coords)
     T, vals = jet_values(T, slots)
 
     def corrections(idx, latin_coeff, greek_coeff):
@@ -302,14 +313,13 @@ class _Frame:
         self.p, self.n = p, n
         self.c = state.c
         cj, ctx = seed(list(coords))
+        h = eval_jets(space.h.matrix, cj[:p], ctx)
+        hinv = invert_symmetric(h, coords[:p])  # before N, which may invert g: h's error first
+        self.hinv0 = [[e.value for e in row] for row in hinv]
         ops = _Derivatives(space, coords)
         self.ops = ops
         self.N0 = ops.N0
         self.xd0 = ops.xd0
-
-        h = eval_jets(space.h.matrix, cj[:p], ctx)
-        hinv = invert_symmetric(h, coords[:p])
-        self.hinv0 = [[e.value for e in row] for row in hinv]
 
         graw = space.g.matrix(cj)
         g = [[promote(v, ctx) for v in row] for row in graw]
@@ -361,7 +371,8 @@ def multitime_residuals(state, space, coords):
 
     The repeated greek label of the vertical conservation equations is
     read as a free index (an (i, mu) tensor); the vertical continuity
-    residual is the fully contracted scalar.
+    residual is the fully contracted scalar.  Coordinates that are lane
+    arrays give each entry a trailing lane axis.
     """
     fr = _Frame(state, space, coords)
     p, n = fr.p, fr.n
@@ -395,7 +406,7 @@ def multitime_residuals(state, space, coords):
         for a in range(p):
             for b in range(p):
                 hab = hinv0[a][b]
-                if hab == 0.0:
+                if dual.branch(hab == 0.0):
                     continue
                 acc += hab * wdiv_h[a] * fr.ul0[i][b]
                 for m in range(n):
@@ -412,7 +423,7 @@ def multitime_residuals(state, space, coords):
             for a in range(p):
                 for b in range(p):
                     hab = hinv0[a][b]
-                    if hab == 0.0:
+                    if dual.branch(hab == 0.0):
                         continue
                     acc += hab * wdiv_v[a][mu] * fr.ul0[i][b]
                     for m in range(n):
@@ -426,7 +437,7 @@ def multitime_residuals(state, space, coords):
         for a in range(p):
             for b in range(p):
                 hab = hinv0[a][b]
-                if hab == 0.0:
+                if dual.branch(hab == 0.0):
                     continue
                 proj = sum(fr.ul0[i][b] * fr.u0[i][mu] for i in range(n))
                 acc += hab * wdiv_h[a] * proj
@@ -442,7 +453,7 @@ def multitime_residuals(state, space, coords):
         for a in range(p):
             for b in range(p):
                 hab = hinv0[a][b]
-                if hab == 0.0:
+                if dual.branch(hab == 0.0):
                     continue
                 proj = sum(fr.ul0[i][b] * fr.u0[i][mu] for i in range(n))
                 cont_v += hab * wdiv_v[a][mu] * proj
@@ -462,14 +473,14 @@ def multitime_residuals(state, space, coords):
     report.add("continuity_h", cont_h)
     report.add("continuity_v", cont_v)
     report.add("force_h", force_h)
-    report.add("force_v", np.array(force_v).T)
+    report.add("force_v", np.array(force_v).swapaxes(0, 1))  # [k][mu], lanes last
 
     u0 = np.array(fr.u0)
     contraction_h = [
-        float(sum(cons_h[i] * u0[i][mu] for i in range(n)) - cont_h[mu] - lorentz_h[mu])
+        sum(cons_h[i] * u0[i][mu] for i in range(n)) - cont_h[mu] - lorentz_h[mu]
         for mu in range(p)
     ]
-    contraction_v = float(
+    contraction_v = (
         sum(cons_v[i][mu] * u0[i][mu] for i in range(n) for mu in range(p))
         - cont_v - lorentz_v
     )
@@ -519,7 +530,7 @@ def stress_block_table(state, space, coords):
     """
     spatial, _ = stress_tensors(state, space, coords)
     _, hinv = frame_inverses(state, space, coords)
-    fiber = np.einsum("ab,ij->abij", hinv, spatial)
+    fiber = np.einsum("ab...,ij...->abij...", hinv, spatial)
     return spatial, fiber
 
 
@@ -571,7 +582,9 @@ def conservation_divergence(state, space, coords):
 
 
 def metric_compatibility(space, coords):
-    """Metric compatibilities of h, g and their inverses, all channels."""
+    """Metric compatibilities of h, g and their inverses, all channels: max
+    norms, one per lane when the coordinates are lane arrays."""
+    lanes = any(isinstance(c, np.ndarray) for c in coords)
     cj, ctx = seed(list(coords))
 
     def metrics():  # lazy: inverses come after the connection blocks, whose errors name the point
@@ -587,7 +600,7 @@ def metric_compatibility(space, coords):
         T = [[promote(v, ctx) for v in row] for row in m]
         for kind in ("hT", "hM", "v"):
             d = _jet_covariant(T, slots, space, coords, kind)
-            out[f"{name}_{kind}"] = float(np.abs(d).max())
+            out[f"{name}_{kind}"] = max_abs(d, lanes)
     return out
 
 

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,15 @@ from .verify import lagrange_invariants, multitime_invariants, riemann_invariant
 
 FRAMEWORKS = ("riemann", "lagrange", "multitime")
 BATCH_POINTS = 256  # points per batch; its jet arrays grow with it
-MIN_BATCH = 16  # fewer points run one by one: a batch costs about 8 one-point reports
+# Fewer points run one by one.  A lane batch costs about as much as 3-6
+# one-point evaluations whatever its size, measured at B points (best of 9,
+# 2-core x86-64 VM; cost in one-point evaluations, speed-up in brackets):
+#   callable               B = 2       B = 4       B = 8       B = 12      B = 16
+#   riemann reports        3.7 (x0.5)  3.6 (x1.1)  4.4 (x1.8)  4.3 (x2.8)  4.0 (x4.0)
+#   multitime sheet_rows   5.6 (x0.4)  5.4 (x0.7)  5.9 (x1.3)  3.6 (x3.3)  5.3 (x3.0)
+#   multitime invariants   3.2 (x0.6)  4.7 (x0.9)  3.8 (x2.1)  4.5 (x2.7)  3.1 (x5.2)
+# From 8 points on, every batched callable wins.
+MIN_BATCH = 8
 
 _TOP_KEYS = {
     "framework", "n", "p", "c", "model", "metric", "h_metric", "connection",
@@ -139,8 +148,8 @@ class Scenario:
     framework subclass evaluates ``report``, ``invariants`` and
     ``connection`` (block name -> (float array, index-order label)) at a
     point; the stream commands a framework lacks raise here.  A framework
-    whose reports run as a batch, one lane per point, sets
-    ``_batch_reports``.
+    whose reports or invariant suites run as a batch, one lane per point,
+    sets ``_batch_reports`` or ``_batch_invariants``.
     """
 
     n: int
@@ -151,10 +160,15 @@ class Scenario:
 
     hash = ""  # sha256 of the scenario file, set by load_scenario
     _batch_reports = None
+    _batch_invariants = None
 
     def reports(self, points):
         """The report at each point, or the GeoPlasmaError its evaluation raised."""
         return self._evaluate(points, self.report, self._batch_reports)
+
+    def invariant_suites(self, points):
+        """The invariant suite at each point, or the GeoPlasmaError its evaluation raised."""
+        return self._evaluate(points, self.invariants, self._batch_invariants)
 
     def _evaluate(self, points, one, batched):
         """``one(point)`` at each point, or the GeoPlasmaError it raised.
@@ -263,6 +277,12 @@ class MultitimeScenario(Scenario):
 
     def invariants(self, coords):
         return multitime_invariants(self.state, self.space, coords, bsml=self.bsml)
+
+    def _batch_invariants(self, points):
+        suite = multitime_invariants(self.state, self.space,
+                                     [np.array(lane) for lane in zip(*points)], bsml=self.bsml)
+        per_lane = zip(*(value.tolist() for value in suite.values()))
+        return [OrderedDict(zip(suite, values)) for values in per_lane]
 
     def connection(self, coords):
         labels = ("kappa[gamma][alpha][beta]", "G[k][j][gamma]", "L[i][j][k]", "C[i][j][k][gamma]")

@@ -1,10 +1,11 @@
 """Batched evaluation: one frame for many points, the bits of one point each.
 
-Two callables run through ``Scenario``'s one split algorithm: riemann
-``reports(points)`` and multitime ``sheet_rows(nodes, coefficients)``.
-Each seeds a whole batch once, with one lane per point in every jet
-coefficient.  Each result must equal the one-point ``report`` or
-``sheet_row`` at its point by ``repr`` of every value, and a point that
+Three callables run through ``Scenario``'s one split algorithm: riemann
+``reports(points)``, multitime ``sheet_rows(nodes, coefficients)`` and
+multitime ``invariant_suites(points)``.  Each seeds a whole batch once,
+with one lane per point in every jet coefficient.  Each result must equal
+the one-point ``report``, ``sheet_row`` or ``invariants`` at its point by
+``repr`` (``float.hex`` for an invariant) of every value, and a point that
 fails must carry exactly the error text of the one-point path, also where
 the failure, a pivot choice, a vanishing coefficient or an overflow splits
 the batch.  The small cases batch down to two points, below the default
@@ -26,11 +27,22 @@ from geoplasma.scenario import build_scenario, evaluation_points, load_scenario
 from geoplasma.tensor_core import Slot, eval_jets
 
 import helpers
-from test_output_bytes import MULTITIME3, RIEMANN3, SCENARIOS, SHEET_FAILURES
+from test_output_bytes import MULTITIME3, RIEMANN3, SCENARIOS, SHEET_FAILURES, SINGULAR_H
 
 POLAR = json.loads((SCENARIOS / "polar_plasma.json").read_text())
 BSML = json.loads((SCENARIOS / "bsml_sheet.json").read_text())
 FLAT = [["1", "0"], ["1"]]
+# the multitime3 samples with t1 = 0 at two of them, where h is diagonal
+DIAGONAL_H = [[0.0 if k in (1, 4) else t1] + rest for k, (t1, *rest)
+              in enumerate(evaluation_points(build_scenario(MULTITIME3))[0])]
+# the bsml samples with t1 = t2 = 1 at one of them, where the pressure's
+# t1-derivative overflows
+OVERFLOWING_POINT = dict(BSML, pressure="0.4 + 1e-300*(t1*t2*1.0e154)^2", eval={"points": [
+    [1.0, 1.0] + rest if k == 3 else [t1, t2] + rest
+    for k, (t1, t2, *rest) in enumerate(evaluation_points(build_scenario(BSML))[0])]})
+# the optical model checks its refractive index and rank-one factor per point
+RGOGML = dict(BSML, model={"name": "rgogml", "params": {
+    "phi": {"name": "polar"}, "refractive_index": "1.3 + 0.1*sin(t1)", "X": ["1", "0.5*t2"]}})
 THREE = [[1.0, 0.1], [0.0, 0.2], [1.2, -0.1]]
 
 
@@ -53,6 +65,9 @@ CALLABLES = {
                 lambda s, points: s.reports(points), lambda s, coords: s.report(coords)),
     "sheet_rows": (mt, _sheet_nodes, lambda s, nodes: s.sheet_rows(nodes, True),
                    lambda s, coords: s.sheet_row(coords, True)),
+    "invariants": (mt, lambda s: evaluation_points(s)[0],
+                   lambda s, points: s.invariant_suites(points),
+                   lambda s, coords: s.invariants(coords)),
 }
 
 # name -> (batched callable, scenario, failing points or None, frame seedings,
@@ -92,7 +107,8 @@ CASES = {
     # sheet frame builds no G block and takes no delta_t: one batch
     "sheet_bsml": ("sheet_rows", BSML, None, 1, 2),
     # nonzero kappa, G, L and C: the general display.  The 25 nodes split
-    # where an elimination factor of invert_symmetric is zero (h is diagonal
+    # where an elimination factor of the canonical N's inversion of g is zero
+    # (g_13 ~ sin(x3*t2) on the t2 = 0 row), where h^12 is zero (h is diagonal
     # on the t1 = 0 row) and where an entry of N vanishes: 7 batches and 2
     # nodes alone
     "sheet_multitime3": ("sheet_rows", MULTITIME3, None, 9, 2),
@@ -112,21 +128,44 @@ CASES = {
         ["1.1 + 0.1*cos(x1 - x3_2)", "0.04*cos(x2 + x1_1)"],
         ["1.3 + 0.05*sin(x3 + t1*t2)"],
     ]), None, 9, 2),
-    # the optical model checks its refractive index and rank-one factor per point
-    "sheet_rgogml": ("sheet_rows", dict(BSML, model={"name": "rgogml", "params": {
-        "phi": {"name": "polar"}, "refractive_index": "1.3 + 0.1*sin(t1)",
-        "X": ["1", "0.5*t2"]}}), None, 1, 2),
+    "sheet_rgogml": ("sheet_rows", RGOGML, None, 1, 2),
     # the pressure's t1-derivative overflows at the node t1 = t2 = 1 only: the
     # batch of all 49 nodes fails and they run alone
     "sheet_overflowing_node": ("sheet_rows",
                                dict(BSML, pressure="0.4 + 1e-300*(t1*t2*1.0e154)^2"),
                                1, 50, 2),
+    # a suite that batches seeds four times: for the metric compatibilities,
+    # the connection blocks, the frame and the direct divergence
+    "verify_bsml_sheet": ("invariants", BSML, None, 4, 2),
+    # nonzero kappa, G, L and C
+    "verify_multitime3": ("invariants", MULTITIME3, None, 4, 2),
+    # kappa's inversion of h splits the batch of 6 by the zero h_12 of the two
+    # points at t1 = 0; each side then batches, the zero h^12 skipped in both
+    "verify_diagonal_h": ("invariants", dict(MULTITIME3, eval={"points": DIAGONAL_H}),
+                          None, 9, 2),
+    # log(x2) fails at 5 of the 10 points: the frame splits the batch after 3
+    # seedings, the 5 good points batch, and the 5 failing ones fail as a batch
+    # and then alone
+    "verify_log_domain": ("invariants", SHEET_FAILURES, 5, 25, 2),
+    # the batch overflows in the frame; its 10 points run alone, and the one
+    # that overflows fails there
+    "verify_overflowing_point": ("invariants", OVERFLOWING_POINT, 1, 42, 2),
+    "verify_rgogml": ("invariants", RGOGML, None, 4, 2),
+    # kappa splits off the two points where h is singular, which fail as a
+    # batch and then alone (1 seeding each); the connection blocks split the
+    # other two by g, and each runs alone.  Where h and g are both singular,
+    # h is named, as by the one-point suite
+    "verify_singular_h": ("invariants", SINGULAR_H, 3, 12, 2),
+    "verify_singular_h_canonical": ("invariants", dict(SINGULAR_H, connection="canonical"),
+                                    3, 12, 2),
 }
 
 
 def _key(result):
     if isinstance(result, GeoPlasmaError):
         return type(result).__name__, str(result)
+    if isinstance(result, dict):
+        return [(name, float.hex(value)) for name, value in result.items()]
     if isinstance(result, list):
         return [repr(value) for value in result]
     return [(label, repr(value)) for label, value in result.columns()]

@@ -20,7 +20,11 @@ model whose connection differentiates inside a field function.  The
 ``streamsheet`` pins for ``--prolongation exact``, a ``--sheet-file``, the
 17 x 17 nodes of ``multitime3`` at ``--refine 4`` (more nodes than one
 batch holds) and ``sheet_failures`` (failing nodes and exit code 1) were
-recorded before sheet nodes ran in batches.
+recorded before sheet nodes ran in batches.  The ``verify`` pins at 24
+points (more than ``MIN_BATCH``, failing points and worst offenders
+included) and the ``singular_h`` pins (which metric a point where h and g
+are both singular names) were recorded before multitime verify ran in
+batches and before the frames built kappa only on use.
 
 The hashes assume CPython 3.11 and numpy 2.4.6 on x86-64 Linux with glibc
 2.36's libm: another libm may round ``sin``/``exp``/``log`` differently in
@@ -141,8 +145,28 @@ EDML = {
 # domain error and the others give rows
 SHEET_FAILURES = dict(json.loads((SCENARIOS / "bsml_sheet.json").read_text()),
                       pressure="0.4 + 0.02*log(x2)")
+# h = diag(t1, 1) is singular where t1 = 0 and g = diag(x1, 1) where x1 = 0:
+# the points are regular, h-singular, singular in both (h is named) and
+# g-singular.  The canonical connection inverts g once more, without naming
+# the point, before the frame or the connection blocks do
+SINGULAR_H = {
+    "framework": "multitime",
+    "n": 2,
+    "p": 2,
+    "c": 1.0,
+    "h_metric": [["t1", "0"], ["1"]],
+    "metric": [["x1", "0"], ["1"]],
+    "connection": "zero",
+    "pressure": "0.4",
+    "density": "1.2",
+    "eval": {"points": [[0.5, 0.1, 1.0, 0.2, 0.7, 0.3, 0.4, 0.9],
+                        [0.0, 0.1, 1.0, 0.2, 0.7, 0.3, 0.4, 0.9],
+                        [0.0, 0.1, 0.0, 0.2, 0.7, 0.3, 0.4, 0.9],
+                        [0.5, 0.1, 0.0, 0.2, 0.7, 0.3, 0.4, 0.9]]},
+}
 GENERATED = {"lagrange3": LAGRANGE3, "riemann3": RIEMANN3, "multitime3": MULTITIME3,
-             "edml": EDML, "sheet_failures": SHEET_FAILURES}
+             "edml": EDML, "sheet_failures": SHEET_FAILURES, "singular_h": SINGULAR_H,
+             "singular_h_canonical": dict(SINGULAR_H, connection="canonical")}
 
 
 def _bsml_nodes():
@@ -204,6 +228,17 @@ CASES["streamsheet-sheet-file-bsml_sheet"] = (
 # 17 x 17 = 289 nodes: more than one batch of nodes
 CASES["streamsheet-refine-4-multitime3"] = ("multitime3", ["streamsheet", "--refine", "4"], 0)
 CASES["streamsheet-sheet_failures"] = ("sheet_failures", ["streamsheet"], 1)
+CASES["residuals-singular_h"] = ("singular_h", ["residuals"], 1)
+CASES["residuals-singular_h_canonical"] = ("singular_h_canonical", ["residuals"], 1)
+CASES["verify-singular_h"] = ("singular_h", ["verify"], 1)
+CASES["verify-singular_h_canonical"] = ("singular_h_canonical", ["verify"], 1)
+# more points than MIN_BATCH: verify runs its points as lane batches; these
+# were recorded while verify evaluated every point alone
+CASES["verify-points-24-multitime3"] = ("multitime3", ["verify", "--points", "24"], 0)
+CASES["verify-points-24-sheet_failures"] = ("sheet_failures", ["verify", "--points", "24"], 1)
+CASES["verify-tol-1e-30-points-24-bsml_sheet"] = (
+    "bsml_sheet", ["verify", "--tol", "1e-30", "--points", "24"], 1,
+)
 
 # case -> (SHA-256 of the output file, SHA-256 of stdout or None)
 EXPECTED = {
@@ -239,6 +274,13 @@ EXPECTED = {
     "verify-tol-1e-30-bsml_sheet": ("fc8e12ca26dc699899141973c9f0a2dcec7fffaa9a9615ffb1189c97705feb58", "de4d0fbbdfd114196c92103bbb1ca71a83b8fbb2f3c4f8007236d38105877800"),
     "verify-tol-1e-30-polar_plasma": ("63945e54d3e1c884377a0134cea91ccc4a6de265e0ea5f3337dc505f6c2b3e40", "3f19924f3c6d795c4b6cb45659d8ae7e1e7d102b589d6879bf1dd487dbe181b8"),
     "verify-tol-1e-30-tangent_bundle": ("4378983980db4f16ba80f14c578206ea2ec63f1e7eabb4d217d067383dfd1764", "86f4ad715bd36bb2bfe9ff6bd4bb2112f6ffb48c33c7fc290a8788896a91a3e8"),
+    "residuals-singular_h": ("8b738bfe8f509ae013fff1634096daab11d09e74e4de54a192a03ddfa566a052", None),
+    "residuals-singular_h_canonical": ("f44d342f9a56f4d3888cd5743de87da2881ce0ff7e6d1cb2dd4b8497a01ca21c", None),
+    "verify-singular_h": ("c46513fcfbd256ca29f400ac5f3118d28961a54ac98cdbaebe5b94d7c1d74053", "e802bf2656ec30058b5eb5cc303b3f66058f11b655532436388c7707a040b2ad"),
+    "verify-singular_h_canonical": ("de13f2c0ce643c4967f41bc336c0f696167e3c96ed8564419dad79f54b189a92", "becbf09fe23c941db2bcd816bb24b43492c63f8dfbb20ada5943f05d983f58c8"),
+    "verify-points-24-multitime3": ("013b53ff76c9ba5ff922b18c4a8715e9ccfff432138abc669c7a189378641ebd", "e72f3bcc192cf410b35059f562dfcde5b548bb7781dbaa5d46194298f4914cfb"),
+    "verify-points-24-sheet_failures": ("f27dba8b2d7da7700ccbb6592cf848e6dac58f89343cc83a586e7815359d699d", "c6c384a97298f8e7542339696c3ed3c7bcd20ffd585b6888bee413d1bc2c97b2"),
+    "verify-tol-1e-30-points-24-bsml_sheet": ("7384e5dcfcedae1be4fbd0929a386d8e47a75fbe69f0448cc722eb3c137b44b6", "0281dc772a26a27854d52b3fc236e247695ea3551bf0489c8f55adc17aeb97c3"),
 }
 
 
@@ -270,3 +312,27 @@ def test_output_bytes_unchanged(case, tmp_path, capsys):
     code, hashes = run_case(case, tmp_path, capsys)
     assert code == CASES[case][2]
     assert hashes == EXPECTED[case]
+
+
+# the failure of ``connection`` at each point of a SINGULAR_H scenario: where
+# h and g are both singular, h is named
+_H_TEXT = "failure: metric is singular or near-singular (pivot 0.000e+00) at point (0.0, 0.1)\n"
+SINGULAR_H_CONNECTION = {
+    "singular_h": [(0, ""), (1, _H_TEXT), (1, _H_TEXT),
+                   (1, "failure: metric is singular or near-singular (pivot 0.000e+00) at point "
+                       "(0.5, 0.1, 0.0, 0.2, 0.7, 0.3, 0.4, 0.9)\n")],
+    "singular_h_canonical": [(0, ""), (1, _H_TEXT), (1, _H_TEXT),
+                             (1, "failure: metric is singular or near-singular "
+                                 "(pivot 0.000e+00)\n")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_H_CONNECTION))
+def test_connection_names_the_singular_metric(name, tmp_path, capsys):
+    scenario = tmp_path / f"{name}.json"
+    scenario.write_text(json.dumps(GENERATED[name], indent=2) + "\n")
+    for point, expected in zip(SINGULAR_H["eval"]["points"], SINGULAR_H_CONNECTION[name]):
+        capsys.readouterr()
+        code = main(["connection", "--scenario", str(scenario), "--at",
+                     ",".join(map(repr, point)), "--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == expected

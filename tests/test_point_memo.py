@@ -33,11 +33,12 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # made 5/8 and 10/14 while metric_compatibility seeded once per metric field,
 # 6/7 and 7/14 while the direct divergence evaluated the stress per channel,
 # and bsml_sheet made 6/12 while the stress checks inverted g and h again
-# instead of reading the frame's inverses
+# instead of reading the frame's inverses; its residuals made 3/4 while the
+# frame built kappa, which only the temporal derivative reads
 PER_POINT = {
     "polar_plasma": (4, 8, 1, 1),
     "tangent_bundle": (5, 6, 2, 2),
-    "bsml_sheet": (6, 9, 3, 4),
+    "bsml_sheet": (6, 9, 2, 3),
 }
 
 
@@ -77,6 +78,14 @@ def test_verify_counts_per_point(name, counts, capsys):
     assert main(["verify", "--scenario", scenario_path(name), "--points", "2"]) == 0
     assert counts["seed"] == 2 * seeds
     assert counts["invert_symmetric"] == 2 * inversions
+
+
+def test_verify_counts_of_one_lane_batch(counts, capsys):
+    # 12 points reach MIN_BATCH: the suite runs once with 12 lanes, so the
+    # whole command makes the seedings and inversions of one point
+    seeds, inversions, _, _ = PER_POINT["bsml_sheet"]
+    assert main(["verify", "--scenario", scenario_path("bsml_sheet"), "--points", "12"]) == 0
+    assert (counts["seed"], counts["invert_symmetric"]) == (seeds, inversions)
 
 
 @pytest.mark.parametrize("name", sorted(PER_POINT))
@@ -167,6 +176,25 @@ def test_memo_bypasses_jets_and_numpy_scalars():
     for _ in range(2):
         with pytest.raises(SeedingError):
             riemann.christoffel_lists(s, jets)
+
+
+def test_memo_keys_on_the_bytes_of_lane_arrays():
+    builder, calls = _counting_builder()
+    space = object()
+    batch = builder(space, [np.array([0.0, 1.0, 2.0]), 0.5])
+    assert builder(space, [np.array([0.0, 1.0, 2.0]), 0.5]) is batch  # equal bytes
+    assert len(calls) == 1
+    for coords in ([np.array([0.0, 1.0, 2.5]), 0.5],    # one lane differs
+                   [np.array([0.0, 1.0]), 0.5],         # fewer lanes
+                   [np.array([-0.0, 1.0, 2.0]), 0.5],   # a signed zero
+                   [np.array([0.0, 1.0, 2.0]), -0.5]):  # a plain float
+        assert builder(space, coords) is not batch
+    assert len(calls) == 5
+
+    lanes, _ = dual.seed([np.array([0.5, 1.5]), np.array([1.0, 2.0])])
+    for _ in range(2):
+        builder(space, lanes)  # lane jets bypass the memo too
+    assert len(calls) == 7
 
 
 def test_memo_holds_one_point():

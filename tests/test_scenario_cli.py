@@ -680,10 +680,10 @@ def test_cli_streamsheet_last_guard_marks_a_non_finite_row(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("values", [[1e-12, float("nan")], [float("nan"), 1e-12]])
 def test_cli_verify_counts_a_nan_invariant_as_worst(values, tmp_path, monkeypatch, capsys):
-    import geoplasma.cli as cli
+    from geoplasma.scenario import RiemannScenario
 
     sequence = iter(values)
-    monkeypatch.setattr(cli, "invariants_at", lambda scenario, coords: {"a": next(sequence)})
+    monkeypatch.setattr(RiemannScenario, "invariants", lambda self, coords: {"a": next(sequence)})
     assert main(["verify", "--scenario", write(tmp_path, riemann_config()),
                  "--points", "2"]) == 1
     out = capsys.readouterr().out
