@@ -438,7 +438,8 @@ def integrate_rk4(accel, x0, v0, step, count, monitor=None):
 
     ``accel`` and ``monitor`` take plain-float lists.  Returns an array of
     count+1 rows [s, x, dx/ds], each followed by ``monitor(x, dx/ds)`` when
-    a monitor is given.  A failure inside a step, or a state that turns
+    a monitor is given.  A failure inside a step or in the monitor of the row
+    it ends (the first row counts to step 0), or a state that turns
     non-finite, raises :class:`IntegrationError` naming the step.
     """
     if step <= 0:
@@ -448,14 +449,17 @@ def integrate_rk4(accel, x0, v0, step, count, monitor=None):
     x = np.array(x0, dtype=float)
     v = np.array(v0, dtype=float)
 
-    def row(s, x, v):
-        extra = [] if monitor is None else [monitor(x.tolist(), v.tolist())]
+    def row(s, x, v, k):
+        try:
+            extra = [] if monitor is None else [monitor(x.tolist(), v.tolist())]
+        except Exception as err:
+            raise IntegrationError(str(err), step=k) from err
         return [s, *x, *v, *extra]
 
     def f(xx, vv):
         return np.array(accel(xx.tolist(), vv.tolist()))
 
-    first = row(0.0, x, v)
+    first = row(0.0, x, v, 0)
     rows = np.empty((count + 1, len(first)))
     rows[0] = first
     for k in range(count):
@@ -470,5 +474,5 @@ def integrate_rk4(accel, x0, v0, step, count, monitor=None):
         v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         if not (np.isfinite(x).all() and np.isfinite(v).all()):
             raise IntegrationError("state is not finite", step=k)
-        rows[k + 1] = row((k + 1) * step, x, v)
+        rows[k + 1] = row((k + 1) * step, x, v, k)
     return rows

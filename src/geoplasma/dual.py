@@ -23,6 +23,8 @@ values, row 1 + k the partials along seed k, constants broadcast into
 their rows.  Each operation applies the plain-float formula of every slot
 to whole rows, in the same order, so each lane gets the bits of the scalar
 run; :func:`branch` splits a batch whose lanes disagree on a condition.
+A recording (:mod:`geoplasma.tape`) runs the same code with a traced float
+wherever a plain float stands.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ import math
 import numpy as np
 
 from .errors import BatchSplit, DomainError, SeedingError
+from .tape import Escape, Traced, finite
+
+# what a jet combines with besides jets of its seeding: plain scalars, lane
+# arrays and the traced floats of a recording (see tape.py)
+_SCALARS = (int, float, np.ndarray, Traced)
 
 
 @functools.cache
@@ -134,7 +141,7 @@ class Jet:
                     return Jet(self.ctx, [a + b for a, b in zip(self.c, other.c)])
                 return Jet(self.ctx, self.c + other.c)
             raise _mixed()
-        elif not isinstance(other, (int, float, np.ndarray)):
+        elif not isinstance(other, _SCALARS):
             return NotImplemented
         c = self.c.copy()
         c[0] = c[0] + other
@@ -149,7 +156,7 @@ class Jet:
                     return Jet(self.ctx, [a - b for a, b in zip(self.c, other.c)])
                 return Jet(self.ctx, self.c - other.c)
             raise _mixed()
-        elif not isinstance(other, (int, float, np.ndarray)):
+        elif not isinstance(other, _SCALARS):
             return NotImplemented
         c = self.c.copy()
         c[0] = c[0] - other
@@ -168,7 +175,7 @@ class Jet:
             if other.ctx is self.ctx:
                 return Jet(self.ctx, self.ctx.mul(self.c, other.c))
             raise _mixed()
-        elif not isinstance(other, (int, float, np.ndarray)):
+        elif not isinstance(other, _SCALARS):
             return NotImplemented
         if self.ctx.lanes is None:
             return Jet(self.ctx, [x * other for x in self.c])
@@ -181,7 +188,7 @@ class Jet:
             if other.ctx is self.ctx:
                 return _div(self.ctx, self.c, other)
             raise _mixed()
-        elif not isinstance(other, (int, float, np.ndarray)):
+        elif not isinstance(other, _SCALARS):
             return NotImplemented
         if self.ctx.lanes is None:
             return Jet(self.ctx, [x / other for x in self.c])
@@ -239,7 +246,9 @@ def scalar_value(x):
 
 
 def _finite(x):
-    return math.isfinite(x) if not isinstance(x, np.ndarray) else bool(np.isfinite(x).all())
+    if isinstance(x, np.ndarray):
+        return bool(np.isfinite(x).all())
+    return finite([x]) if isinstance(x, Traced) else math.isfinite(x)
 
 
 def is_finite(x):
@@ -248,6 +257,8 @@ def is_finite(x):
         return _finite(x)
     if x.ctx.lanes is not None:
         return _finite(x.c)
+    if any(isinstance(v, Traced) for v in x.c):
+        return finite(x.c)
     try:
         # a finite exact sum of floats has only finite terms; an
         # overflowing sum or inf - inf takes the long way
@@ -302,10 +313,11 @@ def branch(cond):
 
 
 def _plain(fn, x):
-    """``fn`` of a plain value; of a lane array, ``fn`` of each lane."""
-    if not isinstance(x, np.ndarray):
-        return fn(x)
-    return np.array([fn(v) for v in x.tolist()])
+    """``fn`` of a plain value; of a lane array, ``fn`` of each lane; of a
+    traced float, the recorded call."""
+    if isinstance(x, np.ndarray):
+        return np.array([fn(v) for v in x.tolist()])
+    return x.apply(fn) if isinstance(x, Traced) else fn(x)
 
 
 def sin(x):
@@ -381,6 +393,8 @@ def power(base, exponent):
     """
     if isinstance(exponent, Jet):
         return exp(exponent * log(base))
+    if isinstance(exponent, Traced):  # its integer test would decide a branch unguarded
+        raise Escape("a recorded exponent")
     if isinstance(exponent, int):
         e = exponent
     elif isinstance(exponent, float) and exponent.is_integer():

@@ -7,6 +7,10 @@ N^m_i d/dy^m with Cartan coefficients L) and a vertical channel (plain
 fiber derivative with coefficients C).  Every residual of the base
 pipeline acquires an h- and a v-version; the unit velocity is y/eps
 with eps^2 = g_pq y^p y^q, differentiated through.
+
+Stream lines replay recorded code (:mod:`geoplasma.tape`): the body of the
+eps0 Newton iteration and the curve frame with both stream-line equations
+are recorded once per guard path and replayed at every later point.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .common import (
 )
 from .dual import promote, scalar_value, seed
 from .errors import NormalizationError
+from .tape import replayed
 from .tensor_core import (
     Slot,
     christoffel_from,
@@ -267,6 +272,15 @@ def metric_compatibility(space, coords):
     return out
 
 
+@replayed
+def _fiber_form(space, x, w, eps0):
+    """[g_ij(x, e*w) w^i w^j, its derivative in e] at e = eps0[0]."""
+    (ej,), ctx = seed(list(eps0))
+    coords = list(x) + [ej * wi for wi in w]
+    val = promote(quadratic_form(space.g.matrix(coords), w, w), ctx)
+    return [val.value, val.d(0)]
+
+
 @point_memo
 def resolve_epsilon0(space, x, w):
     """Scale factor eps0 relating the curve parameters: y = eps0 * dx/ds.
@@ -274,43 +288,34 @@ def resolve_epsilon0(space, x, w):
     Solves g_ij(x, eps0*w) w^i w^j = 1 by safeguarded Newton.  When the
     metric is fiber-independent the equation does not determine eps0; it
     is then taken as 1 provided w is already unit, otherwise the state is
-    not normalizable and an error is raised.
+    not normalizable and an error is raised.  A derivative that vanishes
+    without being zero means the iteration stalled away from a root.
     """
     e = 1.0
     for _ in range(60):
-        (ej,), ctx = seed([e])
-        coords = list(x) + [ej * wi for wi in w]
-        val = promote(quadratic_form(space.g.matrix(coords), w, w), ctx)
-        f = val.value - 1.0
+        value, df = _fiber_form(space, x, w, [e])
+        f = value - 1.0
         if abs(f) < 1e-13:
             return e
-        df = val.d(0)
-        if abs(df) < 1e-12 * max(1.0, abs(val.value)):
+        if abs(df) < 1e-12 * max(1.0, abs(value)):
             if abs(f) < 1e-8:
                 return e
+            if df == 0.0:
+                cause = "fiber-independent metric with g(w, w) != 1"
+            else:
+                cause = (f"no root eps0 > 0 of g(x, eps0*w)(w, w) = 1 found "
+                         f"(Newton stalled at eps0 = {e:.3e})")
             raise NormalizationError(
-                "stream-line velocity cannot be normalized: fiber-independent "
-                "metric with g(w, w) != 1", point=x, value=val.value,
+                f"stream-line velocity cannot be normalized: {cause}", point=x, value=value,
             )
         e_next = e - f / df
         e = 0.5 * e if e_next <= 0.0 else e_next
     raise NormalizationError("eps0 iteration did not converge", point=x)
 
 
-def _curve_frame(state, space, x, w):
-    """Frame at the curve jet y = eps0 * w, and eps0."""
-    eps0 = resolve_epsilon0(space, x, w)
-    return _Frame(state, space, list(x) + [eps0 * wi for wi in w]), eps0
-
-
-def h_stream_line_rhs(state, space, x, w):
-    """d^2 x^k / ds^2 of the horizontal stream-line equations.
-
-    ``w`` is dx/ds; all fields are evaluated at the curve jet
-    y = eps0 * w.
-    """
-    n = space.n
-    fr, eps0 = _curve_frame(state, space, x, w)
+def _h_rhs(fr, w, eps0):
+    """d^2 x^k / ds^2 of the horizontal stream-line equations from the curve frame."""
+    n = fr.n
     out = fr.stream_line_core(fr.h, w)
     cubic = 0.0
     for m in range(n):
@@ -330,19 +335,43 @@ def h_stream_line_rhs(state, space, x, w):
     return out
 
 
-def v_stream_constraint_residual(state, space, x, w):
-    """Algebraic vertical constraint along a stream line (left - right).
-
-    The vertical channel enters with the opposite sign of the horizontal
-    stream-line core.
-    """
-    n = space.n
-    fr, _ = _curve_frame(state, space, x, w)
+def _v_residual(fr, w):
+    """Vertical constraint (left - right) from the curve frame: the vertical
+    channel enters with the opposite sign of the horizontal stream-line core."""
     core = fr.stream_line_core(fr.v, w)
     quart = 0.0
-    for r in range(n):
+    for r in range(fr.n):
         quart += quadratic_form(fr.dy_g[r], w, w) * w[r]
-    return [-core[k] - 0.5 * quart * w[k] for k in range(n)]
+    return [-core[k] - 0.5 * quart * w[k] for k in range(fr.n)]
+
+
+@replayed
+def _curve_values(state, space, x, w, eps0):
+    """The horizontal rhs, then the vertical constraint, at the curve jet y = eps0[0] * w."""
+    (e,) = eps0
+    fr = _Frame(state, space, list(x) + [e * wi for wi in w])
+    return _h_rhs(fr, w, e) + _v_residual(fr, w)
+
+
+@point_memo
+def _stream_line_values(state, space, x, w):
+    """The rhs and the vertical constraint at one stream-line point: a row's
+    monitor and the next step's first stage share them."""
+    return _curve_values(state, space, x, w, [resolve_epsilon0(space, x, w)])
+
+
+def h_stream_line_rhs(state, space, x, w):
+    """d^2 x^k / ds^2 of the horizontal stream-line equations.
+
+    ``w`` is dx/ds; all fields are evaluated at the curve jet
+    y = eps0 * w.
+    """
+    return _stream_line_values(state, space, x, w)[:space.n]
+
+
+def v_stream_constraint_residual(state, space, x, w):
+    """Algebraic vertical constraint along a stream line (left - right)."""
+    return _stream_line_values(state, space, x, w)[space.n:]
 
 
 def integrate_h_stream_line(state, space, x0, v0, step, count):

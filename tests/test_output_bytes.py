@@ -24,7 +24,12 @@ recorded before sheet nodes ran in batches.  The ``verify`` pins at 24
 points (more than ``MIN_BATCH``, failing points and worst offenders
 included) and the ``singular_h`` pins (which metric a point where h and g
 are both singular names) were recorded before multitime verify ran in
-batches and before the frames built kappa only on use.
+batches and before the frames built kappa only on use.  The ``lagrange2``
+stream lines (the benchmark workload's fiber metric at two of its starts),
+the ``tangent_bundle`` stream line and the failing stream lines of
+``STREAMLINE_FAILURES`` were recorded while every stream-line point ran
+through the interpreted frame, before stream lines were recorded and
+replayed.
 
 The hashes assume CPython 3.11 and numpy 2.4.6 on x86-64 Linux with glibc
 2.36's libm: another libm may round ``sin``/``exp``/``log`` differently in
@@ -164,7 +169,24 @@ SINGULAR_H = {
                         [0.0, 0.1, 0.0, 0.2, 0.7, 0.3, 0.4, 0.9],
                         [0.5, 0.1, 0.0, 0.2, 0.7, 0.3, 0.4, 0.9]]},
 }
-GENERATED = {"lagrange3": LAGRANGE3, "riemann3": RIEMANN3, "multitime3": MULTITIME3,
+# the fiber metric of the streamline-lagrange-n2 benchmark workload
+_FIBER2 = "(1 + 0.5*(y1^2 + y2^2))"
+LAGRANGE2 = {
+    "framework": "lagrange",
+    "n": 2,
+    "c": 1.0,
+    "metric": [
+        [f"(1.2 + 0.1*sin(x2))*{_FIBER2}", f"0.05*cos(x1)*{_FIBER2}"],
+        [f"(1.1 + 0.1*cos(x1))*{_FIBER2}"],
+    ],
+    "connection": "canonical",
+    "pressure": "0.3 + 0.04*sin(x1)*y1",
+    "density": "1.1 + 0.1*cos(x2)",
+    "em": {"H": [["0.15*sin(x1)*y2"], []], "G": [["0.1*cos(x2)"], []]},
+}
+# a pressure whose log needs x2 > -0.05: stream lines heading down fail
+LAGRANGE2_LOG = dict(LAGRANGE2, pressure="0.3 + 0.04*sin(x1)*y1 + 0.01*log(x2 + 0.05)")
+GENERATED = {"lagrange3": LAGRANGE3, "lagrange2": LAGRANGE2, "lagrange2_log": LAGRANGE2_LOG, "riemann3": RIEMANN3, "multitime3": MULTITIME3,
              "edml": EDML, "sheet_failures": SHEET_FAILURES, "singular_h": SINGULAR_H,
              "singular_h_canonical": dict(SINGULAR_H, connection="canonical")}
 
@@ -212,6 +234,22 @@ CASES["streamline-lagrange3"] = (
      "--steps", "20"],
     0,
 )
+# the benchmark workload's starts at seeds 1 and 13; along the seed-13 line
+# |g22| overtakes |g11|, which moves the largest entry of the metric inversion
+for _seed, _x0, _v0 in (
+    (1, "-0.1515798688905424,-0.11481318564077597", "0.2588406184145662,0.7444132384882586"),
+    (13, "-0.08669403378479795,-0.10779173569573638", "0.7642784195560857,0.20628837878121753"),
+):
+    CASES[f"streamline-seed-{_seed}-lagrange2"] = (
+        "lagrange2",
+        ["streamline", f"--x0={_x0}", f"--v0={_v0}", "--step", "0.01", "--steps", "150"],
+        0,
+    )
+CASES["streamline-tangent_bundle"] = (
+    "tangent_bundle",
+    ["streamline", "--x0", "0.1,0.2", "--v0", "0.9,0.1", "--step", "0.01", "--steps", "150"],
+    0,
+)
 CASES["streamsheet-bsml_sheet"] = ("bsml_sheet", ["streamsheet"], 0)
 CASES["streamsheet-coefficients-bsml_sheet"] = (
     "bsml_sheet", ["streamsheet", "--dump-coefficients"], 0,
@@ -256,6 +294,9 @@ EXPECTED = {
     "residuals-multitime3": ("011b3946e18082c17f7ae2359824ab053ba34249b9d747424903e8d23d8ca0f6", None),
     "residuals-riemann3": ("f5381c90c78977d69c0dad5ae33fc8c25d2cbd3ef38e5ecbd617e1e1cac8532a", None),
     "streamline-lagrange3": ("0dc20d8845956d8bef2108a930471868e5d8c12106f4124f0846270e6746cc7d", None),
+    "streamline-seed-1-lagrange2": ("c70802f9b6096c8e23bc3ed81a1adbdea847b8217c4230cffa852addb5244245", None),
+    "streamline-seed-13-lagrange2": ("60ca3cfd617409ae5621a6e5a13437d676f14c759a4a741af7b61d90f8435191", None),
+    "streamline-tangent_bundle": ("dfd114216da44b50c7516f5639b2f0fe4d5f090df41c64a72d2ff5b88f39f7f3", None),
     "streamline-polar_plasma": ("ac817223d14e57358f8171676d13263df82a7dd84cb546819e1ec92c68f3e09c", None),
     "streamsheet-bsml_sheet": ("83a7c0a3e57e4b990cb9ab3570ed7799ceb5183bebc0c41f71131f9bc5127d4c", None),
     "streamsheet-coefficients-multitime3": ("176acc3c84019e41e5d4aa1fe5630d6b6290903941b214af7af22abde76eecdb", None),
@@ -336,3 +377,42 @@ def test_connection_names_the_singular_metric(name, tmp_path, capsys):
         code = main(["connection", "--scenario", str(scenario), "--at",
                      ",".join(map(repr, point)), "--out", str(tmp_path / "out")])
         assert (code, capsys.readouterr().err) == expected
+
+
+# stream lines that fail: (scenario, --x0, --v0) -> (exit code, stderr).  All
+# but the first fail in the monitor of a row, which named no step before;
+# the second also named a fiber-independent metric, though its metric depends
+# on the fiber: g(x, 0)(w, w) = 2.358 > 1, so Newton halved eps0 towards 0
+# until its derivative test fired.  The zero velocity of the third gives an
+# eps0-derivative that is exactly zero.
+_LOG_V0 = "0.2588406184145662,-0.7444132384882586"
+STREAMLINE_FAILURES = {
+    ("lagrange2_log", "-0.15,-0.02", _LOG_V0): (
+        1, "failure: log of non-positive value in 'log(x2 + 0.05)' (step 4)\n"),
+    ("lagrange2_log", "-0.15,-0.0202", _LOG_V0): (
+        1, "failure: stream-line velocity cannot be normalized: no root eps0 > 0 of "
+           "g(x, eps0*w)(w, w) = 1 found (Newton stalled at eps0 = 3.561e-13) at point "
+           "(-0.13970630363627548, -0.049997400909907015) (quadratic form = 2.3579038340331397) "
+           "(step 3)\n"),
+    ("tangent_bundle", "0.1,0.2", "0.0,0.0"): (
+        1, "failure: stream-line velocity cannot be normalized: fiber-independent metric with "
+           "g(w, w) != 1 at point (0.1, 0.2) (quadratic form = 0.0) (step 0)\n"),
+    ("tangent_bundle", "0.1,0.2", "0.6,0.6"): (
+        1, "failure: eps0 iteration did not converge at point (0.1, 0.2) (step 0)\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAMLINE_FAILURES))
+def test_streamline_failure_text(case, tmp_path, capsys):
+    name, x0, v0 = case
+    if name in GENERATED:
+        scenario = tmp_path / f"{name}.json"
+        scenario.write_text(json.dumps(GENERATED[name], indent=2) + "\n")
+    else:
+        scenario = SCENARIOS / f"{name}.json"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["streamline", "--scenario", str(scenario), f"--x0={x0}", f"--v0={v0}",
+                 "--step", "0.01", "--steps", "150", "--out", str(out)])
+    assert (code, capsys.readouterr().err) == STREAMLINE_FAILURES[case]
+    assert not out.exists()

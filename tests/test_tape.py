@@ -1,0 +1,208 @@
+"""Recorded stream-line paths replay the interpreted frame bit for bit.
+
+``tape.replayed`` runs the stream-line frame of ``lagrange`` once on traced
+floats and replays what it recorded as straight-line float code.  The
+oracle is the same entry point with recording switched off
+(``tape.MAX_PATHS = 0``), which runs the interpreted code: every replayed
+value must have its bits, and every failure its error text.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from geoplasma import lagrange, tape
+from geoplasma.dual import scalar_value
+from geoplasma.errors import GeoPlasmaError
+from geoplasma.scenario import build_scenario
+
+from test_output_bytes import EXPECTED, LAGRANGE2, run_case
+
+
+def clear_memos():
+    for obj in vars(lagrange).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+def outcome(call):
+    """float.hex of every value ``call()`` returns, or its error type and text."""
+    try:
+        value = call()
+    except GeoPlasmaError as err:
+        return type(err).__name__, str(err)
+    return [float.hex(v) for v in np.atleast_1d(value).tolist()]
+
+
+def stream_line_outcomes(scenario, points):
+    """eps0, the rhs and the vertical constraint at each (x, w)."""
+    clear_memos()
+    out = []
+    for x, w in points:
+        for fn in (lambda: lagrange.resolve_epsilon0(scenario.space, x, w),
+                   lambda: lagrange.h_stream_line_rhs(scenario.state, scenario.space, x, w),
+                   lambda: lagrange.v_stream_constraint_residual(
+                       scenario.state, scenario.space, x, w)):
+            out.append(outcome(fn))
+    return out
+
+
+def interpreted(run):
+    """``run()`` with recording switched off."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tape, "MAX_PATHS", 0)
+        clear_memos()
+        result = run()
+    clear_memos()
+    return result
+
+
+def lagrange2(a, b, c, d, e, f):
+    """The benchmark's fiber metric with coefficients (a, b, c, d, f) and pressure slope e."""
+    fiber = f"(1 + {c!r}*(y1^2 + y2^2))"
+    return build_scenario(dict(
+        LAGRANGE2,
+        metric=[[f"({a!r} + {b!r}*sin(x2))*{fiber}", f"{d!r}*cos(x1)*{fiber}"],
+                [f"({f!r} + {b!r}*cos(x1))*{fiber}"]],
+        pressure=f"0.3 + {e!r}*sin(x1)*y1",
+    ))
+
+
+coefficient = st.floats(-0.3, 0.3)
+start = st.tuples(st.floats(-1.5, 1.5), st.floats(-0.6, 0.6),
+                  st.floats(0.0, 2 * math.pi), st.floats(0.1, 0.9))
+
+
+@given(
+    # |g12| = |d cos(x1)| against g11 ~ a: the pivot row of the inversion,
+    # the one decision that changes the bits of the frame, differs between
+    # points; g22 ~ f keeps most of these metrics positive definite
+    a=st.floats(0.8, 1.4), b=coefficient, c=st.floats(0.05, 1.0), d=st.floats(-1.5, 1.5),
+    e=coefficient, f=st.floats(0.9, 3.0), starts=st.lists(start, min_size=2, max_size=5),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_replay_equals_interpretation(a, b, c, d, e, f, starts):
+    scenario = lagrange2(a, b, c, d, e, f)
+    # the first point records; each later one replays, or misses a guard and records
+    points = [([x1, x2], [size * math.cos(angle), size * math.sin(angle)])
+              for x1, x2, angle, size in starts]
+    replayed = stream_line_outcomes(scenario, points)
+    assert replayed == interpreted(lambda: stream_line_outcomes(scenario, points))
+
+
+def test_benchmark_line_replays_every_frame(monkeypatch, tmp_path, capsys):
+    """The seed-1 line builds no interpreted frame: its two recordings build
+    the only frames, on traced coordinates, and every other point replays."""
+    builds = []
+    frame = lagrange._Frame
+
+    def counted(state, space, coords):
+        builds.append("interpreted" if all(type(c) is float for c in coords) else "recorded")
+        return frame(state, space, coords)
+
+    monkeypatch.setattr(lagrange, "_Frame", counted)
+    clear_memos()
+    case = "streamline-seed-1-lagrange2"
+    assert run_case(case, tmp_path, capsys) == (0, EXPECTED[case])
+    assert builds == ["recorded", "recorded"]
+    # two paths: the largest metric entry of the inversion changes along the line
+    assert len(lagrange._curve_values.paths()) == 2
+    assert len(lagrange._fiber_form.paths()) == 1
+
+
+@pytest.mark.parametrize("leak", [
+    lambda value: float(value),
+    lambda value: np.exp(0.0 * value),
+    lambda value: math.cos(value),
+], ids=["float", "numpy", "math"])
+def test_escaping_recording_runs_plain(monkeypatch, leak):
+    """A field that reads a coordinate as a float aborts the recording once;
+    the line runs interpreted, with the bytes of a run that never records."""
+    scenario = build_scenario(LAGRANGE2)
+    pressure = scenario.state.pressure
+
+    def leaking(coords):
+        return pressure(coords) * (1.0 + 0.0 * leak(scalar_value(coords[0])))
+
+    state = dataclasses.replace(scenario.state, pressure=leaking)
+    tapes = []
+
+    class Counted(tape._Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    def rows():
+        clear_memos()
+        return lagrange.integrate_h_stream_line(
+            state, scenario.space, [-0.15, -0.11], [0.26, 0.74], 0.01, 10).tobytes()
+
+    expected = interpreted(rows)
+    monkeypatch.setattr(tape, "_Tape", Counted)
+    assert rows() == expected
+    assert lagrange._curve_values.paths() == []
+    # the eps0 form, which does not read the pressure, records; the frame tries once
+    assert len(tapes) == 2
+    assert len(lagrange._fiber_form.paths()) == 1
+
+
+def test_traced_value_never_becomes_a_constant():
+    recording = tape._Tape()
+    value = recording.input(0.5)
+    for leak in (float, int, bool, math.sin, np.asarray, "{:.3e}".format, str):
+        with pytest.raises(tape.Escape):
+            leak(value)
+    with pytest.raises(TypeError):
+        np.sqrt(value)
+
+
+def test_guard_miss_records_a_new_path():
+    calls = []
+
+    @tape.replayed
+    def sign(scale, x):
+        calls.append(type(x[0]).__name__)
+        return [x[0] * scale[0]] if x[0] > 0.0 else [-x[0]]
+
+    assert sign([2.0], [3.0]) == [6.0]
+    assert sign([2.0], [5.0]) == [10.0]
+    assert sign([2.0], [-1.5]) == [1.5]
+    assert sign([2.0], [-2.5]) == [2.5]
+    assert sign([2.0], [0.25]) == [0.5]
+    assert calls == ["Traced", "Traced"]
+    assert sign.paths() == [1, 1]
+
+
+def test_over_budget_recording_runs_plain(monkeypatch):
+    monkeypatch.setattr(tape, "MAX_STATEMENTS", 20)
+
+    @tape.replayed
+    def long_sum(x):
+        acc = 0.0
+        for k in range(30):
+            acc = acc + k * x[0]
+        return [acc]
+
+    plain = long_sum.__wrapped__([0.1])
+    assert long_sum([0.1]) == plain
+    assert long_sum([0.1]) == plain
+    assert long_sum.paths() == []
+
+
+def test_inputs_other_than_plain_floats_run_plain():
+    calls = []
+
+    @tape.replayed
+    def double(x):
+        calls.append(type(x[0]).__name__)
+        return [2.0 * x[0]]
+
+    assert double([1.5]) == [3.0]
+    assert double(np.array([1.5])) == [3.0]
+    assert double([np.float64(1.5)]) == [3.0]
+    assert double([1]) == [2.0]
+    assert double([2.5]) == [5.0]
+    assert calls == ["Traced", "float64", "float64", "int"]
