@@ -25,12 +25,6 @@ from .multitime import StreamSheet, prolong_sheet
 from .scenario import evaluation_points, load_scenario, sheet_axes_and_values
 
 
-def _fmt(value):
-    if isinstance(value, str):
-        return value
-    return repr(float(value))
-
-
 def _write_lines(path, lines):
     data = "\n".join(lines) + "\n"
     if path is None:
@@ -50,10 +44,11 @@ def _check_out(path):
 
 
 def _csv_lines(scenario, header, rows):
+    """The CSV lines of rows of strings and Python floats, whose ``str`` is their
+    shortest round-trip ``repr``."""
     lines = [f"# scenario={scenario.hash} version={__version__}"]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(",".join(map(str, row)) for row in rows)
     return lines
 
 
@@ -109,12 +104,31 @@ def _worse(value, current):
     return (not math.isfinite(value), value) > (not math.isfinite(current), current)
 
 
-def _non_finite_column(pairs):
-    """Error text naming the first non-finite (label, value) of a row, or None."""
-    for label, value in pairs:
-        if not math.isfinite(value):
-            return f"non-finite value in column {label}"
-    return None
+def _result_rows(names, results, labels=()):
+    """Header and CSV rows of per-point results, and whether a point failed.
+
+    Each result pairs a point's coordinate prefix, named by ``names``, with
+    its (labels, values) or the GeoPlasmaError its evaluation raised.  A row
+    is the prefix, the values and an empty error.  A failed point, and as
+    the last guard one whose row holds a non-finite number, gets ``nan`` in
+    every value column and the error text: a non-finite number is never
+    written as a result.  The header is ``names``, the labels of the first
+    row written in full (``labels`` when there is none) and ``error``.
+    """
+    checked = []
+    for prefix, result in results:
+        if isinstance(result, GeoPlasmaError):
+            checked.append((prefix, None, str(result)))
+            continue
+        row = prefix + result[1]
+        bad = next((label for label, value in zip(names + result[0], row)
+                    if not math.isfinite(value)), None)
+        checked.append((prefix, None, f"non-finite value in column {bad}") if bad
+                       else (prefix, result, ""))
+    labels = next((result[0] for _, result, _ in checked if result), labels)
+    rows = [prefix + (result[1] if result else ["nan"] * len(labels)) + [err.replace(",", ";")]
+            for prefix, result, err in checked]
+    return [*names, *labels, "error"], rows, any(err for _, _, err in checked)
 
 
 def _parse_coords(text, expect, label):
@@ -148,24 +162,11 @@ def cmd_connection(args):
 def cmd_residuals(args):
     scenario = load_scenario(args.scenario)
     points, seed = evaluation_points(scenario, seed=args.seed, count=args.points)
-    results = []
-    for coords, report in zip(points, scenario.reports(points)):
-        cols = None if isinstance(report, GeoPlasmaError) else report.columns()
-        # last guard: a non-finite number is never written as a result
-        err = str(report).replace(",", ";") if cols is None else _non_finite_column(cols)
-        results.append((coords, None, err) if err else (coords, cols, ""))
-    first_ok = next((cols for _, cols, _ in results if cols is not None), [])
-    header = scenario.names + [label for label, _ in first_ok] + ["error"]
-    rows = []
-    for coords, cols, err in results:
-        if cols is None:
-            rows.append(list(coords) + ["nan"] * (len(header) - len(coords) - 1) + [err])
-        else:
-            rows.append(list(coords) + [v for _, v in cols] + [err])
+    header, rows, failed = _result_rows(scenario.names, zip(points, scenario.reports(points)))
     _write_lines(args.out, _csv_lines(scenario, header, rows))
     if args.out:
         print(f"wrote {len(rows)} rows to {args.out} (seed={seed})")
-    return 1 if any(err for _, _, err in results) else 0
+    return 1 if failed else 0
 
 
 def cmd_streamline(args):
@@ -203,7 +204,6 @@ def cmd_streamsheet(args):
     scenario = load_scenario(args.scenario)
     columns = scenario.sheet_columns(args.dump_coefficients)
     p, n = scenario.p, scenario.n
-    header = scenario.names[:p + n] + columns + ["error"]
     axes, values, fields = sheet_axes_and_values(scenario, args.refine, bool(args.sheet_file))
     if args.sheet_file:
         values = _load_sheet_values(args.sheet_file, axes, p, n)
@@ -211,21 +211,12 @@ def cmd_streamsheet(args):
         nodes = _exact_jets(scenario, axes, fields)
     else:
         nodes = prolong_sheet(StreamSheet(axes, values), scenario.space)
-    rows = []
-    any_error = False
     points = nodes.reshape(-1, nodes.shape[-1]).tolist()  # row-major grid order
-    for coords, values in zip(points, scenario.sheet_rows(points, args.dump_coefficients)):
-        base = coords[:p + n]
-        row = None if isinstance(values, GeoPlasmaError) else base + values
-        # last guard: a non-finite number is never written as a result
-        err = str(values) if row is None else _non_finite_column(zip(header, row))
-        if err:
-            any_error = True
-            rows.append(base + ["nan"] * (len(header) - len(base) - 1) + [err.replace(",", ";")])
-        else:
-            rows.append(row + [""])
+    results = [(coords[:p + n], values if isinstance(values, GeoPlasmaError) else (columns, values))
+               for coords, values in zip(points, scenario.sheet_rows(points, args.dump_coefficients))]
+    header, rows, failed = _result_rows(scenario.names[:p + n], results, columns)
     _write_lines(args.out, _csv_lines(scenario, header, rows))
-    return 1 if any_error else 0
+    return 1 if failed else 0
 
 
 def _load_sheet_values(path, axes, p, n):

@@ -1,20 +1,22 @@
 """Pieces shared by the plasma pipelines.
 
-The Minkowski energy tensor, the named residual report and the residual
-algebra have the same structure on the base manifold, the tangent bundle
-and the jet space.  A :class:`Channel` is one connection block with its
-adapted partials, and :class:`FluidFrame` evaluates the residuals and the
-stream-line acceleration over any channel: riemann has one channel,
-lagrange a horizontal and a vertical one, and multitime one frame per
-velocity label beta with a horizontal channel and p vertical ones (one per
-greek label of the fiber derivative).  The covariant derivative of a latin
-tensor and the RK4 loop of both stream-line integrators live here too.
+The Minkowski energy tensor, the residual report and the residual algebra
+have the same structure on the base manifold, the tangent bundle and the
+jet space.  A report is a dict from entry name to float array, with a
+trailing lane axis on a batch of points, and :func:`report_table` turns it
+into column labels and rows.  A :class:`Channel` is one connection block
+with its adapted partials, and :class:`FluidFrame` evaluates the residuals
+and the stream-line acceleration over any channel: riemann has one
+channel, lagrange a horizontal and a vertical one, and multitime one frame
+per velocity label beta with a horizontal channel and p vertical ones (one
+per greek label of the fiber derivative).  The covariant derivative of a
+latin tensor and the RK4 loop of both stream-line integrators live here
+too.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
 
 import numpy as np
 
@@ -137,41 +139,6 @@ def mixed_stress(E_mix, u, u_low, p, rho, c):
     for m in range(n):
         out[m][m] = out[m][m] + p
     return out
-
-
-class ResidualReport:
-    """Named residual arrays for one evaluation point.
-
-    Entries are float numpy arrays (scalars stored as 0-d arrays); the
-    insertion order is the documented column order of the CSV output.
-    """
-
-    def __init__(self):
-        self.entries = OrderedDict()
-
-    def add(self, name, value):
-        self.entries[name] = np.asarray(value, dtype=float)
-        return self
-
-    def __getitem__(self, name):
-        return self.entries[name]
-
-    def norm(self, name):
-        arr = self.entries[name]
-        return float(np.abs(arr).max()) if arr.size else 0.0
-
-    def columns(self):
-        """Flattened (label, value) pairs plus a max-norm per entry."""
-        out = []
-        for name, arr in self.entries.items():
-            if arr.ndim == 0:
-                out.append((name, float(arr)))
-            else:
-                for idx in np.ndindex(arr.shape):
-                    label = name + "_" + "".join(str(i + 1) for i in idx)
-                    out.append((label, float(arr[idx])))
-            out.append((name + "_norm", self.norm(name)))
-        return out
 
 
 def covariant_derivative(T, slots, partial, coeff):
@@ -396,20 +363,65 @@ class FluidFrame:
         return out
 
 
-def add_residuals(report, values, suffix=""):
-    """Add one point's :meth:`FluidFrame.channel_values` to a report.
+def add_residuals(report, values, suffix="", lanes=()):
+    """Add one channel's :meth:`FluidFrame.channel_values` to a report.
 
-    Each value is copied to a fresh contiguous float array first, so that
-    ``@`` adds its terms in one order whatever layout the value had.
+    ``lanes`` is the lane shape of the values: () at one point, (B,) on a
+    batch of B points.
     """
-    cons, cont, lorentz, euler, force, u0, ul0 = (np.array(v) for v in values)
-    report.add("lorentz" + suffix, lorentz)
-    report.add("conservation" + suffix, cons)
-    report.add("continuity" + suffix, cont)
-    report.add("euler" + suffix, euler)
-    report.add("force" + suffix, force)
-    report.add("contraction_identity" + suffix, float(cons @ u0 - cont - lorentz))
-    report.add("euler_decomposition" + suffix, euler - (cons - cont * ul0))
+    cons, cont, lorentz, euler, force, u0, ul0 = (lane_array(v, lanes) for v in values)
+    report["lorentz" + suffix] = lorentz
+    report["conservation" + suffix] = cons
+    report["continuity" + suffix] = cont
+    report["euler" + suffix] = euler
+    report["force" + suffix] = force
+    report["contraction_identity" + suffix] = np.asarray(_dot(cons, u0) - cont - lorentz)
+    report["euler_decomposition" + suffix] = euler - (cons - cont * ul0)
+
+
+def unit_norm_error(u, u_low, lanes=()):
+    """u_i u^i - 1, lane by lane on a batch."""
+    return np.asarray(_dot(lane_array(u_low, lanes), lane_array(u, lanes)) - 1.0)
+
+
+def _dot(a, b):
+    """a @ b of two contiguous vectors; with a trailing lane axis, of each lane's
+    vectors, as one (B, 1, n) @ (B, n, 1) product of contiguous blocks, which
+    adds in the order of a single 1-d ``@``."""
+    if a.ndim == 1:
+        return a @ b
+    a, b = (np.ascontiguousarray(v.T) for v in (a, b))
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def lane_array(value, lanes=()):
+    """A float, lane array or nested list of them as one contiguous float array
+    with the lane shape ``lanes`` trailing, over which plain floats repeat."""
+    if not lanes:
+        return np.array(value, dtype=float)
+    if isinstance(value, list):
+        return np.array([lane_array(v, lanes) for v in value])
+    return np.broadcast_to(value, lanes)
+
+
+def report_table(report, lanes=False):
+    """Column labels and rows of Python floats of a report.
+
+    A report maps entry names to float arrays, with a trailing lane axis when
+    ``lanes``; its insertion order is the column order.  Each entry gives
+    one column per component, labelled ``name_ij..`` in ``np.ndindex`` order
+    (a scalar keeps its name), and then the column ``name_norm`` of its max
+    norm.  There is one row per lane, or one row.
+    """
+    labels, blocks = [], []
+    for name, value in report.items():
+        shape = value.shape[:-1] if lanes else value.shape
+        labels += [name + "_" + "".join(str(i + 1) for i in idx) if idx else name
+                   for idx in np.ndindex(shape)]
+        labels.append(name + "_norm")
+        flat = value.reshape(-1, value.shape[-1] if lanes else 1)
+        blocks += [flat, np.abs(flat).max(axis=0, keepdims=True)]
+    return labels, np.concatenate(blocks).T.tolist()
 
 
 def max_abs(values, lanes=False):
@@ -421,25 +433,13 @@ def max_abs(values, lanes=False):
     return float(values.max())
 
 
-def unit_norm_error(u, u_low):
-    """u_i u^i - 1 at one point."""
-    return float(np.array(u_low) @ np.array(u) - 1.0)
-
-
-def split_lanes(values, size):
-    """Per-point lists of values from floats, lane arrays and lists of them."""
-    stacked = [np.array([np.broadcast_to(e, (size,)) for e in v]).T if isinstance(v, list)
-               else np.broadcast_to(v, (size,)) for v in values]
-    return [[a[b] for a in stacked] for b in range(size)]
-
-
-def integrate_rk4(accel, x0, v0, step, count, monitor=None):
+def integrate_rk4(accel, x0, v0, step, count, monitors=()):
     """Classical fixed-step RK4 for the second-order system x'' = accel(x, x').
 
-    ``accel`` and ``monitor`` take plain-float lists.  Returns an array of
-    count+1 rows [s, x, dx/ds], each followed by ``monitor(x, dx/ds)`` when
-    a monitor is given.  A failure inside a step or in the monitor of the row
-    it ends (the first row counts to step 0), or a state that turns
+    ``accel`` and each of ``monitors`` take plain-float lists.  Returns an
+    array of count+1 rows [s, x, dx/ds], each followed by the value of every
+    monitor at (x, dx/ds).  A failure inside a step or in a monitor of the
+    row it ends (the first row counts to step 0), or a state that turns
     non-finite, raises :class:`IntegrationError` naming the step.
     """
     if step <= 0:
@@ -450,11 +450,12 @@ def integrate_rk4(accel, x0, v0, step, count, monitor=None):
     v = np.array(v0, dtype=float)
 
     def row(s, x, v, k):
+        xl, vl = x.tolist(), v.tolist()
         try:
-            extra = [] if monitor is None else [monitor(x.tolist(), v.tolist())]
+            extra = [monitor(xl, vl) for monitor in monitors]
         except Exception as err:
             raise IntegrationError(str(err), step=k) from err
-        return [s, *x, *v, *extra]
+        return [s, *xl, *vl, *extra]
 
     def f(xx, vv):
         return np.array(accel(xx.tolist(), vv.tolist()))

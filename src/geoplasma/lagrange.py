@@ -21,19 +21,19 @@ import numpy as np
 
 from .common import (
     FluidFrame,
-    ResidualReport,
     add_residuals,
     covariant_derivative,
     energy_divergence,
     energy_low_mixed,
     integrate_rk4,
+    lane_array,
     mixed_stress,
     point_memo,
     unit_norm_error,
     unit_vector,
 )
 from .dual import promote, scalar_value, seed
-from .errors import NormalizationError
+from .errors import DomainError, NormalizationError
 from .tape import replayed
 from .tensor_core import (
     Slot,
@@ -208,13 +208,14 @@ class _Frame(FluidFrame):
 
 
 def lagrange_residuals(state, space, coords):
-    """Full two-channel residual report at one tangent point.
+    """Full two-channel residual report at a tangent point.
 
     Besides the residual channels the report carries the stress tensor in
     covariant and mixed form and the identity diagnostics used by verify.
+    Coordinates that are lane arrays give each entry a trailing lane axis.
     """
     fr = _Frame(state, space, coords)
-    report = ResidualReport()
+    lanes = np.shape(coords[0])
     n = fr.n
     T_low = [
         [
@@ -230,11 +231,10 @@ def lagrange_residuals(state, space, coords):
         ]
         for m in range(n)
     ]
-    report.add("stress", T_low)
-    report.add("stress_mixed", T_mix)
-    add_residuals(report, fr.channel_values(fr.h), "_h")
-    add_residuals(report, fr.channel_values(fr.v), "_v")
-    report.add("unit_norm_error", unit_norm_error(fr.u0, fr.ul0))
+    report = {"stress": lane_array(T_low, lanes), "stress_mixed": lane_array(T_mix, lanes)}
+    add_residuals(report, fr.channel_values(fr.h), "_h", lanes)
+    add_residuals(report, fr.channel_values(fr.v), "_v", lanes)
+    report["unit_norm_error"] = unit_norm_error(fr.u0, fr.ul0, lanes)
     return report
 
 
@@ -289,11 +289,18 @@ def resolve_epsilon0(space, x, w):
     metric is fiber-independent the equation does not determine eps0; it
     is then taken as 1 provided w is already unit, otherwise the state is
     not normalizable and an error is raised.  A derivative that vanishes
-    without being zero means the iteration stalled away from a root.
+    without being zero means the iteration stalled away from a root.  Where
+    the metric is undefined at y = eps0*w, eps0 is halved; the first such
+    error is raised if no root is found.
     """
-    e = 1.0
+    e, failure = 1.0, None
     for _ in range(60):
-        value, df = _fiber_form(space, x, w, [e])
+        try:
+            value, df = _fiber_form(space, x, w, [e])
+        except DomainError as err:
+            failure = failure or err
+            e *= 0.5
+            continue
         f = value - 1.0
         if abs(f) < 1e-13:
             return e
@@ -310,7 +317,7 @@ def resolve_epsilon0(space, x, w):
             )
         e_next = e - f / df
         e = 0.5 * e if e_next <= 0.0 else e_next
-    raise NormalizationError("eps0 iteration did not converge", point=x)
+    raise failure or NormalizationError("eps0 iteration did not converge", point=x)
 
 
 def _h_rhs(fr, w, eps0):
@@ -374,13 +381,14 @@ def v_stream_constraint_residual(state, space, x, w):
     return _stream_line_values(state, space, x, w)[space.n:]
 
 
-def integrate_h_stream_line(state, space, x0, v0, step, count):
-    """RK4 for the horizontal system; rows [s, x, dx/ds, vertical norm]."""
+def integrate_h_stream_line(state, space, x0, v0, step, count, monitors=()):
+    """RK4 for the horizontal system; rows [s, x, dx/ds, vertical norm], each
+    followed by the value of every one of ``monitors``."""
 
     def vc_norm(x, v):
         return float(np.abs(v_stream_constraint_residual(state, space, x, v)).max())
 
     return integrate_rk4(
         lambda x, v: h_stream_line_rhs(state, space, x, v), x0, v0, step, count,
-        monitor=vc_norm,
+        (vc_norm, *monitors),
     )

@@ -28,12 +28,12 @@ import numpy as np
 from . import dual
 from .common import (
     FluidFrame,
-    ResidualReport,
     component_array,
     energy_divergence,
     energy_low_mixed,
     inertial_factor,
     jet_values,
+    lane_array,
     max_abs,
     point_memo,
 )
@@ -371,14 +371,14 @@ def multitime_residuals(state, space, coords):
 
     The repeated greek label of the vertical conservation equations is
     read as a free index (an (i, mu) tensor); the vertical continuity
-    residual is the fully contracted scalar.  Coordinates that are lane
-    arrays give each entry a trailing lane axis.
+    residual is the fully contracted scalar.  The report maps entry names to
+    float arrays; coordinates that are lane arrays give each entry a trailing
+    lane axis.
     """
     fr = _Frame(state, space, coords)
     p, n = fr.p, fr.n
     hinv0 = fr.hinv0
     cols = fr.cols
-    report = ResidualReport()
 
     ediv_h = fr.h.ediv
     force_h, force_v = fr.force_h, fr.force_v
@@ -464,18 +464,8 @@ def multitime_residuals(state, space, coords):
                         )
 
     T_low, T_mix = _stress_lists(fr)
-    report.add("stress", T_low)
-    report.add("stress_mixed", T_mix)
-    report.add("lorentz_h", lorentz_h)
-    report.add("lorentz_v", lorentz_v)
-    report.add("conservation_h", cons_h)
-    report.add("conservation_v", cons_v)
-    report.add("continuity_h", cont_h)
-    report.add("continuity_v", cont_v)
-    report.add("force_h", force_h)
-    report.add("force_v", np.array(force_v).swapaxes(0, 1))  # [k][mu], lanes last
-
-    u0 = np.array(fr.u0)
+    lanes = np.shape(coords[0])
+    u0 = lane_array(fr.u0, lanes)
     contraction_h = [
         sum(cons_h[i] * u0[i][mu] for i in range(n)) - cont_h[mu] - lorentz_h[mu]
         for mu in range(p)
@@ -484,14 +474,17 @@ def multitime_residuals(state, space, coords):
         sum(cons_v[i][mu] * u0[i][mu] for i in range(n) for mu in range(p))
         - cont_v - lorentz_v
     )
-    report.add("contraction_identity_h", contraction_h)
-    report.add("contraction_identity_v", contraction_v)
     norm = sum(
         fr.hinv0[a][b] * fr.ul0[i][a] * fr.u0[i][b]
         for a in range(p) for b in range(p) for i in range(n)
     )
-    report.add("unit_norm_error", norm - 1.0)
-    return report
+    return {name: lane_array(value, lanes) for name, value in (
+        ("stress", T_low), ("stress_mixed", T_mix), ("lorentz_h", lorentz_h),
+        ("lorentz_v", lorentz_v), ("conservation_h", cons_h), ("conservation_v", cons_v),
+        ("continuity_h", cont_h), ("continuity_v", cont_v), ("force_h", force_h),
+        ("force_v", [list(k) for k in zip(*force_v)]),  # [k][mu]
+        ("contraction_identity_h", contraction_h), ("contraction_identity_v", contraction_v),
+        ("unit_norm_error", norm - 1.0))}
 
 
 def _stress_lists(fr):

@@ -19,7 +19,6 @@ import numpy as np
 
 from .common import (
     FluidFrame,
-    ResidualReport,
     add_residuals,
     covariant_derivative,
     energy_low_mixed,
@@ -27,7 +26,6 @@ from .common import (
     integrate_rk4,
     mixed_stress,
     point_memo,
-    split_lanes,
     unit_norm_error,
     unit_vector,
 )
@@ -205,25 +203,19 @@ def conservation_divergence(state, space, em, x):
     return np.array([sum(div[m, i, m] for m in range(n)) for i in range(n)])
 
 
-def _report(values):
-    """The report of one point's channel values."""
-    report = ResidualReport()
-    add_residuals(report, values)
-    report.add("unit_norm_error", unit_norm_error(values[5], values[6]))
-    return report
-
-
 def riemann_report(state, space, em, x):
-    """Full residual report at one point, including identity diagnostics."""
+    """Full residual report at x, including identity diagnostics.
+
+    Coordinates that are lane arrays, one lane per point, give every entry a
+    trailing lane axis with the bits of each point's report; points that
+    disagree on a condition raise ``BatchSplit``.
+    """
     fr = _Frame(state, space, em, x)
-    return _report(fr.channel_values(fr.h))
-
-
-def riemann_reports(state, space, em, points):
-    """:func:`riemann_report` at each point, bit for bit, from one frame with one
-    lane per point; points that disagree on a condition raise ``BatchSplit``."""
-    fr = _Frame(state, space, em, [np.array(lane) for lane in zip(*points)])
-    return [_report(values) for values in split_lanes(fr.channel_values(fr.h), len(points))]
+    lanes = np.shape(x[0])
+    report = {}
+    add_residuals(report, fr.channel_values(fr.h), "", lanes)
+    report["unit_norm_error"] = unit_norm_error(fr.u0, fr.ul0, lanes)
+    return report
 
 
 def stream_line_rhs(state, space, em, x, xdot):
@@ -232,13 +224,15 @@ def stream_line_rhs(state, space, em, x, xdot):
     return fr.stream_line_core(fr.h, xdot)
 
 
-def integrate_stream_line(state, space, em, x0, v0, step, count):
+def integrate_stream_line(state, space, em, x0, v0, step, count, monitors=()):
     """Classical fixed-step RK4 for the stream-line system.
 
-    Returns an array of count+1 rows [s, x^1..x^n, dx^1/ds..dx^n/ds].
+    Returns an array of count+1 rows [s, x^1..x^n, dx^1/ds..dx^n/ds], each
+    followed by the value of every one of ``monitors`` (see
+    :func:`~geoplasma.common.integrate_rk4`).
     """
     return integrate_rk4(
-        lambda x, v: stream_line_rhs(state, space, em, x, v), x0, v0, step, count
+        lambda x, v: stream_line_rhs(state, space, em, x, v), x0, v0, step, count, monitors
     )
 
 

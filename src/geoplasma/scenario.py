@@ -4,7 +4,9 @@ A scenario is a single JSON document.  Field expressions are strings in
 the expression mini-language over the framework's coordinate names:
 ``x1..xn`` (base manifold), plus ``y1..yn`` on the tangent bundle, or
 ``t1..tp`` and ``x1_1..xn_p`` on the jet space.  Unknown keys are
-rejected.  See the README for the full schema.
+rejected.  See the README for the full schema.  A scenario object
+evaluates its framework at a point, or at a batch of points as lane
+arrays through one split algorithm (:meth:`Scenario._evaluate`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lagrange as lag, multitime as mt, riemann as rm
+from .common import report_table
 from .dual import scalar_value
 from .errors import BatchSplit, ExprError, GeoPlasmaError, ScenarioError
 from .lagrange import (
@@ -43,9 +46,13 @@ FRAMEWORKS = ("riemann", "lagrange", "multitime")
 BATCH_POINTS = 256  # points per batch; its jet arrays grow with it
 # Fewer points run one by one.  A lane batch costs about as much as 3-6
 # one-point evaluations whatever its size, measured at B points (best of 9,
-# 2-core x86-64 VM; cost in one-point evaluations, speed-up in brackets):
+# the reports rows best of 27 on the shipped scenarios, report tables
+# included; 2-core x86-64 VM; cost in one-point evaluations, speed-up in
+# brackets):
 #   callable               B = 2       B = 4       B = 8       B = 12      B = 16
-#   riemann reports        3.7 (x0.5)  3.6 (x1.1)  4.4 (x1.8)  4.3 (x2.8)  4.0 (x4.0)
+#   riemann reports        2.8 (x0.7)  3.1 (x1.3)  3.2 (x2.5)  3.4 (x3.5)  3.3 (x4.8)
+#   lagrange reports       2.8 (x0.7)  3.1 (x1.3)  3.0 (x2.7)  3.3 (x3.7)  3.2 (x5.0)
+#   multitime reports      2.9 (x0.7)  3.1 (x1.3)  3.2 (x2.5)  3.2 (x3.8)  4.8 (x3.4)
 #   multitime sheet_rows   5.6 (x0.4)  5.4 (x0.7)  5.9 (x1.3)  3.6 (x3.3)  5.3 (x3.0)
 #   multitime invariants   3.2 (x0.6)  4.7 (x0.9)  3.8 (x2.1)  4.5 (x2.7)  3.1 (x5.2)
 # From 8 points on, every batched callable wins.
@@ -147,9 +154,10 @@ class Scenario:
     A point is a flat list of plain floats in ``names`` order.  Each
     framework subclass evaluates ``report``, ``invariants`` and
     ``connection`` (block name -> (float array, index-order label)) at a
-    point; the stream commands a framework lacks raise here.  A framework
-    whose reports or invariant suites run as a batch, one lane per point,
-    sets ``_batch_reports`` or ``_batch_invariants``.
+    point; the stream commands a framework lacks raise here.  ``report``
+    also runs on a batch of points, coordinates that are lane arrays with
+    one lane per point.  A framework whose invariant suites run as a batch
+    sets ``_batch_invariants``.
     """
 
     n: int
@@ -159,12 +167,17 @@ class Scenario:
     eval_spec: dict
 
     hash = ""  # sha256 of the scenario file, set by load_scenario
-    _batch_reports = None
     _batch_invariants = None
 
     def reports(self, points):
-        """The report at each point, or the GeoPlasmaError its evaluation raised."""
-        return self._evaluate(points, self.report, self._batch_reports)
+        """(labels, values) of the report at each point, as :func:`report_table`
+        gives them, or the GeoPlasmaError its evaluation raised."""
+        def table(coords, lanes):
+            labels, rows = report_table(self.report(coords), lanes)
+            return [(labels, row) for row in rows]
+
+        return self._evaluate(points, lambda coords: table(coords, False)[0],
+                              lambda batch: table(_lane_coords(batch), True))
 
     def invariant_suites(self, points):
         """The invariant suite at each point, or the GeoPlasmaError its evaluation raised."""
@@ -202,18 +215,13 @@ class Scenario:
         return [out[k] for k in range(len(points))]
 
     def stream_line(self, x0, v0, step, count):
-        """(monitor column names, rows [s, x, dx/ds, monitors]) of an RK4 stream line."""
+        """(monitor column names, rows [s, x, dx/ds, monitors]) of an RK4 stream
+        line, as lists of Python floats."""
         raise ScenarioError("streamline requires the riemann or lagrange framework")
 
     def sheet_columns(self, coefficients):
         """Names of the residual columns of a stream-sheet scan."""
         raise ScenarioError("streamsheet requires the multitime framework")
-
-    def _with_norm(self, rows, norm):
-        """Integrator rows with the velocity norm ``norm(x, dx/ds)`` appended."""
-        n = self.n
-        return [list(row) + [norm(row[1:1 + n].tolist(), row[1 + n:1 + 2 * n].tolist())]
-                for row in rows]
 
 
 @dataclass
@@ -225,9 +233,6 @@ class RiemannScenario(Scenario):
     def report(self, coords):
         return rm.riemann_report(self.state, self.space, self.em, coords)
 
-    def _batch_reports(self, points):
-        return rm.riemann_reports(self.state, self.space, self.em, points)
-
     def invariants(self, coords):
         return riemann_invariants(self.state, self.space, self.em, coords)
 
@@ -236,10 +241,10 @@ class RiemannScenario(Scenario):
 
     def stream_line(self, x0, v0, step, count):
         phi = self.space.phi
-        rows = rm.integrate_stream_line(self.state, self.space, self.em, x0, v0, step, count)
-        return ["velocity_norm"], self._with_norm(
-            rows, lambda x, v: float(np.array(v) @ np.array(phi.matrix(x)) @ np.array(v))
-        )
+        rows = rm.integrate_stream_line(
+            self.state, self.space, self.em, x0, v0, step, count,
+            [lambda x, v: float(np.array(v) @ np.array(phi.matrix(x)) @ np.array(v))])
+        return ["velocity_norm"], rows.tolist()
 
 
 class LagrangeScenario(Scenario):
@@ -258,10 +263,10 @@ class LagrangeScenario(Scenario):
 
     def stream_line(self, x0, v0, step, count):
         g = self.space.g
-        rows = lag.integrate_h_stream_line(self.state, self.space, x0, v0, step, count)
-        return ["vertical_constraint_norm", "velocity_norm"], self._with_norm(
-            rows, lambda x, v: float(scalar_value(quadratic_form(g.matrix(x + v), v, v)))
-        )
+        rows = lag.integrate_h_stream_line(
+            self.state, self.space, x0, v0, step, count,
+            [lambda x, v: float(scalar_value(quadratic_form(g.matrix(x + v), v, v)))])
+        return ["vertical_constraint_norm", "velocity_norm"], rows.tolist()
 
 
 @dataclass
@@ -279,8 +284,8 @@ class MultitimeScenario(Scenario):
         return multitime_invariants(self.state, self.space, coords, bsml=self.bsml)
 
     def _batch_invariants(self, points):
-        suite = multitime_invariants(self.state, self.space,
-                                     [np.array(lane) for lane in zip(*points)], bsml=self.bsml)
+        suite = multitime_invariants(self.state, self.space, _lane_coords(points),
+                                     bsml=self.bsml)
         per_lane = zip(*(value.tolist() for value in suite.values()))
         return [OrderedDict(zip(suite, values)) for values in per_lane]
 
@@ -309,8 +314,7 @@ class MultitimeScenario(Scenario):
         return self._evaluate(
             nodes,
             lambda coords: self.sheet_row(coords, coefficients),
-            lambda batch: self._sheet_values(
-                [np.array(lane) for lane in zip(*batch)], coefficients, len(batch)),
+            lambda batch: self._sheet_values(_lane_coords(batch), coefficients, len(batch)),
         )
 
     def _sheet_values(self, coords, coefficients, size):
@@ -322,6 +326,11 @@ class MultitimeScenario(Scenario):
                          for a, k in zip(parts, (n, nv, n, nv)))
         norms = [np.abs(a).max(axis=0, keepdims=True) for a in (h, v)]
         return np.concatenate([h, norms[0], v, norms[1], *coeffs]).T.tolist()
+
+
+def _lane_coords(points):
+    """The coordinates of a batch of points: one lane array each, one lane per point."""
+    return [np.array(lane) for lane in zip(*points)]
 
 
 def _one_point(one, coords):

@@ -809,3 +809,17 @@ def finsler_derived_space(source, n):
 
     space = GeneralizedLagrangeSpace(n, MetricField(n, g_field), N_fn)
     return space, field(spray, "spray")
+
+
+def report_columns(report):
+    """(labels, values) of a one-point report, flattened component by
+    component in ``np.ndindex`` order, each entry followed by its max norm:
+    the column layout of the ``residuals`` CSV."""
+    labels, values = [], []
+    for name, arr in report.items():
+        for idx in np.ndindex(arr.shape):
+            labels.append(name + "_" + "".join(str(i + 1) for i in idx) if idx else name)
+            values.append(float(arr[idx]))
+        labels.append(name + "_norm")
+        values.append(float(np.abs(arr).max()))
+    return labels, values

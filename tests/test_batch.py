@@ -1,15 +1,16 @@
 """Batched evaluation: one frame for many points, the bits of one point each.
 
-Three callables run through ``Scenario``'s one split algorithm: riemann
-``reports(points)``, multitime ``sheet_rows(nodes, coefficients)`` and
-multitime ``invariant_suites(points)``.  Each seeds a whole batch once,
-with one lane per point in every jet coefficient.  Each result must equal
-the one-point ``report``, ``sheet_row`` or ``invariants`` at its point by
-``repr`` (``float.hex`` for an invariant) of every value, and a point that
-fails must carry exactly the error text of the one-point path, also where
-the failure, a pivot choice, a vanishing coefficient or an overflow splits
-the batch.  The small cases batch down to two points, below the default
-``MIN_BATCH``.
+Three callables run through ``Scenario``'s one split algorithm:
+``reports(points)`` of every framework, multitime ``sheet_rows(nodes,
+coefficients)`` and multitime ``invariant_suites(points)``.  Each seeds a
+whole batch once, with one lane per point in every jet coefficient.  Each
+result must equal the one-point ``report`` (its columns laid out as the
+``residuals`` CSV lays them out), ``sheet_row`` or ``invariants`` at its
+point by ``repr`` (``float.hex`` for an invariant) of every value, and a
+point that fails must carry exactly the error text of the one-point path,
+also where the failure, a pivot choice, a vanishing coefficient or an
+overflow splits the batch.  The small cases batch down to two points,
+below the default ``MIN_BATCH``.
 """
 
 import json
@@ -18,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from geoplasma import dual, expr, multitime as mt, riemann, scenario as scenario_mod
+from geoplasma import dual, expr, lagrange, multitime as mt, riemann, scenario as scenario_mod
 from geoplasma.common import covariant_derivative, inertial_factor
 from geoplasma.errors import BatchSplit, DomainError, GeoPlasmaError, SingularDynamicsError
 from geoplasma.lagrange import _adapted_partials
@@ -27,9 +28,12 @@ from geoplasma.scenario import build_scenario, evaluation_points, load_scenario
 from geoplasma.tensor_core import Slot, eval_jets
 
 import helpers
-from test_output_bytes import MULTITIME3, RIEMANN3, SCENARIOS, SHEET_FAILURES, SINGULAR_H
+from test_output_bytes import (
+    LAGRANGE3, MULTITIME3, RIEMANN3, SCENARIOS, SHEET_FAILURES, SINGULAR_H,
+)
 
 POLAR = json.loads((SCENARIOS / "polar_plasma.json").read_text())
+TANGENT = json.loads((SCENARIOS / "tangent_bundle.json").read_text())
 BSML = json.loads((SCENARIOS / "bsml_sheet.json").read_text())
 FLAT = [["1", "0"], ["1"]]
 # the multitime3 samples with t1 = 0 at two of them, where h is diagonal
@@ -58,14 +62,15 @@ def _sheet_nodes(scenario):
     return nodes.reshape(-1, nodes.shape[-1]).tolist()
 
 
-# batched callable -> (module whose seed a frame calls, points, batched results,
-# one-point result)
+# framework -> the module whose seed its frames call
+FRAME_MODULES = {"riemann": riemann, "lagrange": lagrange, "multitime": mt}
+# batched callable -> (points, batched results, one-point result)
 CALLABLES = {
-    "reports": (riemann, lambda s: evaluation_points(s)[0],
-                lambda s, points: s.reports(points), lambda s, coords: s.report(coords)),
-    "sheet_rows": (mt, _sheet_nodes, lambda s, nodes: s.sheet_rows(nodes, True),
+    "reports": (lambda s: evaluation_points(s)[0], lambda s, points: s.reports(points),
+                lambda s, coords: helpers.report_columns(s.report(coords))),
+    "sheet_rows": (_sheet_nodes, lambda s, nodes: s.sheet_rows(nodes, True),
                    lambda s, coords: s.sheet_row(coords, True)),
-    "invariants": (mt, lambda s: evaluation_points(s)[0],
+    "invariants": (lambda s: evaluation_points(s)[0],
                    lambda s, points: s.invariant_suites(points),
                    lambda s, coords: s.invariants(coords)),
 }
@@ -103,6 +108,27 @@ CASES = {
                                            eval={"points": [[1.0, 0.1], [1e100, 0.2],
                                                             [1.2, -0.1]]}),
                          0, 4, 2),
+    "lagrange3": ("reports", LAGRANGE3, None, 1, 2),
+    "tangent_bundle": ("reports", TANGENT, None, 1, 2),
+    # log(x1) fails at the middle point only, which splits off and runs alone
+    "lagrange_log_domain": ("reports", dict(TANGENT, pressure="0.3 + 0.01*log(x1)", eval={
+        "points": [[0.3, 0.1, 1.0, 0.9], [-0.2, 0.2, 0.8, 1.1], [0.4, -0.1, 1.2, 0.8]]}),
+                            1, 3, 2),
+    # |g_11| < |g_12| at x1 < 0.5: the first pivot row differs between
+    # points, and each pivot row's two points batch
+    "lagrange_pivot_row": ("reports", dict(TANGENT, metric=[["x1", "0.5"], ["2"]], eval={
+        "points": [[1.0, 0.1, 1.0, 0.9], [0.3, 0.2, 0.8, 1.1], [1.2, -0.1, 1.2, 0.8],
+                   [0.25, 0.0, 0.9, 1.0]]}),
+                           0, 3, 2),
+    "multitime3": ("reports", MULTITIME3, None, 1, 2),
+    "bsml_sheet": ("reports", BSML, None, 1, 2),
+    # log(x2) fails at 5 of the 10 points: the batch splits, the 5 good points
+    # batch, and the 5 failing ones fail as a batch and then alone
+    "multitime_log_domain": ("reports", SHEET_FAILURES, 5, 8, 2),
+    # h^12 is zero at the two points at t1 = 0: the batch splits there, and
+    # each side batches
+    "multitime_diagonal_h": ("reports", dict(MULTITIME3, eval={"points": DIAGONAL_H}),
+                             None, 3, 2),
     # kappa^2_12 ~ t1 vanishes on the t1 = 0 row of the 7 x 7 nodes, but the
     # sheet frame builds no G block and takes no delta_t: one batch
     "sheet_bsml": ("sheet_rows", BSML, None, 1, 2),
@@ -164,11 +190,11 @@ CASES = {
 def _key(result):
     if isinstance(result, GeoPlasmaError):
         return type(result).__name__, str(result)
-    if isinstance(result, dict):
+    if isinstance(result, dict):  # an invariant suite
         return [(name, float.hex(value)) for name, value in result.items()]
-    if isinstance(result, list):
-        return [repr(value) for value in result]
-    return [(label, repr(value)) for label, value in result.columns()]
+    if isinstance(result, tuple):  # the labels and values of a report
+        return [(label, repr(value)) for label, value in zip(*result)]
+    return [repr(value) for value in result]
 
 
 def _one_point(one, scenario, coords):
@@ -181,9 +207,10 @@ def _one_point(one, scenario, coords):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_batched_reports_equal_one_point_reports(name, monkeypatch):
     kind, config, failures, seedings, min_batch = CASES[name]
-    module, inputs, batch, one = CALLABLES[kind]
+    inputs, batch, one = CALLABLES[kind]
     monkeypatch.setattr(scenario_mod, "MIN_BATCH", min_batch)
     scenario = build_scenario(config)
+    module = FRAME_MODULES[scenario.framework]
     points = inputs(scenario)
     seeds = []
     original = module.seed
@@ -197,7 +224,7 @@ def test_batched_reports_equal_one_point_reports(name, monkeypatch):
     assert len(failed) == (failures or 0)
     if name == "algebra_overflow":
         # the one-point report holds a non-finite number, which the CLI's last guard names
-        assert not all(math.isfinite(v) for _, v in single[1].columns())
+        assert not all(math.isfinite(v) for v in single[1][1])
 
 
 # box samples in random order: failing points or a second pivot row scattered
@@ -222,7 +249,7 @@ def test_a_batch_splits_by_the_condition_its_points_disagree_on(name, monkeypatc
     monkeypatch.setattr(riemann, "seed", lambda *a, **k: seeds.append(1) or original(*a, **k))
     batched = list(scenario.reports(points))
     monkeypatch.setattr(riemann, "seed", original)
-    single = [_one_point(CALLABLES["reports"][3], scenario, coords) for coords in points]
+    single = [_one_point(CALLABLES["reports"][2], scenario, coords) for coords in points]
     assert [_key(r) for r in batched] == [_key(r) for r in single]
     failed = sum(isinstance(r, GeoPlasmaError) for r in single)
     assert 16 <= sum(x1 < edge for x1, _ in points) <= 48  # both sides are batches
@@ -249,7 +276,8 @@ def test_batches_are_chunked_and_keep_point_order():
     scenario = load_scenario(str(SCENARIOS / "polar_plasma.json"))
     points, _ = evaluation_points(scenario, count=300)  # two chunks of at most 256
     batched = list(scenario.reports(points))
-    assert [_key(r) for r in batched] == [_key(scenario.report(c)) for c in points]
+    assert [_key(r) for r in batched] == [_key(helpers.report_columns(scenario.report(c)))
+                                          for c in points]
 
 
 def test_lane_arrays_give_the_bits_of_each_scalar():

@@ -1,10 +1,15 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import helpers
 from geoplasma import lagrange
+from geoplasma.common import max_abs
 from geoplasma.dual import scalar_value
-from geoplasma.errors import NormalizationError
+from geoplasma.cli import main
+from geoplasma.errors import DomainError, NormalizationError
 from geoplasma.lagrange import (
     GeneralizedLagrangeSpace,
     LagrangeFluidState,
@@ -22,6 +27,7 @@ from geoplasma.lagrange import (
     zero_connection,
 )
 from geoplasma.riemann import christoffel_lists, riemann_report
+from geoplasma.scenario import build_scenario
 from geoplasma.tensor_core import (
     MetricField,
     Slot,
@@ -32,6 +38,7 @@ from geoplasma.tensor_core import (
 )
 
 RNG = np.random.default_rng(515)
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def generic_scenario(seed=3, n=2):
@@ -267,7 +274,7 @@ def test_residuals_constant_scenario():
         "lorentz_h", "conservation_h", "continuity_h", "euler_h", "force_h",
         "lorentz_v", "euler_v", "force_v", "unit_norm_error",
     ]:
-        assert rep.norm(name) < 1e-13, name
+        assert max_abs(rep[name]) < 1e-13, name
     eps = np.linalg.norm(y)
     q0 = rho0 + p0
     assert np.abs(rep["conservation_v"] - q0 * (n - 1) * (y / eps) / eps).max() < 1e-14
@@ -280,8 +287,8 @@ def test_contraction_and_euler_identities_generic():
         rep = lagrange_residuals(state, space, pt)
         assert abs(rep["contraction_identity_h"]) < 1e-10
         assert abs(rep["contraction_identity_v"]) < 1e-10
-        assert rep.norm("euler_decomposition_h") < 1e-10
-        assert rep.norm("euler_decomposition_v") < 1e-10
+        assert max_abs(rep["euler_decomposition_h"]) < 1e-10
+        assert max_abs(rep["euler_decomposition_v"]) < 1e-10
 
 
 def test_conservation_divergence_two_paths():
@@ -409,6 +416,42 @@ def test_resolve_epsilon0_fiber_independent_requires_unit():
     assert resolve_epsilon0(space, [0.0, 0.0], [1.0, 0.0]) == 1.0
     with pytest.raises(NormalizationError):
         resolve_epsilon0(space, [0.0, 0.0], [2.0, 0.0])
+
+
+# g(x, y) is undefined at y = w (y1 + 0.5 = -0.1 under the log) but defined
+# at y = w/2, where Newton starts after one back-off
+_TANGENT = json.loads((SCENARIOS / "tangent_bundle.json").read_text())
+LOG_FIBER = dict(_TANGENT, metric=[["1 + 0.2*log(y1 + 0.5)", "0"], ["1"]])
+
+
+def test_resolve_epsilon0_backs_off_where_the_metric_is_undefined(tmp_path, capsys):
+    scenario = build_scenario(LOG_FIBER)
+    x, w = [0.1, 0.2], [-0.6, 0.869]
+    eps0 = resolve_epsilon0(scenario.space, x, w)
+    assert 0.0 < eps0 < 0.5
+    g = scenario.space.g.matrix(x + [eps0 * wi for wi in w])
+    assert abs(quadratic_form(g, w, w) - 1.0) < 1e-12
+    rows = integrate_h_stream_line(scenario.state, scenario.space, x, w, 0.01, 150)
+    assert rows.shape == (151, 6) and np.isfinite(rows).all()
+    # the CLI line still fails at its first row: the velocity_norm column is
+    # g(x, w)(w, w), at y = w, where the metric is undefined
+    path = tmp_path / "log_fiber.json"
+    path.write_text(json.dumps(LOG_FIBER))
+    capsys.readouterr()
+    assert main(["streamline", "--scenario", str(path), "--x0=0.1,0.2", "--v0=-0.6,0.869",
+                 "--step", "0.01", "--steps", "150"]) == 1
+    assert capsys.readouterr().err == \
+        "failure: log of non-positive value in 'log(y1 + 0.5)' (step 0)\n"
+
+
+def test_resolve_epsilon0_raises_the_first_domain_error_when_no_eps0_is_defined():
+    # log(-y1) is undefined at every eps0 > 0 along w1 > 0
+    scenario = build_scenario(dict(_TANGENT, metric=[["1 + 0.2*log(0 - y1)", "0"], ["1"]]))
+    with pytest.raises(DomainError) as err:
+        resolve_epsilon0(scenario.space, [0.1, 0.2], [0.6, 0.8])
+    with pytest.raises(DomainError) as first:
+        scenario.space.g.matrix([0.1, 0.2, 0.6, 0.8])
+    assert str(err.value) == str(first.value)
 
 
 def test_h_stream_rhs_dual_path():

@@ -136,7 +136,7 @@ def test_grgml_zero_sigma_equals_bsml():
     jp = random_jet_point()
     r1 = multitime_residuals(state, g1, jp)
     r2 = multitime_residuals(state, g2, jp)
-    for name in list(r1.entries):
+    for name in r1:
         assert np.abs(r1[name] - r2[name]).max() < 1e-12, name
 
 
@@ -259,7 +259,7 @@ def test_edml_zero_potentials_equal_bsml():
     jp = random_jet_point()
     r1 = multitime_residuals(state, e, jp)
     r2 = multitime_residuals(state, b, jp)
-    for name in list(r1.entries):
+    for name in r1:
         assert np.abs(r1[name] - r2[name]).max() < 1e-12, name
     assert np.abs(np.array(e.N(jp)) - np.array(b.N(jp))).max() < 1e-14
 

@@ -24,7 +24,10 @@ recorded before sheet nodes ran in batches.  The ``verify`` pins at 24
 points (more than ``MIN_BATCH``, failing points and worst offenders
 included) and the ``singular_h`` pins (which metric a point where h and g
 are both singular names) were recorded before multitime verify ran in
-batches and before the frames built kappa only on use.  The ``lagrange2``
+batches and before the frames built kappa only on use.  The ``residuals``
+pins at 24 points of ``lagrange3``, ``multitime3`` and ``edml`` were
+recorded while lagrange and multitime residuals evaluated every point
+alone, before they ran in lane batches.  The ``lagrange2``
 stream lines (the benchmark workload's fiber metric at two of its starts),
 the ``tangent_bundle`` stream line and the failing stream lines of
 ``STREAMLINE_FAILURES`` were recorded while every stream-line point ran
@@ -277,6 +280,9 @@ CASES["verify-points-24-sheet_failures"] = ("sheet_failures", ["verify", "--poin
 CASES["verify-tol-1e-30-points-24-bsml_sheet"] = (
     "bsml_sheet", ["verify", "--tol", "1e-30", "--points", "24"], 1,
 )
+# more points than MIN_BATCH: residuals run their points as lane batches
+for _name in ("lagrange3", "multitime3", "edml"):
+    CASES[f"residuals-points-24-{_name}"] = (_name, ["residuals", "--points", "24"], 0)
 
 # case -> (SHA-256 of the output file, SHA-256 of stdout or None)
 EXPECTED = {
@@ -321,6 +327,9 @@ EXPECTED = {
     "verify-singular_h_canonical": ("de13f2c0ce643c4967f41bc336c0f696167e3c96ed8564419dad79f54b189a92", "becbf09fe23c941db2bcd816bb24b43492c63f8dfbb20ada5943f05d983f58c8"),
     "verify-points-24-multitime3": ("013b53ff76c9ba5ff922b18c4a8715e9ccfff432138abc669c7a189378641ebd", "e72f3bcc192cf410b35059f562dfcde5b548bb7781dbaa5d46194298f4914cfb"),
     "verify-points-24-sheet_failures": ("f27dba8b2d7da7700ccbb6592cf848e6dac58f89343cc83a586e7815359d699d", "c6c384a97298f8e7542339696c3ed3c7bcd20ffd585b6888bee413d1bc2c97b2"),
+    "residuals-points-24-lagrange3": ("b80c9b1d14be034e3c3752c542a59539cef8b790367b98f9b762d4eb3c6c4501", None),
+    "residuals-points-24-multitime3": ("b015660607fcb4baf69eb37cea376335c33bfe585f5110290fe5921296a15a63", None),
+    "residuals-points-24-edml": ("1140140d5d6205d2636adabdb67dd21f51655b3504f58c7c99c9e3497c3f95ae", None),
     "verify-tol-1e-30-points-24-bsml_sheet": ("7384e5dcfcedae1be4fbd0929a386d8e47a75fbe69f0448cc722eb3c137b44b6", "0281dc772a26a27854d52b3fc236e247695ea3551bf0489c8f55adc17aeb97c3"),
 }
 

@@ -23,7 +23,7 @@ from geoplasma.scenario import evaluation_points, load_scenario, sheet_axes_and_
 from geoplasma.tensor_core import MetricField, TwoFormField, constant_field
 from geoplasma.verify import invariants_at
 
-from helpers import const_state, flat_space, xynames, zero_em
+from helpers import const_state, flat_space, report_columns, xynames, zero_em
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -209,7 +209,7 @@ def test_memo_holds_one_point():
 
 
 def _columns_text(report):
-    return [(label, repr(value)) for label, value in report.columns()]
+    return [(label, repr(value)) for label, value in zip(*report_columns(report))]
 
 
 @pytest.mark.parametrize("name", sorted(PER_POINT))

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from geoplasma.cli import main
 from geoplasma.errors import ScenarioError
 from geoplasma.scenario import (
+    MIN_BATCH,
     RiemannScenario,
     build_scenario,
     evaluation_points,
@@ -615,6 +617,22 @@ def test_cli_residuals_name_a_non_finite_field(config, message, tmp_path):
         assert row["error"] == f"non-finite value or derivative in {message}"
 
 
+@pytest.mark.parametrize("count", [3, 20])
+def test_cli_residuals_with_every_point_failing(count, tmp_path):
+    # no point gives a report, so no residual labels: the header is the
+    # coordinate names and the error, below MIN_BATCH and in a lane batch
+    assert 3 < MIN_BATCH <= 20
+    config = dict(_POLAR, pressure="log(x1 - 5)")
+    out = tmp_path / "r.csv"
+    assert main(["residuals", "--scenario", write(tmp_path, config),
+                 "--points", str(count), "--out", str(out)]) == 1
+    lines = out.read_text().splitlines()
+    assert lines[1] == "x1,x2,error"
+    points, _ = evaluation_points(build_scenario(config), count=count)
+    assert lines[2:] == [f"{x1!r},{x2!r},log of non-positive value in 'log(x1 - 5.0)'"
+                         for x1, x2 in points]
+
+
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SHIPPED_COMMANDS = {
     "verify": ["verify", "--scenario", str(SCENARIOS / "polar_plasma.json"), "--points", "1"],
@@ -648,14 +666,10 @@ def test_cli_streamsheet_names_a_non_finite_sheet_entry(tmp_path, capsys):
     assert not out.exists()
 
 
-class _NanReport:
-    def columns(self):
-        return [("a", 0.5), ("b", float("nan")), ("b_norm", float("nan"))]
-
-
 def test_cli_residuals_last_guard_marks_a_non_finite_row(tmp_path, monkeypatch):
     monkeypatch.setattr(RiemannScenario, "reports",
-                        lambda scenario, points: [_NanReport() for _ in points])
+                        lambda scenario, points: [(["a", "b", "b_norm"], [0.5, math.nan, math.nan])
+                                                  for _ in points])
     out = tmp_path / "r.csv"
     assert main(["residuals", "--scenario", write(tmp_path, riemann_config()),
                  "--points", "2", "--out", str(out)]) == 1

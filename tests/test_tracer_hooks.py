@@ -29,3 +29,20 @@ def test_tracer_hooks_name_existing_package_parts():
         assert op in dual.Jet.__dict__, op
     for module, attr in tracer.TRACED_FUNCTIONS:
         assert callable(getattr(importlib.import_module(f"geoplasma.{module}"), attr)), (module, attr)
+
+
+def test_tracer_counts_the_report_of_a_residuals_batch(tmp_path):
+    # the 20 points of polar_plasma run as one lane batch through
+    # riemann_report, the name the benchmark's per-layer report counts
+    from geoplasma import cli
+
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "polar_plasma.json"
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["residuals", "--scenario", str(scenario),
+                         "--out", str(tmp_path / "r.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.calls.get("riemann.riemann_report", 0) >= 1
