@@ -425,3 +425,49 @@ def test_streamline_failure_text(case, tmp_path, capsys):
                  "--step", "0.01", "--steps", "150", "--out", str(out)])
     assert (code, capsys.readouterr().err) == STREAMLINE_FAILURES[case]
     assert not out.exists()
+
+
+# fields that fail at some points, on polar_plasma: a zero divisor of a
+# binary '/' and of a pow call, an overflowing exp, a fractional power of a
+# negative base, and a log shared by two metric entries.  Each runs at three
+# explicit points (fewer than MIN_BATCH: every point alone) and at twelve
+# (one lane batch that splits, and the failing points alone).  Recorded while
+# a failing compiled field evaluated its trees again through the tree walker.
+FAILING_FIELDS = {
+    "binop_zero_divisor": {"pressure": "0.3 + 1/(x1 - 1)"},
+    "call_zero_divisor": {"pressure": "0.3 + pow(x1 - 1, -1)"},
+    "range_error": {"pressure": "0.3 + exp(1000*x1)"},
+    "fractional_power": {"pressure": "0.3 + (x1 - 1)^0.5"},
+    "shared_log": {"metric": [["1 + 0.1*log(x1 - 1)", "0"], ["x1^2 + 0.1*log(x1 - 1)"]]},
+}
+FAILING_POINTS = {
+    3: [[1.0, 0.2], [0.6, -0.1], [1.3, 0.3]],
+    12: [[0.6, 0.1], [1.0, 0.2], [1.3, -0.3], [0.65, 0.4], [1.0, -0.1], [1.5, 0.0],
+         [0.7, -0.4], [1.2, 0.3], [1.0, 0.45], [0.62, -0.2], [1.1, 0.15], [0.68, 0.25]],
+}
+# field-points -> (exit code, SHA-256 of the CSV, stderr)
+FAILING_FIELD_OUTPUT = {
+    "binop_zero_divisor-3": (1, "e04189990e281be5c4b05125bb1234ed04c501dce24aee73ab352b62bfa59b96", ""),
+    "binop_zero_divisor-12": (1, "440ebc9db3c75dd0e8d2d2717d2723feef6d2439b800485b3b1eeba25fc406ca", ""),
+    "call_zero_divisor-3": (1, "81c460e13065cd8405020b66053e5b17cbe4f515f7e2e923814d4966ac0086a9", ""),
+    "call_zero_divisor-12": (1, "9d673e522d78f744c9c84111017f7c4684f09a877d8fc576cce848067fd70f2d", ""),
+    "range_error-3": (1, "607383be9b669638289b81f6e3c5ef00cf6173242751a1086b02131bca098fbd", ""),
+    "range_error-12": (1, "d706642116892da760505eb3b37a76176de5d68f32b76d758dee716e425f2f28", ""),
+    "fractional_power-3": (1, "a90011b3a9c5fe41fff8ffbde41b34b2b0af106c4117547ceffeda68a1cd0b21", ""),
+    "fractional_power-12": (1, "d2feab38b677210a08f5afb48ed2fade9fe0db8c7e0c4d63ccac411ee31d6d2d", ""),
+    "shared_log-3": (1, "d09b4e767d753871b1d6eee11bfc327fc3f17c33ad542bb666f53038a34fedbd", ""),
+    "shared_log-12": (1, "bfda14ad4f5da62d443b074c98079cba53df468e7dc770a26dd1d3c6c2e0f4dc", ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_FIELD_OUTPUT))
+def test_failing_field_output(case, tmp_path, capsys):
+    name, count = case.rsplit("-", 1)
+    config = dict(json.loads((SCENARIOS / "polar_plasma.json").read_text()),
+                  **FAILING_FIELDS[name], eval={"points": FAILING_POINTS[int(count)]})
+    scenario = tmp_path / f"{name}.json"
+    scenario.write_text(json.dumps(config, indent=2) + "\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["residuals", "--scenario", str(scenario), "--out", str(out)])
+    assert (code, _sha(out.read_bytes()), capsys.readouterr().err) == FAILING_FIELD_OUTPUT[case]
