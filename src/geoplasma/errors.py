@@ -26,7 +26,8 @@ class ExprSyntaxError(ExprError):
 
 
 class UnboundVariableError(ExprError):
-    """A variable was referenced during evaluation without a binding."""
+    """An expression names a variable its field does not bind (raised when the
+    field is compiled)."""
 
     def __init__(self, name):
         self.name = name

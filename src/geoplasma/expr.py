@@ -19,15 +19,20 @@ Expressions are immutable after parsing; evaluation is pure and works
 over any scalar type the arithmetic helpers in :mod:`geoplasma.dual`
 accept (plain floats, lane arrays or jets).
 
-Two evaluators share these semantics.  :func:`compile_field` turns the
+One evaluator runs these semantics.  :func:`compile_field` turns the
 trees of one field (say all upper-triangle entries of a metric) into one
 straight-line Python function of the coordinate list, generated once from
-the parsed trees: it runs every operation of the trees with the same
-operands in the same order, computes identical subtrees once, and so
-returns the same bits as the tree walker :func:`evaluate`.  The walker
-stays the reference: the compiled field re-runs it whenever the compiled
-code raises, so every error and its subexpression text are the walker's
-(a batch split passes through: the walker would raise the same one).
+the parsed trees.  It runs the operations tree by tree, children before
+their node and left before right, and computes identical subtrees once,
+which changes no bit since evaluation is pure.  Names resolve when a field
+is compiled: a name outside its coordinate list is an
+:class:`UnboundVariableError` then, never at a point.  A failing operation
+raises a :class:`DomainError` naming its subexpression; the line of the
+generated code that raised gives the node.  Lines run in tree order, so a
+shared subtree that fails does so at its first use, the node a walk of the
+trees fails at.  The recursive tree walker, the first form of these
+semantics, is the oracle the tests compare the compiled code with
+(``walk`` in ``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -37,12 +42,13 @@ import re
 from dataclasses import dataclass
 
 from . import dual
-from .errors import BatchSplit, DomainError, ExprError, ExprSyntaxError, UnboundVariableError
+from .errors import DomainError, ExprError, ExprSyntaxError, UnboundVariableError
 
 # Deepest expression accepted (deeper ones are an ExprError), in tree levels
 # and in frames of parser recursion, where a group or call argument recurses
-# through all five grammar rules.  The recursive parser, compiler, walker and
-# printer then stay well under Python's default recursion limit of 1000.
+# through all five grammar rules.  The recursive parser, compiler and printer
+# (and the tests' tree walker) then stay well under Python's default recursion
+# limit of 1000.
 MAX_DEPTH = 800
 _GROUP = 5
 
@@ -254,96 +260,52 @@ def parse(source):
 
 
 def evaluate(node, binding):
-    """Evaluate an expression under a name -> scalar binding.
-
-    Scalars may be floats or jets; arithmetic is dispatched through
-    :mod:`geoplasma.dual`.  Unbound variables raise, and math domain
-    failures are re-raised with the offending subexpression attached.
-    """
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return binding[node.name]
-        except KeyError:
-            raise UnboundVariableError(node.name) from None
-    if isinstance(node, Neg):
-        return -evaluate(node.child, binding)
-    if isinstance(node, BinOp):
-        left = evaluate(node.left, binding)
-        right = evaluate(node.right, binding)
-        try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                if not isinstance(left, dual.Jet) and not isinstance(right, dual.Jet):
-                    if dual.branch(right == 0.0):
-                        raise DomainError("division by zero")
-                return left / right
-            return dual.power(left, right)
-        except DomainError as err:
-            if err.where is None:
-                raise DomainError(str(err), where=pretty(node)) from None
-            raise
-        except ZeroDivisionError:
-            raise DomainError("division by zero", where=pretty(node)) from None
-        except (ArithmeticError, ValueError) as err:
-            raise DomainError(str(err), where=pretty(node)) from None
-    if isinstance(node, Call):
-        fn = FUNCTIONS[node.name][0]
-        args = [evaluate(a, binding) for a in node.args]
-        try:
-            return fn(*args)
-        except (DomainError, ArithmeticError, ValueError) as err:
-            if getattr(err, "where", None) is None:
-                raise DomainError(str(err), where=pretty(node)) from None
-            raise
-    raise TypeError(f"not an expression node: {node!r}")
+    """The value of one tree under a name -> scalar binding, as a field of
+    :func:`compile_field` gives it (the tree's text labels a non-finite value)."""
+    names = tuple(binding)
+    return compile_field([node], names, [f"'{pretty(node)}'"])([binding[k] for k in names])[0]
 
 
 def _checked_div(left, right):
-    """left/right with the walker's zero check on a plain divisor."""
+    """left/right; a zero divisor that is no jet raises "division by zero"
+    whatever its type (a lane array zero on some lanes splits its batch)."""
     if not isinstance(left, dual.Jet) and not isinstance(right, dual.Jet):
         if dual.branch(right == 0.0):
             raise DomainError("division by zero")
     return left / right
 
 
-def _unbound():
-    raise LookupError("unbound variable")
-
-
 # Names the generated code calls; only these strings and the ones built
 # below from integers and float reprs reach compile().
-_NAMESPACE = {"_div": _checked_div, "_pow": dual.power, "_unbound": _unbound}
+_NAMESPACE = {"_div": _checked_div, "_pow": dual.power}
 _NAMESPACE.update({"_" + name: fn for name, (fn, _) in FUNCTIONS.items()})
 _CALLS = {name: "_" + name for name in FUNCTIONS}
 
 
 def _straight_line(trees, names):
-    """Source of ``def field(c)`` returning the list of the trees' values.
+    """Source of ``def field(c)`` returning the list of the trees' values,
+    and the node of each source line (None on the first and last).
 
     Each node that is not a literal becomes one assignment, children
-    first, left before right, as the walker visits them.  A node whose
-    right-hand side text was emitted already reuses that temporary: the
-    text is built from temporaries and literal reprs only, so it keys
-    equal subtrees exactly and never merges ``0.0`` with ``-0.0``.
+    first, left before right, in the order the trees are read.  A node
+    whose right-hand side text was emitted already reuses that temporary:
+    the text is built from temporaries and literal reprs only, so it keys
+    equal subtrees exactly and never merges ``0.0`` with ``-0.0``.  A name
+    missing from ``names`` raises :class:`UnboundVariableError`.
     """
     index = {name: k for k, name in enumerate(names)}
     temps = {}
     lines = ["def field(c):"]
+    nodes = [None]
 
     def operand(node):
         if isinstance(node, Num):
             text = repr(node.value)
             return f"({text})" if text.startswith("-") else text
         if isinstance(node, Var):
-            k = index.get(node.name)
-            rhs = "_unbound()" if k is None else f"c[{k}]"
+            if node.name not in index:
+                raise UnboundVariableError(node.name)
+            rhs = f"c[{index[node.name]}]"
         elif isinstance(node, Neg):
             rhs = "-" + operand(node.child)
         elif isinstance(node, BinOp):
@@ -363,50 +325,57 @@ def _straight_line(trees, names):
         if name is None:
             name = temps[rhs] = f"t{len(temps)}"
             lines.append(f"    {name} = {rhs}")
+            nodes.append(node)
         return name
 
     results = [operand(tree) for tree in trees]
     lines.append("    return [" + ", ".join(results) + "]")
-    return "\n".join(lines)
+    nodes.append(None)
+    return "\n".join(lines), nodes
+
+
+def _function(source):
+    """The ``field`` that generated ``source`` defines."""
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<field>", "exec"), namespace)
+    return namespace["field"]
 
 
 def compile_trees(trees, names):
-    """The generated function alone: ``coords -> [value of each tree]``.
-
-    Bit-identical to the walker wherever the walker returns; where the
-    walker raises, this raises too, but not necessarily the same error.
-    """
-    namespace = dict(_NAMESPACE)
-    exec(compile(_straight_line(trees, names), "<field>", "exec"), namespace)
-    return namespace["field"]
+    """The generated function alone: ``coords -> [value of each tree]``,
+    raising the raw error of a failing operation."""
+    return _function(_straight_line(trees, names)[0])
 
 
 def compile_field(trees, names, labels):
     """One function of the coordinate list giving every tree's value, in order.
 
-    ``names[k]`` binds to ``coords[k]``.  A value, or any jet coefficient
-    of it, that is not finite raises :class:`DomainError` naming the tree
-    by its entry in ``labels``.  When the generated code raises, the walker
-    evaluates the trees one by one in order and raises exactly what
-    evaluating them with :func:`evaluate` raises; a :class:`BatchSplit`
-    passes through, since the walker would raise the same split.
+    ``names[k]`` binds to ``coords[k]``; a tree naming anything else raises
+    :class:`UnboundVariableError` here, once.  A value, or any jet
+    coefficient of it, that is not finite raises :class:`DomainError`
+    naming the tree by its entry in ``labels``.  A ``DomainError``,
+    ``ArithmeticError`` or ``ValueError`` of a binary operation or call
+    becomes a :class:`DomainError` naming that subexpression ("division by
+    zero" for a zero divisor of an operator), unless it names one already;
+    the line of the generated code that raised gives the node.  Every other
+    exception, a :class:`BatchSplit` included, passes through.
     """
-    trees = tuple(trees)
-    names = tuple(names)
+    source, nodes = _straight_line(trees, names)
+    straight = _function(source)
     labels = tuple(labels)
-    straight = compile_trees(trees, names)
     is_finite = dual.is_finite
 
     def field(coords):
         try:
             values = straight(coords)
-        except BatchSplit:
-            raise
-        except Exception:
-            # the reference walker, in entry order, raises the error with
-            # its subexpression text
-            binding = dict(zip(names, coords))
-            values = [evaluate(tree, binding) for tree in trees]
+        except (DomainError, ArithmeticError, ValueError) as err:
+            # the frame below this one is the generated code's
+            node = nodes[err.__traceback__.tb_next.tb_lineno - 1]
+            if not isinstance(node, (BinOp, Call)) or getattr(err, "where", None) is not None:
+                raise
+            zero = isinstance(err, ZeroDivisionError) and isinstance(node, BinOp)
+            raise DomainError("division by zero" if zero else str(err),
+                              where=pretty(node)) from None
         for value, label in zip(values, labels):
             if not is_finite(value):
                 raise DomainError(f"non-finite value or derivative in {label}")

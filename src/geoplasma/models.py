@@ -198,5 +198,8 @@ def stock_metric(name, n, names, params=None, label="metric"):
             for j in range(i, n):
                 row.append(f"exp(2*({sigma}))" if i == j else "0")
             rows.append(row)
-        return MetricField.from_exprs(n, rows, names, label)
+        try:
+            return MetricField.from_exprs(n, rows, names, label)
+        except ExprError as err:  # a name the metric's coordinates do not bind
+            raise ScenarioError(f"sigma: {err}") from None
     raise ScenarioError(f"unknown stock metric {name!r}")

@@ -3,7 +3,8 @@
 The independent oracles are written against numpy/einsum or finite
 differences so they do not share code paths with the package internals
 they check.  The reference implementations at the end are the package's
-unreduced or former forms (seeded scalar-field evaluation, the covariant
+unreduced or former forms (``walk``, the recursive tree walker of the
+expression language; seeded scalar-field evaluation, the covariant
 stream-sheet residuals, the edml Lagrangian, the multi-time velocity,
 the Finsler space of a fundamental function on the general jet engine
 of :mod:`reference_dual`); only tests call them.
@@ -16,9 +17,9 @@ import numpy as np
 import reference_dual as ref
 from geoplasma import expr as expr_mod
 from geoplasma.common import energy_low_mixed, unit_vector
-from geoplasma.dual import Jet, promote, scalar_value, seed
-from geoplasma.errors import DomainError
-from geoplasma.expr import BinOp, Call, Neg, Num, Var, compile_field, parse
+from geoplasma.dual import Jet, branch, power, promote, scalar_value, seed
+from geoplasma.errors import DomainError, UnboundVariableError
+from geoplasma.expr import BinOp, Call, Neg, Num, Var, compile_field, parse, pretty
 from geoplasma.lagrange import GeneralizedLagrangeSpace, _adapted_partials
 from geoplasma.multitime import (
     _Derivatives,
@@ -611,6 +612,62 @@ def coefficient_bits(x):
     return (type(x).__name__, float(x).hex())
 
 
+# -- the tree walker ---------------------------------------------------------------
+
+def walk(node, binding):
+    """Evaluate an expression tree recursively under a name -> scalar binding.
+
+    The first evaluator of the expression language, kept as the oracle of
+    its compiled code: scalars may be floats, lane arrays or jets, with the
+    arithmetic of :mod:`geoplasma.dual`.  An unbound variable raises when
+    it is reached, and a failing operation raises a DomainError naming the
+    offending subexpression.
+    """
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        try:
+            return binding[node.name]
+        except KeyError:
+            raise UnboundVariableError(node.name) from None
+    if isinstance(node, Neg):
+        return -walk(node.child, binding)
+    if isinstance(node, BinOp):
+        left = walk(node.left, binding)
+        right = walk(node.right, binding)
+        try:
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            if node.op == "*":
+                return left * right
+            if node.op == "/":
+                if not isinstance(left, Jet) and not isinstance(right, Jet):
+                    if branch(right == 0.0):
+                        raise DomainError("division by zero")
+                return left / right
+            return power(left, right)
+        except DomainError as err:
+            if err.where is None:
+                raise DomainError(str(err), where=pretty(node)) from None
+            raise
+        except ZeroDivisionError:
+            raise DomainError("division by zero", where=pretty(node)) from None
+        except (ArithmeticError, ValueError) as err:
+            raise DomainError(str(err), where=pretty(node)) from None
+    if isinstance(node, Call):
+        fn = expr_mod.FUNCTIONS[node.name][0]
+        args = [walk(a, binding) for a in node.args]
+        try:
+            return fn(*args)
+        except (DomainError, ArithmeticError, ValueError) as err:
+            if getattr(err, "where", None) is None:
+                raise DomainError(str(err), where=pretty(node)) from None
+            raise
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 # -- the general jet engine ------------------------------------------------------
 
 def _reference_div(left, right):
@@ -634,7 +691,7 @@ def reference_trees(trees, names):
     seedings, where the package's compiled fields take first-order jets.
     """
     namespace = dict(_REFERENCE_NAMESPACE)
-    source = expr_mod._straight_line(trees, names)
+    source, _ = expr_mod._straight_line(trees, names)
     exec(compile(source, "<reference field>", "exec"), namespace)
     return namespace["field"]
 

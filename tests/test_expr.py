@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoplasma import dual
+from geoplasma import dual, expr
 from geoplasma.errors import DomainError, ExprSyntaxError, UnboundVariableError
 from geoplasma.expr import (
     BinOp, Call, Neg, Num, Var, _straight_line, compile_field, compile_trees, evaluate, parse,
     pretty,
 )
 import reference_dual
-from helpers import coefficient_bits, reference_trees
+from helpers import coefficient_bits, reference_trees, walk
 
 
 def ev(source, **binding):
@@ -242,17 +242,19 @@ def _fields(draw):
     return entries
 
 
-def _scalars(kind, values):
+def _scalars(kind, values, lanes):
     if kind == "float":
         return list(values)
     if kind == "numpy":
         return [np.float64(v) for v in values]
+    if kind == "lanes":  # three points of a batch
+        return [np.array(row) for row in lanes]
     return dual.seed(values, seeds=[0, 1])[0]
 
 
 def _walk(trees, coords):
     binding = dict(zip(_FIELD_NAMES, coords))
-    return [evaluate(tree, binding) for tree in trees]
+    return [walk(tree, binding) for tree in trees]
 
 
 def _outcome(fn, *args):
@@ -262,25 +264,39 @@ def _outcome(fn, *args):
         return None, err
 
 
+def _split_lanes(err):
+    lanes = getattr(err, "lanes", None)
+    return None if lanes is None else lanes.tolist()
+
+
+_lane_values = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),
+                         st.floats(min_value=-2.0, max_value=2.0))
+
+
 @given(
     _fields(),
-    st.sampled_from(["float", "numpy", "order1"]),
+    st.sampled_from(["float", "numpy", "order1", "lanes"]),
     st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=3, max_size=3),
+    st.lists(st.lists(_lane_values, min_size=3, max_size=3), min_size=3, max_size=3),
 )
 @settings(max_examples=300, deadline=None)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_compiled_field_is_bit_identical_to_walker(trees, kind, values):
-    coords = _scalars(kind, values)
-    walked, walk_err = _outcome(_walk, trees, coords)
-    straight, straight_err = _outcome(compile_trees(trees, _FIELD_NAMES), coords)
+def test_compiled_field_is_bit_identical_to_walker(trees, kind, values, lanes):
+    coords = _scalars(kind, values, lanes)
     labels = [f"entry {k}" for k in range(len(trees))]
-    field, field_err = _outcome(compile_field(trees, _FIELD_NAMES, labels), coords)
+    # lanes run under the floating-point traps of a scenario batch
+    traps = {"divide": "raise", "over": "raise", "invalid": "raise"} if kind == "lanes" else {}
+    with np.errstate(**traps):
+        walked, walk_err = _outcome(_walk, trees, coords)
+        straight, straight_err = _outcome(compile_trees(trees, _FIELD_NAMES), coords)
+        field, field_err = _outcome(compile_field(trees, _FIELD_NAMES, labels), coords)
     if walk_err is not None:
-        # the straight-line code fails too, and the field re-raises the walker's error
+        # the straight-line code fails too, and the field raises the walker's error
         assert straight_err is not None
         assert type(field_err) is type(walk_err)
         assert str(field_err) == str(walk_err)
         assert getattr(field_err, "where", None) == getattr(walk_err, "where", None)
+        assert _split_lanes(field_err) == _split_lanes(walk_err)
         return
     assert straight_err is None
     assert [coefficient_bits(v) for v in straight] == [coefficient_bits(v) for v in walked]
@@ -297,33 +313,70 @@ def test_compiled_field_is_bit_identical_to_walker(trees, kind, values):
     (["x2", "1/(x1 - 0.5)"], [0.5, 1.0]),
     (["x2", "1/(x1 - 0.5)"], [np.float64(0.5), np.float64(1.0)]),
     (["x2", "sqrt(x1)", "x1/x2"], [0.5, 0.0]),
-    (["x1 + x2", "z3*x1"], [0.5, 1.0]),
-    (["x1^2", "x1^2 + q"], dual.seed([0.5, 1.0])[0]),
+    # a zero base to a negative integer power: the call keeps the
+    # ZeroDivisionError's text, the operator reads "division by zero"
+    (["x2", "pow(x1 - 0.5, -1)"], [0.5, 1.0]),
+    (["x2", "(x1 - 0.5)^-1"], [0.5, 1.0]),
 ])
 def test_compiled_field_errors_match_walker(sources, coords):
     trees = [parse(source) for source in sources]
     binding = dict(zip(["x1", "x2"], coords))
     with pytest.raises(Exception) as walked:
-        [evaluate(tree, binding) for tree in trees]
+        [walk(tree, binding) for tree in trees]
     field = compile_field(trees, ["x1", "x2"], sources)
     with pytest.raises(Exception) as compiled:
         field(coords)
     assert type(compiled.value) is type(walked.value)
     assert str(compiled.value) == str(walked.value)
     assert getattr(compiled.value, "where", None) == getattr(walked.value, "where", None)
-    assert isinstance(walked.value, (DomainError, UnboundVariableError))
+    assert isinstance(walked.value, DomainError)
+
+
+@pytest.mark.parametrize("sources, coords", [
+    (["x1 + x2", "z3*x1"], [0.5, 1.0]),
+    (["x1^2", "x1^2 + q"], dual.seed([0.5, 1.0])[0]),
+])
+def test_an_unbound_name_fails_when_the_field_compiles(sources, coords):
+    # the walker raises the same error at every point it is given
+    trees = [parse(source) for source in sources]
+    with pytest.raises(UnboundVariableError) as walked:
+        [walk(tree, dict(zip(["x1", "x2"], coords))) for tree in trees]
+    with pytest.raises(UnboundVariableError) as compiled:
+        compile_field(trees, ["x1", "x2"], sources)
+    assert str(compiled.value) == str(walked.value)
+
+
+def test_a_failing_field_is_evaluated_once(monkeypatch):
+    trees = [parse("1 + x1"), parse("2*log(x1 - 1)")]
+    with pytest.raises(DomainError) as walked:
+        [walk(tree, {"x1": 0.5}) for tree in trees]
+    calls = []
+
+    def log(x):
+        calls.append(x)
+        return dual.log(x)
+
+    # the compiled code and any walk of the trees call this log
+    monkeypatch.setitem(expr._NAMESPACE, "_log", log)
+    monkeypatch.setitem(expr.FUNCTIONS, "log", (log, 1))
+    field = compile_field(trees, ["x1"], ["f 1", "f 2"])
+    with pytest.raises(DomainError) as compiled:
+        field([0.5])
+    assert str(compiled.value) == str(walked.value)
+    assert calls == [-0.5]
 
 
 def test_compiled_field_computes_a_shared_subtree_once():
     scale = "(1 + 0.5*(y1^2 + y2^2))"
     trees = [parse(f"{scale}*(1.2 + 0.1*sin(x2))"), parse(f"{scale}*0.05*cos(x1)"),
              parse(f"{scale}*(1.1 + 0.1*cos(x1))")]
-    source = _straight_line(trees, ["x1", "x2", "y1", "y2"])
+    source, nodes = _straight_line(trees, ["x1", "x2", "y1", "y2"])
+    assert len(nodes) == len(source.splitlines())
     assert source.count("_pow(") == 2  # y1^2 and y2^2, once each
     assert source.count("0.5 * ") == 1
     # 0.0 and -0.0 compare equal but are different literals
-    source = _straight_line([BinOp("+", Var("x1"), Num(0.0)),
-                             BinOp("+", Var("x1"), Num(-0.0))], ["x1"])
+    source, _ = _straight_line([BinOp("+", Var("x1"), Num(0.0)),
+                                BinOp("+", Var("x1"), Num(-0.0))], ["x1"])
     assert "+ 0.0" in source and "+ (-0.0)" in source
     assert compile_trees([BinOp("*", Num(-0.0), Var("x1"))], ["x1"])([2.0])[0].hex() == "-0x0.0p+0"
 

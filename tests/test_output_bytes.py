@@ -471,3 +471,26 @@ def test_failing_field_output(case, tmp_path, capsys):
     capsys.readouterr()
     code = main(["residuals", "--scenario", str(scenario), "--out", str(out)])
     assert (code, _sha(out.read_bytes()), capsys.readouterr().err) == FAILING_FIELD_OUTPUT[case]
+
+
+# sheet expressions evaluated at plain-float grid nodes, where a zero base
+# to a negative integer power raises a ZeroDivisionError: a pow call keeps
+# its text, the '^' operator reads "division by zero".  Recorded while a
+# failing compiled field evaluated its trees again through the tree walker.
+SHEET_FIELD_FAILURES = {
+    "1 + pow(t1 - 0.5, -1)": "failure: float division by zero in 'pow(t1 - 0.5, -1.0)'\n",
+    "1 + (t1 - 0.5)^-1": "failure: division by zero in '(t1 - 0.5)^-1.0'\n",
+}
+
+
+@pytest.mark.parametrize("x1", sorted(SHEET_FIELD_FAILURES))
+def test_failing_sheet_expression_output(x1, tmp_path, capsys):
+    config = json.loads((SCENARIOS / "bsml_sheet.json").read_text())
+    config["sheet"]["x"][0] = x1
+    scenario = tmp_path / "sheet.json"
+    scenario.write_text(json.dumps(config, indent=2) + "\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["streamsheet", "--scenario", str(scenario), "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (1, SHEET_FIELD_FAILURES[x1])
+    assert not out.exists()

@@ -722,3 +722,66 @@ def test_cli_rejects_stock_metric_params_that_are_not_an_object(tmp_path, capsys
     del config["metric"]
     assert main(["residuals", "--scenario", write(tmp_path, config), "--points", "1"]) == 2
     assert "stock metric params must be an object" in capsys.readouterr().err
+
+
+def _without_metric(config):
+    del config["metric"]
+    return config
+
+
+def _inline_multitime(**over):
+    config = multitime_config(**over)
+    del config["model"]
+    config.setdefault("metric", [["1", "0"], ["1"]])
+    return config
+
+
+def _jet_model(name, **params):
+    return multitime_config(model={"name": name, "params": {"phi": {"name": "polar"}, **params}})
+
+
+_ZERO_ROWS = [["0", "0"], ["0", "0"]]
+
+
+# every site that compiles a scenario expression, with a name its
+# coordinates do not bind: the load fails naming the field
+@pytest.mark.parametrize("config, command, message", [
+    (riemann_config(pressure="z3 + x1"), "residuals", "pressure: unbound variable 'z3'"),
+    (riemann_config(density="1 + q"), "residuals", "density: unbound variable 'q'"),
+    (riemann_config(velocity=["1", "y1"]), "residuals", "velocity[1]: unbound variable 'y1'"),
+    (riemann_config(metric=[["1", "0"], ["x3^2"]]), "residuals", "metric: unbound variable 'x3'"),
+    (riemann_config(em={"H": [["t1"], []]}), "residuals", "em.H: unbound variable 't1'"),
+    (riemann_config(em={"H": [["x1"], []], "G": [["t1"], []]}), "verify",
+     "em.G: unbound variable 't1'"),
+    (_without_metric(riemann_config(model={"name": "conformal", "params": {"sigma": "0.1*q"}})),
+     "residuals", "sigma: unbound variable 'q'"),
+    (lagrange_config(connection=[["0", "z1"], ["0", "0"]]), "residuals",
+     "connection[0][1]: unbound variable 'z1'"),
+    (multitime_config(h_metric=[["1", "0"], ["1 + x1"]]), "residuals",
+     "h_metric: unbound variable 'x1'"),
+    (_inline_multitime(metric=[["1 + q", "0"], ["1"]]), "residuals",
+     "metric: unbound variable 'q'"),
+    (_inline_multitime(connection=[[["q", "0"], ["0", "0"]], _ZERO_ROWS]), "residuals",
+     "connection[0][0][0]: unbound variable 'q'"),
+    (multitime_config(model={"name": "conformal", "params": {"sigma": "q"}}), "residuals",
+     "sigma: unbound variable 'q'"),
+    (_jet_model("grgml", sigma="x1 + w"), "residuals", "sigma: unbound variable 'w'"),
+    (_jet_model("rgogml", refractive_index="1.5 + q", X=["1", "0"]), "residuals",
+     "refractive_index: unbound variable 'q'"),
+    (_jet_model("rgogml", refractive_index="1.5", X=["x1", "0"]), "residuals",
+     "X[0]: unbound variable 'x1'"),
+    (_jet_model("edml", U=[["q", "0"], ["0", "0"]]), "residuals", "U[0][0]: unbound variable 'q'"),
+    (_jet_model("edml", U=_ZERO_ROWS, Phi="q"), "residuals", "Phi: unbound variable 'q'"),
+    (multitime_config(model={"name": "bsml", "params": {"phi": [["1", "0"], ["1 + t1"]]}}),
+     "residuals", "model.params.phi: unbound variable 't1'"),
+    (multitime_config(model={"name": "bsml", "params": {
+        "phi": {"name": "conformal", "params": {"sigma": "t1"}}}}),
+     "residuals", "sigma: unbound variable 't1'"),
+    (multitime_config(sheet=dict(multitime_config()["sheet"], x=["1 + x1", "t2"])), "streamsheet",
+     "sheet.x[0]: unbound variable 'x1'"),
+])
+def test_cli_rejects_an_unbound_name(config, command, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, "--scenario", write(tmp_path, config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
