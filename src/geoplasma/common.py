@@ -17,6 +17,7 @@ too.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -436,44 +437,47 @@ def max_abs(values, lanes=False):
 def integrate_rk4(accel, x0, v0, step, count, monitors=()):
     """Classical fixed-step RK4 for the second-order system x'' = accel(x, x').
 
-    ``accel`` and each of ``monitors`` take plain-float lists.  Returns an
-    array of count+1 rows [s, x, dx/ds], each followed by the value of every
-    monitor at (x, dx/ds).  A failure inside a step or in a monitor of the
-    row it ends (the first row counts to step 0), or a state that turns
-    non-finite, raises :class:`IntegrationError` naming the step.
+    ``accel`` and each of ``monitors`` take plain-float lists, and ``accel``
+    returns one.  Returns an array of count+1 rows [s, x, dx/ds], each
+    followed by the value of every monitor at (x, dx/ds).  A failure inside a
+    step or in a monitor of the row it ends (the first row counts to step
+    0), or a state that turns non-finite, raises :class:`IntegrationError`
+    naming the step.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     if count < 1:
         raise ValueError("need at least one step")
-    x = np.array(x0, dtype=float)
-    v = np.array(v0, dtype=float)
+    x, v = [float(c) for c in x0], [float(c) for c in v0]
 
     def row(s, x, v, k):
-        xl, vl = x.tolist(), v.tolist()
         try:
-            extra = [monitor(xl, vl) for monitor in monitors]
+            extra = [monitor(x, v) for monitor in monitors]
         except Exception as err:
             raise IntegrationError(str(err), step=k) from err
-        return [s, *xl, *vl, *extra]
+        return [s, *x, *v, *extra]
 
-    def f(xx, vv):
-        return np.array(accel(xx.tolist(), vv.tolist()))
+    def stage(c, kx, kv):
+        """The slopes at (x + c*kx, v + c*kv), in numpy's order on arrays of shape (n,)."""
+        vc = [a + c * b for a, b in zip(v, kv)]
+        return vc, accel([a + c * b for a, b in zip(x, kx)], vc)
 
-    first = row(0.0, x, v, 0)
-    rows = np.empty((count + 1, len(first)))
-    rows[0] = first
+    def advance(y, *ks):
+        """y + (step/6.0)*(k1 + 2*k2 + 2*k3 + k4), in numpy's order."""
+        return [a + (step / 6.0) * (((b + 2 * c) + 2 * d) + e) for a, b, c, d, e in zip(y, *ks)]
+
+    rows = [row(0.0, x, v, 0)]
     for k in range(count):
         try:
-            k1x, k1v = v, f(x, v)
-            k2x, k2v = v + 0.5 * step * k1v, f(x + 0.5 * step * k1x, v + 0.5 * step * k1v)
-            k3x, k3v = v + 0.5 * step * k2v, f(x + 0.5 * step * k2x, v + 0.5 * step * k2v)
-            k4x, k4v = v + step * k3v, f(x + step * k3x, v + step * k3v)
+            k1 = v, accel(x, v)
+            k2 = stage(0.5 * step, *k1)
+            k3 = stage(0.5 * step, *k2)
+            k4 = stage(step, *k3)
         except Exception as err:
             raise IntegrationError(str(err), step=k) from err
-        x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        x = advance(x, k1[0], k2[0], k3[0], k4[0])
+        v = advance(v, k1[1], k2[1], k3[1], k4[1])
+        if not all(map(math.isfinite, x + v)):
             raise IntegrationError("state is not finite", step=k)
-        rows[k + 1] = row((k + 1) * step, x, v, k)
-    return rows
+        rows.append(row((k + 1) * step, x, v, k))
+    return np.array(rows, dtype=float)

@@ -341,12 +341,6 @@ def _function(source):
     return namespace["field"]
 
 
-def compile_trees(trees, names):
-    """The generated function alone: ``coords -> [value of each tree]``,
-    raising the raw error of a failing operation."""
-    return _function(_straight_line(trees, names)[0])
-
-
 def compile_field(trees, names, labels):
     """One function of the coordinate list giving every tree's value, in order.
 

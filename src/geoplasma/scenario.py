@@ -273,6 +273,7 @@ class LagrangeScenario(Scenario):
 class MultitimeScenario(Scenario):
     p: int
     sheet_spec: object
+    sheet_fields: object  # the compiled sheet.x, or None
     bsml: bool  # the bsml model, whose G and C blocks vanish
 
     framework = "multitime"
@@ -443,7 +444,23 @@ def build_scenario(raw):
     space = _build_multitime_space(raw, n, p, names)
     state = MultiTimeFluidState(pressure, density, c, em_H, em_G)
     return MultitimeScenario(n, names, space, state, eval_spec, p, sheet_spec,
-                             model_name == "bsml")
+                             _sheet_fields(sheet_spec, n, p, names), model_name == "bsml")
+
+
+def _sheet_fields(spec, n, p, names):
+    """The compiled ``sheet.x`` of a sheet block, None where it has none."""
+    if spec is None:
+        return None
+    if not isinstance(spec, dict):
+        raise ScenarioError("'sheet' must be an object")
+    unknown = set(spec) - {"x", "grid"}
+    if unknown:
+        raise ScenarioError(f"unknown sheet keys: {sorted(unknown)}")
+    exprs = spec.get("x")
+    if exprs is not None and (not isinstance(exprs, list) or len(exprs) != n):
+        raise ScenarioError(f"'sheet.x' must list {n} expressions over t1..t{p}")
+    return None if exprs is None else [
+        _field(e, names[:p], f"sheet.x[{i}]") for i, e in enumerate(exprs)]
 
 
 def _parse_em(config, n, names):
@@ -716,22 +733,12 @@ def sheet_axes_and_values(scenario, refine=1, from_file=False):
     ``from_file`` a sheet file gives the values: ``sheet.x`` may be absent
     (fields None) and is not evaluated (values None).
     """
-    spec = scenario.sheet_spec
+    spec, fields = scenario.sheet_spec, scenario.sheet_fields
     if spec is None:
         raise ScenarioError("scenario has no 'sheet' block")
-    if not isinstance(spec, dict):
-        raise ScenarioError("'sheet' must be an object")
-    unknown = set(spec) - {"x", "grid"}
-    if unknown:
-        raise ScenarioError(f"unknown sheet keys: {sorted(unknown)}")
-    p, n = scenario.p, scenario.n
-    exprs = spec.get("x")
-    if exprs is None and not from_file:
+    if fields is None and not from_file:
         raise ScenarioError("the sheet needs 'sheet.x' expressions or a --sheet-file")
-    if exprs is not None and (not isinstance(exprs, list) or len(exprs) != n):
-        raise ScenarioError(f"'sheet.x' must list {n} expressions over t1..t{p}")
-    fields = None if exprs is None else [
-        _field(e, scenario.names[:p], f"sheet.x[{i}]") for i, e in enumerate(exprs)]
+    p, n = scenario.p, scenario.n
     lo, hi, shape = _box_spec(spec.get("grid"), p, True, "sheet.grid")
     shape = [(s - 1) * refine + 1 for s in shape]
     if any(s < 3 for s in shape):

@@ -5,8 +5,10 @@ floats that returns a list of floats.  Its first call runs the function on
 :class:`Traced` floats, each of which carries the float of the plain run and
 appends the operation that made it to a tape; the recording therefore
 computes the plain run's bits.  Every condition decided on a traced value
-becomes a guard: comparisons (so ``dual.branch``, ``max`` and a pivot
-choice) and finite tests.  The tape keeps what its outputs, its guards and
+becomes a guard: comparisons (so ``dual.branch`` and a pivot choice) and
+finite tests; a :func:`largest` is one line.  A line that repeats an
+earlier line's operation is that line, and ``x*1.0``, ``1.0*x``, ``x/1.0``
+and ``x-0.0`` are ``x``.  The tape keeps what its outputs, its guards and
 its operations that can raise need, writes a temporary read once into its
 reader, and compiles in segments of about SEGMENT tape lines into a *path*:
 the same float operations on the same operands, returning None where a
@@ -18,8 +20,8 @@ The plain function runs instead, so every error text is the plain run's:
 * when a replay raises;
 * when a recording fails.  A traced value that meets ``float()``, ``math``,
   numpy, a truth test or a format raises :class:`Escape` and never becomes a
-  constant; so does a tape longer than MAX_STATEMENTS.  If the plain run
-  then succeeds, the entry records no more;
+  constant; so does a recording past MAX_STATEMENTS operations.  If the
+  plain run then succeeds, the entry records no more;
 * once the entry's recordings are spent.
 
 Like ``common.point_memo``, an entry is one set of framework objects keyed
@@ -35,10 +37,10 @@ import operator
 
 import numpy as np
 
-# Tape lines a recording may take.  The stream-line frame of an n = 2 tangent
-# bundle records about 3,000 (300 statements once inlined); an n = 3 frame
-# would record about 14,000 and gain too little to repay its recording and
-# memory: its recording stops here, and it runs plain.
+# Operations a recording may trace.  The stream-line frame of an n = 2 tangent
+# bundle traces about 3,000 (2,300 tape lines, 400 statements once inlined);
+# an n = 3 frame would trace about 13,700 and gain too little to repay its
+# recording and memory: its recording stops here, and it runs plain.
 MAX_STATEMENTS = 4000
 MAX_PATHS = 4
 # tape lines compiled at once: bounds the memory compile() takes
@@ -113,6 +115,17 @@ def finite(values):
     return outcome
 
 
+def largest(values):
+    """``max(values)``, 0.0 when empty; over traced values one tape line, whose
+    replay calls ``max`` on the same operands in the same order, unguarded."""
+    tape = next((v.tape for v in values if isinstance(v, Traced)), None)
+    if tape is None:
+        return max(values, default=0.0)
+    refs = tuple(map(tape.operand, values))
+    value = max(v.value if isinstance(v, Traced) else v for v in values)
+    return tape.emit(value, _PURE, f"_max({', '.join(['{}'] * len(refs))})", refs)
+
+
 class _Tape:
     """The lines of one recording.
 
@@ -126,8 +139,10 @@ class _Tape:
     def __init__(self):
         self.lines = []
         self.inputs = []
-        self.namespace = {"_isfinite": math.isfinite, "_fsum": math.fsum}
+        self.namespace = {"_isfinite": math.isfinite, "_fsum": math.fsum, "_max": max}
         self.functions = {}
+        self.numbers = {}  # (template, operands) -> the line that computes it
+        self.operations = 0  # operations traced: the cost of the recording
 
     def input(self, value):
         self.inputs.append(len(self.lines))
@@ -153,10 +168,14 @@ class _Tape:
         return f"({text})" if text[0] == "-" else text
 
     def emit(self, value, kind, template, operands):
-        if len(self.lines) >= MAX_STATEMENTS:
-            raise Escape(f"the recording exceeds {MAX_STATEMENTS} lines")
-        self.lines.append((kind, template, operands))
-        return Traced(self, value, len(self.lines) - 1)
+        self.operations += 1
+        if self.operations > MAX_STATEMENTS:
+            raise Escape(f"the recording exceeds {MAX_STATEMENTS} operations")
+        ref = self.numbers.get((template, operands))
+        if ref is None:  # else an earlier line computes the same operation
+            ref = self.numbers[template, operands] = len(self.lines)
+            self.lines.append((kind, template, operands))
+        return Traced(self, value, ref)
 
     def guard(self, condition, outcome, operands):
         self.lines.append((_GUARD, f"if {'not ' if outcome else ''}({condition}): return",
@@ -166,6 +185,11 @@ class _Tape:
         ra, rb = self.operand(a), self.operand(b)
         if ra is None or rb is None:
             return NotImplemented
+        # x*1.0, 1.0*x, x/1.0 and x-0.0 are x on every double; 0.0+x and x*0.0 are not
+        if rb == "1.0" and op in "*/" or rb == "0.0" and op == "-":
+            return a
+        if ra == "1.0" and op == "*":
+            return b
         value = _OPS[op](a.value if isinstance(a, Traced) else a,
                          b.value if isinstance(b, Traced) else b)
         # a division raises on a zero divisor only, which a constant is not here

@@ -15,6 +15,7 @@ import numpy as np
 from . import expr as expr_mod
 from .dual import Jet, branch, promote, scalar_value, seed
 from .errors import BatchSplit, DegenerateMetricError, TensorError
+from .tape import largest
 
 MAX_DIM = 8
 
@@ -57,7 +58,7 @@ def invert_symmetric(matrix, point=None):
     inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     sizes = [abs(scalar_value(x)) for row in a for x in row]
     batch = any(isinstance(v, np.ndarray) for v in sizes)  # finite lanes: max's bits
-    scale = functools.reduce(np.maximum, sizes) if batch else max(sizes, default=0.0)
+    scale = functools.reduce(np.maximum, sizes) if batch else largest(sizes)
     if branch(scale == 0.0):
         raise DegenerateMetricError("zero matrix is not invertible", point)
     threshold = 1e-13 * scale

@@ -6,7 +6,7 @@ they check.  The reference implementations at the end are the package's
 unreduced or former forms (``walk``, the recursive tree walker of the
 expression language; seeded scalar-field evaluation, the covariant
 stream-sheet residuals, the edml Lagrangian, the multi-time velocity,
-the Finsler space of a fundamental function on the general jet engine
+the RK4 integrator on numpy arrays, the Finsler space of a fundamental function on the general jet engine
 of :mod:`reference_dual`); only tests call them.
 The adapters return what the tests read from the pieces the pipelines
 use (``common.unit_vector``, the adapted partials, the connection lists).
@@ -18,7 +18,7 @@ import reference_dual as ref
 from geoplasma import expr as expr_mod
 from geoplasma.common import energy_low_mixed, unit_vector
 from geoplasma.dual import Jet, branch, power, promote, scalar_value, seed
-from geoplasma.errors import DomainError, UnboundVariableError
+from geoplasma.errors import DomainError, IntegrationError, UnboundVariableError
 from geoplasma.expr import BinOp, Call, Neg, Num, Var, compile_field, parse, pretty
 from geoplasma.lagrange import GeneralizedLagrangeSpace, _adapted_partials
 from geoplasma.multitime import (
@@ -670,6 +670,12 @@ def walk(node, binding):
 
 # -- the general jet engine ------------------------------------------------------
 
+def compile_trees(trees, names):
+    """The generated function of ``expr.compile_field`` alone: ``coords ->
+    [value of each tree]``, raising the raw error of a failing operation."""
+    return expr_mod._function(expr_mod._straight_line(trees, names)[0])
+
+
 def _reference_div(left, right):
     """``expr._checked_div`` on the reference engine's jets."""
     if not isinstance(left, ref.Jet) and not isinstance(right, ref.Jet):
@@ -880,3 +886,43 @@ def report_columns(report):
         labels.append(name + "_norm")
         values.append(float(np.abs(arr).max()))
     return labels, values
+
+
+def numpy_rk4(accel, x0, v0, step, count, monitors=()):
+    """``common.integrate_rk4`` in its former form, on numpy arrays of shape (n,):
+    the oracle of the plain-float integrator's bits and errors."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if count < 1:
+        raise ValueError("need at least one step")
+    x = np.array(x0, dtype=float)
+    v = np.array(v0, dtype=float)
+
+    def row(s, x, v, k):
+        xl, vl = x.tolist(), v.tolist()
+        try:
+            extra = [monitor(xl, vl) for monitor in monitors]
+        except Exception as err:
+            raise IntegrationError(str(err), step=k) from err
+        return [s, *xl, *vl, *extra]
+
+    def f(xx, vv):
+        return np.array(accel(xx.tolist(), vv.tolist()))
+
+    first = row(0.0, x, v, 0)
+    rows = np.empty((count + 1, len(first)))
+    rows[0] = first
+    for k in range(count):
+        try:
+            k1x, k1v = v, f(x, v)
+            k2x, k2v = v + 0.5 * step * k1v, f(x + 0.5 * step * k1x, v + 0.5 * step * k1v)
+            k3x, k3v = v + 0.5 * step * k2v, f(x + 0.5 * step * k2x, v + 0.5 * step * k2v)
+            k4x, k4v = v + step * k3v, f(x + step * k3x, v + step * k3v)
+        except Exception as err:
+            raise IntegrationError(str(err), step=k) from err
+        x = x + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + (step / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        if not (np.isfinite(x).all() and np.isfinite(v).all()):
+            raise IntegrationError("state is not finite", step=k)
+        rows[k + 1] = row((k + 1) * step, x, v, k)
+    return rows

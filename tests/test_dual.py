@@ -17,8 +17,8 @@ import reference_dual as ref
 from geoplasma import dual
 from geoplasma.dual import Jet, SeedContext, seed
 from geoplasma.errors import BatchSplit, DomainError, SeedingError
-from geoplasma.expr import BinOp, Call, Neg, Num, Var, compile_trees
-from helpers import coefficient_bits, jet_product_loop, reference_trees
+from geoplasma.expr import BinOp, Call, Neg, Num, Var
+from helpers import coefficient_bits, compile_trees, jet_product_loop, reference_trees
 
 
 def fd(f, x, i, step=1e-5):

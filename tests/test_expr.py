@@ -5,11 +5,10 @@ from hypothesis import given, settings, strategies as st
 from geoplasma import dual, expr
 from geoplasma.errors import DomainError, ExprSyntaxError, UnboundVariableError
 from geoplasma.expr import (
-    BinOp, Call, Neg, Num, Var, _straight_line, compile_field, compile_trees, evaluate, parse,
-    pretty,
+    BinOp, Call, Neg, Num, Var, _straight_line, compile_field, evaluate, parse, pretty,
 )
 import reference_dual
-from helpers import coefficient_bits, reference_trees, walk
+from helpers import coefficient_bits, compile_trees, reference_trees, walk
 
 
 def ev(source, **binding):

@@ -785,3 +785,27 @@ def test_cli_rejects_an_unbound_name(config, command, message, tmp_path, capsys)
     assert main([command, "--scenario", write(tmp_path, config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+_SHEET = multitime_config()["sheet"]
+
+
+@pytest.mark.parametrize("sheet, message", [
+    (dict(_SHEET, x=["1 + x1", "t2"]), "sheet.x[0]: unbound variable 'x1'"),
+    (dict(_SHEET, x=["1 + * t1", "t2"]),
+     "sheet.x[0]: unexpected '*' at offset 4 (expected: number, identifier, '(', '-')"),
+    (dict(_SHEET, x=["t1"]), "'sheet.x' must list 2 expressions over t1..t2"),
+    (dict(_SHEET, x="t1"), "'sheet.x' must list 2 expressions over t1..t2"),
+    (dict(_SHEET, y=1), "unknown sheet keys: ['y']"),
+    (5, "'sheet' must be an object"),
+])
+@pytest.mark.parametrize("command", [
+    ["residuals"], ["verify"], ["connection", "--at", "0.1,0.2,1,0,1,1,1,1"], ["streamsheet"],
+], ids=lambda argv: argv[0])
+def test_every_command_rejects_a_malformed_sheet(sheet, message, command, tmp_path, capsys):
+    # residuals, verify and connection exited 0: only streamsheet read the sheet
+    out = tmp_path / "out"
+    path = write(tmp_path, multitime_config(sheet=sheet))
+    assert main([command[0], "--scenario", path, "--out", str(out), *command[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -4,11 +4,14 @@
 floats and replays what it recorded as straight-line float code.  The
 oracle is the same entry point with recording switched off
 (``tape.MAX_PATHS = 0``), which runs the interpreted code: every replayed
-value must have its bits, and every failure its error text.
+value must have its bits, and every failure its error text.  The rules of
+the tape itself (``largest``, value numbering and exact folds) are held to
+the plain float operations on every double.
 """
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +23,10 @@ from geoplasma.errors import GeoPlasmaError
 from geoplasma.scenario import build_scenario
 
 from test_output_bytes import EXPECTED, LAGRANGE2, run_case
+
+
+# statements of the compiled frame path of the n = 2 benchmark line
+FRAME_STATEMENTS = 396
 
 
 def clear_memos():
@@ -94,8 +101,9 @@ def test_replay_equals_interpretation(a, b, c, d, e, f, starts):
 
 
 def test_benchmark_line_replays_every_frame(monkeypatch, tmp_path, capsys):
-    """The seed-1 line builds no interpreted frame: its two recordings build
-    the only frames, on traced coordinates, and every other point replays."""
+    """The benchmark lines at seeds 1 and 13 build no interpreted frame: one
+    recording builds the only frame, on traced coordinates, and every other
+    point replays its one path."""
     builds = []
     frame = lagrange._Frame
 
@@ -104,13 +112,17 @@ def test_benchmark_line_replays_every_frame(monkeypatch, tmp_path, capsys):
         return frame(state, space, coords)
 
     monkeypatch.setattr(lagrange, "_Frame", counted)
-    clear_memos()
-    case = "streamline-seed-1-lagrange2"
-    assert run_case(case, tmp_path, capsys) == (0, EXPECTED[case])
-    assert builds == ["recorded", "recorded"]
-    # two paths: the largest metric entry of the inversion changes along the line
-    assert len(lagrange._curve_values.paths()) == 2
-    assert len(lagrange._fiber_form.paths()) == 1
+    for seed in (1, 13):
+        builds.clear()
+        clear_memos()
+        case = f"streamline-seed-{seed}-lagrange2"
+        assert run_case(case, tmp_path, capsys) == (0, EXPECTED[case])
+        assert builds == ["recorded"]
+        # one path although the largest metric entry of the inversion changes
+        # along the seed-13 line: tape.largest records max as one line.  The
+        # statement count is exact, so a recording that grows fails here
+        assert lagrange._curve_values.paths() == [FRAME_STATEMENTS]
+        assert len(lagrange._fiber_form.paths()) == 1
 
 
 @pytest.mark.parametrize("leak", [
@@ -192,6 +204,18 @@ def test_over_budget_recording_runs_plain(monkeypatch):
     assert long_sum.paths() == []
 
 
+def test_budget_counts_operations_traced(monkeypatch):
+    """A repeated operation is one tape line, but tracing it costs each time."""
+    monkeypatch.setattr(tape, "MAX_STATEMENTS", 20)
+
+    @tape.replayed
+    def repeated(x):
+        return [x[0] * x[1] for _ in range(30)][:1]
+
+    assert repeated([0.5, 3.0]) == [1.5]
+    assert repeated.paths() == []
+
+
 def test_inputs_other_than_plain_floats_run_plain():
     calls = []
 
@@ -206,3 +230,89 @@ def test_inputs_other_than_plain_floats_run_plain():
     assert double([1]) == [2.0]
     assert double([2.5]) == [5.0]
     assert calls == ["Traced", "float64", "float64", "int"]
+
+
+def bits(values):
+    """The bit pattern of each float: unlike float.hex, it tells NaNs apart."""
+    return [struct.pack("<d", v).hex() for v in values]
+
+
+def test_largest_is_one_line_that_replays_builtin_max():
+    largest = tape.replayed(lambda x: [tape.largest(x)])
+    assert largest([1.0, 3.0, 2.0]) == [3.0]
+    recording = tape._Tape()
+    tape.largest([recording.input(1.0), 2.0, recording.input(0.5)])
+    assert [kind for kind, _, _ in recording.lines] == [tape._INPUT, tape._INPUT, tape._PURE]
+    # ties, signed zeros and NaN first or later pick what max picks
+    nan = math.nan
+    for x in ([2.0, 2.0, 1.0], [-0.0, 0.0, -1.0], [0.0, -0.0, -1.0], [nan, 1.0, 2.0],
+              [1.0, nan, 2.0], [1.0, 2.0, nan], [nan, -nan, 0.0], [-math.inf, -math.inf, -0.0]):
+        assert bits(largest(x)) == bits([max(x)])
+    assert len(largest.paths()) == 1
+    assert tape.largest([]) == 0.0
+    assert bits([tape.largest([-0.0, 0.0])]) == bits([-0.0])
+
+
+def test_exact_folds_and_value_numbering():
+    recording = tape._Tape()
+    x, y = recording.input(0.5), recording.input(2.0)
+    # x*1.0, 1.0*x, x/1.0 and x-0.0 are x on every double
+    assert all(v is x for v in (x * 1.0, 1.0 * x, x / 1.0, x - 0.0))
+    # these are not: 0.0 + -0.0 is 0.0, and x*0.0 is NaN at inf and -0.0 at x < 0
+    for unfolded in (0.0 + x, x + 0.0, x * 0.0, 0.0 * x, x - (-0.0), x * (-1.0)):
+        assert unfolded.ref not in (x.ref, y.ref)
+    # one line per distinct operation on the same operands
+    size = len(recording.lines)
+    assert (x * y).ref == (x * y).ref and (x / y).ref == (x / y).ref
+    assert (-x).ref == (-x).ref and abs(x).ref == abs(x).ref
+    assert (x * y).ref != (y * x).ref
+    assert len(recording.lines) == size + 5
+
+
+special = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e308, 5e-324,
+                           math.inf, -math.inf, math.nan])
+number = st.one_of(special, st.floats(allow_nan=True, allow_infinity=True))
+# (operation, first operand, second operand, a constant in place of the
+# second operand, whether the constant stands on the left); the constants
+# are mostly the ones an exact fold would take
+step = st.tuples(st.sampled_from(["+", "-", "*", "/", "neg", "abs", "max"]),
+                 st.integers(0, 63), st.integers(0, 63),
+                 st.one_of(st.none(), st.sampled_from([0.0, -0.0, 1.0]), special), st.booleans())
+
+
+def run_program(program, x):
+    pool = list(x)
+    for op, i, j, constant, left in program:
+        a = pool[i % len(pool)]
+        b = pool[j % len(pool)] if constant is None else constant
+        if left:
+            a, b = b, a
+        if op == "neg":
+            pool.append(-pool[i % len(pool)])
+        elif op == "abs":
+            pool.append(abs(pool[i % len(pool)]))
+        elif op == "max":
+            pool.append(tape.largest([a, b, pool[-1]]))
+        else:
+            pool.append({"+": a + b, "-": a - b, "*": a * b}[op] if op != "/" else a / b)
+    return pool
+
+
+def program_outcome(fn, x):
+    try:
+        return bits(fn(x))
+    except ZeroDivisionError as err:
+        return str(err)
+
+
+@given(program=st.lists(step, min_size=1, max_size=30),
+       inputs=st.lists(st.tuples(number, number, number), min_size=2, max_size=4))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_replayed_arithmetic_keeps_the_plain_bits(program, inputs):
+    """Traced arithmetic, with its folds and value numbering, replays to the
+    bits of the plain run on every double, signed zeros, infinities and NaN
+    included; a zero divisor raises the plain error."""
+    replay = tape.replayed(lambda x: run_program(program, x))
+    for x in inputs:
+        assert program_outcome(replay, list(x)) == program_outcome(
+            lambda x: run_program(program, x), list(x))
