@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 
 import numpy as np
 
@@ -30,10 +31,11 @@ def point_memo(builder):
     """Memoize a pure per-point builder at the last point it was called at.
 
     The key is the identity of each framework-object argument plus the exact
-    bits of each coordinate argument, a list, tuple or array: ``float.hex``
-    of a plain float (-0.0 and 0.0 differ), and the shape and bytes of a
-    float64 lane array, so one batch of points is one key.  Calls with other
-    coordinates (jets, numpy scalars) bypass the memo.
+    bits of each coordinate argument, a list, tuple or array: the bytes of a
+    sequence of plain floats as ``array("d")`` packs them (-0.0 and 0.0
+    differ), and the shape and bytes of a float64 lane array, so one batch
+    of points is one key.  Calls with other coordinates (jets, numpy
+    scalars) bypass the memo.
     One point or batch is held, so memory stays flat; callers must not mutate
     results.
     """
@@ -46,7 +48,7 @@ def point_memo(builder):
             if not isinstance(arg, (list, tuple, np.ndarray)):
                 key.append(id(arg))
             elif all(type(c) is float for c in arg):
-                key.append(tuple(map(float.hex, arg)))
+                key.append(array("d", arg).tobytes())
             elif all(type(c) is float or type(c) is np.ndarray and c.dtype == np.float64
                      for c in arg):
                 key.append(tuple(c.hex() if type(c) is float else (c.shape, c.tobytes())

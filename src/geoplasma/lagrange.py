@@ -281,7 +281,6 @@ def _fiber_form(space, x, w, eps0):
     return [val.value, val.d(0)]
 
 
-@point_memo
 def resolve_epsilon0(space, x, w):
     """Scale factor eps0 relating the curve parameters: y = eps0 * dx/ds.
 

@@ -9,7 +9,10 @@ channel (coefficients: temporal Christoffel symbols kappa and the mixed
 block G), a spatial-horizontal channel (coefficients L) and a vertical
 channel (coefficients C carrying a paired greek label).  The covariant
 derivative engine is generic over per-slot valence tags; jet-fiber pairs
-are represented as adjacent elementary latin/greek slots.
+are represented as adjacent elementary latin/greek slots.  The adapted
+derivatives act on coefficient rows, those of one jet or a block stacking
+every component of a tensor, so the covariant derivative and the connection
+blocks take each partial of all components with one array operation per term.
 
 The residuals run on the channel algebra of :mod:`geoplasma.common`: each
 velocity label beta has a :class:`~geoplasma.common.FluidFrame` of the
@@ -32,7 +35,6 @@ from .common import (
     energy_divergence,
     energy_low_mixed,
     inertial_factor,
-    jet_values,
     lane_array,
     max_abs,
     point_memo,
@@ -86,12 +88,36 @@ def temporal_christoffel_lists(space, t_coords):
     return christoffel_of(space.h, t_coords, point=t_coords)
 
 
+def _rows(x):
+    """The coefficient rows of a jet, or a stacked block itself."""
+    return x.c if isinstance(x, dual.Jet) else x
+
+
+def _stack(T, rank):
+    """The coefficients of the jets of T (nested lists of one seeding, ``rank``
+    levels) as one float block [slot][*index][lane]."""
+    T = np.array(T, dtype=object)
+    if T.ndim != rank:
+        raise TensorError(f"rank {T.ndim} tensor given {rank} slots")
+    block = np.array([e.c for e in T.flat])
+    return np.moveaxis(block, 0, 1).reshape(block.shape[1:2] + T.shape + block.shape[2:])
+
+
+def _nested(a):
+    """An (n, n[, B]) block as nested lists: Python floats at one point, lane rows on a batch."""
+    return a.tolist() if a.ndim == 2 else [list(row) for row in a]
+
+
 @point_memo
 class _Derivatives:
     """Adapted derivative operators bound to one seeding of a jet point.
 
-    Only :meth:`delta_t` reads kappa, which is built on first use: the
-    residual and sheet frames take no temporal derivative.
+    Each operator acts on coefficient rows: those of one jet, or a stacked
+    block [slot][*index][lane] of many jets of the seeding, on which one
+    operation per term serves every component.  The terms of N != 0 and
+    kappa != 0 of an index are decided on its first use; only
+    :meth:`delta_t` reads kappa, which is built then: the residual and
+    sheet frames take no temporal derivative.
     """
 
     def __init__(self, space, coords):
@@ -106,32 +132,47 @@ class _Derivatives:
             [scalar_value(coords[fiber_index(p, n, i, a)]) for a in range(p)]
             for i in range(n)
         ]
+        self._dt, self._dx = {}, {}  # the terms of each index, decided on first use
 
     @functools.cached_property
     def kappa(self):
         return temporal_christoffel_lists(self._space, self._t)
 
-    def fiber(self, jet, i, alpha):
-        return jet.d(fiber_index(self.p, self.n, i, alpha))
+    def _slot(self, i, alpha):
+        return 1 + fiber_index(self.p, self.n, i, alpha)
 
-    def delta_t(self, jet, alpha):
-        acc = jet.d(alpha)
-        for gamma in range(self.p):
-            for mu in range(self.p):
-                k = self.kappa[gamma][alpha][mu]
-                if dual.branch(k == 0.0):
-                    continue
-                for m in range(self.n):
-                    acc = acc + k * self.xd0[m][gamma] * self.fiber(jet, m, mu)
+    def _t_terms(self, alpha):
+        """(kappa^gamma_alpha_mu x^m_gamma, slot of d/dx^m_mu) of delta/delta t^alpha."""
+        if alpha not in self._dt:
+            self._dt[alpha] = [(k * self.xd0[m][gamma], self._slot(m, mu))
+                              for gamma in range(self.p) for mu in range(self.p)
+                              if not dual.branch((k := self.kappa[gamma][alpha][mu]) == 0.0)
+                              for m in range(self.n)]
+        return self._dt[alpha]
+
+    def _x_terms(self, i):
+        """(N^m_mu_i, slot of d/dx^m_mu) of delta/delta x^i."""
+        if i not in self._dx:
+            self._dx[i] = [(self.N0[m][mu][i], self._slot(m, mu))
+                          for m in range(self.n) for mu in range(self.p)
+                          if dual.branch(self.N0[m][mu][i] != 0.0)]
+        return self._dx[i]
+
+    def fiber(self, x, i, alpha):
+        return _rows(x)[self._slot(i, alpha)]
+
+    def delta_t(self, x, alpha):
+        rows = _rows(x)
+        acc = rows[1 + alpha]
+        for coeff, slot in self._t_terms(alpha):
+            acc = acc + coeff * rows[slot]
         return acc
 
-    def delta_x(self, jet, i):
-        acc = jet.d(self.p + i)
-        for m in range(self.n):
-            for mu in range(self.p):
-                nval = self.N0[m][mu][i]
-                if dual.branch(nval != 0.0):
-                    acc = acc - nval * self.fiber(jet, m, mu)
+    def delta_x(self, x, i):
+        rows = _rows(x)
+        acc = rows[1 + self.p + i]
+        for nval, slot in self._x_terms(i):
+            acc = acc - nval * rows[slot]
         return acc
 
 
@@ -147,12 +188,13 @@ def cartan_gamma_lists(space, coords):
     ops = _Derivatives(space, coords)
     g = eval_jets(space.g.matrix, cj, ctx)
     ginv0 = invert_symmetric([[e.value for e in row] for row in g], coords)
+    g = _stack(g, 2)
     return (kappa, _mixed_block(ops, g, ginv0), *_spatial_blocks(ops, g, ginv0))
 
 
 def _mixed_block(ops, g, ginv0):
-    """G[k][j][gamma] = (g^{km}/2) delta g_mj / delta t^gamma from the metric
-    jets of one seeding and g^-1 values.
+    """G[k][j][gamma] = (g^{km}/2) delta g_mj / delta t^gamma from the stacked
+    metric block of one seeding and g^-1 values.
 
     The one block on :meth:`_Derivatives.delta_t`.  Only
     :func:`cartan_gamma_lists` builds it; the per-point frame does not.
@@ -160,7 +202,7 @@ def _mixed_block(ops, g, ginv0):
     p, n = ops.p, ops.n
     Gt = [[[0.0] * p for _ in range(n)] for _ in range(n)]
     for gamma in range(p):
-        dgt = [[ops.delta_t(g[m][j], gamma) for j in range(n)] for m in range(n)]
+        dgt = _nested(ops.delta_t(g, gamma))
         for k in range(n):
             for j in range(n):
                 Gt[k][j][gamma] = 0.5 * sum_product(ginv0[k], [dgt[m][j] for m in range(n)])
@@ -168,7 +210,7 @@ def _mixed_block(ops, g, ginv0):
 
 
 def _spatial_blocks(ops, g, ginv0):
-    """(L, C) from the metric jets of one seeding and g^-1 values.
+    """(L, C) from the stacked metric block of one seeding and g^-1 values.
 
     L[i][j][k] is the Christoffel formula on the adapted derivatives
     delta g_ij / delta x^k, and C[i][j][k][gamma] on the fiber derivatives
@@ -176,19 +218,11 @@ def _spatial_blocks(ops, g, ginv0):
     :func:`cartan_gamma_lists` and the per-point frame.
     """
     p, n = ops.p, ops.n
-    dxg = [
-        [[ops.delta_x(g[i][j], k) for j in range(n)] for i in range(n)]
-        for k in range(n)
-    ]
-    L = christoffel_from(ginv0, dxg)
+    L = christoffel_from(ginv0, [_nested(ops.delta_x(g, k)) for k in range(n)])
 
     C = [[[[0.0] * p for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for gamma in range(p):
-        dvg = [
-            [[ops.fiber(g[i][j], k, gamma) for j in range(n)] for i in range(n)]
-            for k in range(n)
-        ]
-        block = christoffel_from(ginv0, dvg)
+        block = christoffel_from(ginv0, [_nested(ops.fiber(g, k, gamma)) for k in range(n)])
         for i in range(n):
             for j in range(n):
                 for k in range(n):
@@ -196,84 +230,61 @@ def _spatial_blocks(ops, g, ginv0):
     return L, C
 
 
+@point_memo
 def cartan_gamma(space, coords):
     """The blocks of :func:`cartan_gamma_lists` as float arrays."""
     return tuple(np.array(b, dtype=float) for b in cartan_gamma_lists(space, coords))
 
 
-def jet_covariant_derivative(field, slots, space, coords, kind):
-    """Covariant derivative of a d-tensor field with mixed valence tags.
-
-    ``field(coords)`` returns nested lists with one valence tag per level
-    in ``slots``.  ``kind`` is one of "hT" (adds a covariant greek axis),
-    "hM" (adds a covariant latin axis) or "v" (adds the paired
-    contravariant-greek and covariant-latin axes, in that order); the
-    result is a float array.  Coefficients: kappa for greek and G for
-    latin slots under hT, L for latin under hM, C for latin under v;
-    greek slots are untouched by hM and v.
-    """
-    return _jet_covariant(eval_jets(field, *seed(list(coords))), slots, space, coords, kind)
-
-
 def _jet_covariant(T, slots, space, coords, kind):
-    """jet_covariant_derivative of a field already evaluated as jets T."""
+    """Covariant derivative of a d-tensor given as jets T at a jet point.
+
+    ``T`` is nested lists of jets with one valence tag per level in
+    ``slots``.  ``kind`` is one of "hT" (adds a covariant greek axis), "hM"
+    (adds a covariant latin axis) or "v" (adds the paired
+    contravariant-greek and covariant-latin axes, in that order); the
+    result is a float array.  Coefficients: kappa for greek and G for latin
+    slots under hT, L for latin under hM, C for latin under v; greek slots
+    are untouched by hM and v.
+
+    Runs on the stacked coefficient block of T: the partial along each
+    derivative index is one operation per term for all components, and the
+    correction of slot a and summation index m one product of the values at
+    m on axis a with the coefficients laid along axis a.  Each component
+    gets the scalar sequence of a component-wise loop: the corrections
+    summed from 0.0 in slot order and then m order, plus the partial.
+    """
     p, n = space.p, space.n
-    kappa, Gt, L, C = cartan_gamma_lists(space, coords)  # kappa before N: h's error first
+    kappa, Gt, L, C = cartan_gamma(space, coords)  # kappa before N: h's error first
     ops = _Derivatives(space, coords)
-    T, vals = jet_values(T, slots)
-
-    def corrections(idx, latin_coeff, greek_coeff):
-        acc = 0.0
-        for a, slot in enumerate(slots):
-            pre, i, post = idx[:a], idx[a], idx[a + 1:]
-            if slot.latin:
-                if latin_coeff is None:
-                    continue
-                if slot.up:
-                    for m in range(n):
-                        acc += vals[pre + (m,) + post] * latin_coeff(idx[a], m)
-                else:
-                    for m in range(n):
-                        acc -= vals[pre + (m,) + post] * latin_coeff(m, idx[a])
-            else:
-                if greek_coeff is None:
-                    continue
-                if slot.up:
-                    for mu in range(p):
-                        acc += vals[pre + (mu,) + post] * greek_coeff(idx[a], mu)
-                else:
-                    for mu in range(p):
-                        acc -= vals[pre + (mu,) + post] * greek_coeff(mu, idx[a])
-        return acc
-
-    out = []
+    block = _stack(T, len(slots))
+    shape, lanes = block.shape[1:1 + len(slots)], block.shape[1 + len(slots):]
+    # the latin and greek coefficients are indexed [i][m][derivative index]
     if kind == "hT":
-        for idx in np.ndindex(T.shape):
-            for eps in range(p):
-                acc = ops.delta_t(T[idx], eps)
-                acc = acc + corrections(
-                    idx,
-                    lambda i, m, e=eps: Gt[i][m][e],
-                    lambda a, mu, e=eps: kappa[a][mu][e],
-                )
-                out.append(acc)
-        return component_array(out, T.shape + (p,))
-    if kind == "hM":
-        for idx in np.ndindex(T.shape):
-            for q in range(n):
-                acc = ops.delta_x(T[idx], q)
-                acc = acc + corrections(idx, lambda i, m, q=q: L[i][m][q], None)
-                out.append(acc)
-        return component_array(out, T.shape + (n,))
-    if kind == "v":
-        for idx in np.ndindex(T.shape):
-            for eps in range(p):
-                for q in range(n):
-                    acc = ops.fiber(T[idx], q, eps)
-                    acc = acc + corrections(idx, lambda i, m, q=q, e=eps: C[i][m][q][e], None)
-                    out.append(acc)
-        return component_array(out, T.shape + (p, n))
-    raise TensorError(f"unknown derivative kind {kind!r}")
+        partials = [ops.delta_t(block, eps) for eps in range(p)]
+        dshape, latin, greek = (p,), Gt, kappa
+    elif kind == "hM":
+        partials = [ops.delta_x(block, q) for q in range(n)]
+        dshape, latin, greek = (n,), L, None
+    elif kind == "v":
+        partials = [ops.fiber(block, q, eps) for eps in range(p) for q in range(n)]
+        dshape, latin, greek = (p, n), np.swapaxes(C, 2, 3), None
+    else:
+        raise TensorError(f"unknown derivative kind {kind!r}")
+
+    vals = block[0].reshape(shape + (1,) * len(dshape) + lanes)
+    acc = 0.0
+    for a, slot in enumerate(slots):
+        coeff = latin if slot.latin else greek
+        if coeff is None:
+            continue
+        for m in range(len(coeff)):
+            c = coeff[:, m] if slot.up else coeff[m]  # [index at slot a][derivative index]
+            c = c.reshape((1,) * a + c.shape[:1] + (1,) * (len(slots) - a - 1) + c.shape[1:])
+            term = np.take(vals, [m], axis=a) * c
+            acc = acc + term if slot.up else acc - term
+    partial = np.stack(partials, axis=len(slots)).reshape(shape + dshape + lanes)
+    return acc + partial
 
 
 def _velocity(space, coords, g, hinv, point=None):
@@ -324,7 +335,7 @@ class _Frame:
         graw = space.g.matrix(cj)
         g = [[promote(v, ctx) for v in row] for row in graw]
         ginv = invert_symmetric(g, coords)
-        self.L, self.C = _spatial_blocks(ops, g, [[e.value for e in row] for row in ginv])
+        self.L, self.C = _spatial_blocks(ops, _stack(g, 2), [[e.value for e in row] for row in ginv])
 
         H = eval_jets(state.em_H.matrix, cj, ctx)
         G = eval_jets(state.em_G.matrix, cj, ctx)

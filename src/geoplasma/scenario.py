@@ -459,8 +459,11 @@ def _sheet_fields(spec, n, p, names):
     exprs = spec.get("x")
     if exprs is not None and (not isinstance(exprs, list) or len(exprs) != n):
         raise ScenarioError(f"'sheet.x' must list {n} expressions over t1..t{p}")
-    return None if exprs is None else [
+    fields = None if exprs is None else [
         _field(e, names[:p], f"sheet.x[{i}]") for i, e in enumerate(exprs)]
+    if "grid" in spec:  # its node count depends on --refine: streamsheet checks that
+        _box_spec(spec["grid"], p, True, "sheet.grid")
+    return fields
 
 
 def _parse_em(config, n, names):

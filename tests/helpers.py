@@ -6,7 +6,8 @@ they check.  The reference implementations at the end are the package's
 unreduced or former forms (``walk``, the recursive tree walker of the
 expression language; seeded scalar-field evaluation, the covariant
 stream-sheet residuals, the edml Lagrangian, the multi-time velocity,
-the RK4 integrator on numpy arrays, the Finsler space of a fundamental function on the general jet engine
+the RK4 integrator on numpy arrays, the multi-time covariant derivative
+one component at a time, the Finsler space of a fundamental function on the general jet engine
 of :mod:`reference_dual`); only tests call them.
 The adapters return what the tests read from the pieces the pipelines
 use (``common.unit_vector``, the adapted partials, the connection lists).
@@ -16,15 +17,17 @@ import numpy as np
 
 import reference_dual as ref
 from geoplasma import expr as expr_mod
-from geoplasma.common import energy_low_mixed, unit_vector
+from geoplasma.common import component_array, energy_low_mixed, jet_values, unit_vector
 from geoplasma.dual import Jet, branch, power, promote, scalar_value, seed
-from geoplasma.errors import DomainError, IntegrationError, UnboundVariableError
+from geoplasma.errors import DomainError, IntegrationError, TensorError, UnboundVariableError
 from geoplasma.expr import BinOp, Call, Neg, Num, Var, compile_field, parse, pretty
 from geoplasma.lagrange import GeneralizedLagrangeSpace, _adapted_partials
 from geoplasma.multitime import (
     _Derivatives,
     _Frame,
+    _jet_covariant,
     _velocity,
+    cartan_gamma_lists,
     fiber_index,
     temporal_christoffel_lists,
 )
@@ -35,6 +38,7 @@ from geoplasma.tensor_core import (
     TwoFormField,
     christoffel_from,
     constant_field,
+    eval_jets,
     invert_symmetric,
     quadratic_form,
     scalar_field,
@@ -584,6 +588,78 @@ def stream_sheet_residuals_covariant(state, space, coords):
             )
             vertical[k][mu] = acc
     return np.array(horizontal), np.array(vertical)
+
+
+def jet_covariant_derivative(field, slots, space, coords, kind):
+    """The multi-time covariant derivative of a d-tensor field at a jet point:
+    ``multitime._jet_covariant`` of ``field(coords)`` evaluated as jets."""
+    return _jet_covariant(eval_jets(field, *seed(list(coords))), slots, space, coords, kind)
+
+
+def jet_covariant_per_component(T, slots, space, coords, kind):
+    """The multi-time covariant derivative of jets T, one component at a time.
+
+    The former form of ``multitime._jet_covariant``: each component and
+    derivative index runs the adapted partial of its own jet, and its
+    corrections are summed from 0.0 in slot order and then m order.
+    """
+    p, n = space.p, space.n
+    kappa, Gt, L, C = cartan_gamma_lists(space, coords)  # kappa before N: h's error first
+    ops = _Derivatives(space, coords)
+    T, vals = jet_values(T, slots)
+
+    def corrections(idx, latin_coeff, greek_coeff):
+        acc = 0.0
+        for a, slot in enumerate(slots):
+            pre, i, post = idx[:a], idx[a], idx[a + 1:]
+            if slot.latin:
+                if latin_coeff is None:
+                    continue
+                if slot.up:
+                    for m in range(n):
+                        acc += vals[pre + (m,) + post] * latin_coeff(idx[a], m)
+                else:
+                    for m in range(n):
+                        acc -= vals[pre + (m,) + post] * latin_coeff(m, idx[a])
+            else:
+                if greek_coeff is None:
+                    continue
+                if slot.up:
+                    for mu in range(p):
+                        acc += vals[pre + (mu,) + post] * greek_coeff(idx[a], mu)
+                else:
+                    for mu in range(p):
+                        acc -= vals[pre + (mu,) + post] * greek_coeff(mu, idx[a])
+        return acc
+
+    out = []
+    if kind == "hT":
+        for idx in np.ndindex(T.shape):
+            for eps in range(p):
+                acc = ops.delta_t(T[idx], eps)
+                acc = acc + corrections(
+                    idx,
+                    lambda i, m, e=eps: Gt[i][m][e],
+                    lambda a, mu, e=eps: kappa[a][mu][e],
+                )
+                out.append(acc)
+        return component_array(out, T.shape + (p,))
+    if kind == "hM":
+        for idx in np.ndindex(T.shape):
+            for q in range(n):
+                acc = ops.delta_x(T[idx], q)
+                acc = acc + corrections(idx, lambda i, m, q=q: L[i][m][q], None)
+                out.append(acc)
+        return component_array(out, T.shape + (n,))
+    if kind == "v":
+        for idx in np.ndindex(T.shape):
+            for eps in range(p):
+                for q in range(n):
+                    acc = ops.fiber(T[idx], q, eps)
+                    acc = acc + corrections(idx, lambda i, m, q=q, e=eps: C[i][m][q][e], None)
+                    out.append(acc)
+        return component_array(out, T.shape + (p, n))
+    raise TensorError(f"unknown derivative kind {kind!r}")
 
 
 def jet_product_loop(ctx, ac, bc):

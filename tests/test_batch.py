@@ -392,13 +392,17 @@ def test_inertial_factor_is_plain_on_floats_and_splits_lanes():
 def test_sheet_frame_pieces_stay_plain_on_floats():
     # the one-point and stream-line paths keep Python floats: no numpy scalar
     rng = np.random.default_rng(4)
-    space, _, box = helpers.random_multitime_scenario(rng, 2, 2)
+    space, state, box = helpers.random_multitime_scenario(rng, 2, 2)
     coords = [float(v) for v in helpers.sample_box(rng, box, 1)[0]]
     cj, ctx = dual.seed(coords)
     ops = _Derivatives(space, coords)
     g = eval_jets(space.g.matrix, cj, ctx)
     assert all(type(ops.delta_t(e, a)) is float and type(ops.delta_x(e, a)) is float
                for row in g for e in row for a in range(2))
+    # the connection blocks take the partials of the stacked metric block
+    fr = mt._Frame(state, space, coords)
+    for block in (fr.L, fr.C, *mt.cartan_gamma_lists(space, coords)):
+        assert {type(v) for v in np.ravel(np.array(block, dtype=object))} == {float}
     hinv = [[1.0, 0.0], [0.0, 1.0]]
     u, u_low, eps = _velocity(space, coords, space.g.matrix(coords), hinv)
     assert {type(v) for col in u + u_low for v in col} | {type(eps)} == {float}

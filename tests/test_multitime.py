@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
+from geoplasma import dual
 from geoplasma.common import max_abs
-from geoplasma.errors import GridError
+from geoplasma.errors import GeoPlasmaError, GridError
 from geoplasma.lagrange import lagrange_residuals
 from geoplasma.multitime import (
     MultiTimeFluidState,
@@ -12,7 +16,6 @@ from geoplasma.multitime import (
     cartan_gamma,
     cartan_gamma_lists,
     conservation_divergence,
-    jet_covariant_derivative,
     metric_compatibility,
     multitime_residuals,
     prolong_sheet,
@@ -21,6 +24,8 @@ from geoplasma.multitime import (
     stress_tensors,
     zero_jet_connection,
 )
+from geoplasma.multitime import _jet_covariant
+from geoplasma.scenario import build_scenario
 from geoplasma.tensor_core import (
     MetricField,
     Slot,
@@ -28,6 +33,7 @@ from geoplasma.tensor_core import (
     constant_field,
     scalar_field,
 )
+from test_output_bytes import MULTITIME3, SCENARIOS
 
 RNG = np.random.default_rng(929)
 
@@ -239,7 +245,7 @@ def test_constant_scalar_derivatives_vanish():
     jp = sample_jet_points(space, box, 1)[0]
     field = lambda coords: 4.2
     for kind in ("hT", "hM", "v"):
-        assert np.abs(jet_covariant_derivative(field, (), space, jp, kind)).max() < 1e-14
+        assert np.abs(helpers.jet_covariant_derivative(field, (), space, jp, kind)).max() < 1e-14
 
 
 def test_covariant_dual_path_random_tensor():
@@ -257,9 +263,9 @@ def test_covariant_dual_path_random_tensor():
     kappa, Gt, L, C = cartan_gamma_lists(space, coords)
     t0 = np.array([[comps[i][j](coords) for j in range(n)] for i in range(n)])
 
-    got_hM = np.array(jet_covariant_derivative(field, slots, space, jp, "hM").tolist())
-    got_v = np.array(jet_covariant_derivative(field, slots, space, jp, "v").tolist())
-    got_hT = np.array(jet_covariant_derivative(field, slots, space, jp, "hT").tolist())
+    got_hM = np.array(helpers.jet_covariant_derivative(field, slots, space, jp, "hM").tolist())
+    got_v = np.array(helpers.jet_covariant_derivative(field, slots, space, jp, "v").tolist())
+    got_hT = np.array(helpers.jet_covariant_derivative(field, slots, space, jp, "hT").tolist())
 
     # independent path: jets replaced by finite differences, reversed sums
     step = 1e-6
@@ -310,12 +316,62 @@ def test_covariant_dual_path_random_tensor():
                 assert abs(got_hT[i][j][eps] - ref) < 1e-7
 
 
+# nonzero N, kappa, G, L and C, and the bsml space, whose G and C vanish
+ORACLE_SCENARIOS = {
+    "multitime3": build_scenario(MULTITIME3),
+    "bsml_sheet": build_scenario(json.loads((SCENARIOS / "bsml_sheet.json").read_text())),
+}
+ORACLE_SLOTS = [
+    (), (Slot.GU,), (Slot.GD,), (Slot.LU,), (Slot.LD,), (Slot.LU, Slot.LD),
+    (Slot.GD, Slot.GD), (Slot.LD, Slot.GU), (Slot.GU, Slot.LU, Slot.LD),
+]
+
+
+def _oracle_tensor(coords, slots, p, n):
+    """Jets of a tensor with one valence level per slot, each component its
+    own product of seeded coordinates."""
+    cj, _ = dual.seed(list(coords))
+    shape = tuple(n if slot.latin else p for slot in slots)
+    flat = [
+        (0.3 + 0.1 * k) * cj[k % len(cj)] * cj[(3 * k + 1) % len(cj)] + dual.sin(cj[(k + 2) % len(cj)])
+        for k in range(int(np.prod(shape)))
+    ]
+    return np.array(flat, dtype=object).reshape(shape).tolist() if shape else flat[0]
+
+
+def _outcome(fn):
+    try:
+        out = fn()
+    except GeoPlasmaError as err:
+        return type(err).__name__
+    return out.shape, out.dtype, out.tobytes()
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(ORACLE_SCENARIOS)), slots=st.sampled_from(ORACLE_SLOTS),
+       kind=st.sampled_from(["hT", "hM", "v"]), lanes=st.sampled_from([0, 3]),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_block_covariant_derivative_matches_the_per_component_loop(
+        name, slots, kind, lanes, fractions):
+    scenario = ORACLE_SCENARIOS[name]
+    lo, hi = (np.array(b) for b in (scenario.eval_spec["box"]["min"],
+                                    scenario.eval_spec["box"]["max"]))
+    points = [(lo + f * (hi - lo) * np.linspace(0.9, 1.0, len(lo))).tolist()
+              for f in fractions[:max(lanes, 1)]]
+    coords = [np.array(c) for c in zip(*points)] if lanes else points[0]
+    space = scenario.space
+    T = _oracle_tensor(coords, slots, space.p, space.n)
+    got = _outcome(lambda: _jet_covariant(T, slots, space, coords, kind))
+    want = _outcome(lambda: helpers.jet_covariant_per_component(T, slots, space, coords, kind))
+    assert got == want
+
+
 def test_greek_valence_under_hT():
     # the temporal metric as a (GD, GD) field must be kappa-parallel
     space, _, box = generic_scenario(seed=31)
     jp = sample_jet_points(space, box, 1)[0]
     field = lambda coords: space.h.matrix(coords[:space.p])
-    out = jet_covariant_derivative(field, (Slot.GD, Slot.GD), space, jp, "hT")
+    out = helpers.jet_covariant_derivative(field, (Slot.GD, Slot.GD), space, jp, "hT")
     assert np.abs(out).max() < 1e-11
 
 

@@ -32,7 +32,10 @@ stream lines (the benchmark workload's fiber metric at two of its starts),
 the ``tangent_bundle`` stream line and the failing stream lines of
 ``STREAMLINE_FAILURES`` were recorded while every stream-line point ran
 through the interpreted frame, before stream lines were recorded and
-replayed.
+replayed.  The ``kappa_zero`` pins (20 explicit points, kappa vanishing at
+7 of them, so the first temporal derivative of a verify batch splits it)
+were recorded before the multitime adapted derivatives ran on stacked
+coefficient blocks.
 
 The hashes assume CPython 3.11 and numpy 2.4.6 on x86-64 Linux with glibc
 2.36's libm: another libm may round ``sin``/``exp``/``log`` differently in
@@ -124,6 +127,27 @@ MULTITIME3 = {
         "grid": {"min": [0.0, 0.0], "max": [0.6, 0.6], "shape": [5, 5]},
     },
 }
+# MULTITIME3 with a diagonal h whose t-derivatives all vanish where t2 = 0, so
+# kappa is exactly zero at every third point: the first temporal derivative
+# of a verify batch splits it there (g keeps no entry that vanishes on these
+# points, so no earlier branch splits it)
+_KAPPA_ZERO_POINTS = [
+    [round(-0.28 + 0.03 * k, 2), 0.0 if k % 3 == 1 else round(0.27 - 0.02 * k, 3),
+     round(-0.4 + 0.045 * k, 3), round(0.45 - 0.04 * k, 3), round(0.1 + 0.02 * (k % 7), 3),
+     *(round(0.35 + 0.03 * ((k * (j + 3)) % 19), 3) for j in range(6))]
+    for k in range(20)
+]
+KAPPA_ZERO = dict(
+    MULTITIME3,
+    h_metric=[["1 + 0.1*t2^2", "0"], ["1.2 + 0.1*t2^2*cos(t1)"]],
+    metric=[
+        [f"(1.2 + 0.1*sin(x2 + t1))*{_JFIBER}", f"0.05*cos(x1 + x2_1)*{_JFIBER}",
+         "0.03*sin(x3 + t2)"],
+        [f"(1.1 + 0.1*cos(x1 - x3_2))*{_JFIBER}", "0.04*cos(x2 + x1_1)"],
+        [f"(1.3 + 0.05*sin(x3 + t1*t2))*{_JFIBER}"],
+    ],
+    eval={"points": _KAPPA_ZERO_POINTS},
+)
 # the electrodynamic model: its connection seeds the potentials U inside
 # the connection field, the one stock model that differentiates in a field
 EDML = {
@@ -191,6 +215,7 @@ LAGRANGE2 = {
 LAGRANGE2_LOG = dict(LAGRANGE2, pressure="0.3 + 0.04*sin(x1)*y1 + 0.01*log(x2 + 0.05)")
 GENERATED = {"lagrange3": LAGRANGE3, "lagrange2": LAGRANGE2, "lagrange2_log": LAGRANGE2_LOG, "riemann3": RIEMANN3, "multitime3": MULTITIME3,
              "edml": EDML, "sheet_failures": SHEET_FAILURES, "singular_h": SINGULAR_H,
+             "kappa_zero": KAPPA_ZERO,
              "singular_h_canonical": dict(SINGULAR_H, connection="canonical")}
 
 
@@ -283,6 +308,10 @@ CASES["verify-tol-1e-30-points-24-bsml_sheet"] = (
 # more points than MIN_BATCH: residuals run their points as lane batches
 for _name in ("lagrange3", "multitime3", "edml"):
     CASES[f"residuals-points-24-{_name}"] = (_name, ["residuals", "--points", "24"], 0)
+# 20 explicit points, 7 of them where kappa vanishes: verify splits the batch
+# at the first temporal derivative, residuals (no temporal derivative) do not
+CASES["verify-kappa_zero"] = ("kappa_zero", ["verify"], 0)
+CASES["residuals-kappa_zero"] = ("kappa_zero", ["residuals"], 0)
 
 # case -> (SHA-256 of the output file, SHA-256 of stdout or None)
 EXPECTED = {
@@ -331,6 +360,8 @@ EXPECTED = {
     "residuals-points-24-multitime3": ("b015660607fcb4baf69eb37cea376335c33bfe585f5110290fe5921296a15a63", None),
     "residuals-points-24-edml": ("1140140d5d6205d2636adabdb67dd21f51655b3504f58c7c99c9e3497c3f95ae", None),
     "verify-tol-1e-30-points-24-bsml_sheet": ("7384e5dcfcedae1be4fbd0929a386d8e47a75fbe69f0448cc722eb3c137b44b6", "0281dc772a26a27854d52b3fc236e247695ea3551bf0489c8f55adc17aeb97c3"),
+    "verify-kappa_zero": ("c5a79a75f492d2021730731fd4f765ec25a75e248e233897326577c8a9ad38d4", "24125598f01ebaf656d3fe9cbab4cbd9795d3d0ee72e475c182c36a6c7c4843d"),
+    "residuals-kappa_zero": ("228549788db1ce32fe8c21b243cfadf09bfc0635ba492641ad587cce04fdb659", None),
 }
 
 

@@ -1,8 +1,9 @@
 """The per-point memo: fewer seedings in verify, identical results.
 
 Counts come from a wrapper installed on every geoplasma module that bound
-``seed`` or ``invert_symmetric`` (``from .dual import seed`` copies the
-binding, so patching the defining module alone would miss most calls).
+``seed``, ``invert_symmetric`` or ``branch`` (``from .dual import seed``
+copies the binding, so patching the defining module alone would miss most
+calls).
 """
 
 import json
@@ -55,11 +56,12 @@ def clear_memos():
 
 @pytest.fixture
 def counts(monkeypatch):
-    tally = {"seed": 0, "invert_symmetric": 0}
+    tally = {"seed": 0, "invert_symmetric": 0, "branch": 0}
     modules = [m for name, m in sys.modules.items()
                if name == "geoplasma" or name.startswith("geoplasma.")]
     for name, original in (("seed", dual.seed),
-                           ("invert_symmetric", tensor_core.invert_symmetric)):
+                           ("invert_symmetric", tensor_core.invert_symmetric),
+                           ("branch", dual.branch)):
         def counted(*args, _original=original, _name=name, **kwargs):
             tally[_name] += 1
             return _original(*args, **kwargs)
@@ -82,10 +84,14 @@ def test_verify_counts_per_point(name, counts, capsys):
 
 def test_verify_counts_of_one_lane_batch(counts, capsys):
     # 12 points reach MIN_BATCH: the suite runs once with 12 lanes, so the
-    # whole command makes the seedings and inversions of one point
+    # whole command makes the seedings and inversions of one point.  The
+    # adapted derivatives decide which N and kappa terms vanish once per
+    # index and seeding: the batch made 657 branch calls while every
+    # derivative of every component decided them again
     seeds, inversions, _, _ = PER_POINT["bsml_sheet"]
     assert main(["verify", "--scenario", scenario_path("bsml_sheet"), "--points", "12"]) == 0
     assert (counts["seed"], counts["invert_symmetric"]) == (seeds, inversions)
+    assert counts["branch"] == 185
 
 
 @pytest.mark.parametrize("name", sorted(PER_POINT))

@@ -798,6 +798,8 @@ _SHEET = multitime_config()["sheet"]
     (dict(_SHEET, x="t1"), "'sheet.x' must list 2 expressions over t1..t2"),
     (dict(_SHEET, y=1), "unknown sheet keys: ['y']"),
     (5, "'sheet' must be an object"),
+    (dict(_SHEET, grid=dict(_SHEET["grid"], max=[1.0, float("inf")])),
+     "'sheet.grid' bounds and their spans must be finite"),
 ])
 @pytest.mark.parametrize("command", [
     ["residuals"], ["verify"], ["connection", "--at", "0.1,0.2,1,0,1,1,1,1"], ["streamsheet"],
@@ -809,3 +811,13 @@ def test_every_command_rejects_a_malformed_sheet(sheet, message, command, tmp_pa
     assert main([command[0], "--scenario", path, "--out", str(out), *command[1:]]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_only_streamsheet_counts_the_sheet_nodes(tmp_path, capsys):
+    # two nodes per axis are a valid grid; streamsheet needs three after --refine
+    path = write(tmp_path, multitime_config(sheet=dict(_SHEET, grid=dict(_SHEET["grid"], shape=[2, 2]))))
+    out = tmp_path / "out.csv"
+    assert main(["residuals", "--scenario", path, "--out", str(out)]) == 0
+    assert main(["streamsheet", "--scenario", path, "--out", str(out)]) == 2
+    assert "sheet grid needs at least 3 nodes per axis" in capsys.readouterr().err
+    assert main(["streamsheet", "--scenario", path, "--refine", "2", "--out", str(out)]) == 0
