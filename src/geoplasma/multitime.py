@@ -236,28 +236,27 @@ def cartan_gamma(space, coords):
     return tuple(np.array(b, dtype=float) for b in cartan_gamma_lists(space, coords))
 
 
-def _jet_covariant(T, slots, space, coords, kind):
-    """Covariant derivative of a d-tensor given as jets T at a jet point.
+def _jet_covariant(block, slots, space, coords, kind):
+    """Covariant derivative of a d-tensor T at a jet point, from the
+    :func:`_stack` block of its jets.
 
-    ``T`` is nested lists of jets with one valence tag per level in
-    ``slots``.  ``kind`` is one of "hT" (adds a covariant greek axis), "hM"
-    (adds a covariant latin axis) or "v" (adds the paired
-    contravariant-greek and covariant-latin axes, in that order); the
-    result is a float array.  Coefficients: kappa for greek and G for latin
-    slots under hT, L for latin under hM, C for latin under v; greek slots
-    are untouched by hM and v.
+    T has one valence tag per index in ``slots``.  ``kind`` is one of "hT"
+    (adds a covariant greek axis), "hM" (adds a covariant latin axis) or "v"
+    (adds the paired contravariant-greek and covariant-latin axes, in that
+    order); the result is a float array.  Coefficients: kappa for greek and
+    G for latin slots under hT, L for latin under hM, C for latin under v;
+    greek slots are untouched by hM and v.
 
-    Runs on the stacked coefficient block of T: the partial along each
-    derivative index is one operation per term for all components, and the
-    correction of slot a and summation index m one product of the values at
-    m on axis a with the coefficients laid along axis a.  Each component
+    The partial along each derivative index is one operation per term for
+    all components, and the correction of slot a and summation index m one
+    product of the values at m on axis a with the coefficients laid along
+    axis a.  Each component
     gets the scalar sequence of a component-wise loop: the corrections
     summed from 0.0 in slot order and then m order, plus the partial.
     """
     p, n = space.p, space.n
     kappa, Gt, L, C = cartan_gamma(space, coords)  # kappa before N: h's error first
     ops = _Derivatives(space, coords)
-    block = _stack(T, len(slots))
     shape, lanes = block.shape[1:1 + len(slots)], block.shape[1 + len(slots):]
     # the latin and greek coefficients are indexed [i][m][derivative index]
     if kind == "hT":
@@ -309,6 +308,23 @@ def _velocity(space, coords, g, hinv, point=None):
 
 
 @point_memo
+class _MetricJets:
+    """h, h^-1, g and g^-1 as jets of one seeding of a jet point, shared by
+    the frame and the metric compatibilities; ``graw`` holds g as the field
+    gives it (for the unit velocity), ``gblock`` its :func:`_stack` block."""
+
+    def __init__(self, space, coords):
+        self.cj, self.ctx = cj, ctx = seed(list(coords))
+        self.h = eval_jets(space.h.matrix, cj[:space.p], ctx)
+        self.hinv = invert_symmetric(self.h, coords[:space.p])  # before N, which may invert g
+        self.ops = _Derivatives(space, coords)
+        self.graw = space.g.matrix(cj)
+        self.g = [[promote(v, ctx) for v in row] for row in self.graw]
+        self.ginv = invert_symmetric(self.g, coords)
+        self.gblock = _stack(self.g, 2)
+
+
+@point_memo
 class _Frame:
     """Jet-level quantities of one jet point, computed once.
 
@@ -316,38 +332,36 @@ class _Frame:
     u^i_beta with channels ``h`` (L, delta/delta x) and ``v[mu]``
     (C[..][..][..][mu], d/dx^i_mu); the connection blocks, the energy
     divergences and the pressure partials are shared by all columns.
-    ``u0``/``ul0`` hold the velocity values indexed [i][beta].
+    ``u0``/``ul0`` hold the velocity values indexed [i][beta]; the jets
+    ``hinv``, ``E_mix``, ``u`` ([i][beta]), ``u_low`` ([beta][i]), ``pr`` and
+    ``q`` build the mixed stress of the direct divergence.
     """
 
     def __init__(self, state, space, coords):
         p, n = space.p, space.n
         self.p, self.n = p, n
         self.c = state.c
-        cj, ctx = seed(list(coords))
-        h = eval_jets(space.h.matrix, cj[:p], ctx)
-        hinv = invert_symmetric(h, coords[:p])  # before N, which may invert g: h's error first
-        self.hinv0 = [[e.value for e in row] for row in hinv]
-        ops = _Derivatives(space, coords)
-        self.ops = ops
+        m = _MetricJets(space, coords)
+        cj, ctx, g, ginv, self.hinv = m.cj, m.ctx, m.g, m.ginv, m.hinv
+        self.hinv0 = [[e.value for e in row] for row in m.hinv]
+        ops = self.ops = m.ops
         self.N0 = ops.N0
         self.xd0 = ops.xd0
-
-        graw = space.g.matrix(cj)
-        g = [[promote(v, ctx) for v in row] for row in graw]
-        ginv = invert_symmetric(g, coords)
-        self.L, self.C = _spatial_blocks(ops, _stack(g, 2), [[e.value for e in row] for row in ginv])
+        self.L, self.C = _spatial_blocks(ops, m.gblock, [[e.value for e in row] for row in ginv])
 
         H = eval_jets(state.em_H.matrix, cj, ctx)
         G = eval_jets(state.em_G.matrix, cj, ctx)
         E_low, E_mix = energy_low_mixed(g, ginv, H, G)
+        self.E_mix = E_mix
         self.E_low0 = [[e.value for e in row] for row in E_low]
         self.E_mix0 = [[e.value for e in row] for row in E_mix]
 
-        u, u_low, eps = _velocity(space, cj, graw, hinv, point=coords)
+        u, u_low, eps = _velocity(space, cj, m.graw, m.hinv, point=coords)
         self.u = [[promote(u[a][i], ctx) for a in range(p)] for i in range(n)]
+        self.u_low = [[promote(e, ctx) for e in col] for col in u_low]
         self.eps = promote(eps, ctx)
         self.eps0 = self.eps.value
-        pr = promote(state.pressure(cj), ctx)
+        self.pr = pr = promote(state.pressure(cj), ctx)
         rho = promote(state.density(cj), ctx)
         self.q = rho + pr / state.c**2
 
@@ -360,7 +374,7 @@ class _Frame:
             col = FluidFrame(
                 state.c, g, ginv,
                 [self.u[i][b] for i in range(n)],
-                [promote(e, ctx) for e in u_low[b]],
+                self.u_low[b],
                 pr, rho,
             )
             col.h = col.channel(self.L, ops.delta_x, ediv_h)
@@ -545,38 +559,26 @@ def frame_inverses(state, space, coords):
     return np.array(fr.ginv0), np.array(fr.hinv0)
 
 
-def mixed_stress_field(state, space):
-    """The mixed stress as a d-tensor field, for the covariant engine."""
-    p, n = space.p, space.n
-
-    def fn(coords):
-        hinv = invert_symmetric(space.h.matrix(coords[:p]))
-        g = space.g.matrix(coords)
-        ginv = invert_symmetric(g)
-        _, E_mix = energy_low_mixed(g, ginv, state.em_H.matrix(coords), state.em_G.matrix(coords))
-        u, u_low, _ = _velocity(space, coords, g, hinv)
-        pr = state.pressure(coords)
-        q = state.density(coords) + pr / state.c**2
-        out = [[0.0] * n for _ in range(n)]
-        for m in range(n):
-            for i in range(n):
-                acc = 0.0
-                for a in range(p):
-                    for b in range(p):
-                        acc = acc + hinv[a][b] * u[a][m] * u_low[b][i]
-                acc = q * acc + E_mix[m][i]
-                if m == i:
-                    acc = acc + pr
-                out[m][i] = acc
-        return out
-
-    return fn
+def _mixed_stress(fr):
+    """The mixed stress T^m_i as jets of a frame's seeding."""
+    p, n = fr.p, fr.n
+    out = [[0.0] * n for _ in range(n)]
+    for m in range(n):
+        for i in range(n):
+            acc = 0.0
+            for a in range(p):
+                for b in range(p):
+                    acc = acc + fr.hinv[a][b] * fr.u[m][a] * fr.u_low[b][i]
+            acc = fr.q * acc + fr.E_mix[m][i]
+            out[m][i] = acc + fr.pr if m == i else acc
+    return out
 
 
 def conservation_divergence(state, space, coords):
-    """Direct contracted divergences (h, v) of the mixed stress, evaluated once."""
+    """Direct contracted divergences (h, v) of the mixed stress, built from the
+    point's frame jets and differentiated through them."""
     n, p = space.n, space.p
-    T = eval_jets(mixed_stress_field(state, space), *seed(list(coords)))
+    T = _stack(_mixed_stress(_Frame(state, space, coords)), 2)
     d = _jet_covariant(T, (Slot.LU, Slot.LD), space, coords, "hM")
     h = np.array([sum(d[m, i, m] for m in range(n)) for i in range(n)])
     d = _jet_covariant(T, (Slot.LU, Slot.LD), space, coords, "v")
@@ -586,24 +588,21 @@ def conservation_divergence(state, space, coords):
 
 
 def metric_compatibility(space, coords):
-    """Metric compatibilities of h, g and their inverses, all channels: max
-    norms, one per lane when the coordinates are lane arrays."""
+    """Metric compatibilities of h, g and their inverses, all channels, on the
+    metric jets the point's frame is built on: max norms, one per lane when
+    the coordinates are lane arrays."""
     lanes = any(isinstance(c, np.ndarray) for c in coords)
-    cj, ctx = seed(list(coords))
-
-    def metrics():  # lazy: inverses come after the connection blocks, whose errors name the point
-        h = space.h.matrix(cj[:space.p])
-        yield "h", (Slot.GD, Slot.GD), h
-        yield "hinv", (Slot.GU, Slot.GU), invert_symmetric(h)
-        g = space.g.matrix(cj)
-        yield "g", (Slot.LD, Slot.LD), g
-        yield "ginv", (Slot.LU, Slot.LU), invert_symmetric(g)
-
+    # the blocks before the jets: kappa splits a batch before any seeding, and
+    # the errors of h, N and g come from the blocks
+    cartan_gamma(space, coords)
+    m = _MetricJets(space, coords)
     out = {}
-    for name, slots, m in metrics():
-        T = [[promote(v, ctx) for v in row] for row in m]
+    for name, slots, block in (("h", (Slot.GD, Slot.GD), _stack(m.h, 2)),
+                               ("hinv", (Slot.GU, Slot.GU), _stack(m.hinv, 2)),
+                               ("g", (Slot.LD, Slot.LD), m.gblock),
+                               ("ginv", (Slot.LU, Slot.LU), _stack(m.ginv, 2))):
         for kind in ("hT", "hM", "v"):
-            d = _jet_covariant(T, slots, space, coords, kind)
+            d = _jet_covariant(block, slots, space, coords, kind)
             out[f"{name}_{kind}"] = max_abs(d, lanes)
     return out
 

@@ -695,7 +695,7 @@ def evaluation_points(scenario, seed=None, count=None):
         if used_count < 1:
             raise ScenarioError("eval count must be positive")
         rng = np.random.default_rng(used_seed)
-        return [rng.uniform(lo, hi).tolist() for _ in range(used_count)], used_seed
+        return rng.uniform(lo, hi, size=(used_count, dim)).tolist(), used_seed
     raise ScenarioError("'eval' needs 'points', 'box' or 'grid'")
 
 

@@ -6,8 +6,8 @@ they check.  The reference implementations at the end are the package's
 unreduced or former forms (``walk``, the recursive tree walker of the
 expression language; seeded scalar-field evaluation, the covariant
 stream-sheet residuals, the edml Lagrangian, the multi-time velocity,
-the RK4 integrator on numpy arrays, the multi-time covariant derivative
-one component at a time, the Finsler space of a fundamental function on the general jet engine
+the multi-time mixed stress from every field, the RK4 integrator on numpy
+arrays, the multi-time covariant derivative one component at a time, the Finsler space of a fundamental function on the general jet engine
 of :mod:`reference_dual`); only tests call them.
 The adapters return what the tests read from the pieces the pipelines
 use (``common.unit_vector``, the adapted partials, the connection lists).
@@ -26,6 +26,7 @@ from geoplasma.multitime import (
     _Derivatives,
     _Frame,
     _jet_covariant,
+    _stack,
     _velocity,
     cartan_gamma_lists,
     fiber_index,
@@ -518,6 +519,36 @@ def multitime_velocity(state, space, coords):
     )
 
 
+def mixed_stress_field(state, space):
+    """The mixed stress T^m_i as a d-tensor field, every field evaluated and
+    h and g inverted anew: the oracle of the stress that ``multitime`` builds
+    from a frame's jets."""
+    p, n = space.p, space.n
+
+    def fn(coords):
+        hinv = invert_symmetric(space.h.matrix(coords[:p]))
+        g = space.g.matrix(coords)
+        ginv = invert_symmetric(g)
+        _, E_mix = energy_low_mixed(g, ginv, state.em_H.matrix(coords), state.em_G.matrix(coords))
+        u, u_low, _ = _velocity(space, coords, g, hinv)
+        pr = state.pressure(coords)
+        q = state.density(coords) + pr / state.c**2
+        out = [[0.0] * n for _ in range(n)]
+        for m in range(n):
+            for i in range(n):
+                acc = 0.0
+                for a in range(p):
+                    for b in range(p):
+                        acc = acc + hinv[a][b] * u[a][m] * u_low[b][i]
+                acc = q * acc + E_mix[m][i]
+                if m == i:
+                    acc = acc + pr
+                out[m][i] = acc
+        return out
+
+    return fn
+
+
 def stream_sheet_residuals_covariant(state, space, coords):
     """Unreduced form of the stream-sheet residuals (oracle path).
 
@@ -593,7 +624,8 @@ def stream_sheet_residuals_covariant(state, space, coords):
 def jet_covariant_derivative(field, slots, space, coords, kind):
     """The multi-time covariant derivative of a d-tensor field at a jet point:
     ``multitime._jet_covariant`` of ``field(coords)`` evaluated as jets."""
-    return _jet_covariant(eval_jets(field, *seed(list(coords))), slots, space, coords, kind)
+    T = eval_jets(field, *seed(list(coords)))
+    return _jet_covariant(_stack(T, len(slots)), slots, space, coords, kind)
 
 
 def jet_covariant_per_component(T, slots, space, coords, kind):

@@ -10,11 +10,14 @@ point by ``repr`` (``float.hex`` for an invariant) of every value, and a
 point that fails must carry exactly the error text of the one-point path,
 also where the failure, a pivot choice, a vanishing coefficient or an
 overflow splits the batch.  The small cases batch down to two points,
-below the default ``MIN_BATCH``.
+below the default ``MIN_BATCH``.  Every case's one-point results are also
+pinned, in ``data/batch_keys.json``.
 """
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,30 +163,32 @@ CASES = {
     "sheet_overflowing_node": ("sheet_rows",
                                dict(BSML, pressure="0.4 + 1e-300*(t1*t2*1.0e154)^2"),
                                1, 50, 2),
-    # a suite that batches seeds four times: for the metric compatibilities,
-    # the connection blocks, the frame and the direct divergence
-    "verify_bsml_sheet": ("invariants", BSML, None, 4, 2),
+    # a suite that batches seeds twice: for the connection blocks, and for the
+    # metric jets that the metric compatibilities, the frame and the direct
+    # divergence share
+    "verify_bsml_sheet": ("invariants", BSML, None, 2, 2),
     # nonzero kappa, G, L and C
-    "verify_multitime3": ("invariants", MULTITIME3, None, 4, 2),
+    "verify_multitime3": ("invariants", MULTITIME3, None, 2, 2),
     # kappa's inversion of h splits the batch of 6 by the zero h_12 of the two
-    # points at t1 = 0; each side then batches, the zero h^12 skipped in both
+    # points at t1 = 0 before any seeding; each side then batches, the zero
+    # h^12 skipped in both
     "verify_diagonal_h": ("invariants", dict(MULTITIME3, eval={"points": DIAGONAL_H}),
-                          None, 9, 2),
-    # log(x2) fails at 5 of the 10 points: the frame splits the batch after 3
+                          None, 4, 2),
+    # log(x2) fails at 5 of the 10 points: the frame splits the batch after 2
     # seedings, the 5 good points batch, and the 5 failing ones fail as a batch
     # and then alone
-    "verify_log_domain": ("invariants", SHEET_FAILURES, 5, 25, 2),
+    "verify_log_domain": ("invariants", SHEET_FAILURES, 5, 16, 2),
     # the batch overflows in the frame; its 10 points run alone, and the one
     # that overflows fails there
-    "verify_overflowing_point": ("invariants", OVERFLOWING_POINT, 1, 42, 2),
-    "verify_rgogml": ("invariants", RGOGML, None, 4, 2),
+    "verify_overflowing_point": ("invariants", OVERFLOWING_POINT, 1, 22, 2),
+    "verify_rgogml": ("invariants", RGOGML, None, 2, 2),
     # kappa splits off the two points where h is singular, which fail as a
-    # batch and then alone (1 seeding each); the connection blocks split the
+    # batch and then alone (no seeding); the connection blocks split the
     # other two by g, and each runs alone.  Where h and g are both singular,
     # h is named, as by the one-point suite
-    "verify_singular_h": ("invariants", SINGULAR_H, 3, 12, 2),
+    "verify_singular_h": ("invariants", SINGULAR_H, 3, 4, 2),
     "verify_singular_h_canonical": ("invariants", dict(SINGULAR_H, connection="canonical"),
-                                    3, 12, 2),
+                                    3, 4, 2),
 }
 
 
@@ -195,6 +200,22 @@ def _key(result):
     if isinstance(result, tuple):  # the labels and values of a report
         return [(label, repr(value)) for label, value in zip(*result)]
     return [repr(value) for value in result]
+
+
+# every case's points, one at a time, as recorded before the multitime verify
+# suite shared its metric jets and stress with the point's frame: an error that
+# changes its type, its text or the point it stops, or a value that changes
+# its bits, shows here
+PINS = json.loads((Path(__file__).with_name("data") / "batch_keys.json").read_text())
+
+
+def _record(result):
+    """A point's pin: the key of an error or invariant suite as JSON gives it
+    back, the SHA-256 of the key of a report or sheet row."""
+    key = json.loads(json.dumps(_key(result)))
+    if isinstance(result, (GeoPlasmaError, dict)):
+        return key
+    return hashlib.sha256(json.dumps(key).encode()).hexdigest()
 
 
 def _one_point(one, scenario, coords):
@@ -220,6 +241,7 @@ def test_batched_reports_equal_one_point_reports(name, monkeypatch):
     monkeypatch.setattr(module, "seed", original)
     single = [_one_point(one, scenario, coords) for coords in points]
     assert [_key(r) for r in batched] == [_key(r) for r in single]
+    assert [_record(r) for r in single] == PINS[name]
     failed = [r for r in single if isinstance(r, GeoPlasmaError)]
     assert len(failed) == (failures or 0)
     if name == "algebra_overflow":
@@ -369,7 +391,7 @@ def test_jet_covariant_derivative_keeps_lanes(kind):
     def derivative(coords):
         T = eval_jets(space.g.matrix, *dual.seed(list(coords)))
         before = [helpers.coefficient_bits(e) for row in T for e in row]
-        out = mt._jet_covariant(T, slots, space, coords, kind)
+        out = mt._jet_covariant(mt._stack(T, 2), slots, space, coords, kind)
         assert [helpers.coefficient_bits(e) for row in T for e in row] == before
         return out
 
@@ -437,3 +459,18 @@ def test_a_field_that_splits_a_batch_is_not_walked_again(monkeypatch):
         field([lanes])
     assert compiled.value.lanes.tolist() == walked.value.lanes.tolist() == [False, True, False]
     assert calls == []
+
+
+@pytest.mark.parametrize("config, lanes", [(BSML, False), (MULTITIME3, False), (BSML, True)])
+def test_frame_stress_jets_equal_the_oracle(config, lanes):
+    # the direct divergence differentiates the mixed stress built from the
+    # frame's jets: evaluating every field and inverting h and g anew gives
+    # the same coefficients, bit for bit, at each point and in a 12-lane batch
+    scenario = build_scenario(config)
+    state, space = scenario.state, scenario.space
+    points, _ = evaluation_points(scenario, count=12)
+    for coords in [[np.array(c) for c in zip(*points)]] if lanes else points:
+        got = mt._mixed_stress(mt._Frame(state, space, coords))
+        want = eval_jets(helpers.mixed_stress_field(state, space), *dual.seed(list(coords)))
+        assert [[helpers.coefficient_bits(e) for e in row] for row in got] == \
+               [[helpers.coefficient_bits(e) for e in row] for row in want]

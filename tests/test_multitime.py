@@ -24,7 +24,7 @@ from geoplasma.multitime import (
     stress_tensors,
     zero_jet_connection,
 )
-from geoplasma.multitime import _jet_covariant
+from geoplasma.multitime import _jet_covariant, _stack
 from geoplasma.scenario import build_scenario
 from geoplasma.tensor_core import (
     MetricField,
@@ -361,7 +361,7 @@ def test_block_covariant_derivative_matches_the_per_component_loop(
     coords = [np.array(c) for c in zip(*points)] if lanes else points[0]
     space = scenario.space
     T = _oracle_tensor(coords, slots, space.p, space.n)
-    got = _outcome(lambda: _jet_covariant(T, slots, space, coords, kind))
+    got = _outcome(lambda: _jet_covariant(_stack(T, len(slots)), slots, space, coords, kind))
     want = _outcome(lambda: helpers.jet_covariant_per_component(T, slots, space, coords, kind))
     assert got == want
 

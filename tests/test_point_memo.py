@@ -34,12 +34,15 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # made 5/8 and 10/14 while metric_compatibility seeded once per metric field,
 # 6/7 and 7/14 while the direct divergence evaluated the stress per channel,
 # and bsml_sheet made 6/12 while the stress checks inverted g and h again
-# instead of reading the frame's inverses; its residuals made 3/4 while the
-# frame built kappa, which only the temporal derivative reads
+# instead of reading the frame's inverses, and 6/9 while the metric
+# compatibilities seeded the point and inverted h and g anew and the direct
+# divergence rebuilt the stress from every field instead of reading the
+# frame's jets; its residuals made 3/4 while the frame built kappa, which only
+# the temporal derivative reads
 PER_POINT = {
     "polar_plasma": (4, 8, 1, 1),
     "tangent_bundle": (5, 6, 2, 2),
-    "bsml_sheet": (6, 9, 2, 3),
+    "bsml_sheet": (4, 5, 2, 3),
 }
 
 
@@ -87,11 +90,13 @@ def test_verify_counts_of_one_lane_batch(counts, capsys):
     # whole command makes the seedings and inversions of one point.  The
     # adapted derivatives decide which N and kappa terms vanish once per
     # index and seeding: the batch made 657 branch calls while every
-    # derivative of every component decided them again
+    # derivative of every component decided them again, and 185 while the
+    # metric compatibilities and the direct divergence inverted h and g and
+    # normalized the velocity again
     seeds, inversions, _, _ = PER_POINT["bsml_sheet"]
     assert main(["verify", "--scenario", scenario_path("bsml_sheet"), "--points", "12"]) == 0
     assert (counts["seed"], counts["invert_symmetric"]) == (seeds, inversions)
-    assert counts["branch"] == 185
+    assert counts["branch"] == 137
 
 
 @pytest.mark.parametrize("name", sorted(PER_POINT))

@@ -157,6 +157,17 @@ def test_evaluation_points_modes():
     assert len(pts) == 6
 
 
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 - 1])
+def test_box_points_are_drawn_in_one_call_as_one_at_a_time(seed):
+    scenario = build_scenario(multitime_config())
+    box = scenario.eval_spec["box"]
+    lo, hi = box["min"], box["max"]
+    for count in (1, 7, 200, 10**4):
+        rng = np.random.default_rng(seed)
+        one_at_a_time = [rng.uniform(lo, hi).tolist() for _ in range(count)]
+        assert evaluation_points(scenario, seed=seed, count=count) == (one_at_a_time, seed)
+
+
 def test_lagrange_and_multitime_scenarios_build():
     lagr = build_scenario(lagrange_config())
     assert lagr.space.n == 2
