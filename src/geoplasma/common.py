@@ -9,9 +9,11 @@ with its adapted partials, and :class:`FluidFrame` evaluates the residuals
 and the stream-line acceleration over any channel: riemann has one
 channel, lagrange a horizontal and a vertical one, and multitime one frame
 per velocity label beta with a horizontal channel and p vertical ones (one
-per greek label of the fiber derivative).  The covariant derivative of a
-latin tensor and the RK4 loop of both stream-line integrators live here
-too.
+per greek label of the fiber derivative).  The one covariant derivative of
+all three frameworks lives here too: it acts on a block stacking the jet
+coefficients of every component of a tensor, given the framework's adapted
+partials and one connection block per slot.  So does the RK4 loop of both
+stream-line integrators.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import dual
 from .errors import IntegrationError, NormalizationError, SingularDynamicsError, TensorError
-from .tensor_core import mat_vec, quadratic_form, sum_product
+from .tensor_core import Slot, eval_jets, invert_symmetric, mat_vec, quadratic_form, sum_product
 
 
 def point_memo(builder):
@@ -144,54 +146,71 @@ def mixed_stress(E_mix, u, u_low, p, rho, c):
     return out
 
 
-def covariant_derivative(T, slots, partial, coeff):
-    """Covariant derivative of a latin tensor T given as jets at one point.
+def jet_rows(x):
+    """The coefficient rows of a jet, or a :func:`jet_block` itself."""
+    return x.c if isinstance(x, dual.Jet) else x
 
-    ``T`` is a jet or nested lists of jets with one valence tag per level
-    in ``slots``, ``partial(jet, p)`` is the adapted partial along
-    direction p and ``coeff[i][j][p]`` the connection block.  Returns a
-    float array with one extra covariant axis: the partial plus one
-    coefficient correction per slot, signed by variance.
-    """
+
+def jet_block(T, rank):
+    """The coefficients of the jets of T (nested lists of one seeding, ``rank``
+    levels) as one float block [slot][*index][lane]."""
+    T = np.array(T, dtype=object)
+    if T.ndim != rank:
+        raise TensorError(f"rank {T.ndim} tensor given {rank} slots")
+    block = np.array([e.c for e in T.flat])
+    return np.moveaxis(block, 0, 1).reshape(block.shape[1:2] + T.shape + block.shape[2:])
+
+
+def latin_block(field, slots, coords):
+    """The :func:`jet_block` of a latin tensor field evaluated as jets at a point."""
+    T = eval_jets(field, *dual.seed(list(coords)))
     if any(not s.latin for s in slots):
         raise TensorError("covariant derivative requires all-latin valence")
-    T, vals = jet_values(T, slots)
-    n = len(coeff)
-    out = []
-    for idx in np.ndindex(T.shape):
-        for p in range(n):
-            acc = partial(T[idx], p)
-            for a, slot in enumerate(slots):
-                pre, i, post = idx[:a], idx[a], idx[a + 1:]
-                if slot.up:
-                    for m in range(n):
-                        acc = acc + vals[pre + (m,) + post] * coeff[i][m][p]
-                else:
-                    for m in range(n):
-                        acc = acc - vals[pre + (m,) + post] * coeff[m][i][p]
-            out.append(acc)
-    return component_array(out, T.shape + (n,))
+    return jet_block(T, len(slots))
 
 
-def component_array(values, shape):
-    """Components listed in ``np.ndindex(shape)`` order as a float array.
+def metric_blocks(matrix, coords):
+    """(slots, jet block) of a metric field and of its inverse from one seeding
+    at ``coords``: the tensors of a metric compatibility."""
+    cj, ctx = dual.seed(list(coords))
+    g = matrix(cj)
+    return [(slots, jet_block([[dual.promote(v, ctx) for v in row] for row in m], 2))
+            for slots, m in (((Slot.LD, Slot.LD), g), ((Slot.LU, Slot.LU), invert_symmetric(g)))]
 
-    Lane arrays (one lane per point) add a trailing lane axis, over which
-    plain floats among them are repeated; plain floats alone give an array
-    of ``shape``.
+
+def covariant_derivative(block, slots, partials, coeffs, *, partial_first):
+    """Covariant derivative of a tensor T from the :func:`jet_block` of its jets.
+
+    T has one valence tag per index in ``slots``.  ``partials`` holds the
+    adapted partials of every component, laid out [*index][*derivative][lane],
+    and ``coeffs[a]`` the connection block [i][m][*derivative][lane] of slot a
+    (its lane axis may be absent), or None where slot a takes no correction.
+    Returns a float array [*index][*derivative][lane].
+
+    The correction of slot a and summation index m is one product of the
+    values at m on axis a with the block laid along axis a, added for an
+    upper and subtracted for a lower slot, in slot order and then m order.
+    Where the partial enters is part of the output bytes: with
+    ``partial_first`` the corrections are added to it (riemann, lagrange),
+    otherwise they are summed from 0.0 and the partial is added last
+    (multitime).
     """
-    if any(isinstance(v, np.ndarray) for v in values):
-        values = np.broadcast_arrays(*values)
-    out = np.array(values, dtype=float)
-    return out.reshape(shape + out.shape[1:])
-
-
-def jet_values(T, slots):
-    """``T`` as an object array of jets and its values keyed by index tuple."""
-    T = np.array(T, dtype=object)
-    if T.ndim != len(slots):
-        raise TensorError(f"rank {T.ndim} tensor given {len(slots)} slots")
-    return T, {idx: T[idx].value for idx in np.ndindex(T.shape)}
+    rank = len(slots)
+    shape, lanes = block.shape[1:1 + rank], block.shape[1 + rank:]
+    nd = partials.ndim - rank - len(lanes)  # the derivative axes
+    vals = block[0].reshape(shape + (1,) * nd + lanes)
+    acc = partials if partial_first else 0.0
+    for a, (slot, coeff) in enumerate(zip(slots, coeffs)):
+        if coeff is None:
+            continue
+        # c[m] is [index at slot a][*derivative][lane], then laid along axis a
+        c = np.swapaxes(coeff, 0, 1) if slot.up else coeff
+        c = c.reshape(c.shape[:1] + (1,) * a + c.shape[1:2] + (1,) * (rank - a - 1) + c.shape[2:]
+                      + (1,) * (2 + nd + len(lanes) - c.ndim))
+        for m in range(len(c)):
+            term = vals[(slice(None),) * a + (slice(m, m + 1),)] * c[m]
+            acc = acc + term if slot.up else acc - term
+    return acc if partial_first else acc + partials
 
 
 def inertial_factor(p0, rho0, c):

@@ -26,7 +26,10 @@ from .common import (
     energy_divergence,
     energy_low_mixed,
     integrate_rk4,
+    jet_rows,
     lane_array,
+    latin_block,
+    metric_blocks,
     mixed_stress,
     point_memo,
     unit_norm_error,
@@ -95,22 +98,25 @@ def _nonlinear_connection(space, coords):
 
 
 def _adapted_partials(space, coords):
-    """N^i_j values and the adapted partials of a jet over (x, y) at a point.
+    """N^i_j values and the adapted partials over (x, y) at a point.
 
-    Returns (N0, horizontal, vertical): ``horizontal(jet, k)`` is
-    delta/delta x^k = d/dx^k - N^m_k d/dy^m, ``vertical(jet, k)`` is d/dy^k.
+    Returns (N0, horizontal, vertical): ``horizontal(x, k)`` is
+    delta/delta x^k = d/dx^k - N^m_k d/dy^m, ``vertical(x, k)`` is d/dy^k.
+    Both act on coefficient rows: those of one jet, or a
+    :func:`~geoplasma.common.jet_block` of many jets of one seeding.
     """
     n = space.n
     N0 = [[scalar_value(v) for v in row] for row in _nonlinear_connection(space, coords)]
 
-    def horizontal(jet, k):
-        acc = jet.d(k)
+    def horizontal(x, k):
+        rows = jet_rows(x)
+        acc = rows[1 + k]
         for r in range(n):
-            acc = acc - N0[r][k] * jet.d(n + r)
+            acc = acc - N0[r][k] * rows[1 + n + r]
         return acc
 
-    def vertical(jet, k):
-        return jet.d(n + k)
+    def vertical(x, k):
+        return jet_rows(x)[1 + n + k]
 
     return N0, horizontal, vertical
 
@@ -155,10 +161,18 @@ def hv_covariant(field, slots, space, coords):
     one extra covariant axis: (adapted partial delta/delta x, Cartan L),
     then (fiber partial d/dy, Cartan C).
     """
-    T = eval_jets(field, *seed(list(coords)))
+    return _hv_covariant(latin_block(field, slots, coords), slots, space, coords)
+
+
+def _hv_covariant(block, slots, space, coords):
+    """Both derivatives from the jet block of a latin tensor seeded at ``coords``."""
     _, horizontal, vertical = _adapted_partials(space, coords)
-    L, C = cartan_connection_lists(space, coords)
-    return covariant_derivative(T, slots, horizontal, L), covariant_derivative(T, slots, vertical, C)
+    rank = len(slots)
+    out = []
+    for partial, coeff in zip((horizontal, vertical), cartan_connection(space, coords)):
+        partials = np.stack([partial(block, k) for k in range(space.n)], axis=rank)
+        out.append(covariant_derivative(block, slots, partials, [coeff] * rank, partial_first=True))
+    return out
 
 
 def _unit_velocity(g, coords, point=None):
@@ -257,18 +271,10 @@ def conservation_divergence(state, space, coords):
 
 def metric_compatibility(space, coords):
     """Max norms of g and its inverse under both covariant derivatives."""
-    cj, ctx = seed(list(coords))
-    L, C = cartan_connection_lists(space, coords)
-    _, horizontal, vertical = _adapted_partials(space, coords)
-    g = space.g.matrix(cj)
     out = {}
-    for name, slots, m in (
-        ("g", (Slot.LD, Slot.LD), g),
-        ("ginv", (Slot.LU, Slot.LU), invert_symmetric(g)),
-    ):
-        T = [[promote(v, ctx) for v in row] for row in m]
-        out[f"{name}_h"] = float(np.abs(covariant_derivative(T, slots, horizontal, L)).max())
-        out[f"{name}_v"] = float(np.abs(covariant_derivative(T, slots, vertical, C)).max())
+    for name, (slots, block) in zip(("g", "ginv"), metric_blocks(space.g.matrix, coords)):
+        out[f"{name}_h"], out[f"{name}_v"] = (
+            float(np.abs(d).max()) for d in _hv_covariant(block, slots, space, coords))
     return out
 
 

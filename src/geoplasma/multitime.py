@@ -7,12 +7,12 @@ flat coordinate layout is [t^1..t^p, x^1..x^n, x^1_1..x^1_p, ..., x^n_p].
 A nonlinear connection splits derivatives into a temporal-horizontal
 channel (coefficients: temporal Christoffel symbols kappa and the mixed
 block G), a spatial-horizontal channel (coefficients L) and a vertical
-channel (coefficients C carrying a paired greek label).  The covariant
-derivative engine is generic over per-slot valence tags; jet-fiber pairs
-are represented as adjacent elementary latin/greek slots.  The adapted
-derivatives act on coefficient rows, those of one jet or a block stacking
-every component of a tensor, so the covariant derivative and the connection
-blocks take each partial of all components with one array operation per term.
+channel (coefficients C carrying a paired greek label); jet-fiber pairs
+are adjacent elementary latin/greek slots.  The adapted derivatives act on
+coefficient rows, those of one jet or a block stacking every component of
+a tensor, so the connection blocks and the covariant derivative of
+:mod:`geoplasma.common`, which this module feeds with the partials and
+blocks of each kind, take each partial of all components at once.
 
 The residuals run on the channel algebra of :mod:`geoplasma.common`: each
 velocity label beta has a :class:`~geoplasma.common.FluidFrame` of the
@@ -31,10 +31,12 @@ import numpy as np
 from . import dual
 from .common import (
     FluidFrame,
-    component_array,
+    covariant_derivative,
     energy_divergence,
     energy_low_mixed,
     inertial_factor,
+    jet_block,
+    jet_rows,
     lane_array,
     max_abs,
     point_memo,
@@ -86,21 +88,6 @@ def zero_jet_connection(p, n):
 def temporal_christoffel_lists(space, t_coords):
     """kappa[gamma][alpha][beta] of the temporal metric at t."""
     return christoffel_of(space.h, t_coords, point=t_coords)
-
-
-def _rows(x):
-    """The coefficient rows of a jet, or a stacked block itself."""
-    return x.c if isinstance(x, dual.Jet) else x
-
-
-def _stack(T, rank):
-    """The coefficients of the jets of T (nested lists of one seeding, ``rank``
-    levels) as one float block [slot][*index][lane]."""
-    T = np.array(T, dtype=object)
-    if T.ndim != rank:
-        raise TensorError(f"rank {T.ndim} tensor given {rank} slots")
-    block = np.array([e.c for e in T.flat])
-    return np.moveaxis(block, 0, 1).reshape(block.shape[1:2] + T.shape + block.shape[2:])
 
 
 def _nested(a):
@@ -159,17 +146,17 @@ class _Derivatives:
         return self._dx[i]
 
     def fiber(self, x, i, alpha):
-        return _rows(x)[self._slot(i, alpha)]
+        return jet_rows(x)[self._slot(i, alpha)]
 
     def delta_t(self, x, alpha):
-        rows = _rows(x)
+        rows = jet_rows(x)
         acc = rows[1 + alpha]
         for coeff, slot in self._t_terms(alpha):
             acc = acc + coeff * rows[slot]
         return acc
 
     def delta_x(self, x, i):
-        rows = _rows(x)
+        rows = jet_rows(x)
         acc = rows[1 + self.p + i]
         for nval, slot in self._x_terms(i):
             acc = acc - nval * rows[slot]
@@ -177,19 +164,20 @@ class _Derivatives:
 
 
 @point_memo
-def cartan_gamma_lists(space, coords):
-    """Blocks (kappa, G, L, C) of the canonical connection at a jet point.
+def cartan_gamma(space, coords):
+    """Blocks (kappa, G, L, C) of the canonical connection at a jet point, as
+    float arrays.
 
     G[k][j][gamma] = (g^{km}/2) delta g_mj / delta t^gamma,
-    L[i][j][k] as on the base, C[i][j][k][gamma] from fiber derivatives.
+    L[i][j][k] as on the base, C[i][j][k][gamma] from fiber derivatives;
+    G, L and C are built on the point's :class:`_MetricJets`.
     """
-    kappa = temporal_christoffel_lists(space, coords[:space.p])  # h's error before g's
-    cj, ctx = seed(list(coords))
-    ops = _Derivatives(space, coords)
-    g = eval_jets(space.g.matrix, cj, ctx)
-    ginv0 = invert_symmetric([[e.value for e in row] for row in g], coords)
-    g = _stack(g, 2)
-    return (kappa, _mixed_block(ops, g, ginv0), *_spatial_blocks(ops, g, ginv0))
+    # kappa first: it splits a batch before any seeding, and h's error comes first
+    kappa = temporal_christoffel_lists(space, coords[:space.p])
+    m = _MetricJets(space, coords)
+    ginv0 = [[e.value for e in row] for row in m.ginv]
+    blocks = (kappa, _mixed_block(m.ops, m.gblock, ginv0), *_spatial_blocks(m.ops, m.gblock, ginv0))
+    return tuple(np.array(b, dtype=float) for b in blocks)
 
 
 def _mixed_block(ops, g, ginv0):
@@ -197,7 +185,7 @@ def _mixed_block(ops, g, ginv0):
     metric block of one seeding and g^-1 values.
 
     The one block on :meth:`_Derivatives.delta_t`.  Only
-    :func:`cartan_gamma_lists` builds it; the per-point frame does not.
+    :func:`cartan_gamma` builds it; the per-point frame does not.
     """
     p, n = ops.p, ops.n
     Gt = [[[0.0] * p for _ in range(n)] for _ in range(n)]
@@ -215,7 +203,7 @@ def _spatial_blocks(ops, g, ginv0):
     L[i][j][k] is the Christoffel formula on the adapted derivatives
     delta g_ij / delta x^k, and C[i][j][k][gamma] on the fiber derivatives
     d g_ij / d x^k_gamma, one block per greek label.  Shared by
-    :func:`cartan_gamma_lists` and the per-point frame.
+    :func:`cartan_gamma` and the per-point frame.
     """
     p, n = ops.p, ops.n
     L = christoffel_from(ginv0, [_nested(ops.delta_x(g, k)) for k in range(n)])
@@ -230,60 +218,36 @@ def _spatial_blocks(ops, g, ginv0):
     return L, C
 
 
-@point_memo
-def cartan_gamma(space, coords):
-    """The blocks of :func:`cartan_gamma_lists` as float arrays."""
-    return tuple(np.array(b, dtype=float) for b in cartan_gamma_lists(space, coords))
-
-
 def _jet_covariant(block, slots, space, coords, kind):
     """Covariant derivative of a d-tensor T at a jet point, from the
-    :func:`_stack` block of its jets.
+    :func:`~geoplasma.common.jet_block` of its jets.
 
     T has one valence tag per index in ``slots``.  ``kind`` is one of "hT"
     (adds a covariant greek axis), "hM" (adds a covariant latin axis) or "v"
     (adds the paired contravariant-greek and covariant-latin axes, in that
     order); the result is a float array.  Coefficients: kappa for greek and
     G for latin slots under hT, L for latin under hM, C for latin under v;
-    greek slots are untouched by hM and v.
-
-    The partial along each derivative index is one operation per term for
-    all components, and the correction of slot a and summation index m one
-    product of the values at m on axis a with the coefficients laid along
-    axis a.  Each component
-    gets the scalar sequence of a component-wise loop: the corrections
-    summed from 0.0 in slot order and then m order, plus the partial.
+    greek slots are untouched by hM and v.  The corrections are summed from
+    0.0 and the partial is added last.
     """
     p, n = space.p, space.n
     kappa, Gt, L, C = cartan_gamma(space, coords)  # kappa before N: h's error first
     ops = _Derivatives(space, coords)
-    shape, lanes = block.shape[1:1 + len(slots)], block.shape[1 + len(slots):]
-    # the latin and greek coefficients are indexed [i][m][derivative index]
+    r = len(slots)
+    # the latin and greek coefficients are indexed [i][m][*derivative index]
     if kind == "hT":
-        partials = [ops.delta_t(block, eps) for eps in range(p)]
-        dshape, latin, greek = (p,), Gt, kappa
+        partials, latin, greek = [ops.delta_t(block, eps) for eps in range(p)], Gt, kappa
     elif kind == "hM":
-        partials = [ops.delta_x(block, q) for q in range(n)]
-        dshape, latin, greek = (n,), L, None
+        partials, latin, greek = [ops.delta_x(block, q) for q in range(n)], L, None
     elif kind == "v":
-        partials = [ops.fiber(block, q, eps) for eps in range(p) for q in range(n)]
-        dshape, latin, greek = (p, n), np.swapaxes(C, 2, 3), None
+        partials = [np.stack([ops.fiber(block, q, eps) for q in range(n)], axis=r)
+                    for eps in range(p)]
+        latin, greek = np.swapaxes(C, 2, 3), None
     else:
         raise TensorError(f"unknown derivative kind {kind!r}")
-
-    vals = block[0].reshape(shape + (1,) * len(dshape) + lanes)
-    acc = 0.0
-    for a, slot in enumerate(slots):
-        coeff = latin if slot.latin else greek
-        if coeff is None:
-            continue
-        for m in range(len(coeff)):
-            c = coeff[:, m] if slot.up else coeff[m]  # [index at slot a][derivative index]
-            c = c.reshape((1,) * a + c.shape[:1] + (1,) * (len(slots) - a - 1) + c.shape[1:])
-            term = np.take(vals, [m], axis=a) * c
-            acc = acc + term if slot.up else acc - term
-    partial = np.stack(partials, axis=len(slots)).reshape(shape + dshape + lanes)
-    return acc + partial
+    coeffs = [latin if slot.latin else greek for slot in slots]
+    return covariant_derivative(block, slots, np.stack(partials, axis=r), coeffs,
+                                partial_first=False)
 
 
 def _velocity(space, coords, g, hinv, point=None):
@@ -311,7 +275,7 @@ def _velocity(space, coords, g, hinv, point=None):
 class _MetricJets:
     """h, h^-1, g and g^-1 as jets of one seeding of a jet point, shared by
     the frame and the metric compatibilities; ``graw`` holds g as the field
-    gives it (for the unit velocity), ``gblock`` its :func:`_stack` block."""
+    gives it (for the unit velocity), ``gblock`` its :func:`~geoplasma.common.jet_block`."""
 
     def __init__(self, space, coords):
         self.cj, self.ctx = cj, ctx = seed(list(coords))
@@ -321,7 +285,7 @@ class _MetricJets:
         self.graw = space.g.matrix(cj)
         self.g = [[promote(v, ctx) for v in row] for row in self.graw]
         self.ginv = invert_symmetric(self.g, coords)
-        self.gblock = _stack(self.g, 2)
+        self.gblock = jet_block(self.g, 2)
 
 
 @point_memo
@@ -578,7 +542,7 @@ def conservation_divergence(state, space, coords):
     """Direct contracted divergences (h, v) of the mixed stress, built from the
     point's frame jets and differentiated through them."""
     n, p = space.n, space.p
-    T = _stack(_mixed_stress(_Frame(state, space, coords)), 2)
+    T = jet_block(_mixed_stress(_Frame(state, space, coords)), 2)
     d = _jet_covariant(T, (Slot.LU, Slot.LD), space, coords, "hM")
     h = np.array([sum(d[m, i, m] for m in range(n)) for i in range(n)])
     d = _jet_covariant(T, (Slot.LU, Slot.LD), space, coords, "v")
@@ -592,15 +556,15 @@ def metric_compatibility(space, coords):
     metric jets the point's frame is built on: max norms, one per lane when
     the coordinates are lane arrays."""
     lanes = any(isinstance(c, np.ndarray) for c in coords)
-    # the blocks before the jets: kappa splits a batch before any seeding, and
-    # the errors of h, N and g come from the blocks
+    # the blocks build kappa before the metric jets: it splits a batch before
+    # any seeding, and h's error comes first
     cartan_gamma(space, coords)
     m = _MetricJets(space, coords)
     out = {}
-    for name, slots, block in (("h", (Slot.GD, Slot.GD), _stack(m.h, 2)),
-                               ("hinv", (Slot.GU, Slot.GU), _stack(m.hinv, 2)),
+    for name, slots, block in (("h", (Slot.GD, Slot.GD), jet_block(m.h, 2)),
+                               ("hinv", (Slot.GU, Slot.GU), jet_block(m.hinv, 2)),
                                ("g", (Slot.LD, Slot.LD), m.gblock),
-                               ("ginv", (Slot.LU, Slot.LU), _stack(m.ginv, 2))):
+                               ("ginv", (Slot.LU, Slot.LU), jet_block(m.ginv, 2))):
         for kind in ("hT", "hM", "v"):
             d = _jet_covariant(block, slots, space, coords, kind)
             out[f"{name}_{kind}"] = max_abs(d, lanes)
@@ -679,11 +643,10 @@ def stream_sheet_residuals(state, space, coords, coefficients=False):
                 - sum(fr.ginv0[k][m] * fr.v[mu].dp[m] for m in range(n))
             )
             vertical[k][mu] = acc
-    out = (component_array(horizontal, (n,)),
-           component_array([v for row in vertical for v in row], (n, p)))
+    lanes = np.shape(coords[0])
+    out = (lane_array(horizontal, lanes), lane_array(vertical, lanes))
     if coefficients:
-        out += (component_array(Hm, (n,)),
-                component_array([v for row in Vm for v in row], (n, p)))
+        out += (lane_array(Hm, lanes), lane_array(Vm, lanes))
     return out
 
 

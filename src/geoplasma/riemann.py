@@ -24,6 +24,8 @@ from .common import (
     energy_low_mixed,
     energy_mixed_direct,
     integrate_rk4,
+    latin_block,
+    metric_blocks,
     mixed_stress,
     point_memo,
     unit_norm_error,
@@ -87,8 +89,14 @@ def levi_civita_derivative(field, slots, space, x):
     in ``slots``.  Returns a float array with one extra covariant axis:
     the partial plus one gamma correction per slot, signed by variance.
     """
-    T = eval_jets(field, *seed(list(x)))
-    return covariant_derivative(T, slots, _partial, christoffel_lists(space, x))
+    return _levi_civita(latin_block(field, slots, x), slots, christoffel(space, x))
+
+
+def _levi_civita(block, slots, gamma):
+    """The derivative from the jet block of a latin tensor, seeded at the point
+    of the Christoffel array ``gamma``."""
+    partials = np.moveaxis(block[1:], 0, len(slots))  # row 1 + k: the partial along k
+    return covariant_derivative(block, slots, partials, [gamma] * len(slots), partial_first=True)
 
 
 def _unit_velocity(state, phi, coords, point=None):
@@ -238,11 +246,6 @@ def integrate_stream_line(state, space, em, x0, v0, step, count, monitors=()):
 
 def metric_compatibility(space, x):
     """Max norms of the covariant derivatives of phi and its inverse."""
-    coords, ctx = seed(list(x))
-    gamma = christoffel_lists(space, x)
-    phi = space.phi.matrix(coords)
-    out = []
-    for slots, m in (((Slot.LD, Slot.LD), phi), ((Slot.LU, Slot.LU), invert_symmetric(phi))):
-        T = [[promote(v, ctx) for v in row] for row in m]
-        out.append(float(np.abs(covariant_derivative(T, slots, _partial, gamma)).max()))
-    return tuple(out)
+    gamma = christoffel(space, x)
+    return tuple(float(np.abs(_levi_civita(block, slots, gamma)).max())
+                 for slots, block in metric_blocks(space.phi.matrix, x))

@@ -461,8 +461,7 @@ def _sheet_fields(spec, n, p, names):
         raise ScenarioError(f"'sheet.x' must list {n} expressions over t1..t{p}")
     fields = None if exprs is None else [
         _field(e, names[:p], f"sheet.x[{i}]") for i, e in enumerate(exprs)]
-    if "grid" in spec:  # its node count depends on --refine: streamsheet checks that
-        _box_spec(spec["grid"], p, True, "sheet.grid")
+    _box_spec(spec.get("grid"), p, True, "sheet.grid")  # streamsheet checks its node count
     return fields
 
 

@@ -7,8 +7,9 @@ unreduced or former forms (``walk``, the recursive tree walker of the
 expression language; seeded scalar-field evaluation, the covariant
 stream-sheet residuals, the edml Lagrangian, the multi-time velocity,
 the multi-time mixed stress from every field, the RK4 integrator on numpy
-arrays, the multi-time covariant derivative one component at a time, the Finsler space of a fundamental function on the general jet engine
-of :mod:`reference_dual`); only tests call them.
+arrays, the covariant derivatives of all three frameworks one component
+at a time, the Finsler space of a fundamental function on the general jet
+engine of :mod:`reference_dual`); only tests call them.
 The adapters return what the tests read from the pieces the pipelines
 use (``common.unit_vector``, the adapted partials, the connection lists).
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 import reference_dual as ref
 from geoplasma import expr as expr_mod
-from geoplasma.common import component_array, energy_low_mixed, jet_values, unit_vector
+from geoplasma.common import energy_low_mixed, jet_block, unit_vector
 from geoplasma.dual import Jet, branch, power, promote, scalar_value, seed
 from geoplasma.errors import DomainError, IntegrationError, TensorError, UnboundVariableError
 from geoplasma.expr import BinOp, Call, Neg, Num, Var, compile_field, parse, pretty
@@ -26,9 +27,8 @@ from geoplasma.multitime import (
     _Derivatives,
     _Frame,
     _jet_covariant,
-    _stack,
     _velocity,
-    cartan_gamma_lists,
+    cartan_gamma,
     fiber_index,
     temporal_christoffel_lists,
 )
@@ -621,11 +621,61 @@ def stream_sheet_residuals_covariant(state, space, coords):
     return np.array(horizontal), np.array(vertical)
 
 
+def component_array(values, shape):
+    """Components listed in ``np.ndindex(shape)`` order as a float array.
+
+    Lane arrays (one lane per point) add a trailing lane axis, over which
+    plain floats among them are repeated; plain floats alone give an array
+    of ``shape``.
+    """
+    if any(isinstance(v, np.ndarray) for v in values):
+        values = np.broadcast_arrays(*values)
+    out = np.array(values, dtype=float)
+    return out.reshape(shape + out.shape[1:])
+
+
+def jet_values(T, slots):
+    """``T`` as an object array of jets and its values keyed by index tuple."""
+    T = np.array(T, dtype=object)
+    if T.ndim != len(slots):
+        raise TensorError(f"rank {T.ndim} tensor given {len(slots)} slots")
+    return T, {idx: T[idx].value for idx in np.ndindex(T.shape)}
+
+
+def covariant_per_component(T, slots, partial, coeff):
+    """Covariant derivative of a latin tensor T given as jets at one point,
+    one component at a time.
+
+    The former riemann and lagrange form of ``common.covariant_derivative``:
+    ``partial(jet, p)`` is the adapted partial along direction p and
+    ``coeff[i][j][p]`` the connection block.  Each component starts from its
+    partial and adds one coefficient correction per slot, signed by variance.
+    """
+    if any(not s.latin for s in slots):
+        raise TensorError("covariant derivative requires all-latin valence")
+    T, vals = jet_values(T, slots)
+    n = len(coeff)
+    out = []
+    for idx in np.ndindex(T.shape):
+        for p in range(n):
+            acc = partial(T[idx], p)
+            for a, slot in enumerate(slots):
+                pre, i, post = idx[:a], idx[a], idx[a + 1:]
+                if slot.up:
+                    for m in range(n):
+                        acc = acc + vals[pre + (m,) + post] * coeff[i][m][p]
+                else:
+                    for m in range(n):
+                        acc = acc - vals[pre + (m,) + post] * coeff[m][i][p]
+            out.append(acc)
+    return component_array(out, T.shape + (n,))
+
+
 def jet_covariant_derivative(field, slots, space, coords, kind):
     """The multi-time covariant derivative of a d-tensor field at a jet point:
     ``multitime._jet_covariant`` of ``field(coords)`` evaluated as jets."""
     T = eval_jets(field, *seed(list(coords)))
-    return _jet_covariant(_stack(T, len(slots)), slots, space, coords, kind)
+    return _jet_covariant(jet_block(T, len(slots)), slots, space, coords, kind)
 
 
 def jet_covariant_per_component(T, slots, space, coords, kind):
@@ -636,7 +686,7 @@ def jet_covariant_per_component(T, slots, space, coords, kind):
     corrections are summed from 0.0 in slot order and then m order.
     """
     p, n = space.p, space.n
-    kappa, Gt, L, C = cartan_gamma_lists(space, coords)  # kappa before N: h's error first
+    kappa, Gt, L, C = cartan_gamma(space, coords)  # kappa before N: h's error first
     ops = _Derivatives(space, coords)
     T, vals = jet_values(T, slots)
 

@@ -116,7 +116,7 @@ def test_c02_connection_fd_oracle():
     p, n = 2, 2
     space, _, box = helpers.random_multitime_scenario(np.random.default_rng(17), p, n)
     for coords in helpers.sample_box(rng, box, 50):
-        kappa, Gt, L, C = mt.cartan_gamma_lists(space, coords)
+        kappa, Gt, L, C = mt.cartan_gamma(space, coords)
         # temporal block against finite differences of h
         t = coords[:p]
         h0 = np.array(space.h.matrix(t))

@@ -23,8 +23,10 @@ import numpy as np
 import pytest
 
 from geoplasma import dual, expr, lagrange, multitime as mt, riemann, scenario as scenario_mod
-from geoplasma.common import covariant_derivative, inertial_factor
-from geoplasma.errors import BatchSplit, DomainError, GeoPlasmaError, SingularDynamicsError
+from geoplasma.common import inertial_factor, jet_block
+from geoplasma.errors import (
+    BatchSplit, DomainError, GeoPlasmaError, SingularDynamicsError, TensorError,
+)
 from geoplasma.lagrange import _adapted_partials
 from geoplasma.multitime import _Derivatives, _velocity
 from geoplasma.scenario import build_scenario, evaluation_points, load_scenario
@@ -163,32 +165,32 @@ CASES = {
     "sheet_overflowing_node": ("sheet_rows",
                                dict(BSML, pressure="0.4 + 1e-300*(t1*t2*1.0e154)^2"),
                                1, 50, 2),
-    # a suite that batches seeds twice: for the connection blocks, and for the
-    # metric jets that the metric compatibilities, the frame and the direct
-    # divergence share
-    "verify_bsml_sheet": ("invariants", BSML, None, 2, 2),
+    # a suite that batches seeds once, for the metric jets that the connection
+    # blocks, the metric compatibilities, the frame and the direct divergence
+    # share (twice while the connection blocks seeded the point on their own)
+    "verify_bsml_sheet": ("invariants", BSML, None, 1, 2),
     # nonzero kappa, G, L and C
-    "verify_multitime3": ("invariants", MULTITIME3, None, 2, 2),
+    "verify_multitime3": ("invariants", MULTITIME3, None, 1, 2),
     # kappa's inversion of h splits the batch of 6 by the zero h_12 of the two
     # points at t1 = 0 before any seeding; each side then batches, the zero
     # h^12 skipped in both
     "verify_diagonal_h": ("invariants", dict(MULTITIME3, eval={"points": DIAGONAL_H}),
-                          None, 4, 2),
-    # log(x2) fails at 5 of the 10 points: the frame splits the batch after 2
-    # seedings, the 5 good points batch, and the 5 failing ones fail as a batch
+                          None, 2, 2),
+    # log(x2) fails at 5 of the 10 points: the frame splits the batch after 1
+    # seeding, the 5 good points batch, and the 5 failing ones fail as a batch
     # and then alone
-    "verify_log_domain": ("invariants", SHEET_FAILURES, 5, 16, 2),
+    "verify_log_domain": ("invariants", SHEET_FAILURES, 5, 8, 2),
     # the batch overflows in the frame; its 10 points run alone, and the one
     # that overflows fails there
-    "verify_overflowing_point": ("invariants", OVERFLOWING_POINT, 1, 22, 2),
-    "verify_rgogml": ("invariants", RGOGML, None, 2, 2),
+    "verify_overflowing_point": ("invariants", OVERFLOWING_POINT, 1, 11, 2),
+    "verify_rgogml": ("invariants", RGOGML, None, 1, 2),
     # kappa splits off the two points where h is singular, which fail as a
     # batch and then alone (no seeding); the connection blocks split the
-    # other two by g, and each runs alone.  Where h and g are both singular,
-    # h is named, as by the one-point suite
-    "verify_singular_h": ("invariants", SINGULAR_H, 3, 4, 2),
+    # other two by g after one seeding, and each runs alone.  Where h and g
+    # are both singular, h is named, as by the one-point suite
+    "verify_singular_h": ("invariants", SINGULAR_H, 3, 3, 2),
     "verify_singular_h_canonical": ("invariants", dict(SINGULAR_H, connection="canonical"),
-                                    3, 4, 2),
+                                    3, 3, 2),
 }
 
 
@@ -363,40 +365,62 @@ def _lanes_match_scalars(batch, scalars):
                [v.hex() for v in one.ravel().tolist()]
 
 
-def test_covariant_derivative_leaves_its_jets_unchanged():
-    # lane coefficients: the partial hands out a jet's own mutable slot array
-    lanes = [(0.3, 0.7), (-0.2, 1.1), (0.9, 0.05)]
-    coeff = np.random.default_rng(2).uniform(-1, 1, (2, 2, 2)).tolist()
+# a Christoffel block without a lane axis, which meets tensors with lanes
+_GAMMA = np.random.default_rng(2).uniform(-1, 1, (2, 2, 2))
+_SLOTS = (Slot.LD, Slot.LU)
+# case -> (framework of the random space, derivative of a jet block at coords)
+LANE_DERIVATIVES = {
+    "riemann": (None, lambda space, block, coords: riemann._levi_civita(block, _SLOTS, _GAMMA)),
+    "lagrange_h": ("lagrange", lambda space, block, coords:
+                   lagrange._hv_covariant(block, _SLOTS, space, coords)[0]),
+    "lagrange_v": ("lagrange", lambda space, block, coords:
+                   lagrange._hv_covariant(block, _SLOTS, space, coords)[1]),
+    # the three multitime kinds
+    **{kind: ("multitime", lambda space, block, coords, kind=kind:
+              mt._jet_covariant(block, _SLOTS, space, coords, kind))
+       for kind in ("hT", "hM", "v")},
+}
 
-    def derivative(x, y):
-        (x, y), ctx = dual.seed([x, y])
-        T = [[e * x + y * y for e in row] for row in [[1.0, 0.5], [0.5, 2.0]]]
-        before = [helpers.coefficient_bits(e) for row in T for e in row]
-        out = covariant_derivative(T, (Slot.LD, Slot.LU), lambda jet, k: jet.d(k), coeff)
-        assert [helpers.coefficient_bits(e) for row in T for e in row] == before
-        return out
 
-    scalars = [derivative(x, y) for x, y in lanes]
-    assert all(one.dtype == float and one.shape == (2, 2, 2) for one in scalars)
-    _lanes_match_scalars(derivative(*map(np.array, zip(*lanes))), scalars)
-
-
-@pytest.mark.parametrize("kind", ["hT", "hM", "v"])
-def test_jet_covariant_derivative_keeps_lanes(kind):
+@pytest.mark.parametrize("name", sorted(LANE_DERIVATIVES))
+def test_jet_covariant_derivative_keeps_lanes(name):
+    # lane coefficients: the partials are rows of the block, which the
+    # frames share between derivatives
+    framework, derivative = LANE_DERIVATIVES[name]
     rng = np.random.default_rng(11)
-    space, _, box = helpers.random_multitime_scenario(rng, 2, 2)
-    points = [[float(v) for v in point] for point in helpers.sample_box(rng, box, 3)]
-    slots = (Slot.LD, Slot.LD)
+    if framework is None:
+        space, points = None, [[0.3, 0.7], [-0.2, 1.1], [0.9, 0.05]]
+    else:
+        if framework == "lagrange":
+            space, _, box = helpers.random_lagrange_scenario(rng, 2)
+        else:
+            space, _, box = helpers.random_multitime_scenario(rng, 2, 2)
+        points = [[float(v) for v in point] for point in helpers.sample_box(rng, box, 3)]
 
-    def derivative(coords):
-        T = eval_jets(space.g.matrix, *dual.seed(list(coords)))
+    def at(coords):
+        cj, ctx = dual.seed(list(coords))
+        if space is None:
+            T = [[e * cj[0] + cj[1] * cj[1] for e in row] for row in [[1.0, 0.5], [0.5, 2.0]]]
+        else:
+            T = eval_jets(space.g.matrix, cj, ctx)
         before = [helpers.coefficient_bits(e) for row in T for e in row]
-        out = mt._jet_covariant(mt._stack(T, 2), slots, space, coords, kind)
+        block = jet_block(T, 2)
+        block_bits = block.tobytes()
+        out = derivative(space, block, coords)
         assert [helpers.coefficient_bits(e) for row in T for e in row] == before
+        assert block.tobytes() == block_bits
         return out
 
-    scalars = [derivative(coords) for coords in points]
-    _lanes_match_scalars(derivative([np.array(lane) for lane in zip(*points)]), scalars)
+    scalars = [at(coords) for coords in points]
+    assert all(one.dtype == float for one in scalars)
+    _lanes_match_scalars(at([np.array(lane) for lane in zip(*points)]), scalars)
+
+
+def test_levi_civita_derivative_rejects_a_greek_slot():
+    space = helpers.flat_space(2)
+    with pytest.raises(TensorError, match="^covariant derivative requires all-latin valence$"):
+        riemann.levi_civita_derivative(lambda c: [[c[0], c[1]], [c[1], c[0]]],
+                                       (Slot.LU, Slot.GD), space, [0.1, 0.2])
 
 
 def test_inertial_factor_is_plain_on_floats_and_splits_lanes():
@@ -423,7 +447,7 @@ def test_sheet_frame_pieces_stay_plain_on_floats():
                for row in g for e in row for a in range(2))
     # the connection blocks take the partials of the stacked metric block
     fr = mt._Frame(state, space, coords)
-    for block in (fr.L, fr.C, *mt.cartan_gamma_lists(space, coords)):
+    for block in (fr.L, fr.C):
         assert {type(v) for v in np.ravel(np.array(block, dtype=object))} == {float}
     hinv = [[1.0, 0.0], [0.0, 1.0]]
     u, u_low, eps = _velocity(space, coords, space.g.matrix(coords), hinv)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from geoplasma import dual
-from geoplasma.common import max_abs
+from geoplasma import dual, lagrange, riemann
+from geoplasma.common import jet_block, max_abs
 from geoplasma.errors import GeoPlasmaError, GridError
 from geoplasma.lagrange import lagrange_residuals
 from geoplasma.multitime import (
@@ -14,7 +14,6 @@ from geoplasma.multitime import (
     MultiTimeSpace,
     StreamSheet,
     cartan_gamma,
-    cartan_gamma_lists,
     conservation_divergence,
     metric_compatibility,
     multitime_residuals,
@@ -24,16 +23,17 @@ from geoplasma.multitime import (
     stress_tensors,
     zero_jet_connection,
 )
-from geoplasma.multitime import _jet_covariant, _stack
-from geoplasma.scenario import build_scenario
+from geoplasma.multitime import _jet_covariant
+from geoplasma.scenario import build_scenario, evaluation_points
 from geoplasma.tensor_core import (
     MetricField,
     Slot,
     TwoFormField,
     constant_field,
+    eval_jets,
     scalar_field,
 )
-from test_output_bytes import MULTITIME3, SCENARIOS
+from test_output_bytes import LAGRANGE3, MULTITIME3, RIEMANN3, SCENARIOS
 
 RNG = np.random.default_rng(929)
 
@@ -173,7 +173,7 @@ def test_cartan_gamma_fd_oracle():
     p, n = space.p, space.n
     jp = sample_jet_points(space, box, 1)[0]
     coords = jp
-    kappa, Gt, L, C = cartan_gamma_lists(space, coords)
+    kappa, Gt, L, C = cartan_gamma(space, coords)
 
     step = 1e-5
     g0 = np.array(space.g.matrix(coords))
@@ -260,7 +260,7 @@ def test_covariant_dual_path_random_tensor():
     slots = (Slot.LU, Slot.LD)
     jp = sample_jet_points(space, box, 1)[0]
     coords = jp
-    kappa, Gt, L, C = cartan_gamma_lists(space, coords)
+    kappa, Gt, L, C = cartan_gamma(space, coords)
     t0 = np.array([[comps[i][j](coords) for j in range(n)] for i in range(n)])
 
     got_hM = np.array(helpers.jet_covariant_derivative(field, slots, space, jp, "hM").tolist())
@@ -327,16 +327,27 @@ ORACLE_SLOTS = [
 ]
 
 
+def _oracle_field(shape):
+    """A tensor field of the given shape, each component its own product of
+    the coordinates."""
+
+    def field(coords):
+        flat = [(0.3 + 0.1 * k) * coords[k % len(coords)] * coords[(3 * k + 1) % len(coords)]
+                + dual.sin(coords[(k + 2) % len(coords)])
+                for k in range(int(np.prod(shape)))]
+        return np.array(flat, dtype=object).reshape(shape).tolist() if shape else flat[0]
+
+    return field
+
+
 def _oracle_tensor(coords, slots, p, n):
-    """Jets of a tensor with one valence level per slot, each component its
-    own product of seeded coordinates."""
+    """Jets of an oracle field with one valence level per slot."""
     cj, _ = dual.seed(list(coords))
-    shape = tuple(n if slot.latin else p for slot in slots)
-    flat = [
-        (0.3 + 0.1 * k) * cj[k % len(cj)] * cj[(3 * k + 1) % len(cj)] + dual.sin(cj[(k + 2) % len(cj)])
-        for k in range(int(np.prod(shape)))
-    ]
-    return np.array(flat, dtype=object).reshape(shape).tolist() if shape else flat[0]
+    return _oracle_field(tuple(n if slot.latin else p for slot in slots))(cj)
+
+
+def _layout(a):
+    return a.shape, a.dtype, a.tobytes()
 
 
 def _outcome(fn):
@@ -344,7 +355,7 @@ def _outcome(fn):
         out = fn()
     except GeoPlasmaError as err:
         return type(err).__name__
-    return out.shape, out.dtype, out.tobytes()
+    return _layout(out)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -361,9 +372,47 @@ def test_block_covariant_derivative_matches_the_per_component_loop(
     coords = [np.array(c) for c in zip(*points)] if lanes else points[0]
     space = scenario.space
     T = _oracle_tensor(coords, slots, space.p, space.n)
-    got = _outcome(lambda: _jet_covariant(_stack(T, len(slots)), slots, space, coords, kind))
+    got = _outcome(lambda: _jet_covariant(jet_block(T, len(slots)), slots, space, coords, kind))
     want = _outcome(lambda: helpers.jet_covariant_per_component(T, slots, space, coords, kind))
     assert got == want
+
+
+BASE_SCENARIOS = {
+    "polar_plasma": build_scenario(json.loads((SCENARIOS / "polar_plasma.json").read_text())),
+    "riemann3": build_scenario(RIEMANN3),
+    "tangent_bundle": build_scenario(json.loads((SCENARIOS / "tangent_bundle.json").read_text())),
+    "lagrange3": build_scenario(LAGRANGE3),
+}
+LATIN_SLOTS = [
+    (), (Slot.LU,), (Slot.LD,), (Slot.LU, Slot.LD), (Slot.LD, Slot.LD), (Slot.LU, Slot.LU),
+    (Slot.LU, Slot.LD, Slot.LD), (Slot.LD, Slot.LU, Slot.LU),
+]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(BASE_SCENARIOS)), slots=st.sampled_from(LATIN_SLOTS),
+       lanes=st.sampled_from([0, 3]), picks=st.lists(st.integers(0, 19), min_size=3, max_size=3))
+def test_block_covariant_derivative_matches_the_riemann_and_lagrange_loop(
+        name, slots, lanes, picks):
+    # riemann and lagrange add each component's corrections to its partial
+    scenario = BASE_SCENARIOS[name]
+    points = evaluation_points(scenario)[0]
+    points = [points[k % len(points)] for k in picks[:max(lanes, 1)]]
+    coords = [np.array(c) for c in zip(*points)] if lanes else points[0]
+    space, n = scenario.space, scenario.space.n
+    field = _oracle_field((n,) * len(slots))
+    T = eval_jets(field, *dual.seed(list(coords)))
+    if scenario.framework == "riemann":
+        got = [riemann.levi_civita_derivative(field, slots, space, coords)]
+        want = [helpers.covariant_per_component(
+            T, slots, lambda jet, k: jet.d(k), riemann.christoffel_lists(space, coords))]
+    else:
+        got = lagrange.hv_covariant(field, slots, space, coords)
+        _, horizontal, vertical = lagrange._adapted_partials(space, coords)
+        want = [helpers.covariant_per_component(T, slots, partial, coeff)
+                for partial, coeff in zip((horizontal, vertical),
+                                          lagrange.cartan_connection_lists(space, coords))]
+    assert [_layout(d) for d in got] == [_layout(d) for d in want]
 
 
 def test_greek_valence_under_hT():

@@ -37,12 +37,14 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # instead of reading the frame's inverses, and 6/9 while the metric
 # compatibilities seeded the point and inverted h and g anew and the direct
 # divergence rebuilt the stress from every field instead of reading the
-# frame's jets; its residuals made 3/4 while the frame built kappa, which only
-# the temporal derivative reads
+# frame's jets, and 4/5 while the connection blocks seeded the point and
+# inverted g's values instead of reading the frame's metric jets; its
+# residuals made 3/4 while the frame built kappa, which only the temporal
+# derivative reads
 PER_POINT = {
     "polar_plasma": (4, 8, 1, 1),
     "tangent_bundle": (5, 6, 2, 2),
-    "bsml_sheet": (4, 5, 2, 3),
+    "bsml_sheet": (3, 4, 2, 3),
 }
 
 
@@ -90,13 +92,14 @@ def test_verify_counts_of_one_lane_batch(counts, capsys):
     # whole command makes the seedings and inversions of one point.  The
     # adapted derivatives decide which N and kappa terms vanish once per
     # index and seeding: the batch made 657 branch calls while every
-    # derivative of every component decided them again, and 185 while the
+    # derivative of every component decided them again, 185 while the
     # metric compatibilities and the direct divergence inverted h and g and
-    # normalized the velocity again
+    # normalized the velocity again, and 137 while the connection blocks
+    # inverted g's values again
     seeds, inversions, _, _ = PER_POINT["bsml_sheet"]
     assert main(["verify", "--scenario", scenario_path("bsml_sheet"), "--points", "12"]) == 0
     assert (counts["seed"], counts["invert_symmetric"]) == (seeds, inversions)
-    assert counts["branch"] == 137
+    assert counts["branch"] == 131
 
 
 @pytest.mark.parametrize("name", sorted(PER_POINT))

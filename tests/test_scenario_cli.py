@@ -811,6 +811,7 @@ _SHEET = multitime_config()["sheet"]
     (5, "'sheet' must be an object"),
     (dict(_SHEET, grid=dict(_SHEET["grid"], max=[1.0, float("inf")])),
      "'sheet.grid' bounds and their spans must be finite"),
+    ({"x": _SHEET["x"]}, "'sheet.grid' must be an object"),
 ])
 @pytest.mark.parametrize("command", [
     ["residuals"], ["verify"], ["connection", "--at", "0.1,0.2,1,0,1,1,1,1"], ["streamsheet"],

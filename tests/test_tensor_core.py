@@ -28,7 +28,7 @@ def test_dimension_above_max_dim_rejected():
 
 def test_slot_count_must_match_rank():
     space = helpers.flat_space(2)
-    with pytest.raises(TensorError):
+    with pytest.raises(TensorError, match="^rank 2 tensor given 1 slots$"):
         levi_civita_derivative(lambda c: [[1.0, 0.0], [0.0, 1.0]], (Slot.LD,), space, [0.1, 0.2])
 
 
