@@ -53,6 +53,12 @@ OVERFLOWING_POINT = dict(BSML, pressure="0.4 + 1e-300*(t1*t2*1.0e154)^2", eval={
 RGOGML = dict(BSML, model={"name": "rgogml", "params": {
     "phi": {"name": "polar"}, "refractive_index": "1.3 + 0.1*sin(t1)", "X": ["1", "0.5*t2"]}})
 THREE = [[1.0, 0.1], [0.0, 0.2], [1.2, -0.1]]
+# constant metric, fluid and field on the base manifold and on the tangent
+# bundle, sampled at 20 points
+CONSTANT_RIEMANN = dict(POLAR, metric=FLAT, pressure="0.3", density="1.2", velocity=["1", "0.5"],
+                        em={"H": [["0.2"], []], "G": "self-dual"})
+CONSTANT_LAGRANGE = dict(TANGENT, metric=FLAT, pressure="0.3", density="1.1",
+                         em={"H": [["0.15"], []], "G": [["0.1"], []]})
 
 
 def _polar(**over):
@@ -191,6 +197,22 @@ CASES = {
     "verify_singular_h": ("invariants", SINGULAR_H, 3, 3, 2),
     "verify_singular_h_canonical": ("invariants", dict(SINGULAR_H, connection="canonical"),
                                     3, 3, 2),
+    # the riemann and lagrange suites: one frame seeding per batch (lagrange
+    # seeds its connection blocks once more)
+    "verify_riemann3": ("invariants", RIEMANN3, None, 8, 2),
+    "verify_lagrange3": ("invariants", LAGRANGE3, None, 12, 2),
+    # a log fails at 7 of the 20 points (x1 < 1) and at 6 of the 20 (x1 <
+    # -0.2), scattered through them: the batch splits, the good points
+    # batch, and the failing ones fail as a batch and then alone
+    "verify_riemann_log_domain": ("invariants", _polar(pressure="0.3 + 0.04*log(x1 - 1.0)"),
+                                  7, 20, 2),
+    "verify_lagrange_log_domain": ("invariants",
+                                   dict(TANGENT, pressure="0.3 + 0.04*log(x1 + 0.2)"),
+                                   6, 40, 2),
+    # every field constant: the connection, energy and stress arrays built
+    # from plain floats must still carry the lane axis
+    "verify_riemann_constant": ("invariants", CONSTANT_RIEMANN, None, 20, 2),
+    "verify_lagrange_constant": ("invariants", CONSTANT_LAGRANGE, None, 40, 2),
 }
 
 

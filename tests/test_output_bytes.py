@@ -35,7 +35,9 @@ through the interpreted frame, before stream lines were recorded and
 replayed.  The ``kappa_zero`` pins (20 explicit points, kappa vanishing at
 7 of them, so the first temporal derivative of a verify batch splits it)
 were recorded before the multitime adapted derivatives ran on stacked
-coefficient blocks.
+coefficient blocks.  The riemann and lagrange ``verify`` pins at 24 points
+were recorded while those suites evaluated every point alone, before they
+ran in lane batches.
 
 The hashes assume CPython 3.11 and numpy 2.4.6 on x86-64 Linux with glibc
 2.36's libm: another libm may round ``sin``/``exp``/``log`` differently in
@@ -305,6 +307,15 @@ CASES["verify-points-24-sheet_failures"] = ("sheet_failures", ["verify", "--poin
 CASES["verify-tol-1e-30-points-24-bsml_sheet"] = (
     "bsml_sheet", ["verify", "--tol", "1e-30", "--points", "24"], 1,
 )
+# more points than MIN_BATCH, on riemann and lagrange: recorded while their
+# verify evaluated every point alone, before their suites ran in lane batches;
+# the tolerance cases print each invariant's worst offender
+for _name in ("polar_plasma", "tangent_bundle", "riemann3", "lagrange3"):
+    CASES[f"verify-points-24-{_name}"] = (_name, ["verify", "--points", "24"], 0)
+for _name in ("riemann3", "lagrange3"):
+    CASES[f"verify-tol-1e-30-points-24-{_name}"] = (
+        _name, ["verify", "--tol", "1e-30", "--points", "24"], 1,
+    )
 # more points than MIN_BATCH: residuals run their points as lane batches
 for _name in ("lagrange3", "multitime3", "edml"):
     CASES[f"residuals-points-24-{_name}"] = (_name, ["residuals", "--points", "24"], 0)
@@ -362,6 +373,12 @@ EXPECTED = {
     "verify-tol-1e-30-points-24-bsml_sheet": ("7384e5dcfcedae1be4fbd0929a386d8e47a75fbe69f0448cc722eb3c137b44b6", "0281dc772a26a27854d52b3fc236e247695ea3551bf0489c8f55adc17aeb97c3"),
     "verify-kappa_zero": ("c5a79a75f492d2021730731fd4f765ec25a75e248e233897326577c8a9ad38d4", "24125598f01ebaf656d3fe9cbab4cbd9795d3d0ee72e475c182c36a6c7c4843d"),
     "residuals-kappa_zero": ("228549788db1ce32fe8c21b243cfadf09bfc0635ba492641ad587cce04fdb659", None),
+    "verify-points-24-lagrange3": ("0dc055a71cdd5bf9b522e90c51eee329e0569509887d338ff4ffe4240c604239", "33efd47d07fd787b468085a665d310d328b629dc29e65f2cf120a5be8b814c49"),
+    "verify-points-24-polar_plasma": ("ed6dcbcc86ea0f48c002cb8c1ed19450e60a228bff910dfced8fc913ab6cb981", "acfb4728bc0dff73b84bfe54b6d78485c15515f3926e62921d33003c8da03a2c"),
+    "verify-points-24-riemann3": ("f2827753e3486353ac70aa45e93fdcbd919a0b61971065d52fe439edd22fa080", "23c0be38efe689c43d8a0b3262933d2852c43e0e19157695275322e96d9b8cda"),
+    "verify-points-24-tangent_bundle": ("d87bc71ee5578ff2a8d4dffd853210a35cb109d136e551614f202569fca9af3e", "96ed1a7138bb5425ca2597249f2368c980659502881899787a67c9f34d5eae55"),
+    "verify-tol-1e-30-points-24-lagrange3": ("19364f32ba5ca8e6a9c6b816153427a478da594daf2fee7fd3e1667375899cdf", "ec693da2c6e36711f5afd75447d6a27280c4069348b072b32fce2f7742a36f4f"),
+    "verify-tol-1e-30-points-24-riemann3": ("5c19d7c68583487b05406000b4e13662121f0246736ae29b212c18f89996a69a", "a13537802357e136af77bb08c2a177fc90256c03ef54a2df07820196ec3f89bc"),
 }
 
 
