@@ -29,6 +29,7 @@ from .common import (
     jet_rows,
     lane_array,
     latin_block,
+    max_abs,
     metric_blocks,
     mixed_stress,
     point_memo,
@@ -270,11 +271,11 @@ def conservation_divergence(state, space, coords):
 
 
 def metric_compatibility(space, coords):
-    """Max norms of g and its inverse under both covariant derivatives."""
-    out = {}
+    """Max norms of g and its inverse under both covariant derivatives, per lane on lanes."""
+    lanes, out = np.ndim(coords[0]) > 0, {}
     for name, (slots, block) in zip(("g", "ginv"), metric_blocks(space.g.matrix, coords)):
         out[f"{name}_h"], out[f"{name}_v"] = (
-            float(np.abs(d).max()) for d in _hv_covariant(block, slots, space, coords))
+            max_abs(d, lanes) for d in _hv_covariant(block, slots, space, coords))
     return out
 
 

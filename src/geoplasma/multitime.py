@@ -555,7 +555,7 @@ def metric_compatibility(space, coords):
     """Metric compatibilities of h, g and their inverses, all channels, on the
     metric jets the point's frame is built on: max norms, one per lane when
     the coordinates are lane arrays."""
-    lanes = any(isinstance(c, np.ndarray) for c in coords)
+    lanes = np.ndim(coords[0]) > 0
     # the blocks build kappa before the metric jets: it splits a batch before
     # any seeding, and h's error comes first
     cartan_gamma(space, coords)

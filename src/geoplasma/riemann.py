@@ -24,7 +24,9 @@ from .common import (
     energy_low_mixed,
     energy_mixed_direct,
     integrate_rk4,
+    lane_array,
     latin_block,
+    max_abs,
     metric_blocks,
     mixed_stress,
     point_memo,
@@ -74,8 +76,8 @@ def christoffel_lists(space, x):
 
 
 def christoffel(space, x):
-    """Christoffel symbols gamma^i_jk of the metric, as a float array [i, j, k]."""
-    return np.array(christoffel_lists(space, x), dtype=float)
+    """Christoffel symbols gamma^i_jk of the metric, as a float array [i, j, k] (lanes last)."""
+    return lane_array(christoffel_lists(space, x), np.shape(x[0]))
 
 
 def _partial(jet, k):
@@ -110,7 +112,7 @@ def minkowski_energy(space, em, x):
     phi = space.phi.matrix(coords)
     phinv = invert_symmetric(phi, x)
     E_low, E_mix = energy_low_mixed(phi, phinv, em.H.matrix(coords), em.G.matrix(coords))
-    return np.array(E_low, dtype=float), np.array(E_mix, dtype=float)
+    return lane_array(E_low, np.shape(x[0])), lane_array(E_mix, np.shape(x[0]))
 
 
 def minkowski_energy_direct(space, em, x):
@@ -118,7 +120,7 @@ def minkowski_energy_direct(space, em, x):
     coords = list(x)
     phinv = invert_symmetric(space.phi.matrix(coords), x)
     E_mix = energy_mixed_direct(phinv, em.H.matrix(coords), em.G.matrix(coords))
-    return np.array(E_mix, dtype=float)
+    return lane_array(E_mix, np.shape(x[0]))
 
 
 def mixed_stress_field(state, space, em):
@@ -151,7 +153,7 @@ def stress_tensor(state, space, em, x):
         for i in range(n)
     ]
     T_mix = mixed_stress(E_mix, u, u_low, p, rho, state.c)
-    return np.array(T_low, dtype=float), np.array(T_mix, dtype=float)
+    return lane_array(T_low, np.shape(x[0])), lane_array(T_mix, np.shape(x[0]))
 
 
 def _energy_divergence(E_mix, gamma):
@@ -245,7 +247,7 @@ def integrate_stream_line(state, space, em, x0, v0, step, count, monitors=()):
 
 
 def metric_compatibility(space, x):
-    """Max norms of the covariant derivatives of phi and its inverse."""
+    """Max norms of the covariant derivatives of phi and its inverse, one per lane on lanes."""
     gamma = christoffel(space, x)
-    return tuple(float(np.abs(_levi_civita(block, slots, gamma)).max())
+    return tuple(max_abs(_levi_civita(block, slots, gamma), np.ndim(x[0]) > 0)
                  for slots, block in metric_blocks(space.phi.matrix, x))

@@ -55,6 +55,8 @@ BATCH_POINTS = 256  # points per batch; its jet arrays grow with it
 #   multitime reports      2.9 (x0.7)  3.1 (x1.3)  3.2 (x2.5)  3.2 (x3.8)  4.8 (x3.4)
 #   multitime sheet_rows   5.6 (x0.4)  5.4 (x0.7)  5.9 (x1.3)  3.6 (x3.3)  5.3 (x3.0)
 #   multitime invariants   3.2 (x0.6)  4.7 (x0.9)  3.8 (x2.1)  4.5 (x2.7)  3.1 (x5.2)
+#   riemann invariants     2.6 (x0.8)  2.6 (x1.5)  2.6 (x3.0)  2.8 (x4.3)  2.7 (x5.9)
+#   lagrange invariants    2.6 (x0.8)  2.8 (x1.4)  2.8 (x2.9)  2.7 (x4.4)  2.6 (x6.1)
 # From 8 points on, every batched callable wins.
 MIN_BATCH = 8
 
@@ -155,9 +157,8 @@ class Scenario:
     framework subclass evaluates ``report``, ``invariants`` and
     ``connection`` (block name -> (float array, index-order label)) at a
     point; the stream commands a framework lacks raise here.  ``report``
-    also runs on a batch of points, coordinates that are lane arrays with
-    one lane per point.  A framework whose invariant suites run as a batch
-    sets ``_batch_invariants``.
+    and ``invariants`` also run on a batch of points, coordinates that are
+    lane arrays with one lane per point, as :meth:`_evaluate` runs them.
     """
 
     n: int
@@ -167,51 +168,55 @@ class Scenario:
     eval_spec: dict
 
     hash = ""  # sha256 of the scenario file, set by load_scenario
-    _batch_invariants = None
 
     def reports(self, points):
         """(labels, values) of the report at each point, as :func:`report_table`
         gives them, or the GeoPlasmaError its evaluation raised."""
-        def table(coords, lanes):
-            labels, rows = report_table(self.report(coords), lanes)
+        def table(coords):
+            labels, rows = report_table(self.report(coords), np.ndim(coords[0]) > 0)
             return [(labels, row) for row in rows]
 
-        return self._evaluate(points, lambda coords: table(coords, False)[0],
-                              lambda batch: table(_lane_coords(batch), True))
+        return self._evaluate(points, table)
 
     def invariant_suites(self, points):
         """The invariant suite at each point, or the GeoPlasmaError its evaluation raised."""
-        return self._evaluate(points, self.invariants, self._batch_invariants)
+        def suites(coords):
+            suite = self.invariants(coords)
+            per_lane = zip(*(np.atleast_1d(v).tolist() for v in suite.values()), strict=True)
+            return [OrderedDict(zip(suite, values)) for values in per_lane]
 
-    def _evaluate(self, points, one, batched):
-        """``one(point)`` at each point, or the GeoPlasmaError it raised.
+        return self._evaluate(points, suites)
 
-        ``batched``, when given, returns the results of a list of points from
-        one evaluation with one lane per point; chunks of BATCH_POINTS points
+    def _evaluate(self, points, rows):
+        """The result at each point, or the GeoPlasmaError its evaluation raised.
+
+        ``rows(coords)`` returns one result per lane of lane coordinates, or
+        ``[result]`` at a point of plain floats; chunks of BATCH_POINTS points
         run through :meth:`_batch`.
         """
         for start in range(0, len(points), BATCH_POINTS):
-            yield from self._batch(points[start:start + BATCH_POINTS], one, batched)
+            yield from self._batch(points[start:start + BATCH_POINTS], rows)
 
-    def _batch(self, points, one, batched):
-        """Results of a batch.  Points that disagree on a condition run as two
-        batches, split by it; a batch that fails or overflows otherwise, and
-        one of fewer than MIN_BATCH points, runs point by point."""
+    def _batch(self, points, rows):
+        """Results of a batch, from one evaluation with a lane per point.  Points
+        that disagree on a condition run as two batches, split by it; a batch
+        that fails or overflows otherwise, and one of fewer than MIN_BATCH
+        points, runs point by point."""
         lanes = None
-        if batched is not None and len(points) >= MIN_BATCH:
+        if len(points) >= MIN_BATCH:
             try:
                 with np.errstate(divide="raise", over="raise", invalid="raise"):
-                    return batched(points)
+                    return rows(_lane_coords(points))
             except BatchSplit as split:
                 lanes = split.lanes
             except (GeoPlasmaError, ArithmeticError):
                 pass
         if lanes is None:
-            return [_one_point(one, coords) for coords in points]
+            return [_one_point(rows, coords) for coords in points]
         out = {}
         for side in (lanes, ~lanes):  # past the handler: the failed batch is freed
             picked = np.flatnonzero(side).tolist()
-            out.update(zip(picked, self._batch([points[k] for k in picked], one, batched)))
+            out.update(zip(picked, self._batch([points[k] for k in picked], rows)))
         return [out[k] for k in range(len(points))]
 
     def stream_line(self, x0, v0, step, count):
@@ -284,12 +289,6 @@ class MultitimeScenario(Scenario):
     def invariants(self, coords):
         return multitime_invariants(self.state, self.space, coords, bsml=self.bsml)
 
-    def _batch_invariants(self, points):
-        suite = multitime_invariants(self.state, self.space, _lane_coords(points),
-                                     bsml=self.bsml)
-        per_lane = zip(*(value.tolist() for value in suite.values()))
-        return [OrderedDict(zip(suite, values)) for values in per_lane]
-
     def connection(self, coords):
         labels = ("kappa[gamma][alpha][beta]", "G[k][j][gamma]", "L[i][j][k]", "C[i][j][k][gamma]")
         blocks = zip(mt.cartan_gamma(self.space, coords), labels)
@@ -307,21 +306,17 @@ class MultitimeScenario(Scenario):
 
     def sheet_row(self, coords, coefficients):
         """Values of :meth:`sheet_columns` at one jet point of the sheet."""
-        return self._sheet_values(coords, coefficients, 1)[0]
+        return self._sheet_values(coords, coefficients)[0]
 
     def sheet_rows(self, nodes, coefficients):
         """:meth:`sheet_row` at each jet point, or the GeoPlasmaError it raised;
         the nodes run in batches like riemann points."""
-        return self._evaluate(
-            nodes,
-            lambda coords: self.sheet_row(coords, coefficients),
-            lambda batch: self._sheet_values(_lane_coords(batch), coefficients, len(batch)),
-        )
+        return self._evaluate(nodes, lambda coords: self._sheet_values(coords, coefficients))
 
-    def _sheet_values(self, coords, coefficients, size):
-        """Rows of :meth:`sheet_columns` values at ``size`` jet points, one lane
-        each when the coordinates are lane arrays."""
-        n, nv = self.n, self.n * self.p
+    def _sheet_values(self, coords, coefficients):
+        """Rows of :meth:`sheet_columns` values, one per lane when the
+        coordinates are lane arrays, or one row."""
+        n, nv, size = self.n, self.n * self.p, np.size(coords[0])
         parts = mt.stream_sheet_residuals(self.state, self.space, coords, coefficients)
         h, v, *coeffs = (np.broadcast_to(np.reshape(a, (k, -1)), (k, size))
                          for a, k in zip(parts, (n, nv, n, nv)))
@@ -334,10 +329,10 @@ def _lane_coords(points):
     return [np.array(lane) for lane in zip(*points)]
 
 
-def _one_point(one, coords):
-    """``one(coords)``, or the GeoPlasmaError it raised."""
+def _one_point(rows, coords):
+    """``rows(coords)[0]``, or the GeoPlasmaError it raised."""
     try:
-        return one(coords)
+        return rows(coords)[0]
     except GeoPlasmaError as err:
         err.__traceback__ = err.__context__ = None  # hold no frames of the point
         return err

@@ -1,8 +1,8 @@
 """Batched evaluation: one frame for many points, the bits of one point each.
 
 Three callables run through ``Scenario``'s one split algorithm:
-``reports(points)`` of every framework, multitime ``sheet_rows(nodes,
-coefficients)`` and multitime ``invariant_suites(points)``.  Each seeds a
+``reports(points)`` and ``invariant_suites(points)`` of every framework and
+multitime ``sheet_rows(nodes, coefficients)``.  Each seeds a
 whole batch once, with one lane per point in every jet coefficient.  Each
 result must equal the one-point ``report`` (its columns laid out as the
 ``residuals`` CSV lays them out), ``sheet_row`` or ``invariants`` at its
@@ -199,20 +199,21 @@ CASES = {
                                     3, 3, 2),
     # the riemann and lagrange suites: one frame seeding per batch (lagrange
     # seeds its connection blocks once more)
-    "verify_riemann3": ("invariants", RIEMANN3, None, 8, 2),
-    "verify_lagrange3": ("invariants", LAGRANGE3, None, 12, 2),
+    "verify_riemann3": ("invariants", RIEMANN3, None, 1, 2),
+    "verify_lagrange3": ("invariants", LAGRANGE3, None, 2, 2),
     # a log fails at 7 of the 20 points (x1 < 1) and at 6 of the 20 (x1 <
     # -0.2), scattered through them: the batch splits, the good points
-    # batch, and the failing ones fail as a batch and then alone
+    # batch, and the failing ones fail as a batch and then alone (1 + 1 + 1
+    # + 7 frame seedings; lagrange seeds twice per try, 2 + 2 + 2 + 12)
     "verify_riemann_log_domain": ("invariants", _polar(pressure="0.3 + 0.04*log(x1 - 1.0)"),
-                                  7, 20, 2),
+                                  7, 10, 2),
     "verify_lagrange_log_domain": ("invariants",
                                    dict(TANGENT, pressure="0.3 + 0.04*log(x1 + 0.2)"),
-                                   6, 40, 2),
+                                   6, 18, 2),
     # every field constant: the connection, energy and stress arrays built
     # from plain floats must still carry the lane axis
-    "verify_riemann_constant": ("invariants", CONSTANT_RIEMANN, None, 20, 2),
-    "verify_lagrange_constant": ("invariants", CONSTANT_LAGRANGE, None, 40, 2),
+    "verify_riemann_constant": ("invariants", CONSTANT_RIEMANN, None, 1, 2),
+    "verify_lagrange_constant": ("invariants", CONSTANT_LAGRANGE, None, 2, 2),
 }
 
 
@@ -316,6 +317,20 @@ def test_a_plain_lane_divisor_splits_on_its_zero_lanes():
     with pytest.raises(DomainError) as every:  # every lane zero: the one-point error
         expr.evaluate(tree, {"x1": np.array([1.0, 1.0])})
     assert str(every.value) == str(one.value)
+
+
+@pytest.mark.parametrize("config", [POLAR, CONSTANT_RIEMANN, TANGENT, CONSTANT_LAGRANGE, BSML,
+                                    MULTITIME3],
+                         ids=["polar", "constant_riemann", "tangent", "constant_lagrange", "bsml",
+                              "multitime3"])
+def test_every_suite_value_has_one_entry_per_lane(config):
+    # a value without the lane axis would be split into the wrong suites,
+    # constant fields included
+    scenario = build_scenario(config)
+    points, _ = evaluation_points(scenario, count=9)
+    suite = scenario.invariants(scenario_mod._lane_coords(points))
+    assert {name: np.shape(value) for name, value in suite.items()} == \
+           {name: (9,) for name in suite}
 
 
 def test_batches_are_chunked_and_keep_point_order():
