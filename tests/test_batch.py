@@ -53,6 +53,13 @@ OVERFLOWING_POINT = dict(BSML, pressure="0.4 + 1e-300*(t1*t2*1.0e154)^2", eval={
 RGOGML = dict(BSML, model={"name": "rgogml", "params": {
     "phi": {"name": "polar"}, "refractive_index": "1.3 + 0.1*sin(t1)", "X": ["1", "0.5*t2"]}})
 THREE = [[1.0, 0.1], [0.0, 0.2], [1.2, -0.1]]
+# polar points with x1 = 0 at two of them, and tangent points with x1 = 0 at
+# one of them, where the metric diag(x1, 1.1) is singular
+SINGULAR_POLAR = [[1.0, 0.1], [0.0, 0.2], [1.2, -0.1], [0.8, 0.3], [0.0, -0.2], [1.4, 0.0],
+                  [0.7, -0.3], [1.1, 0.4]]
+SINGULAR_TANGENT = [[0.3, 0.1, 1.0, 0.9], [0.0, 0.1, 1.0, 1.0], [0.5, 0.2, 0.8, 1.1],
+                    [0.4, -0.1, 1.2, 0.8], [0.1, 0.3, 0.9, 1.2], [0.6, -0.3, 1.1, 0.7],
+                    [0.25, 0.0, 0.9, 1.0], [0.8, 0.4, 1.3, 0.95]]
 # constant metric, fluid and field on the base manifold and on the tangent
 # bundle, sampled at 20 points
 CONSTANT_RIEMANN = dict(POLAR, metric=FLAT, pressure="0.3", density="1.2", velocity=["1", "0.5"],
@@ -214,6 +221,13 @@ CASES = {
     # from plain floats must still carry the lane axis
     "verify_riemann_constant": ("invariants", CONSTANT_RIEMANN, None, 1, 2),
     "verify_lagrange_constant": ("invariants", CONSTANT_LAGRANGE, None, 2, 2),
+    # a metric singular at some points: its inversion splits them off, and
+    # each fails alone
+    "verify_riemann_singular": ("invariants", _polar(eval={"points": SINGULAR_POLAR}),
+                                2, 1, 2),
+    "verify_lagrange_singular": ("invariants", dict(TANGENT, metric=[["x1", "0"], ["1.1"]],
+                                                    eval={"points": SINGULAR_TANGENT}),
+                                 1, 2, 2),
 }
 
 
