@@ -146,6 +146,35 @@ def mixed_stress(E_mix, u, u_low, p, rho, c):
     return out
 
 
+def mixed_stress_jets(fr):
+    """The mixed stress T^m_i as jets of a riemann or lagrange frame's seeding."""
+    return mixed_stress(fr.E_mix, fr.u, fr.u_low, fr.pr, fr.rho, fr.c)
+
+
+def stress_lists(fr):
+    """Covariant and mixed stress values T_ij and T^m_i of a riemann or lagrange
+    frame, as nested lists."""
+    n = fr.n
+    E_low0, E_mix0 = _values(fr.E_low), _values(fr.E_mix)
+    T_low = [[fr.q0 * fr.ul0[i] * fr.ul0[j] + fr.p0 * fr.g0[i][j] + E_low0[i][j]
+              for j in range(n)] for i in range(n)]
+    T_mix = [[fr.q0 * fr.u0[m] * fr.ul0[i] + E_mix0[m][i] + (fr.p0 if m == i else 0.0)
+              for i in range(n)] for m in range(n)]
+    return T_low, T_mix
+
+
+def energy_mixed_paths(fr, lanes=()):
+    """E^m_i of a riemann or lagrange frame, and :func:`energy_mixed_direct` on
+    the frame's values of g^-1, H and G, as float arrays with lane shape ``lanes``."""
+    direct = energy_mixed_direct(fr.ginv0, _values(fr.H), _values(fr.G))
+    return lane_array(_values(fr.E_mix), lanes), lane_array(direct, lanes)
+
+
+def _values(T):
+    """The values of a matrix of jets."""
+    return [[e.value for e in row] for row in T]
+
+
 def jet_rows(x):
     """The coefficient rows of a jet, or a :func:`jet_block` itself."""
     return x.c if isinstance(x, dual.Jet) else x
@@ -169,13 +198,29 @@ def latin_block(field, slots, coords):
     return jet_block(T, len(slots))
 
 
-def metric_blocks(matrix, coords):
-    """(slots, jet block) of a metric field and of its inverse from one seeding
-    at ``coords``: the tensors of a metric compatibility."""
-    cj, ctx = dual.seed(list(coords))
-    g = matrix(cj)
-    return [(slots, jet_block([[dual.promote(v, ctx) for v in row] for row in m], 2))
-            for slots, m in (((Slot.LD, Slot.LD), g), ((Slot.LU, Slot.LU), invert_symmetric(g)))]
+@point_memo
+class MetricJets:
+    """A metric field (``raw`` as the field gives it, ``g`` promoted) and its
+    inverse as jets of one seeding of a point, inverted once, naming the
+    point if it is singular: the riemann and lagrange frames, connection
+    blocks and metric compatibilities share it.  The values of g^-1 and the
+    jet blocks of g and g^-1 are built on first use."""
+
+    def __init__(self, metric, coords):
+        self.cj, self.ctx = cj, ctx = dual.seed(list(coords))
+        self.raw = metric.matrix(cj)
+        self.g = [[dual.promote(v, ctx) for v in row] for row in self.raw]
+        self.ginv = invert_symmetric(self.g, coords)
+
+    @functools.cached_property
+    def ginv0(self):
+        return _values(self.ginv)
+
+    @functools.cached_property
+    def blocks(self):
+        """(slots, jet block) of g and of g^-1: the tensors of a metric compatibility."""
+        return [((Slot.LD, Slot.LD), jet_block(self.g, 2)),
+                ((Slot.LU, Slot.LU), jet_block(self.ginv, 2))]
 
 
 def covariant_derivative(block, slots, partials, coeffs, *, partial_first):
@@ -235,7 +280,7 @@ def energy_divergence(E_mix, coeff, partial):
     (riemann adds ``a*b - c*d``).
     """
     n = len(coeff)
-    E0 = [[e.value for e in row] for row in E_mix]
+    E0 = _values(E_mix)
     out = []
     for s in range(n):
         acc = 0.0
@@ -285,13 +330,14 @@ class FluidFrame:
     A subclass or owner seeds the point, evaluates the metric, the unit
     velocity, pressure and density as jets of that seeding, passes them to
     ``FluidFrame.__init__`` and builds its channels with :meth:`channel`.
+    The jets stay as ``u``, ``u_low``, ``pr`` and ``rho``.
     """
 
     def __init__(self, c, g, ginv, u, u_low, p, rho):
         self.n = len(g)
         self.c = c
-        self.g0 = [[e.value for e in row] for row in g]
-        self.ginv0 = [[e.value for e in row] for row in ginv]
+        self.g0, self.ginv0 = _values(g), _values(ginv)
+        self.u, self.u_low, self.pr, self.rho = u, u_low, p, rho
         self.u0 = [e.value for e in u]
         self.ul0 = [e.value for e in u_low]
         self.p0 = p.value

@@ -21,18 +21,21 @@ import numpy as np
 
 from .common import (
     FluidFrame,
+    MetricJets,
     add_residuals,
     covariant_derivative,
     energy_divergence,
     energy_low_mixed,
+    energy_mixed_paths,
     integrate_rk4,
+    jet_block,
     jet_rows,
     lane_array,
     latin_block,
     max_abs,
-    metric_blocks,
-    mixed_stress,
+    mixed_stress_jets,
     point_memo,
+    stress_lists,
     unit_norm_error,
     unit_vector,
 )
@@ -44,7 +47,6 @@ from .tensor_core import (
     christoffel_from,
     christoffel_of,
     eval_jets,
-    invert_symmetric,
     quadratic_form,
     sum_product,
 )
@@ -124,12 +126,14 @@ def _adapted_partials(space, coords):
 
 @point_memo
 def cartan_connection_lists(space, coords):
-    """(L, C) coefficient blocks at possibly-jet coordinates."""
+    """(L, C) coefficient blocks at a point, on its metric jets.
+
+    delta g/delta x is summed as ``g.d(k) - sum(N^r_k * g.d(n + r))``, not by
+    the frame's sequential subtraction: the two orders differ in the last bit.
+    """
     n = space.n
-    cj, ctx = seed(list(coords))
-    g = eval_jets(space.g.matrix, cj, ctx)
-    g0 = [[e.value for e in row] for row in g]
-    ginv0 = invert_symmetric(g0)
+    m = MetricJets(space.g, coords)
+    g = m.g
     N0 = _nonlinear_connection(space, coords)
     dx_g = [
         [
@@ -143,9 +147,7 @@ def cartan_connection_lists(space, coords):
         for k in range(n)
     ]
     dy_g = [[[g[i][j].d(n + k) for j in range(n)] for i in range(n)] for k in range(n)]
-    L = christoffel_from(ginv0, dx_g)
-    C = christoffel_from(ginv0, dy_g)
-    return L, C
+    return christoffel_from(m.ginv0, dx_g), christoffel_from(m.ginv0, dy_g)
 
 
 def cartan_connection(space, coords):
@@ -183,32 +185,30 @@ def _unit_velocity(g, coords, point=None):
 
 @point_memo
 class _Frame(FluidFrame):
-    """Jet-level quantities of one tangent point, computed once.
+    """Jet-level quantities of one tangent point, computed once, on the point's
+    :class:`~geoplasma.common.MetricJets`.
 
     Two derivative channels: ``h`` (adapted base derivative, Cartan L)
-    and ``v`` (fiber derivative, Cartan C).
+    and ``v`` (fiber derivative, Cartan C).  The jets ``H``, ``G``,
+    ``E_low`` and ``E_mix`` stay for the stress and the checks of verify.
     """
 
     def __init__(self, state, space, coords):
         n = space.n
-        cj, ctx = seed(list(coords))
-        graw = space.g.matrix(cj)
-        g = [[promote(v, ctx) for v in row] for row in graw]
-        ginv = invert_symmetric(g, coords)
+        m = MetricJets(space.g, coords)
+        cj, ctx, g = m.cj, m.ctx, m.g
         self.N0, horizontal, vertical = _adapted_partials(space, coords)
-        H = eval_jets(state.em_H.matrix, cj, ctx)
-        G = eval_jets(state.em_G.matrix, cj, ctx)
-        E_low, E_mix = energy_low_mixed(g, ginv, H, G)
-        u, u_low, _ = _unit_velocity(graw, cj, point=coords)
+        self.H = eval_jets(state.em_H.matrix, cj, ctx)
+        self.G = eval_jets(state.em_G.matrix, cj, ctx)
+        self.E_low, self.E_mix = energy_low_mixed(g, m.ginv, self.H, self.G)
+        u, u_low, _ = _unit_velocity(m.raw, cj, point=coords)
         super().__init__(
-            state.c, g, ginv,
+            state.c, g, m.ginv,
             [promote(e, ctx) for e in u],
             [promote(e, ctx) for e in u_low],
             promote(state.pressure(cj), ctx),
             promote(state.density(cj), ctx),
         )
-        self.E_low0 = [[e.value for e in row] for row in E_low]
-        self.E_mix0 = [[e.value for e in row] for row in E_mix]
         dx_g = [
             [[horizontal(g[i][j], k) for j in range(n)] for i in range(n)]
             for k in range(n)
@@ -218,8 +218,8 @@ class _Frame(FluidFrame):
         ]
         L = christoffel_from(self.ginv0, dx_g)
         C = christoffel_from(self.ginv0, self.dy_g)
-        self.h = self.channel(L, horizontal, energy_divergence(E_mix, L, horizontal))
-        self.v = self.channel(C, vertical, energy_divergence(E_mix, C, vertical))
+        self.h = self.channel(L, horizontal, energy_divergence(self.E_mix, L, horizontal))
+        self.v = self.channel(C, vertical, energy_divergence(self.E_mix, C, vertical))
 
 
 def lagrange_residuals(state, space, coords):
@@ -231,21 +231,7 @@ def lagrange_residuals(state, space, coords):
     """
     fr = _Frame(state, space, coords)
     lanes = np.shape(coords[0])
-    n = fr.n
-    T_low = [
-        [
-            fr.q0 * fr.ul0[i] * fr.ul0[j] + fr.p0 * fr.g0[i][j] + fr.E_low0[i][j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    T_mix = [
-        [
-            fr.q0 * fr.u0[m] * fr.ul0[i] + fr.E_mix0[m][i] + (fr.p0 if m == i else 0.0)
-            for i in range(n)
-        ]
-        for m in range(n)
-    ]
+    T_low, T_mix = stress_lists(fr)
     report = {"stress": lane_array(T_low, lanes), "stress_mixed": lane_array(T_mix, lanes)}
     add_residuals(report, fr.channel_values(fr.h), "_h", lanes)
     add_residuals(report, fr.channel_values(fr.v), "_v", lanes)
@@ -254,26 +240,27 @@ def lagrange_residuals(state, space, coords):
 
 
 def conservation_divergence(state, space, coords):
-    """Direct divergences (h, v) of the mixed stress d-tensor, evaluated once."""
+    """Direct divergences (h, v) of the mixed stress d-tensor, built from the
+    point's frame jets and differentiated through them."""
     n = space.n
-
-    def fn(coords):
-        g = space.g.matrix(coords)
-        ginv = invert_symmetric(g)
-        _, E_mix = energy_low_mixed(g, ginv, state.em_H.matrix(coords), state.em_G.matrix(coords))
-        u, u_low, _ = _unit_velocity(g, coords)
-        return mixed_stress(E_mix, u, u_low, state.pressure(coords), state.density(coords), state.c)
-
+    T = jet_block(mixed_stress_jets(_Frame(state, space, coords)), 2)
     return [
         np.array([sum(deriv[m, i, m] for m in range(n)) for i in range(n)])
-        for deriv in hv_covariant(fn, (Slot.LU, Slot.LD), space, coords)
+        for deriv in _hv_covariant(T, (Slot.LU, Slot.LD), space, coords)
     ]
+
+
+def energy_mixed(state, space, coords):
+    """The mixed energy tensor at a tangent point two ways: the frame's, and by
+    the delta-form path on the frame's values (see
+    :func:`~geoplasma.common.energy_mixed_paths`)."""
+    return energy_mixed_paths(_Frame(state, space, coords), np.shape(coords[0]))
 
 
 def metric_compatibility(space, coords):
     """Max norms of g and its inverse under both covariant derivatives, per lane on lanes."""
     lanes, out = np.ndim(coords[0]) > 0, {}
-    for name, (slots, block) in zip(("g", "ginv"), metric_blocks(space.g.matrix, coords)):
+    for name, (slots, block) in zip(("g", "ginv"), MetricJets(space.g, coords).blocks):
         out[f"{name}_h"], out[f"{name}_v"] = (
             max_abs(d, lanes) for d in _hv_covariant(block, slots, space, coords))
     return out

@@ -19,21 +19,23 @@ import numpy as np
 
 from .common import (
     FluidFrame,
+    MetricJets,
     add_residuals,
     covariant_derivative,
     energy_low_mixed,
-    energy_mixed_direct,
+    energy_mixed_paths,
     integrate_rk4,
+    jet_block,
     lane_array,
     latin_block,
     max_abs,
-    metric_blocks,
-    mixed_stress,
+    mixed_stress_jets,
     point_memo,
+    stress_lists,
     unit_norm_error,
     unit_vector,
 )
-from .dual import promote, seed
+from .dual import promote
 from .tensor_core import (
     MetricField,
     Slot,
@@ -41,7 +43,6 @@ from .tensor_core import (
     christoffel_from,
     christoffel_of,
     eval_jets,
-    invert_symmetric,
 )
 
 
@@ -71,13 +72,23 @@ class FluidState:
 
 @point_memo
 def christoffel_lists(space, x):
-    """Connection coefficients gamma[i][j][k] at x (coordinates may be jets)."""
+    """Connection coefficients gamma[i][j][k] at x from the inverted metric
+    values, as the canonical nonlinear connection of the multitime models
+    reads them."""
     return christoffel_of(space.phi, x, point=x)
+
+
+@point_memo
+def _gamma(space, x):
+    """gamma[i][j][k] at x on the point's :class:`~geoplasma.common.MetricJets`."""
+    m, n = MetricJets(space.phi, x), space.n
+    return christoffel_from(m.ginv0, [[[m.g[i][j].d(k) for j in range(n)] for i in range(n)]
+                                      for k in range(n)])
 
 
 def christoffel(space, x):
     """Christoffel symbols gamma^i_jk of the metric, as a float array [i, j, k] (lanes last)."""
-    return lane_array(christoffel_lists(space, x), np.shape(x[0]))
+    return lane_array(_gamma(space, x), np.shape(x[0]))
 
 
 def _partial(jet, k):
@@ -106,56 +117,6 @@ def _unit_velocity(state, phi, coords, point=None):
     return unit_vector(phi, [vf(coords) for vf in state.velocity], "velocity", point)[:2]
 
 
-def minkowski_energy(space, em, x):
-    """Covariant and mixed Minkowski energy tensors at x."""
-    coords = list(x)
-    phi = space.phi.matrix(coords)
-    phinv = invert_symmetric(phi, x)
-    E_low, E_mix = energy_low_mixed(phi, phinv, em.H.matrix(coords), em.G.matrix(coords))
-    return lane_array(E_low, np.shape(x[0])), lane_array(E_mix, np.shape(x[0]))
-
-
-def minkowski_energy_direct(space, em, x):
-    """Mixed energy tensor by the independent delta-form path."""
-    coords = list(x)
-    phinv = invert_symmetric(space.phi.matrix(coords), x)
-    E_mix = energy_mixed_direct(phinv, em.H.matrix(coords), em.G.matrix(coords))
-    return lane_array(E_mix, np.shape(x[0]))
-
-
-def mixed_stress_field(state, space, em):
-    """The mixed stress T^m_i as a nested-list field over coordinates."""
-
-    def fn(coords):
-        phi = space.phi.matrix(coords)
-        _, E_mix = energy_low_mixed(
-            phi, invert_symmetric(phi), em.H.matrix(coords), em.G.matrix(coords)
-        )
-        u, u_low = _unit_velocity(state, phi, coords)
-        return mixed_stress(E_mix, u, u_low, state.pressure(coords), state.density(coords), state.c)
-
-    return fn
-
-
-def stress_tensor(state, space, em, x):
-    """Covariant and mixed plasma stress tensors at x."""
-    coords = list(x)
-    n = space.n
-    phi = space.phi.matrix(coords)
-    phinv = invert_symmetric(phi, x)
-    E_low, E_mix = energy_low_mixed(phi, phinv, em.H.matrix(coords), em.G.matrix(coords))
-    u, u_low = _unit_velocity(state, phi, coords, point=x)
-    p = state.pressure(coords)
-    rho = state.density(coords)
-    q = rho + p / state.c**2
-    T_low = [
-        [q * u_low[i] * u_low[j] + p * phi[i][j] + E_low[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    T_mix = mixed_stress(E_mix, u, u_low, p, rho, state.c)
-    return lane_array(T_low, np.shape(x[0])), lane_array(T_mix, np.shape(x[0]))
-
-
 def _energy_divergence(E_mix, gamma):
     """E^m_{i;m} from the mixed energy jets.
 
@@ -175,42 +136,51 @@ def _energy_divergence(E_mix, gamma):
     return out
 
 
+@point_memo
 class _Frame(FluidFrame):
-    """All jet-level quantities of one evaluation point, computed once.
+    """All jet-level quantities of one evaluation point, computed once, on the
+    point's :class:`~geoplasma.common.MetricJets`.
 
     The base manifold has one derivative channel, ``h``: plain partials
-    with the Christoffel symbols.
+    with the Christoffel symbols.  The jets ``H``, ``G``, ``E_low`` and
+    ``E_mix`` stay for the two-path checks of verify.
     """
 
     def __init__(self, state, space, em, x):
-        n = space.n
-        coords, ctx = seed(list(x))
-        phiraw = space.phi.matrix(coords)
-        phi = [[promote(v, ctx) for v in row] for row in phiraw]
-        phinv = invert_symmetric(phi, x)
-        H = eval_jets(em.H.matrix, coords, ctx)
-        G = eval_jets(em.G.matrix, coords, ctx)
-        _, E_mix = energy_low_mixed(phi, phinv, H, G)
-        u, u_low = _unit_velocity(state, phiraw, coords, point=x)
+        m = MetricJets(space.phi, x)
+        self.H = eval_jets(em.H.matrix, m.cj, m.ctx)
+        self.G = eval_jets(em.G.matrix, m.cj, m.ctx)
+        self.E_low, self.E_mix = energy_low_mixed(m.g, m.ginv, self.H, self.G)
+        u, u_low = _unit_velocity(state, m.raw, m.cj, point=x)
         super().__init__(
-            state.c, phi, phinv,
-            [promote(e, ctx) for e in u],
-            [promote(e, ctx) for e in u_low],
-            promote(state.pressure(coords), ctx),
-            promote(state.density(coords), ctx),
+            state.c, m.g, m.ginv,
+            [promote(e, m.ctx) for e in u],
+            [promote(e, m.ctx) for e in u_low],
+            promote(state.pressure(m.cj), m.ctx),
+            promote(state.density(m.cj), m.ctx),
         )
-        dphi = [[[phi[i][j].d(k) for j in range(n)] for i in range(n)] for k in range(n)]
-        gamma = christoffel_from(self.ginv0, dphi)
-        self.h = self.channel(gamma, _partial, _energy_divergence(E_mix, gamma))
+        gamma = _gamma(space, x)
+        self.h = self.channel(gamma, _partial, _energy_divergence(self.E_mix, gamma))
 
 
 def conservation_divergence(state, space, em, x):
-    """The same residual as the direct divergence T^m_{i;m}."""
-    div = levi_civita_derivative(
-        mixed_stress_field(state, space, em), (Slot.LU, Slot.LD), space, x
-    )
+    """The same residual as the direct divergence T^m_{i;m} of the mixed
+    stress, built from the point's frame jets and differentiated through them."""
+    T = jet_block(mixed_stress_jets(_Frame(state, space, em, x)), 2)
+    div = _levi_civita(T, (Slot.LU, Slot.LD), christoffel(space, x))
     n = space.n
     return np.array([sum(div[m, i, m] for m in range(n)) for i in range(n)])
+
+
+def stress_tensors(state, space, em, x):
+    """Covariant and mixed plasma stress tensors at x, from the point's frame."""
+    return tuple(lane_array(T, np.shape(x[0])) for T in stress_lists(_Frame(state, space, em, x)))
+
+
+def energy_mixed(state, space, em, x):
+    """The mixed energy tensor at x two ways: the frame's, and by the delta-form
+    path on the frame's values (see :func:`~geoplasma.common.energy_mixed_paths`)."""
+    return energy_mixed_paths(_Frame(state, space, em, x), np.shape(x[0]))
 
 
 def riemann_report(state, space, em, x):
@@ -250,4 +220,4 @@ def metric_compatibility(space, x):
     """Max norms of the covariant derivatives of phi and its inverse, one per lane on lanes."""
     gamma = christoffel(space, x)
     return tuple(max_abs(_levi_civita(block, slots, gamma), np.ndim(x[0]) > 0)
-                 for slots, block in metric_blocks(space.phi.matrix, x))
+                 for slots, block in MetricJets(space.phi, x).blocks)

@@ -4,8 +4,10 @@ Each function evaluates every algebraic identity of its pipeline and
 returns an ordered name -> |residual| mapping, at one point or on a lane
 batch: coordinates that are float64 lane arrays with one lane per point,
 where each value is an array of the per-point values, the bits of the
-one-point suite lane by lane.  The CLI verify command aggregates maxima
-over sampled points and compares against a tolerance.
+one-point suite lane by lane.  The checks read the one frame of the point
+or batch and the metric jets it is built on; each two-path check keeps a
+path of its own.  The CLI verify command aggregates maxima over sampled
+points and compares against a tolerance.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ import numpy as np
 from . import lagrange as lag
 from . import multitime as mt
 from . import riemann as rm
-from .common import energy_low_mixed, energy_mixed_direct, lane_array, max_abs
-from .dual import scalar_value
-from .tensor_core import invert_symmetric
+from .common import MetricJets, lane_array, max_abs
 
 
 def _asymmetry(block, lanes=False):
@@ -57,12 +57,11 @@ def riemann_invariants(state, space, em, x):
     direct = rm.conservation_divergence(state, space, em, x)
     out["conservation_two_path"] = max_abs(expanded - direct, lanes)
 
-    _, E_mix = rm.minkowski_energy(space, em, x)
-    direct_e = rm.minkowski_energy_direct(space, em, x)
+    E_mix, direct_e = rm.energy_mixed(state, space, em, x)
     out["energy_mixed_identity"] = max_abs(E_mix - direct_e, lanes)
 
-    T_low, T_mix = rm.stress_tensor(state, space, em, x)
-    phinv = lane_array(invert_symmetric(space.phi.matrix(list(x))), np.shape(x[0]))
+    T_low, T_mix = rm.stress_tensors(state, space, em, x)
+    phinv = lane_array(MetricJets(space.phi, x).ginv0, np.shape(x[0]))
     out["stress_mixed_identity"] = max_abs(_matmul(phinv, T_low, lanes) - T_mix, lanes)
     return out
 
@@ -83,15 +82,8 @@ def lagrange_invariants(state, space, coords):
         out[f"euler_decomposition_{ch}"] = max_abs(rep[f"euler_decomposition_{ch}"], lanes)
         out[f"conservation_two_path_{ch}"] = max_abs(direct - rep[f"conservation_{ch}"], lanes)
 
-    g0 = [[scalar_value(v) for v in row] for row in space.g.matrix(coords)]
-    ginv = invert_symmetric(g0)
-    H = state.em_H.matrix(coords)
-    G = state.em_G.matrix(coords)
-    _, E_mix = energy_low_mixed(g0, ginv, H, G)
-    direct_e = energy_mixed_direct(ginv, H, G)
-    shape = np.shape(coords[0])
-    out["energy_mixed_identity"] = max_abs(
-        lane_array(E_mix, shape) - lane_array(direct_e, shape), lanes)
+    E_mix, direct_e = lag.energy_mixed(state, space, coords)
+    out["energy_mixed_identity"] = max_abs(E_mix - direct_e, lanes)
     return out
 
 

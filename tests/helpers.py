@@ -6,7 +6,7 @@ they check.  The reference implementations at the end are the package's
 unreduced or former forms (``walk``, the recursive tree walker of the
 expression language; seeded scalar-field evaluation, the covariant
 stream-sheet residuals, the edml Lagrangian, the multi-time velocity,
-the multi-time mixed stress from every field, the RK4 integrator on numpy
+the mixed stress of each framework from every field, the RK4 integrator on numpy
 arrays, the covariant derivatives of all three frameworks one component
 at a time, the Finsler space of a fundamental function on the general jet
 engine of :mod:`reference_dual`); only tests call them.
@@ -18,7 +18,7 @@ import numpy as np
 
 import reference_dual as ref
 from geoplasma import expr as expr_mod
-from geoplasma.common import energy_low_mixed, jet_block, unit_vector
+from geoplasma.common import energy_low_mixed, jet_block, mixed_stress, unit_vector
 from geoplasma.dual import Jet, branch, power, promote, scalar_value, seed
 from geoplasma.errors import DomainError, IntegrationError, TensorError, UnboundVariableError
 from geoplasma.expr import BinOp, Call, Neg, Num, Var, compile_field, parse, pretty
@@ -519,7 +519,38 @@ def multitime_velocity(state, space, coords):
     )
 
 
-def mixed_stress_field(state, space):
+def riemann_mixed_stress_field(state, space, em):
+    """The mixed stress T^m_i as a nested-list field, every field evaluated and
+    phi inverted anew: the oracle of the stress that ``riemann`` builds from a
+    frame's jets."""
+
+    def fn(coords):
+        phi = space.phi.matrix(coords)
+        _, E_mix = energy_low_mixed(
+            phi, invert_symmetric(phi), em.H.matrix(coords), em.G.matrix(coords)
+        )
+        u, u_low, _ = unit_vector(phi, [vf(coords) for vf in state.velocity], "velocity")
+        return mixed_stress(E_mix, u, u_low, state.pressure(coords), state.density(coords), state.c)
+
+    return fn
+
+
+def lagrange_mixed_stress_field(state, space):
+    """The mixed stress T^m_i as a d-tensor field on TM, every field evaluated
+    and g inverted anew: the oracle of the stress that ``lagrange`` builds from
+    a frame's jets."""
+
+    def fn(coords):
+        g = space.g.matrix(coords)
+        ginv = invert_symmetric(g)
+        _, E_mix = energy_low_mixed(g, ginv, state.em_H.matrix(coords), state.em_G.matrix(coords))
+        u, u_low, _ = unit_vector(g, coords[space.n:], "fiber")
+        return mixed_stress(E_mix, u, u_low, state.pressure(coords), state.density(coords), state.c)
+
+    return fn
+
+
+def multitime_mixed_stress_field(state, space):
     """The mixed stress T^m_i as a d-tensor field, every field evaluated and
     h and g inverted anew: the oracle of the stress that ``multitime`` builds
     from a frame's jets."""

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geoplasma import dual, expr, lagrange, multitime as mt, riemann, scenario as scenario_mod
+from geoplasma import common, dual, expr, lagrange, multitime as mt, riemann, scenario as scenario_mod
 from geoplasma.common import inertial_factor, jet_block
 from geoplasma.errors import (
     BatchSplit, DomainError, GeoPlasmaError, SingularDynamicsError, TensorError,
@@ -80,8 +80,9 @@ def _sheet_nodes(scenario):
     return nodes.reshape(-1, nodes.shape[-1]).tolist()
 
 
-# framework -> the module whose seed its frames call
-FRAME_MODULES = {"riemann": riemann, "lagrange": lagrange, "multitime": mt}
+# framework -> the module whose seed its frames call: riemann and lagrange
+# frames are built on ``common.MetricJets``, which calls ``dual.seed``
+FRAME_MODULES = {"riemann": dual, "lagrange": dual, "multitime": mt}
 # batched callable -> (points, batched results, one-point result)
 CALLABLES = {
     "reports": (lambda s: evaluation_points(s)[0], lambda s, points: s.reports(points),
@@ -204,30 +205,35 @@ CASES = {
     "verify_singular_h": ("invariants", SINGULAR_H, 3, 3, 2),
     "verify_singular_h_canonical": ("invariants", dict(SINGULAR_H, connection="canonical"),
                                     3, 3, 2),
-    # the riemann and lagrange suites: one frame seeding per batch (lagrange
-    # seeds its connection blocks once more)
+    # the riemann and lagrange suites: one seeding per batch, for the metric
+    # jets that the frame, the connection blocks and the metric
+    # compatibilities share (lagrange seeded twice while its connection
+    # blocks seeded the point on their own)
     "verify_riemann3": ("invariants", RIEMANN3, None, 1, 2),
-    "verify_lagrange3": ("invariants", LAGRANGE3, None, 2, 2),
+    "verify_lagrange3": ("invariants", LAGRANGE3, None, 1, 2),
     # a log fails at 7 of the 20 points (x1 < 1) and at 6 of the 20 (x1 <
     # -0.2), scattered through them: the batch splits, the good points
     # batch, and the failing ones fail as a batch and then alone (1 + 1 + 1
-    # + 7 frame seedings; lagrange seeds twice per try, 2 + 2 + 2 + 12)
+    # + 7 and 1 + 1 + 1 + 6 seedings; lagrange made 18 seeding twice per try)
     "verify_riemann_log_domain": ("invariants", _polar(pressure="0.3 + 0.04*log(x1 - 1.0)"),
                                   7, 10, 2),
     "verify_lagrange_log_domain": ("invariants",
                                    dict(TANGENT, pressure="0.3 + 0.04*log(x1 + 0.2)"),
-                                   6, 18, 2),
+                                   6, 9, 2),
     # every field constant: the connection, energy and stress arrays built
     # from plain floats must still carry the lane axis
     "verify_riemann_constant": ("invariants", CONSTANT_RIEMANN, None, 1, 2),
-    "verify_lagrange_constant": ("invariants", CONSTANT_LAGRANGE, None, 2, 2),
-    # a metric singular at some points: its inversion splits them off, and
-    # each fails alone
+    "verify_lagrange_constant": ("invariants", CONSTANT_LAGRANGE, None, 1, 2),
+    # a metric singular at some points: its one inversion splits them off
+    # after the batch's seeding, and each fails alone, naming its point (1 +
+    # 1 + 1 + 2 and 1 + 1 + 1 seedings).  Lagrange named no point, and made
+    # 2 seedings and riemann 1, while the metric compatibilities and the
+    # Christoffel symbols inverted the metric before the frame did
     "verify_riemann_singular": ("invariants", _polar(eval={"points": SINGULAR_POLAR}),
-                                2, 1, 2),
+                                2, 5, 2),
     "verify_lagrange_singular": ("invariants", dict(TANGENT, metric=[["x1", "0"], ["1.1"]],
                                                     eval={"points": SINGULAR_TANGENT}),
-                                 1, 2, 2),
+                                 1, 3, 2),
 }
 
 
@@ -306,10 +312,10 @@ def test_a_batch_splits_by_the_condition_its_points_disagree_on(name, monkeypatc
     scenario = build_scenario(config)
     points, _ = evaluation_points(scenario)
     seeds = []
-    original = riemann.seed
-    monkeypatch.setattr(riemann, "seed", lambda *a, **k: seeds.append(1) or original(*a, **k))
+    original = dual.seed
+    monkeypatch.setattr(dual, "seed", lambda *a, **k: seeds.append(1) or original(*a, **k))
     batched = list(scenario.reports(points))
-    monkeypatch.setattr(riemann, "seed", original)
+    monkeypatch.setattr(dual, "seed", original)
     single = [_one_point(CALLABLES["reports"][2], scenario, coords) for coords in points]
     assert [_key(r) for r in batched] == [_key(r) for r in single]
     failed = sum(isinstance(r, GeoPlasmaError) for r in single)
@@ -536,16 +542,31 @@ def test_a_field_that_splits_a_batch_is_not_walked_again(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("config, lanes", [(BSML, False), (MULTITIME3, False), (BSML, True)])
+@pytest.mark.parametrize("config, lanes", [
+    (BSML, False), (MULTITIME3, False), (BSML, True),
+    *((config, lanes) for config in (POLAR, RIEMANN3, TANGENT, LAGRANGE3) for lanes in (False, True)),
+])
 def test_frame_stress_jets_equal_the_oracle(config, lanes):
     # the direct divergence differentiates the mixed stress built from the
     # frame's jets: evaluating every field and inverting h and g anew gives
     # the same coefficients, bit for bit, at each point and in a 12-lane batch
     scenario = build_scenario(config)
     state, space = scenario.state, scenario.space
+    if scenario.framework == "riemann":
+        def stress(coords):
+            return common.mixed_stress_jets(riemann._Frame(state, space, scenario.em, coords))
+        oracle = helpers.riemann_mixed_stress_field(state, space, scenario.em)
+    elif scenario.framework == "lagrange":
+        def stress(coords):
+            return common.mixed_stress_jets(lagrange._Frame(state, space, coords))
+        oracle = helpers.lagrange_mixed_stress_field(state, space)
+    else:
+        def stress(coords):
+            return mt._mixed_stress(mt._Frame(state, space, coords))
+        oracle = helpers.multitime_mixed_stress_field(state, space)
     points, _ = evaluation_points(scenario, count=12)
     for coords in [[np.array(c) for c in zip(*points)]] if lanes else points:
-        got = mt._mixed_stress(mt._Frame(state, space, coords))
-        want = eval_jets(helpers.mixed_stress_field(state, space), *dual.seed(list(coords)))
+        got = stress(coords)
+        want = eval_jets(oracle, *dual.seed(list(coords)))
         assert [[helpers.coefficient_bits(e) for e in row] for row in got] == \
                [[helpers.coefficient_bits(e) for e in row] for row in want]

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geoplasma import dual, lagrange, multitime, riemann, tensor_core
+from geoplasma import common, dual, lagrange, multitime, riemann, tensor_core
 from geoplasma.cli import main
 from geoplasma.common import point_memo
 from geoplasma.errors import IntegrationError, SeedingError
@@ -40,10 +40,14 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 # frame's jets, and 4/5 while the connection blocks seeded the point and
 # inverted g's values instead of reading the frame's metric jets; its
 # residuals made 3/4 while the frame built kappa, which only the temporal
-# derivative reads
+# derivative reads.  Riemann and lagrange verify make the counts of their
+# residuals since their checks read the point's metric jets and frame; they
+# made 4/8 and 5/6 while the Christoffel symbols, the metric compatibilities,
+# the direct divergence and the energy and stress checks seeded the point,
+# evaluated the fields or inverted the metric on their own
 PER_POINT = {
-    "polar_plasma": (4, 8, 1, 1),
-    "tangent_bundle": (5, 6, 2, 2),
+    "polar_plasma": (1, 1, 1, 1),
+    "tangent_bundle": (2, 2, 2, 2),
     "bsml_sheet": (3, 4, 2, 3),
 }
 
@@ -92,8 +96,10 @@ def test_verify_counts_per_point(name, counts, capsys):
 # and seeding: bsml_sheet made 657 branch calls while every derivative of
 # every component decided them again, 185 while the metric compatibilities
 # and the direct divergence inverted h and g and normalized the velocity
-# again, and 137 while the connection blocks inverted g's values again
-BATCH_BRANCHES = {"polar_plasma": 76, "tangent_bundle": 66, "bsml_sheet": 131}
+# again, and 137 while the connection blocks inverted g's values again.
+# polar_plasma and tangent_bundle made 76 and 66 while their checks inverted
+# the metric and normalized the velocity again
+BATCH_BRANCHES = {"polar_plasma": 19, "tangent_bundle": 25, "bsml_sheet": 131}
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_BRANCHES))
@@ -125,24 +131,36 @@ def test_residuals_counts_unchanged(name, counts, tmp_path):
 METRIC_EVALS = {"polar_plasma": 1, "tangent_bundle": 2, "bsml_sheet": 1}
 
 
-@pytest.mark.parametrize("name", sorted(METRIC_EVALS))
+@pytest.mark.parametrize("name", sorted(METRIC_EVALS) + ["verify-polar_plasma",
+                                                         "verify-tangent_bundle"])
 def test_residuals_evaluate_the_metric_once_per_frame(name, monkeypatch):
+    # a verify case runs one 256-lane suite, which reads the one frame of its
+    # batch: riemann and lagrange verify evaluated the metric 8 and 6 times
+    # and built the energy tensor 4 and 3 times while their checks rebuilt
+    # the tensors that the frame holds
+    command, _, name = name.rpartition("-")
     scenario = load_scenario(scenario_path(name))
     space = scenario.space
     metric = space.phi if scenario.framework == "riemann" else space.g
-    calls = []
+    calls, energy_calls = [], []
     original = metric.matrix
-
-    def counted(coords):
-        calls.append(1)
-        return original(coords)
-
-    monkeypatch.setattr(metric, "matrix", counted)
+    monkeypatch.setattr(metric, "matrix", lambda coords: calls.append(1) or original(coords))
+    energy = common.energy_low_mixed
+    for mod in (riemann, lagrange, multitime):
+        monkeypatch.setattr(mod, "energy_low_mixed",
+                            lambda *args: energy_calls.append(1) or energy(*args))
     clear_memos()
-    points, _ = evaluation_points(scenario, count=3)
-    for coords in points:
-        scenario.report(coords)
-    assert len(calls) == len(points) * METRIC_EVALS[name]
+    if command == "verify":
+        points, _ = evaluation_points(scenario, count=256)
+        assert len(list(scenario.invariant_suites(points))) == 256
+        frames = 1
+    else:
+        points, _ = evaluation_points(scenario, count=3)
+        for coords in points:
+            scenario.report(coords)
+        frames = len(points)
+    assert len(calls) == frames * METRIC_EVALS[name]
+    assert len(energy_calls) == frames
 
 
 def _counting_builder():

@@ -12,14 +12,13 @@ from geoplasma.riemann import (
     christoffel,
     christoffel_lists,
     conservation_divergence,
+    energy_mixed,
     integrate_stream_line,
     levi_civita_derivative,
     metric_compatibility,
-    minkowski_energy,
-    minkowski_energy_direct,
     riemann_report,
     stream_line_rhs,
-    stress_tensor,
+    stress_tensors,
 )
 from geoplasma.tensor_core import (
     MetricField,
@@ -192,19 +191,24 @@ def test_normalization_error():
 
 # -- minkowski energy ----------------------------------------------------------
 
+def frame_energy(state, space, em, x):
+    """The values of the covariant and mixed energy jets of the point's frame."""
+    fr = riemann._Frame(state, space, em, x)
+    return tuple(np.array([[e.value for e in row] for row in E]) for E in (fr.E_low, fr.E_mix))
+
+
 def test_energy_zero_fields():
-    space, _, _, _ = generic_scenario(seed=41)
+    space, state, _, _ = generic_scenario(seed=41)
     em = helpers.zero_em(space.n)
-    E_low, E_mix = minkowski_energy(space, em, [0.1, 0.2, 0.3])
+    E_low, E_mix = frame_energy(state, space, em, [0.1, 0.2, 0.3])
     assert np.abs(E_low).max() == 0.0
     assert np.abs(E_mix).max() == 0.0
 
 
 def test_energy_mixed_identity_random_draws():
-    space, _, em, box = generic_scenario(seed=43)
+    space, state, em, box = generic_scenario(seed=43)
     for x in helpers.sample_box(RNG, box, 10):
-        _, E_mix = minkowski_energy(space, em, x)
-        direct = minkowski_energy_direct(space, em, x)
+        E_mix, direct = energy_mixed(state, space, em, x)
         diff = np.array(E_mix.tolist()) - np.array(direct.tolist())
         assert np.abs(diff).max() < 1e-12
 
@@ -216,7 +220,7 @@ def test_energy_n2_bruteforce_oracle():
         TwoFormField(2, constant_field([a])),
         TwoFormField(2, constant_field([b])),
     )
-    E_low, E_mix = minkowski_energy(space, em, [0.0, 0.0])
+    E_low, E_mix = frame_energy(helpers.const_state(2), space, em, [0.0, 0.0])
     ref_low, ref_mix = helpers.oracle_energy(np.eye(2), [[0, a], [-a, 0]], [[0, b], [-b, 0]])
     assert np.abs(np.array(E_low.tolist()) - ref_low).max() < 1e-14
     assert np.abs(np.array(E_mix.tolist()) - ref_mix).max() < 1e-14
@@ -226,9 +230,9 @@ def test_energy_n2_bruteforce_oracle():
 
 
 def test_energy_vs_einsum_oracle_random():
-    space, _, em, box = generic_scenario(seed=47)
+    space, state, em, box = generic_scenario(seed=47)
     for x in helpers.sample_box(RNG, box, 5):
-        E_low, E_mix = minkowski_energy(space, em, x)
+        E_low, E_mix = frame_energy(state, space, em, x)
         ref_low, ref_mix = helpers.oracle_energy(
             space.phi.matrix(x), em.H.matrix(x), em.G.matrix(x)
         )
@@ -296,7 +300,7 @@ def test_stress_dust_case():
     state = FluidState(
         constant_field(0.0), state0.density, 1.0, state0.velocity
     )
-    T_low, _ = stress_tensor(state, space, helpers.zero_em(space.n), x)
+    T_low, _ = stress_tensors(state, space, helpers.zero_em(space.n), x)
     u = helpers.normalize_velocity(state, space, x)
     phi = np.array(space.phi.matrix(x))
     ul = phi @ u
@@ -311,7 +315,7 @@ def test_stress_trace_oracle():
     p = 0.37
     c = 2.0
     state = FluidState(constant_field(p), constant_field(0.0), c, state0.velocity)
-    _, T_mix = stress_tensor(state, space, helpers.zero_em(space.n), x)
+    _, T_mix = stress_tensors(state, space, helpers.zero_em(space.n), x)
     trace = sum(T_mix[m, m] for m in range(space.n))
     assert trace == pytest.approx(p * (1.0 / c**2 + space.n), rel=1e-13)
 
@@ -321,7 +325,7 @@ def test_stress_symmetric_when_energy_symmetric():
     space, state, em0, box = generic_scenario(seed=69)
     em = ElectromagneticPair(em0.H, em0.H.negated())
     for x in helpers.sample_box(RNG, box, 3):
-        T_low, _ = stress_tensor(state, space, em, x)
+        T_low, _ = stress_tensors(state, space, em, x)
         t = np.array(T_low.tolist())
         assert np.abs(t - t.T).max() < 1e-13
 
@@ -329,7 +333,7 @@ def test_stress_symmetric_when_energy_symmetric():
 def test_stress_mixed_two_paths():
     space, state, em, box = generic_scenario(seed=71)
     for x in helpers.sample_box(RNG, box, 5):
-        T_low, T_mix = stress_tensor(state, space, em, x)
+        T_low, T_mix = stress_tensors(state, space, em, x)
         phinv = invert_symmetric(space.phi.matrix(x))
         via = np.array(phinv) @ np.array(T_low.tolist())
         assert np.abs(via - np.array(T_mix.tolist())).max() < 1e-12
