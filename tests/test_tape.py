@@ -9,9 +9,12 @@ the tape itself (``largest``, value numbering and exact folds) are held to
 the plain float operations on every double.
 """
 
+import ast
 import dataclasses
+import hashlib
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -22,11 +25,18 @@ from geoplasma.dual import scalar_value
 from geoplasma.errors import GeoPlasmaError
 from geoplasma.scenario import build_scenario
 
-from test_output_bytes import EXPECTED, LAGRANGE2, run_case
+from test_output_bytes import CASES, EXPECTED, LAGRANGE2, LAGRANGE2_LOG, run_case
 
 
 # statements of the compiled frame path of the n = 2 benchmark line
 FRAME_STATEMENTS = 396
+# sha256 of the per-statement ast.dump of the eps0 form and of the frame
+# recorded at the seed-1 start of the n = 2 benchmark line: how a statement
+# is spelled may change, the operations it parses to may not
+PROGRAM_AST_SHA256 = [
+    "49b3436d773b46ee6dcad432f6e58adfae8d0d6c37ce192a8eef3fd34ac95c75",
+    "ad163c1010cff08371128edeb28ce040d952e9764404d706f9ef625740517f87",
+]
 
 
 def clear_memos():
@@ -100,6 +110,51 @@ def test_replay_equals_interpretation(a, b, c, d, e, f, starts):
     assert replayed == interpreted(lambda: stream_line_outcomes(scenario, points))
 
 
+def segment_returns(call):
+    """``outcome(call)`` and what each replayed segment returned, in order:
+    "carry" (the temporaries it hands on), "out" (the outputs) or "miss"
+    (None on a guard miss, or an exception)."""
+    returns = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code.co_name == "segment":
+            returns.append("miss" if arg is None else "carry" if type(arg) is tuple else "out")
+
+    sys.setprofile(profile)
+    try:
+        return outcome(call), returns
+    finally:
+        sys.setprofile(None)
+
+
+def test_small_segments_hand_on_temporaries(monkeypatch):
+    """Segments of 16 tape lines cut the frames at many places: the
+    temporaries each hands on replay the interpreted bits and error texts,
+    and a guard that misses after a cut records a new path."""
+    monkeypatch.setattr(tape, "SEGMENT", 16)
+    # |g12| = 1.4 cos(x1) exceeds g11 ~ 1 at x1 = 0.05 and 0.1, not at 1.4 and
+    # 1.3: the pivot row of the inversion changes; w = 0 cannot be normalized
+    pivot = lagrange2(1.0, 0.2, 0.5, 1.4, 0.1, 3.0)
+    pivot_points = [([1.4, 0.3], [0.2, 0.3]), ([1.3, 0.2], [0.3, 0.2]),
+                    ([0.05, 0.1], [0.2, 0.3]), ([0.1, 0.1], [0.3, -0.2]),
+                    ([0.0, 0.3], [0.0, 0.0])]
+    # log(x2 + 0.05) raises inside the replay at x2 = -0.1
+    log = build_scenario(LAGRANGE2_LOG)
+    log_points = [([0.1, 0.3], [0.3, 0.8]), ([0.1, -0.1], [0.3, 0.8]), ([0.1, -0.04], [0.3, 0.8])]
+    for scenario, points in ((pivot, pivot_points), (log, log_points)):
+        assert stream_line_outcomes(scenario, points) == interpreted(
+            lambda: stream_line_outcomes(scenario, points))
+    clear_memos()
+    rhs = lagrange.h_stream_line_rhs
+    first, _ = segment_returns(lambda: rhs(pivot.state, pivot.space, *pivot_points[0]))
+    value, returns = segment_returns(lambda: rhs(pivot.state, pivot.space, *pivot_points[2]))
+    assert ("carry", "miss") in zip(returns, returns[1:])
+    assert len(lagrange._curve_values.paths()) == 2
+    assert [first, value] == interpreted(lambda: [
+        outcome(lambda: rhs(pivot.state, pivot.space, *point)) for point in pivot_points[::2][:2]])
+    clear_memos()
+
+
 def test_benchmark_line_replays_every_frame(monkeypatch, tmp_path, capsys):
     """The benchmark lines at seeds 1 and 13 build no interpreted frame: one
     recording builds the only frame, on traced coordinates, and every other
@@ -123,6 +178,35 @@ def test_benchmark_line_replays_every_frame(monkeypatch, tmp_path, capsys):
         # statement count is exact, so a recording that grows fails here
         assert lagrange._curve_values.paths() == [FRAME_STATEMENTS]
         assert len(lagrange._fiber_form.paths()) == 1
+
+
+def benchmark_start(seed):
+    """(x0, v0) of the benchmark line at ``seed``."""
+    options = dict(arg[2:].split("=") for arg in CASES[f"streamline-seed-{seed}-lagrange2"][1]
+                   if "=" in arg)
+    return ([float(c) for c in options["x0"].split(",")],
+            [float(c) for c in options["v0"].split(",")])
+
+
+def test_recorded_program_parses_as_pinned(monkeypatch):
+    """The statements each recording hands to the linker parse to the
+    pinned syntax trees, so a change of spelling alters no operation."""
+    linked = []
+    link = tape._link
+
+    def capture(statements, inputs, namespace):
+        linked.append(statements)
+        return link(statements, inputs, namespace)
+
+    monkeypatch.setattr(tape, "_link", capture)
+    scenario = build_scenario(LAGRANGE2)
+    clear_memos()
+    lagrange.h_stream_line_rhs(scenario.state, scenario.space, *benchmark_start(1))
+    digests = [hashlib.sha256("\n".join(ast.dump(ast.parse(text)) for _, text, _, _ in statements)
+                              .encode()).hexdigest() for statements in linked]
+    assert digests == PROGRAM_AST_SHA256
+    assert len(linked[1]) == FRAME_STATEMENTS + 1  # with the return of the outputs
+    clear_memos()
 
 
 @pytest.mark.parametrize("leak", [
