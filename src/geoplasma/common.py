@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dual
 from .errors import IntegrationError, NormalizationError, SingularDynamicsError, TensorError
-from .tensor_core import Slot, eval_jets, invert_symmetric, mat_vec, quadratic_form, sum_product
+from .tensor_core import Slot, invert_symmetric, mat_vec, quadratic_form, sum_product
 
 
 def point_memo(builder):
@@ -188,14 +188,6 @@ def jet_block(T, rank):
         raise TensorError(f"rank {T.ndim} tensor given {rank} slots")
     block = np.array([e.c for e in T.flat])
     return np.moveaxis(block, 0, 1).reshape(block.shape[1:2] + T.shape + block.shape[2:])
-
-
-def latin_block(field, slots, coords):
-    """The :func:`jet_block` of a latin tensor field evaluated as jets at a point."""
-    T = eval_jets(field, *dual.seed(list(coords)))
-    if any(not s.latin for s in slots):
-        raise TensorError("covariant derivative requires all-latin valence")
-    return jet_block(T, len(slots))
 
 
 @point_memo

@@ -31,7 +31,6 @@ from .common import (
     jet_block,
     jet_rows,
     lane_array,
-    latin_block,
     max_abs,
     mixed_stress_jets,
     point_memo,
@@ -154,17 +153,6 @@ def cartan_connection(space, coords):
     """Cartan coefficients (L^i_jk, C^i_jk) as float arrays [i, j, k]."""
     L, C = cartan_connection_lists(space, coords)
     return np.array(L, dtype=float), np.array(C, dtype=float)
-
-
-def hv_covariant(field, slots, space, coords):
-    """Horizontal and vertical covariant derivatives of a latin tensor field on TM.
-
-    ``field(coords)`` returns nested lists with one valence tag per level
-    in ``slots``; it is evaluated once.  Each result is a float array with
-    one extra covariant axis: (adapted partial delta/delta x, Cartan L),
-    then (fiber partial d/dy, Cartan C).
-    """
-    return _hv_covariant(latin_block(field, slots, coords), slots, space, coords)
 
 
 def _hv_covariant(block, slots, space, coords):

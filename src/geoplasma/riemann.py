@@ -27,7 +27,6 @@ from .common import (
     integrate_rk4,
     jet_block,
     lane_array,
-    latin_block,
     max_abs,
     mixed_stress_jets,
     point_memo,
@@ -93,16 +92,6 @@ def christoffel(space, x):
 
 def _partial(jet, k):
     return jet.d(k)
-
-
-def levi_civita_derivative(field, slots, space, x):
-    """Covariant derivative of a latin-valence tensor field at x.
-
-    ``field(coords)`` returns nested lists with one valence tag per level
-    in ``slots``.  Returns a float array with one extra covariant axis:
-    the partial plus one gamma correction per slot, signed by variance.
-    """
-    return _levi_civita(latin_block(field, slots, x), slots, christoffel(space, x))
 
 
 def _levi_civita(block, slots, gamma):

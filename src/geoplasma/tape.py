@@ -10,10 +10,17 @@ finite tests; a :func:`largest` is one line.  A line that repeats an
 earlier line's operation is that line, and ``x*1.0``, ``1.0*x``, ``x/1.0``
 and ``x-0.0`` are ``x``.  The tape keeps what its outputs, its guards and
 its operations that can raise need, writes a temporary read once into its
-reader, and compiles in segments of about SEGMENT tape lines into a *path*:
-the same float operations on the same operands, returning None where a
-guard fails.  Later calls replay the paths, the last one that held first; a
-guard miss records another path, up to MAX_PATHS recordings per entry.
+reader with only the parentheses that precedence needs, and compiles in
+segments of about SEGMENT tape lines into a *path*: the same float
+operations on the same operands, returning None where a guard fails; a
+path of one segment is that segment's function.  Later calls replay the
+paths, the last one that held first; a guard miss records another path, up
+to MAX_PATHS recordings per entry.
+
+The first call pays for the recording.  For the n = 2 stream-line frame
+(2,331 tape lines, 396 statements in 2 segments) that is about 13 ms in
+process on a 2-core VM: tracing 4.6, the inline and dead-code pass 3.4 and
+``compile()`` 4.9; a replay then takes about 28 us.
 
 The plain function runs instead, so every error text is the plain run's:
 
@@ -43,8 +50,10 @@ import numpy as np
 # recording and memory: its recording stops here, and it runs plain.
 MAX_STATEMENTS = 4000
 MAX_PATHS = 4
-# tape lines compiled at once: bounds the memory compile() takes
-SEGMENT = 256
+# tape lines compiled at once: bounds the memory compile() takes (peak RSS of
+# the n = 2 stream line: 34.4 MB at 256, 34.7 at 512, 35.2 at 1024, 35.9 in
+# one segment); fewer segments hand on fewer temporaries per replay
+SEGMENT = 1024
 # deepest expression that writing temporaries into their readers builds
 MAX_DEPTH = 12
 
@@ -53,6 +62,16 @@ _SEQUENCES = (list, tuple, np.ndarray)
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
         "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
         "==": operator.eq, "!=": operator.ne}
+_BINARY = {op: f"{{}} {op} {{}}" for op in _OPS}
+# how tightly an emitted expression binds, loosest first; an operand binding
+# less tightly than its slot of a template needs is parenthesized
+_SUM, _PRODUCT, _UNARY, _ATOM = range(4)
+# template -> (its binding, what each slot needs); any other template is an
+# atom (a call or a name) or a statement, whose slots take any expression
+_PRECEDENCE = {"-{}": (_UNARY, (_UNARY,)),
+               **{_BINARY[op]: (_SUM, (_SUM, _PRODUCT)) for op in "+-"},
+               **{_BINARY[op]: (_PRODUCT, (_PRODUCT, _UNARY)) for op in "*/"}}
+_CALL = (_ATOM, None)
 # kinds of tape line
 _INPUT, _PURE, _RAISES, _DIVIDE, _GUARD = range(5)
 
@@ -160,28 +179,30 @@ class _Tape:
                 name = f"_k{len(self.namespace)}"  # inf and nan keep their object
                 self.namespace[name] = x
                 return name
-            text = float.__repr__(x)
-        elif isinstance(x, int):
-            text = int.__repr__(x)
-        else:
-            return None
-        return f"({text})" if text[0] == "-" else text
+            return float.__repr__(x)
+        if isinstance(x, int):
+            return int.__repr__(x)
+        return None
 
     def emit(self, value, kind, template, operands):
         self.operations += 1
         if self.operations > MAX_STATEMENTS:
             raise Escape(f"the recording exceeds {MAX_STATEMENTS} operations")
-        ref = self.numbers.get((template, operands))
+        key = template, operands
+        ref = self.numbers.get(key)
         if ref is None:  # else an earlier line computes the same operation
-            ref = self.numbers[template, operands] = len(self.lines)
+            ref = self.numbers[key] = len(self.lines)
             self.lines.append((kind, template, operands))
         return Traced(self, value, ref)
 
     def guard(self, condition, outcome, operands):
-        self.lines.append((_GUARD, f"if {'not ' if outcome else ''}({condition}): return",
+        self.lines.append((_GUARD, f"if {'not ' if outcome else ''}{condition}: return",
                            tuple(operands)))
 
     def binary(self, op, a, b):
+        if type(a) is Traced is type(b) and a.tape is self is b.tape:
+            return self.emit(_OPS[op](a.value, b.value), _DIVIDE if op == "/" else _PURE,
+                             _BINARY[op], (a.ref, b.ref))
         ra, rb = self.operand(a), self.operand(b)
         if ra is None or rb is None:
             return NotImplemented
@@ -194,7 +215,7 @@ class _Tape:
                          b.value if isinstance(b, Traced) else b)
         # a division raises on a zero divisor only, which a constant is not here
         kind = _DIVIDE if op == "/" and isinstance(b, Traced) else _PURE
-        return self.emit(value, kind, f"{{}} {op} {{}}", (ra, rb))
+        return self.emit(value, kind, _BINARY[op], (ra, rb))
 
     def compare(self, op, a, b):
         ra, rb = self.operand(a), self.operand(b)
@@ -202,7 +223,7 @@ class _Tape:
             return NotImplemented
         outcome = _OPS[op](a.value if isinstance(a, Traced) else a,
                            b.value if isinstance(b, Traced) else b)
-        self.guard(f"{{}} {op} {{}}", outcome, (ra, rb))
+        self.guard(_BINARY[op], outcome, (ra, rb))
         return outcome
 
     def call(self, fn, x):
@@ -222,59 +243,62 @@ class _Tape:
         # nothing reads keeps the check of its divisor only
         needed = bytearray(len(lines))
         uses = [0] * len(lines)
-
-        def read(operands):
+        for k in range(len(lines), -1, -1):  # k = len(lines): the outputs
+            if k == len(lines):
+                operands = results
+            else:
+                kind, _, operands = lines[k]
+                if not needed[k]:
+                    if kind == _DIVIDE:
+                        operands = operands[1:]
+                        lines[k] = (_GUARD, "if {} == 0.0: return", operands)
+                    elif kind != _GUARD and kind != _RAISES:
+                        continue
+                    needed[k] = 1
             for ref in operands:
                 if type(ref) is int:
                     needed[ref] = 1
                     uses[ref] += 1
-
-        read(results)
-        for k in range(len(lines) - 1, -1, -1):
-            kind, _, operands = lines[k]
-            if not needed[k] and kind == _DIVIDE:
-                operands = operands[1:]
-                lines[k] = (_GUARD, "if {} == 0.0: return", operands)
-            elif not needed[k] and kind != _GUARD and kind != _RAISES:
-                continue
-            needed[k] = 1
-            read(operands)
         # statements (target or None, text, temporaries read, tape lines in
         # it); a temporary read once is written into its reader
         statements = []
         inline = {}
-        guards = set()  # a guard repeated on the same temporaries is dropped
+        guards = set()  # a guard of an earlier guard's template and text is dropped
 
         def expand(template, operands):
+            """The text of ``template`` on ``operands``, with the temporaries
+            it reads, its depth, its tape lines and how tightly it binds."""
+            binding, needs = _PRECEDENCE.get(template, _CALL)
             parts, reads, depth, size = [], [], 0, 1
-            for ref in operands:
-                if type(ref) is str:
+            for slot, ref in enumerate(operands):
+                if type(ref) is str:  # a number binds as tightly as any slot needs
                     parts.append(ref)
                 elif ref in inline:
-                    text, more, inner, lines_in = inline.pop(ref)
-                    parts.append(f"({text})")
+                    text, more, inner, lines_in, level = inline.pop(ref)
+                    parts.append(f"({text})" if needs and level < needs[slot] else text)
                     reads += more
-                    depth = max(depth, inner)
+                    if inner > depth:
+                        depth = inner
                     size += lines_in
                 else:
                     parts.append(f"t{ref}")
                     reads.append(ref)
-            return template.format(*parts), reads, depth, size
+            return template.format(*parts), reads, depth, size, binding
 
         for k, (kind, template, operands) in enumerate(lines):
             if not needed[k] or kind == _INPUT:
                 continue
-            text, reads, depth, size = expand(template, operands)
+            text, reads, depth, size, binding = expand(template, operands)
             if kind == _GUARD:
-                if text not in guards:
-                    guards.add(text)
+                if (template, text) not in guards:
+                    guards.add((template, text))
                     statements.append((None, text, reads, size))
             elif uses[k] == 1 and depth < MAX_DEPTH:
-                inline[k] = (text, reads, depth + 1, size)
+                inline[k] = (text, reads, depth + 1, size, binding)
             else:
                 statements.append((k, f"t{k} = {text}", reads, size))
-        text, reads, _, size = expand("return [" + ", ".join(["{}"] * len(results)) + "]",
-                                      results)
+        text, reads, _, size, _ = expand("return [" + ", ".join(["{}"] * len(results)) + "]",
+                                         results)
         statements.append((None, text, reads, size))
         return _link(statements, self.inputs, self.namespace)
 
@@ -310,13 +334,15 @@ def _link(statements, inputs, namespace):
         exec(compile(source, "<replay>", "exec"), scope)
         segments.append(scope["segment"])
 
-    def path(*inputs):
-        state = inputs
-        for segment in segments:
-            state = segment(*state)
-            if state is None:
-                return None
-        return state
+    if len(segments) == 1:
+        path = segments[0]
+    else:
+        def path(*state):
+            for segment in segments:
+                state = segment(*state)
+                if state is None:
+                    return None
+            return state
 
     path.statements = len(statements) - 1
     return path
@@ -330,16 +356,8 @@ class _Entry:
         self.paths = []
         self.recordings = 0
 
-    def __call__(self, fn, args, inputs):
-        for k, path in enumerate(self.paths):
-            try:
-                out = path(*inputs)
-            except Exception:  # the plain run raises its own error, or returns
-                return fn(*args)
-            if out is not None:
-                if k:
-                    self.paths.insert(0, self.paths.pop(k))
-                return out
+    def record(self, fn, args):
+        """``fn(*args)``, recording a new path while recordings are left."""
         if self.recordings >= MAX_PATHS:
             return fn(*args)
         self.recordings += 1
@@ -385,7 +403,18 @@ def replayed(fn):
         if entry is None:
             memo.clear()
             entry = memo[key] = _Entry([a for a in args if not isinstance(a, _SEQUENCES)])
-        return entry(fn, args, inputs)
+        paths = entry.paths
+        for path in paths:
+            try:
+                out = path(*inputs)
+            except Exception:  # the plain run raises its own error, or returns
+                return fn(*args)
+            if out is not None:
+                if path is not paths[0]:
+                    paths.remove(path)
+                    paths.insert(0, path)
+                return out
+        return entry.record(fn, args)
 
     def paths():
         """Statement counts of the held entry's paths, most recently used first."""

@@ -11,7 +11,8 @@ arrays, the covariant derivatives of all three frameworks one component
 at a time, the Finsler space of a fundamental function on the general jet
 engine of :mod:`reference_dual`); only tests call them.
 The adapters return what the tests read from the pieces the pipelines
-use (``common.unit_vector``, the adapted partials, the connection lists).
+use (``common.unit_vector``, the adapted partials, the connection lists,
+the riemann and lagrange covariant derivatives of a latin field).
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from geoplasma.common import energy_low_mixed, jet_block, mixed_stress, unit_vec
 from geoplasma.dual import Jet, branch, power, promote, scalar_value, seed
 from geoplasma.errors import DomainError, IntegrationError, TensorError, UnboundVariableError
 from geoplasma.expr import BinOp, Call, Neg, Num, Var, compile_field, parse, pretty
-from geoplasma.lagrange import GeneralizedLagrangeSpace, _adapted_partials
+from geoplasma.lagrange import GeneralizedLagrangeSpace, _adapted_partials, _hv_covariant
 from geoplasma.multitime import (
     _Derivatives,
     _Frame,
@@ -32,7 +33,13 @@ from geoplasma.multitime import (
     fiber_index,
     temporal_christoffel_lists,
 )
-from geoplasma.riemann import ElectromagneticPair, FluidState, SemiRiemannianSpace
+from geoplasma.riemann import (
+    ElectromagneticPair,
+    FluidState,
+    SemiRiemannianSpace,
+    _levi_civita,
+    christoffel,
+)
 from geoplasma.tensor_core import (
     MatrixMetricField,
     MetricField,
@@ -700,6 +707,35 @@ def covariant_per_component(T, slots, partial, coeff):
                         acc = acc - vals[pre + (m,) + post] * coeff[m][i][p]
             out.append(acc)
     return component_array(out, T.shape + (n,))
+
+
+def latin_block(field, slots, coords):
+    """The jet block of a latin tensor field evaluated as jets at a point."""
+    T = eval_jets(field, *seed(list(coords)))
+    if any(not s.latin for s in slots):
+        raise TensorError("covariant derivative requires all-latin valence")
+    return jet_block(T, len(slots))
+
+
+def levi_civita_derivative(field, slots, space, x):
+    """Covariant derivative of a latin-valence tensor field at x.
+
+    ``field(coords)`` returns nested lists with one valence tag per level
+    in ``slots``.  Returns a float array with one extra covariant axis:
+    the partial plus one gamma correction per slot, signed by variance.
+    """
+    return _levi_civita(latin_block(field, slots, x), slots, christoffel(space, x))
+
+
+def hv_covariant(field, slots, space, coords):
+    """Horizontal and vertical covariant derivatives of a latin tensor field on TM.
+
+    ``field(coords)`` returns nested lists with one valence tag per level
+    in ``slots``; it is evaluated once.  Each result is a float array with
+    one extra covariant axis: (adapted partial delta/delta x, Cartan L),
+    then (fiber partial d/dy, Cartan C).
+    """
+    return _hv_covariant(latin_block(field, slots, coords), slots, space, coords)
 
 
 def jet_covariant_derivative(field, slots, space, coords, kind):

@@ -476,7 +476,7 @@ def test_jet_covariant_derivative_keeps_lanes(name):
 def test_levi_civita_derivative_rejects_a_greek_slot():
     space = helpers.flat_space(2)
     with pytest.raises(TensorError, match="^covariant derivative requires all-latin valence$"):
-        riemann.levi_civita_derivative(lambda c: [[c[0], c[1]], [c[1], c[0]]],
+        helpers.levi_civita_derivative(lambda c: [[c[0], c[1]], [c[1], c[0]]],
                                        (Slot.LU, Slot.GD), space, [0.1, 0.2])
 
 

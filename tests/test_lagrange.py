@@ -17,7 +17,6 @@ from geoplasma.lagrange import (
     cartan_connection,
     cartan_connection_lists,
     conservation_divergence,
-    hv_covariant,
     h_stream_line_rhs,
     integrate_h_stream_line,
     lagrange_residuals,
@@ -189,8 +188,8 @@ def test_covariant_constant_tensor_flat():
     field = lambda coords: [[1.0, 2.0], [3.0, 4.0]]
     slots = (Slot.LU, Slot.LD)
     pt = [0.0, 0.0, 1.0, 1.0]
-    assert np.abs(hv_covariant(field, slots, space, pt)[0]).max() == 0.0
-    assert np.abs(hv_covariant(field, slots, space, pt)[1]).max() == 0.0
+    assert np.abs(helpers.hv_covariant(field, slots, space, pt)[0]).max() == 0.0
+    assert np.abs(helpers.hv_covariant(field, slots, space, pt)[1]).max() == 0.0
 
 
 def test_covariant_dual_path_oracle():
@@ -205,8 +204,8 @@ def test_covariant_dual_path_oracle():
     field = lambda coords: [[comps[i][j](coords) for j in range(n)] for i in range(n)]
     slots = (Slot.LU, Slot.LD)
     pt = helpers.sample_box(RNG, box, 1)[0]
-    got_h = np.array(hv_covariant(field, slots, space, pt)[0].tolist())
-    got_v = np.array(hv_covariant(field, slots, space, pt)[1].tolist())
+    got_h = np.array(helpers.hv_covariant(field, slots, space, pt)[0].tolist())
+    got_v = np.array(helpers.hv_covariant(field, slots, space, pt)[1].tolist())
 
     L, C = cartan_connection_lists(space, pt)
     N0 = np.array(space.N(list(pt)))
@@ -246,10 +245,10 @@ def test_dual_normalization_identities():
         u0 = np.array([scalar_value(v) for v in u0])
         ul0 = np.array([scalar_value(v) for v in ul0])
         assert abs(u0 @ ul0 - 1.0) < 1e-13
-        du_h = np.array(hv_covariant(uf, (Slot.LU,), space, pt)[0].tolist())
-        du_v = np.array(hv_covariant(uf, (Slot.LU,), space, pt)[1].tolist())
-        dul_h = np.array(hv_covariant(ulf, (Slot.LD,), space, pt)[0].tolist())
-        dul_v = np.array(hv_covariant(ulf, (Slot.LD,), space, pt)[1].tolist())
+        du_h = np.array(helpers.hv_covariant(uf, (Slot.LU,), space, pt)[0].tolist())
+        du_v = np.array(helpers.hv_covariant(uf, (Slot.LU,), space, pt)[1].tolist())
+        dul_h = np.array(helpers.hv_covariant(ulf, (Slot.LD,), space, pt)[0].tolist())
+        dul_v = np.array(helpers.hv_covariant(ulf, (Slot.LD,), space, pt)[1].tolist())
         for m in range(n):
             assert abs(ul0 @ du_h[:, m]) < 1e-11
             assert abs(ul0 @ du_v[:, m]) < 1e-11

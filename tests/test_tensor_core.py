@@ -7,7 +7,6 @@ import helpers
 from geoplasma import dual
 from geoplasma.dual import seed
 from geoplasma.errors import DegenerateMetricError, TensorError
-from geoplasma.riemann import levi_civita_derivative
 from geoplasma.tensor_core import (
     MAX_DIM,
     MetricField,
@@ -29,7 +28,8 @@ def test_dimension_above_max_dim_rejected():
 def test_slot_count_must_match_rank():
     space = helpers.flat_space(2)
     with pytest.raises(TensorError, match="^rank 2 tensor given 1 slots$"):
-        levi_civita_derivative(lambda c: [[1.0, 0.0], [0.0, 1.0]], (Slot.LD,), space, [0.1, 0.2])
+        helpers.levi_civita_derivative(lambda c: [[1.0, 0.0], [0.0, 1.0]], (Slot.LD,), space,
+                                       [0.1, 0.2])
 
 
 def test_invert_identity_and_diag():
