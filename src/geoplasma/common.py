@@ -29,6 +29,9 @@ from .errors import IntegrationError, NormalizationError, SingularDynamicsError,
 from .tensor_core import Slot, invert_symmetric, mat_vec, quadratic_form, sum_product
 
 
+_COORDINATES = (list, tuple, np.ndarray)
+
+
 def point_memo(builder):
     """Memoize a pure per-point builder at the last point it was called at.
 
@@ -47,7 +50,7 @@ def point_memo(builder):
     def cached(*args):
         key = []
         for arg in args:
-            if not isinstance(arg, (list, tuple, np.ndarray)):
+            if not isinstance(arg, _COORDINATES):
                 key.append(id(arg))
             elif all(type(c) is float for c in arg):
                 key.append(array("d", arg).tobytes())
@@ -58,11 +61,13 @@ def point_memo(builder):
             else:
                 return builder(*args)
         key = tuple(key)
-        if key not in memo:
+        held = memo.get(key)
+        if held is None:
             value = builder(*args)
             memo.clear()
             memo[key] = (args, value)  # args keep the keyed ids alive
-        return memo[key][1]
+            return value
+        return held[1]
 
     cached.cache_clear = memo.clear
     return cached
