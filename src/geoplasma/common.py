@@ -28,7 +28,6 @@ from . import dual
 from .errors import IntegrationError, NormalizationError, SingularDynamicsError, TensorError
 from .tensor_core import Slot, invert_symmetric, mat_vec, quadratic_form, sum_product
 
-
 _COORDINATES = (list, tuple, np.ndarray)
 
 

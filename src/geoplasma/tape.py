@@ -15,12 +15,10 @@ segments of about SEGMENT tape lines into a *path*: the same float
 operations on the same operands, returning None where a guard fails; a
 path of one segment is that segment's function.  Later calls replay the
 paths, the last one that held first; a guard miss records another path, up
-to MAX_PATHS recordings per entry.
-
-The first call pays for the recording.  For the n = 2 stream-line frame
-(2,331 tape lines, 396 statements in 2 segments) that is about 13 ms in
-process on a 2-core VM: tracing 4.6, the inline and dead-code pass 3.4 and
-``compile()`` 4.9; a replay then takes about 28 us.
+to MAX_PATHS recordings per entry.  The first call pays for the recording:
+for the n = 2 stream-line frame (396 statements in 2 segments) about 13 ms
+in process on a 2-core VM (tracing 4.6, the inline and dead-code pass 3.4,
+``compile()`` 4.9), where a replay takes about 28 us.
 
 The plain function runs instead, so every error text is the plain run's:
 
@@ -50,9 +48,8 @@ import numpy as np
 # recording and memory: its recording stops here, and it runs plain.
 MAX_STATEMENTS = 4000
 MAX_PATHS = 4
-# tape lines compiled at once: bounds the memory compile() takes (peak RSS of
-# the n = 2 stream line: 34.4 MB at 256, 34.7 at 512, 35.2 at 1024, 35.9 in
-# one segment); fewer segments hand on fewer temporaries per replay
+# tape lines compiled at once, which bounds the memory compile() takes: the n = 2
+# stream line peaks at 34.4 MB RSS at 256, 34.6 at 512, 35.1 at 1024, 35.9 whole
 SEGMENT = 1024
 # deepest expression that writing temporaries into their readers builds
 MAX_DEPTH = 12
@@ -266,8 +263,7 @@ class _Tape:
         guards = set()  # a guard of an earlier guard's template and text is dropped
 
         def expand(template, operands):
-            """The text of ``template`` on ``operands``, with the temporaries
-            it reads, its depth, its tape lines and how tightly it binds."""
+            """``template`` on ``operands``: text, reads, depth, tape lines, binding."""
             binding, needs = _PRECEDENCE.get(template, _CALL)
             parts, reads, depth, size = [], [], 0, 1
             for slot, ref in enumerate(operands):
