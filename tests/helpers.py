@@ -5,7 +5,8 @@ differences so they do not share code paths with the package internals
 they check.  The reference implementations at the end are the package's
 unreduced or former forms (``walk``, the recursive tree walker of the
 expression language; seeded scalar-field evaluation, the covariant
-stream-sheet residuals, the edml Lagrangian, the multi-time velocity,
+stream-sheet residuals, the edml Lagrangian, the multi-time velocity, the
+multi-time conservation and continuity of each channel spelled out by hand,
 the mixed stress of each framework from every field, the RK4 integrator on numpy
 arrays, the covariant derivatives of all three frameworks one component
 at a time, the Finsler space of a fundamental function on the general jet
@@ -585,6 +586,89 @@ def multitime_mixed_stress_field(state, space):
         return out
 
     return fn
+
+
+def multitime_channel_residuals(state, space, coords):
+    """(conservation_h, conservation_v, continuity_h, continuity_v) of the
+    point's multitime frame, each channel spelled out by hand: the horizontal
+    and the vertical conservation (free latin index, and latin index with
+    greek label mu), the horizontal continuity (free greek index) and the
+    fully contracted vertical continuity.  Nested lists of values, with the
+    ``hinv0[a][b] == 0.0`` skips of the channel algebra in the same (a, b)
+    order; the oracle of ``multitime.multitime_residuals``."""
+    fr = _Frame(state, space, coords)
+    p, n = fr.p, fr.n
+    hinv0 = fr.hinv0
+    cols = fr.cols
+    force_h, force_v = fr.force_h, fr.force_v
+    dp_h = fr.h.dp
+    wdiv_h = [col.qu_divergence(col.h) for col in cols]
+    wdiv_v = [[col.qu_divergence(ch) for ch in col.v] for col in cols]
+
+    def ul_cov_h(i, b, m):
+        return cols[b].u_cov_low(cols[b].h, i, m)
+
+    def ul_cov_v(i, b, m, mu):
+        return cols[b].u_cov_low(cols[b].v[mu], i, m)
+
+    cons_h = []
+    for i in range(n):
+        acc = dp_h[i] - sum_product(fr.g0[i], force_h)
+        for a in range(p):
+            for b in range(p):
+                hab = hinv0[a][b]
+                if branch(hab == 0.0):
+                    continue
+                acc += hab * wdiv_h[a] * fr.ul0[i][b]
+                for m in range(n):
+                    acc += fr.q0 * hab * fr.u0[m][a] * ul_cov_h(i, b, m)
+        cons_h.append(acc)
+
+    cons_v = [[0.0] * p for _ in range(n)]
+    for i in range(n):
+        for mu in range(p):
+            acc = fr.v[mu].dp[i] - sum(fr.g0[i][r] * force_v[mu][r] for r in range(n))
+            for a in range(p):
+                for b in range(p):
+                    hab = hinv0[a][b]
+                    if branch(hab == 0.0):
+                        continue
+                    acc += hab * wdiv_v[a][mu] * fr.ul0[i][b]
+                    for m in range(n):
+                        acc += fr.q0 * hab * fr.u0[m][a] * ul_cov_v(i, b, m, mu)
+            cons_v[i][mu] = acc
+
+    cont_h = []
+    for mu in range(p):
+        acc = sum(dp_h[m] * fr.u0[m][mu] for m in range(n))
+        for a in range(p):
+            for b in range(p):
+                hab = hinv0[a][b]
+                if branch(hab == 0.0):
+                    continue
+                proj = sum(fr.ul0[i][b] * fr.u0[i][mu] for i in range(n))
+                acc += hab * wdiv_h[a] * proj
+                for m in range(n):
+                    for i in range(n):
+                        acc += fr.q0 * hab * fr.u0[m][a] * ul_cov_h(i, b, m) * fr.u0[i][mu]
+        cont_h.append(acc)
+
+    cont_v = 0.0
+    for mu in range(p):
+        cont_v += sum(fr.v[mu].dp[m] * fr.u0[m][mu] for m in range(n))
+        for a in range(p):
+            for b in range(p):
+                hab = hinv0[a][b]
+                if branch(hab == 0.0):
+                    continue
+                proj = sum(fr.ul0[i][b] * fr.u0[i][mu] for i in range(n))
+                cont_v += hab * wdiv_v[a][mu] * proj
+                for m in range(n):
+                    for i in range(n):
+                        cont_v += (
+                            fr.q0 * hab * fr.u0[m][a] * ul_cov_v(i, b, m, mu) * fr.u0[i][mu]
+                        )
+    return cons_h, cons_v, cont_h, cont_v
 
 
 def stream_sheet_residuals_covariant(state, space, coords):

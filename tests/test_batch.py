@@ -325,6 +325,62 @@ def test_a_batch_splits_by_the_condition_its_points_disagree_on(name, monkeypatc
     assert len(seeds) == 3 + failed
 
 
+def _scenario_points(config):
+    scenario = build_scenario(config)
+    return scenario.state, scenario.space, evaluation_points(scenario)[0]
+
+
+def _random_multitime(seed, p, n):
+    rng = np.random.default_rng(seed)
+    space, state, box = helpers.random_multitime_scenario(rng, p, n)
+    return state, space, [[float(v) for v in c] for c in helpers.sample_box(rng, box, 8)]
+
+
+# multitime states, spaces and points for the channel algebra: p = 2 with
+# every block nonzero and with G = C = 0, p = 1, and the DIAGONAL_H points,
+# where h^12 is zero at two points, so a batch of all of them splits
+CHANNEL_CASES = {
+    "multitime3": lambda: _scenario_points(MULTITIME3),
+    "bsml": lambda: _scenario_points(BSML),
+    "random_p1": lambda: _random_multitime(5, 1, 3),
+    "random_p2": lambda: _random_multitime(6, 2, 2),
+    "diagonal_h": lambda: _scenario_points(dict(MULTITIME3, eval={"points": DIAGONAL_H})),
+}
+CHANNEL_ENTRIES = ("conservation_h", "conservation_v", "continuity_h", "continuity_v")
+
+
+def _channel_split(state, space, coords):
+    """The lanes a BatchSplit of the channel algebra names, or None once its
+    entries have matched the hand-spelled channels bit for bit."""
+    lanes = np.shape(coords[0])
+    try:
+        oracle = helpers.multitime_channel_residuals(state, space, coords)
+    except BatchSplit as split:
+        with pytest.raises(BatchSplit) as raised:
+            mt.multitime_residuals(state, space, coords)
+        assert raised.value.lanes.tolist() == split.lanes.tolist()
+        return split.lanes
+    report = mt.multitime_residuals(state, space, coords)
+    for name, value in zip(CHANNEL_ENTRIES, oracle):
+        expected = common.lane_array(value, lanes)
+        assert (report[name].shape, report[name].tobytes()) == (expected.shape, expected.tobytes())
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_CASES))
+def test_channel_algebra_equals_the_hand_spelled_channels(name):
+    state, space, points = CHANNEL_CASES[name]()
+    for coords in points:
+        assert _channel_split(state, space, coords) is None
+    batch = [np.array(c) for c in zip(*points)]
+    split = _channel_split(state, space, batch)
+    assert (split is not None) == (name == "diagonal_h")
+    if split is not None:
+        assert split.tolist() == [k in (1, 4) for k in range(len(points))]
+        for side in (split, ~split):
+            assert _channel_split(state, space, [c[side] for c in batch]) is None
+
+
 def test_a_plain_lane_divisor_splits_on_its_zero_lanes():
     tree = expr.parse("1/(x1 - 1)")
     with pytest.raises(BatchSplit) as split:

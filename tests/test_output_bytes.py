@@ -37,7 +37,9 @@ replayed.  The ``kappa_zero`` pins (20 explicit points, kappa vanishing at
 were recorded before the multitime adapted derivatives ran on stacked
 coefficient blocks.  The riemann and lagrange ``verify`` pins at 24 points
 were recorded while those suites evaluated every point alone, before they
-ran in lane batches.
+ran in lane batches.  The ``tangent_power`` pins (an integral exponent
+seeded along the fiber) were recorded while the lagrange canonical
+nonlinear connection evaluated g on a seeding of x alone.
 
 The hashes assume CPython 3.11 and numpy 2.4.6 on x86-64 Linux with glibc
 2.36's libm: another libm may round ``sin``/``exp``/``log`` differently in
@@ -215,9 +217,17 @@ LAGRANGE2 = {
 }
 # a pressure whose log needs x2 > -0.05: stream lines heading down fail
 LAGRANGE2_LOG = dict(LAGRANGE2, pressure="0.3 + 0.04*sin(x1)*y1 + 0.01*log(x2 + 0.05)")
+# tangent_bundle with a g_11 whose exponent is integral but seeded along y1:
+# ``dual.power`` multiplies repeatedly for an unseeded integral exponent
+# only, so evaluating g on the seeding of x alone (the canonical N) and on
+# the seeding of x and y (the frame) rounds g_11 differently.  Moving N onto
+# the frame's seeding changes these residuals bytes
+TANGENT_POWER = dict(json.loads((SCENARIOS / "tangent_bundle.json").read_text()),
+                     metric=[["(1.2 + 0.1*sin(x1))^(1 + 0*y1)", "0.05*cos(x1)"],
+                             ["1.1 + 0.1*cos(x1 + y2)"]])
 GENERATED = {"lagrange3": LAGRANGE3, "lagrange2": LAGRANGE2, "lagrange2_log": LAGRANGE2_LOG, "riemann3": RIEMANN3, "multitime3": MULTITIME3,
              "edml": EDML, "sheet_failures": SHEET_FAILURES, "singular_h": SINGULAR_H,
-             "kappa_zero": KAPPA_ZERO,
+             "kappa_zero": KAPPA_ZERO, "tangent_power": TANGENT_POWER,
              "singular_h_canonical": dict(SINGULAR_H, connection="canonical")}
 
 
@@ -323,6 +333,10 @@ for _name in ("lagrange3", "multitime3", "edml"):
 # at the first temporal derivative, residuals (no temporal derivative) do not
 CASES["verify-kappa_zero"] = ("kappa_zero", ["verify"], 0)
 CASES["residuals-kappa_zero"] = ("kappa_zero", ["residuals"], 0)
+# a seeded integral exponent in g: recorded while the lagrange canonical N
+# evaluated g on a seeding of its own
+CASES["residuals-tangent_power"] = ("tangent_power", ["residuals"], 0)
+CASES["verify-tangent_power"] = ("tangent_power", ["verify"], 0)
 
 # case -> (SHA-256 of the output file, SHA-256 of stdout or None)
 EXPECTED = {
@@ -373,6 +387,8 @@ EXPECTED = {
     "verify-tol-1e-30-points-24-bsml_sheet": ("7384e5dcfcedae1be4fbd0929a386d8e47a75fbe69f0448cc722eb3c137b44b6", "0281dc772a26a27854d52b3fc236e247695ea3551bf0489c8f55adc17aeb97c3"),
     "verify-kappa_zero": ("c5a79a75f492d2021730731fd4f765ec25a75e248e233897326577c8a9ad38d4", "24125598f01ebaf656d3fe9cbab4cbd9795d3d0ee72e475c182c36a6c7c4843d"),
     "residuals-kappa_zero": ("228549788db1ce32fe8c21b243cfadf09bfc0635ba492641ad587cce04fdb659", None),
+    "residuals-tangent_power": ("5f21a9169c4a362a573934914eeafd04a704d0a4ca569d94e20c0a6b07610834", None),
+    "verify-tangent_power": ("c8b488d136d50f9e5cec4dabcb47fb9a5fb8993c126208317ebed6f5d38e7652", "226fc22d14038c9c9109533dc88a13b47cce95ba57b678933f51418ffca2c331"),
     "verify-points-24-lagrange3": ("0dc055a71cdd5bf9b522e90c51eee329e0569509887d338ff4ffe4240c604239", "33efd47d07fd787b468085a665d310d328b629dc29e65f2cf120a5be8b814c49"),
     "verify-points-24-polar_plasma": ("ed6dcbcc86ea0f48c002cb8c1ed19450e60a228bff910dfced8fc913ab6cb981", "acfb4728bc0dff73b84bfe54b6d78485c15515f3926e62921d33003c8da03a2c"),
     "verify-points-24-riemann3": ("f2827753e3486353ac70aa45e93fdcbd919a0b61971065d52fe439edd22fa080", "23c0be38efe689c43d8a0b3262933d2852c43e0e19157695275322e96d9b8cda"),
