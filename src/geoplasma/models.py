@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .common import MetricJets
 from .dual import branch, promote, scalar_value, seed
 from .errors import BatchSplit, DegenerateMetricError, DomainError, ExprError, ScenarioError
 from .expr import parse
@@ -142,7 +143,7 @@ def build_edml(h_metric, phi_metric, U, Phi, p, n):
         out = base_fn(coords)
         t = coords[:p]
         h = h_metric.matrix(t)
-        phinv = invert_symmetric(phi_metric.matrix(coords[p:p + n]))
+        phinv = MetricJets(phi_metric, coords[p:p + n]).ginv0  # the canonical part's instance
         # dU[m][mu][j] = dU^(mu)_(m)/dx^j by seeding the spatial part
         cj, ctx = seed(list(coords), seeds=range(p, p + n))
         dU = [

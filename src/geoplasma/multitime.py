@@ -17,8 +17,10 @@ blocks of each kind, take each partial of all components at once.
 The residuals run on the channel algebra of :mod:`geoplasma.common`: each
 velocity label beta has a :class:`~geoplasma.common.FluidFrame` of the
 column u^i_beta, with one horizontal channel (L, delta/delta x) and p
-vertical channels (C[..][..][..][mu], d/dx^i_mu).  The conservation and
-continuity assembly over the greek labels stays here.
+vertical channels (C[..][..][..][mu], d/dx^i_mu).  One conservation and
+one continuity, contracted over the greek labels with h^-1, run over every
+channel c: c = 0 is the horizontal one and c = 1 + mu the vertical one of
+label mu.
 """
 
 from __future__ import annotations
@@ -358,120 +360,84 @@ class _Frame:
 def multitime_residuals(state, space, coords):
     """Full multi-time residual report at one jet point.
 
-    The repeated greek label of the vertical conservation equations is
-    read as a free index (an (i, mu) tensor); the vertical continuity
-    residual is the fully contracted scalar.  The report maps entry names to
-    float arrays; coordinates that are lane arrays give each entry a trailing
-    lane axis.
+    Conservation and continuity run over channel c: c = 0 is the horizontal
+    channel (L, delta/delta x), c = 1 + mu the vertical one of label mu
+    (C[..][..][..][mu], d/dx^i_mu).  The repeated greek label of the
+    vertical conservation equations is read as a free index (an (i, mu)
+    tensor); the vertical continuity residual is the fully contracted
+    scalar.  The report maps entry names to float arrays; coordinates that
+    are lane arrays give each entry a trailing lane axis.
     """
     fr = _Frame(state, space, coords)
     p, n = fr.p, fr.n
-    hinv0 = fr.hinv0
+    hinv0, u0, ul0, q0 = fr.hinv0, fr.u0, fr.ul0, fr.q0
     cols = fr.cols
-
-    ediv_h = fr.h.ediv
-    force_h, force_v = fr.force_h, fr.force_v
-    dp_h = fr.h.dp
+    chans = [(col.h, *col.v) for col in cols]  # [b][c]
+    dps = [ch.dp for ch in chans[0]]  # [c][i]: every column differentiates one p
+    forces = [fr.force_h, *fr.force_v]  # [c][k]
     lorentz_h = [
-        sum(ediv_h[i] * fr.u0[i][a] for i in range(n)) for a in range(p)
+        sum(fr.h.ediv[i] * u0[i][a] for i in range(n)) for a in range(p)
     ]
     lorentz_v = sum(
-        fr.v[mu].ediv[i] * fr.u0[i][mu] for i in range(n) for mu in range(p)
+        fr.v[mu].ediv[i] * u0[i][mu] for i in range(n) for mu in range(p)
     )
+    wdiv = [[col.qu_divergence(ch) for ch in chs] for col, chs in zip(cols, chans)]  # [a][c]
 
-    wdiv_h = [col.qu_divergence(col.h) for col in cols]
-    wdiv_v = [[col.qu_divergence(ch) for ch in col.v] for col in cols]
-
-    def ul_cov_h(i, b, m):
-        return cols[b].u_cov_low(cols[b].h, i, m)
-
-    def ul_cov_v(i, b, m, mu):
-        return cols[b].u_cov_low(cols[b].v[mu], i, m)
-
-    # conservation, horizontal channel (free latin index)
-    cons_h = []
-    for i in range(n):
-        acc = dp_h[i] - sum_product(fr.g0[i], force_h)
+    def conservation(c, i):
+        acc = dps[c][i] - sum_product(fr.g0[i], forces[c])
         for a in range(p):
             for b in range(p):
                 hab = hinv0[a][b]
                 if dual.branch(hab == 0.0):
                     continue
-                acc += hab * wdiv_h[a] * fr.ul0[i][b]
+                acc += hab * wdiv[a][c] * ul0[i][b]
                 for m in range(n):
-                    acc += fr.q0 * hab * fr.u0[m][a] * ul_cov_h(i, b, m)
-        cons_h.append(acc)
+                    acc += q0 * hab * u0[m][a] * cols[b].u_cov_low(chans[b][c], i, m)
+        return acc
 
-    # conservation, vertical channel (latin index i, greek label mu)
-    cons_v = [[0.0] * p for _ in range(n)]
-    for i in range(n):
-        for mu in range(p):
-            acc = fr.v[mu].dp[i] - sum(
-                fr.g0[i][r] * force_v[mu][r] for r in range(n)
-            )
-            for a in range(p):
-                for b in range(p):
-                    hab = hinv0[a][b]
-                    if dual.branch(hab == 0.0):
-                        continue
-                    acc += hab * wdiv_v[a][mu] * fr.ul0[i][b]
-                    for m in range(n):
-                        acc += fr.q0 * hab * fr.u0[m][a] * ul_cov_v(i, b, m, mu)
-            cons_v[i][mu] = acc
-
-    # continuity, horizontal channel (free greek index)
-    cont_h = []
-    for mu in range(p):
-        acc = sum(dp_h[m] * fr.u0[m][mu] for m in range(n))
+    def continuity(acc, c, mu):
+        """``acc`` plus the continuity of channel c projected on label mu."""
+        acc += sum(dps[c][m] * u0[m][mu] for m in range(n))
         for a in range(p):
             for b in range(p):
                 hab = hinv0[a][b]
                 if dual.branch(hab == 0.0):
                     continue
-                proj = sum(fr.ul0[i][b] * fr.u0[i][mu] for i in range(n))
-                acc += hab * wdiv_h[a] * proj
+                proj = sum(ul0[i][b] * u0[i][mu] for i in range(n))
+                acc += hab * wdiv[a][c] * proj
                 for m in range(n):
                     for i in range(n):
-                        acc += fr.q0 * hab * fr.u0[m][a] * ul_cov_h(i, b, m) * fr.u0[i][mu]
-        cont_h.append(acc)
+                        acc += (q0 * hab * u0[m][a] * cols[b].u_cov_low(chans[b][c], i, m)
+                                * u0[i][mu])
+        return acc
 
-    # continuity, vertical channel (fully contracted scalar)
+    cons_h = [conservation(0, i) for i in range(n)]
+    cons_v = [[conservation(1 + mu, i) for mu in range(p)] for i in range(n)]
+    cont_h = [continuity(0.0, 0, mu) for mu in range(p)]
     cont_v = 0.0
     for mu in range(p):
-        cont_v += sum(fr.v[mu].dp[m] * fr.u0[m][mu] for m in range(n))
-        for a in range(p):
-            for b in range(p):
-                hab = hinv0[a][b]
-                if dual.branch(hab == 0.0):
-                    continue
-                proj = sum(fr.ul0[i][b] * fr.u0[i][mu] for i in range(n))
-                cont_v += hab * wdiv_v[a][mu] * proj
-                for m in range(n):
-                    for i in range(n):
-                        cont_v += (
-                            fr.q0 * hab * fr.u0[m][a] * ul_cov_v(i, b, m, mu) * fr.u0[i][mu]
-                        )
+        cont_v = continuity(cont_v, 1 + mu, mu)
 
     T_low, T_mix = _stress_lists(fr)
     lanes = np.shape(coords[0])
-    u0 = lane_array(fr.u0, lanes)
+    u = lane_array(u0, lanes)
     contraction_h = [
-        sum(cons_h[i] * u0[i][mu] for i in range(n)) - cont_h[mu] - lorentz_h[mu]
+        sum(cons_h[i] * u[i][mu] for i in range(n)) - cont_h[mu] - lorentz_h[mu]
         for mu in range(p)
     ]
     contraction_v = (
-        sum(cons_v[i][mu] * u0[i][mu] for i in range(n) for mu in range(p))
+        sum(cons_v[i][mu] * u[i][mu] for i in range(n) for mu in range(p))
         - cont_v - lorentz_v
     )
     norm = sum(
-        fr.hinv0[a][b] * fr.ul0[i][a] * fr.u0[i][b]
+        hinv0[a][b] * ul0[i][a] * u0[i][b]
         for a in range(p) for b in range(p) for i in range(n)
     )
     return {name: lane_array(value, lanes) for name, value in (
         ("stress", T_low), ("stress_mixed", T_mix), ("lorentz_h", lorentz_h),
         ("lorentz_v", lorentz_v), ("conservation_h", cons_h), ("conservation_v", cons_v),
-        ("continuity_h", cont_h), ("continuity_v", cont_v), ("force_h", force_h),
-        ("force_v", [list(k) for k in zip(*force_v)]),  # [k][mu]
+        ("continuity_h", cont_h), ("continuity_v", cont_v), ("force_h", forces[0]),
+        ("force_v", [list(k) for k in zip(*forces[1:])]),  # [k][mu]
         ("contraction_identity_h", contraction_h), ("contraction_identity_v", contraction_v),
         ("unit_norm_error", norm - 1.0))}
 

@@ -40,7 +40,6 @@ from .tensor_core import (
     Slot,
     TwoFormField,
     christoffel_from,
-    christoffel_of,
     eval_jets,
 )
 
@@ -71,15 +70,9 @@ class FluidState:
 
 @point_memo
 def christoffel_lists(space, x):
-    """Connection coefficients gamma[i][j][k] at x from the inverted metric
-    values, as the canonical nonlinear connection of the multitime models
-    reads them."""
-    return christoffel_of(space.phi, x, point=x)
-
-
-@point_memo
-def _gamma(space, x):
-    """gamma[i][j][k] at x on the point's :class:`~geoplasma.common.MetricJets`."""
+    """Connection coefficients gamma[i][j][k] at x on the point's
+    :class:`~geoplasma.common.MetricJets`: the riemann frame and the
+    canonical nonlinear connection of the multitime models read them."""
     m, n = MetricJets(space.phi, x), space.n
     return christoffel_from(m.ginv0, [[[m.g[i][j].d(k) for j in range(n)] for i in range(n)]
                                       for k in range(n)])
@@ -87,7 +80,7 @@ def _gamma(space, x):
 
 def christoffel(space, x):
     """Christoffel symbols gamma^i_jk of the metric, as a float array [i, j, k] (lanes last)."""
-    return lane_array(_gamma(space, x), np.shape(x[0]))
+    return lane_array(christoffel_lists(space, x), np.shape(x[0]))
 
 
 def _partial(jet, k):
@@ -148,7 +141,7 @@ class _Frame(FluidFrame):
             promote(state.pressure(m.cj), m.ctx),
             promote(state.density(m.cj), m.ctx),
         )
-        gamma = _gamma(space, x)
+        gamma = christoffel_lists(space, x)
         self.h = self.channel(gamma, _partial, _energy_divergence(self.E_mix, gamma))
 
 

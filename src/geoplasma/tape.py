@@ -260,7 +260,7 @@ class _Tape:
         # it); a temporary read once is written into its reader
         statements = []
         inline = {}
-        guards = set()  # a guard of an earlier guard's template and text is dropped
+        guards = set()  # a guard with an earlier guard's text tests what has held
 
         def expand(template, operands):
             """``template`` on ``operands``: text, reads, depth, tape lines, binding."""
@@ -286,8 +286,8 @@ class _Tape:
                 continue
             text, reads, depth, size, binding = expand(template, operands)
             if kind == _GUARD:
-                if (template, text) not in guards:
-                    guards.add((template, text))
+                if text not in guards:
+                    guards.add(text)
                     statements.append((None, text, reads, size))
             elif uses[k] == 1 and depth < MAX_DEPTH:
                 inline[k] = (text, reads, depth + 1, size, binding)

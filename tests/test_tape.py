@@ -28,14 +28,16 @@ from geoplasma.scenario import build_scenario
 from test_output_bytes import CASES, EXPECTED, LAGRANGE2, LAGRANGE2_LOG, run_case
 
 
-# statements of the compiled frame path of the n = 2 benchmark line
-FRAME_STATEMENTS = 396
+# statements of the compiled frame path of the n = 2 benchmark line; 396
+# while a guard whose text repeated an earlier guard's was kept when its
+# template differed (a comparison and a divisor check, both `t == 0.0`)
+FRAME_STATEMENTS = 393
 # sha256 of the per-statement ast.dump of the eps0 form and of the frame
 # recorded at the seed-1 start of the n = 2 benchmark line: how a statement
 # is spelled may change, the operations it parses to may not
 PROGRAM_AST_SHA256 = [
     "49b3436d773b46ee6dcad432f6e58adfae8d0d6c37ce192a8eef3fd34ac95c75",
-    "ad163c1010cff08371128edeb28ce040d952e9764404d706f9ef625740517f87",
+    "fbc4a420f16d9bd2072eb81d7445e38efa17ce6ff3597b2df1f7383a8408efa9",
 ]
 
 
