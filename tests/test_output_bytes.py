@@ -225,10 +225,69 @@ LAGRANGE2_LOG = dict(LAGRANGE2, pressure="0.3 + 0.04*sin(x1)*y1 + 0.01*log(x2 + 
 TANGENT_POWER = dict(json.loads((SCENARIOS / "tangent_bundle.json").read_text()),
                      metric=[["(1.2 + 0.1*sin(x1))^(1 + 0*y1)", "0.05*cos(x1)"],
                              ["1.1 + 0.1*cos(x1 + y2)"]])
+# the stock metrics and connections of the scenario loader: a riemann and a
+# lagrange space on a stock ``model``, the lagrange one with an n x n
+# expression connection, a multitime space on a stock ``model`` with an
+# n x p x n expression connection, and the two phi-canonical jet models
+# besides bsml and edml
+RIEMANN_CONFORMAL = {
+    "framework": "riemann",
+    "n": 3,
+    "c": 1.0,
+    "model": {"name": "conformal", "params": {"sigma": "0.1*sin(x1) + 0.05*x2*x3"}},
+    "pressure": "0.3 + 0.05*sin(x1 + x2) + 0.02*x3",
+    "density": "1.2 + 0.1*cos(x3)",
+    "velocity": ["1", "0.4*cos(x2)", "0.2*sin(x1*x3)"],
+    "em": {"H": [["0.2*sin(x1)", "0.1*x3"], ["0.1*cos(x2)"], []], "G": "self-dual"},
+    "eval": {"box": {"min": [-0.5, -0.5, -0.5], "max": [0.5, 0.5, 0.5]}, "count": 6, "seed": 29},
+}
+LAGRANGE_MODEL = {
+    "framework": "lagrange",
+    "n": 2,
+    "c": 1.0,
+    "model": {"name": "conformal", "params": {"sigma": "0.1*sin(x1) + 0.05*y1*y2"}},
+    "connection": [["0.1*x1*y2", "0.05*cos(x2)"], ["0.02*y1", "0.03*sin(x1 + y2)"]],
+    "pressure": "0.3 + 0.04*sin(x1)*y1",
+    "density": "1.1 + 0.1*cos(x2)",
+    "em": {"H": [["0.15*sin(x1)*y2"], []], "G": [["0.1*cos(x2)"], []]},
+    "eval": {"box": {"min": [-0.5, -0.5, 0.7, 0.7], "max": [0.5, 0.5, 1.3, 1.3]},
+             "count": 6, "seed": 31},
+}
+MULTITIME_MODEL = {
+    "framework": "multitime",
+    "n": 2,
+    "p": 2,
+    "c": 1.0,
+    "h_metric": [["1 + 0.1*t2^2", "0.05*t1"], ["1.2 + 0.1*sin(t1)"]],
+    "model": {"name": "conformal", "params": {"sigma": "0.1*sin(x1) + 0.02*t1*x2_1"}},
+    "connection": [[["0.1*x1_1", "0.05*cos(x2)"], ["0.02*t1", "0.03*x2_2"]],
+                   [["0.04*sin(x1 + t2)", "0"], ["0.01*x1*x1_2", "0.02"]]],
+    "pressure": "0.3 + 0.04*sin(x1)*x1_1 + 0.01*t1",
+    "density": "1.1 + 0.1*cos(x2)*x2_1",
+    "em": {"H": [["0.12*sin(x1 + x2)"], []], "G": "self-dual"},
+    "eval": {
+        "box": {"min": [-0.3, -0.3, -0.5, -0.5, 0.4, 0.4, 0.4, 0.4],
+                "max": [0.3, 0.3, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0]},
+        "count": 6,
+        "seed": 37,
+    },
+}
+_JET_MODEL_EVAL = {
+    "box": {"min": [-0.3, -0.3, 0.8, -0.5, 0.6, 0.6, 0.6, 0.6],
+            "max": [0.3, 0.3, 1.5, 0.5, 1.2, 1.2, 1.2, 1.2]},
+    "count": 6,
+    "seed": 41,
+}
+GRGML = dict(EDML, eval=_JET_MODEL_EVAL, model={"name": "grgml", "params": {
+    "phi": {"name": "polar"}, "sigma": "0.05*sin(x1) + 0.02*t1*x1_1"}})
+RGOGML = dict(EDML, eval=_JET_MODEL_EVAL, model={"name": "rgogml", "params": {
+    "phi": {"name": "polar"}, "refractive_index": "1.3 + 0.1*sin(t1)", "X": ["1", "0.5*t2"]}})
 GENERATED = {"lagrange3": LAGRANGE3, "lagrange2": LAGRANGE2, "lagrange2_log": LAGRANGE2_LOG, "riemann3": RIEMANN3, "multitime3": MULTITIME3,
              "edml": EDML, "sheet_failures": SHEET_FAILURES, "singular_h": SINGULAR_H,
              "kappa_zero": KAPPA_ZERO, "tangent_power": TANGENT_POWER,
-             "singular_h_canonical": dict(SINGULAR_H, connection="canonical")}
+             "singular_h_canonical": dict(SINGULAR_H, connection="canonical"),
+             "riemann_conformal": RIEMANN_CONFORMAL, "lagrange_model": LAGRANGE_MODEL,
+             "multitime_model": MULTITIME_MODEL, "grgml": GRGML, "rgogml": RGOGML}
 
 
 def _bsml_nodes():
@@ -337,6 +396,18 @@ CASES["residuals-kappa_zero"] = ("kappa_zero", ["residuals"], 0)
 # evaluated g on a seeding of its own
 CASES["residuals-tangent_power"] = ("tangent_power", ["residuals"], 0)
 CASES["verify-tangent_power"] = ("tangent_power", ["verify"], 0)
+# stock metrics, expression connections and the grgml and rgogml models:
+# recorded before the scenario loader built every metric and every
+# canonical connection through one path
+for _name, _at in (
+    ("riemann_conformal", "0.1,-0.2,0.3"),
+    ("lagrange_model", "0.1,-0.2,0.9,1.1"),
+    ("multitime_model", "0.1,-0.2,0.3,0.1,0.5,0.6,0.7,0.8"),
+    ("grgml", "0.1,0.2,1.1,0.1,0.8,0.9,0.7,1.0"),
+    ("rgogml", "0.1,0.2,1.1,0.1,0.8,0.9,0.7,1.0"),
+):
+    CASES[f"residuals-{_name}"] = (_name, ["residuals"], 0)
+    CASES[f"connection-{_name}"] = (_name, ["connection", "--at", _at], 0)
 
 # case -> (SHA-256 of the output file, SHA-256 of stdout or None)
 EXPECTED = {
@@ -395,6 +466,16 @@ EXPECTED = {
     "verify-points-24-tangent_bundle": ("d87bc71ee5578ff2a8d4dffd853210a35cb109d136e551614f202569fca9af3e", "96ed1a7138bb5425ca2597249f2368c980659502881899787a67c9f34d5eae55"),
     "verify-tol-1e-30-points-24-lagrange3": ("19364f32ba5ca8e6a9c6b816153427a478da594daf2fee7fd3e1667375899cdf", "ec693da2c6e36711f5afd75447d6a27280c4069348b072b32fce2f7742a36f4f"),
     "verify-tol-1e-30-points-24-riemann3": ("5c19d7c68583487b05406000b4e13662121f0246736ae29b212c18f89996a69a", "a13537802357e136af77bb08c2a177fc90256c03ef54a2df07820196ec3f89bc"),
+    "connection-grgml": ("0fa452a50cf09109cd5b57f78cc3c72e3febc5dd4ffe96f1270a61490df5cc34", None),
+    "connection-lagrange_model": ("4cec7c3a25603f7f1dc20a54019e9375731651ff0449e16ffa699bab7a73f291", None),
+    "connection-multitime_model": ("67acc20e79b4bb0f40fcf4efae2dd3dd55ac8b7a266e71cecf7b883c439d66b5", None),
+    "connection-rgogml": ("d5dd1dd669f420af546f2291001ada6beeccebaba93ba0f598288b4d2f03d740", None),
+    "connection-riemann_conformal": ("70534c401183800a79887826f570ac4e0c427e7f82ac920e8ee02f3aaaca6b24", None),
+    "residuals-grgml": ("1aa4caae29c20643b0d17f9e9097b6704a4e96c2b05206b598e3cacc44b3a4b1", None),
+    "residuals-lagrange_model": ("83dfed0b0237060656b6d4eb558ae51965d1b01ae9a9207fcab374cdb76819dd", None),
+    "residuals-multitime_model": ("cad70520e73ca0118a8fd071e501f9262a4e0bf5e95fd3ab5ffbfd9e70e84435", None),
+    "residuals-rgogml": ("c4a6d6b4f83537d5ea54dba754f0f68fdb584fce48fd0723dd2d4cd9a153b48a", None),
+    "residuals-riemann_conformal": ("f236b90689e5e5e59641ad77ef2fabdbf93de3945cf833589bf87607d457e975", None),
 }
 
 

@@ -833,3 +833,51 @@ def test_only_streamsheet_counts_the_sheet_nodes(tmp_path, capsys):
     assert main(["streamsheet", "--scenario", path, "--out", str(out)]) == 2
     assert "sheet grid needs at least 3 nodes per axis" in capsys.readouterr().err
     assert main(["streamsheet", "--scenario", path, "--refine", "2", "--out", str(out)]) == 0
+
+
+def _no_metric(config):
+    return {key: value for key, value in config.items() if key not in ("metric", "model")}
+
+
+_PLANE = [["0", "0"], ["0", "0"]]
+
+
+# the load errors of the metric and connection builders, each exact; the
+# last case has an unbound name in connection[0] and a malformed
+# connection[1]: planes are checked and compiled one after the other
+@pytest.mark.parametrize("config, message", [
+    (riemann_config(model={"name": "bsml", "params": {"phi": {"name": "polar"}}}),
+     "model 'bsml' is not available for the riemann framework"),
+    (lagrange_config(model={"name": "edml"}),
+     "model 'edml' is not available for the lagrange framework"),
+    (_no_metric(riemann_config()), "riemann scenarios need 'metric' or 'model'"),
+    (_no_metric(lagrange_config()), "lagrange scenarios need 'metric' or 'model'"),
+    (_no_metric(multitime_config()), "multitime scenarios need 'metric' or 'model'"),
+    (lagrange_config(connection=[["0", "0"], ["0"]]),
+     "'connection' must be 'canonical', 'zero' or an n x n expression matrix"),
+    (lagrange_config(connection=[["0", "0"]]),
+     "'connection' must be 'canonical', 'zero' or an n x n expression matrix"),
+    (_inline_multitime(connection=[_PLANE]),
+     "'connection' must be 'canonical', 'zero' or an n x p x n expression array"),
+    (_inline_multitime(connection=[_PLANE, [["0", "0"]]]),
+     "connection[1] must be a p x n expression matrix"),
+    (_inline_multitime(connection=[_PLANE, [["0", "0"], ["0"]]]),
+     "connection[1] must be a p x n expression matrix"),
+    (lagrange_config(connection=[["0", 1], ["0", "0"]]),
+     "connection[0][1] must be an expression string"),
+    (_inline_multitime(connection=[_PLANE, [["0", "0"], [None, "0"]]]),
+     "connection[1][1][0] must be an expression string"),
+    (multitime_config(model={"name": "polar", "params": ["x1"]}),
+     "model 'params' must be an object"),
+    (multitime_config(model={"name": "bsml", "params": "polar"}),
+     "model 'params' must be an object"),
+    (_without_metric(lagrange_config(model={"name": "conformal", "params": "x1"})),
+     "stock metric params must be an object, got 'x1'"),
+    (_inline_multitime(connection=[[["q", "0"], ["0", "0"]], [["0", "0"]]]),
+     "connection[0][0][0]: unbound variable 'q'"),
+])
+def test_cli_metric_and_connection_error_text(config, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["residuals", "--scenario", write(tmp_path, config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
