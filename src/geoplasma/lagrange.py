@@ -46,6 +46,7 @@ from .tensor_core import (
     christoffel_from,
     christoffel_of,
     eval_jets,
+    fiber_contraction,
     quadratic_form,
     sum_product,
 )
@@ -67,13 +68,6 @@ class LagrangeFluidState:
     em_G: object
 
 
-def zero_connection(n):
-    def fn(coords):
-        return [[0.0] * n for _ in range(n)]
-
-    return fn
-
-
 def canonical_nonlinear_connection(space_metric, n):
     """N^i_j = Gamma^i_jm y^m with the generalized Christoffel symbols.
 
@@ -83,12 +77,7 @@ def canonical_nonlinear_connection(space_metric, n):
     """
 
     def fn(coords):
-        gamma = christoffel_of(space_metric, coords, seeds=range(n))
-        y = coords[n:]
-        return [
-            [sum_product(gamma[i][j], y) for j in range(n)]
-            for i in range(n)
-        ]
+        return fiber_contraction(christoffel_of(space_metric, coords, seeds=range(n)), coords[n:])
 
     return fn
 

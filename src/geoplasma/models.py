@@ -28,33 +28,14 @@ from .dual import branch, promote, scalar_value, seed
 from .errors import BatchSplit, DegenerateMetricError, DomainError, ExprError, ScenarioError
 from .expr import parse
 from .riemann import SemiRiemannianSpace, christoffel_lists
-from .multitime import MultiTimeSpace, fiber_index
+from .multitime import MultiTimeSpace, canonical_connection, fiber_index
 from .tensor_core import MatrixMetricField, MetricField, invert_symmetric
 
 
-def canonical_connection(h_metric, phi_metric, p, n):
-    """The canonical nonlinear connection N^(i)_(alpha)j = gamma^i_jm x^m_alpha.
-
-    gamma are the Christoffel symbols of phi at the spatial part of the
-    jet point; the temporal block M = -kappa x is never stored, it enters
-    through the adapted temporal derivative directly.
-    """
+def _phi_connection(phi_metric, p, n):
+    """The canonical connection on the Christoffel symbols of phi at the spatial point."""
     base = SemiRiemannianSpace(n, phi_metric)
-
-    def fn(coords):
-        x = coords[p:p + n]
-        gamma = christoffel_lists(base, x)
-        out = [[[0.0] * n for _ in range(p)] for _ in range(n)]
-        for i in range(n):
-            for a in range(p):
-                for j in range(n):
-                    acc = 0.0
-                    for m in range(n):
-                        acc = acc + gamma[i][j][m] * coords[fiber_index(p, n, m, a)]
-                    out[i][a][j] = acc
-        return out
-
-    return fn
+    return canonical_connection(lambda coords: christoffel_lists(base, coords[p:p + n]), p, n)
 
 
 def _phi_block(phi_metric, p, n):
@@ -67,7 +48,7 @@ def _phi_block(phi_metric, p, n):
 def build_bsml(h_metric, phi_metric, p, n):
     """Product-metric space: g = phi(x), canonical connection."""
     g = MatrixMetricField(n, _phi_block(phi_metric, p, n))
-    return MultiTimeSpace(p, n, h_metric, g, canonical_connection(h_metric, phi_metric, p, n))
+    return MultiTimeSpace(p, n, h_metric, g, _phi_connection(phi_metric, p, n))
 
 
 def build_grgml(h_metric, sigma, phi_metric, p, n):
@@ -81,7 +62,7 @@ def build_grgml(h_metric, sigma, phi_metric, p, n):
         return [[factor * v for v in row] for row in phi_fn(coords)]
 
     g = MatrixMetricField(n, fn)
-    return MultiTimeSpace(p, n, h_metric, g, canonical_connection(h_metric, phi_metric, p, n))
+    return MultiTimeSpace(p, n, h_metric, g, _phi_connection(phi_metric, p, n))
 
 
 def build_rgogml(h_metric, phi_metric, refractive_index, X, p, n):
@@ -127,7 +108,7 @@ def build_rgogml(h_metric, phi_metric, refractive_index, X, p, n):
         ]
 
     g = MatrixMetricField(n, fn)
-    return MultiTimeSpace(p, n, h_metric, g, canonical_connection(h_metric, phi_metric, p, n))
+    return MultiTimeSpace(p, n, h_metric, g, _phi_connection(phi_metric, p, n))
 
 
 def build_edml(h_metric, phi_metric, U, Phi, p, n):
@@ -137,7 +118,7 @@ def build_edml(h_metric, phi_metric, U, Phi, p, n):
         + (h_{alpha mu} phi^{im}/4) (dU^(mu)_(m)/dx^j - dU^(mu)_(j)/dx^m).
     """
     g = MatrixMetricField(n, _phi_block(phi_metric, p, n))
-    base_fn = canonical_connection(h_metric, phi_metric, p, n)
+    base_fn = _phi_connection(phi_metric, p, n)
 
     def fn(coords):
         out = base_fn(coords)

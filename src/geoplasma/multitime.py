@@ -50,6 +50,7 @@ from .tensor_core import (
     christoffel_from,
     christoffel_of,
     eval_jets,
+    fiber_contraction,
     invert_symmetric,
     mat_vec,
     quadratic_form,
@@ -79,9 +80,20 @@ def fiber_index(p, n, i, alpha):
     return p + n + i * p + alpha
 
 
-def zero_jet_connection(p, n):
+def canonical_connection(christoffel, p, n):
+    """The canonical nonlinear connection N^(i)_(alpha)j = Gamma^i_jm x^m_alpha.
+
+    ``christoffel(coords)`` gives Gamma[i][j][m] at a jet point: those of the
+    jet-space metric along x, or those of a model's base metric phi.  The
+    temporal block M = -kappa x is never stored, it enters through the
+    adapted temporal derivative directly.
+    """
+
     def fn(coords):
-        return [[[0.0] * n for _ in range(p)] for _ in range(n)]
+        gamma = christoffel(coords)
+        planes = [fiber_contraction(gamma, [coords[fiber_index(p, n, m, a)] for m in range(n)])
+                  for a in range(p)]
+        return [[plane[i] for plane in planes] for i in range(n)]
 
     return fn
 

@@ -24,12 +24,7 @@ from . import lagrange as lag, multitime as mt, riemann as rm
 from .common import report_table
 from .dual import scalar_value
 from .errors import BatchSplit, ExprError, GeoPlasmaError, ScenarioError
-from .lagrange import (
-    GeneralizedLagrangeSpace,
-    LagrangeFluidState,
-    canonical_nonlinear_connection,
-    zero_connection,
-)
+from .lagrange import GeneralizedLagrangeSpace, LagrangeFluidState, canonical_nonlinear_connection
 from .models import (
     build_bsml,
     build_edml,
@@ -37,9 +32,16 @@ from .models import (
     build_rgogml,
     stock_metric,
 )
-from .multitime import MultiTimeFluidState, MultiTimeSpace, fiber_index, zero_jet_connection
+from .multitime import MultiTimeFluidState, MultiTimeSpace
 from .riemann import ElectromagneticPair, FluidState, SemiRiemannianSpace
-from .tensor_core import MetricField, TwoFormField, christoffel_of, quadratic_form, scalar_field
+from .tensor_core import (
+    MetricField,
+    TwoFormField,
+    christoffel_of,
+    constant_field,
+    quadratic_form,
+    scalar_field,
+)
 from .verify import lagrange_invariants, multitime_invariants, riemann_invariants
 
 FRAMEWORKS = ("riemann", "lagrange", "multitime")
@@ -66,7 +68,14 @@ _TOP_KEYS = {
 }
 
 _STOCK_NAMES = {"flat", "polar", "conformal"}
-_MODEL_NAMES = {"grgml", "rgogml", "edml", "bsml"} | _STOCK_NAMES
+# the jet-space models on a base metric phi, and the params each takes
+_JET_MODEL_PARAMS = {
+    "grgml": {"phi", "sigma"},
+    "rgogml": {"phi", "refractive_index", "X"},
+    "edml": {"phi", "U", "Phi"},
+    "bsml": {"phi"},
+}
+_MODEL_NAMES = set(_JET_MODEL_PARAMS) | _STOCK_NAMES
 
 
 def coordinate_names(framework, n, p=None):
@@ -304,13 +313,10 @@ class MultitimeScenario(Scenario):
             names += [f"V_{m + 1}{mu + 1}" for m in range(n) for mu in range(p)]
         return names
 
-    def sheet_row(self, coords, coefficients):
-        """Values of :meth:`sheet_columns` at one jet point of the sheet."""
-        return self._sheet_values(coords, coefficients)[0]
-
     def sheet_rows(self, nodes, coefficients):
-        """:meth:`sheet_row` at each jet point, or the GeoPlasmaError it raised;
-        the nodes run in batches like riemann points."""
+        """Values of :meth:`sheet_columns` at each jet point of the sheet, or the
+        GeoPlasmaError their evaluation raised; the nodes run in batches like
+        riemann points."""
         return self._evaluate(nodes, lambda coords: self._sheet_values(coords, coefficients))
 
     def _sheet_values(self, coords, coefficients):
@@ -413,7 +419,7 @@ def build_scenario(raw):
             )
 
     if framework == "riemann":
-        space = _build_riemann_space(raw, n, names)
+        space = SemiRiemannianSpace(n, _base_metric(raw, n, names, "riemann"))
         if "velocity" not in raw:
             raise ScenarioError("riemann scenarios need a 'velocity' expression list")
         vel = raw["velocity"]
@@ -430,7 +436,8 @@ def build_scenario(raw):
         raise ScenarioError("'velocity' is only valid for the riemann framework")
 
     if framework == "lagrange":
-        space = _build_lagrange_space(raw, n, names)
+        g = _base_metric(raw, n, names, "lagrange")
+        space = GeneralizedLagrangeSpace(n, g, _connection_lagrange(raw, g, n, names))
         state = LagrangeFluidState(pressure, density, c, em_H, em_G)
         if "h_metric" in raw:
             raise ScenarioError("'h_metric' is not a lagrange key")
@@ -479,19 +486,29 @@ def _parse_em(config, n, names):
     return H, G
 
 
-def _build_riemann_space(raw, n, names):
+def _base_metric(raw, n, names, framework):
+    """The metric of a stock ``model`` or of inline ``metric`` rows."""
     if "model" in raw:
-        model = raw["model"]
-        if model["name"] not in _STOCK_NAMES:
-            raise ScenarioError(
-                f"model {model['name']!r} is not available for the riemann framework"
-            )
-        phi = stock_metric(model["name"], n, names, model.get("params"))
-    elif "metric" in raw:
-        phi = _metric_from_rows(n, raw["metric"], names, "metric")
-    else:
-        raise ScenarioError("riemann scenarios need 'metric' or 'model'")
-    return SemiRiemannianSpace(n, phi)
+        name = raw["model"]["name"]
+        if name not in _STOCK_NAMES:
+            raise ScenarioError(f"model {name!r} is not available for the {framework} framework")
+        return stock_metric(name, n, names, raw["model"].get("params"))
+    if "metric" not in raw:
+        raise ScenarioError(f"{framework} scenarios need 'metric' or 'model'")
+    return _metric_from_rows(n, raw["metric"], names, "metric")
+
+
+def _is_matrix(config, rows, cols):
+    return isinstance(config, list) and len(config) == rows and all(
+        isinstance(row, list) and len(row) == cols for row in config)
+
+
+def _field_matrix(config, names, label):
+    """A field of the values of a matrix of expression strings; entry [i][j]
+    is labelled ``label[i][j]``."""
+    fields = [[_field(e, names, f"{label}[{i}][{j}]") for j, e in enumerate(row)]
+              for i, row in enumerate(config)]
+    return lambda coords: [[f(coords) for f in row] for row in fields]
 
 
 def _connection_lagrange(raw, g, n, names):
@@ -499,76 +516,30 @@ def _connection_lagrange(raw, g, n, names):
     if config == "canonical":
         return canonical_nonlinear_connection(g, n)
     if config == "zero":
-        return zero_connection(n)
-    if not isinstance(config, list) or len(config) != n or any(
-        not isinstance(row, list) or len(row) != n for row in config
-    ):
+        return constant_field([[0.0] * n for _ in range(n)])
+    if not _is_matrix(config, n, n):
         raise ScenarioError("'connection' must be 'canonical', 'zero' or an n x n expression matrix")
-    fields = [
-        [_field(config[i][j], names, f"connection[{i}][{j}]") for j in range(n)]
-        for i in range(n)
-    ]
-
-    def fn(coords):
-        return [[f(coords) for f in row] for row in fields]
-
-    return fn
-
-
-def _build_lagrange_space(raw, n, names):
-    if "model" in raw:
-        model = raw["model"]
-        if model["name"] not in _STOCK_NAMES:
-            raise ScenarioError(
-                f"model {model['name']!r} is not available for the lagrange framework"
-            )
-        g = stock_metric(model["name"], n, names, model.get("params"))
-    elif "metric" in raw:
-        g = _metric_from_rows(n, raw["metric"], names, "metric")
-    else:
-        raise ScenarioError("lagrange scenarios need 'metric' or 'model'")
-    return GeneralizedLagrangeSpace(n, g, _connection_lagrange(raw, g, n, names))
+    return _field_matrix(config, names, "connection")
 
 
 def _connection_multitime(raw, g, p, n, names):
     config = raw.get("connection", "canonical")
-    if config == "zero":
-        return zero_jet_connection(p, n)
     if config == "canonical":
-        # generalized Christoffel symbols of g in the spatial directions,
-        # contracted with the fiber coordinates
-        def fn(coords):
-            gamma = christoffel_of(g, coords, seeds=range(p, p + n))
-            out = [[[0.0] * n for _ in range(p)] for _ in range(n)]
-            for i in range(n):
-                for a in range(p):
-                    for j in range(n):
-                        out[i][a][j] = sum(
-                            gamma[i][j][m] * coords[fiber_index(p, n, m, a)]
-                            for m in range(n)
-                        )
-            return out
-
-        return fn
+        # generalized Christoffel symbols of g in the spatial directions
+        return mt.canonical_connection(
+            lambda coords: christoffel_of(g, coords, seeds=range(p, p + n)), p, n)
+    if config == "zero":
+        return constant_field([[[0.0] * n for _ in range(p)] for _ in range(n)])
     if not isinstance(config, list) or len(config) != n:
         raise ScenarioError(
             "'connection' must be 'canonical', 'zero' or an n x p x n expression array"
         )
-    fields = []
-    for i, plane in enumerate(config):
-        if not isinstance(plane, list) or len(plane) != p or any(
-            not isinstance(row, list) or len(row) != n for row in plane
-        ):
+    planes = []
+    for i, plane in enumerate(config):  # plane i compiles before plane i + 1 is checked
+        if not _is_matrix(plane, p, n):
             raise ScenarioError(f"connection[{i}] must be a p x n expression matrix")
-        fields.append([
-            [_field(plane[a][j], names, f"connection[{i}][{a}][{j}]") for j in range(n)]
-            for a in range(p)
-        ])
-
-    def fn(coords):
-        return [[[f(coords) for f in row] for row in plane] for plane in fields]
-
-    return fn
+        planes.append(_field_matrix(plane, names, f"connection[{i}]"))
+    return lambda coords: [plane(coords) for plane in planes]
 
 
 def _build_multitime_space(raw, n, p, names):
@@ -577,68 +548,52 @@ def _build_multitime_space(raw, n, p, names):
     if "h_metric" not in raw:
         raise ScenarioError("multitime scenarios need 'h_metric'")
     h = _metric_from_rows(p, raw["h_metric"], tnames, "h_metric")
-
-    if "model" in raw:
-        model = raw["model"]
-        name = model["name"]
-        params = model.get("params", {})
-        if not isinstance(params, dict):
-            raise ScenarioError("model 'params' must be an object")
-        if name in _STOCK_NAMES:
-            g = stock_metric(name, n, names, params or None)
-            space = MultiTimeSpace(p, n, h, g, _connection_multitime(raw, g, p, n, names))
-            return space
-        known = {
-            "grgml": {"phi", "sigma"},
-            "rgogml": {"phi", "refractive_index", "X"},
-            "edml": {"phi", "U", "Phi"},
-            "bsml": {"phi"},
-        }[name]
-        unknown = set(params) - known
-        if unknown:
-            raise ScenarioError(f"unknown params for model {name!r}: {sorted(unknown)}")
-        if "phi" not in params:
-            raise ScenarioError(f"model {name!r} needs a 'phi' base metric")
-        phi = _spatial_metric(params["phi"], n, xnames, "model.params.phi")
-        if "connection" in raw and raw["connection"] != "canonical":
-            raise ScenarioError(f"model {name!r} fixes its own connection")
-        if name == "bsml":
-            return build_bsml(h, phi, p, n)
-        if name == "grgml":
-            if "sigma" not in params:
-                raise ScenarioError("grgml needs a 'sigma' expression")
-            return build_grgml(h, _field(params["sigma"], names, "sigma"), phi, p, n)
-        if name == "rgogml":
-            for key in ("refractive_index", "X"):
-                if key not in params:
-                    raise ScenarioError(f"rgogml needs {key!r}")
-            X = params["X"]
-            if not isinstance(X, list) or len(X) != p:
-                raise ScenarioError(f"'X' must list {p} expressions over t")
-            return build_rgogml(
-                h, phi,
-                _field(params["refractive_index"], names, "refractive_index"),
-                [_field(x, tnames, f"X[{mu}]") for mu, x in enumerate(X)],
-                p, n,
-            )
-        # edml
-        U = params.get("U")
-        if not isinstance(U, list) or len(U) != n or any(
-            not isinstance(row, list) or len(row) != p for row in U
-        ):
-            raise ScenarioError("'U' must be an n x p expression matrix over (t, x)")
-        Phi = params.get("Phi", "0")
-        return build_edml(
+    model = raw.get("model", {})
+    params = model.get("params", {})
+    if not isinstance(params, dict):
+        raise ScenarioError("model 'params' must be an object")
+    name = model.get("name")
+    if name not in _JET_MODEL_PARAMS:
+        g = _base_metric(raw, n, names, "multitime")
+        return MultiTimeSpace(p, n, h, g, _connection_multitime(raw, g, p, n, names))
+    unknown = set(params) - _JET_MODEL_PARAMS[name]
+    if unknown:
+        raise ScenarioError(f"unknown params for model {name!r}: {sorted(unknown)}")
+    if "phi" not in params:
+        raise ScenarioError(f"model {name!r} needs a 'phi' base metric")
+    phi = _spatial_metric(params["phi"], n, xnames, "model.params.phi")
+    if "connection" in raw and raw["connection"] != "canonical":
+        raise ScenarioError(f"model {name!r} fixes its own connection")
+    if name == "bsml":
+        return build_bsml(h, phi, p, n)
+    if name == "grgml":
+        if "sigma" not in params:
+            raise ScenarioError("grgml needs a 'sigma' expression")
+        return build_grgml(h, _field(params["sigma"], names, "sigma"), phi, p, n)
+    if name == "rgogml":
+        for key in ("refractive_index", "X"):
+            if key not in params:
+                raise ScenarioError(f"rgogml needs {key!r}")
+        X = params["X"]
+        if not isinstance(X, list) or len(X) != p:
+            raise ScenarioError(f"'X' must list {p} expressions over t")
+        return build_rgogml(
             h, phi,
-            [[_field(U[i][a], names, f"U[{i}][{a}]") for a in range(p)] for i in range(n)],
-            _field(Phi, names, "Phi"),
+            _field(params["refractive_index"], names, "refractive_index"),
+            [_field(x, tnames, f"X[{mu}]") for mu, x in enumerate(X)],
             p, n,
         )
-
-    if "metric" not in raw:
-        raise ScenarioError("multitime scenarios need 'metric' or 'model'")
-    g = _metric_from_rows(n, raw["metric"], names, "metric")
-    return MultiTimeSpace(p, n, h, g, _connection_multitime(raw, g, p, n, names))
+    # edml
+    U = params.get("U")
+    if not _is_matrix(U, n, p):
+        raise ScenarioError("'U' must be an n x p expression matrix over (t, x)")
+    Phi = params.get("Phi", "0")
+    return build_edml(
+        h, phi,
+        [[_field(U[i][a], names, f"U[{i}][{a}]") for a in range(p)] for i in range(n)],
+        _field(Phi, names, "Phi"),
+        p, n,
+    )
 
 
 def evaluation_points(scenario, seed=None, count=None):

@@ -16,7 +16,7 @@ operations on the same operands, returning None where a guard fails; a
 path of one segment is that segment's function.  Later calls replay the
 paths, the last one that held first; a guard miss records another path, up
 to MAX_PATHS recordings per entry.  The first call pays for the recording:
-for the n = 2 stream-line frame (396 statements in 2 segments) about 13 ms
+for the n = 2 stream-line frame (393 statements in 2 segments) about 13 ms
 in process on a 2-core VM (tracing 4.6, the inline and dead-code pass 3.4,
 ``compile()`` 4.9), where a replay takes about 28 us.
 

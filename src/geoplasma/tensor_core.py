@@ -279,6 +279,13 @@ def sum_product(xs, ys):
     return acc
 
 
+def fiber_contraction(gamma, y):
+    """Gamma[i][j][m] y^m, summed from 0.0 in m order: the canonical
+    nonlinear connection's contraction of Christoffel symbols with a fiber
+    direction."""
+    return [[sum_product(row, y) for row in block] for block in gamma]
+
+
 def quadratic_form(m, v, w):
     acc = 0.0
     for i, row in enumerate(m):

@@ -83,6 +83,22 @@ def conformal_space(n, coeffs):
     return SemiRiemannianSpace(n, MetricField.from_exprs(n, rows, names))
 
 
+def zero_connection(n):
+    """The zero nonlinear connection N^i_j of a tangent-bundle space."""
+    def fn(coords):
+        return [[0.0] * n for _ in range(n)]
+
+    return fn
+
+
+def zero_jet_connection(p, n):
+    """The zero nonlinear connection N^(i)_(alpha)j of a jet space."""
+    def fn(coords):
+        return [[[0.0] * n for _ in range(p)] for _ in range(n)]
+
+    return fn
+
+
 def zero_em(n):
     return ElectromagneticPair(TwoFormField.zero(n), TwoFormField.zero(n))
 

@@ -5,11 +5,11 @@ Three callables run through ``Scenario``'s one split algorithm:
 multitime ``sheet_rows(nodes, coefficients)``.  Each seeds a
 whole batch once, with one lane per point in every jet coefficient.  Each
 result must equal the one-point ``report`` (its columns laid out as the
-``residuals`` CSV lays them out), ``sheet_row`` or ``invariants`` at its
-point by ``repr`` (``float.hex`` for an invariant) of every value, and a
-point that fails must carry exactly the error text of the one-point path,
-also where the failure, a pivot choice, a vanishing coefficient or an
-overflow splits the batch.  The small cases batch down to two points,
+``residuals`` CSV lays them out), the one row of ``_sheet_values`` or
+``invariants`` at its point by ``repr`` (``float.hex`` for an invariant)
+of every value, and a point that fails must carry exactly the error text
+of the one-point path, also where the failure, a pivot choice, a
+vanishing coefficient or an overflow splits the batch.  The small cases batch down to two points,
 below the default ``MIN_BATCH``.  Every case's one-point results are also
 pinned, in ``data/batch_keys.json``.
 """
@@ -88,7 +88,7 @@ CALLABLES = {
     "reports": (lambda s: evaluation_points(s)[0], lambda s, points: s.reports(points),
                 lambda s, coords: helpers.report_columns(s.report(coords))),
     "sheet_rows": (_sheet_nodes, lambda s, nodes: s.sheet_rows(nodes, True),
-                   lambda s, coords: s.sheet_row(coords, True)),
+                   lambda s, coords: s._sheet_values(coords, True)[0]),
     "invariants": (lambda s: evaluation_points(s)[0],
                    lambda s, points: s.invariant_suites(points),
                    lambda s, coords: s.invariants(coords)),

@@ -1,10 +1,11 @@
 """Every top-level definition of the package is used by the package.
 
 A static scan of ``src/geoplasma/*.py``: each top-level ``def`` and
-``class`` must be referenced by name (a name or an attribute) somewhere in
-the package outside its own body.  Code that only tests call belongs in
-``tests/``.  The two exceptions are the hooks the benchmark's tracer wraps
-by name (``perfbench/tracer.py``), which nothing in the package calls.
+``class``, and each method of a top-level class other than a dunder, must
+be referenced by name (a name or an attribute) somewhere in the package
+outside its own body.  Code that only tests call belongs in ``tests/``.
+The two exceptions are the hooks the benchmark's tracer wraps by name
+(``perfbench/tracer.py``), which nothing in the package calls.
 """
 
 import ast
@@ -35,6 +36,9 @@ def test_every_top_level_definition_is_referenced():
         references += _references(tree)
         definitions += [(path.stem, node) for node in tree.body
                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        definitions += [(path.stem, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                        for node in cls.body if isinstance(node, ast.FunctionDef)
+                        and not (node.name.startswith("__") and node.name.endswith("__"))]
     assert definitions
     unused = {(module, node.name) for module, node in definitions
               if references[node.name] == _references(node)[node.name]}

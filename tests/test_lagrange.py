@@ -23,7 +23,6 @@ from geoplasma.lagrange import (
     metric_compatibility,
     resolve_epsilon0,
     v_stream_constraint_residual,
-    zero_connection,
 )
 from geoplasma.riemann import christoffel_lists, riemann_report
 from geoplasma.scenario import build_scenario
@@ -55,7 +54,7 @@ def const_lagrange_state(n, p=0.2, rho=1.0, c=1.0):
 def flat_lagrange_space(n):
     rows = [["1" if j == 0 else "0" for j in range(n - i)] for i in range(n)]
     g = MetricField.from_exprs(n, rows, helpers.xynames(n))
-    return GeneralizedLagrangeSpace(n, g, zero_connection(n))
+    return GeneralizedLagrangeSpace(n, g, helpers.zero_connection(n))
 
 
 # -- adapted derivative --------------------------------------------------------
@@ -306,7 +305,7 @@ def test_reduction_to_riemann_with_zero_connection():
     space_r, em_r, make_riemann_state, make_space, state_lag, box = (
         helpers.paired_riemann_lagrange(rng, n)
     )
-    space_l = make_space(zero_connection(n))
+    space_l = make_space(helpers.zero_connection(n))
     for _ in range(5):
         x0 = list(RNG.uniform(-0.5, 0.5, n))
         y0 = list(RNG.uniform(0.7, 1.3, n))
@@ -332,7 +331,7 @@ def test_reduction_to_riemann_with_canonical_connection():
     space_r, em_r, make_riemann_state, make_space, state_lag, box = (
         helpers.paired_riemann_lagrange(rng, n)
     )
-    g_tm = make_space(zero_connection(n)).g
+    g_tm = make_space(helpers.zero_connection(n)).g
     space_l = make_space(canonical_nonlinear_connection(g_tm, n))
     for _ in range(5):
         x0 = list(RNG.uniform(-0.5, 0.5, n))
@@ -369,7 +368,7 @@ def test_v_conservation_reduction_fiber_independent():
     n = 2
     rng = np.random.default_rng(47)
     _, _, _, make_space, state_lag, _ = helpers.paired_riemann_lagrange(rng, n)
-    space_l = make_space(zero_connection(n))
+    space_l = make_space(helpers.zero_connection(n))
     x0 = [0.2, -0.4]
     y0 = [1.1, 0.8]
     pt = list(x0) + list(y0)

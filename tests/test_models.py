@@ -8,7 +8,6 @@ from geoplasma.models import (
     build_edml,
     build_grgml,
     build_rgogml,
-    canonical_connection,
     stock_metric,
 )
 from geoplasma.multitime import (
@@ -68,13 +67,13 @@ def mt_state():
 # -- canonical connection --------------------------------------------------------
 
 def test_canonical_connection_flat_is_zero():
-    fn = canonical_connection(h_metric(), phi_flat(), P, N)
+    fn = build_bsml(h_metric(), phi_flat(), P, N).N
     jp = random_jet_point()
     assert np.abs(np.array(fn(jp))).max() == 0.0
 
 
 def test_canonical_connection_polar_matches_christoffel():
-    fn = canonical_connection(h_metric(), phi_polar(), P, N)
+    fn = build_bsml(h_metric(), phi_polar(), P, N).N
     jp = random_jet_point()
     N0 = np.array(fn(jp))
     gamma = christoffel_lists(SemiRiemannianSpace(N, phi_polar()), jp[P:P + N])

@@ -21,7 +21,6 @@ from geoplasma.multitime import (
     stream_sheet_residuals,
     stress_block_table,
     stress_tensors,
-    zero_jet_connection,
 )
 from geoplasma.multitime import _jet_covariant
 from geoplasma.scenario import build_scenario, evaluation_points
@@ -52,7 +51,7 @@ def flat_mt_space(p, n):
         p, n,
         MetricField.from_exprs(p, h_rows, tnm),
         MetricField.from_exprs(n, g_rows, names),
-        zero_jet_connection(p, n),
+        helpers.zero_jet_connection(p, n),
     )
 
 
@@ -78,7 +77,7 @@ def test_temporal_christoffel_identity_metric():
 
 def test_temporal_christoffel_exponential():
     h = MetricField.from_exprs(1, [["exp(2*t1)"]], ["t1"])
-    space = MultiTimeSpace(1, 2, h, None, zero_jet_connection(1, 2))
+    space = MultiTimeSpace(1, 2, h, None, helpers.zero_jet_connection(1, 2))
     k = helpers.temporal_christoffel(space, [0.7])
     assert k[0, 0, 0] == pytest.approx(1.0, abs=1e-10)
 
@@ -442,7 +441,7 @@ def test_multitime_velocity_diag_oracle():
     h = MetricField.from_exprs(2, [["1", "0"], ["4"]], tnm)
     g_rows = [["1", "0"], ["1"]]
     space = MultiTimeSpace(
-        p, n, h, MetricField.from_exprs(n, g_rows, names), zero_jet_connection(p, n)
+        p, n, h, MetricField.from_exprs(n, g_rows, names), helpers.zero_jet_connection(p, n)
     )
     xd = np.array([[0.7, 0.4], [0.1, 1.2]])
     jp = helpers.jet_point((0.0, 0.0), (0.0, 0.0), tuple(map(tuple, xd)))

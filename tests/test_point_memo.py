@@ -18,13 +18,13 @@ from geoplasma import common, dual, lagrange, multitime, riemann, tensor_core
 from geoplasma.cli import main
 from geoplasma.common import point_memo
 from geoplasma.errors import IntegrationError, SeedingError
-from geoplasma.lagrange import GeneralizedLagrangeSpace, LagrangeFluidState, zero_connection
+from geoplasma.lagrange import GeneralizedLagrangeSpace, LagrangeFluidState
 from geoplasma.multitime import StreamSheet, prolong_sheet
 from geoplasma.scenario import evaluation_points, load_scenario, sheet_axes_and_values
 from geoplasma.tensor_core import MetricField, TwoFormField, constant_field
 from geoplasma.verify import invariants_at
 
-from helpers import const_state, flat_space, report_columns, xynames, zero_em
+from helpers import const_state, flat_space, report_columns, xynames, zero_connection, zero_em
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 

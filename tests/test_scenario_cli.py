@@ -835,13 +835,6 @@ def test_only_streamsheet_counts_the_sheet_nodes(tmp_path, capsys):
     assert main(["streamsheet", "--scenario", path, "--refine", "2", "--out", str(out)]) == 0
 
 
-def _no_metric(config):
-    return {key: value for key, value in config.items() if key not in ("metric", "model")}
-
-
-_PLANE = [["0", "0"], ["0", "0"]]
-
-
 # the load errors of the metric and connection builders, each exact; the
 # last case has an unbound name in connection[0] and a malformed
 # connection[1]: planes are checked and compiled one after the other
@@ -850,22 +843,22 @@ _PLANE = [["0", "0"], ["0", "0"]]
      "model 'bsml' is not available for the riemann framework"),
     (lagrange_config(model={"name": "edml"}),
      "model 'edml' is not available for the lagrange framework"),
-    (_no_metric(riemann_config()), "riemann scenarios need 'metric' or 'model'"),
-    (_no_metric(lagrange_config()), "lagrange scenarios need 'metric' or 'model'"),
-    (_no_metric(multitime_config()), "multitime scenarios need 'metric' or 'model'"),
+    (_without_metric(riemann_config()), "riemann scenarios need 'metric' or 'model'"),
+    (_without_metric(lagrange_config()), "lagrange scenarios need 'metric' or 'model'"),
+    (_without_metric(_inline_multitime()), "multitime scenarios need 'metric' or 'model'"),
     (lagrange_config(connection=[["0", "0"], ["0"]]),
      "'connection' must be 'canonical', 'zero' or an n x n expression matrix"),
     (lagrange_config(connection=[["0", "0"]]),
      "'connection' must be 'canonical', 'zero' or an n x n expression matrix"),
-    (_inline_multitime(connection=[_PLANE]),
+    (_inline_multitime(connection=[_ZERO_ROWS]),
      "'connection' must be 'canonical', 'zero' or an n x p x n expression array"),
-    (_inline_multitime(connection=[_PLANE, [["0", "0"]]]),
+    (_inline_multitime(connection=[_ZERO_ROWS, [["0", "0"]]]),
      "connection[1] must be a p x n expression matrix"),
-    (_inline_multitime(connection=[_PLANE, [["0", "0"], ["0"]]]),
+    (_inline_multitime(connection=[_ZERO_ROWS, [["0", "0"], ["0"]]]),
      "connection[1] must be a p x n expression matrix"),
     (lagrange_config(connection=[["0", 1], ["0", "0"]]),
      "connection[0][1] must be an expression string"),
-    (_inline_multitime(connection=[_PLANE, [["0", "0"], [None, "0"]]]),
+    (_inline_multitime(connection=[_ZERO_ROWS, [["0", "0"], [None, "0"]]]),
      "connection[1][1][0] must be an expression string"),
     (multitime_config(model={"name": "polar", "params": ["x1"]}),
      "model 'params' must be an object"),
