@@ -55,7 +55,8 @@ def main():
     print(f"{'steps':>6} {'h':>10} {'endpoint error':>16} {'ratio':>8}")
     prev = None
     for count in (25, 50, 100, 200):
-        rows = integrate_stream_line(geodesic_state, space, em, x0, v0, 1.0 / count, count)
+        rows = np.array(integrate_stream_line(geodesic_state, space, em, x0, v0, 1.0 / count,
+                                              count), dtype=float)
         err = np.abs(rows[-1][1:3] - exact).max()
         ratio = f"{prev / err:8.2f}" if prev else "       -"
         print(f"{count:>6} {1.0 / count:>10.4f} {err:>16.3e} {ratio}")
@@ -72,7 +73,8 @@ def main():
         TwoFormField.from_exprs(2, [["0.2*x1"], []], names),
         TwoFormField.from_exprs(2, [["0.1*sin(x2)"], []], names),
     )
-    rows = integrate_stream_line(forced_state, space, forced_em, x0, v0, 1e-2, 150)
+    rows = np.array(integrate_stream_line(forced_state, space, forced_em, x0, v0, 1e-2, 150),
+                    dtype=float)
     out = sys.argv[1] if len(sys.argv) > 1 else "polar_stream_line.csv"
     header = "s,x1,x2,xdot1,xdot2"
     np.savetxt(out, rows, delimiter=",", header=header, comments="")

@@ -16,8 +16,7 @@ import os
 import sys
 from collections import OrderedDict
 
-import numpy as np
-
+from . import _numpy as np
 from . import __version__
 from .dual import promote, seed
 from .errors import GeoPlasmaError, ScenarioError

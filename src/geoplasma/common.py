@@ -22,13 +22,11 @@ import functools
 import math
 from array import array
 
-import numpy as np
-
+from . import _numpy as np
 from . import dual
+from ._numpy import ARRAY_TYPES
 from .errors import IntegrationError, NormalizationError, SingularDynamicsError, TensorError
 from .tensor_core import Slot, invert_symmetric, mat_vec, quadratic_form, sum_product
-
-_COORDINATES = (list, tuple, np.ndarray)
 
 
 def point_memo(builder):
@@ -49,12 +47,13 @@ def point_memo(builder):
     def cached(*args):
         key = []
         for arg in args:
-            if not isinstance(arg, _COORDINATES):
+            if not (isinstance(arg, (list, tuple)) or ARRAY_TYPES[type(arg)]):
                 key.append(id(arg))
             elif all(type(c) is float for c in arg):
                 key.append(array("d", arg).tobytes())
-            elif all(type(c) is float or type(c) is np.ndarray and c.dtype == np.float64
-                     for c in arg):
+            # ARRAY_TYPES before np.ndarray, whose first read imports numpy
+            elif all(type(c) is float or ARRAY_TYPES[type(c)] and type(c) is np.ndarray
+                     and c.dtype == np.float64 for c in arg):
                 key.append(tuple(c.hex() if type(c) is float else (c.shape, c.tobytes())
                                  for c in arg))
             else:
@@ -257,7 +256,7 @@ def covariant_derivative(block, slots, partials, coeffs, *, partial_first):
 def inertial_factor(p0, rho0, c):
     """c^2 / (p + rho c^2), the factor in front of the stream-line forces."""
     s = p0 + rho0 * c * c
-    if isinstance(s, np.ndarray):  # lanes: max's bits lane by lane
+    if ARRAY_TYPES[type(s)]:  # lanes: max's bits lane by lane
         scale = np.maximum(np.maximum(abs(p0), abs(rho0 * c * c)), 1.0)
     else:
         scale = max(abs(p0), abs(rho0 * c * c), 1.0)
@@ -501,8 +500,9 @@ def integrate_rk4(accel, x0, v0, step, count, monitors=()):
     """Classical fixed-step RK4 for the second-order system x'' = accel(x, x').
 
     ``accel`` and each of ``monitors`` take plain-float lists, and ``accel``
-    returns one.  Returns an array of count+1 rows [s, x, dx/ds], each
-    followed by the value of every monitor at (x, dx/ds).  A failure inside a
+    returns one.  Returns count+1 rows, lists [s, x, dx/ds] of Python floats
+    for a float ``step``, each followed by the value of every monitor at
+    (x, dx/ds); no numpy call is made.  A failure inside a
     step or in a monitor of the row it ends (the first row counts to step
     0), or a state that turns non-finite, raises :class:`IntegrationError`
     naming the step.
@@ -543,4 +543,4 @@ def integrate_rk4(accel, x0, v0, step, count, monitors=()):
         if not all(map(math.isfinite, x + v)):
             raise IntegrationError("state is not finite", step=k)
         rows.append(row((k + 1) * step, x, v, k))
-    return np.array(rows, dtype=float)
+    return rows

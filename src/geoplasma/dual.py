@@ -32,14 +32,14 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
+from . import _numpy as np
+from ._numpy import ARRAY_TYPES
 from .errors import BatchSplit, DomainError, SeedingError
 from .tape import Escape, Traced, finite
 
-# what a jet combines with besides jets of its seeding: plain scalars, lane
-# arrays and the traced floats of a recording (see tape.py)
-_SCALARS = (int, float, np.ndarray, Traced)
+# what a jet combines with besides jets of its seeding: plain scalars, the
+# traced floats of a recording (see tape.py) and lane arrays (ARRAY_TYPES)
+_SCALARS = (int, float, Traced)
 
 
 @functools.cache
@@ -141,7 +141,7 @@ class Jet:
                     return Jet(self.ctx, [a + b for a, b in zip(self.c, other.c)])
                 return Jet(self.ctx, self.c + other.c)
             raise _mixed()
-        elif not isinstance(other, _SCALARS):
+        elif not (isinstance(other, _SCALARS) or ARRAY_TYPES[type(other)]):
             return NotImplemented
         c = self.c.copy()
         c[0] = c[0] + other
@@ -156,7 +156,7 @@ class Jet:
                     return Jet(self.ctx, [a - b for a, b in zip(self.c, other.c)])
                 return Jet(self.ctx, self.c - other.c)
             raise _mixed()
-        elif not isinstance(other, _SCALARS):
+        elif not (isinstance(other, _SCALARS) or ARRAY_TYPES[type(other)]):
             return NotImplemented
         c = self.c.copy()
         c[0] = c[0] - other
@@ -175,7 +175,7 @@ class Jet:
             if other.ctx is self.ctx:
                 return Jet(self.ctx, self.ctx.mul(self.c, other.c))
             raise _mixed()
-        elif not isinstance(other, _SCALARS):
+        elif not (isinstance(other, _SCALARS) or ARRAY_TYPES[type(other)]):
             return NotImplemented
         if self.ctx.lanes is None:
             return Jet(self.ctx, [x * other for x in self.c])
@@ -188,7 +188,7 @@ class Jet:
             if other.ctx is self.ctx:
                 return _div(self.ctx, self.c, other)
             raise _mixed()
-        elif not isinstance(other, _SCALARS):
+        elif not (isinstance(other, _SCALARS) or ARRAY_TYPES[type(other)]):
             return NotImplemented
         if self.ctx.lanes is None:
             return Jet(self.ctx, [x / other for x in self.c])
@@ -246,7 +246,9 @@ def scalar_value(x):
 
 
 def _finite(x):
-    if isinstance(x, np.ndarray):
+    if type(x) is float:
+        return math.isfinite(x)
+    if ARRAY_TYPES[type(x)]:
         return bool(np.isfinite(x).all())
     return finite([x]) if isinstance(x, Traced) else math.isfinite(x)
 
@@ -290,7 +292,8 @@ def seed(values, seeds=None):
     if seeds is None:
         seeds = range(len(values))
     seeds = list(seeds)
-    lanes = next((len(v) for v in values if isinstance(v, np.ndarray)), None)
+    lanes = next((len(v) for v in values
+                  if type(v) is not float and ARRAY_TYPES[type(v)]), None)
     ctx = SeedContext(len(seeds), lanes)
     out = list(values)
     for k, i in enumerate(seeds):
@@ -300,13 +303,13 @@ def seed(values, seeds=None):
 
 def branch(cond):
     """Truth of a condition on point values; a lane array's lanes must agree."""
-    if isinstance(cond, np.ndarray):
-        if cond.all():
-            return True
-        if cond.any():
-            raise BatchSplit(cond)
-        return False
-    return cond
+    if type(cond) is bool or not ARRAY_TYPES[type(cond)]:
+        return cond
+    if cond.all():
+        return True
+    if cond.any():
+        raise BatchSplit(cond)
+    return False
 
 
 # -- elementary functions, generic over floats, lane arrays and jets -------
@@ -315,7 +318,9 @@ def branch(cond):
 def _plain(fn, x):
     """``fn`` of a plain value; of a lane array, ``fn`` of each lane; of a
     traced float, the recorded call."""
-    if isinstance(x, np.ndarray):
+    if type(x) is float:
+        return fn(x)
+    if ARRAY_TYPES[type(x)]:
         return np.array([fn(v) for v in x.tolist()])
     return x.apply(fn) if isinstance(x, Traced) else fn(x)
 
@@ -399,7 +404,7 @@ def power(base, exponent):
         e = exponent
     elif isinstance(exponent, float) and exponent.is_integer():
         e = int(exponent)
-    elif isinstance(exponent, np.ndarray) and branch(
+    elif ARRAY_TYPES[type(exponent)] and branch(
             np.isfinite(exponent) & (exponent == np.trunc(exponent))):
         e = exponent.flat[0]
         branch(exponent == e)  # lanes of another integer run apart

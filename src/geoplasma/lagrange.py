@@ -15,10 +15,10 @@ are recorded once per guard path and replayed at every later point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _numpy as np
 from .common import (
     FluidFrame,
     MetricJets,
@@ -353,10 +353,14 @@ def v_stream_constraint_residual(state, space, x, w):
 
 def integrate_h_stream_line(state, space, x0, v0, step, count, monitors=()):
     """RK4 for the horizontal system; rows [s, x, dx/ds, vertical norm], each
-    followed by the value of every one of ``monitors``."""
+    followed by the value of every one of ``monitors``, as lists of Python
+    floats (see :func:`~geoplasma.common.integrate_rk4`).  The vertical norm
+    is max |r| of the constraint residual r in plain Python: the bits of
+    ``np.abs(r).max()`` on finite entries, NaN when an entry is NaN."""
 
     def vc_norm(x, v):
-        return float(np.abs(v_stream_constraint_residual(state, space, x, v)).max())
+        sizes = [abs(r) for r in v_stream_constraint_residual(state, space, x, v)]
+        return math.nan if any(map(math.isnan, sizes)) else float(max(sizes))
 
     return integrate_rk4(
         lambda x, v: h_stream_line_rhs(state, space, x, v), x0, v0, step, count,

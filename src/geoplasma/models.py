@@ -21,8 +21,7 @@ metric is the spatial block g_ij.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._numpy import ARRAY_TYPES
 from .common import MetricJets
 from .dual import branch, promote, scalar_value, seed
 from .errors import BatchSplit, DegenerateMetricError, DomainError, ExprError, ScenarioError
@@ -96,7 +95,7 @@ def build_rgogml(h_metric, phi_metric, refractive_index, X, p, n):
             phinv[i][j] * y[i] * y[j] for i in range(n) for j in range(n)
         )
         if branch(abs(scalar_value(lemma)) < 1e-10):
-            if isinstance(scalar_value(lemma), np.ndarray):
+            if ARRAY_TYPES[type(scalar_value(lemma))]:
                 raise BatchSplit()  # the message formats each point's factor
             raise DegenerateMetricError(
                 "rank-one optical update degenerates (determinant factor "
@@ -151,12 +150,24 @@ def build_edml(h_metric, phi_metric, U, Phi, p, n):
 
 # -- stock spatial metrics ----------------------------------------------------
 
+# the stock metrics and the params each takes
+STOCK_PARAMS = {"flat": set(), "polar": set(), "conformal": {"sigma"}}
+
 
 def stock_metric(name, n, names, params=None, label="metric"):
-    """Built-in spatial metrics: flat, polar (diag(1, x1^2)), conformal."""
-    params = params or {}
+    """Built-in spatial metrics: flat, polar (diag(1, x1^2)), conformal.
+
+    ``params`` is an object of the params the metric takes, or None.
+    """
+    if params is None:
+        params = {}
     if not isinstance(params, dict):
         raise ScenarioError(f"stock metric params must be an object, got {params!r}")
+    if name not in STOCK_PARAMS:
+        raise ScenarioError(f"unknown stock metric {name!r}")
+    unknown = set(params) - STOCK_PARAMS[name]
+    if unknown:
+        raise ScenarioError(f"unknown params for stock metric {name!r}: {sorted(unknown)}")
     if name == "flat":
         rows = [["1" if j == 0 else "0" for j in range(n - i)] for i in range(n)]
         return MetricField.from_exprs(n, rows, names, label)
@@ -184,4 +195,3 @@ def stock_metric(name, n, names, params=None, label="metric"):
             return MetricField.from_exprs(n, rows, names, label)
         except ExprError as err:  # a name the metric's coordinates do not bind
             raise ScenarioError(f"sigma: {err}") from None
-    raise ScenarioError(f"unknown stock metric {name!r}")

@@ -28,8 +28,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _numpy as np
 from . import dual
 from .common import (
     FluidFrame,

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _numpy as np
 from .common import (
     FluidFrame,
     MetricJets,
@@ -189,8 +188,8 @@ def stream_line_rhs(state, space, em, x, xdot):
 def integrate_stream_line(state, space, em, x0, v0, step, count, monitors=()):
     """Classical fixed-step RK4 for the stream-line system.
 
-    Returns an array of count+1 rows [s, x^1..x^n, dx^1/ds..dx^n/ds], each
-    followed by the value of every one of ``monitors`` (see
+    Returns count+1 rows [s, x^1..x^n, dx^1/ds..dx^n/ds], each followed by
+    the value of every one of ``monitors``, as lists of Python floats (see
     :func:`~geoplasma.common.integrate_rk4`).
     """
     return integrate_rk4(

@@ -18,14 +18,14 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _numpy as np
 from . import lagrange as lag, multitime as mt, riemann as rm
 from .common import report_table
 from .dual import scalar_value
 from .errors import BatchSplit, ExprError, GeoPlasmaError, ScenarioError
 from .lagrange import GeneralizedLagrangeSpace, LagrangeFluidState, canonical_nonlinear_connection
 from .models import (
+    STOCK_PARAMS,
     build_bsml,
     build_edml,
     build_grgml,
@@ -67,7 +67,6 @@ _TOP_KEYS = {
     "pressure", "density", "velocity", "em", "eval", "sheet",
 }
 
-_STOCK_NAMES = {"flat", "polar", "conformal"}
 # the jet-space models on a base metric phi, and the params each takes
 _JET_MODEL_PARAMS = {
     "grgml": {"phi", "sigma"},
@@ -75,7 +74,7 @@ _JET_MODEL_PARAMS = {
     "edml": {"phi", "U", "Phi"},
     "bsml": {"phi"},
 }
-_MODEL_NAMES = set(_JET_MODEL_PARAMS) | _STOCK_NAMES
+_MODEL_NAMES = set(_JET_MODEL_PARAMS) | set(STOCK_PARAMS)
 
 
 def coordinate_names(framework, n, p=None):
@@ -152,7 +151,7 @@ def _spatial_metric(config, n, names, label="metric"):
     """Spatial metric from a model name or inline rows (over ``names``)."""
     if isinstance(config, dict):
         name = config.get("name")
-        if not isinstance(name, str) or name not in _STOCK_NAMES:
+        if not isinstance(name, str) or name not in STOCK_PARAMS:
             raise ScenarioError(f"{label}: unknown stock metric {name!r}")
         return stock_metric(name, n, names, config.get("params"), label)
     return _metric_from_rows(n, config, names, label)
@@ -258,7 +257,7 @@ class RiemannScenario(Scenario):
         rows = rm.integrate_stream_line(
             self.state, self.space, self.em, x0, v0, step, count,
             [lambda x, v: float(np.array(v) @ np.array(phi.matrix(x)) @ np.array(v))])
-        return ["velocity_norm"], rows.tolist()
+        return ["velocity_norm"], rows
 
 
 class LagrangeScenario(Scenario):
@@ -280,7 +279,7 @@ class LagrangeScenario(Scenario):
         rows = lag.integrate_h_stream_line(
             self.state, self.space, x0, v0, step, count,
             [lambda x, v: float(scalar_value(quadratic_form(g.matrix(x + v), v, v)))])
-        return ["vertical_constraint_norm", "velocity_norm"], rows.tolist()
+        return ["vertical_constraint_norm", "velocity_norm"], rows
 
 
 @dataclass
@@ -490,7 +489,7 @@ def _base_metric(raw, n, names, framework):
     """The metric of a stock ``model`` or of inline ``metric`` rows."""
     if "model" in raw:
         name = raw["model"]["name"]
-        if name not in _STOCK_NAMES:
+        if name not in STOCK_PARAMS:
             raise ScenarioError(f"model {name!r} is not available for the {framework} framework")
         return stock_metric(name, n, names, raw["model"].get("params"))
     if "metric" not in raw:

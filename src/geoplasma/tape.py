@@ -40,7 +40,7 @@ import functools
 import math
 import operator
 
-import numpy as np
+from ._numpy import ARRAY_TYPES
 
 # Operations a recording may trace.  The stream-line frame of an n = 2 tangent
 # bundle traces about 3,000 (2,300 tape lines, 400 statements once inlined);
@@ -54,8 +54,6 @@ SEGMENT = 1024
 # deepest expression that writing temporaries into their readers builds
 MAX_DEPTH = 12
 
-# argument types that hold a call's inputs
-_SEQUENCES = (list, tuple, np.ndarray)
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
         "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
         "==": operator.eq, "!=": operator.ne}
@@ -358,7 +356,7 @@ class _Entry:
             return fn(*args)
         self.recordings += 1
         tape = _Tape()
-        traced = [[tape.input(v) for v in arg] if isinstance(arg, _SEQUENCES) else arg
+        traced = [[tape.input(v) for v in arg] if _holds_inputs(arg) else arg
                   for arg in args]
         try:
             outputs = fn(*traced)
@@ -371,13 +369,20 @@ class _Entry:
         return [v.value if isinstance(v, Traced) else v for v in outputs]
 
 
+def _holds_inputs(arg):
+    """Whether a call argument holds inputs: a list, tuple or array."""
+    return isinstance(arg, (list, tuple)) or ARRAY_TYPES[type(arg)]
+
+
 def replayed(fn):
     """``fn`` replayed from recorded paths; see the module docstring.
 
-    ``fn(*args)`` returns a list of floats.  Its list, tuple and array
+    ``fn(*args)`` returns a list of floats.  Its list, tuple and ndarray
     arguments are the inputs; the others are framework objects, keyed by
-    identity.  A call whose inputs are not all plain floats (jets, numpy
-    scalars, lane arrays, traced values) runs ``fn`` itself.
+    identity.  A call whose inputs are not all plain floats (jets, traced
+    values, lane arrays, or the numpy scalars of an ndarray argument) runs
+    ``fn`` itself.  Telling an ndarray argument apart imports no numpy
+    (``geoplasma._numpy.ARRAY_TYPES``).
     """
     memo = {}
 
@@ -386,9 +391,9 @@ def replayed(fn):
         key = []
         inputs = []
         for arg in args:
-            if isinstance(arg, _SEQUENCES):
+            if isinstance(arg, (list, tuple)) or ARRAY_TYPES[type(arg)]:  # _holds_inputs
                 key.append(len(arg))
-                inputs += arg
+                inputs.extend(arg)  # += on an ndarray would broadcast
             else:
                 key.append(id(arg))
         for v in inputs:
@@ -398,7 +403,7 @@ def replayed(fn):
         entry = memo.get(key)
         if entry is None:
             memo.clear()
-            entry = memo[key] = _Entry([a for a in args if not isinstance(a, _SEQUENCES)])
+            entry = memo[key] = _Entry([a for a in args if not _holds_inputs(a)])
         paths = entry.paths
         for path in paths:
             try:

@@ -10,9 +10,9 @@ from __future__ import annotations
 import enum
 import functools
 
-import numpy as np
-
+from . import _numpy as np
 from . import expr as expr_mod
+from ._numpy import ARRAY_TYPES
 from .dual import Jet, branch, promote, scalar_value, seed
 from .errors import BatchSplit, DegenerateMetricError, TensorError
 from .tape import largest
@@ -57,7 +57,7 @@ def invert_symmetric(matrix, point=None):
     a = [list(row) for row in matrix]
     inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     sizes = [abs(scalar_value(x)) for row in a for x in row]
-    batch = any(isinstance(v, np.ndarray) for v in sizes)  # finite lanes: max's bits
+    batch = any(ARRAY_TYPES[type(v)] for v in sizes)  # finite lanes: max's bits
     scale = functools.reduce(np.maximum, sizes) if batch else largest(sizes)
     if branch(scale == 0.0):
         raise DegenerateMetricError("zero matrix is not invertible", point)

@@ -15,8 +15,7 @@ from __future__ import annotations
 import functools
 from collections import OrderedDict
 
-import numpy as np
-
+from . import _numpy as np
 from . import lagrange as lag
 from . import multitime as mt
 from . import riemann as rm

@@ -320,7 +320,8 @@ def test_c07_geodesic_recovery():
     space = helpers.flat_space(2)
     state = helpers.const_state(2, p=0.3, rho=1.1)
     em = helpers.zero_em(2)
-    rows = rm.integrate_stream_line(state, space, em, [0.0, 0.0], [0.6, 0.8], 1e-3, 1000)
+    rows = np.array(rm.integrate_stream_line(state, space, em, [0.0, 0.0], [0.6, 0.8], 1e-3, 1000),
+                    dtype=float)
     end = rows[-1]
     assert abs(end[0] - 1.0) < 1e-12
     assert np.abs(end[1:3] - [0.6, 0.8]).max() < 1e-10
@@ -333,7 +334,8 @@ def test_c07_geodesic_recovery():
     exact = helpers.polar_geodesic_endpoint(x0, v0, 1.0)
     errs = []
     for count in (50, 100):
-        rows = rm.integrate_stream_line(state, polar, em, x0, v0, 1.0 / count, count)
+        rows = np.array(rm.integrate_stream_line(state, polar, em, x0, v0, 1.0 / count, count),
+                        dtype=float)
         errs.append(np.abs(rows[-1][1:3] - exact).max())
     ratio = errs[0] / errs[1]
     assert 12 < ratio < 20, ratio

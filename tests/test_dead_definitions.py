@@ -4,8 +4,10 @@ A static scan of ``src/geoplasma/*.py``: each top-level ``def`` and
 ``class``, and each method of a top-level class other than a dunder, must
 be referenced by name (a name or an attribute) somewhere in the package
 outside its own body.  Code that only tests call belongs in ``tests/``.
-The two exceptions are the hooks the benchmark's tracer wraps by name
-(``perfbench/tracer.py``), which nothing in the package calls.
+The exceptions are module-level PEP 562 hooks (``__getattr__``,
+``__dir__``), which only the interpreter calls, and the two hooks the
+benchmark's tracer wraps by name (``perfbench/tracer.py``), which nothing
+in the package calls.
 """
 
 import ast
@@ -15,6 +17,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "geoplasma"
 
 TRACER_HOOKS = {("expr", "evaluate"), ("verify", "invariants_at")}
+MODULE_HOOKS = {"__getattr__", "__dir__"}
 
 
 def _references(node):
@@ -35,7 +38,8 @@ def test_every_top_level_definition_is_referenced():
         tree = ast.parse(path.read_text(), str(path))
         references += _references(tree)
         definitions += [(path.stem, node) for node in tree.body
-                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and node.name not in MODULE_HOOKS]
         definitions += [(path.stem, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
                         for node in cls.body if isinstance(node, ast.FunctionDef)
                         and not (node.name.startswith("__") and node.name.endswith("__"))]

@@ -429,7 +429,8 @@ def test_resolve_epsilon0_backs_off_where_the_metric_is_undefined(tmp_path, caps
     assert 0.0 < eps0 < 0.5
     g = scenario.space.g.matrix(x + [eps0 * wi for wi in w])
     assert abs(quadratic_form(g, w, w) - 1.0) < 1e-12
-    rows = integrate_h_stream_line(scenario.state, scenario.space, x, w, 0.01, 150)
+    rows = np.array(integrate_h_stream_line(scenario.state, scenario.space, x, w, 0.01, 150),
+                    dtype=float)
     assert rows.shape == (151, 6) and np.isfinite(rows).all()
     # the CLI line still fails at its first row: the velocity_norm column is
     # g(x, w)(w, w), at y = w, where the metric is undefined
@@ -632,7 +633,8 @@ def test_integrate_h_stream_line_monitor_column():
     n = 2
     space = flat_lagrange_space(n)
     state = const_lagrange_state(n)
-    rows = integrate_h_stream_line(state, space, [0.0, 0.0], [1.0, 0.0], 0.05, 20)
+    rows = np.array(integrate_h_stream_line(state, space, [0.0, 0.0], [1.0, 0.0], 0.05, 20),
+                    dtype=float)
     assert rows.shape == (21, 2 + 2 * n)
     assert np.abs(rows[-1][1:3] - [1.0, 0.0]).max() < 1e-12
     assert np.abs(rows[:, -1]).max() < 1e-12

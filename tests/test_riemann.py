@@ -471,7 +471,8 @@ def test_integrate_flat_straight_line():
     space = helpers.flat_space(2)
     state = helpers.const_state(2)
     em = helpers.zero_em(2)
-    rows = integrate_stream_line(state, space, em, [0.0, 0.0], [1.0, 0.0], 1e-2, 100)
+    rows = np.array(integrate_stream_line(state, space, em, [0.0, 0.0], [1.0, 0.0], 1e-2, 100),
+                    dtype=float)
     assert rows.shape == (101, 5)
     assert np.abs(rows[-1][1:3] - [1.0, 0.0]).max() < 1e-10
 
@@ -485,7 +486,8 @@ def test_integrate_polar_step_halving_fourth_order():
     exact = helpers.polar_geodesic_endpoint(x0, v0, 1.0)
     errs = []
     for count in (50, 100):
-        rows = integrate_stream_line(state, space, em, x0, v0, 1.0 / count, count)
+        rows = np.array(integrate_stream_line(state, space, em, x0, v0, 1.0 / count, count),
+                        dtype=float)
         errs.append(np.abs(rows[-1][1:3] - exact).max())
     ratio = errs[0] / errs[1]
     assert 12 < ratio < 20
@@ -495,7 +497,8 @@ def test_integrate_first_integral_drift():
     space = helpers.polar_space()
     state = helpers.const_state(2, p=0.1, rho=1.0)
     em = helpers.zero_em(2)
-    rows = integrate_stream_line(state, space, em, [1.0, 0.0], [0.2, 0.95], 1e-3, 1000)
+    rows = np.array(integrate_stream_line(state, space, em, [1.0, 0.0], [0.2, 0.95], 1e-3, 1000),
+                    dtype=float)
     norms = []
     for row in rows[:: 100]:
         x = row[1:3]

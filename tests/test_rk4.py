@@ -25,8 +25,9 @@ def test_rows_match_the_numpy_integrator(case, monkeypatch, tmp_path, capsys):
 
     def both(accel, x0, v0, step, count, monitors=()):
         rows = common.integrate_rk4(accel, x0, v0, step, count, monitors)
-        assert rows.dtype == np.float64
-        assert rows.tobytes() == numpy_rk4(accel, x0, v0, step, count, monitors).tobytes()
+        assert all(type(v) is float for row in rows for v in row)
+        assert (np.array(rows, dtype=float).tobytes()
+                == numpy_rk4(accel, x0, v0, step, count, monitors).tobytes())
         compared.append(len(rows))
         return rows
 

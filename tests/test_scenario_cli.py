@@ -836,8 +836,8 @@ def test_only_streamsheet_counts_the_sheet_nodes(tmp_path, capsys):
 
 
 # the load errors of the metric and connection builders, each exact; the
-# last case has an unbound name in connection[0] and a malformed
-# connection[1]: planes are checked and compiled one after the other
+# case with an unbound name in connection[0] and a malformed connection[1]
+# shows that planes are checked and compiled one after the other
 @pytest.mark.parametrize("config, message", [
     (riemann_config(model={"name": "bsml", "params": {"phi": {"name": "polar"}}}),
      "model 'bsml' is not available for the riemann framework"),
@@ -868,6 +868,28 @@ def test_only_streamsheet_counts_the_sheet_nodes(tmp_path, capsys):
      "stock metric params must be an object, got 'x1'"),
     (_inline_multitime(connection=[[["q", "0"], ["0", "0"]], [["0", "0"]]]),
      "connection[0][0][0]: unbound variable 'q'"),
+    # falsy params that are no object, and keys a stock metric does not
+    # take, on the riemann, lagrange, multitime and phi stock paths
+    (_without_metric(riemann_config(model={"name": "polar", "params": []})),
+     "stock metric params must be an object, got []"),
+    (_without_metric(lagrange_config(model={"name": "flat", "params": 0})),
+     "stock metric params must be an object, got 0"),
+    (_without_metric(riemann_config(model={"name": "flat", "params": ""})),
+     "stock metric params must be an object, got ''"),
+    (_without_metric(riemann_config(model={"name": "polar", "params": {"sigma": "x1"}})),
+     "unknown params for stock metric 'polar': ['sigma']"),
+    (_without_metric(lagrange_config(model={"name": "flat", "params": {"scale": 2}})),
+     "unknown params for stock metric 'flat': ['scale']"),
+    (_without_metric(riemann_config(model={"name": "conformal",
+                                           "params": {"sigma": "0.1*x1", "phi": "1", "k": 1}})),
+     "unknown params for stock metric 'conformal': ['k', 'phi']"),
+    (multitime_config(model={"name": "polar", "params": {"sigma": "x1"}}),
+     "unknown params for stock metric 'polar': ['sigma']"),
+    (multitime_config(model={"name": "bsml", "params": {"phi": {"name": "polar", "params": []}}}),
+     "stock metric params must be an object, got []"),
+    (multitime_config(model={"name": "bsml",
+                             "params": {"phi": {"name": "flat", "params": {"sigma": "x1"}}}}),
+     "unknown params for stock metric 'flat': ['sigma']"),
 ])
 def test_cli_metric_and_connection_error_text(config, message, tmp_path, capsys):
     out = tmp_path / "out"

@@ -235,8 +235,8 @@ def test_escaping_recording_runs_plain(monkeypatch, leak):
 
     def rows():
         clear_memos()
-        return lagrange.integrate_h_stream_line(
-            state, scenario.space, [-0.15, -0.11], [0.26, 0.74], 0.01, 10).tobytes()
+        return np.array(lagrange.integrate_h_stream_line(
+            state, scenario.space, [-0.15, -0.11], [0.26, 0.74], 0.01, 10), dtype=float).tobytes()
 
     expected = interpreted(rows)
     monkeypatch.setattr(tape, "_Tape", Counted)
