@@ -896,3 +896,101 @@ def test_cli_metric_and_connection_error_text(config, message, tmp_path, capsys)
     assert main(["residuals", "--scenario", write(tmp_path, config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def _without(config, key):
+    del config[key]
+    return config
+
+
+_BOX2 = {"min": [0.5, -0.5], "max": [1.5, 0.5]}
+
+
+# load errors no other case raises, each exact: the scenario's framework,
+# model, em and eval blocks
+@pytest.mark.parametrize("config, message", [
+    ([1, 2], "scenario must be a JSON object"),
+    (riemann_config(eval=5), "'eval' must be an object"),
+    (riemann_config(sheet=_SHEET), "key 'sheet' is only valid for the multitime framework"),
+    (riemann_config(model="polar"), "'model' must be an object with a 'name'"),
+    (riemann_config(model={"params": {}}), "'model' must be an object with a 'name'"),
+    (riemann_config(model={"name": "polar", "bogus": 1}), "unknown model keys: ['bogus']"),
+    (riemann_config(connection="zero"), "'connection'/'h_metric' are not riemann keys"),
+    (riemann_config(h_metric=[["1"]]), "'connection'/'h_metric' are not riemann keys"),
+    (lagrange_config(h_metric=[["1"]]), "'h_metric' is not a lagrange key"),
+    (riemann_config(em=[["0.1"]]), "'em' must be an object with 'H' and optionally 'G'"),
+    (riemann_config(em={"H": [["0.1"], []], "E": 1}), "unknown em keys: ['E']"),
+    (_without(multitime_config(), "h_metric"), "multitime scenarios need 'h_metric'"),
+    (_jet_model("bsml", sigma="x1"), "unknown params for model 'bsml': ['sigma']"),
+    (_jet_model("edml", U=_ZERO_ROWS, X=["1", "0"]),
+     "unknown params for model 'edml': ['X']"),
+    (multitime_config(model={"name": "bsml"}), "model 'bsml' needs a 'phi' base metric"),
+    (dict(_jet_model("bsml"), connection="zero"), "model 'bsml' fixes its own connection"),
+    (dict(_jet_model("grgml", sigma="0"), connection=_ZERO_ROWS),
+     "model 'grgml' fixes its own connection"),
+    (_jet_model("grgml"), "grgml needs a 'sigma' expression"),
+    (_jet_model("rgogml", X=["1", "0"]), "rgogml needs 'refractive_index'"),
+    (_jet_model("rgogml", refractive_index="1.5"), "rgogml needs 'X'"),
+    (_jet_model("rgogml", refractive_index="1.5", X=["1"]), "'X' must list 2 expressions over t"),
+    (_jet_model("rgogml", refractive_index="1.5", X="1"), "'X' must list 2 expressions over t"),
+    (_jet_model("edml"), "'U' must be an n x p expression matrix over (t, x)"),
+    (_jet_model("edml", U=[["0", "0"], ["0"]]),
+     "'U' must be an n x p expression matrix over (t, x)"),
+    (riemann_config(eval={"points": []}), "'eval.points' must be a non-empty list"),
+    (riemann_config(eval={"points": [1.0, 0.2]}),
+     "evaluation points must have 2 coordinates (['x1', 'x2'])"),
+    (riemann_config(eval={"points": [["a", 0.2]]}),
+     "'eval.points' coordinates must be numbers: could not convert string to float: 'a'"),
+    (riemann_config(eval={"points": [[None, 0.2]]}),
+     "'eval.points' coordinates must be numbers: float() argument must be a string or a "
+     "real number, not 'NoneType'"),
+    (riemann_config(eval={"box": _BOX2, "seed": "x"}),
+     "eval seed and count must be integers: invalid literal for int() with base 10: 'x'"),
+    (riemann_config(eval={"box": _BOX2, "count": [2]}),
+     "eval seed and count must be integers: int() argument must be a string, a bytes-like "
+     "object or a real number, not 'list'"),
+    (riemann_config(eval={"box": _BOX2, "count": 0}), "eval count must be positive"),
+    (riemann_config(eval={"box": dict(_BOX2, shape=[2, 2])}), "unknown 'eval.box' keys: ['shape']"),
+    (riemann_config(eval={"box": {"min": [0.5, 0.5], "max": [1.5, 0.5]}}),
+     "'eval.box' max must exceed min in every coordinate"),
+    (riemann_config(eval={"grid": dict(_BOX2, shape=[2])}),
+     "'eval.grid.shape' must list 2 positive integers"),
+    (riemann_config(eval={"grid": dict(_BOX2, shape=[2, 0])}),
+     "'eval.grid.shape' must list 2 positive integers"),
+    (riemann_config(eval={"grid": _BOX2}), "'eval.grid.shape' must list 2 positive integers"),
+])
+def test_cli_scenario_block_error_text(config, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["residuals", "--scenario", write(tmp_path, config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    (_without(multitime_config(), "sheet"), ["streamsheet"], "scenario has no 'sheet' block"),
+    (riemann_config(), ["streamline", "--x0", "1,0", "--v0", "1,0", "--step", "0.1",
+                        "--steps", "0"], "--steps must be at least 1"),
+    (multitime_config(), ["streamsheet", "--sheet-file", "short"],
+     "sheet file has 24 data rows, grid expects 25"),
+])
+def test_cli_command_error_text(config, argv, message, tmp_path, capsys):
+    _sheet_file(tmp_path)
+    rows = (tmp_path / "sheet_values.csv").read_text().splitlines()
+    (tmp_path / "short").write_text("\n".join(rows[:-1]) + "\n")
+    argv = [str(tmp_path / a) if a == "short" else a for a in argv]
+    out = tmp_path / "out"
+    assert main([argv[0], "--scenario", write(tmp_path, config), *argv[1:],
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_residuals_name_a_jet_point_with_zero_fiber(tmp_path):
+    point = [0.1, 0.2, 1.0, 0.3, 0.0, 0.0, 0.0, 0.0]
+    config = multitime_config(eval={"points": [point]})
+    out = tmp_path / "out.csv"
+    assert main(["residuals", "--scenario", write(tmp_path, config), "--out", str(out)]) == 1
+    _, rows = _csv_rows(out)
+    assert [row["error"] for row in rows] == [
+        f"jet fiber quadratic form is not positive at point {tuple(point)} "
+        "(quadratic form = 0.0)".replace(",", ";")]

@@ -123,6 +123,13 @@ def test_metric_field_symmetric_storage():
     assert m[1][1] == 6.0
 
 
+@pytest.mark.parametrize("rows", [[["1"], ["1"]], [["1", "0"]], [["1", "0"], ["1", "0"]]])
+def test_metric_from_malformed_rows_raises(rows):
+    with pytest.raises(TensorError) as err:
+        MetricField.from_exprs(2, rows, ["x1", "x2"])
+    assert str(err.value) == "upper-triangle entries must have rows of length dim - i"
+
+
 def test_two_form_antisymmetry():
     h = TwoFormField.from_exprs(3, [["x1", "2"], ["x2"], []], ["x1", "x2", "x3"])
     m = h.matrix([1.5, -2.0, 0.0])
