@@ -20,13 +20,17 @@ from geoplasma.riemann import (
     SemiRiemannianSpace,
     integrate_stream_line,
 )
-from geoplasma.tensor_core import MetricField, TwoFormField, constant_field, scalar_field
+from geoplasma.tensor_core import (
+    antisymmetric_field,
+    constant_field,
+    metric_from_exprs,
+    scalar_field,
+    triangle_values,
+)
 
 
 def polar_space():
-    return SemiRiemannianSpace(
-        2, MetricField.from_exprs(2, [["1", "0"], ["x1^2"]], ["x1", "x2"])
-    )
+    return SemiRiemannianSpace(2, metric_from_exprs([["1", "0"], ["x1^2"]], ["x1", "x2"]))
 
 
 def exact_endpoint(x0, v0, s):
@@ -43,7 +47,8 @@ def exact_endpoint(x0, v0, s):
 
 def main():
     space = polar_space()
-    em = ElectromagneticPair(TwoFormField.zero(2), TwoFormField.zero(2))
+    zero = antisymmetric_field(2, constant_field([0.0]))
+    em = ElectromagneticPair(zero, zero)
     geodesic_state = FluidState(
         constant_field(0.1), constant_field(1.0), 1.0,
         (constant_field(1.0), constant_field(0.0)),
@@ -70,8 +75,8 @@ def main():
         (constant_field(1.0), constant_field(0.0)),
     )
     forced_em = ElectromagneticPair(
-        TwoFormField.from_exprs(2, [["0.2*x1"], []], names),
-        TwoFormField.from_exprs(2, [["0.1*sin(x2)"], []], names),
+        antisymmetric_field(2, triangle_values([["0.2*x1"], []], names, "two-form")),
+        antisymmetric_field(2, triangle_values([["0.1*sin(x2)"], []], names, "two-form")),
     )
     rows = np.array(integrate_stream_line(forced_state, space, forced_em, x0, v0, 1e-2, 150),
                     dtype=float)

@@ -22,7 +22,12 @@ from geoplasma.multitime import (
     prolong_sheet,
     stream_sheet_residuals,
 )
-from geoplasma.tensor_core import MetricField, TwoFormField, scalar_field
+from geoplasma.tensor_core import (
+    antisymmetric_field,
+    metric_from_exprs,
+    scalar_field,
+    triangle_values,
+)
 
 P, N = 2, 2
 TNM = ["t1", "t2"]
@@ -32,15 +37,15 @@ SHEET = ["t1 + 0.3*sin(t2) + 0.1*t2^2", "t2 - 0.2*cos(t1) + 0.1*t1"]
 
 
 def build():
-    h = MetricField.from_exprs(P, [["1", "0"], ["1"]], TNM)
-    phi = MetricField.from_exprs(N, [["1", "0"], ["1"]], ["x1", "x2"])
+    h = metric_from_exprs([["1", "0"], ["1"]], TNM)
+    phi = metric_from_exprs([["1", "0"], ["1"]], ["x1", "x2"])
     space = build_bsml(h, phi, P, N)
     state = MultiTimeFluidState(
         scalar_field("0.4 + 0.1*sin(x1)", JNM),
         scalar_field("1.1 + 0.1*cos(x2)", JNM),
         1.0,
-        TwoFormField.from_exprs(N, [["0.2*sin(x1)"], []], JNM),
-        TwoFormField.from_exprs(N, [["0.1*cos(x2)"], []], JNM),
+        antisymmetric_field(N, triangle_values([["0.2*sin(x1)"], []], JNM, "two-form")),
+        antisymmetric_field(N, triangle_values([["0.1*cos(x2)"], []], JNM, "two-form")),
     )
     return space, state
 

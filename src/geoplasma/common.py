@@ -203,7 +203,7 @@ class MetricJets:
 
     def __init__(self, metric, coords):
         self.cj, self.ctx = cj, ctx = dual.seed(list(coords))
-        self.raw = metric.matrix(cj)
+        self.raw = metric(cj)
         self.g = [[dual.promote(v, ctx) for v in row] for row in self.raw]
         self.ginv = invert_symmetric(self.g, coords)
 

@@ -55,7 +55,7 @@ from .tensor_core import (
 @dataclass(frozen=True)
 class GeneralizedLagrangeSpace:
     n: int
-    g: object  # MetricField or MatrixMetricField over (x, y)
+    g: object  # metric field over (x, y)
     N: object  # callable coords -> n x n nested lists N^i_j
 
 
@@ -175,8 +175,8 @@ class _Frame(FluidFrame):
         m = MetricJets(space.g, coords)
         cj, ctx, g = m.cj, m.ctx, m.g
         self.N0, horizontal, vertical = _adapted_partials(space, coords)
-        self.H = eval_jets(state.em_H.matrix, cj, ctx)
-        self.G = eval_jets(state.em_G.matrix, cj, ctx)
+        self.H = eval_jets(state.em_H, cj, ctx)
+        self.G = eval_jets(state.em_G, cj, ctx)
         self.E_low, self.E_mix = energy_low_mixed(g, m.ginv, self.H, self.G)
         u, u_low, _ = _unit_velocity(m.raw, cj, point=coords)
         super().__init__(
@@ -248,7 +248,7 @@ def _fiber_form(space, x, w, eps0):
     """[g_ij(x, e*w) w^i w^j, its derivative in e] at e = eps0[0]."""
     (ej,), ctx = seed(list(eps0))
     coords = list(x) + [ej * wi for wi in w]
-    val = promote(quadratic_form(space.g.matrix(coords), w, w), ctx)
+    val = promote(quadratic_form(space.g(coords), w, w), ctx)
     return [val.value, val.d(0)]
 
 

@@ -28,7 +28,7 @@ from .errors import BatchSplit, DegenerateMetricError, DomainError, ExprError, S
 from .expr import parse
 from .riemann import SemiRiemannianSpace, christoffel_lists
 from .multitime import MultiTimeSpace, canonical_connection, fiber_index
-from .tensor_core import MatrixMetricField, MetricField, invert_symmetric
+from .tensor_core import invert_symmetric, metric_from_exprs
 
 
 def _phi_connection(phi_metric, p, n):
@@ -39,15 +39,15 @@ def _phi_connection(phi_metric, p, n):
 
 def _phi_block(phi_metric, p, n):
     def fn(coords):
-        return phi_metric.matrix(coords[p:p + n])
+        return phi_metric(coords[p:p + n])
 
     return fn
 
 
 def build_bsml(h_metric, phi_metric, p, n):
     """Product-metric space: g = phi(x), canonical connection."""
-    g = MatrixMetricField(n, _phi_block(phi_metric, p, n))
-    return MultiTimeSpace(p, n, h_metric, g, _phi_connection(phi_metric, p, n))
+    return MultiTimeSpace(p, n, h_metric, _phi_block(phi_metric, p, n),
+                          _phi_connection(phi_metric, p, n))
 
 
 def build_grgml(h_metric, sigma, phi_metric, p, n):
@@ -60,8 +60,7 @@ def build_grgml(h_metric, sigma, phi_metric, p, n):
         factor = dual.exp(2.0 * sigma(coords))
         return [[factor * v for v in row] for row in phi_fn(coords)]
 
-    g = MatrixMetricField(n, fn)
-    return MultiTimeSpace(p, n, h_metric, g, _phi_connection(phi_metric, p, n))
+    return MultiTimeSpace(p, n, h_metric, fn, _phi_connection(phi_metric, p, n))
 
 
 def build_rgogml(h_metric, phi_metric, refractive_index, X, p, n):
@@ -106,8 +105,7 @@ def build_rgogml(h_metric, phi_metric, refractive_index, X, p, n):
             for i in range(n)
         ]
 
-    g = MatrixMetricField(n, fn)
-    return MultiTimeSpace(p, n, h_metric, g, _phi_connection(phi_metric, p, n))
+    return MultiTimeSpace(p, n, h_metric, fn, _phi_connection(phi_metric, p, n))
 
 
 def build_edml(h_metric, phi_metric, U, Phi, p, n):
@@ -116,13 +114,12 @@ def build_edml(h_metric, phi_metric, U, Phi, p, n):
     N^(i)_(alpha)j = gamma^i_jm xdot^m_alpha
         + (h_{alpha mu} phi^{im}/4) (dU^(mu)_(m)/dx^j - dU^(mu)_(j)/dx^m).
     """
-    g = MatrixMetricField(n, _phi_block(phi_metric, p, n))
     base_fn = _phi_connection(phi_metric, p, n)
 
     def fn(coords):
         out = base_fn(coords)
         t = coords[:p]
-        h = h_metric.matrix(t)
+        h = h_metric(t)
         phinv = MetricJets(phi_metric, coords[p:p + n]).ginv0  # the canonical part's instance
         # dU[m][mu][j] = dU^(mu)_(m)/dx^j by seeding the spatial part
         cj, ctx = seed(list(coords), seeds=range(p, p + n))
@@ -145,7 +142,7 @@ def build_edml(h_metric, phi_metric, U, Phi, p, n):
                     out[i][a][j] = out[i][a][j] + corr
         return out
 
-    return MultiTimeSpace(p, n, h_metric, g, fn)
+    return MultiTimeSpace(p, n, h_metric, _phi_block(phi_metric, p, n), fn)
 
 
 # -- stock spatial metrics ----------------------------------------------------
@@ -170,11 +167,11 @@ def stock_metric(name, n, names, params=None, label="metric"):
         raise ScenarioError(f"unknown params for stock metric {name!r}: {sorted(unknown)}")
     if name == "flat":
         rows = [["1" if j == 0 else "0" for j in range(n - i)] for i in range(n)]
-        return MetricField.from_exprs(n, rows, names, label)
+        return metric_from_exprs(rows, names, label)
     if name == "polar":
         if n != 2:
             raise ScenarioError("polar metric requires n = 2")
-        return MetricField.from_exprs(2, [["1", "0"], [f"{names[0]}^2"]], names, label)
+        return metric_from_exprs([["1", "0"], [f"{names[0]}^2"]], names, label)
     if name == "conformal":
         sigma = params.get("sigma")
         if sigma is None:
@@ -192,6 +189,6 @@ def stock_metric(name, n, names, params=None, label="metric"):
                 row.append(f"exp(2*({sigma}))" if i == j else "0")
             rows.append(row)
         try:
-            return MetricField.from_exprs(n, rows, names, label)
+            return metric_from_exprs(rows, names, label)
         except ExprError as err:  # a name the metric's coordinates do not bind
             raise ScenarioError(f"sigma: {err}") from None

@@ -292,10 +292,10 @@ class _MetricJets:
 
     def __init__(self, space, coords):
         self.cj, self.ctx = cj, ctx = seed(list(coords))
-        self.h = eval_jets(space.h.matrix, cj[:space.p], ctx)
+        self.h = eval_jets(space.h, cj[:space.p], ctx)
         self.hinv = invert_symmetric(self.h, coords[:space.p])  # before N, which may invert g
         self.ops = _Derivatives(space, coords)
-        self.graw = space.g.matrix(cj)
+        self.graw = space.g(cj)
         self.g = [[promote(v, ctx) for v in row] for row in self.graw]
         self.ginv = invert_symmetric(self.g, coords)
         self.gblock = jet_block(self.g, 2)
@@ -326,8 +326,8 @@ class _Frame:
         self.xd0 = ops.xd0
         self.L, self.C = _spatial_blocks(ops, m.gblock, [[e.value for e in row] for row in ginv])
 
-        H = eval_jets(state.em_H.matrix, cj, ctx)
-        G = eval_jets(state.em_G.matrix, cj, ctx)
+        H = eval_jets(state.em_H, cj, ctx)
+        G = eval_jets(state.em_G, cj, ctx)
         E_low, E_mix = energy_low_mixed(g, ginv, H, G)
         self.E_mix = E_mix
         self.E_low0 = [[e.value for e in row] for row in E_low]

@@ -34,25 +34,19 @@ from .common import (
     unit_vector,
 )
 from .dual import promote
-from .tensor_core import (
-    MetricField,
-    Slot,
-    TwoFormField,
-    christoffel_from,
-    eval_jets,
-)
+from .tensor_core import Slot, christoffel_from, eval_jets
 
 
 @dataclass(frozen=True)
 class SemiRiemannianSpace:
     n: int
-    phi: MetricField
+    phi: object  # metric field over x
 
 
 @dataclass(frozen=True)
 class ElectromagneticPair:
-    H: TwoFormField
-    G: TwoFormField
+    H: object  # two-form fields over x
+    G: object
 
 
 @dataclass(frozen=True)
@@ -129,8 +123,8 @@ class _Frame(FluidFrame):
 
     def __init__(self, state, space, em, x):
         m = MetricJets(space.phi, x)
-        self.H = eval_jets(em.H.matrix, m.cj, m.ctx)
-        self.G = eval_jets(em.G.matrix, m.cj, m.ctx)
+        self.H = eval_jets(em.H, m.cj, m.ctx)
+        self.G = eval_jets(em.G, m.cj, m.ctx)
         self.E_low, self.E_mix = energy_low_mixed(m.g, m.ginv, self.H, self.G)
         u, u_low = _unit_velocity(state, m.raw, m.cj, point=x)
         super().__init__(

@@ -35,12 +35,13 @@ from .models import (
 from .multitime import MultiTimeFluidState, MultiTimeSpace
 from .riemann import ElectromagneticPair, FluidState, SemiRiemannianSpace
 from .tensor_core import (
-    MetricField,
-    TwoFormField,
+    antisymmetric_field,
     christoffel_of,
     constant_field,
+    metric_from_exprs,
     quadratic_form,
     scalar_field,
+    triangle_values,
 )
 from .verify import lagrange_invariants, multitime_invariants, riemann_invariants
 
@@ -123,12 +124,13 @@ def _metric_from_rows(dim, rows, names, label):
             )
     _check_entries(rows, label)
     try:
-        return MetricField.from_exprs(dim, rows, names, label)
+        return metric_from_exprs(rows, names, label)
     except ExprError as err:
         raise ScenarioError(f"{label}: {err}") from err
 
 
-def _two_form_from_rows(dim, rows, names, label):
+def _two_form_values(dim, rows, names, label):
+    """The compiled strict-upper values of a two-form's rows."""
     if not isinstance(rows, list) or len(rows) != dim:
         raise ScenarioError(
             f"{label} needs {dim} strictly-upper rows (row i lists entries j > i); "
@@ -142,7 +144,7 @@ def _two_form_from_rows(dim, rows, names, label):
             )
     _check_entries(rows, label)
     try:
-        return TwoFormField.from_exprs(dim, rows, names, label)
+        return triangle_values(rows, names, label)
     except ExprError as err:
         raise ScenarioError(f"{label}: {err}") from err
 
@@ -256,7 +258,7 @@ class RiemannScenario(Scenario):
         phi = self.space.phi
         rows = rm.integrate_stream_line(
             self.state, self.space, self.em, x0, v0, step, count,
-            [lambda x, v: float(np.array(v) @ np.array(phi.matrix(x)) @ np.array(v))])
+            [lambda x, v: float(np.array(v) @ np.array(phi(x)) @ np.array(v))])
         return ["velocity_norm"], rows
 
 
@@ -278,7 +280,7 @@ class LagrangeScenario(Scenario):
         g = self.space.g
         rows = lag.integrate_h_stream_line(
             self.state, self.space, x0, v0, step, count,
-            [lambda x, v: float(scalar_value(quadratic_form(g.matrix(x + v), v, v)))])
+            [lambda x, v: float(scalar_value(quadratic_form(g(x + v), v, v)))])
         return ["vertical_constraint_norm", "velocity_norm"], rows
 
 
@@ -468,7 +470,8 @@ def _sheet_fields(spec, n, p, names):
 
 def _parse_em(config, n, names):
     if config is None:
-        return TwoFormField.zero(n), TwoFormField.zero(n)
+        zero = constant_field([0.0] * (n * (n - 1) // 2))
+        return antisymmetric_field(n, zero), antisymmetric_field(n, zero)
     if not isinstance(config, dict):
         raise ScenarioError("'em' must be an object with 'H' and optionally 'G'")
     unknown = set(config) - {"H", "G"}
@@ -476,13 +479,13 @@ def _parse_em(config, n, names):
         raise ScenarioError(f"unknown em keys: {sorted(unknown)}")
     if "H" not in config:
         raise ScenarioError("'em' needs an 'H' entry")
-    H = _two_form_from_rows(n, config["H"], names, "em.H")
+    H = _two_form_values(n, config["H"], names, "em.H")
     g_cfg = config.get("G", "self-dual")
     if g_cfg == "self-dual":
-        G = H.negated()
+        G = lambda coords: [-v for v in H(coords)]
     else:
-        G = _two_form_from_rows(n, g_cfg, names, "em.G")
-    return H, G
+        G = _two_form_values(n, g_cfg, names, "em.G")
+    return antisymmetric_field(n, H), antisymmetric_field(n, G)
 
 
 def _base_metric(raw, n, names, framework):

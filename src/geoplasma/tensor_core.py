@@ -1,4 +1,4 @@
-"""Valence tags, metric fields, symmetric inversion and connection coefficients.
+"""Valence tags, matrix fields, symmetric inversion and connection coefficients.
 
 Tensors are nested lists.  Everything here is generic over the scalar type: entries may be plain
 floats or jets from :mod:`geoplasma.dual`, so the same code paths serve
@@ -96,7 +96,7 @@ def eval_jets(field, coords, ctx):
     """Evaluate a nested-list field and promote every leaf into ``ctx``.
 
     ``field(coords)`` may return a scalar or lists nested to any depth;
-    callers pass e.g. ``metric.matrix`` or ``em.H.matrix``.
+    callers pass e.g. a metric or ``em.H``.
     """
 
     def walk(node):
@@ -138,111 +138,65 @@ def christoffel_of(metric, coords, seeds=None, point=None):
     of a singular metric.
     """
     cj, ctx = seed(list(coords), seeds)
-    g = eval_jets(metric.matrix, cj, ctx)
+    g = eval_jets(metric, cj, ctx)
     ginv0 = invert_symmetric([[e.value for e in row] for row in g], point)
     n = len(g)
     dg = [[[g[i][j].d(k) for j in range(n)] for i in range(n)] for k in range(n)]
     return christoffel_from(ginv0, dg)
 
 
-class MetricField:
-    """Symmetric matrix-valued field with upper-triangle storage.
+def symmetric_field(dim, values):
+    """The symmetric matrix field whose upper triangle ``values(coords)`` lists,
+    entries (i, j), j >= i, row by row.  Symmetry is exact by construction."""
 
-    ``values(coords)`` lists the entries (i, j), j >= i, row by row.
-    Symmetry is exact by construction.
-    """
-
-    def __init__(self, dim, values):
-        if dim > MAX_DIM:
-            raise TensorError(f"dimension {dim} exceeds supported maximum {MAX_DIM}")
-        self.dim = dim
-        self.values = values
-
-    def matrix(self, coords):
-        n = self.dim
-        vals = iter(self.values(coords))
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
+    def field(coords):
+        vals = iter(values(coords))
+        out = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
                 v = next(vals)
                 out[i][j] = v
                 out[j][i] = v
         return out
 
-    @classmethod
-    def from_exprs(cls, dim, rows, names, label="metric"):
-        """Build from upper-triangle rows of expression source strings.
-
-        The rows compile into one field; a non-finite entry is named
-        ``<label> row i entry j`` (both counted from 1 within the row).
-        """
-        if len(rows) != dim or any(len(row) != dim - i for i, row in enumerate(rows)):
-            raise TensorError("upper-triangle entries must have rows of length dim - i")
-        return cls(dim, _rows_field(rows, names, label))
+    return field
 
 
-class MatrixMetricField:
-    """Symmetric metric field backed by one whole-matrix evaluator.
+def antisymmetric_field(dim, values):
+    """The antisymmetric matrix field whose strict upper triangle
+    ``values(coords)`` lists, entries (i, j), j > i, row by row."""
 
-    Used for derived metrics (conformal factors, rank-one updates) where
-    computing entries separately would repeat work.  The evaluator must
-    return a symmetric square list-of-lists and accept jet coordinates.
-    """
-
-    def __init__(self, dim, matrix_fn):
-        if dim > MAX_DIM:
-            raise TensorError(f"dimension {dim} exceeds supported maximum {MAX_DIM}")
-        self.dim = dim
-        self._matrix_fn = matrix_fn
-
-    def matrix(self, coords):
-        return self._matrix_fn(coords)
-
-
-class TwoFormField:
-    """Antisymmetric matrix-valued field, strictly-upper-triangle storage.
-
-    ``values(coords)`` lists the entries (i, j), j > i, row by row.
-    """
-
-    def __init__(self, dim, values):
-        self.dim = dim
-        self.values = values
-
-    def matrix(self, coords):
-        n = self.dim
-        vals = iter(self.values(coords))
-        out = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
+    def field(coords):
+        vals = iter(values(coords))
+        out = [[0.0] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i + 1, dim):
                 v = next(vals)
                 out[i][j] = v
                 out[j][i] = -v
         return out
 
-    def negated(self):
-        values = self.values
-        return TwoFormField(self.dim, lambda coords: [-v for v in values(coords)])
-
-    @classmethod
-    def zero(cls, dim):
-        return cls(dim, constant_field([0.0] * (dim * (dim - 1) // 2)))
-
-    @classmethod
-    def from_exprs(cls, dim, rows, names, label="two-form"):
-        if len(rows) != dim or any(len(row) != dim - i - 1 for i, row in enumerate(rows)):
-            raise TensorError("strict-upper entries must have rows of length dim - i - 1")
-        return cls(dim, _rows_field(rows, names, label))
+    return field
 
 
-def _rows_field(rows, names, label):
-    """Compile triangle rows of expression strings into one field."""
+def triangle_values(rows, names, label):
+    """Compile triangle rows of expression strings into one field of their
+    values; a non-finite entry is named ``<label> row i entry j`` (both
+    counted from 1 within the row)."""
     trees = [expr_mod.parse(source) for row in rows for source in row]
     labels = [
         f"{label} row {i + 1} entry {j + 1}"
         for i, row in enumerate(rows) for j in range(len(row))
     ]
     return expr_mod.compile_field(trees, names, labels)
+
+
+def metric_from_exprs(rows, names, label="metric"):
+    """The symmetric field of upper-triangle rows of expression source strings."""
+    dim = len(rows)
+    if any(len(row) != dim - i for i, row in enumerate(rows)):
+        raise TensorError("upper-triangle entries must have rows of length dim - i")
+    return symmetric_field(dim, triangle_values(rows, names, label))
 
 
 def scalar_field(source, names, label=None):

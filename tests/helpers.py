@@ -42,16 +42,17 @@ from geoplasma.riemann import (
     christoffel,
 )
 from geoplasma.tensor_core import (
-    MatrixMetricField,
-    MetricField,
-    TwoFormField,
+    antisymmetric_field,
     christoffel_from,
     constant_field,
     eval_jets,
     invert_symmetric,
+    metric_from_exprs,
     quadratic_form,
     scalar_field,
     sum_product,
+    symmetric_field,
+    triangle_values,
 )
 
 
@@ -61,13 +62,13 @@ def xnames(n):
 
 def flat_space(n):
     rows = [["1" if j == 0 else "0" for j in range(n - i)] for i in range(n)]
-    return SemiRiemannianSpace(n, MetricField.from_exprs(n, rows, xnames(n)))
+    return SemiRiemannianSpace(n, metric_from_exprs(rows, xnames(n)))
 
 
 def polar_space():
     # diag(1, r^2) with r = x1
     return SemiRiemannianSpace(
-        2, MetricField.from_exprs(2, [["1", "0"], ["x1^2"]], xnames(2))
+        2, metric_from_exprs([["1", "0"], ["x1^2"]], xnames(2))
     )
 
 
@@ -80,7 +81,7 @@ def conformal_space(n, coeffs):
         for j in range(i, n):
             row.append(f"exp(2*({sigma}))" if i == j else "0")
         rows.append(row)
-    return SemiRiemannianSpace(n, MetricField.from_exprs(n, rows, names))
+    return SemiRiemannianSpace(n, metric_from_exprs(rows, names))
 
 
 def zero_connection(n):
@@ -99,8 +100,17 @@ def zero_jet_connection(p, n):
     return fn
 
 
+def two_form(rows, names):
+    """The two-form field of strict-upper rows of expression strings."""
+    return antisymmetric_field(len(rows), triangle_values(rows, names, "two-form"))
+
+
+def zero_two_form(n):
+    return antisymmetric_field(n, constant_field([0.0] * (n * (n - 1) // 2)))
+
+
 def zero_em(n):
-    return ElectromagneticPair(TwoFormField.zero(n), TwoFormField.zero(n))
+    return ElectromagneticPair(zero_two_form(n), zero_two_form(n))
 
 
 def const_state(n, p=0.2, rho=1.0, c=1.0, v=None):
@@ -144,11 +154,11 @@ def random_riemann_scenario(rng, n):
     """Smooth expression-backed scenario with safe invertibility margins."""
     names = xnames(n)
     space = SemiRiemannianSpace(
-        n, MetricField.from_exprs(n, random_metric_rows(rng, n, names), names)
+        n, metric_from_exprs(random_metric_rows(rng, n, names), names)
     )
     em = ElectromagneticPair(
-        TwoFormField.from_exprs(n, random_two_form_rows(rng, n, names), names),
-        TwoFormField.from_exprs(n, random_two_form_rows(rng, n, names), names),
+        two_form(random_two_form_rows(rng, n, names), names),
+        two_form(random_two_form_rows(rng, n, names), names),
     )
     state = FluidState(
         scalar_field(_wave(rng, names, 0.1, base=0.4), names),
@@ -176,7 +186,7 @@ def random_lagrange_scenario(rng, n):
     from geoplasma.lagrange import GeneralizedLagrangeSpace, LagrangeFluidState
 
     names = xynames(n)
-    g = MetricField.from_exprs(n, random_metric_rows(rng, n, names), names)
+    g = metric_from_exprs(random_metric_rows(rng, n, names), names)
     # smooth inline nonlinear connection, linear in the fiber
     nexprs = [
         [
@@ -198,8 +208,8 @@ def random_lagrange_scenario(rng, n):
         scalar_field(_wave(rng, names, 0.1, base=0.4), names),
         scalar_field(_wave(rng, names, 0.2, base=1.1), names),
         1.0,
-        TwoFormField.from_exprs(n, random_two_form_rows(rng, n, names), names),
-        TwoFormField.from_exprs(n, random_two_form_rows(rng, n, names), names),
+        two_form(random_two_form_rows(rng, n, names), names),
+        two_form(random_two_form_rows(rng, n, names), names),
     )
     # fiber part sampled away from zero so eps^2 stays positive
     lo = np.concatenate([np.full(n, -0.8), np.full(n, 0.6)])
@@ -222,11 +232,10 @@ def random_multitime_scenario(rng, p, n):
 
     tnm = [f"t{a + 1}" for a in range(p)]
     names = jetnames(p, n)
-    h = MetricField.from_exprs(
-        p, random_metric_rows(rng, p, tnm, diag_base=1.3, diag_amp=0.2, off_amp=0.1),
+    h = metric_from_exprs(random_metric_rows(rng, p, tnm, diag_base=1.3, diag_amp=0.2, off_amp=0.1),
         tnm,
     )
-    g = MetricField.from_exprs(n, random_metric_rows(rng, n, names), names)
+    g = metric_from_exprs(random_metric_rows(rng, n, names), names)
     nexprs = [
         [
             [_wave(rng, names, 0.12) for _ in range(n)]
@@ -247,8 +256,8 @@ def random_multitime_scenario(rng, p, n):
         scalar_field(_wave(rng, names, 0.1, base=0.4), names),
         scalar_field(_wave(rng, names, 0.2, base=1.1), names),
         1.0,
-        TwoFormField.from_exprs(n, random_two_form_rows(rng, n, names), names),
-        TwoFormField.from_exprs(n, random_two_form_rows(rng, n, names), names),
+        two_form(random_two_form_rows(rng, n, names), names),
+        two_form(random_two_form_rows(rng, n, names), names),
     )
     lo = np.concatenate([np.full(p, -0.5), np.full(n, -0.8), np.full(n * p, 0.6)])
     hi = np.concatenate([np.full(p, 0.5), np.full(n, 0.8), np.full(n * p, 1.4)])
@@ -285,7 +294,7 @@ def paired_lagrange_multitime(rng, n):
         for _ in range(n)
     ]
 
-    g_lag = MetricField.from_exprs(n, rows, lag_names)
+    g_lag = metric_from_exprs(rows, lag_names)
     nf_lag = [[scalar_field(e, lag_names) for e in row] for row in nexprs]
     space_lag = GeneralizedLagrangeSpace(
         n, g_lag, lambda coords: [[f(coords) for f in row] for row in nf_lag]
@@ -294,14 +303,14 @@ def paired_lagrange_multitime(rng, n):
         scalar_field(p_expr, lag_names),
         scalar_field(rho_expr, lag_names),
         1.0,
-        TwoFormField.from_exprs(n, h_rows, lag_names),
-        TwoFormField.from_exprs(n, g_rows_em, lag_names),
+        two_form(h_rows, lag_names),
+        two_form(g_rows_em, lag_names),
     )
 
     mt = lambda s: to_multitime_names(s, n)
     rows_mt = [[mt(e) for e in row] for row in rows]
-    h_mt = MetricField.from_exprs(1, [["1"]], ["t1"])
-    g_mt = MetricField.from_exprs(n, rows_mt, mt_names)
+    h_mt = metric_from_exprs([["1"]], ["t1"])
+    g_mt = metric_from_exprs(rows_mt, mt_names)
     nf_mt = [[scalar_field(mt(e), mt_names) for e in row] for row in nexprs]
 
     def N_mt_fn(coords):
@@ -312,8 +321,8 @@ def paired_lagrange_multitime(rng, n):
         scalar_field(mt(p_expr), mt_names),
         scalar_field(mt(rho_expr), mt_names),
         1.0,
-        TwoFormField.from_exprs(n, [[mt(e) for e in row] for row in h_rows], mt_names),
-        TwoFormField.from_exprs(n, [[mt(e) for e in row] for row in g_rows_em], mt_names),
+        two_form([[mt(e) for e in row] for row in h_rows], mt_names),
+        two_form([[mt(e) for e in row] for row in g_rows_em], mt_names),
     )
     return space_lag, state_lag, space_mt, state_mt
 
@@ -334,19 +343,19 @@ def paired_riemann_lagrange(rng, n):
     p_expr = _wave(rng, xnm, 0.1, base=0.4)
     rho_expr = _wave(rng, xnm, 0.2, base=1.1)
 
-    space_r = SemiRiemannianSpace(n, MetricField.from_exprs(n, metric_rows, xnm))
+    space_r = SemiRiemannianSpace(n, metric_from_exprs(metric_rows, xnm))
     em_r = ElectromagneticPair(
-        TwoFormField.from_exprs(n, h_rows, xnm),
-        TwoFormField.from_exprs(n, g_rows, xnm),
+        two_form(h_rows, xnm),
+        two_form(g_rows, xnm),
     )
     state_lag = LagrangeFluidState(
         scalar_field(p_expr, full),
         scalar_field(rho_expr, full),
         1.0,
-        TwoFormField.from_exprs(n, h_rows, full),
-        TwoFormField.from_exprs(n, g_rows, full),
+        two_form(h_rows, full),
+        two_form(g_rows, full),
     )
-    g_lag = MetricField.from_exprs(n, metric_rows, full)
+    g_lag = metric_from_exprs(metric_rows, full)
 
     def make_space(N_fn):
         return GeneralizedLagrangeSpace(n, g_lag, N_fn)
@@ -379,14 +388,14 @@ def oracle_energy(phi, H, G):
 def fd_christoffel(metric_field, x, step=1e-5):
     """Christoffel symbols with metric derivatives by central differences."""
     n = len(x)
-    g0 = np.array(metric_field.matrix(list(x)))
+    g0 = np.array(metric_field(list(x)))
     dg = np.empty((n, n, n))
     for k in range(n):
         up = list(x)
         dn = list(x)
         up[k] += step
         dn[k] -= step
-        dg[k] = (np.array(metric_field.matrix(up)) - np.array(metric_field.matrix(dn))) / (2 * step)
+        dg[k] = (np.array(metric_field(up)) - np.array(metric_field(dn))) / (2 * step)
     ginv = np.linalg.inv(g0)
     gamma = np.empty((n, n, n))
     for i in range(n):
@@ -424,14 +433,14 @@ def normalize_velocity(state, space, x):
     """Unit velocity u^i at x; |u_i u^i - 1| is zero to rounding."""
     coords = list(x)
     v = [vf(coords) for vf in state.velocity]
-    u, _, _ = unit_vector(space.phi.matrix(coords), v, "velocity", x)
+    u, _, _ = unit_vector(space.phi(coords), v, "velocity", x)
     return np.array([scalar_value(ui) for ui in u])
 
 
 def unit_velocity_field(state, space):
     def fn(coords):
         v = [vf(coords) for vf in state.velocity]
-        u, _, _ = unit_vector(space.phi.matrix(coords), v, "velocity")
+        u, _, _ = unit_vector(space.phi(coords), v, "velocity")
         return u
 
     return fn
@@ -439,9 +448,9 @@ def unit_velocity_field(state, space):
 
 def mixed_energy_field(space, em):
     def fn(coords):
-        phi = space.phi.matrix(coords)
+        phi = space.phi(coords)
         phinv = invert_symmetric(phi)
-        _, E_mix = energy_low_mixed(phi, phinv, em.H.matrix(coords), em.G.matrix(coords))
+        _, E_mix = energy_low_mixed(phi, phinv, em.H(coords), em.G(coords))
         return E_mix
 
     return fn
@@ -515,8 +524,8 @@ def edml_lagrangian(h_metric, phi_metric, U, Phi, p, n):
 
     def fn(coords):
         t = coords[:p]
-        hinv = invert_symmetric(h_metric.matrix(t))
-        phi = phi_metric.matrix(coords[p:p + n])
+        hinv = invert_symmetric(h_metric(t))
+        phi = phi_metric(coords[p:p + n])
         acc = Phi(coords)
         for i in range(n):
             for a in range(p):
@@ -535,8 +544,8 @@ def edml_lagrangian(h_metric, phi_metric, U, Phi, p, n):
 
 def multitime_velocity(state, space, coords):
     """Unit multi-time velocity (u^i_alpha, u_{i alpha}) at a jet point."""
-    hinv = invert_symmetric(space.h.matrix(coords[:space.p]), coords[:space.p])
-    u, u_low, _ = _velocity(space, coords, space.g.matrix(coords), hinv, point=coords)
+    hinv = invert_symmetric(space.h(coords[:space.p]), coords[:space.p])
+    u, u_low, _ = _velocity(space, coords, space.g(coords), hinv, point=coords)
     return (
         np.array([[scalar_value(v) for v in col] for col in u]).T,
         np.array([[scalar_value(v) for v in col] for col in u_low]).T,
@@ -549,9 +558,9 @@ def riemann_mixed_stress_field(state, space, em):
     frame's jets."""
 
     def fn(coords):
-        phi = space.phi.matrix(coords)
+        phi = space.phi(coords)
         _, E_mix = energy_low_mixed(
-            phi, invert_symmetric(phi), em.H.matrix(coords), em.G.matrix(coords)
+            phi, invert_symmetric(phi), em.H(coords), em.G(coords)
         )
         u, u_low, _ = unit_vector(phi, [vf(coords) for vf in state.velocity], "velocity")
         return mixed_stress(E_mix, u, u_low, state.pressure(coords), state.density(coords), state.c)
@@ -565,9 +574,9 @@ def lagrange_mixed_stress_field(state, space):
     a frame's jets."""
 
     def fn(coords):
-        g = space.g.matrix(coords)
+        g = space.g(coords)
         ginv = invert_symmetric(g)
-        _, E_mix = energy_low_mixed(g, ginv, state.em_H.matrix(coords), state.em_G.matrix(coords))
+        _, E_mix = energy_low_mixed(g, ginv, state.em_H(coords), state.em_G(coords))
         u, u_low, _ = unit_vector(g, coords[space.n:], "fiber")
         return mixed_stress(E_mix, u, u_low, state.pressure(coords), state.density(coords), state.c)
 
@@ -581,10 +590,10 @@ def multitime_mixed_stress_field(state, space):
     p, n = space.p, space.n
 
     def fn(coords):
-        hinv = invert_symmetric(space.h.matrix(coords[:p]))
-        g = space.g.matrix(coords)
+        hinv = invert_symmetric(space.h(coords[:p]))
+        g = space.g(coords)
         ginv = invert_symmetric(g)
-        _, E_mix = energy_low_mixed(g, ginv, state.em_H.matrix(coords), state.em_G.matrix(coords))
+        _, E_mix = energy_low_mixed(g, ginv, state.em_H(coords), state.em_G(coords))
         u, u_low, _ = _velocity(space, coords, g, hinv)
         pr = state.pressure(coords)
         q = state.density(coords) + pr / state.c**2
@@ -1084,11 +1093,9 @@ def finsler_space_from_F(F, n):
                 out[j][i] = entry
         return out
 
-    metric = MatrixMetricField(n, g_matrix)
-
     def spray(coords):
         cj, ctx = ref.seed(list(coords), seeds=range(n))
-        g = [[ref.promote(v, ctx) for v in row] for row in metric.matrix(cj)]
+        g = [[ref.promote(v, ctx) for v in row] for row in g_matrix(cj)]
         ginv0 = _reference_inverse([[e.value for e in row] for row in g])
         dg = [[[g[i][j].d(k) for j in range(n)] for i in range(n)] for k in range(n)]
         gamma = christoffel_from(ginv0, dg)
@@ -1100,7 +1107,7 @@ def finsler_space_from_F(F, n):
         Gk = [ref.promote(v, ctx) for v in spray(cj)]
         return [[Gk[i].d(j) for j in range(n)] for i in range(n)]
 
-    return GeneralizedLagrangeSpace(n, metric, N_fn), spray, f2
+    return GeneralizedLagrangeSpace(n, g_matrix, N_fn), spray, f2
 
 
 def _sympy_of(node, symbols):
@@ -1195,7 +1202,7 @@ def finsler_derived_space(source, n):
         flat = N_field(coords)
         return [flat[i * n:(i + 1) * n] for i in range(n)]
 
-    space = GeneralizedLagrangeSpace(n, MetricField(n, g_field), N_fn)
+    space = GeneralizedLagrangeSpace(n, symmetric_field(n, g_field), N_fn)
     return space, field(spray, "spray")
 
 

@@ -20,7 +20,7 @@ from geoplasma.lagrange import canonical_nonlinear_connection
 from geoplasma.models import build_bsml
 from geoplasma.multitime import StreamSheet, prolong_sheet
 from geoplasma.riemann import christoffel_lists
-from geoplasma.tensor_core import MetricField, TwoFormField, invert_symmetric, scalar_field
+from geoplasma.tensor_core import invert_symmetric, metric_from_exprs, scalar_field
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -88,7 +88,7 @@ def test_c02_connection_fd_oracle():
     n = space.n
     for ptv in helpers.sample_box(rng, box, 50):
         L, C = lag.cartan_connection_lists(space, ptv)
-        g0 = np.array(space.g.matrix(list(ptv)))
+        g0 = np.array(space.g(list(ptv)))
         ginv = np.linalg.inv(g0)
         N0 = np.array(space.N(list(ptv)))
         dg = np.empty((2 * n, n, n))
@@ -96,7 +96,7 @@ def test_c02_connection_fd_oracle():
             up, dn = list(ptv), list(ptv)
             up[k] += step
             dn[k] -= step
-            dg[k] = (np.array(space.g.matrix(up)) - np.array(space.g.matrix(dn))) / (2 * step)
+            dg[k] = (np.array(space.g(up)) - np.array(space.g(dn))) / (2 * step)
         dxg = np.array([dg[k] - sum(N0[r][k] * dg[n + r] for r in range(n)) for k in range(n)])
 
         def chris(dgs):
@@ -119,14 +119,14 @@ def test_c02_connection_fd_oracle():
         kappa, Gt, L, C = mt.cartan_gamma(space, coords)
         # temporal block against finite differences of h
         t = coords[:p]
-        h0 = np.array(space.h.matrix(t))
+        h0 = np.array(space.h(t))
         hinv = np.linalg.inv(h0)
         dh = np.empty((p, p, p))
         for k in range(p):
             up, dn = list(t), list(t)
             up[k] += step
             dn[k] -= step
-            dh[k] = (np.array(space.h.matrix(up)) - np.array(space.h.matrix(dn))) / (2 * step)
+            dh[k] = (np.array(space.h(up)) - np.array(space.h(dn))) / (2 * step)
         kap_fd = np.empty((p, p, p))
         for g_ in range(p):
             for a in range(p):
@@ -137,7 +137,7 @@ def test_c02_connection_fd_oracle():
                     )
         assert _rel_ok(np.array(kappa), kap_fd)
 
-        g0 = np.array(space.g.matrix(coords))
+        g0 = np.array(space.g(coords))
         ginv = np.linalg.inv(g0)
         N0 = np.array(space.N(coords))
         nco = len(coords)
@@ -146,7 +146,7 @@ def test_c02_connection_fd_oracle():
             up, dn = list(coords), list(coords)
             up[k] += step
             dn[k] -= step
-            dg[k] = (np.array(space.g.matrix(up)) - np.array(space.g.matrix(dn))) / (2 * step)
+            dg[k] = (np.array(space.g(up)) - np.array(space.g(dn))) / (2 * step)
         xd = helpers.jet_parts(coords, p, n)[2]
         dgt = np.empty((p, n, n))
         for a in range(p):
@@ -286,17 +286,17 @@ def test_c06_bsml_degeneracy():
     rng = np.random.default_rng(606)
     p, n = 2, 2
     tnm = ["t1", "t2"]
-    h = MetricField.from_exprs(p, [["1 + 0.2*t1^2", "0.1*t2"], ["2"]], tnm)
+    h = metric_from_exprs([["1 + 0.2*t1^2", "0.1*t2"], ["2"]], tnm)
     jnm = helpers.jetnames(p, n)
     state = mt.MultiTimeFluidState(
         scalar_field("0.4 + 0.05*sin(x1 + t1)", jnm),
         scalar_field("1.1 + 0.1*cos(x2)", jnm),
         1.0,
-        TwoFormField.from_exprs(n, [["0.2*sin(x1)*x1_1"], []], jnm),
-        TwoFormField.from_exprs(n, [["0.15*cos(x2 + t2)"], []], jnm),
+        helpers.two_form([["0.2*sin(x1)*x1_1"], []], jnm),
+        helpers.two_form([["0.15*cos(x2 + t2)"], []], jnm),
     )
     for phi_rows in [[["1", "0"], ["1"]], [["1", "0"], ["x1^2"]]]:
-        phi = MetricField.from_exprs(n, phi_rows, ["x1", "x2"])
+        phi = metric_from_exprs(phi_rows, ["x1", "x2"])
         space = build_bsml(h, phi, p, n)
         base = rm.SemiRiemannianSpace(n, phi)
         for _ in range(20):
@@ -363,11 +363,11 @@ def test_c08_energy_mixed_identity():
             assert np.abs(np.array(E_mix) - np.array(direct)).max() < 1e-12
 
     space_r, _, _, box_r = helpers.random_riemann_scenario(np.random.default_rng(81), 3)
-    draws(lambda: space_r.phi.matrix(helpers.sample_box(rng, box_r, 1)[0]))
+    draws(lambda: space_r.phi(helpers.sample_box(rng, box_r, 1)[0]))
     space_l, _, box_l = helpers.random_lagrange_scenario(np.random.default_rng(83), 2)
-    draws(lambda: space_l.g.matrix(helpers.sample_box(rng, box_l, 1)[0]))
+    draws(lambda: space_l.g(helpers.sample_box(rng, box_l, 1)[0]))
     space_m, _, box_m = helpers.random_multitime_scenario(np.random.default_rng(87), 2, 2)
-    draws(lambda: space_m.g.matrix(helpers.sample_box(rng, box_m, 1)[0]))
+    draws(lambda: space_m.g(helpers.sample_box(rng, box_m, 1)[0]))
 
 
 @criterion(9, "multi-time velocity normalization < 1e-13 on 100 jet points")
@@ -377,7 +377,7 @@ def test_c09_multitime_normalization():
     space, _, box = helpers.random_multitime_scenario(np.random.default_rng(91), p, n)
     for coords in helpers.sample_box(rng, box, 100):
         u, u_low = helpers.multitime_velocity(None, space, coords)
-        hinv = np.linalg.inv(space.h.matrix(coords[:p]))
+        hinv = np.linalg.inv(space.h(coords[:p]))
         assert abs(np.einsum("ab,ia,ib->", hinv, u_low, u) - 1.0) < 1e-13
 
 
@@ -385,16 +385,16 @@ def test_c09_multitime_normalization():
 def test_c10_stream_sheet_convergence():
     p, n = 2, 2
     tnm = ["t1", "t2"]
-    h = MetricField.from_exprs(p, [["1", "0"], ["1"]], tnm)
-    phi = MetricField.from_exprs(n, [["1", "0"], ["1"]], ["x1", "x2"])
+    h = metric_from_exprs([["1", "0"], ["1"]], tnm)
+    phi = metric_from_exprs([["1", "0"], ["1"]], ["x1", "x2"])
     space = build_bsml(h, phi, p, n)
     jnm = helpers.jetnames(p, n)
     state = mt.MultiTimeFluidState(
         scalar_field("0.4 + 0.1*sin(x1)", jnm),
         scalar_field("1.1 + 0.1*cos(x2)", jnm),
         1.0,
-        TwoFormField.from_exprs(n, [["0.2*sin(x1)"], []], jnm),
-        TwoFormField.from_exprs(n, [["0.1*cos(x2)"], []], jnm),
+        helpers.two_form([["0.2*sin(x1)"], []], jnm),
+        helpers.two_form([["0.1*cos(x2)"], []], jnm),
     )
     sheet_exprs = ["t1 + 0.3*sin(t2) + 0.1*t2^2", "t2 - 0.2*cos(t1) + 0.1*t1"]
     fields = [scalar_field(e, tnm) for e in sheet_exprs]

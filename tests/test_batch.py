@@ -515,7 +515,7 @@ def test_jet_covariant_derivative_keeps_lanes(name):
         if space is None:
             T = [[e * cj[0] + cj[1] * cj[1] for e in row] for row in [[1.0, 0.5], [0.5, 2.0]]]
         else:
-            T = eval_jets(space.g.matrix, cj, ctx)
+            T = eval_jets(space.g, cj, ctx)
         before = [helpers.coefficient_bits(e) for row in T for e in row]
         block = jet_block(T, 2)
         block_bits = block.tobytes()
@@ -555,7 +555,7 @@ def test_sheet_frame_pieces_stay_plain_on_floats():
     coords = [float(v) for v in helpers.sample_box(rng, box, 1)[0]]
     cj, ctx = dual.seed(coords)
     ops = _Derivatives(space, coords)
-    g = eval_jets(space.g.matrix, cj, ctx)
+    g = eval_jets(space.g, cj, ctx)
     assert all(type(ops.delta_t(e, a)) is float and type(ops.delta_x(e, a)) is float
                for row in g for e in row for a in range(2))
     # the connection blocks take the partials of the stacked metric block
@@ -563,7 +563,7 @@ def test_sheet_frame_pieces_stay_plain_on_floats():
     for block in (fr.L, fr.C):
         assert {type(v) for v in np.ravel(np.array(block, dtype=object))} == {float}
     hinv = [[1.0, 0.0], [0.0, 1.0]]
-    u, u_low, eps = _velocity(space, coords, space.g.matrix(coords), hinv)
+    u, u_low, eps = _velocity(space, coords, space.g(coords), hinv)
     assert {type(v) for col in u + u_low for v in col} | {type(eps)} == {float}
 
 

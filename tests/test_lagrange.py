@@ -27,10 +27,9 @@ from geoplasma.lagrange import (
 from geoplasma.riemann import christoffel_lists, riemann_report
 from geoplasma.scenario import build_scenario
 from geoplasma.tensor_core import (
-    MetricField,
     Slot,
-    TwoFormField,
     constant_field,
+    metric_from_exprs,
     quadratic_form,
     scalar_field,
 )
@@ -47,13 +46,13 @@ def generic_scenario(seed=3, n=2):
 def const_lagrange_state(n, p=0.2, rho=1.0, c=1.0):
     return LagrangeFluidState(
         constant_field(p), constant_field(rho), c,
-        TwoFormField.zero(n), TwoFormField.zero(n),
+        helpers.zero_two_form(n), helpers.zero_two_form(n),
     )
 
 
 def flat_lagrange_space(n):
     rows = [["1" if j == 0 else "0" for j in range(n - i)] for i in range(n)]
-    g = MetricField.from_exprs(n, rows, helpers.xynames(n))
+    g = metric_from_exprs(rows, helpers.xynames(n))
     return GeneralizedLagrangeSpace(n, g, helpers.zero_connection(n))
 
 
@@ -113,8 +112,8 @@ def test_cartan_y_independent_with_canonical_connection():
     rng = np.random.default_rng(77)
     xnm = helpers.xnames(n)
     rows = helpers.random_metric_rows(rng, n, xnm)
-    g_base = MetricField.from_exprs(n, rows, xnm)
-    g_tm = MetricField.from_exprs(n, rows, helpers.xynames(n))
+    g_base = metric_from_exprs(rows, xnm)
+    g_tm = metric_from_exprs(rows, helpers.xynames(n))
     space = GeneralizedLagrangeSpace(
         n, g_tm, canonical_nonlinear_connection(g_tm, n)
     )
@@ -145,7 +144,7 @@ def test_cartan_vs_finite_differences():
     pt = helpers.sample_box(RNG, box, 1)[0]
     L, C = cartan_connection_lists(space, pt)
     step = 1e-5
-    g0 = np.array(space.g.matrix(list(pt)))
+    g0 = np.array(space.g(list(pt)))
     ginv = np.linalg.inv(g0)
     N0 = np.array(space.N(list(pt)))
     dg = np.empty((2 * n, n, n))
@@ -153,7 +152,7 @@ def test_cartan_vs_finite_differences():
         up, dn = list(pt), list(pt)
         up[k] += step
         dn[k] -= step
-        dg[k] = (np.array(space.g.matrix(up)) - np.array(space.g.matrix(dn))) / (2 * step)
+        dg[k] = (np.array(space.g(up)) - np.array(space.g(dn))) / (2 * step)
     dxg = np.array([dg[k] - sum(N0[r][k] * dg[n + r] for r in range(n)) for k in range(n)])
     dyg = dg[n:]
 
@@ -237,10 +236,10 @@ def test_covariant_dual_path_oracle():
 def test_dual_normalization_identities():
     space, _, box = generic_scenario(seed=29)
     n = space.n
-    uf = lambda coords: lagrange._unit_velocity(space.g.matrix(coords), coords)[0]
-    ulf = lambda coords: lagrange._unit_velocity(space.g.matrix(coords), coords)[1]
+    uf = lambda coords: lagrange._unit_velocity(space.g(coords), coords)[0]
+    ulf = lambda coords: lagrange._unit_velocity(space.g(coords), coords)[1]
     for pt in helpers.sample_box(RNG, box, 3):
-        u0, ul0, _ = lagrange._unit_velocity(space.g.matrix(list(pt)), list(pt))
+        u0, ul0, _ = lagrange._unit_velocity(space.g(list(pt)), list(pt))
         u0 = np.array([scalar_value(v) for v in u0])
         ul0 = np.array([scalar_value(v) for v in ul0])
         assert abs(u0 @ ul0 - 1.0) < 1e-13
@@ -374,7 +373,7 @@ def test_v_conservation_reduction_fiber_independent():
     pt = list(x0) + list(y0)
     rep = lagrange_residuals(state_lag, space_l, pt)
     coords = list(x0) + list(y0)
-    g = np.array(space_l.g.matrix(coords))
+    g = np.array(space_l.g(coords))
     eps = np.sqrt(np.array(y0) @ g @ np.array(y0))
     u_low = g @ (np.array(y0) / eps)
     p0 = state_lag.pressure(coords)
@@ -401,10 +400,10 @@ def test_resolve_epsilon0_fiber_dependent():
     pt = helpers.sample_box(RNG, box, 1)[0]
     x, w = pt[:n], pt[n:]
     # start near the unit cone, as along a genuine stream line
-    w = list(np.array(w) / np.sqrt(quadratic_form(space.g.matrix(pt), w, w)))
+    w = list(np.array(w) / np.sqrt(quadratic_form(space.g(pt), w, w)))
     eps0 = resolve_epsilon0(space, x, w)
     coords = list(x) + [eps0 * wi for wi in w]
-    val = quadratic_form(space.g.matrix(coords), w, w)
+    val = quadratic_form(space.g(coords), w, w)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -427,7 +426,7 @@ def test_resolve_epsilon0_backs_off_where_the_metric_is_undefined(tmp_path, caps
     x, w = [0.1, 0.2], [-0.6, 0.869]
     eps0 = resolve_epsilon0(scenario.space, x, w)
     assert 0.0 < eps0 < 0.5
-    g = scenario.space.g.matrix(x + [eps0 * wi for wi in w])
+    g = scenario.space.g(x + [eps0 * wi for wi in w])
     assert abs(quadratic_form(g, w, w) - 1.0) < 1e-12
     rows = np.array(integrate_h_stream_line(scenario.state, scenario.space, x, w, 0.01, 150),
                     dtype=float)
@@ -449,7 +448,7 @@ def test_resolve_epsilon0_raises_the_first_domain_error_when_no_eps0_is_defined(
     with pytest.raises(DomainError) as err:
         resolve_epsilon0(scenario.space, [0.1, 0.2], [0.6, 0.8])
     with pytest.raises(DomainError) as first:
-        scenario.space.g.matrix([0.1, 0.2, 0.6, 0.8])
+        scenario.space.g([0.1, 0.2, 0.6, 0.8])
     assert str(err.value) == str(first.value)
 
 
@@ -458,7 +457,7 @@ def test_h_stream_rhs_dual_path():
     n = space.n
     pt = helpers.sample_box(RNG, box, 1)[0]
     x = pt[:n]
-    w = list(np.array(pt[n:]) / np.sqrt(quadratic_form(space.g.matrix(pt), pt[n:], pt[n:])))
+    w = list(np.array(pt[n:]) / np.sqrt(quadratic_form(space.g(pt), pt[n:], pt[n:])))
     # bring w close to the normalized cone so eps0 resolves
     rhs = np.array(h_stream_line_rhs(state, space, x, w))
 
@@ -493,7 +492,7 @@ def assert_derived_finsler_matches(source, space, spray, coords):
     """The sympy-derived g, spray and N of F equal the reference engine's."""
     derived, derived_spray = helpers.finsler_derived_space(source, len(coords) // 2)
     for got, want in [
-        (derived.g.matrix(coords), space.g.matrix(coords)),
+        (derived.g(coords), space.g(coords)),
         (derived_spray(coords), spray(coords)),
         (derived.N(coords), space.N(coords)),
     ]:
@@ -506,7 +505,7 @@ def test_finsler_euclidean():
     F = helpers.reference_field("sqrt(y1^2 + y2^2)", names)
     space, spray, _ = helpers.finsler_space_from_F(F, n)
     coords = [0.3, -0.2, 0.8, 0.6]
-    g = np.array([[scalar_value(v) for v in row] for row in space.g.matrix(coords)])
+    g = np.array([[scalar_value(v) for v in row] for row in space.g(coords)])
     assert np.abs(g - np.eye(n)).max() < 1e-12
     assert np.abs(np.array(spray(coords))).max() < 1e-12
     assert np.abs(np.array(space.N(coords))).max() < 1e-10
@@ -523,8 +522,8 @@ def test_finsler_quadratic_recovers_riemann_spray():
     x = [1.3, 0.4]
     y = [0.7, 0.5]
     coords = x + y
-    g = np.array([[scalar_value(v) for v in row] for row in space.g.matrix(coords)])
-    phi = np.array(space_r.phi.matrix(x))
+    g = np.array([[scalar_value(v) for v in row] for row in space.g(coords)])
+    phi = np.array(space_r.phi(x))
     assert np.abs(g - phi).max() < 1e-11
     gamma = christoffel_lists(space_r, x)
     expected = [
@@ -550,7 +549,7 @@ def test_finsler_randers_fd_oracle():
     F = helpers.reference_field(source, names)
     space, spray, f2 = helpers.finsler_space_from_F(F, n)
     coords = [0.4, -0.1, 1.0, 0.35]
-    g = np.array([[scalar_value(v) for v in row] for row in space.g.matrix(coords)])
+    g = np.array([[scalar_value(v) for v in row] for row in space.g(coords)])
     step = 1e-4
     fd = np.zeros((n, n))
     for i in range(n):
@@ -579,7 +578,7 @@ def test_finsler_vertical_constraint_cubic_vanishes():
     x = [1.2, 0.5]
     w0 = [0.8, 0.45]
     scale = np.sqrt(quadratic_form(
-        [[scalar_value(v) for v in row] for row in space.g.matrix(x + w0)], w0, w0
+        [[scalar_value(v) for v in row] for row in space.g(x + w0)], w0, w0
     ))
     w = list(np.array(w0) / scale)
     resid = v_stream_constraint_residual(state, space, x, w)
@@ -598,12 +597,12 @@ def test_finsler_h_stream_matches_reduced_form():
         scalar_field("0.4 + 0.05*sin(x1 + x2)", names),
         scalar_field("1.1 + 0.1*cos(x1)", names),
         1.0,
-        TwoFormField.from_exprs(n, [["0.1*sin(x1)"], []], names),
-        TwoFormField.from_exprs(n, [["0.08*cos(x2)"], []], names),
+        helpers.two_form([["0.1*sin(x1)"], []], names),
+        helpers.two_form([["0.08*cos(x2)"], []], names),
     )
     x = [1.1, 0.4]
     w0 = [0.9, 0.3]
-    g0 = [[scalar_value(v) for v in row] for row in space.g.matrix(x + w0)]
+    g0 = [[scalar_value(v) for v in row] for row in space.g(x + w0)]
     w = list(np.array(w0) / np.sqrt(quadratic_form(g0, w0, w0)))
 
     general = np.array(h_stream_line_rhs(state, space, x, w))

@@ -21,9 +21,8 @@ from geoplasma.multitime import (
 )
 from geoplasma.riemann import SemiRiemannianSpace, christoffel_lists
 from geoplasma.tensor_core import (
-    MetricField,
-    TwoFormField,
     constant_field,
+    metric_from_exprs,
     scalar_field,
 )
 
@@ -36,15 +35,15 @@ JNM = helpers.jetnames(P, N)
 
 
 def h_metric():
-    return MetricField.from_exprs(P, [["1 + 0.2*t1^2", "0.1*t2"], ["2"]], TNM)
+    return metric_from_exprs([["1 + 0.2*t1^2", "0.1*t2"], ["2"]], TNM)
 
 
 def phi_polar():
-    return MetricField.from_exprs(N, [["1", "0"], ["x1^2"]], XNM)
+    return metric_from_exprs([["1", "0"], ["x1^2"]], XNM)
 
 
 def phi_flat():
-    return MetricField.from_exprs(N, [["1", "0"], ["1"]], XNM)
+    return metric_from_exprs([["1", "0"], ["1"]], XNM)
 
 
 def random_jet_point():
@@ -59,8 +58,8 @@ def mt_state():
         scalar_field("0.4 + 0.05*sin(x1 + t1)", JNM),
         scalar_field("1.1 + 0.1*cos(x2)", JNM),
         1.0,
-        TwoFormField.from_exprs(N, [["0.2*sin(x1)*x1_1"], []], JNM),
-        TwoFormField.from_exprs(N, [["0.15*cos(x2 + t2)"], []], JNM),
+        helpers.two_form([["0.2*sin(x1)*x1_1"], []], JNM),
+        helpers.two_form([["0.15*cos(x2 + t2)"], []], JNM),
     )
 
 
@@ -99,7 +98,7 @@ def test_bsml_connection_degeneracy(phi_fn):
 
 
 def test_bsml_flat_connection_all_zero():
-    h_flat = MetricField.from_exprs(P, [["1", "0"], ["1"]], TNM)
+    h_flat = metric_from_exprs([["1", "0"], ["1"]], TNM)
     space = build_bsml(h_flat, phi_flat(), P, N)
     jp = random_jet_point()
     kappa, Gt, L, C = cartan_gamma(space, jp)
@@ -153,7 +152,7 @@ def test_grgml_fiber_sigma_c_block_fd_oracle():
     jp = random_jet_point()
     _, _, _, C = cartan_gamma(space, jp)
     coords = jp
-    g0 = np.array(space.g.matrix(coords))
+    g0 = np.array(space.g(coords))
     ginv = np.linalg.inv(g0)
     step = 1e-5
     for gamma in range(P):
@@ -162,7 +161,7 @@ def test_grgml_fiber_sigma_c_block_fd_oracle():
             up, dn = list(coords), list(coords)
             up[fiber_index(P, N, k, gamma)] += step
             dn[fiber_index(P, N, k, gamma)] -= step
-            dgv[k] = (np.array(space.g.matrix(up)) - np.array(space.g.matrix(dn))) / (2 * step)
+            dgv[k] = (np.array(space.g(up)) - np.array(space.g(dn))) / (2 * step)
         for i in range(N):
             for j in range(N):
                 for k in range(N):
@@ -189,7 +188,7 @@ def test_rgogml_unit_index_gives_base_metric():
     )
     jp = random_jet_point()
     assert np.abs(
-        np.array(space.g.matrix(jp)) - np.array(phi_polar().matrix(jp[P:P + N]))
+        np.array(space.g(jp)) - np.array(phi_polar()(jp[P:P + N]))
     ).max() < 1e-14
 
 
@@ -200,7 +199,7 @@ def test_rgogml_zero_x_gives_base_metric():
     )
     jp = random_jet_point()
     assert np.abs(
-        np.array(space.g.matrix(jp)) - np.array(phi_polar().matrix(jp[P:P + N]))
+        np.array(space.g(jp)) - np.array(phi_polar()(jp[P:P + N]))
     ).max() < 1e-14
 
 
@@ -210,9 +209,9 @@ def test_rgogml_determinant_lemma_oracle():
     space = build_rgogml(h_metric(), phi_polar(), refr, X, P, N)
     jp = random_jet_point()
     coords = jp
-    g = np.array(space.g.matrix(coords))
+    g = np.array(space.g(coords))
     assert np.abs(g - g.T).max() == 0.0
-    phi = np.array(phi_polar().matrix(jp[P:P + N]))
+    phi = np.array(phi_polar()(jp[P:P + N]))
     coef = 1.0 - 1.0 / refr(coords)
     xvals = [X[mu](jp[:P]) for mu in range(P)]
     y = phi @ np.array(
@@ -230,7 +229,7 @@ def test_rgogml_degenerate_update_raises():
     # pick xdot so that |Y| = 1 exactly: Y = (xd^1_1, xd^2_1)
     jp = helpers.jet_point((0.0, 0.0), (1.0, 1.0), ((1.0, 0.0), (0.0, 0.0)))
     with pytest.raises(DegenerateMetricError):
-        space.g.matrix(jp)
+        space.g(jp)
 
 
 def test_rgogml_passes_compatibility_suite():
@@ -272,8 +271,8 @@ def test_edml_metric_is_second_fiber_derivative_of_lagrangian():
     coords = jp
     fiber = [fiber_index(P, N, i, a) for i in range(N) for a in range(P)]
     out = helpers.reference_field_jet(lag, coords, seeds=fiber, order=2)
-    hinv = np.linalg.inv(h_metric().matrix(jp[:P]))
-    phi = np.array(phi_polar().matrix(jp[P:P + N]))
+    hinv = np.linalg.inv(h_metric()(jp[:P]))
+    phi = np.array(phi_polar()(jp[P:P + N]))
     for ia, (i, a) in enumerate([(i, a) for i in range(N) for a in range(P)]):
         for jb, (j, b) in enumerate([(j, b) for j in range(N) for b in range(P)]):
             got = 0.5 * out.d(ia, jb)
@@ -306,11 +305,11 @@ def test_edml_passes_compatibility_suite():
 
 def test_stock_metrics():
     flat = stock_metric("flat", 3, ["x1", "x2", "x3"])
-    assert np.allclose(flat.matrix([0.1, 0.2, 0.3]), np.eye(3))
+    assert np.allclose(flat([0.1, 0.2, 0.3]), np.eye(3))
     polar = stock_metric("polar", 2, XNM)
-    assert np.allclose(polar.matrix([2.0, 0.5]), np.diag([1.0, 4.0]))
+    assert np.allclose(polar([2.0, 0.5]), np.diag([1.0, 4.0]))
     conf = stock_metric("conformal", 2, XNM, {"sigma": "0.5*x1"})
-    m = conf.matrix([0.4, 0.0])
+    m = conf([0.4, 0.0])
     assert m[0][0] == pytest.approx(np.exp(0.4))
     with pytest.raises(ScenarioError):
         stock_metric("polar", 3, ["x1", "x2", "x3"])

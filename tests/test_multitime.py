@@ -25,11 +25,10 @@ from geoplasma.multitime import (
 from geoplasma.multitime import _jet_covariant
 from geoplasma.scenario import build_scenario, evaluation_points
 from geoplasma.tensor_core import (
-    MetricField,
     Slot,
-    TwoFormField,
     constant_field,
     eval_jets,
+    metric_from_exprs,
     scalar_field,
 )
 from test_output_bytes import LAGRANGE3, MULTITIME3, RIEMANN3, SCENARIOS
@@ -49,8 +48,8 @@ def flat_mt_space(p, n):
     g_rows = [["1" if j == 0 else "0" for j in range(n - i)] for i in range(n)]
     return MultiTimeSpace(
         p, n,
-        MetricField.from_exprs(p, h_rows, tnm),
-        MetricField.from_exprs(n, g_rows, names),
+        metric_from_exprs(h_rows, tnm),
+        metric_from_exprs(g_rows, names),
         helpers.zero_jet_connection(p, n),
     )
 
@@ -58,7 +57,7 @@ def flat_mt_space(p, n):
 def const_mt_state(n, p_val=0.2, rho=1.0, c=1.0):
     return MultiTimeFluidState(
         constant_field(p_val), constant_field(rho), c,
-        TwoFormField.zero(n), TwoFormField.zero(n),
+        helpers.zero_two_form(n), helpers.zero_two_form(n),
     )
 
 
@@ -76,7 +75,7 @@ def test_temporal_christoffel_identity_metric():
 
 
 def test_temporal_christoffel_exponential():
-    h = MetricField.from_exprs(1, [["exp(2*t1)"]], ["t1"])
+    h = metric_from_exprs([["exp(2*t1)"]], ["t1"])
     space = MultiTimeSpace(1, 2, h, None, helpers.zero_jet_connection(1, 2))
     k = helpers.temporal_christoffel(space, [0.7])
     assert k[0, 0, 0] == pytest.approx(1.0, abs=1e-10)
@@ -175,7 +174,7 @@ def test_cartan_gamma_fd_oracle():
     kappa, Gt, L, C = cartan_gamma(space, coords)
 
     step = 1e-5
-    g0 = np.array(space.g.matrix(coords))
+    g0 = np.array(space.g(coords))
     ginv = np.linalg.inv(g0)
     N0 = np.array(space.N(coords))
     from geoplasma.multitime import fiber_index, temporal_christoffel_lists
@@ -186,7 +185,7 @@ def test_cartan_gamma_fd_oracle():
         up, dn = list(coords), list(coords)
         up[k] += step
         dn[k] -= step
-        dg[k] = (np.array(space.g.matrix(up)) - np.array(space.g.matrix(dn))) / (2 * step)
+        dg[k] = (np.array(space.g(up)) - np.array(space.g(dn))) / (2 * step)
     kap = temporal_christoffel_lists(space, coords[:p])
     xd = helpers.jet_parts(jp, p, n)[2]
     # adapted temporal and spatial derivatives of g by the same splitting
@@ -418,7 +417,7 @@ def test_greek_valence_under_hT():
     # the temporal metric as a (GD, GD) field must be kappa-parallel
     space, _, box = generic_scenario(seed=31)
     jp = sample_jet_points(space, box, 1)[0]
-    field = lambda coords: space.h.matrix(coords[:space.p])
+    field = lambda coords: space.h(coords[:space.p])
     out = helpers.jet_covariant_derivative(field, (Slot.GD, Slot.GD), space, jp, "hT")
     assert np.abs(out).max() < 1e-11
 
@@ -429,7 +428,7 @@ def test_multitime_velocity_normalization():
     space, _, box = generic_scenario(seed=37)
     for jp in sample_jet_points(space, box, 5):
         u, u_low = helpers.multitime_velocity(None, space, jp)
-        hinv = np.linalg.inv(space.h.matrix(jp[:space.p]))
+        hinv = np.linalg.inv(space.h(jp[:space.p]))
         total = np.einsum("ab,ia,ib->", hinv, u_low, u)
         assert abs(total - 1.0) < 1e-13
 
@@ -438,10 +437,10 @@ def test_multitime_velocity_diag_oracle():
     p, n = 2, 2
     tnm = ["t1", "t2"]
     names = helpers.jetnames(p, n)
-    h = MetricField.from_exprs(2, [["1", "0"], ["4"]], tnm)
+    h = metric_from_exprs([["1", "0"], ["4"]], tnm)
     g_rows = [["1", "0"], ["1"]]
     space = MultiTimeSpace(
-        p, n, h, MetricField.from_exprs(n, g_rows, names), helpers.zero_jet_connection(p, n)
+        p, n, h, metric_from_exprs(g_rows, names), helpers.zero_jet_connection(p, n)
     )
     xd = np.array([[0.7, 0.4], [0.1, 1.2]])
     jp = helpers.jet_point((0.0, 0.0), (0.0, 0.0), tuple(map(tuple, xd)))
@@ -527,11 +526,11 @@ def test_stress_mixed_consistency_and_blocks():
     jp = sample_jet_points(space, box, 1)[0]
     T_low, T_mix = stress_tensors(state, space, jp)
     coords = jp
-    ginv = np.linalg.inv(space.g.matrix(coords))
+    ginv = np.linalg.inv(space.g(coords))
     via = ginv @ np.array(T_low.tolist())
     assert np.abs(via - np.array(T_mix.tolist())).max() < 1e-12
     spatial, fiber = stress_block_table(state, space, jp)
-    hinv = np.linalg.inv(space.h.matrix(jp[:space.p]))
+    hinv = np.linalg.inv(space.h(jp[:space.p]))
     for a in range(space.p):
         for b in range(space.p):
             assert np.abs(fiber[a][b] - hinv[a][b] * spatial).max() < 1e-14

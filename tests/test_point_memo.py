@@ -6,6 +6,7 @@ copies the binding, so patching the defining module alone would miss most
 calls).
 """
 
+import dataclasses
 import json
 import re
 import sys
@@ -21,10 +22,18 @@ from geoplasma.errors import IntegrationError, SeedingError
 from geoplasma.lagrange import GeneralizedLagrangeSpace, LagrangeFluidState
 from geoplasma.multitime import StreamSheet, prolong_sheet
 from geoplasma.scenario import evaluation_points, load_scenario, sheet_axes_and_values
-from geoplasma.tensor_core import MetricField, TwoFormField, constant_field
+from geoplasma.tensor_core import constant_field, metric_from_exprs
 from geoplasma.verify import invariants_at
 
-from helpers import const_state, flat_space, report_columns, xynames, zero_connection, zero_em
+from helpers import (
+    const_state,
+    flat_space,
+    report_columns,
+    xynames,
+    zero_connection,
+    zero_em,
+    zero_two_form,
+)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -143,10 +152,14 @@ def test_residuals_evaluate_the_metric_once_per_frame(name, monkeypatch):
     command, _, name = name.rpartition("-")
     scenario = load_scenario(scenario_path(name))
     space = scenario.space
-    metric = space.phi if scenario.framework == "riemann" else space.g
+    key = "phi" if scenario.framework == "riemann" else "g"
     calls, energy_calls = [], []
-    original = metric.matrix
-    monkeypatch.setattr(metric, "matrix", lambda coords: calls.append(1) or original(coords))
+    original = getattr(space, key)
+    metric = lambda coords: calls.append(1) or original(coords)
+    fields = {key: metric}
+    if scenario.framework == "lagrange":  # the canonical N closes over the metric
+        fields["N"] = lagrange.canonical_nonlinear_connection(metric, space.n)
+    scenario.space = dataclasses.replace(space, **fields)
     energy = common.energy_low_mixed
     for mod in (riemann, lagrange, multitime):
         monkeypatch.setattr(mod, "energy_low_mixed",
@@ -337,10 +350,10 @@ def test_integrators_stop_at_a_non_finite_state():
         riemann.integrate_stream_line(state, space, em, [0.0, 0.0], [1e308, 0.0], 10.0, 3)
     assert err.value.step == 0
 
-    g = MetricField.from_exprs(2, [["1", "0"], ["1"]], xynames(2))
+    g = metric_from_exprs([["1", "0"], ["1"]], xynames(2))
     tangent = GeneralizedLagrangeSpace(2, g, zero_connection(2))
     fluid = LagrangeFluidState(
-        constant_field(0.2), constant_field(1.0), 1.0, TwoFormField.zero(2), TwoFormField.zero(2)
+        constant_field(0.2), constant_field(1.0), 1.0, zero_two_form(2), zero_two_form(2)
     )
     with pytest.raises(IntegrationError) as err:
         lagrange.integrate_h_stream_line(fluid, tangent, [1e308, 0.0], [1.0, 0.0], 1e308, 3)

@@ -130,8 +130,8 @@ def test_expression_errors_are_scenario_errors():
 def test_self_dual_em():
     scenario = build_scenario(riemann_config())
     x = [1.0, 0.2]
-    H = np.array(scenario.em.H.matrix(x))
-    G = np.array(scenario.em.G.matrix(x))
+    H = np.array(scenario.em.H(x))
+    G = np.array(scenario.em.G(x))
     assert np.abs(H + G).max() == 0.0
 
 
