@@ -77,7 +77,8 @@ def canonical_nonlinear_connection(space_metric, n):
     """
 
     def fn(coords):
-        return fiber_contraction(christoffel_of(space_metric, coords, seeds=range(n)), coords[n:])
+        gamma = christoffel_of(space_metric, coords, seeds=range(n), point=coords)
+        return fiber_contraction(gamma, coords[n:])
 
     return fn
 

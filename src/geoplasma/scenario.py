@@ -529,7 +529,7 @@ def _connection_multitime(raw, g, p, n, names):
     if config == "canonical":
         # generalized Christoffel symbols of g in the spatial directions
         return mt.canonical_connection(
-            lambda coords: christoffel_of(g, coords, seeds=range(p, p + n)), p, n)
+            lambda coords: christoffel_of(g, coords, seeds=range(p, p + n), point=coords), p, n)
     if config == "zero":
         return constant_field([[[0.0] * n for _ in range(p)] for _ in range(n)])
     if not isinstance(config, list) or len(config) != n:
