@@ -103,6 +103,13 @@ def _field(source, names, label):
         raise ScenarioError(f"{label}: {err}") from err
 
 
+def _check_keys(config, allowed, what):
+    """Reject the keys of the object ``config`` that ``allowed`` does not hold."""
+    unknown = set(config) - allowed
+    if unknown:
+        raise ScenarioError(f"unknown {what}: {sorted(unknown)}")
+
+
 def _check_entries(rows, label):
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
@@ -152,6 +159,7 @@ def _two_form_values(dim, rows, names, label):
 def _spatial_metric(config, n, names, label="metric"):
     """Spatial metric from a model name or inline rows (over ``names``)."""
     if isinstance(config, dict):
+        _check_keys(config, {"name", "params"}, f"'{label}' keys")
         name = config.get("name")
         if not isinstance(name, str) or name not in STOCK_PARAMS:
             raise ScenarioError(f"{label}: unknown stock metric {name!r}")
@@ -363,9 +371,7 @@ def load_scenario(path):
 
 
 def build_scenario(raw):
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
+    _check_keys(raw, _TOP_KEYS, "scenario keys")
     framework = raw.get("framework")
     if framework not in FRAMEWORKS:
         raise ScenarioError(f"framework must be one of {FRAMEWORKS}, got {framework!r}")
@@ -397,9 +403,7 @@ def build_scenario(raw):
     eval_spec = raw.get("eval", {})
     if not isinstance(eval_spec, dict):
         raise ScenarioError("'eval' must be an object")
-    unknown = set(eval_spec) - {"points", "box", "count", "seed", "grid"}
-    if unknown:
-        raise ScenarioError(f"unknown eval keys: {sorted(unknown)}")
+    _check_keys(eval_spec, {"points", "box", "count", "seed", "grid"}, "eval keys")
 
     sheet_spec = raw.get("sheet")
     if sheet_spec is not None and framework != "multitime":
@@ -410,9 +414,7 @@ def build_scenario(raw):
         model = raw["model"]
         if not isinstance(model, dict) or "name" not in model:
             raise ScenarioError("'model' must be an object with a 'name'")
-        unknown = set(model) - {"name", "params"}
-        if unknown:
-            raise ScenarioError(f"unknown model keys: {sorted(unknown)}")
+        _check_keys(model, {"name", "params"}, "model keys")
         model_name = model["name"]
         if not isinstance(model_name, str) or model_name not in _MODEL_NAMES:
             raise ScenarioError(
@@ -456,9 +458,7 @@ def _sheet_fields(spec, n, p, names):
         return None
     if not isinstance(spec, dict):
         raise ScenarioError("'sheet' must be an object")
-    unknown = set(spec) - {"x", "grid"}
-    if unknown:
-        raise ScenarioError(f"unknown sheet keys: {sorted(unknown)}")
+    _check_keys(spec, {"x", "grid"}, "sheet keys")
     exprs = spec.get("x")
     if exprs is not None and (not isinstance(exprs, list) or len(exprs) != n):
         raise ScenarioError(f"'sheet.x' must list {n} expressions over t1..t{p}")
@@ -474,9 +474,7 @@ def _parse_em(config, n, names):
         return antisymmetric_field(n, zero), antisymmetric_field(n, zero)
     if not isinstance(config, dict):
         raise ScenarioError("'em' must be an object with 'H' and optionally 'G'")
-    unknown = set(config) - {"H", "G"}
-    if unknown:
-        raise ScenarioError(f"unknown em keys: {sorted(unknown)}")
+    _check_keys(config, {"H", "G"}, "em keys")
     if "H" not in config:
         raise ScenarioError("'em' needs an 'H' entry")
     H = _two_form_values(n, config["H"], names, "em.H")
@@ -558,9 +556,7 @@ def _build_multitime_space(raw, n, p, names):
     if name not in _JET_MODEL_PARAMS:
         g = _base_metric(raw, n, names, "multitime")
         return MultiTimeSpace(p, n, h, g, _connection_multitime(raw, g, p, n, names))
-    unknown = set(params) - _JET_MODEL_PARAMS[name]
-    if unknown:
-        raise ScenarioError(f"unknown params for model {name!r}: {sorted(unknown)}")
+    _check_keys(params, _JET_MODEL_PARAMS[name], f"params for model {name!r}")
     if "phi" not in params:
         raise ScenarioError(f"model {name!r} needs a 'phi' base metric")
     phi = _spatial_metric(params["phi"], n, xnames, "model.params.phi")
@@ -654,10 +650,7 @@ def _box_spec(config, dim, need_shape, label):
     """(min, max, shape) of the box or grid object ``label`` names."""
     if not isinstance(config, dict):
         raise ScenarioError(f"'{label}' must be an object")
-    allowed = {"min", "max"} | ({"shape"} if need_shape else set())
-    unknown = set(config) - allowed
-    if unknown:
-        raise ScenarioError(f"unknown '{label}' keys: {sorted(unknown)}")
+    _check_keys(config, {"min", "max"} | ({"shape"} if need_shape else set()), f"'{label}' keys")
     try:
         lo = [float(v) for v in config["min"]]
         hi = [float(v) for v in config["max"]]

@@ -890,6 +890,11 @@ def test_only_streamsheet_counts_the_sheet_nodes(tmp_path, capsys):
     (multitime_config(model={"name": "bsml",
                              "params": {"phi": {"name": "flat", "params": {"sigma": "x1"}}}}),
      "unknown params for stock metric 'flat': ['sigma']"),
+    # the stock-metric object of phi takes only 'name' and 'params'
+    (multitime_config(model={"name": "bsml", "params": {"phi": {"name": "polar", "bogus": 1}}}),
+     "unknown 'model.params.phi' keys: ['bogus']"),
+    (_jet_model("edml", U=_ZERO_ROWS, phi={"params": {}, "name": "flat", "sigma": "x1"}),
+     "unknown 'model.params.phi' keys: ['sigma']"),
 ])
 def test_cli_metric_and_connection_error_text(config, message, tmp_path, capsys):
     out = tmp_path / "out"
