@@ -19,7 +19,7 @@ from collections import OrderedDict
 from . import _numpy as np
 from . import __version__
 from .dual import promote, seed
-from .errors import GeoPlasmaError, ScenarioError
+from .errors import DomainError, GeoPlasmaError, ScenarioError
 from .multitime import StreamSheet, prolong_sheet
 from .scenario import evaluation_points, load_scenario, sheet_axes_and_values
 
@@ -146,6 +146,9 @@ def cmd_connection(args):
     scenario = load_scenario(args.scenario)
     coords = _parse_coords(args.at, len(scenario.names), "--at")
     blocks = scenario.connection(coords)
+    bad = next((name for name, (block, _) in blocks.items() if not np.isfinite(block).all()), None)
+    if bad:
+        raise DomainError(f"non-finite value in block {bad}")  # JSON has no such number
     payload = {
         "scenario": scenario.hash,
         "version": __version__,

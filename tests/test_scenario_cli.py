@@ -999,3 +999,21 @@ def test_cli_residuals_name_a_jet_point_with_zero_fiber(tmp_path):
     assert [row["error"] for row in rows] == [
         f"jet fiber quadratic form is not positive at point {tuple(point)} "
         "(quadratic form = 0.0)".replace(",", ";")]
+
+
+_HUGE_METRIC = [["1e308*x1", "0"], ["1e308"]]
+
+
+# a connection block that overflows was written as Infinity and NaN, which
+# is no JSON, under exit 0
+@pytest.mark.parametrize("config, at, block", [
+    (riemann_config(metric=_HUGE_METRIC), "1.0,0.5", "gamma"),
+    (lagrange_config(metric=_HUGE_METRIC), "1.0,0.5,0.7,0.8", "L"),
+    (_inline_multitime(metric=_HUGE_METRIC), "0.1,0.2,1.0,0.5,0.7,0.8,0.9,1.0", "L"),
+])
+def test_cli_connection_refuses_a_non_finite_block(config, at, block, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(["connection", "--scenario", write(tmp_path, config), "--at", at,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"failure: non-finite value in block {block}\n"
+    assert not out.exists()
