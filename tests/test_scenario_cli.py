@@ -754,6 +754,14 @@ def _jet_model(name, **params):
 _ZERO_ROWS = [["0", "0"], ["0", "0"]]
 
 
+def _without(config, key):
+    del config[key]
+    return config
+
+
+_BOX2 = {"min": [0.5, -0.5], "max": [1.5, 0.5]}
+
+
 # every site that compiles a scenario expression, with a name its
 # coordinates do not bind: the load fails naming the field
 @pytest.mark.parametrize("config, command, message", [
@@ -835,9 +843,10 @@ def test_only_streamsheet_counts_the_sheet_nodes(tmp_path, capsys):
     assert main(["streamsheet", "--scenario", path, "--refine", "2", "--out", str(out)]) == 0
 
 
-# the load errors of the metric and connection builders, each exact; the
-# case with an unbound name in connection[0] and a malformed connection[1]
-# shows that planes are checked and compiled one after the other
+# the load errors of the metric and connection builders and of the scenario
+# blocks, each exact; the case with an unbound name in connection[0] and a
+# malformed connection[1] shows that planes are checked and compiled one
+# after the other
 @pytest.mark.parametrize("config, message", [
     (riemann_config(model={"name": "bsml", "params": {"phi": {"name": "polar"}}}),
      "model 'bsml' is not available for the riemann framework"),
@@ -895,25 +904,7 @@ def test_only_streamsheet_counts_the_sheet_nodes(tmp_path, capsys):
      "unknown 'model.params.phi' keys: ['bogus']"),
     (_jet_model("edml", U=_ZERO_ROWS, phi={"params": {}, "name": "flat", "sigma": "x1"}),
      "unknown 'model.params.phi' keys: ['sigma']"),
-])
-def test_cli_metric_and_connection_error_text(config, message, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["residuals", "--scenario", write(tmp_path, config), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
-
-
-def _without(config, key):
-    del config[key]
-    return config
-
-
-_BOX2 = {"min": [0.5, -0.5], "max": [1.5, 0.5]}
-
-
-# load errors no other case raises, each exact: the scenario's framework,
-# model, em and eval blocks
-@pytest.mark.parametrize("config, message", [
+    # the framework, model, em and eval blocks
     ([1, 2], "scenario must be a JSON object"),
     (riemann_config(eval=5), "'eval' must be an object"),
     (riemann_config(sheet=_SHEET), "key 'sheet' is only valid for the multitime framework"),
@@ -964,7 +955,7 @@ _BOX2 = {"min": [0.5, -0.5], "max": [1.5, 0.5]}
      "'eval.grid.shape' must list 2 positive integers"),
     (riemann_config(eval={"grid": _BOX2}), "'eval.grid.shape' must list 2 positive integers"),
 ])
-def test_cli_scenario_block_error_text(config, message, tmp_path, capsys):
+def test_cli_metric_and_connection_error_text(config, message, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["residuals", "--scenario", write(tmp_path, config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
